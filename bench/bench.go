@@ -9,10 +9,12 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/hibench"
 	"repro/internal/memsim"
 	"repro/internal/rdd"
@@ -40,7 +42,7 @@ type Result struct {
 // Tier 2 (the paper's DCPM tier), plus micro-benchmarks isolating the
 // shuffle aggregation paths (reduceByKey's combine pipeline and
 // groupByKey's ship-everything pipeline) where per-record overheads
-// dominate.
+// dominate, and one end-to-end case: the report a user waits for.
 func Cases() []Case {
 	var cases []Case
 	for _, w := range workloads.Names() {
@@ -60,8 +62,22 @@ func Cases() []Case {
 		Case{Name: "micro/reduceByKey", Iter: microReduceByKey},
 		Case{Name: "micro/groupByKey", Iter: microGroupByKey},
 		Case{Name: "micro/migrationEpoch", Iter: microMigrationEpoch},
+		Case{Name: "e2e/reproduce", Iter: e2eReproduce},
 	)
 	return cases
+}
+
+// e2eReproduce renders core.Reproduce, Figure 4 included, on the roster
+// the repository benchmark's reproduce workload uses (benchmark/sizing.go):
+// small enough to iterate (~3 s), wide enough that every figure shares
+// cells with Figure 2. Its allocs/op is near-deterministic, so a ceiling
+// on it trips when cells stop being shared, without timing noise.
+func e2eReproduce() {
+	var report bytes.Buffer
+	core.Reproduce(&report, core.ReproduceOptions{Workloads: []string{"als", "lda"}})
+	if report.Len() < 1000 {
+		panic(fmt.Sprintf("bench e2e/reproduce: report is %d bytes", report.Len()))
+	}
 }
 
 // microApp builds a minimal cluster app for the rdd-level micros.

@@ -11,9 +11,10 @@
 //
 // The -md report renders before/after deltas once both labels exist.
 // CI runs the harness with -iters 1 and -max-allocs as an
-// allocation-regression tripwire on the chunk-shuffle hot paths:
+// allocation-regression tripwire on the chunk-shuffle hot paths and on
+// the end-to-end report (a lost cell memo nearly doubles its allocs/op):
 //
-//	bench -iters 1 -max-allocs 'micro/reduceByKey=10000,workload/sort=50000'
+//	bench -iters 1 -max-allocs 'micro/reduceByKey=10000,workload/sort=50000,e2e/reproduce=3400000'
 //
 // Usage:
 //
@@ -145,7 +146,7 @@ func main() {
 				continue
 			}
 			if r.AllocsPerOp > ceiling {
-				fatal(fmt.Errorf("%s allocs/op %d exceeds ceiling %d: per-record allocation crept back into the chunk path",
+				fatal(fmt.Errorf("%s allocs/op %d exceeds ceiling %d: per-record allocation crept back into the chunk path, or e2e/reproduce stopped sharing cells between figures",
 					r.Name, r.AllocsPerOp, ceiling))
 			}
 			fmt.Fprintf(os.Stderr, "%s ceiling ok: %s %d <= %d allocs/op\n", sw.Stamp(), r.Name, r.AllocsPerOp, ceiling)

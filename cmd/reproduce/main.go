@@ -1,6 +1,7 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect a few minutes.
+// full report to stdout (or a file with -o). Expect about 25 s on two
+// cores: every cell is simulated once and shared between the figures.
 //
 // Usage:
 //

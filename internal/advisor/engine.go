@@ -39,7 +39,7 @@ type Engine struct {
 // contract.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
-		hash:   computeEngineHash(),
+		hash:   computeEngineHash(executor.DefaultCostModel()),
 		runner: opts.Runner,
 		metrics: metrics{
 			reg:     opts.Registry,

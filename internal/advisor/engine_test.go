@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/hibench"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -239,7 +240,8 @@ func TestEngineBatchEmpty(t *testing.T) {
 }
 
 func TestEngineHashIsStableAndShaped(t *testing.T) {
-	a, b := computeEngineHash(), computeEngineHash()
+	cost := executor.DefaultCostModel()
+	a, b := computeEngineHash(cost), computeEngineHash(cost)
 	if a != b {
 		t.Fatalf("engine hash not deterministic: %s vs %s", a, b)
 	}
@@ -248,6 +250,23 @@ func TestEngineHashIsStableAndShaped(t *testing.T) {
 	}
 	if NewEngine(Options{}).EngineHash() != a {
 		t.Fatal("engine does not expose the computed hash")
+	}
+}
+
+// A cost-model edit changes every cell's virtual time, so it must orphan
+// the cache: perturbing any one constant moves the hash.
+func TestEngineHashCoversCostModel(t *testing.T) {
+	base := computeEngineHash(executor.DefaultCostModel())
+	for name, edit := range map[string]func(*executor.CostModel){
+		"FlopNS":            func(c *executor.CostModel) { c.FlopNS *= 1.01 },
+		"ObjectChurn":       func(c *executor.CostModel) { c.ObjectChurn++ },
+		"MigrateDispatchNS": func(c *executor.CostModel) { c.MigrateDispatchNS++ },
+	} {
+		cost := executor.DefaultCostModel()
+		edit(&cost)
+		if computeEngineHash(cost) == base {
+			t.Errorf("perturbing %s left the engine hash unchanged", name)
+		}
 	}
 }
 

@@ -22,14 +22,16 @@ const EngineVersion = 1
 // computeEngineHash derives the cache-invalidation fingerprint from the
 // engine version and every configuration table a query resolves against:
 // the NUMA topology, the tier specifications, the capacity scenarios, the
-// standard placements and the workload roster. Any change to any of them
+// standard placements, the workload roster and the executor cost model
+// (every engine passes executor.DefaultCostModel, the one every cell is
+// charged under). Any change to any of them
 // changes the hash, which orphans (and thereby invalidates) every cached
 // entry — the same discipline .simlintcache uses for analyzer results.
 //
 // Only value types are serialized (with %+v over struct values, never
 // pointers), so the fingerprint is a pure function of configuration
 // content, stable across processes.
-func computeEngineHash() string {
+func computeEngineHash(cost executor.CostModel) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "engine-version=%d\n", EngineVersion)
 	fmt.Fprintf(h, "topology=%+v\n", numa.DefaultTopology())
@@ -46,6 +48,7 @@ func computeEngineHash() string {
 	for _, size := range workloads.AllSizes() {
 		fmt.Fprintf(h, "size=%s\n", size)
 	}
+	fmt.Fprintf(h, "cost-model=%+v\n", cost)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -17,8 +17,8 @@ import (
 // specs and system events correlate strongly with runtime — is what makes
 // this model work.
 type TierAdvisor struct {
-	// Eval evaluates one experiment cell; nil selects hibench.RunQuery,
-	// a fresh simulation per cell. cmd/advisor injects the advisor
+	// Eval evaluates one experiment cell; nil selects a fresh evaluator
+	// per Train or Evaluate call. cmd/advisor injects the advisor
 	// engine's cached runner so repeated training sweeps cost one
 	// simulation per distinct cell.
 	Eval hibench.QueryRunner
@@ -27,10 +27,50 @@ type TierAdvisor struct {
 	trained bool
 }
 
-// cell evaluates one membind experiment cell through the advisor's
-// runner.
-func (a *TierAdvisor) cell(workload string, size workloads.Size, tier memsim.TierID, seed int64) hibench.RunResult {
-	return mustEval(a.Eval, membindCell(workload, size, tier, seed))
+// observation is one training or scoring point: a workload's Tier 0
+// profiling run at one size, and its observed duration on one tier.
+type observation struct {
+	workload string
+	profile  hibench.RunResult
+	tier     memsim.TierID
+	x        []float64 // advisorFeatures(profile, tier's spec)
+	y        float64   // observed duration [s]
+}
+
+// observe evaluates, for every workload and size, the Tier 0 profiling
+// run followed by one run per tier, and returns the observations in that
+// order. The cells come from validated enumerations, so an evaluation
+// error panics.
+func observe(cells queryCells, names []string, seed int64) []observation {
+	tiers := memsim.AllTiers()
+	var qs []hibench.Query
+	for _, w := range names {
+		for _, size := range workloads.AllSizes() {
+			qs = append(qs, membindCell(w, size, memsim.Tier0, seed))
+			for _, tier := range tiers {
+				qs = append(qs, membindCell(w, size, tier, seed))
+			}
+		}
+	}
+	results := must(cells(qs))
+	specs := memsim.DefaultSpecs()
+	var out []observation
+	for _, w := range names {
+		for range workloads.AllSizes() {
+			profile := results[0]
+			for i, tier := range tiers {
+				out = append(out, observation{
+					workload: w,
+					profile:  profile,
+					tier:     tier,
+					x:        advisorFeatures(profile, specs[tier]),
+					y:        results[1+i].Duration.Seconds(),
+				})
+			}
+			results = results[1+len(tiers):]
+		}
+	}
+	return out
 }
 
 // advisorFeatures builds the model's feature vector: the Tier 0 run's
@@ -55,16 +95,9 @@ func advisorFeatures(profile hibench.RunResult, tier memsim.TierSpec) []float64 
 func (a *TierAdvisor) Train(names []string, seed int64) {
 	var xs [][]float64
 	var ys []float64
-	specs := memsim.DefaultSpecs()
-	for _, w := range names {
-		for _, size := range workloads.AllSizes() {
-			profile := a.cell(w, size, memsim.Tier0, seed)
-			for _, tier := range memsim.AllTiers() {
-				obs := a.cell(w, size, tier, seed)
-				xs = append(xs, advisorFeatures(profile, specs[tier]))
-				ys = append(ys, obs.Duration.Seconds())
-			}
-		}
+	for _, o := range observe(cellsOf(a.Eval), names, seed) {
+		xs = append(xs, o.x)
+		ys = append(ys, o.y)
 	}
 	a.fit = stats.FitOLS(xs, ys)
 	a.trained = true
@@ -115,13 +148,8 @@ func (a *TierAdvisor) Recommend(profile hibench.RunResult, candidates []memsim.T
 func (a *TierAdvisor) Evaluate(workload string, seed int64) float64 {
 	a.mustBeTrained()
 	var ape []float64
-	for _, size := range workloads.AllSizes() {
-		profile := a.cell(workload, size, memsim.Tier0, seed)
-		for _, tier := range memsim.AllTiers() {
-			obs := a.cell(workload, size, tier, seed).Duration.Seconds()
-			pred := a.Predict(profile, tier)
-			ape = append(ape, math.Abs(pred-obs)/obs)
-		}
+	for _, o := range observe(cellsOf(a.Eval), []string{workload}, seed) {
+		ape = append(ape, math.Abs(a.Predict(o.profile, o.tier)-o.y)/o.y)
 	}
 	return stats.Mean(ape)
 }

@@ -61,22 +61,24 @@ func CopyStudyWorkloads() []string {
 func RunCopyStudy(names []string, size workloads.Size, seed int64) *CopyStudy {
 	study := &CopyStudy{Size: size}
 	placement := executor.Placement{Heap: memsim.Tier0, Shuffle: memsim.Tier2, Cache: memsim.Tier0}
+	var specs []hibench.RunSpec
 	for _, w := range names {
 		for _, execs := range []int{1, 4} {
-			p := placement
-			res := mustRun(hibench.RunSpec{
-				Workload: w, Size: size, Tier: p.Heap,
+			specs = append(specs, hibench.RunSpec{
+				Workload: w, Size: size, Tier: placement.Heap,
 				Executors: execs, CoresPerExecutor: 10,
-				Placement: &p, Seed: seed,
-			})
-			study.Points = append(study.Points, CopyPoint{
-				Workload:    w,
-				Executors:   execs,
-				ShuffleTier: p.Shuffle,
-				Duration:    res.Duration,
-				Copies:      res.Copies[p.Shuffle],
+				Placement: &placement, Seed: seed,
 			})
 		}
+	}
+	for i, res := range newEvaluator().Run(specs...) {
+		study.Points = append(study.Points, CopyPoint{
+			Workload:    specs[i].Workload,
+			Executors:   specs[i].Executors,
+			ShuffleTier: placement.Shuffle,
+			Duration:    res.Duration,
+			Copies:      res.Copies[placement.Shuffle],
+		})
 	}
 	return study
 }

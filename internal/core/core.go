@@ -11,34 +11,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// mustRun executes one experiment cell, panicking on a spec error.
-// Experiment harnesses construct their RunSpecs from validated tables and
-// enumerations, so a run error here is a programming bug, not an input
-// error; code with user-supplied specs must call hibench.Run and handle
-// the error.
-func mustRun(spec hibench.RunSpec) hibench.RunResult {
-	res, err := hibench.Run(spec)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// mustEval evaluates one query cell through an injectable runner (nil
-// selects hibench.RunQuery), panicking on error — the query-plane
-// counterpart of mustRun, for harnesses whose cells come from validated
-// enumerations.
-func mustEval(eval hibench.QueryRunner, q hibench.Query) hibench.RunResult {
-	if eval == nil {
-		eval = hibench.RunQuery
-	}
-	res, err := eval(q)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // membindCell names the plain membind experiment cell (workload, size,
 // tier, seed) in query vocabulary.
 func membindCell(workload string, size workloads.Size, tier memsim.TierID, seed int64) hibench.Query {

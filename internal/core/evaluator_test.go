@@ -1,0 +1,164 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/executor"
+	"repro/internal/hibench"
+	"repro/internal/memsim"
+	"repro/internal/tiering"
+	"repro/internal/workloads"
+)
+
+// sharedEval is the evaluator the seed-1 tests of this package share: a
+// cell several of them ask for is simulated once per test process. Tests
+// that compare two evaluations build their own.
+var sharedEval = sync.OnceValue(newEvaluator)
+
+// sameMap reports whether two results share one Engine map — the mark of
+// one simulation answering both.
+func sameMap(a, b hibench.RunResult) bool {
+	return reflect.ValueOf(a.Engine).Pointer() == reflect.ValueOf(b.Engine).Pointer()
+}
+
+// A hit hands the requester its own spec on a shallow copy of the one
+// simulation, both vocabularies meet in one entry, and an unkeyable cell
+// is simulated every time.
+func TestEvaluatorMemoHitHygiene(t *testing.T) {
+	ev := newEvaluator()
+	first := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2}
+	uniform := executor.UniformPlacement(memsim.Tier2)
+	respelled := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2,
+		Executors: 1, CoresPerExecutor: 40, BandwidthCap: 1, Placement: &uniform, TaskParallelism: 2, Seed: 1}
+
+	out := ev.Run(first, respelled)
+	if !sameMap(out[0], out[1]) {
+		t.Fatal("respelled cell was simulated again")
+	}
+	if out[0].Spec != first || out[1].Spec != respelled {
+		t.Errorf("results carry specs %+v and %+v, want each requester's own", out[0].Spec, out[1].Spec)
+	}
+	if out[0].Duration != out[1].Duration || out[0].Duration <= 0 {
+		t.Errorf("durations %v and %v", out[0].Duration, out[1].Duration)
+	}
+
+	viaQuery, err := ev.RunQuery(hibench.Query{Workload: "repartition", Size: "tiny", Placement: "tier:2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(out[0], viaQuery) {
+		t.Error("Query{tier:2} and RunSpec{Tier2} are two memo entries")
+	}
+
+	cfg := tiering.DefaultConfig(tiering.Static)
+	tiered := first
+	tiered.Tiering = &cfg
+	again := ev.Run(tiered, tiered)
+	if sameMap(again[0], again[1]) {
+		t.Error("a cell carrying a tiering config was memoised")
+	}
+	if len(ev.cells) != 1 {
+		t.Errorf("memo holds %d entries, want 1", len(ev.cells))
+	}
+}
+
+// The same list, with repeats, answers identically by request index at 1
+// and 8 workers, with and without the memo.
+func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
+	var specs []hibench.RunSpec
+	for _, w := range []string{"als", "sort", "als", "bayes", "sort", "als"} {
+		for _, tier := range []memsim.TierID{memsim.Tier2, memsim.Tier0} {
+			specs = append(specs, hibench.RunSpec{Workload: w, Size: workloads.Tiny, Tier: tier})
+		}
+	}
+	want := (&evaluator{workers: 1, noMemo: true, cells: map[string]*cell{}}).Run(specs...)
+	for _, workers := range []int{1, 8} {
+		ev := newEvaluator()
+		ev.workers = workers
+		got := ev.Run(specs...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers with memo: results differ from the serial unmemoised run", workers)
+		}
+		if len(ev.cells) != 6 {
+			t.Errorf("%d workers: simulated %d distinct cells, want 6", workers, len(ev.cells))
+		}
+	}
+	for i, res := range want {
+		if res.Spec != specs[i] {
+			t.Errorf("result %d answers %s, want %s", i, res.Spec, specs[i])
+		}
+	}
+}
+
+// Many goroutines asking one evaluator for the same cells join the
+// flights in progress and fold the shared results concurrently; run under
+// -race this is the proof that hits are read-only.
+func TestEvaluatorConcurrentFold(t *testing.T) {
+	ev := newEvaluator()
+	ev.workers = 2
+	cfg := tiering.DefaultConfig(tiering.Static)
+	specs := []hibench.RunSpec{
+		{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier0},
+		{Workload: "als", Size: workloads.Tiny, Tier: memsim.Tier2},
+		{Workload: "als", Size: workloads.Tiny, Tier: memsim.Tier0, Tiering: &cfg},
+	}
+	const callers = 8
+	sums := make([]string, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			defer wg.Done()
+			var engine int64
+			var epochs int
+			out := ev.Run(specs...)
+			for _, res := range out {
+				for _, v := range res.Engine {
+					engine += v
+				}
+				epochs += len(res.Heatmaps)
+			}
+			sums[g] = fmt.Sprint(out[0].Duration, out[1].Duration, out[2].Duration, engine, epochs)
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < callers; g++ {
+		if sums[g] != sums[0] {
+			t.Errorf("caller %d folded %s, caller 0 folded %s", g, sums[g], sums[0])
+		}
+	}
+	if len(ev.cells) != 2 {
+		t.Errorf("memo holds %d entries, want the 2 keyable cells", len(ev.cells))
+	}
+}
+
+// A worker's failure surfaces on the caller, and it is the first failed
+// request in list order that surfaces, whichever worker finished first.
+func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
+	good := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny}
+	unknown := hibench.RunSpec{Workload: "nope", Size: workloads.Tiny}
+	crashing := hibench.RunSpec{Workload: "repartition", Size: workloads.Size(99)}
+	for _, workers := range []int{1, 4} {
+		ev := newEvaluator()
+		ev.workers = workers
+
+		if _, err := ev.eval([]hibench.RunSpec{good, unknown, crashing}); err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("%d workers: error-first list returned %v, want the unknown-workload error", workers, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "panicked") {
+					t.Errorf("%d workers: crash-first list recovered %v, want the cell's panic", workers, r)
+				}
+			}()
+			ev.Run(good, crashing, unknown)
+		}()
+		if _, err := ev.Queries([]hibench.Query{{Workload: "repartition", Size: "tiny", Placement: "tier:9"}}); err == nil {
+			t.Errorf("%d workers: malformed query accepted", workers)
+		}
+	}
+}

@@ -30,6 +30,10 @@ type Characterization struct {
 // RunCharacterization executes the matrix with the paper's default Spark
 // configuration (1 executor x 40 cores). Nil slices select the full sets.
 func RunCharacterization(names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
+	return runCharacterization(newEvaluator(), names, sizes, tiers, seed)
+}
+
+func runCharacterization(ev *evaluator, names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -45,15 +49,18 @@ func RunCharacterization(names []string, sizes []workloads.Size, tiers []memsim.
 		Tiers:     tiers,
 		Results:   make(map[CellKey]hibench.RunResult),
 	}
+	var specs []hibench.RunSpec
 	for _, w := range names {
 		for _, size := range sizes {
 			for _, tier := range tiers {
-				res := mustRun(hibench.RunSpec{
+				specs = append(specs, hibench.RunSpec{
 					Workload: w, Size: size, Tier: tier, Seed: seed,
 				})
-				c.Results[CellKey{w, size, tier}] = res
 			}
 		}
+	}
+	for _, res := range ev.Run(specs...) {
+		c.Results[CellKey{res.Spec.Workload, res.Spec.Size, res.Spec.Tier}] = res
 	}
 	return c
 }

@@ -34,6 +34,10 @@ type MBASweep struct {
 // the execution-time distribution. The paper runs this on the NVM tier to
 // ask whether bandwidth or latency dominates.
 func RunMBASweep(names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
+	return runMBASweep(newEvaluator(), names, caps, tier, seed)
+}
+
+func runMBASweep(ev *evaluator, names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -41,16 +45,26 @@ func RunMBASweep(names []string, caps []float64, tier memsim.TierID, seed int64)
 		caps = DefaultMBACaps()
 	}
 	sweep := &MBASweep{Tier: tier, Caps: caps}
+	sizes := workloads.AllSizes()
+	var specs []hibench.RunSpec
 	for _, w := range names {
 		for _, cap := range caps {
-			var durations []float64
-			for _, size := range workloads.AllSizes() {
-				res := mustRun(hibench.RunSpec{
+			for _, size := range sizes {
+				specs = append(specs, hibench.RunSpec{
 					Workload: w, Size: size, Tier: tier,
 					BandwidthCap: cap, Seed: seed,
 				})
-				durations = append(durations, res.Duration.Seconds())
 			}
+		}
+	}
+	results := ev.Run(specs...)
+	for _, w := range names {
+		for _, cap := range caps {
+			durations := make([]float64, len(sizes))
+			for i := range sizes {
+				durations[i] = results[i].Duration.Seconds()
+			}
+			results = results[len(sizes):]
 			sweep.Points = append(sweep.Points, MBAPoint{
 				Workload:  w,
 				Cap:       cap,

@@ -47,6 +47,11 @@ type ScalingGrid struct {
 // marked invalid (they cannot be launched).
 func RunScalingGrid(workload string, size workloads.Size, tier memsim.TierID,
 	executors, cores []int, seed int64) *ScalingGrid {
+	return runScalingGrid(newEvaluator(), workload, size, tier, executors, cores, seed)
+}
+
+func runScalingGrid(ev *evaluator, workload string, size workloads.Size, tier memsim.TierID,
+	executors, cores []int, seed int64) *ScalingGrid {
 	if executors == nil {
 		executors = DefaultExecutorCounts
 	}
@@ -59,22 +64,32 @@ func RunScalingGrid(workload string, size workloads.Size, tier memsim.TierID,
 		Tier:     tier,
 		Cells:    make(map[[2]int]ScalingCell),
 	}
-	base := mustRun(hibench.RunSpec{
+	// The 1x40 baseline first, then every feasible layout in grid order.
+	specs := []hibench.RunSpec{{
 		Workload: workload, Size: size, Tier: tier,
 		Executors: 1, CoresPerExecutor: 40, Seed: seed,
-	})
+	}}
+	for _, e := range executors {
+		for _, c := range cores {
+			if c >= e {
+				specs = append(specs, hibench.RunSpec{
+					Workload: workload, Size: size, Tier: tier,
+					Executors: e, CoresPerExecutor: c / e, Seed: seed,
+				})
+			}
+		}
+	}
+	results := ev.Run(specs...)
+	base, results := results[0], results[1:]
 	grid.Baseline = base.Duration
 	for _, e := range executors {
 		for _, c := range cores {
 			cell := ScalingCell{Executors: e, TotalCores: c}
 			if c >= e {
-				res := mustRun(hibench.RunSpec{
-					Workload: workload, Size: size, Tier: tier,
-					Executors: e, CoresPerExecutor: c / e, Seed: seed,
-				})
-				cell.Duration = res.Duration
-				cell.Speedup = float64(base.Duration) / float64(res.Duration)
+				cell.Duration = results[0].Duration
+				cell.Speedup = float64(base.Duration) / float64(cell.Duration)
 				cell.Valid = true
+				results = results[1:]
 			}
 			grid.Cells[[2]int{e, c}] = cell
 		}

@@ -29,19 +29,26 @@ type MetricCorrelation struct {
 // estimated over a population of runs, like the paper's repeated
 // deployments.
 func RunMetricCorrelation(workload string, seeds []int64) MetricCorrelation {
+	return runMetricCorrelation(newEvaluator(), workload, seeds)
+}
+
+func runMetricCorrelation(ev *evaluator, workload string, seeds []int64) MetricCorrelation {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
 	}
-	var durations []float64
-	var snapshots []telemetry.RunMetrics
+	var specs []hibench.RunSpec
 	for _, size := range workloads.AllSizes() {
 		for _, seed := range seeds {
-			res := mustRun(hibench.RunSpec{
+			specs = append(specs, hibench.RunSpec{
 				Workload: workload, Size: size, Tier: memsim.Tier0, Seed: seed,
 			})
-			durations = append(durations, res.Duration.Seconds())
-			snapshots = append(snapshots, res.Metrics)
 		}
+	}
+	var durations []float64
+	var snapshots []telemetry.RunMetrics
+	for _, res := range ev.Run(specs...) {
+		durations = append(durations, res.Duration.Seconds())
+		snapshots = append(snapshots, res.Metrics)
 	}
 	out := MetricCorrelation{
 		Workload: workload,
@@ -122,15 +129,21 @@ type SpecCorrelation struct {
 
 // RunSpecCorrelation reproduces one cell group of Figure 6.
 func RunSpecCorrelation(workload string, size workloads.Size, seed int64) SpecCorrelation {
+	return runSpecCorrelation(newEvaluator(), workload, size, seed)
+}
+
+func runSpecCorrelation(ev *evaluator, workload string, size workloads.Size, seed int64) SpecCorrelation {
 	specs := memsim.DefaultSpecs()
+	tiers := memsim.AllTiers()
+	cells := make([]hibench.RunSpec, len(tiers))
+	for i, tier := range tiers {
+		cells[i] = hibench.RunSpec{Workload: workload, Size: size, Tier: tier, Seed: seed}
+	}
 	var times, lats, bws []float64
-	for _, tier := range memsim.AllTiers() {
-		res := mustRun(hibench.RunSpec{
-			Workload: workload, Size: size, Tier: tier, Seed: seed,
-		})
+	for _, res := range ev.Run(cells...) {
 		times = append(times, res.Duration.Seconds())
-		lats = append(lats, specs[tier].IdleLatencyNS)
-		bws = append(bws, specs[tier].BandwidthBytes)
+		lats = append(lats, specs[res.Spec.Tier].IdleLatencyNS)
+		bws = append(bws, specs[res.Spec.Tier].BandwidthBytes)
 	}
 	return SpecCorrelation{
 		Workload:   workload,

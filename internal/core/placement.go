@@ -37,29 +37,32 @@ type PlacementStudy struct {
 func StandardPlacements() []executor.NamedPlacement { return executor.StandardPlacements() }
 
 // RunPlacementStudy measures every standard placement for one workload,
-// simulating every cell afresh.
+// on a fresh evaluator.
 func RunPlacementStudy(workload string, size workloads.Size, seed int64) *PlacementStudy {
-	study, err := RunPlacementStudyWith(hibench.RunQuery, workload, size, seed)
-	if err != nil {
-		panic(err)
-	}
-	return study
+	return must(RunPlacementStudyWith(nil, workload, size, seed))
 }
 
 // RunPlacementStudyWith is the placement study over an injectable cell
 // evaluator (see RunWhatIfWith).
 func RunPlacementStudyWith(eval hibench.QueryRunner, workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
-	if eval == nil {
-		eval = hibench.RunQuery
-	}
+	return runPlacementStudy(cellsOf(eval), workload, size, seed)
+}
+
+func runPlacementStudy(cells queryCells, workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
 	study := &PlacementStudy{Workload: workload, Size: size}
-	for _, sp := range StandardPlacements() {
-		res, err := eval(hibench.Query{
+	placements := StandardPlacements()
+	qs := make([]hibench.Query, len(placements))
+	for i, sp := range placements {
+		qs[i] = hibench.Query{
 			Workload: workload, Size: size.String(), Placement: sp.Name, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
 		}
+	}
+	results, err := cells(qs)
+	if err != nil {
+		return nil, err
+	}
+	for i, sp := range placements {
+		res := results[i]
 		study.Points = append(study.Points, PlacementPoint{
 			Name:      sp.Name,
 			Placement: sp.P,
@@ -115,40 +118,33 @@ type InterleavePoint struct {
 // fractions (numactl --interleave / Memory-Mode-style weighted placement),
 // from the all-DRAM to the all-NVM endpoint.
 func RunInterleaveSweep(workload string, size workloads.Size, fractions []float64, seed int64) []InterleavePoint {
-	out, err := RunInterleaveSweepWith(hibench.RunQuery, workload, size, fractions, seed)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return must(RunInterleaveSweepWith(nil, workload, size, fractions, seed))
 }
 
 // RunInterleaveSweepWith is the interleave sweep over an injectable cell
 // evaluator (see RunWhatIfWith).
 func RunInterleaveSweepWith(eval hibench.QueryRunner, workload string, size workloads.Size, fractions []float64, seed int64) ([]InterleavePoint, error) {
-	if eval == nil {
-		eval = hibench.RunQuery
-	}
 	if fractions == nil {
 		fractions = []float64{0, 0.25, 0.5, 0.75, 1.0}
 	}
-	var out []InterleavePoint
-	var base sim.Time
-	for _, f := range fractions {
-		res, err := eval(hibench.Query{
+	qs := make([]hibench.Query, len(fractions))
+	for i, f := range fractions {
+		qs[i] = hibench.Query{
 			Workload: workload, Size: size.String(),
 			Placement: fmt.Sprintf("interleave:%g", f), Seed: seed,
-		})
-		if err != nil {
-			return nil, err
 		}
-		if len(out) == 0 {
-			base = res.Duration
-		}
-		out = append(out, InterleavePoint{
-			NVMFraction: f,
+	}
+	results, err := cellsOf(eval)(qs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]InterleavePoint, len(fractions))
+	for i, res := range results {
+		out[i] = InterleavePoint{
+			NVMFraction: fractions[i],
 			Duration:    res.Duration,
-			Slowdown:    float64(res.Duration) / float64(base),
-		})
+			Slowdown:    float64(res.Duration) / float64(results[0].Duration),
+		}
 	}
 	return out, nil
 }

@@ -33,7 +33,7 @@ func TestPlacementRecoversPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement study skipped in -short")
 	}
-	study := RunPlacementStudy("pagerank", workloads.Large, 1)
+	study := must(runPlacementStudy(sharedEval().Queries, "pagerank", workloads.Large, 1))
 	allNVM := study.Slowdown("all-NVM")
 	mixed := study.Slowdown("heap-DRAM/shuffle-NVM")
 	t.Logf("pagerank/large: all-NVM %.2fx, heap-DRAM/shuffle-NVM %.2fx", allNVM, mixed)
@@ -88,9 +88,12 @@ func TestUniformPlacementMatchesMembind(t *testing.T) {
 
 func mustDuration(t *testing.T, w string, p *executor.Placement) int64 {
 	t.Helper()
-	res := mustRun(hibench.RunSpec{
+	res, err := hibench.Run(hibench.RunSpec{
 		Workload: w, Size: workloads.Small, Tier: memsim.Tier2, Placement: p,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return int64(res.Duration)
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/hibench"
-	"repro/internal/memsim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -34,10 +33,10 @@ type PredictorScore struct {
 
 // ComparePredictors runs leave-one-workload-out evaluation of the linear
 // (OLS) advisor and a k-NN regressor over the same feature space and
-// observations, simulating every cell afresh. Workloads defaults to the
+// observations, on a fresh evaluator. Workloads defaults to the
 // paper's seven.
 func ComparePredictors(names []string, seed int64) []PredictorScore {
-	return ComparePredictorsWith(hibench.RunQuery, names, seed)
+	return ComparePredictorsWith(nil, names, seed)
 }
 
 // ComparePredictorsWith is the predictor comparison over an injectable
@@ -45,29 +44,14 @@ func ComparePredictors(names []string, seed int64) []PredictorScore {
 // same observations, so through a caching runner the whole comparison
 // costs one simulation per distinct (workload, size, tier) cell.
 func ComparePredictorsWith(eval hibench.QueryRunner, names []string, seed int64) []PredictorScore {
+	return comparePredictors(cellsOf(eval), names, seed)
+}
+
+func comparePredictors(cells queryCells, names []string, seed int64) []PredictorScore {
 	if names == nil {
 		names = workloads.Names()
 	}
-	type obs struct {
-		workload string
-		x        []float64
-		y        float64
-	}
-	var all []obs
-	specs := memsim.DefaultSpecs()
-	for _, w := range names {
-		for _, size := range workloads.AllSizes() {
-			profile := mustEval(eval, membindCell(w, size, memsim.Tier0, seed))
-			for _, tier := range memsim.AllTiers() {
-				y := mustEval(eval, membindCell(w, size, tier, seed)).Duration.Seconds()
-				all = append(all, obs{
-					workload: w,
-					x:        advisorFeatures(profile, specs[tier]),
-					y:        y,
-				})
-			}
-		}
-	}
+	all := observe(cells, names, seed)
 
 	evaluate := func(kind PredictorKind) PredictorScore {
 		score := PredictorScore{Kind: kind, MAPE: make(map[string]float64)}

@@ -24,8 +24,15 @@ type ReproduceOptions struct {
 
 // Reproduce regenerates every table and figure of the paper plus the
 // extension studies, rendering them to w in order. This is the one-call
-// version of the whole evaluation; cmd/reproduce wraps it.
+// version of the whole evaluation; cmd/reproduce wraps it. Like the paper,
+// it measures each cell of the workload x size x tier matrix once: every
+// figure evaluates through one evaluator, so Figure 6, the predictor and
+// the other artefacts that revisit Figure 2's cells read them back.
 func Reproduce(w io.Writer, opts ReproduceOptions) {
+	reproduce(w, opts, newEvaluator())
+}
+
+func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -65,7 +72,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 
 	// Figure 2 (all three panels) + guidelines.
 	section("Figure 2 — characterization matrix")
-	c := RunCharacterization(names, nil, nil, opts.Seed)
+	c := runCharacterization(ev, names, nil, nil, opts.Seed)
 	c.TimeTable().Render(w)
 	fmt.Fprintln(w)
 	c.AccessTable().Render(w)
@@ -83,7 +90,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 
 	// Figure 3.
 	section("Figure 3 — MBA bandwidth caps")
-	sweep := RunMBASweep(names, nil, memsim.Tier2, opts.Seed)
+	sweep := runMBASweep(ev, names, nil, memsim.Tier2, opts.Seed)
 	sweep.Table().Render(w)
 	step("Figure 3")
 
@@ -96,7 +103,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 		}
 		for _, wl := range fig4 {
 			for _, size := range []workloads.Size{workloads.Small, workloads.Large} {
-				grid := RunScalingGrid(wl, size, memsim.Tier2, nil, nil, opts.Seed)
+				grid := runScalingGrid(ev, wl, size, memsim.Tier2, nil, nil, opts.Seed)
 				grid.Table(nil, nil).Render(w)
 				fmt.Fprintln(w)
 			}
@@ -108,7 +115,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 	section("Figure 5 — system metrics vs execution time")
 	var cols []MetricCorrelation
 	for _, wl := range names {
-		cols = append(cols, RunMetricCorrelation(wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}))
+		cols = append(cols, runMetricCorrelation(ev, wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}))
 	}
 	Fig5Table(cols).Render(w)
 	step("Figure 5")
@@ -117,7 +124,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 	var cells []SpecCorrelation
 	for _, wl := range names {
 		for _, size := range workloads.AllSizes() {
-			cells = append(cells, RunSpecCorrelation(wl, size, opts.Seed))
+			cells = append(cells, runSpecCorrelation(ev, wl, size, opts.Seed))
 		}
 	}
 	Fig6Table(cells).Render(w)
@@ -125,7 +132,7 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 
 	// §IV-F predictor.
 	section("§IV-F — tier performance predictor")
-	scores := ComparePredictors(names, opts.Seed)
+	scores := comparePredictors(ev.Queries, names, opts.Seed)
 	PredictorTable(scores, names).Render(w)
 	step("predictor")
 
@@ -133,15 +140,15 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 	section("Extensions — placement, what-if, endurance")
 	ext := intersect([]string{"pagerank", "lda"}, names)
 	for _, wl := range ext {
-		RunPlacementStudy(wl, workloads.Large, opts.Seed).Table().Render(w)
+		must(runPlacementStudy(ev.Queries, wl, workloads.Large, opts.Seed)).Table().Render(w)
 		fmt.Fprintln(w)
 	}
 	whatIf := intersect([]string{"sort", "lda", "pagerank"}, names)
 	if len(whatIf) > 0 {
-		WhatIfTable(RunWhatIf(whatIf, workloads.Large, opts.Seed)).Render(w)
+		WhatIfTable(must(runWhatIf(ev.Queries, whatIf, workloads.Large, opts.Seed))).Render(w)
 		fmt.Fprintln(w)
 	}
-	WearTable(workloads.Large, opts.Seed, names).Render(w)
+	wearTable(ev, workloads.Large, opts.Seed, names).Render(w)
 	step("extensions")
 }
 

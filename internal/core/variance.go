@@ -33,16 +33,25 @@ func RunVarianceStudy(names []string, size workloads.Size, seeds []int64) []Cell
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3, 4, 5}
 	}
+	var specs []hibench.RunSpec
+	for _, w := range names {
+		for _, tier := range memsim.AllTiers() {
+			for _, seed := range seeds {
+				specs = append(specs, hibench.RunSpec{
+					Workload: w, Size: size, Tier: tier, Seed: seed,
+				})
+			}
+		}
+	}
+	results := newEvaluator().Run(specs...)
 	var out []CellStats
 	for _, w := range names {
 		for _, tier := range memsim.AllTiers() {
-			var times []float64
-			for _, seed := range seeds {
-				res := mustRun(hibench.RunSpec{
-					Workload: w, Size: size, Tier: tier, Seed: seed,
-				})
-				times = append(times, res.Duration.Seconds())
+			times := make([]float64, len(seeds))
+			for i := range seeds {
+				times[i] = results[i].Duration.Seconds()
 			}
+			results = results[len(seeds):]
 			mean := stats.Mean(times)
 			std := stats.StdDev(times)
 			out = append(out, CellStats{

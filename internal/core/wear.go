@@ -30,24 +30,38 @@ const ratedCycles = 1e5
 // ProjectWear measures one workload's DCPM write rate and extrapolates
 // device lifetime under continuous operation.
 func ProjectWear(workload string, size workloads.Size, seed int64) WearReport {
-	res := mustRun(hibench.RunSpec{
-		Workload: workload, Size: size, Tier: memsim.Tier2, Seed: seed,
-	})
-	secs := res.Duration.Seconds()
-	rate := float64(res.NVMCounters.MediaWriteBytes) / secs
-	spec := memsim.DefaultSpecs()[memsim.Tier2]
-	budget := float64(spec.CapacityBytes) * ratedCycles
-	years := budget / rate / (365.25 * 24 * 3600)
-	return WearReport{
-		Workload:         workload,
-		Size:             size,
-		WriteBytesPerSec: rate,
-		YearsToWearOut:   years,
+	return projectWear(newEvaluator(), []string{workload}, size, seed)[0]
+}
+
+// projectWear projects one report per workload from its Tier 2 run.
+func projectWear(ev *evaluator, names []string, size workloads.Size, seed int64) []WearReport {
+	specs := make([]hibench.RunSpec, len(names))
+	for i, w := range names {
+		specs[i] = hibench.RunSpec{Workload: w, Size: size, Tier: memsim.Tier2, Seed: seed}
 	}
+	out := make([]WearReport, len(names))
+	for i, res := range ev.Run(specs...) {
+		secs := res.Duration.Seconds()
+		rate := float64(res.NVMCounters.MediaWriteBytes) / secs
+		spec := memsim.DefaultSpecs()[memsim.Tier2]
+		budget := float64(spec.CapacityBytes) * ratedCycles
+		years := budget / rate / (365.25 * 24 * 3600)
+		out[i] = WearReport{
+			Workload:         names[i],
+			Size:             size,
+			WriteBytesPerSec: rate,
+			YearsToWearOut:   years,
+		}
+	}
+	return out
 }
 
 // WearTable renders projections for a set of workloads.
 func WearTable(size workloads.Size, seed int64, names []string) Table {
+	return wearTable(newEvaluator(), size, seed, names)
+}
+
+func wearTable(ev *evaluator, size workloads.Size, seed int64, names []string) Table {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -55,9 +69,8 @@ func WearTable(size workloads.Size, seed int64, names []string) Table {
 		Title:   fmt.Sprintf("Takeaway 3 extension: projected DCPM endurance under continuous %s runs", size),
 		Headers: []string{"workload", "media write rate", "projected lifetime"},
 	}
-	for _, w := range names {
-		r := ProjectWear(w, size, seed)
-		t.AddRow(w,
+	for _, r := range projectWear(ev, names, size, seed) {
+		t.AddRow(r.Workload,
 			fmt.Sprintf("%.1f MB/s", r.WriteBytesPerSec/1e6),
 			fmt.Sprintf("%.0f years", r.YearsToWearOut))
 	}

@@ -34,53 +34,55 @@ type WhatIfResult struct {
 }
 
 // RunWhatIf measures every scenario x workload at the given size,
-// simulating every cell afresh.
+// on a fresh evaluator.
 func RunWhatIf(names []string, size workloads.Size, seed int64) []WhatIfResult {
-	out, err := RunWhatIfWith(hibench.RunQuery, names, size, seed)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return must(RunWhatIfWith(nil, names, size, seed))
 }
 
 // RunWhatIfWith is the what-if sweep over an injectable cell evaluator —
 // the advisor engine passes its cached, deduplicated runner here, which
-// is what turns the repeated sweep into cache lookups. The Tier 0 anchor
+// is what turns the repeated sweep into cache lookups; a nil runner
+// selects a fresh evaluator. The Tier 0 anchor
 // is scenario-independent (a Tier 0 run never touches the capacity
 // device), so it is evaluated once per workload rather than once per
 // scenario x workload.
 func RunWhatIfWith(eval hibench.QueryRunner, names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
-	if eval == nil {
-		eval = hibench.RunQuery
-	}
+	return runWhatIf(cellsOf(eval), names, size, seed)
+}
+
+func runWhatIf(cells queryCells, names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
 	if names == nil {
 		names = workloads.Names()
 	}
-	locals := make(map[string]sim.Time, len(names))
+	// The Tier 0 anchors first, then every scenario x workload.
+	var qs []hibench.Query
 	for _, w := range names {
-		res, err := eval(hibench.Query{Workload: w, Size: size.String(), Placement: "tier:0", Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		locals[w] = res.Duration
+		qs = append(qs, hibench.Query{Workload: w, Size: size.String(), Placement: "tier:0", Seed: seed})
 	}
-	var out []WhatIfResult
 	for _, sc := range WhatIfScenarios() {
 		for _, w := range names {
-			res, err := eval(hibench.Query{
+			qs = append(qs, hibench.Query{
 				Workload: w, Size: size.String(), Placement: "tier:2", Policy: sc.Name, Seed: seed,
 			})
-			if err != nil {
-				return nil, err
-			}
+		}
+	}
+	results, err := cells(qs)
+	if err != nil {
+		return nil, err
+	}
+	locals, results := results[:len(names)], results[len(names):]
+	var out []WhatIfResult
+	for _, sc := range WhatIfScenarios() {
+		for i, w := range names {
 			out = append(out, WhatIfResult{
 				Scenario: sc.Name,
 				Workload: w,
-				Local:    locals[w],
-				Capacity: res.Duration,
-				Slowdown: float64(res.Duration) / float64(locals[w]),
+				Local:    locals[i].Duration,
+				Capacity: results[i].Duration,
+				Slowdown: float64(results[i].Duration) / float64(locals[i].Duration),
 			})
 		}
+		results = results[len(names):]
 	}
 	return out, nil
 }

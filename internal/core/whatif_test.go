@@ -37,7 +37,7 @@ func TestWhatIfClosesTheGap(t *testing.T) {
 		t.Skip("what-if sweep skipped in -short")
 	}
 	names := []string{"lda", "pagerank"}
-	results := RunWhatIf(names, workloads.Large, 1)
+	results := must(runWhatIf(sharedEval().Queries, names, workloads.Large, 1))
 	byKey := map[[2]string]WhatIfResult{}
 	for _, r := range results {
 		byKey[[2]string{r.Scenario, r.Workload}] = r
@@ -76,8 +76,8 @@ func TestWearProjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wear projection skipped in -short")
 	}
-	lda := ProjectWear("lda", workloads.Large, 1)
-	als := ProjectWear("als", workloads.Large, 1)
+	reports := projectWear(sharedEval(), []string{"lda", "als"}, workloads.Large, 1)
+	lda, als := reports[0], reports[1]
 	t.Logf("lda: %.1f MB/s -> %.0f years; als: %.1f MB/s -> %.0f years",
 		lda.WriteBytesPerSec/1e6, lda.YearsToWearOut, als.WriteBytesPerSec/1e6, als.YearsToWearOut)
 	if lda.WriteBytesPerSec <= als.WriteBytesPerSec {

@@ -84,12 +84,47 @@ func (s RunSpec) withDefaults() RunSpec {
 	return s
 }
 
+// Key renders the cell's canonical identity: specs with equal keys run the
+// same simulation and yield the same virtual results, so a memo (core's
+// evaluator) may answer one with the other's RunResult. Every field is
+// resolved the way Run and cluster.New resolve it — defaults applied, a
+// nil Placement is the uniform membind of Tier, nil TierSpecs the Table I
+// testbed (both rendered by value, never by pointer), and a BandwidthCap of
+// 1.0 is the uncapped machine. TaskParallelism is left out: it moves host
+// time only. ok is false for a spec carrying Faults, Tiering or Quota — a
+// tenant quota is mutable state shared with other runs, fault plans and
+// tiering configs have no canonical rendering — and such a cell must never
+// be memoised.
+func (s RunSpec) Key() (key string, ok bool) {
+	if s.Faults != nil || s.Tiering != nil || s.Quota != nil {
+		return "", false
+	}
+	s = s.withDefaults()
+	bwCap := s.BandwidthCap
+	if bwCap == 1 {
+		bwCap = 0
+	}
+	placement := executor.UniformPlacement(s.Tier)
+	if s.Placement != nil {
+		placement = *s.Placement
+	}
+	specs := memsim.DefaultSpecs()
+	if s.TierSpecs != nil {
+		specs = *s.TierSpecs
+	}
+	return fmt.Sprintf("%q|%d|%d|%dx%d|%d|%g|%d|%+v|%+v", s.Workload, s.Size, s.Tier,
+		s.Executors, s.CoresPerExecutor, s.Parallelism, bwCap, s.Seed, placement, specs), true
+}
+
 // String renders "pagerank/large@Tier 2 4x10".
 func (s RunSpec) String() string {
 	return fmt.Sprintf("%s/%s@%s %dx%d", s.Workload, s.Size, s.Tier, s.Executors, s.CoresPerExecutor)
 }
 
-// RunResult is the full measurement record of one run.
+// RunResult is the full measurement record of one run. A memo that
+// answers several requesters from one run (see RunSpec.Key) hands each a
+// shallow copy carrying the requester's own Spec; the Engine map and the
+// Heatmaps slice are then shared between the copies and are read-only.
 type RunResult struct {
 	Spec     RunSpec
 	Duration sim.Time
@@ -110,14 +145,16 @@ type RunResult struct {
 	Copies [memsim.NumTiers]memsim.CopyCounters
 	// Engine is a snapshot of the scheduler's engine-level counters,
 	// including the recovery.* family a fault plan drives and the
-	// tiering.* gauges when tiering is enabled.
+	// tiering.* gauges when tiering is enabled. Read-only: copies of a
+	// memoised result share the map.
 	Engine map[string]int64
 	// Tiering summarizes the dynamic tiering engine's activity; zero
 	// when the spec leaves tiering disabled.
 	Tiering TieringStats
 	// Heatmaps is the tiering engine's per-epoch bucketed heat history
 	// (one entry per epoch tick), nil when tiering is disabled. Kept out
-	// of TieringStats so that struct stays comparable.
+	// of TieringStats so that struct stays comparable. Read-only, like
+	// Engine.
 	Heatmaps []tiering.EpochHeatmap
 }
 
