@@ -222,7 +222,7 @@ func TestAdvisorPredictsHeldOutWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("advisor skipped in -short")
 	}
-	adv := TierAdvisor{Eval: sharedEval().RunQuery}
+	adv := TierAdvisor{Eval: sharedQuery}
 	adv.Train([]string{"sort", "repartition", "bayes", "lda"}, 1)
 	if adv.R2() < 0.8 {
 		t.Errorf("advisor R2 = %.3f, want a strong linear fit (Takeaway 8)", adv.R2())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -15,8 +16,9 @@ import (
 // request index. Behind that sit a memo keyed on hibench.RunSpec.Key (a
 // cell is simulated once per evaluator, however many figures ask for it),
 // a join on cells another caller already has in flight, and a fan-out of
-// the cells still to simulate over min(GOMAXPROCS, cells) workers — inline
-// on the caller's goroutine when that is one. An answer depends only on
+// the cells still to simulate over min(GOMAXPROCS, cells) workers, the
+// caller among them — inline, with no goroutine started, when that is one.
+// An answer depends only on
 // the request, never on the worker count or on who simulated the cell. An
 // evaluator lives for one Reproduce call or one standalone driver call, so
 // nothing outlives a report or leaks between seeds.
@@ -30,82 +32,124 @@ type evaluator struct {
 
 // cell is one simulation and its outcome, final once done is closed.
 type cell struct {
-	done  chan struct{}
-	res   hibench.RunResult
-	err   error
-	crash string // a panic out of hibench.Run, re-raised on every requester
+	key  string // its memo entry; "" for a cell that has none
+	done chan struct{}
+	res  hibench.RunResult
+	err  error // a *cellPanic for a panic out of hibench.Run
 }
+
+// cellPanic carries a panic out of hibench.Run to every requester of the
+// cell: the value as thrown, so errors.As still reaches a typed one, beside
+// the stack of the goroutine that threw it.
+type cellPanic struct {
+	spec  hibench.RunSpec
+	value any
+	stack []byte
+}
+
+func (p *cellPanic) Error() string {
+	return fmt.Sprintf("core: cell %s panicked: %v\n%s", p.spec, p.value, p.stack)
+}
+
+func (p *cellPanic) Unwrap() error { err, _ := p.value.(error); return err }
+
+var errDropped = errors.New("core: cell not simulated: an earlier cell of its batch failed")
 
 func newEvaluator() *evaluator { return &evaluator{cells: make(map[string]*cell)} }
 
-func (c *cell) run(spec hibench.RunSpec) {
+// run simulates the cell and reports whether that succeeded.
+func (c *cell) run(spec hibench.RunSpec) bool {
 	defer close(c.done)
 	defer func() {
 		if r := recover(); r != nil {
-			c.crash = fmt.Sprintf("core: cell %s panicked: %v\n%s", spec, r, debug.Stack())
+			c.err = &cellPanic{spec, r, debug.Stack()}
 		}
 	}()
 	c.res, c.err = hibench.Run(spec)
+	return c.err == nil
 }
 
-// eval answers specs by request index. Cells that Key reports unkeyable
-// (fault plans, tiering, quotas) are simulated every time they are asked
-// for. A worker's panic or error is held on its cell and raised here, on
-// the caller, for the first failed request in list order.
+// drop ends a cell unsimulated and takes it out of the memo, so that a
+// later request simulates it.
+func (e *evaluator) drop(c *cell) {
+	e.mu.Lock()
+	delete(e.cells, c.key)
+	e.mu.Unlock()
+	c.err = errDropped
+	close(c.done)
+}
+
+// eval answers specs by request index, each result carrying its
+// requester's spec as hibench.Run would have returned it. Cells that Key
+// reports unkeyable (fault plans, tiering, quotas) are simulated every
+// time they are asked for. A worker's panic or error is held on its cell
+// and raised here, on the caller, for the first failed request in list
+// order; cells behind a failed one that have not started are dropped. Only
+// those are, so the failure raised is the same at every worker count.
 func (e *evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	cells := make([]*cell, len(specs))
 	var mine []int // requests whose cell this call simulates
 	e.mu.Lock()
 	for i, spec := range specs {
 		key, ok := spec.Key()
-		ok = ok && !e.noMemo
-		if ok {
+		if !ok || e.noMemo {
+			key = ""
+		} else {
 			cells[i] = e.cells[key]
 		}
 		if cells[i] == nil {
-			cells[i] = &cell{done: make(chan struct{})}
+			cells[i] = &cell{key: key, done: make(chan struct{})}
 			mine = append(mine, i)
-			if ok {
+			if key != "" {
 				e.cells[key] = cells[i]
 			}
 		}
 	}
 	e.mu.Unlock()
 
+	var next, failedAt atomic.Int64 // indexes into mine
+	failedAt.Store(int64(len(mine)))
+	work := func() bool {
+		n := next.Add(1) - 1
+		if n >= int64(len(mine)) {
+			return false
+		}
+		if c := cells[mine[n]]; failedAt.Load() < n {
+			e.drop(c)
+		} else if !c.run(specs[mine[n]]) {
+			for at := failedAt.Load(); n < at && !failedAt.CompareAndSwap(at, n); at = failedAt.Load() {
+			}
+		}
+		return true
+	}
 	workers := e.workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers = min(workers, len(mine)); workers <= 1 {
-		for _, i := range mine {
-			cells[i].run(specs[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for n := next.Add(1) - 1; n < int64(len(mine)); n = next.Add(1) - 1 {
-					cells[mine[n]].run(specs[mine[n]])
-				}
-			}()
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := min(workers, len(mine)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for work() {
+			}
+		}()
 	}
+	for work() { // the caller is a worker too: alone, it runs the batch inline
+	}
+	wg.Wait()
 
 	out := make([]hibench.RunResult, len(specs))
 	for i, c := range cells {
 		<-c.done // blocks only on a cell a concurrent caller is simulating
-		if c.crash != "" {
-			panic(c.crash)
+		if p, ok := c.err.(*cellPanic); ok {
+			panic(p)
 		}
 		if c.err != nil {
 			return nil, c.err
 		}
 		out[i] = c.res
-		out[i].Spec = specs[i]
+		out[i].Spec = specs[i].WithDefaults()
 	}
 	return out, nil
 }
@@ -131,17 +175,10 @@ func (e *evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
 	return e.eval(specs)
 }
 
-// RunQuery is Queries for one cell, in hibench.QueryRunner shape.
-func (e *evaluator) RunQuery(q hibench.Query) (hibench.RunResult, error) {
-	out, err := e.Queries([]hibench.Query{q})
-	if err != nil {
-		return hibench.RunResult{}, err
-	}
-	return out[0], nil
-}
-
 // queryCells is the seam the query-vocabulary drivers evaluate through: a
-// planned list in, results by request index out.
+// planned list in, results by request index out. The drivers Reproduce
+// threads its evaluator through take it directly (runWhatIf under
+// RunWhatIfWith); the others adapt their runner in place.
 type queryCells func([]hibench.Query) ([]hibench.RunResult, error)
 
 // cellsOf adapts an injected runner — the advisor engine's cached one —

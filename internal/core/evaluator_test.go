@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -18,6 +19,16 @@ import (
 // cell several of them ask for is simulated once per test process. Tests
 // that compare two evaluations build their own.
 var sharedEval = sync.OnceValue(newEvaluator)
+
+// sharedQuery is sharedEval in hibench.QueryRunner shape, for the seams
+// that take an injected runner.
+func sharedQuery(q hibench.Query) (hibench.RunResult, error) {
+	out, err := sharedEval().Queries([]hibench.Query{q})
+	if err != nil {
+		return hibench.RunResult{}, err
+	}
+	return out[0], nil
+}
 
 // sameMap reports whether two results share one Engine map — the mark of
 // one simulation answering both.
@@ -39,18 +50,15 @@ func TestEvaluatorMemoHitHygiene(t *testing.T) {
 	if !sameMap(out[0], out[1]) {
 		t.Fatal("respelled cell was simulated again")
 	}
-	if out[0].Spec != first || out[1].Spec != respelled {
-		t.Errorf("results carry specs %+v and %+v, want each requester's own", out[0].Spec, out[1].Spec)
+	if out[0].Spec != first.WithDefaults() || out[1].Spec != respelled.WithDefaults() {
+		t.Errorf("results carry specs %+v and %+v, want each requester's own as hibench.Run returns it", out[0].Spec, out[1].Spec)
 	}
 	if out[0].Duration != out[1].Duration || out[0].Duration <= 0 {
 		t.Errorf("durations %v and %v", out[0].Duration, out[1].Duration)
 	}
 
-	viaQuery, err := ev.RunQuery(hibench.Query{Workload: "repartition", Size: "tiny", Placement: "tier:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMap(out[0], viaQuery) {
+	viaQuery := must(ev.Queries([]hibench.Query{{Workload: "repartition", Size: "tiny", Placement: "tier:2"}}))
+	if !sameMap(out[0], viaQuery[0]) {
 		t.Error("Query{tier:2} and RunSpec{Tier2} are two memo entries")
 	}
 
@@ -88,7 +96,7 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 		}
 	}
 	for i, res := range want {
-		if res.Spec != specs[i] {
+		if res.Spec != specs[i].WithDefaults() {
 			t.Errorf("result %d answers %s, want %s", i, res.Spec, specs[i])
 		}
 	}
@@ -137,7 +145,9 @@ func TestEvaluatorConcurrentFold(t *testing.T) {
 }
 
 // A worker's failure surfaces on the caller, and it is the first failed
-// request in list order that surfaces, whichever worker finished first.
+// request in list order that surfaces, whichever worker finished first: a
+// panic as thrown, under its stack. Cells behind the failure that had not
+// started are dropped from the batch and the memo, not simulated.
 func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	good := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny}
 	unknown := hibench.RunSpec{Workload: "nope", Size: workloads.Tiny}
@@ -151,8 +161,9 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 		}
 		func() {
 			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "panicked") {
-					t.Errorf("%d workers: crash-first list recovered %v, want the cell's panic", workers, r)
+				p, _ := recover().(*cellPanic)
+				if p == nil || p.value == nil || !strings.Contains(p.Error(), "goroutine") {
+					t.Errorf("%d workers: crash-first list recovered %v, want the cell's panic and stack", workers, p)
 				}
 			}()
 			ev.Run(good, crashing, unknown)
@@ -160,5 +171,18 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 		if _, err := ev.Queries([]hibench.Query{{Workload: "repartition", Size: "tiny", Placement: "tier:9"}}); err == nil {
 			t.Errorf("%d workers: malformed query accepted", workers)
 		}
+	}
+
+	ev := newEvaluator()
+	ev.workers = 1
+	late := hibench.RunSpec{Workload: "als", Size: workloads.Tiny}
+	if _, err := ev.eval([]hibench.RunSpec{good, unknown, late}); err == nil || len(ev.cells) != 2 {
+		t.Errorf("failed batch returned %v and left %d memo entries, want an error and the 2 cells it ran", err, len(ev.cells))
+	}
+	if res := ev.Run(late, good); res[0].Duration <= 0 || len(ev.cells) != 3 {
+		t.Errorf("dropped cell answered %v on the next request, memo holds %d entries", res[0].Duration, len(ev.cells))
+	}
+	if !errors.Is(&cellPanic{value: errDropped}, errDropped) {
+		t.Error("a typed panic value is not reachable through cellPanic")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // land local or remote, because ReadShuffleChunk charges by ExecID, not
 // by what the ledger records.
 func TestRunRecordsCopyLedger(t *testing.T) {
-	single := mustRun(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2})
+	single := runValid(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2})
 	c := single.Copies[memsim.Tier2]
 	if c.TotalChunks() == 0 || c.TotalBytes() == 0 {
 		t.Fatal("shuffle run recorded no chunk reads in the copy ledger")
@@ -32,7 +32,7 @@ func TestRunRecordsCopyLedger(t *testing.T) {
 		}
 	}
 
-	multi := mustRun(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2,
+	multi := runValid(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2,
 		Executors: 4, CoresPerExecutor: 10})
 	m := multi.Copies[memsim.Tier2]
 	if m.RemoteChunks == 0 {

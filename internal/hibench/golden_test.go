@@ -26,8 +26,8 @@ func TestGoldenCells(t *testing.T) {
 		{RunSpec{Workload: "pagerank", Size: workloads.Small, Tier: memsim.Tier3}},
 	}
 	for _, c := range cells {
-		a := mustRun(t, c.spec)
-		b := mustRun(t, c.spec)
+		a := runValid(t, c.spec)
+		b := runValid(t, c.spec)
 		if a.Duration != b.Duration {
 			t.Fatalf("%s: durations differ across runs (%v vs %v)", c.spec, a.Duration, b.Duration)
 		}
@@ -46,8 +46,8 @@ func TestGoldenCells(t *testing.T) {
 // Seeds must actually matter: different seeds produce different data and
 // different (but individually stable) durations.
 func TestSeedsChangeOutcomes(t *testing.T) {
-	a := mustRun(t, RunSpec{Workload: "sort", Size: workloads.Small, Tier: memsim.Tier0, Seed: 1})
-	b := mustRun(t, RunSpec{Workload: "sort", Size: workloads.Small, Tier: memsim.Tier0, Seed: 2})
+	a := runValid(t, RunSpec{Workload: "sort", Size: workloads.Small, Tier: memsim.Tier0, Seed: 1})
+	b := runValid(t, RunSpec{Workload: "sort", Size: workloads.Small, Tier: memsim.Tier0, Seed: 2})
 	if a.Duration == b.Duration && a.Metrics.MediaReads == b.Metrics.MediaReads {
 		t.Fatal("seeds 1 and 2 produced identical runs; generators ignore the seed")
 	}

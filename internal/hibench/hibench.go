@@ -67,8 +67,9 @@ type RunSpec struct {
 	Seed int64
 }
 
-// withDefaults fills zero fields.
-func (s RunSpec) withDefaults() RunSpec {
+// WithDefaults fills zero fields the way Run does: the spec a RunResult
+// carries.
+func (s RunSpec) WithDefaults() RunSpec {
 	if s.Executors == 0 {
 		s.Executors = 1
 	}
@@ -99,7 +100,7 @@ func (s RunSpec) Key() (key string, ok bool) {
 	if s.Faults != nil || s.Tiering != nil || s.Quota != nil {
 		return "", false
 	}
-	s = s.withDefaults()
+	s = s.WithDefaults()
 	bwCap := s.BandwidthCap
 	if bwCap == 1 {
 		bwCap = 0
@@ -123,8 +124,9 @@ func (s RunSpec) String() string {
 
 // RunResult is the full measurement record of one run. A memo that
 // answers several requesters from one run (see RunSpec.Key) hands each a
-// shallow copy carrying the requester's own Spec; the Engine map and the
-// Heatmaps slice are then shared between the copies and are read-only.
+// shallow copy carrying the requester's own Spec, defaults applied — what
+// Run would have returned it; the Engine map and the Heatmaps slice are
+// then shared between the copies and are read-only.
 type RunResult struct {
 	Spec     RunSpec
 	Duration sim.Time
@@ -174,7 +176,7 @@ type TieringStats struct {
 // distinguish "the configuration is invalid" from "the run gave up" with
 // errors.As.
 func Run(spec RunSpec) (result RunResult, err error) {
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
 		return RunResult{}, err

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunSpecDefaults(t *testing.T) {
-	s := RunSpec{Workload: "sort"}.withDefaults()
+	s := RunSpec{Workload: "sort"}.WithDefaults()
 	if s.Executors != 1 || s.CoresPerExecutor != 40 {
 		t.Fatalf("default layout = %dx%d, want 1x40", s.Executors, s.CoresPerExecutor)
 	}
@@ -48,9 +48,9 @@ func TestRunInvalidConf(t *testing.T) {
 	}
 }
 
-// mustRun executes a cell that the test knows is valid, failing the test
+// runValid executes a cell that the test knows is valid, failing the test
 // on an unexpected error.
-func mustRun(tb testing.TB, spec RunSpec) RunResult {
+func runValid(tb testing.TB, spec RunSpec) RunResult {
 	tb.Helper()
 	res, err := Run(spec)
 	if err != nil {
@@ -60,7 +60,7 @@ func mustRun(tb testing.TB, spec RunSpec) RunResult {
 }
 
 func TestRunProducesFullRecord(t *testing.T) {
-	res := mustRun(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2})
+	res := runValid(t, RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2})
 	if res.Duration <= 0 {
 		t.Error("no duration")
 	}
@@ -83,7 +83,7 @@ func TestRunProducesFullRecord(t *testing.T) {
 
 func TestRunWithPlacementSplitsTraffic(t *testing.T) {
 	p := executor.Placement{Heap: memsim.Tier0, Shuffle: memsim.Tier2, Cache: memsim.Tier0}
-	res := mustRun(t, RunSpec{Workload: "repartition", Size: workloads.Small,
+	res := runValid(t, RunSpec{Workload: "repartition", Size: workloads.Small,
 		Tier: memsim.Tier0, Placement: &p})
 	if res.NVMCounters.TotalAccesses() == 0 {
 		t.Fatal("shuffle-on-NVM placement produced no NVM accesses")
@@ -95,8 +95,8 @@ func TestRunWithPlacementSplitsTraffic(t *testing.T) {
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
 	spec := RunSpec{Workload: "bayes", Size: workloads.Tiny, Tier: memsim.Tier1, Seed: 5}
-	a := mustRun(t, spec)
-	b := mustRun(t, spec)
+	a := runValid(t, spec)
+	b := runValid(t, spec)
 	if a.Duration != b.Duration {
 		t.Fatalf("durations differ: %v vs %v", a.Duration, b.Duration)
 	}
@@ -133,7 +133,7 @@ func TestRunSurfacesJobAbort(t *testing.T) {
 // A survivable fault plan still produces the full record, including the
 // engine counter snapshot with the recovery family populated.
 func TestRunRecordsRecoveryCounters(t *testing.T) {
-	res := mustRun(t, RunSpec{
+	res := runValid(t, RunSpec{
 		Workload: "sort", Size: workloads.Tiny, Tier: memsim.Tier0,
 		Faults: &faults.Plan{TaskFailureRate: 0.3, MaxTaskFailures: 16},
 	})
@@ -143,7 +143,7 @@ func TestRunRecordsRecoveryCounters(t *testing.T) {
 	if res.Engine["tasks.computed"] == 0 {
 		t.Fatalf("engine snapshot missing task counts: %v", res.Engine)
 	}
-	clean := mustRun(t, RunSpec{Workload: "sort", Size: workloads.Tiny, Tier: memsim.Tier0})
+	clean := runValid(t, RunSpec{Workload: "sort", Size: workloads.Tiny, Tier: memsim.Tier0})
 	if clean.Summary != res.Summary {
 		t.Fatal("task retries changed workload results")
 	}

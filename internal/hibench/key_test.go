@@ -100,7 +100,7 @@ func TestKeyCoversEveryField(t *testing.T) {
 // explicit values behind fresh pointers, uncapped as cap 1.0, another
 // phase-1 worker count.
 func respell(s RunSpec) RunSpec {
-	d := s.withDefaults()
+	d := s.WithDefaults()
 	if d.BandwidthCap == 0 {
 		d.BandwidthCap = 1
 	}
@@ -166,7 +166,7 @@ func TestEqualKeysMeanEqualResults(t *testing.T) {
 			t.Errorf("respelling moved the key:\n%s\n%s", ka, kb)
 			return false
 		}
-		ra, rb := mustRun(t, a), mustRun(t, b)
+		ra, rb := runValid(t, a), runValid(t, b)
 		ra.Spec, rb.Spec = RunSpec{}, RunSpec{}
 		if !reflect.DeepEqual(ra, rb) {
 			t.Errorf("%s: equal keys, different results:\n%+v\n%+v", a, ra, rb)

@@ -13,8 +13,8 @@ import (
 func TestAllWorkloadsParallelismInvariant(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
-			seq := mustRun(t, RunSpec{Workload: name, Size: workloads.Tiny, TaskParallelism: 1})
-			par := mustRun(t, RunSpec{Workload: name, Size: workloads.Tiny, TaskParallelism: 8})
+			seq := runValid(t, RunSpec{Workload: name, Size: workloads.Tiny, TaskParallelism: 1})
+			par := runValid(t, RunSpec{Workload: name, Size: workloads.Tiny, TaskParallelism: 8})
 			if par.Duration != seq.Duration {
 				t.Errorf("duration: 8 workers %v, sequential %v", par.Duration, seq.Duration)
 			}

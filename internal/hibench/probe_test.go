@@ -19,14 +19,14 @@ func TestProbeFig2Matrix(t *testing.T) {
 			var line string
 			var t0 float64
 			for _, tier := range memsim.AllTiers() {
-				res := mustRun(t, RunSpec{Workload: w, Size: size, Tier: tier})
+				res := runValid(t, RunSpec{Workload: w, Size: size, Tier: tier})
 				d := res.Duration.Seconds()
 				if tier == memsim.Tier0 {
 					t0 = d
 				}
 				line += fmt.Sprintf(" T%d=%.4fs(x%.2f)", int(tier), d, d/t0)
 			}
-			res2 := mustRun(t, RunSpec{Workload: w, Size: size, Tier: memsim.Tier2})
+			res2 := runValid(t, RunSpec{Workload: w, Size: size, Tier: memsim.Tier2})
 			c := res2.Metrics
 			t.Logf("%-12s %-5s%s | nvmR=%d nvmW=%d wr=%.2f stall%%=%.0f",
 				w, size, line, c.MediaReads, c.MediaWrites, c.WriteRatio(),
