@@ -113,7 +113,7 @@ func BenchmarkFig2Energy(b *testing.B) {
 func BenchmarkFig3MBA(b *testing.B) {
 	var flat float64
 	for i := 0; i < b.N; i++ {
-		sweep := core.RunMBASweep([]string{"pagerank", "als"},
+		sweep := core.NewEvaluator(nil).MBASweep([]string{"pagerank", "als"},
 			[]float64{1.0, 0.6, 0.4}, memsim.Tier2, 1)
 		for _, dev := range sweep.Flatness() {
 			if dev > flat {
@@ -134,7 +134,7 @@ func BenchmarkFig4Scaling(b *testing.B) {
 		b.Run(w, func(b *testing.B) {
 			var worst float64
 			for i := 0; i < b.N; i++ {
-				grid := core.RunScalingGrid(w, workloads.Small, memsim.Tier2,
+				grid := core.NewEvaluator(nil).ScalingGrid(w, workloads.Small, memsim.Tier2,
 					[]int{1, 4}, []int{10, 40}, 1)
 				worst = grid.WorstSlowdown()
 			}
@@ -150,7 +150,7 @@ func BenchmarkFig4Scaling(b *testing.B) {
 func BenchmarkFig5Correlation(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		mc := core.RunMetricCorrelation("bayes", []int64{1, 2})
+		mc := core.NewEvaluator(nil).MetricCorrelation("bayes", []int64{1, 2})
 		mean = mc.MeanAbsCorrelation()
 	}
 	b.ReportMetric(mean, "mean-abs-r")
@@ -163,7 +163,7 @@ func BenchmarkFig5Correlation(b *testing.B) {
 func BenchmarkFig6Correlation(b *testing.B) {
 	var lat, bw float64
 	for i := 0; i < b.N; i++ {
-		c := core.RunSpecCorrelation("pagerank", workloads.Small, 1)
+		c := core.NewEvaluator(nil).SpecCorrelation("pagerank", workloads.Small, 1)
 		lat, bw = c.LatencyR, c.BandwidthR
 	}
 	b.ReportMetric(lat, "r-latency")
@@ -177,9 +177,14 @@ func BenchmarkFig6Correlation(b *testing.B) {
 func BenchmarkTierAdvisor(b *testing.B) {
 	var mape float64
 	for i := 0; i < b.N; i++ {
-		var adv core.TierAdvisor
-		adv.Train([]string{"sort", "bayes"}, 1)
-		mape = adv.Evaluate("pagerank", 1)
+		adv := core.TierAdvisor{Ev: core.NewEvaluator(nil)}
+		err := adv.Train([]string{"sort", "bayes"}, 1)
+		if err == nil {
+			mape, err = adv.Evaluate("pagerank", 1)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(mape*100, "MAPE-%")
 }
@@ -271,7 +276,10 @@ func BenchmarkDESStage(b *testing.B) {
 func BenchmarkPlacementStudy(b *testing.B) {
 	var mixed float64
 	for i := 0; i < b.N; i++ {
-		study := core.RunPlacementStudy("pagerank", workloads.Small, 1)
+		study, err := core.NewEvaluator(nil).PlacementStudy("pagerank", workloads.Small, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		mixed = study.Slowdown("heap-DRAM/shuffle-NVM")
 	}
 	b.ReportMetric(mixed, "mixed-slowdown")
@@ -280,7 +288,10 @@ func BenchmarkPlacementStudy(b *testing.B) {
 func BenchmarkInterleaveSweep(b *testing.B) {
 	var end float64
 	for i := 0; i < b.N; i++ {
-		points := core.RunInterleaveSweep("bayes", workloads.Small, []float64{0, 0.5, 1}, 1)
+		points, err := core.NewEvaluator(nil).InterleaveSweep("bayes", workloads.Small, []float64{0, 0.5, 1}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		end = points[len(points)-1].Slowdown
 	}
 	b.ReportMetric(end, "all-NVM-slowdown")
@@ -289,7 +300,10 @@ func BenchmarkInterleaveSweep(b *testing.B) {
 func BenchmarkWhatIfCXL(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		results := core.RunWhatIf([]string{"pagerank"}, workloads.Small, 1)
+		results, err := core.NewEvaluator(nil).WhatIf([]string{"pagerank"}, workloads.Small, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range results {
 			if r.Scenario == "cxl-dram" {
 				gap = r.Slowdown

@@ -1,181 +1,138 @@
-// Command autotier sweeps the dynamic tiering policies across the HiBench
-// workloads under a DRAM-constrained cache placement: heap and shuffle on
-// local DRAM, the RDD cache on local DCPM, and a DRAM cache budget of a
-// fraction of each workload's measured cache footprint. For every workload
-// it first verifies that the static policy reproduces the untiered run
-// bit-for-bit, then runs the selected dynamic policies (default
-// {watermark, bandwidth-aware, age, forecast}) x the budget fractions and
-// reports end-to-end runtime against the static baseline. Wherever the
-// forecast policy loses to static, the report includes its per-epoch
-// bucketed heatmaps as evidence of what the forecaster saw.
-//
-// Usage:
-//
-//	autotier [-size small] [-seed 1] [-policies watermark,forecast] [-o results/autotier.md]
-//	autotier -smoke        # CI mode: tiny size, determinism checks
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 
-	"repro/internal/executor"
 	"repro/internal/hibench"
-	"repro/internal/memsim"
 	"repro/internal/tiering"
 	"repro/internal/workloads"
 )
 
 var fracs = []float64{0.10, 0.25, 0.50}
 
-// defaultPolicies is every dynamic policy, in sweep order.
-func defaultPolicies() []tiering.PolicyKind {
-	var out []tiering.PolicyKind
-	for _, p := range tiering.AllPolicies() {
-		if p != tiering.Static {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // parsePolicies resolves the -policies flag: a comma-separated list of
-// dynamic policy kinds (the static baseline always runs and cannot be
-// listed).
+// dynamic policy kinds, empty for all of them (the static baseline always
+// runs and cannot be listed).
 func parsePolicies(s string) ([]tiering.PolicyKind, error) {
-	var out []tiering.PolicyKind
-	for _, part := range strings.Split(s, ",") {
-		p := tiering.PolicyKind(strings.TrimSpace(part))
-		if p == "" {
-			continue
+	if s == "" {
+		var all []tiering.PolicyKind
+		for _, p := range tiering.AllPolicies() {
+			if p != tiering.Static {
+				all = append(all, p)
+			}
 		}
+		return all, nil
+	}
+	return list(s, func(part string) (tiering.PolicyKind, error) {
+		p := tiering.PolicyKind(part)
 		if p == tiering.Static {
-			return nil, fmt.Errorf("static is the implicit baseline, not a sweep policy")
+			return "", fmt.Errorf("static is the implicit baseline, not a sweep policy")
 		}
 		if !p.Valid() {
-			return nil, fmt.Errorf("unknown policy %q (have %v)", p, tiering.AllPolicies())
+			return "", fmt.Errorf("unknown policy %q (have %v)", p, tiering.AllPolicies())
 		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-policies selected nothing")
-	}
-	return out, nil
+		return p, nil
+	})
 }
 
-// cell is one measured sweep point.
-type cell struct {
+// tierCell is one measured sweep point.
+type tierCell struct {
 	policy tiering.PolicyKind
 	frac   float64 // 0 for static
 	budget int64   // 0 for static
 	res    hibench.RunResult
 }
 
-// sweep is one workload's column of cells, static first.
-type sweep struct {
+// tierSweep is one workload's column of cells, static first.
+type tierSweep struct {
 	workload  string
 	footprint int64
-	cells     []cell
+	cells     []tierCell
 }
 
-func main() {
-	size := flag.String("size", "small", "dataset size profile (tiny|small|large)")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	out := flag.String("o", "", "write the markdown report to this file (default stdout)")
-	policiesFlag := flag.String("policies", "", "comma-separated dynamic policies to sweep (default: all)")
-	smoke := flag.Bool("smoke", false, "CI smoke mode: tiny size, static inert + watermark/forecast determinism checks")
-	flag.Parse()
-
-	if *smoke {
-		if err := runSmoke(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, "autotier -smoke:", err)
-			os.Exit(1)
+// autotier sweeps the dynamic tiering policies across the HiBench
+// workloads under a DRAM-constrained cache placement: heap and shuffle on
+// local DRAM, the RDD cache on remote DCPM, and a DRAM cache budget of a
+// fraction of each workload's measured cache footprint. For every workload
+// it first verifies that the static policy reproduces the untiered run
+// bit-for-bit, then runs the selected dynamic policies (default
+// {watermark, bandwidth-aware, age, forecast}) x the budget fractions and
+// reports end-to-end runtime against the static baseline. Wherever the
+// forecast policy loses to static, the report includes its per-epoch
+// bucketed heatmaps as evidence of what the forecaster saw. -smoke is the
+// CI mode: tiny size, determinism checks.
+func autotier(c *ctx) func() error {
+	size, seed, deliver := c.size("small"), c.seed(1), c.output()
+	policies := flagOf(c, "policies", "", "comma-separated dynamic policies to sweep (default: all)", parsePolicies)
+	smoke := c.smoke("CI smoke mode: tiny size, static inert + watermark/forecast determinism checks")
+	return func() error {
+		if *smoke {
+			if err := autotierSmoke(*seed); err != nil {
+				return fmt.Errorf("-smoke: %w", err)
+			}
+			c.println("autotier smoke: OK (static inert, watermark and forecast deterministic)")
+			return nil
 		}
-		fmt.Println("autotier smoke: OK (static inert, watermark and forecast deterministic)")
-		return
+		var sweeps []tierSweep
+		for _, w := range workloads.Names() {
+			s, err := sweepWorkload(w, *size, *seed, *policies)
+			if err != nil {
+				return err
+			}
+			sweeps = append(sweeps, s)
+			fmt.Fprintf(c.stderr, "autotier: %s/%s done (footprint %d B, %d cells)\n",
+				w, *size, s.footprint, len(s.cells))
+		}
+		report := renderSweeps(sweeps, size.String(), *seed)
+		path, err := deliver(report)
+		if path == "" {
+			fmt.Fprint(c.stdout, report)
+		} else if err == nil {
+			fmt.Fprintf(c.stderr, "autotier: wrote %s\n", path)
+		}
+		return err
 	}
+}
 
-	sz, err := workloads.ParseSize(*size)
+// staticBaseline runs spec untiered and under the static policy, checks
+// that the two agree — the static policy must be inert — and returns the
+// static run with the cache footprint it measured.
+func staticBaseline(spec hibench.RunSpec) (st hibench.RunResult, footprint int64, err error) {
+	plain, err := hibench.Run(spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "autotier:", err)
-		os.Exit(1)
+		return st, 0, err
 	}
-	policies := defaultPolicies()
-	if *policiesFlag != "" {
-		if policies, err = parsePolicies(*policiesFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "autotier:", err)
-			os.Exit(1)
-		}
+	if st, err = hibench.Run(tiered(spec, tiering.Static, 0)); err != nil {
+		return st, 0, err
 	}
-	var sweeps []sweep
-	for _, w := range workloads.All() {
-		s, err := sweepWorkload(w.Name(), sz, *seed, policies)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "autotier:", err)
-			os.Exit(1)
-		}
-		sweeps = append(sweeps, s)
-		fmt.Fprintf(os.Stderr, "autotier: %s/%s done (footprint %d B, %d cells)\n",
-			w.Name(), sz, s.footprint, len(s.cells))
+	switch {
+	case plain.Duration != st.Duration:
+		err = fmt.Errorf("duration %v vs %v", plain.Duration, st.Duration)
+	case plain.Metrics != st.Metrics:
+		err = fmt.Errorf("metrics diverged")
+	case plain.NVMCounters != st.NVMCounters:
+		err = fmt.Errorf("NVM counters diverged")
 	}
-
-	report := render(sweeps, *size, *seed)
-	if *out == "" {
-		fmt.Print(report)
-		return
+	if err != nil {
+		return st, 0, fmt.Errorf("static policy is not inert: %w", err)
 	}
-	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "autotier:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "autotier: wrote %s\n", *out)
-}
-
-// dcpmCachePlacement is the DRAM-constrained placement: heap and shuffle
-// stay on local DRAM while the RDD cache overflows to the far NVDIMM
-// group (Tier 3) — the spillover target when the local DIMMs are full.
-func dcpmCachePlacement() *executor.Placement {
-	return &executor.Placement{Heap: memsim.Tier0, Shuffle: memsim.Tier0, Cache: memsim.Tier3}
-}
-
-// baseSpec is the shared experiment cell for one workload.
-func baseSpec(workload string, size workloads.Size, seed int64) hibench.RunSpec {
-	return hibench.RunSpec{
-		Workload:  workload,
-		Size:      size,
-		Tier:      memsim.Tier0,
-		Placement: dcpmCachePlacement(),
-		Seed:      seed,
-	}
+	return st, st.Engine["tiering.occupancy.tier3"], nil
 }
 
 // sweepWorkload measures one workload: untiered, static (checked inert),
 // then every selected dynamic policy x budget fraction.
-func sweepWorkload(workload string, size workloads.Size, seed int64, policies []tiering.PolicyKind) (sweep, error) {
-	spec := baseSpec(workload, size, seed)
-	plain, err := hibench.Run(spec)
+func sweepWorkload(workload string, size workloads.Size, seed int64, policies []tiering.PolicyKind) (tierSweep, error) {
+	spec := cacheOnRemoteDCPM(workload, size, seed)
+	st, footprint, err := staticBaseline(spec)
 	if err != nil {
-		return sweep{}, err
+		return tierSweep{}, fmt.Errorf("%s/%s: %w", workload, size, err)
 	}
-
-	staticSpec := spec
-	staticCfg := tiering.DefaultConfig(tiering.Static)
-	staticSpec.Tiering = &staticCfg
-	st, err := hibench.Run(staticSpec)
-	if err != nil {
-		return sweep{}, err
-	}
-	if err := sameRun(plain, st); err != nil {
-		return sweep{}, fmt.Errorf("%s/%s: static policy is not inert: %w", workload, size, err)
-	}
-
-	s := sweep{
+	s := tierSweep{
 		workload:  workload,
-		footprint: st.Engine["tiering.occupancy.tier3"],
-		cells:     []cell{{policy: tiering.Static, res: st}},
+		footprint: footprint,
+		cells:     []tierCell{{policy: tiering.Static, res: st}},
 	}
 	if s.footprint == 0 {
 		return s, nil // nothing cached: dynamic policies have nothing to manage
@@ -186,41 +143,21 @@ func sweepWorkload(workload string, size workloads.Size, seed int64, policies []
 			budget = 1
 		}
 		for _, pol := range policies {
-			cfg := tiering.DefaultConfig(pol)
-			cfg.Slow = memsim.Tier3
-			cfg.FastBudgetBytes = budget
-			dynSpec := spec
-			dynSpec.Tiering = &cfg
-			res, err := hibench.Run(dynSpec)
+			res, err := hibench.Run(tiered(spec, pol, budget))
 			if err != nil {
-				return sweep{}, err
+				return tierSweep{}, err
 			}
-			s.cells = append(s.cells, cell{policy: pol, frac: frac, budget: budget, res: res})
+			s.cells = append(s.cells, tierCell{policy: pol, frac: frac, budget: budget, res: res})
 		}
 	}
 	return s, nil
 }
 
-// sameRun checks the virtual observables two runs must share when tiering
-// is inert.
-func sameRun(a, b hibench.RunResult) error {
-	if a.Duration != b.Duration {
-		return fmt.Errorf("duration %v vs %v", a.Duration, b.Duration)
-	}
-	if a.Metrics != b.Metrics {
-		return fmt.Errorf("metrics diverged")
-	}
-	if a.NVMCounters != b.NVMCounters {
-		return fmt.Errorf("NVM counters diverged")
-	}
-	return nil
-}
-
-// render produces the markdown report.
-func render(sweeps []sweep, size string, seed int64) string {
+// renderSweeps produces the markdown report.
+func renderSweeps(sweeps []tierSweep, size string, seed int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Online tiering sweep\n\n")
-	fmt.Fprintf(&b, "Generated by `go run ./cmd/autotier -size %s -seed %d -o results/autotier.md`.\n\n", size, seed)
+	fmt.Fprintf(&b, "Generated by `go run ./cmd/repro autotier -size %s -seed %d -o results/autotier.md`.\n\n", size, seed)
 	b.WriteString(`Placement: heap and shuffle on Tier 0 (local DRAM), the RDD cache on
 Tier 3 (remote DCPM) — the DRAM-constrained deployment where cached data
 overflows to the far NVDIMM group. The static policy keeps every cached
@@ -264,9 +201,9 @@ XPLine write amplification, per-block remap CPU), so a policy can lose.
 // forecast cell when the forecast policy lost to static on the workload —
 // the evidence trail for why the predicted-heat screens did not prevent
 // the regression. Epochs are sampled evenly when there are many.
-func forecastEvidence(s sweep) string {
+func forecastEvidence(s tierSweep) string {
 	st := s.cells[0].res
-	var worst *cell
+	var worst *tierCell
 	for i := range s.cells {
 		c := &s.cells[i]
 		if c.policy != tiering.Forecast || delta(st, c.res) <= 0 {
@@ -315,7 +252,7 @@ func kib(b int64) string {
 // watermark policy beats static end-to-end, where migration overhead
 // makes a dynamic policy worse, and where the bandwidth throttle earns
 // its keep.
-func takeaways(sweeps []sweep, size string) string {
+func takeaways(sweeps []tierSweep, size string) string {
 	var wins, losses, throttled, sidesteps []string
 	for _, s := range sweeps {
 		if s.footprint == 0 {
@@ -394,76 +331,42 @@ func takeaways(sweeps []sweep, size string) string {
 	return b.String()
 }
 
-// runSmoke is the CI mode: on the tiny profile it checks that the static
-// policy is inert, that a constrained watermark run both migrates and is
-// bit-identical across two same-seed executions, and that a forecast run
-// (trackers, history, forecaster chain, classifier and mover all engaged)
-// migrates, records per-epoch heatmaps and is equally deterministic.
-func runSmoke(seed int64) error {
-	spec := baseSpec("pagerank", workloads.Tiny, seed)
-	plain, err := hibench.Run(spec)
+// autotierSmoke is the CI mode: on the tiny profile it checks that the
+// static policy is inert, that a constrained watermark run both migrates
+// and is bit-identical across two same-seed executions, and that a
+// forecast run (trackers, history, forecaster chain, classifier and mover
+// all engaged) migrates, records per-epoch heatmaps and is equally
+// deterministic.
+func autotierSmoke(seed int64) error {
+	spec := cacheOnRemoteDCPM("pagerank", workloads.Tiny, seed)
+	_, footprint, err := staticBaseline(spec)
 	if err != nil {
 		return err
 	}
-	staticSpec := spec
-	staticCfg := tiering.DefaultConfig(tiering.Static)
-	staticSpec.Tiering = &staticCfg
-	st, err := hibench.Run(staticSpec)
-	if err != nil {
-		return err
-	}
-	if err := sameRun(plain, st); err != nil {
-		return fmt.Errorf("static policy is not inert: %w", err)
-	}
-	footprint := st.Engine["tiering.occupancy.tier3"]
 	if footprint == 0 {
 		return fmt.Errorf("pagerank/tiny cached nothing")
 	}
-
-	cfg := tiering.DefaultConfig(tiering.Watermark)
-	cfg.Slow = memsim.Tier3
-	cfg.FastBudgetBytes = footprint / 4
-	wmSpec := spec
-	wmSpec.Tiering = &cfg
-	first, err := hibench.Run(wmSpec)
-	if err != nil {
-		return err
-	}
-	second, err := hibench.Run(wmSpec)
-	if err != nil {
-		return err
-	}
-	if first.Tiering.MigratedBlocks == 0 {
-		return fmt.Errorf("constrained watermark run migrated nothing")
-	}
-	if first.Duration != second.Duration || first.Metrics != second.Metrics ||
-		!reflect.DeepEqual(first.Engine, second.Engine) {
-		return fmt.Errorf("same-seed watermark runs diverged: %v vs %v", first.Duration, second.Duration)
-	}
-
-	fcCfg := tiering.DefaultConfig(tiering.Forecast)
-	fcCfg.Slow = memsim.Tier3
-	fcCfg.FastBudgetBytes = footprint / 4
-	fcSpec := spec
-	fcSpec.Tiering = &fcCfg
-	fcFirst, err := hibench.Run(fcSpec)
-	if err != nil {
-		return err
-	}
-	fcSecond, err := hibench.Run(fcSpec)
-	if err != nil {
-		return err
-	}
-	if fcFirst.Tiering.MigratedBlocks == 0 {
-		return fmt.Errorf("constrained forecast run migrated nothing")
-	}
-	if len(fcFirst.Heatmaps) == 0 {
-		return fmt.Errorf("forecast run recorded no per-epoch heatmaps")
-	}
-	if fcFirst.Duration != fcSecond.Duration || fcFirst.Metrics != fcSecond.Metrics ||
-		!reflect.DeepEqual(fcFirst.Engine, fcSecond.Engine) ||
-		!reflect.DeepEqual(fcFirst.Heatmaps, fcSecond.Heatmaps) {
-		return fmt.Errorf("same-seed forecast runs diverged: %v vs %v", fcFirst.Duration, fcSecond.Duration)
+	for _, pol := range []tiering.PolicyKind{tiering.Watermark, tiering.Forecast} {
+		dyn := tiered(spec, pol, footprint/4)
+		first, err := hibench.Run(dyn)
+		if err != nil {
+			return err
+		}
+		second, err := hibench.Run(dyn)
+		if err != nil {
+			return err
+		}
+		if first.Tiering.MigratedBlocks == 0 {
+			return fmt.Errorf("constrained %s run migrated nothing", pol)
+		}
+		if pol == tiering.Forecast && len(first.Heatmaps) == 0 {
+			return fmt.Errorf("forecast run recorded no per-epoch heatmaps")
+		}
+		if first.Duration != second.Duration || first.Metrics != second.Metrics ||
+			!reflect.DeepEqual(first.Engine, second.Engine) ||
+			!reflect.DeepEqual(first.Heatmaps, second.Heatmaps) {
+			return fmt.Errorf("same-seed %s runs diverged: %v vs %v", pol, first.Duration, second.Duration)
+		}
 	}
 	return nil
 }

@@ -1,0 +1,359 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/executor"
+	"repro/internal/hibench"
+	"repro/internal/memsim"
+	"repro/internal/numa"
+	"repro/internal/telemetry"
+	"repro/internal/tiering"
+	"repro/internal/workloads"
+)
+
+// tierprobe regenerates Table I with pointer-chase and stream
+// microbenchmarks on the simulated memory system.
+func tierprobe(c *ctx) func() error {
+	return func() error {
+		specs := memsim.DefaultSpecs()
+		t := core.Table{
+			Title: "Table I: idle access latency and memory bandwidth per tier",
+			Headers: []string{"tier", "name", "tech",
+				"probed latency [ns]", "paper [ns]",
+				"probed bandwidth [GB/s]", "paper [GB/s]"},
+		}
+		for _, r := range numa.ProbeAllTiers() {
+			spec := specs[r.Tier]
+			t.AddRow(
+				r.Tier.String(), spec.Name, spec.Kind.String(),
+				fmt.Sprintf("%.1f", r.LatencyNS),
+				fmt.Sprintf("%.1f", spec.IdleLatencyNS),
+				fmt.Sprintf("%.2f", r.BandwidthGB),
+				fmt.Sprintf("%.2f", spec.BandwidthBytes/1e9),
+			)
+		}
+		t.Render(c.stdout)
+		return nil
+	}
+}
+
+// report prints the workload catalog (Table II); -run adds the headline
+// characterization numbers and the derived guidelines, -tiering the
+// dynamic tiering demo.
+func report(c *ctx) func() error {
+	headline := c.fs.Bool("run", false, "also run the characterization matrix and print headline numbers")
+	demo := c.fs.Bool("tiering", false, "also run the dynamic tiering demo and print its gauges")
+	seed := c.seed(1)
+	return func() error {
+		t := core.Table{
+			Title:   "Table II: examined Spark applications and (scaled) dataset parameters",
+			Headers: []string{"workload", "category", "tiny", "small", "large"},
+		}
+		for _, w := range workloads.All() {
+			t.AddRow(w.Name(), string(w.Category()),
+				w.Describe(workloads.Tiny), w.Describe(workloads.Small), w.Describe(workloads.Large))
+		}
+		t.Render(c.stdout)
+
+		if *demo {
+			c.println()
+			if err := tieringDemo(c, *seed); err != nil {
+				return fmt.Errorf("tiering demo: %w", err)
+			}
+		}
+		if !*headline {
+			return nil
+		}
+		c.println()
+		ch := core.NewEvaluator(nil).Characterization(nil, nil, nil, *seed)
+		c.println("headline characterization numbers (geomean across all workload/size cells):")
+		c.printf("  slowdown vs Tier 0:        T1 %.2fx  T2 %.2fx  T3 %.2fx\n",
+			ch.MeanSlowdown(1), ch.MeanSlowdown(2), ch.MeanSlowdown(3))
+		c.printf("  DCPM-bound vs DRAM-bound:  %.2fx execution time\n", ch.DCPMvsDRAMSlowdown())
+		c.printf("  DIMM energy DCPM vs DRAM:  %.2fx per DIMM\n", ch.MeanEnergyRatio())
+		c.println()
+		core.GuidelinesTable(core.DeriveGuidelines(ch, 0.15)).Render(c.stdout)
+		return nil
+	}
+}
+
+// tieringDemo runs rf/large with the RDD cache placed on remote DCPM
+// (the far NVDIMM overflow group), once with the static policy (the
+// footprint probe and baseline) and once with the watermark policy under
+// a DRAM budget of a quarter of the measured footprint, then prints the
+// runs side by side with the engine's tiering gauges.
+func tieringDemo(c *ctx, seed int64) error {
+	base := cacheOnRemoteDCPM("rf", workloads.Large, seed)
+	st, err := hibench.Run(tiered(base, tiering.Static, 0))
+	if err != nil {
+		return err
+	}
+	footprint := st.Engine["tiering.occupancy.tier3"]
+	wm, err := hibench.Run(tiered(base, tiering.Watermark, footprint/4))
+	if err != nil {
+		return err
+	}
+
+	c.printf("dynamic tiering demo: rf/large, cache on %s, footprint %d KiB, DRAM budget %d KiB\n",
+		memsim.Tier3, footprint>>10, (footprint/4)>>10)
+	demo := core.Table{
+		Headers: []string{"policy", "runtime", "epochs", "migrated", "moved KiB", "tier0 KiB", "tier3 KiB"},
+	}
+	for _, r := range []hibench.RunResult{st, wm} {
+		demo.AddRow(
+			r.Tiering.Policy,
+			r.Duration.String(),
+			fmt.Sprintf("%d", r.Tiering.Epochs),
+			fmt.Sprintf("%d", r.Tiering.MigratedBlocks),
+			fmt.Sprintf("%d", r.Tiering.MigratedBytes>>10),
+			fmt.Sprintf("%d", r.Engine["tiering.occupancy.tier0"]>>10),
+			fmt.Sprintf("%d", r.Engine["tiering.occupancy.tier3"]>>10),
+		)
+	}
+	demo.Render(c.stdout)
+	delta := float64(st.Duration-wm.Duration) / float64(st.Duration) * 100
+	c.printf("watermark vs static: %+.2f%% runtime\n", -delta)
+	return nil
+}
+
+// cacheOnRemoteDCPM is the DRAM-constrained cell the tiering demo and the
+// autotier sweep share: heap and shuffle stay on local DRAM while the RDD
+// cache overflows to the far NVDIMM group (Tier 3) — the spillover target
+// when the local DIMMs are full.
+func cacheOnRemoteDCPM(workload string, size workloads.Size, seed int64) hibench.RunSpec {
+	return hibench.RunSpec{
+		Workload: workload, Size: size, Tier: memsim.Tier0, Seed: seed,
+		Placement: &executor.Placement{Heap: memsim.Tier0, Shuffle: memsim.Tier0, Cache: memsim.Tier3},
+	}
+}
+
+// tiered is spec under a tiering policy: static as the engine defaults it,
+// a dynamic one demoting to remote DCPM under the given DRAM cache budget.
+func tiered(spec hibench.RunSpec, policy tiering.PolicyKind, budget int64) hibench.RunSpec {
+	cfg := tiering.DefaultConfig(policy)
+	if policy != tiering.Static {
+		cfg.Slow = memsim.Tier3
+		cfg.FastBudgetBytes = budget
+	}
+	spec.Tiering = &cfg
+	return spec
+}
+
+// characterize reproduces Figure 2: execution time across memory tiers
+// (top), Optane DCPM media accesses (middle) and DIMM energy (bottom) for
+// the HiBench workloads at all dataset sizes.
+func characterize(c *ctx) func() error {
+	names := c.workloads(nil)
+	fig := c.fig("which panel to print: time, accesses, energy, ipmctl, all", "all", "time", "accesses", "energy", "ipmctl")
+	seed := c.seed(1)
+	ipmctl := c.fs.Bool("ipmctl", false, "with -fig all, also print the per-DIMM media counter view of the Tier 2 runs")
+	csvDir := c.fs.String("csv", "", "also write time/accesses/energy tables as CSV into this directory")
+	return func() error {
+		ch := core.NewEvaluator(nil).Characterization(*names, nil, nil, *seed)
+		switch *fig {
+		case "time":
+			ch.TimeTable().Render(c.stdout)
+		case "accesses":
+			ch.AccessTable().Render(c.stdout)
+		case "energy":
+			ch.EnergyTable().Render(c.stdout)
+		case "ipmctl":
+			renderIpmctl(c, ch)
+			return nil
+		case "all":
+			ch.TimeTable().Render(c.stdout)
+			c.println()
+			ch.AccessTable().Render(c.stdout)
+			c.println()
+			ch.EnergyTable().Render(c.stdout)
+			c.println()
+			c.printf("geomean slowdown vs Tier 0: T1 %.2fx, T2 %.2fx, T3 %.2fx\n",
+				ch.MeanSlowdown(1), ch.MeanSlowdown(2), ch.MeanSlowdown(3))
+			c.printf("geomean DCPM-bound vs DRAM-bound execution time: %.2fx\n", ch.DCPMvsDRAMSlowdown())
+			c.printf("geomean per-DIMM energy, DCPM vs DRAM: %.2fx\n", ch.MeanEnergyRatio())
+			if *ipmctl {
+				c.println()
+				renderIpmctl(c, ch)
+			}
+		}
+		if *csvDir != "" {
+			if err := writeCSVs(*csvDir, ch); err != nil {
+				return err
+			}
+			c.printf("\nwrote time.csv, accesses.csv, energy.csv to %s\n", *csvDir)
+		}
+		return nil
+	}
+}
+
+// writeCSVs dumps the three Figure 2 panels as CSV files.
+func writeCSVs(dir string, ch *core.Characterization) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for name, tbl := range map[string]core.Table{
+		"time.csv":     ch.TimeTable(),
+		"accesses.csv": ch.AccessTable(),
+		"energy.csv":   ch.EnergyTable(),
+	} {
+		var csv bytes.Buffer
+		if err := tbl.WriteCSV(&csv); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), csv.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderIpmctl prints the ipmctl-style per-DIMM counters of every
+// workload's large Tier 2 run.
+func renderIpmctl(c *ctx, ch *core.Characterization) {
+	spec := memsim.DefaultSpecs()[memsim.Tier2]
+	for _, w := range ch.Workloads {
+		res, ok := ch.Results[core.CellKey{Workload: w, Size: workloads.Large, Tier: memsim.Tier2}]
+		if !ok {
+			continue
+		}
+		dimms := telemetry.IpmctlView(spec, res.NVMCounters)
+		telemetry.WriteIpmctl(c.stdout, fmt.Sprintf("%s/large on %s", w, spec.Name), dimms)
+	}
+}
+
+// mba reproduces Figure 3: execution-time distributions under Intel
+// MBA-style memory bandwidth caps, asking the paper's question — does
+// bandwidth or latency dominate?
+func mba(c *ctx) func() error {
+	tier, names, seed := c.tier("2"), c.workloads(nil), c.seed(1)
+	return func() error {
+		sweep := core.NewEvaluator(nil).MBASweep(*names, nil, *tier, *seed)
+		sweep.Table().Render(c.stdout)
+		c.println()
+		c.println("max relative change of mean execution time vs uncapped (flat = bandwidth unsaturated):")
+		flatness := sweep.Flatness()
+		byName := make([]string, 0, len(flatness))
+		for w := range flatness {
+			byName = append(byName, w)
+		}
+		sort.Strings(byName)
+		for _, w := range byName {
+			c.printf("  %-12s %.2f%%\n", w, flatness[w]*100)
+		}
+		return nil
+	}
+}
+
+// scaling reproduces Figure 4: speedup/slowdown heatmaps over the
+// (executors x cores) grid against the 1x40 baseline, for the four
+// representative workloads at small and large sizes.
+func scaling(c *ctx) func() error {
+	tier, seed := c.tier("2"), c.seed(1)
+	names := c.workloads(core.Fig4Workloads())
+	sizes := c.sizes("small,large")
+	return func() error {
+		ev := core.NewEvaluator(nil)
+		for _, name := range *names {
+			for _, size := range *sizes {
+				grid := ev.ScalingGrid(name, size, *tier, nil, nil, *seed)
+				grid.Table().Render(c.stdout)
+				c.printf("  worst slowdown %.2fx, best speedup %.2fx\n\n",
+					grid.WorstSlowdown(), grid.BestSpeedup())
+			}
+		}
+		return nil
+	}
+}
+
+// correlate reproduces Figures 5 and 6: Pearson correlation of
+// system-level metrics with execution time on local memory (Figure 5) and
+// of execution time with the tiers' latency/bandwidth specs (Figure 6).
+func correlate(c *ctx) func() error {
+	fig := c.fig("which figure: 5, 6, both", "both", "5", "6")
+	names, seed := c.workloads(workloads.Names()), c.seed(1)
+	return func() error {
+		ev := core.NewEvaluator(nil)
+		if *fig != "6" {
+			var cols []core.MetricCorrelation
+			for _, w := range *names {
+				cols = append(cols, ev.MetricCorrelation(w, []int64{*seed, *seed + 1, *seed + 2}))
+			}
+			core.Fig5Table(cols).Render(c.stdout)
+			c.println()
+			c.println("mean |r| per workload (predictability from system events):")
+			for _, col := range cols {
+				c.printf("  %-12s %.2f\n", col.Workload, col.MeanAbsCorrelation())
+			}
+			c.println()
+		}
+		if *fig != "5" {
+			var cells []core.SpecCorrelation
+			for _, w := range *names {
+				for _, size := range workloads.AllSizes() {
+					cells = append(cells, ev.SpecCorrelation(w, size, *seed))
+				}
+			}
+			core.Fig6Table(cells).Render(c.stdout)
+		}
+		return nil
+	}
+}
+
+// sensitivity checks how robust the headline result (the DRAM/DCPM gap)
+// is to the simulator's calibrated constants: every cost-model knob is
+// perturbed by ±20% and the tier gaps re-measured. Stable geomeans and
+// preserved orderings mean the conclusions follow from the modeled
+// physics, not from a lucky constant.
+func sensitivity(c *ctx) func() error {
+	size, names, seed := c.size("small"), c.workloads(nil), c.seed(1)
+	return func() error {
+		core.SensitivityTable(core.RunSensitivity(*names, *size, *seed)).Render(c.stdout)
+		return nil
+	}
+}
+
+// copybytes runs the shuffle-copy virtual experiment enabled by the
+// columnar chunk shuffle: with map-output chunks landing on DCPM (Tier 2)
+// it reports, per workload and executor count, how many chunk bytes the
+// shuffle served by reference instead of copying — the copy traffic a
+// segment-copying shuffle would have issued against the write-amplified
+// DCPM media. The copy ledger is observational, so the Duration column
+// matches the frozen virtual-time ledger exactly.
+func copybytes(c *ctx) func() error {
+	deliver := c.output()
+	names, size, seed := c.workloads(core.CopyStudyWorkloads()), c.size("small"), c.seed(1)
+	return func() error {
+		study := core.NewEvaluator(nil).CopyStudy(*names, *size, *seed)
+		var w strings.Builder
+		fmt.Fprintln(&w, "# Shuffle copy bytes saved per tier")
+		fmt.Fprintln(&w)
+		fmt.Fprintln(&w, "Map outputs are block-manager-owned chunk sets; a reduce task")
+		fmt.Fprintln(&w, "co-resident with the writer reads them by reference, so those bytes")
+		fmt.Fprintln(&w, "never cross the shuffle tier a second time. With the shuffle placed")
+		fmt.Fprintln(&w, "on DCPM, `bytes by-ref` is the copy traffic spared from the")
+		fmt.Fprintln(&w, "write-amplified media (256B XPLines); `bytes copied` is what remote")
+		fmt.Fprintln(&w, "reads still pull across executors.")
+		fmt.Fprintln(&w)
+		fmt.Fprintln(&w, "```")
+		study.Table().Render(&w)
+		fmt.Fprintln(&w, "```")
+		fmt.Fprintln(&w)
+		fmt.Fprintln(&w, "Reading the table: at 1 executor every reduce is co-resident and the")
+		fmt.Fprintln(&w, "chunk shuffle saves 100% of the copy bytes (the shared-pool best")
+		fmt.Fprintln(&w, "case); at 4 executors roughly 1/4 of chunk reads stay local. The")
+		fmt.Fprintln(&w, "`time [s]` column is the frozen virtual ledger — identical with or")
+		fmt.Fprintln(&w, "without the copy ledger, which never feeds time or energy.")
+		path, err := deliver(w.String())
+		if path == "" {
+			fmt.Fprint(c.stdout, w.String())
+		}
+		return err
+	}
+}

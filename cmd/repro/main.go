@@ -1,0 +1,234 @@
+// Command repro runs the paper's experiments and the extension studies,
+// one subcommand each: the tables and figures (tierprobe, report,
+// characterize, mba, scaling, correlate), the studies built on them
+// (advisor, placement, whatif, sensitivity, copybytes) and the harnesses
+// that assert as they measure (autotier, chaos, multitenant). Every
+// subcommand is deterministic at a fixed -seed and prints its tables to
+// stdout; diagnostics and progress go to stderr. A bad flag value is a
+// usage error (exit 2) reported before anything runs; a failed run or a
+// failed assertion is exit 1. cmd/reproduce renders the whole evaluation
+// in one pass instead.
+//
+// Usage:
+//
+//	repro <subcommand> [flags]
+//	repro <subcommand> -h
+package main
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strconv"
+	"strings"
+
+	"repro/internal/advisor"
+	"repro/internal/core"
+	"repro/internal/memsim"
+	"repro/internal/telemetry"
+	"repro/internal/workloads"
+)
+
+// command is one subcommand. setup registers the flags it accepts on
+// c.fs and returns the run to make once they have parsed, so a usage
+// error can only come from the parse and a run failure only from the run.
+type command struct {
+	name, synopsis string
+	setup          func(c *ctx) func() error
+}
+
+var commands = []command{
+	{"tierprobe", "Table I: probed idle latency and bandwidth per tier", tierprobe},
+	{"report", "Table II, with -run the headline numbers, with -tiering the tiering demo", report},
+	{"characterize", "Figure 2: time, DCPM media accesses and DIMM energy per workload, size and tier", characterize},
+	{"mba", "Figure 3: execution time under MBA bandwidth caps", mba},
+	{"scaling", "Figure 4: executors x cores speedup grids against 1x40", scaling},
+	{"correlate", "Figures 5 and 6: metric and hardware-spec correlations with execution time", correlate},
+	{"advisor", "§IV-F: tier performance predictor, leave-one-workload-out", tierAdvisor},
+	{"placement", "§IV-G: a tier per traffic category, and the DRAM:NVM heap interleave sweep", placement},
+	{"whatif", "hypothetical capacity technologies (CXL DRAM, next-gen NVM) in the Tier 2 slot", whatif},
+	{"sensitivity", "the Tier 2 gap under ±20% cost-model perturbations", sensitivity},
+	{"copybytes", "shuffle bytes served by reference instead of copied, shuffle on DCPM", copybytes},
+	{"autotier", "dynamic tiering policies x DRAM budgets against the static baseline", autotier},
+	{"chaos", "fault injection: recovered runs byte-identical to fault-free, overhead per tier", chaos},
+	{"multitenant", "scheduler x migration policy sweep over an oversubscribed multi-job mix", tenants},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var cmd *command
+	for i := range commands {
+		if len(args) > 0 && commands[i].name == args[0] {
+			cmd = &commands[i]
+		}
+	}
+	if cmd == nil {
+		if len(args) > 0 && args[0] != "-h" && args[0] != "-help" && args[0] != "--help" {
+			fmt.Fprintf(stderr, "repro: unknown subcommand %q\n", args[0])
+		}
+		fmt.Fprintln(stderr, "usage: repro <subcommand> [flags]")
+		for _, cmd := range commands {
+			fmt.Fprintf(stderr, "  %-13s%s\n", cmd.name, cmd.synopsis)
+		}
+		return 2
+	}
+	c := &ctx{stdout: stdout, stderr: stderr, fs: flag.NewFlagSet(cmd.name, flag.ContinueOnError)}
+	c.fs.SetOutput(stderr)
+	c.fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: repro %s [flags]\n  %s\n", cmd.name, cmd.synopsis)
+		c.fs.PrintDefaults()
+	}
+	body := cmd.setup(c)
+	err := c.fs.Parse(args[1:])
+	if err == nil && c.fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", c.fs.Arg(0))
+		fmt.Fprintln(stderr, err)
+		c.fs.Usage()
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2 // the flag package has printed the error and the usage
+	}
+	if err := body(); err != nil {
+		fmt.Fprintf(stderr, "repro %s: %v\n", cmd.name, err)
+		return 1
+	}
+	return 0
+}
+
+// ctx is what a subcommand runs against: its output streams and the flag
+// set it registers on. The methods below declare the flags more than one
+// subcommand takes, each once, with the subcommand's own default.
+type ctx struct {
+	stdout, stderr io.Writer
+	fs             *flag.FlagSet
+}
+
+func (c *ctx) printf(format string, args ...any) { fmt.Fprintf(c.stdout, format, args...) }
+func (c *ctx) println(args ...any)               { fmt.Fprintln(c.stdout, args...) }
+
+// value is a flag parsed and validated as the flag package sets it, so a
+// bad value is a usage error raised before anything runs.
+type value[T any] struct {
+	v     T
+	text  string
+	parse func(string) (T, error)
+}
+
+func (f *value[T]) String() string { return f.text }
+
+func (f *value[T]) Set(s string) (err error) {
+	f.text = s
+	f.v, err = f.parse(s)
+	return err
+}
+
+func flagOf[T any](c *ctx, name, def, usage string, parse func(string) (T, error)) *T {
+	f := &value[T]{parse: parse}
+	if err := f.Set(def); err != nil {
+		panic(err) // a default is a constant of this package
+	}
+	c.fs.Var(f, name, usage)
+	return &f.v
+}
+
+func (c *ctx) seed(def int64) *int64 { return c.fs.Int64("seed", def, "experiment seed") }
+
+func (c *ctx) size(def string) *workloads.Size {
+	return flagOf(c, "size", def, "dataset size: tiny, small, large", workloads.ParseSize)
+}
+
+func (c *ctx) sizes(def string) *[]workloads.Size {
+	return flagOf(c, "sizes", def, "comma-separated dataset sizes to sweep", workloads.ParseSizes)
+}
+
+// workloads is the -workloads list; empty selects def, the subcommand's
+// default set, and a nil def leaves the choice to the driver.
+func (c *ctx) workloads(def []string) *[]string {
+	return flagOf(c, "workloads", "", "comma-separated workload names (empty: the subcommand's default set)",
+		func(s string) ([]string, error) {
+			if s == "" {
+				return def, nil
+			}
+			return list(s, workloadName)
+		})
+}
+
+func (c *ctx) tier(def string) *memsim.TierID {
+	return flagOf(c, "tier", def, "memory tier to run on (0-3)", parseTier)
+}
+
+func (c *ctx) fig(usage, def string, others ...string) *string {
+	return flagOf(c, "fig", def, usage, func(s string) (string, error) {
+		for _, ok := range append(others, def) {
+			if s == ok {
+				return s, nil
+			}
+		}
+		return "", fmt.Errorf("unknown figure %q", s)
+	})
+}
+
+func (c *ctx) smoke(usage string) *bool { return c.fs.Bool("smoke", false, usage) }
+
+// output registers -o. The returned deliver writes a rendered report to
+// the named file and returns its path, or returns "" when none was named
+// and the report belongs on stdout.
+func (c *ctx) output() (deliver func(report string) (path string, err error)) {
+	path := c.fs.String("o", "", "write the report to this file instead of stdout")
+	return func(report string) (string, error) {
+		if *path == "" {
+			return "", nil
+		}
+		return *path, os.WriteFile(*path, []byte(report), 0o644)
+	}
+}
+
+func (c *ctx) cache() *string {
+	return c.fs.String("cache", advisor.DefaultCacheDir, "advisor result-cache directory (empty disables)")
+}
+
+// engine gives an Evaluator whose query-vocabulary drivers run through the
+// placement-advisor engine on the -cache directory — cells a previous run
+// or an advisord server sharing it evaluated are read back, not simulated
+// — and the function that prints the cache-stats footer to stderr.
+func (c *ctx) engine(cacheDir string) (ev *core.Evaluator, footer func()) {
+	reg := telemetry.NewRegistry()
+	eng := advisor.NewEngine(advisor.Options{CacheDir: cacheDir, Registry: reg})
+	return core.NewEvaluator(eng.RunQuery), func() {
+		fmt.Fprintf(c.stderr, "advisor cache: %d hits, %d misses (%d simulated)\n",
+			reg.Get(advisor.CounterCacheHit), reg.Get(advisor.CounterCacheMiss), reg.Get(advisor.CounterSimRuns))
+	}
+}
+
+// list parses a comma-separated flag value item by item, trimming the
+// space around each.
+func list[T any](s string, item func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		v, err := item(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+func workloadName(s string) (string, error) {
+	_, err := workloads.ByName(s)
+	return s, err
+}
+
+func parseTier(s string) (memsim.TierID, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || !memsim.TierID(n).Valid() {
+		return 0, fmt.Errorf("invalid tier %q", s)
+	}
+	return memsim.TierID(n), nil
+}

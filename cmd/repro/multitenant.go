@@ -1,37 +1,19 @@
-// Command multitenant is the multi-tenant contention harness: it sweeps
-// scheduler policies (fifo/fair/weighted) against block-migration
-// policies (static/watermark/bandwidth-aware) over a seeded multi-job
-// workload mix whose tenant quotas deliberately oversubscribe DRAM, and
-// answers which migration policy wins — by mean total job duration —
-// when many jobs share the DCPM tiers. Along the way it asserts the robustness
-// invariants: an oversubscribed mix completes every job by spilling
-// (zero failures), hard slow-tier exhaustion surfaces the typed quota
-// error without touching other tenants, and the full report is
-// byte-identical whether phase-1 runs on one worker or eight.
-//
-// Usage:
-//
-//	multitenant [-size tiny] [-seed 5] [-out results/multitenant.md]
-//	multitenant -smoke      # CI subset: 2 tenants, fifo x {static,watermark}
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/blockmgr"
-	"repro/internal/cluster"
 	"repro/internal/multitenant"
 	"repro/internal/sim"
 	"repro/internal/tiering"
 	"repro/internal/workloads"
 )
 
-// cell is one (scheduler policy, migration policy) sweep verdict.
-type cell struct {
+// tenantCell is one (scheduler policy, migration policy) sweep verdict.
+type tenantCell struct {
 	policy  multitenant.SchedulerPolicy
 	tiering tiering.PolicyKind
 	res     *multitenant.MixResult
@@ -67,96 +49,78 @@ func sweepConf(seed int64, size workloads.Size, smoke bool) multitenant.Conf {
 	return c
 }
 
-func main() {
-	sizeFlag := flag.String("size", "tiny", "dataset size: tiny, small, large")
-	seed := flag.Int64("seed", 5, "mix seed")
-	out := flag.String("out", "", "write the markdown report to this path")
-	smoke := flag.Bool("smoke", false, "CI subset: 2 tenants, fifo x {static,watermark}")
-	flag.Parse()
-
-	size, err := workloads.ParseSize(*sizeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	schedulers := multitenant.AllPolicies()
-	migrations := tiering.AllPolicies()
-	if *smoke {
-		schedulers = []multitenant.SchedulerPolicy{multitenant.FIFO}
-		migrations = []tiering.PolicyKind{tiering.Static, tiering.Watermark}
-	}
-
-	failures := 0
-	fail := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "FAIL "+format+"\n", args...)
-		failures++
-	}
-
-	// Sweep: every scheduler x migration policy over the oversubscribed
-	// mix. Oversubscription must degrade gracefully — queueing and
-	// spilling, never failing or rejecting.
-	var cells []cell
-	for _, sched := range schedulers {
-		for _, mig := range migrations {
-			conf := sweepConf(*seed, size, *smoke)
-			conf.Policy = sched
-			conf.Tiering = mig
-			res, err := multitenant.Run(conf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "multitenant: %s/%s: %v\n", sched, mig, err)
-				os.Exit(1)
-			}
-			if res.Failed != 0 || res.Rejected != 0 {
-				fail("%s/%s: oversubscribed mix failed=%d rejected=%d, want graceful degradation",
-					sched, mig, res.Failed, res.Rejected)
-			}
-			if res.SpilledBytes == 0 {
-				fail("%s/%s: pinched quotas spilled nothing — contention never happened", sched, mig)
-			}
-			cells = append(cells, cell{policy: sched, tiering: mig, res: res})
-			fmt.Printf("%-9s %-16s makespan %11.6fs jobdur %11.6fs queued %d spilled %7d B refused-moves %4d\n",
-				sched, mig, res.Makespan.Seconds(), totalJobDur(res).Seconds(),
-				res.QueuedJobs, res.SpilledBytes, res.RefusedMoves)
+// tenants is the multi-tenant contention harness: it sweeps scheduler
+// policies (fifo/fair/weighted) against block-migration policies over a
+// seeded multi-job workload mix whose tenant quotas deliberately
+// oversubscribe DRAM, and answers which migration policy wins — by mean
+// total job duration — when many jobs share the DCPM tiers. Along the way
+// it asserts the robustness invariants: an oversubscribed mix completes
+// every job by spilling (zero failures), hard slow-tier exhaustion
+// surfaces the typed quota error without touching other tenants, and the
+// full report is byte-identical whether phase-1 runs on one worker or
+// eight.
+func tenants(c *ctx) func() error {
+	size, seed, deliver := c.size("tiny"), c.seed(5), c.output()
+	smoke := c.smoke("CI subset: 2 tenants, fifo x {static,watermark}")
+	return func() error {
+		schedulers := multitenant.AllPolicies()
+		migrations := tiering.AllPolicies()
+		if *smoke {
+			schedulers = []multitenant.SchedulerPolicy{multitenant.FIFO}
+			migrations = []tiering.PolicyKind{tiering.Static, tiering.Watermark}
 		}
-	}
+		fails := &failures{c: c}
 
-	// Hard exhaustion: bound one tenant's slow budget so degradation runs
-	// out. Its jobs must die with the typed quota error; the other
-	// tenants' jobs must all complete.
-	exhaustion := exhaustionCheck(*seed, size, fail)
-
-	// Determinism: the same mix rendered from 1 and 8 phase-1 workers
-	// must be byte-identical, trace and counters included.
-	detConf := sweepConf(*seed, size, true)
-	detConf.Tiering = tiering.Watermark
-	r1 := renderAt(detConf, 1, fail)
-	r8 := renderAt(detConf, 8, fail)
-	if r1 != "" && r8 != "" && r1 != r8 {
-		fail("full report differs between 1 and 8 phase-1 workers")
-	} else if r1 != "" {
-		fmt.Println("determinism: 1-vs-8 worker reports byte-identical")
-	}
-
-	report := renderReport(cells, exhaustion, *seed, size)
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		// Sweep: every scheduler x migration policy over the oversubscribed
+		// mix. Oversubscription must degrade gracefully — queueing and
+		// spilling, never failing or rejecting.
+		var cells []tenantCell
+		for _, sched := range schedulers {
+			for _, mig := range migrations {
+				conf := sweepConf(*seed, *size, *smoke)
+				conf.Policy = sched
+				conf.Tiering = mig
+				res, err := multitenant.Run(conf)
+				if err != nil {
+					return fmt.Errorf("%s/%s: %w", sched, mig, err)
+				}
+				if res.Failed != 0 || res.Rejected != 0 {
+					fails.failf("%s/%s: oversubscribed mix failed=%d rejected=%d, want graceful degradation",
+						sched, mig, res.Failed, res.Rejected)
+				}
+				if res.SpilledBytes == 0 {
+					fails.failf("%s/%s: pinched quotas spilled nothing — contention never happened", sched, mig)
+				}
+				cells = append(cells, tenantCell{policy: sched, tiering: mig, res: res})
+				c.printf("%-9s %-16s makespan %11.6fs jobdur %11.6fs queued %d spilled %7d B refused-moves %4d\n",
+					sched, mig, res.Makespan.Seconds(), totalJobDur(res).Seconds(),
+					res.QueuedJobs, res.SpilledBytes, res.RefusedMoves)
+			}
 		}
-		fmt.Printf("\nreport written to %s\n", *out)
-	} else {
-		fmt.Print("\n" + report)
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "multitenant: %d assertion failures\n", failures)
-		os.Exit(1)
+
+		// Hard exhaustion: bound one tenant's slow budget so degradation runs
+		// out. Its jobs must die with the typed quota error; the other
+		// tenants' jobs must all complete.
+		exhaustion := exhaustionCheck(c, *seed, *size, fails)
+
+		// Determinism: the same mix rendered from 1 and 8 phase-1 workers
+		// must be byte-identical, trace and counters included.
+		detConf := sweepConf(*seed, *size, true)
+		detConf.Tiering = tiering.Watermark
+		if sameAtAnyWorkerCount(detConf, fails.failf) {
+			c.println("determinism: 1-vs-8 worker reports byte-identical")
+		}
+
+		if err := c.deliverAfterLog(deliver, tenantReport(cells, exhaustion, *seed, *size)); err != nil {
+			return err
+		}
+		return fails.err()
 	}
 }
 
 // exhaustionCheck runs the bounded-slow-budget scenario and returns its
 // summary line for the report.
-func exhaustionCheck(seed int64, size workloads.Size, fail func(string, ...interface{})) string {
+func exhaustionCheck(c *ctx, seed int64, size workloads.Size, fails *failures) string {
 	conf := multitenant.Conf{
 		Tenants: []multitenant.TenantSpec{
 			{Name: "greedy", Jobs: 2, FastQuotaBytes: 4 << 10, SlowQuotaBytes: 4 << 10},
@@ -170,7 +134,7 @@ func exhaustionCheck(seed int64, size workloads.Size, fail func(string, ...inter
 	}
 	res, err := multitenant.Run(conf)
 	if err != nil {
-		fail("exhaustion scenario errored: %v", err)
+		fails.failf("exhaustion scenario errored: %v", err)
 		return "exhaustion scenario errored"
 	}
 	var greedyFailed, steadyDone int
@@ -179,37 +143,23 @@ func exhaustionCheck(seed int64, size workloads.Size, fail func(string, ...inter
 		case "greedy":
 			var qe *blockmgr.QuotaExceededError
 			if r.Outcome != multitenant.OutcomeQuotaExhausted || !errors.As(r.Err, &qe) {
-				fail("exhaustion: greedy job %s outcome %s err %v, want typed quota error",
+				fails.failf("exhaustion: greedy job %s outcome %s err %v, want typed quota error",
 					r.Job, r.Outcome, r.Err)
 				continue
 			}
 			greedyFailed++
 		case "steady":
 			if r.Outcome != multitenant.OutcomeCompleted {
-				fail("exhaustion: steady job %s outcome %s — tenant isolation broken", r.Job, r.Outcome)
+				fails.failf("exhaustion: steady job %s outcome %s — tenant isolation broken", r.Job, r.Outcome)
 				continue
 			}
 			steadyDone++
 		}
 	}
-	fmt.Printf("exhaustion: greedy failed %d/2 with typed errors, steady completed %d/2\n",
+	c.printf("exhaustion: greedy failed %d/2 with typed errors, steady completed %d/2\n",
 		greedyFailed, steadyDone)
 	return fmt.Sprintf("tenant `greedy` (4 KiB fast + 4 KiB slow) lost %d/2 jobs to the typed "+
 		"`*blockmgr.QuotaExceededError`; tenant `steady` completed %d/2 unaffected.", greedyFailed, steadyDone)
-}
-
-// renderAt runs the conf under a forced phase-1 worker count and renders
-// the full report.
-func renderAt(conf multitenant.Conf, workers int, fail func(string, ...interface{})) string {
-	old := cluster.DefaultTaskParallelism
-	cluster.DefaultTaskParallelism = workers
-	defer func() { cluster.DefaultTaskParallelism = old }()
-	res, err := multitenant.Run(conf)
-	if err != nil {
-		fail("determinism run (workers=%d): %v", workers, err)
-		return ""
-	}
-	return multitenant.RenderReport(res)
 }
 
 // totalJobDur sums every job's own virtual duration — the signal the
@@ -222,11 +172,11 @@ func totalJobDur(res *multitenant.MixResult) sim.Time {
 	return total
 }
 
-// renderReport emits the markdown sweep report, crowning the migration
+// tenantReport emits the markdown sweep report, crowning the migration
 // policy with the lowest mean total job duration across scheduler
 // policies (makespan tie-breaks: queue serialization dominates it, so
 // per-job virtual time is where migration quality shows).
-func renderReport(cells []cell, exhaustion string, seed int64, size workloads.Size) string {
+func tenantReport(cells []tenantCell, exhaustion string, seed int64, size workloads.Size) string {
 	var b strings.Builder
 	b.WriteString("# Multi-tenant contention: scheduler x migration policy sweep\n\n")
 	fmt.Fprintf(&b, "Seeded mix (seed %d, %s size): tenants with pinched DRAM quotas submit\n", seed, size)

@@ -3,8 +3,9 @@
 // workload W at size S under budget B" questions without re-simulating
 // what it has already measured.
 //
-// The service core is Engine, one evaluation path shared by cmd/whatif,
-// cmd/advisor, cmd/placement and the cmd/advisord HTTP server:
+// The service core is Engine, one evaluation path shared by the whatif,
+// advisor and placement subcommands of cmd/repro and the cmd/advisord
+// HTTP server:
 //
 //   - every question is a hibench.Query cell (workload, size, placement,
 //     policy, seed) with one canonical key;

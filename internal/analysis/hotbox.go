@@ -37,8 +37,18 @@ var Hotbox = &Analyzer{
 	Name:     "hotbox",
 	Doc:      "forbid boxing calls, in-loop interface boxing and element copy loops in task-compute call graphs",
 	Severity: SevWarning,
-	Init:     initHotbox,
+	Init:     hotboxRule.reach,
 	Run:      runHotbox,
+}
+
+// hotboxRule is the interface-bridged task-compute call graph and the
+// boxing calls it must not make.
+var hotboxRule = &reachRule{
+	entry:  taskEntry,
+	exempt: hotboxExempt,
+	bridge: true,
+	table:  map[string]map[string]map[string]string{rddPath: {"": boxingAPI}},
+	format: "boxing %s in task-compute code (one allocation per record): %s",
 }
 
 const rddPath = "repro/internal/rdd"
@@ -62,24 +72,12 @@ func hotboxExempt(n *Node) bool {
 		boxingAPI[n.Fn.Name()] != ""
 }
 
-// initHotbox computes the interface-bridged task-compute taint set once
-// from the shared call graph.
-func initHotbox(p *Pass) any {
-	return p.Facts.Reach(taskEntry, hotboxExempt, true)
-}
-
 func runHotbox(p *Pass) {
+	hotboxRule.run(p)
 	tainted := p.State().(map[*Node]bool)
 	for _, n := range p.Facts.PkgNodes[p.Pkg] {
 		if !tainted[n] {
 			continue
-		}
-		for _, cs := range n.Calls {
-			if funcPkgPath(cs.Fn) == rddPath && recvTypeName(cs.Fn) == "" {
-				if advice, ok := boxingAPI[cs.Fn.Name()]; ok {
-					p.Reportf(cs.Call.Pos(), "boxing %s in task-compute code (one allocation per record): %s", cs.Fn.Name(), advice)
-				}
-			}
 		}
 		loops := hbLoopBodies(n.Body)
 		hbFlagCopyLoops(p, n.Pkg, loops)

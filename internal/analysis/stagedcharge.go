@@ -1,9 +1,5 @@
 package analysis
 
-import (
-	"go/token"
-)
-
 // StagedCharge enforces the two-phase scheduler's staging discipline:
 // code reachable from a task's compute path (any function or closure
 // taking a *executor.TaskContext) runs concurrently on phase-1 workers
@@ -17,8 +13,15 @@ var StagedCharge = &Analyzer{
 	Name:     "stagedcharge",
 	Doc:      "forbid direct tier/blockmgr/shuffle mutation in task-compute code",
 	Severity: SevError,
-	Init:     initStagedCharge,
-	Run:      runStagedCharge,
+	Init:     stagedChargeRule.reach,
+	Run:      stagedChargeRule.run,
+}
+
+var stagedChargeRule = &reachRule{
+	entry:  taskEntry,
+	exempt: taskCtxMethod,
+	table:  forbiddenInTask,
+	format: "direct %s in task-compute code: %s",
 }
 
 const (
@@ -63,11 +66,6 @@ var forbiddenInTask = map[string]map[string]map[string]string{
 	},
 }
 
-type scBadCall struct {
-	pos token.Pos
-	msg string
-}
-
 // taskEntry reports whether the node starts a task-compute call graph: a
 // function or literal with a *executor.TaskContext parameter.
 func taskEntry(n *Node) bool { return n.HasParamType(executorPath, "TaskContext") }
@@ -75,28 +73,3 @@ func taskEntry(n *Node) bool { return n.HasParamType(executorPath, "TaskContext"
 // taskCtxMethod reports whether the node is a method of the staging layer
 // itself.
 func taskCtxMethod(n *Node) bool { return n.IsMethodOf(executorPath, "TaskContext") }
-
-// initStagedCharge computes the task-compute taint set once from the
-// shared call graph.
-func initStagedCharge(p *Pass) any {
-	return p.Facts.Reach(taskEntry, taskCtxMethod, false)
-}
-
-func runStagedCharge(p *Pass) {
-	tainted := p.State().(map[*Node]bool)
-	for _, n := range p.Facts.PkgNodes[p.Pkg] {
-		if !tainted[n] {
-			continue
-		}
-		for _, cs := range n.Calls {
-			byRecv, ok := forbiddenInTask[funcPkgPath(cs.Fn)]
-			if !ok {
-				continue
-			}
-			recv := recvTypeName(cs.Fn)
-			if advice, ok := byRecv[recv][cs.Fn.Name()]; ok {
-				p.Reportf(cs.Call.Pos(), "direct %s.%s in task-compute code: %s", recv, cs.Fn.Name(), advice)
-			}
-		}
-	}
-}

@@ -30,8 +30,15 @@ var TierLedger = &Analyzer{
 	Name:     "tierledger",
 	Doc:      "forbid direct hotness/residency/copy-ledger mutation outside the observer and staged-commit paths",
 	Severity: SevError,
-	Init:     initTierLedger,
-	Run:      runTierLedger,
+	Init:     tierLedgerRule.reach,
+	Run:      tierLedgerRule.run,
+}
+
+var tierLedgerRule = &reachRule{
+	entry:  tlEntry,
+	exempt: tlExempt,
+	table:  ledgerMutators,
+	format: "direct %s from a task or workload call graph: %s",
 }
 
 // ledgerMutators maps package path -> receiver type -> method -> advice.
@@ -125,28 +132,3 @@ func tlEntry(n *Node) bool {
 }
 
 const workloadsPath = "repro/internal/workloads"
-
-// initTierLedger computes the forbidden call-graph taint set once from
-// the shared call graph.
-func initTierLedger(p *Pass) any {
-	return p.Facts.Reach(tlEntry, tlExempt, false)
-}
-
-func runTierLedger(p *Pass) {
-	tainted := p.State().(map[*Node]bool)
-	for _, n := range p.Facts.PkgNodes[p.Pkg] {
-		if !tainted[n] {
-			continue
-		}
-		for _, cs := range n.Calls {
-			byRecv, ok := ledgerMutators[funcPkgPath(cs.Fn)]
-			if !ok {
-				continue
-			}
-			recv := recvTypeName(cs.Fn)
-			if advice, ok := byRecv[recv][cs.Fn.Name()]; ok {
-				p.Reportf(cs.Call.Pos(), "direct %s.%s from a task or workload call graph: %s", recv, cs.Fn.Name(), advice)
-			}
-		}
-	}
-}

@@ -17,11 +17,10 @@ import (
 // specs and system events correlate strongly with runtime — is what makes
 // this model work.
 type TierAdvisor struct {
-	// Eval evaluates one experiment cell; nil selects a fresh evaluator
-	// per Train or Evaluate call. cmd/advisor injects the advisor
-	// engine's cached runner so repeated training sweeps cost one
-	// simulation per distinct cell.
-	Eval hibench.QueryRunner
+	// Ev evaluates the training and scoring cells and must be set. repro
+	// advisor passes one over the advisor engine's cached runner, so
+	// repeated training sweeps cost one simulation per distinct cell.
+	Ev *Evaluator
 
 	fit     stats.LinearFit
 	trained bool
@@ -39,20 +38,22 @@ type observation struct {
 
 // observe evaluates, for every workload and size, the Tier 0 profiling
 // run followed by one run per tier, and returns the observations in that
-// order. The cells come from validated enumerations, so an evaluation
-// error panics.
-func observe(cells queryCells, names []string, seed int64) []observation {
+// order.
+func (e *Evaluator) observe(names []string, seed int64) ([]observation, error) {
 	tiers := memsim.AllTiers()
 	var qs []hibench.Query
 	for _, w := range names {
 		for _, size := range workloads.AllSizes() {
-			qs = append(qs, membindCell(w, size, memsim.Tier0, seed))
-			for _, tier := range tiers {
-				qs = append(qs, membindCell(w, size, tier, seed))
+			for _, tier := range append([]memsim.TierID{memsim.Tier0}, tiers...) {
+				qs = append(qs, hibench.Query{Workload: w, Size: size.String(),
+					Placement: fmt.Sprintf("tier:%d", int(tier)), Seed: seed})
 			}
 		}
 	}
-	results := must(cells(qs))
+	results, err := e.Queries(qs)
+	if err != nil {
+		return nil, err
+	}
 	specs := memsim.DefaultSpecs()
 	var out []observation
 	for _, w := range names {
@@ -70,7 +71,7 @@ func observe(cells queryCells, names []string, seed int64) []observation {
 			results = results[1+len(tiers):]
 		}
 	}
-	return out
+	return out, nil
 }
 
 // advisorFeatures builds the model's feature vector: the Tier 0 run's
@@ -92,15 +93,20 @@ func advisorFeatures(profile hibench.RunResult, tier memsim.TierSpec) []float64 
 
 // Train fits the advisor on the given workloads: each contributes one
 // Tier 0 profiling run and one observed duration per tier.
-func (a *TierAdvisor) Train(names []string, seed int64) {
+func (a *TierAdvisor) Train(names []string, seed int64) error {
+	obs, err := a.Ev.observe(names, seed)
+	if err != nil {
+		return err
+	}
 	var xs [][]float64
 	var ys []float64
-	for _, o := range observe(cellsOf(a.Eval), names, seed) {
+	for _, o := range obs {
 		xs = append(xs, o.x)
 		ys = append(ys, o.y)
 	}
 	a.fit = stats.FitOLS(xs, ys)
 	a.trained = true
+	return nil
 }
 
 // R2 returns the training fit quality.
@@ -116,11 +122,7 @@ func (a *TierAdvisor) R2() float64 {
 func (a *TierAdvisor) Predict(profile hibench.RunResult, tier memsim.TierID) float64 {
 	a.mustBeTrained()
 	spec := memsim.DefaultSpecs()[tier]
-	pred := a.fit.Predict(advisorFeatures(profile, spec))
-	if floor := profile.Duration.Seconds(); pred < floor {
-		return floor
-	}
-	return pred
+	return max(a.fit.Predict(advisorFeatures(profile, spec)), profile.Duration.Seconds())
 }
 
 // Recommend returns the fastest predicted tier among candidates and its
@@ -145,13 +147,17 @@ func (a *TierAdvisor) Recommend(profile hibench.RunResult, candidates []memsim.T
 
 // Evaluate computes the mean absolute percentage error of the advisor on a
 // held-out workload across all sizes and tiers.
-func (a *TierAdvisor) Evaluate(workload string, seed int64) float64 {
+func (a *TierAdvisor) Evaluate(workload string, seed int64) (float64, error) {
 	a.mustBeTrained()
+	obs, err := a.Ev.observe([]string{workload}, seed)
+	if err != nil {
+		return 0, err
+	}
 	var ape []float64
-	for _, o := range observe(cellsOf(a.Eval), []string{workload}, seed) {
+	for _, o := range obs {
 		ape = append(ape, math.Abs(a.Predict(o.profile, o.tier)-o.y)/o.y)
 	}
-	return stats.Mean(ape)
+	return stats.Mean(ape), nil
 }
 
 func (a *TierAdvisor) mustBeTrained() {

@@ -53,12 +53,12 @@ func CopyStudyWorkloads() []string {
 	return []string{"sort", "repartition", "bayes", "pagerank"}
 }
 
-// RunCopyStudy measures the shuffle-copy ledger for each workload with
+// CopyStudy measures the shuffle-copy ledger for each workload with
 // map-output chunks landing on DCPM (heap stays on DRAM, the placement
 // §IV-G recommends), at 1 executor (every reduce co-resident: the
 // shared-pool best case) and 4 executors (3/4 of chunk reads cross
 // executors and must copy).
-func RunCopyStudy(names []string, size workloads.Size, seed int64) *CopyStudy {
+func (e *Evaluator) CopyStudy(names []string, size workloads.Size, seed int64) *CopyStudy {
 	study := &CopyStudy{Size: size}
 	placement := executor.Placement{Heap: memsim.Tier0, Shuffle: memsim.Tier2, Cache: memsim.Tier0}
 	var specs []hibench.RunSpec
@@ -71,7 +71,7 @@ func RunCopyStudy(names []string, size workloads.Size, seed int64) *CopyStudy {
 			})
 		}
 	}
-	for i, res := range newEvaluator().Run(specs...) {
+	for i, res := range e.Run(specs...) {
 		study.Points = append(study.Points, CopyPoint{
 			Workload:    specs[i].Workload,
 			Executors:   specs[i].Executors,

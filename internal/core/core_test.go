@@ -38,7 +38,7 @@ func smallCharacterization(t *testing.T) *Characterization {
 	if testing.Short() {
 		t.Skip("characterization skipped in -short")
 	}
-	return runCharacterization(sharedEval(),
+	return sharedEval().Characterization(
 		[]string{"repartition", "als"},
 		[]workloads.Size{workloads.Tiny, workloads.Small},
 		nil, 1)
@@ -102,8 +102,8 @@ func TestMBAFlatInUnsaturatedRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MBA sweep skipped in -short")
 	}
-	sweep := runMBASweep(sharedEval(), workloads.Names(), []float64{1.0, 0.8, 0.6, 0.4}, memsim.Tier2, 1)
-	mild := runMBASweep(sharedEval(), workloads.Names(), []float64{1.0, 0.8}, memsim.Tier2, 1)
+	sweep := sharedEval().MBASweep(workloads.Names(), []float64{1.0, 0.8, 0.6, 0.4}, memsim.Tier2, 1)
+	mild := sharedEval().MBASweep(workloads.Names(), []float64{1.0, 0.8}, memsim.Tier2, 1)
 	for w, dev := range mild.Flatness() {
 		t.Logf("%s: mean drift %.2f%% at an 80%% cap", w, dev*100)
 		if dev > 0.08 {
@@ -131,8 +131,8 @@ func TestScalingGridShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling grids skipped in -short")
 	}
-	prSmall := runScalingGrid(sharedEval(), "pagerank", workloads.Small, memsim.Tier2, nil, nil, 1)
-	prLarge := runScalingGrid(sharedEval(), "pagerank", workloads.Large, memsim.Tier2, nil, nil, 1)
+	prSmall := sharedEval().ScalingGrid("pagerank", workloads.Small, memsim.Tier2, nil, nil, 1)
+	prLarge := sharedEval().ScalingGrid("pagerank", workloads.Large, memsim.Tier2, nil, nil, 1)
 
 	// Takeaway 6: multiplying executors at full width slows the small
 	// workload down noticeably.
@@ -160,7 +160,7 @@ func TestScalingGridShapes(t *testing.T) {
 	}
 
 	// lda barely moves across the feasible grid above 10 cores (Fig 4c).
-	lda := runScalingGrid(sharedEval(), "lda", workloads.Small, memsim.Tier2, []int{1, 2}, []int{10, 20, 40}, 1)
+	lda := sharedEval().ScalingGrid("lda", workloads.Small, memsim.Tier2, []int{1, 2}, []int{10, 20, 40}, 1)
 	for _, e := range []int{1, 2} {
 		for _, c := range []int{10, 20, 40} {
 			s := lda.Cell(e, c).Speedup
@@ -170,7 +170,7 @@ func TestScalingGridShapes(t *testing.T) {
 		}
 	}
 
-	tbl := prSmall.Table(nil, nil)
+	tbl := prSmall.Table()
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("grid table rows = %d", len(tbl.Rows))
 	}
@@ -185,7 +185,7 @@ func TestSpecCorrelationSigns(t *testing.T) {
 	}
 	for _, w := range []string{"sort", "lda", "pagerank"} {
 		for _, size := range []workloads.Size{workloads.Small, workloads.Large} {
-			c := runSpecCorrelation(sharedEval(), w, size, 1)
+			c := sharedEval().SpecCorrelation(w, size, 1)
 			if c.LatencyR < 0.7 {
 				t.Errorf("%s/%s latency r = %.2f, want strong positive", w, size, c.LatencyR)
 			}
@@ -202,7 +202,7 @@ func TestMetricCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("metric correlation skipped in -short")
 	}
-	bayes := runMetricCorrelation(sharedEval(), "bayes", []int64{1, 2, 3})
+	bayes := sharedEval().MetricCorrelation("bayes", []int64{1, 2, 3})
 	if bayes.Runs != 9 {
 		t.Fatalf("bayes correlation over %d runs, want 9", bayes.Runs)
 	}
@@ -222,12 +222,14 @@ func TestAdvisorPredictsHeldOutWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("advisor skipped in -short")
 	}
-	adv := TierAdvisor{Eval: sharedQuery}
-	adv.Train([]string{"sort", "repartition", "bayes", "lda"}, 1)
+	adv := TierAdvisor{Ev: NewEvaluator(sharedQuery)}
+	if err := adv.Train([]string{"sort", "repartition", "bayes", "lda"}, 1); err != nil {
+		t.Fatal(err)
+	}
 	if adv.R2() < 0.8 {
 		t.Errorf("advisor R2 = %.3f, want a strong linear fit (Takeaway 8)", adv.R2())
 	}
-	mape := adv.Evaluate("pagerank", 1)
+	mape := must(adv.Evaluate("pagerank", 1))
 	t.Logf("held-out pagerank MAPE = %.1f%%", mape*100)
 	if mape > 0.6 {
 		t.Errorf("held-out MAPE %.1f%% too large for a usable predictor", mape*100)
@@ -251,7 +253,7 @@ func TestComparePredictors(t *testing.T) {
 		t.Skip("predictor comparison skipped in -short")
 	}
 	names := []string{"bayes", "rf", "pagerank"}
-	scores := comparePredictors(sharedEval().Queries, names, 1)
+	scores := must(sharedEval().ComparePredictors(names, 1))
 	if len(scores) != 2 {
 		t.Fatalf("scores = %d model families, want 2", len(scores))
 	}
@@ -313,7 +315,7 @@ func TestDeriveGuidelines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("guidelines need a characterization; skipped in -short")
 	}
-	c := runCharacterization(sharedEval(), []string{"als", "lda"}, nil, nil, 1)
+	c := sharedEval().Characterization([]string{"als", "lda"}, nil, nil, 1)
 	gs := DeriveGuidelines(c, 0.15)
 	if len(gs) != 2 {
 		t.Fatalf("guidelines = %d, want 2", len(gs))

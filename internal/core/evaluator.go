@@ -11,20 +11,21 @@ import (
 	"repro/internal/hibench"
 )
 
-// evaluator is the package's one evaluation path. Every driver plans its
-// cells in report order, hands the list over once and folds the answers by
-// request index. Behind that sit a memo keyed on hibench.RunSpec.Key (a
-// cell is simulated once per evaluator, however many figures ask for it),
-// a join on cells another caller already has in flight, and a fan-out of
-// the cells still to simulate over min(GOMAXPROCS, cells) workers, the
-// caller among them — inline, with no goroutine started, when that is one.
-// An answer depends only on
-// the request, never on the worker count or on who simulated the cell. An
-// evaluator lives for one Reproduce call or one standalone driver call, so
-// nothing outlives a report or leaks between seeds.
-type evaluator struct {
-	workers int  // test seam: 0 selects GOMAXPROCS
-	noMemo  bool // test seam: treat every cell as unkeyable
+// Evaluator is the package's one evaluation path, and every driver is a
+// method on it. A driver plans its cells in report order, hands the list
+// over once and folds the answers by request index. Behind that sit a memo
+// keyed on hibench.RunSpec.Key (a cell is simulated once per Evaluator,
+// however many figures ask for it), a join on cells another caller already
+// has in flight, and a fan-out of the cells still to simulate over
+// min(GOMAXPROCS, cells) workers, the caller among them — inline, with no
+// goroutine started, when that is one. An answer depends only on the
+// request, never on the worker count or on who simulated the cell. Share
+// one Evaluator between the drivers of one report; nothing in it outlives
+// the value or leaks between seeds.
+type Evaluator struct {
+	runner  hibench.QueryRunner // answers Queries when non-nil
+	workers int                 // test seam: 0 selects GOMAXPROCS
+	noMemo  bool                // test seam: treat every cell as unkeyable
 
 	mu    sync.Mutex
 	cells map[string]*cell
@@ -55,7 +56,15 @@ func (p *cellPanic) Unwrap() error { err, _ := p.value.(error); return err }
 
 var errDropped = errors.New("core: cell not simulated: an earlier cell of its batch failed")
 
-func newEvaluator() *evaluator { return &evaluator{cells: make(map[string]*cell)} }
+// NewEvaluator returns an empty Evaluator. A nil runner simulates every
+// cell locally through the memo. A non-nil one — the advisor engine's
+// cached, deduplicated RunQuery — answers the query-vocabulary drivers
+// (WhatIf, PlacementStudy, InterleaveSweep, ComparePredictors and the
+// TierAdvisor) instead, which is what turns their repeated sweeps into
+// cache lookups.
+func NewEvaluator(runner hibench.QueryRunner) *Evaluator {
+	return &Evaluator{runner: runner, cells: make(map[string]*cell)}
+}
 
 // run simulates the cell and reports whether that succeeded.
 func (c *cell) run(spec hibench.RunSpec) bool {
@@ -71,7 +80,7 @@ func (c *cell) run(spec hibench.RunSpec) bool {
 
 // drop ends a cell unsimulated and takes it out of the memo, so that a
 // later request simulates it.
-func (e *evaluator) drop(c *cell) {
+func (e *Evaluator) drop(c *cell) {
 	e.mu.Lock()
 	delete(e.cells, c.key)
 	e.mu.Unlock()
@@ -86,7 +95,7 @@ func (e *evaluator) drop(c *cell) {
 // and raised here, on the caller, for the first failed request in list
 // order; cells behind a failed one that have not started are dropped. Only
 // those are, so the failure raised is the same at every worker count.
-func (e *evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
+func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	cells := make([]*cell, len(specs))
 	var mine []int // requests whose cell this call simulates
 	e.mu.Lock()
@@ -157,14 +166,26 @@ func (e *evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 // Run answers cells whose specs come from validated tables and
 // enumerations, so an error is a programming bug and panics; code holding
 // user-supplied specs calls hibench.Run and handles the error.
-func (e *evaluator) Run(specs ...hibench.RunSpec) []hibench.RunResult {
+func (e *Evaluator) Run(specs ...hibench.RunSpec) []hibench.RunResult {
 	return must(e.eval(specs))
 }
 
-// Queries answers a planned query list through the same memo: each query
-// is resolved to its RunSpec first, so Query{Placement: "tier:2"} and
-// RunSpec{Tier: memsim.Tier2} are one entry.
-func (e *evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
+// Queries answers a planned query list by request index. An injected
+// runner is asked cell by cell in request order; without one each query is
+// resolved to its RunSpec and goes through the memo, so
+// Query{Placement: "tier:2"} and RunSpec{Tier: memsim.Tier2} are one entry.
+func (e *Evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
+	//simlint:allow locksafety runner is set by NewEvaluator and never written again
+	if e.runner != nil {
+		out := make([]hibench.RunResult, len(qs))
+		for i, q := range qs {
+			var err error
+			if out[i], err = e.runner(q); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 	specs := make([]hibench.RunSpec, len(qs))
 	for i, q := range qs {
 		var err error
@@ -173,31 +194,6 @@ func (e *evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
 		}
 	}
 	return e.eval(specs)
-}
-
-// queryCells is the seam the query-vocabulary drivers evaluate through: a
-// planned list in, results by request index out. The drivers Reproduce
-// threads its evaluator through take it directly (runWhatIf under
-// RunWhatIfWith); the others adapt their runner in place.
-type queryCells func([]hibench.Query) ([]hibench.RunResult, error)
-
-// cellsOf adapts an injected runner — the advisor engine's cached one —
-// to the batch seam, cell by cell in request order; nil selects a fresh
-// evaluator.
-func cellsOf(eval hibench.QueryRunner) queryCells {
-	if eval == nil {
-		return newEvaluator().Queries
-	}
-	return func(qs []hibench.Query) ([]hibench.RunResult, error) {
-		out := make([]hibench.RunResult, len(qs))
-		for i, q := range qs {
-			var err error
-			if out[i], err = eval(q); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 }
 
 // must unwraps the result of a driver whose cells come from validated

@@ -11,6 +11,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/hibench"
 	"repro/internal/memsim"
+	"repro/internal/sim"
 	"repro/internal/tiering"
 	"repro/internal/workloads"
 )
@@ -18,10 +19,10 @@ import (
 // sharedEval is the evaluator the seed-1 tests of this package share: a
 // cell several of them ask for is simulated once per test process. Tests
 // that compare two evaluations build their own.
-var sharedEval = sync.OnceValue(newEvaluator)
+var sharedEval = sync.OnceValue(func() *Evaluator { return NewEvaluator(nil) })
 
-// sharedQuery is sharedEval in hibench.QueryRunner shape, for the seams
-// that take an injected runner.
+// sharedQuery is sharedEval in hibench.QueryRunner shape, for tests of the
+// injected-runner path: NewEvaluator(sharedQuery).
 func sharedQuery(q hibench.Query) (hibench.RunResult, error) {
 	out, err := sharedEval().Queries([]hibench.Query{q})
 	if err != nil {
@@ -40,7 +41,7 @@ func sameMap(a, b hibench.RunResult) bool {
 // simulation, both vocabularies meet in one entry, and an unkeyable cell
 // is simulated every time.
 func TestEvaluatorMemoHitHygiene(t *testing.T) {
-	ev := newEvaluator()
+	ev := NewEvaluator(nil)
 	first := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2}
 	uniform := executor.UniformPlacement(memsim.Tier2)
 	respelled := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2,
@@ -83,9 +84,9 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 			specs = append(specs, hibench.RunSpec{Workload: w, Size: workloads.Tiny, Tier: tier})
 		}
 	}
-	want := (&evaluator{workers: 1, noMemo: true, cells: map[string]*cell{}}).Run(specs...)
+	want := (&Evaluator{workers: 1, noMemo: true, cells: map[string]*cell{}}).Run(specs...)
 	for _, workers := range []int{1, 8} {
-		ev := newEvaluator()
+		ev := NewEvaluator(nil)
 		ev.workers = workers
 		got := ev.Run(specs...)
 		if !reflect.DeepEqual(got, want) {
@@ -106,7 +107,7 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 // flights in progress and fold the shared results concurrently; run under
 // -race this is the proof that hits are read-only.
 func TestEvaluatorConcurrentFold(t *testing.T) {
-	ev := newEvaluator()
+	ev := NewEvaluator(nil)
 	ev.workers = 2
 	cfg := tiering.DefaultConfig(tiering.Static)
 	specs := []hibench.RunSpec{
@@ -153,7 +154,7 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	unknown := hibench.RunSpec{Workload: "nope", Size: workloads.Tiny}
 	crashing := hibench.RunSpec{Workload: "repartition", Size: workloads.Size(99)}
 	for _, workers := range []int{1, 4} {
-		ev := newEvaluator()
+		ev := NewEvaluator(nil)
 		ev.workers = workers
 
 		if _, err := ev.eval([]hibench.RunSpec{good, unknown, crashing}); err == nil || !strings.Contains(err.Error(), "nope") {
@@ -173,7 +174,7 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 		}
 	}
 
-	ev := newEvaluator()
+	ev := NewEvaluator(nil)
 	ev.workers = 1
 	late := hibench.RunSpec{Workload: "als", Size: workloads.Tiny}
 	if _, err := ev.eval([]hibench.RunSpec{good, unknown, late}); err == nil || len(ev.cells) != 2 {
@@ -184,5 +185,49 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	}
 	if !errors.Is(&cellPanic{value: errDropped}, errDropped) {
 		t.Error("a typed panic value is not reachable through cellPanic")
+	}
+}
+
+// An injected runner answers the query-vocabulary drivers cell by cell in
+// plan order, its error comes back to the caller as returned, and the
+// RunSpec drivers keep simulating locally beside it.
+func TestInjectedRunnerAnswersQueriesInRequestOrder(t *testing.T) {
+	var asked []string
+	failOn := "none"
+	ev := NewEvaluator(func(q hibench.Query) (hibench.RunResult, error) {
+		asked = append(asked, q.Placement+"/"+q.Policy)
+		if q.Policy == failOn {
+			return hibench.RunResult{}, errors.New("runner down")
+		}
+		return hibench.RunResult{Duration: 1 + sim.Time(len(asked))}, nil
+	})
+	results, err := ev.WhatIf([]string{"sort"}, workloads.Tiny, 1)
+	scenarios := memsim.CapacityScenarios()
+	if err != nil || len(results) != len(scenarios) {
+		t.Fatalf("what-if through a fake runner: %d results, err %v", len(results), err)
+	}
+	want := []string{"tier:0/"}
+	for _, sc := range scenarios {
+		want = append(want, "tier:2/"+sc.Name)
+	}
+	if !reflect.DeepEqual(asked, want) {
+		t.Errorf("runner was asked %v, want %v", asked, want)
+	}
+	if len(ev.cells) != 0 {
+		t.Errorf("injected runner's cells reached the local memo (%d entries)", len(ev.cells))
+	}
+
+	failOn = scenarios[1].Name
+	if _, err := ev.WhatIf([]string{"sort"}, workloads.Tiny, 1); err == nil || err.Error() != "runner down" {
+		t.Errorf("failing runner returned %v, want its own error", err)
+	}
+	adv := TierAdvisor{Ev: ev}
+	failOn = "none"
+	if err := adv.Train([]string{"sort"}, 1); err != nil {
+		t.Errorf("Train through the fake: %v", err)
+	}
+
+	if c := ev.CopyStudy([]string{"repartition"}, workloads.Tiny, 1); len(c.Points) != 2 || len(ev.cells) != 2 {
+		t.Errorf("RunSpec driver beside a runner: %d points, %d memo entries, want 2 and 2", len(c.Points), len(ev.cells))
 	}
 }

@@ -27,13 +27,9 @@ type Characterization struct {
 	Results   map[CellKey]hibench.RunResult
 }
 
-// RunCharacterization executes the matrix with the paper's default Spark
+// Characterization executes the matrix with the paper's default Spark
 // configuration (1 executor x 40 cores). Nil slices select the full sets.
-func RunCharacterization(names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
-	return runCharacterization(newEvaluator(), names, sizes, tiers, seed)
-}
-
-func runCharacterization(ev *evaluator, names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
+func (e *Evaluator) Characterization(names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -59,7 +55,7 @@ func runCharacterization(ev *evaluator, names []string, sizes []workloads.Size, 
 			}
 		}
 	}
-	for _, res := range ev.Run(specs...) {
+	for _, res := range e.Run(specs...) {
 		c.Results[CellKey{res.Spec.Workload, res.Spec.Size, res.Spec.Tier}] = res
 	}
 	return c

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hibench"
 	"repro/internal/memsim"
@@ -29,15 +30,11 @@ type MBASweep struct {
 	Points []MBAPoint
 }
 
-// RunMBASweep reproduces Figure 3: for every workload and bandwidth cap,
+// MBASweep reproduces Figure 3: for every workload and bandwidth cap,
 // run all input sizes with the default Spark configuration and summarize
 // the execution-time distribution. The paper runs this on the NVM tier to
 // ask whether bandwidth or latency dominates.
-func RunMBASweep(names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
-	return runMBASweep(newEvaluator(), names, caps, tier, seed)
-}
-
-func runMBASweep(ev *evaluator, names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
+func (e *Evaluator) MBASweep(names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -57,7 +54,7 @@ func runMBASweep(ev *evaluator, names []string, caps []float64, tier memsim.Tier
 			}
 		}
 	}
-	results := ev.Run(specs...)
+	results := e.Run(specs...)
 	for _, w := range names {
 		for _, cap := range caps {
 			durations := make([]float64, len(sizes))
@@ -102,13 +99,7 @@ func (s *MBASweep) Flatness() map[string]float64 {
 		worst := 0.0
 		for _, cap := range s.Caps {
 			m := s.point(p.Workload, cap).Violin.Mean
-			dev := (m - base) / base
-			if dev < 0 {
-				dev = -dev
-			}
-			if dev > worst {
-				worst = dev
-			}
+			worst = max(worst, math.Abs((m-base)/base))
 		}
 		out[p.Workload] = worst
 	}

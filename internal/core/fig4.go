@@ -39,18 +39,15 @@ type ScalingGrid struct {
 	Size     workloads.Size
 	Tier     memsim.TierID
 	Baseline sim.Time
-	Cells    map[[2]int]ScalingCell // key: [executors, totalCores]
+	// Executors and Cores are the axes the grid was swept over.
+	Executors, Cores []int
+	Cells            map[[2]int]ScalingCell // key: [executors, totalCores]
 }
 
-// RunScalingGrid reproduces one heatmap of Figure 4. Cores are divided
+// ScalingGrid reproduces one heatmap of Figure 4. Cores are divided
 // evenly among executors; layouts with fewer cores than executors are
 // marked invalid (they cannot be launched).
-func RunScalingGrid(workload string, size workloads.Size, tier memsim.TierID,
-	executors, cores []int, seed int64) *ScalingGrid {
-	return runScalingGrid(newEvaluator(), workload, size, tier, executors, cores, seed)
-}
-
-func runScalingGrid(ev *evaluator, workload string, size workloads.Size, tier memsim.TierID,
+func (e *Evaluator) ScalingGrid(workload string, size workloads.Size, tier memsim.TierID,
 	executors, cores []int, seed int64) *ScalingGrid {
 	if executors == nil {
 		executors = DefaultExecutorCounts
@@ -59,39 +56,41 @@ func runScalingGrid(ev *evaluator, workload string, size workloads.Size, tier me
 		cores = DefaultCoreCounts
 	}
 	grid := &ScalingGrid{
-		Workload: workload,
-		Size:     size,
-		Tier:     tier,
-		Cells:    make(map[[2]int]ScalingCell),
+		Workload:  workload,
+		Size:      size,
+		Tier:      tier,
+		Executors: executors,
+		Cores:     cores,
+		Cells:     make(map[[2]int]ScalingCell),
 	}
 	// The 1x40 baseline first, then every feasible layout in grid order.
 	specs := []hibench.RunSpec{{
 		Workload: workload, Size: size, Tier: tier,
 		Executors: 1, CoresPerExecutor: 40, Seed: seed,
 	}}
-	for _, e := range executors {
+	for _, n := range executors {
 		for _, c := range cores {
-			if c >= e {
+			if c >= n {
 				specs = append(specs, hibench.RunSpec{
 					Workload: workload, Size: size, Tier: tier,
-					Executors: e, CoresPerExecutor: c / e, Seed: seed,
+					Executors: n, CoresPerExecutor: c / n, Seed: seed,
 				})
 			}
 		}
 	}
-	results := ev.Run(specs...)
+	results := e.Run(specs...)
 	base, results := results[0], results[1:]
 	grid.Baseline = base.Duration
-	for _, e := range executors {
+	for _, n := range executors {
 		for _, c := range cores {
-			cell := ScalingCell{Executors: e, TotalCores: c}
-			if c >= e {
+			cell := ScalingCell{Executors: n, TotalCores: c}
+			if c >= n {
 				cell.Duration = results[0].Duration
 				cell.Speedup = float64(base.Duration) / float64(cell.Duration)
 				cell.Valid = true
 				results = results[1:]
 			}
-			grid.Cells[[2]int{e, c}] = cell
+			grid.Cells[[2]int{n, c}] = cell
 		}
 	}
 	return grid
@@ -112,9 +111,7 @@ func (g *ScalingGrid) WorstSlowdown() float64 {
 	worst := 1.0
 	for _, c := range g.Cells {
 		if c.Valid && c.Speedup > 0 {
-			if s := 1 / c.Speedup; s > worst {
-				worst = s
-			}
+			worst = max(worst, 1/c.Speedup)
 		}
 	}
 	return worst
@@ -124,31 +121,25 @@ func (g *ScalingGrid) WorstSlowdown() float64 {
 func (g *ScalingGrid) BestSpeedup() float64 {
 	best := 0.0
 	for _, c := range g.Cells {
-		if c.Valid && c.Speedup > best {
-			best = c.Speedup
+		if c.Valid {
+			best = max(best, c.Speedup)
 		}
 	}
 	return best
 }
 
 // Table renders the heatmap with executors as rows and cores as columns.
-func (g *ScalingGrid) Table(executors, cores []int) Table {
-	if executors == nil {
-		executors = DefaultExecutorCounts
-	}
-	if cores == nil {
-		cores = DefaultCoreCounts
-	}
+func (g *ScalingGrid) Table() Table {
 	t := Table{
 		Title:   fmt.Sprintf("Figure 4: %s/%s on %s — speedup vs 1x40 baseline (%.4fs)", g.Workload, g.Size, g.Tier, g.Baseline.Seconds()),
 		Headers: []string{"executors \\ cores"},
 	}
-	for _, c := range cores {
+	for _, c := range g.Cores {
 		t.Headers = append(t.Headers, fmt.Sprintf("%d", c))
 	}
-	for _, e := range executors {
+	for _, e := range g.Executors {
 		row := []string{fmt.Sprintf("%d", e)}
-		for _, c := range cores {
+		for _, c := range g.Cores {
 			cell := g.Cell(e, c)
 			if !cell.Valid {
 				row = append(row, "-")

@@ -24,15 +24,11 @@ type MetricCorrelation struct {
 	Runs int
 }
 
-// RunMetricCorrelation reproduces one column group of Figure 5. Seeds
+// MetricCorrelation reproduces one column group of Figure 5. Seeds
 // beyond the first vary the generated data so that correlations are
 // estimated over a population of runs, like the paper's repeated
 // deployments.
-func RunMetricCorrelation(workload string, seeds []int64) MetricCorrelation {
-	return runMetricCorrelation(newEvaluator(), workload, seeds)
-}
-
-func runMetricCorrelation(ev *evaluator, workload string, seeds []int64) MetricCorrelation {
+func (e *Evaluator) MetricCorrelation(workload string, seeds []int64) MetricCorrelation {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
 	}
@@ -46,7 +42,7 @@ func runMetricCorrelation(ev *evaluator, workload string, seeds []int64) MetricC
 	}
 	var durations []float64
 	var snapshots []telemetry.RunMetrics
-	for _, res := range ev.Run(specs...) {
+	for _, res := range e.Run(specs...) {
 		durations = append(durations, res.Duration.Seconds())
 		snapshots = append(snapshots, res.Metrics)
 	}
@@ -127,12 +123,8 @@ type SpecCorrelation struct {
 	BandwidthR float64
 }
 
-// RunSpecCorrelation reproduces one cell group of Figure 6.
-func RunSpecCorrelation(workload string, size workloads.Size, seed int64) SpecCorrelation {
-	return runSpecCorrelation(newEvaluator(), workload, size, seed)
-}
-
-func runSpecCorrelation(ev *evaluator, workload string, size workloads.Size, seed int64) SpecCorrelation {
+// SpecCorrelation reproduces one cell group of Figure 6.
+func (e *Evaluator) SpecCorrelation(workload string, size workloads.Size, seed int64) SpecCorrelation {
 	specs := memsim.DefaultSpecs()
 	tiers := memsim.AllTiers()
 	cells := make([]hibench.RunSpec, len(tiers))
@@ -140,7 +132,7 @@ func runSpecCorrelation(ev *evaluator, workload string, size workloads.Size, see
 		cells[i] = hibench.RunSpec{Workload: workload, Size: size, Tier: tier, Seed: seed}
 	}
 	var times, lats, bws []float64
-	for _, res := range ev.Run(cells...) {
+	for _, res := range e.Run(cells...) {
 		times = append(times, res.Duration.Seconds())
 		lats = append(lats, specs[res.Spec.Tier].IdleLatencyNS)
 		bws = append(bws, specs[res.Spec.Tier].BandwidthBytes)

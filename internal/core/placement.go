@@ -31,33 +31,19 @@ type PlacementStudy struct {
 	Points   []PlacementPoint
 }
 
-// StandardPlacements returns the deployments compared by the study; the
-// table itself lives in executor, next to the Placement type, so the
-// advisor service resolves the same names.
-func StandardPlacements() []executor.NamedPlacement { return executor.StandardPlacements() }
-
-// RunPlacementStudy measures every standard placement for one workload,
-// on a fresh evaluator.
-func RunPlacementStudy(workload string, size workloads.Size, seed int64) *PlacementStudy {
-	return must(RunPlacementStudyWith(nil, workload, size, seed))
-}
-
-// RunPlacementStudyWith is the placement study over an injectable cell
-// evaluator (see RunWhatIfWith).
-func RunPlacementStudyWith(eval hibench.QueryRunner, workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
-	return runPlacementStudy(cellsOf(eval), workload, size, seed)
-}
-
-func runPlacementStudy(cells queryCells, workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
+// PlacementStudy measures every standard placement for one workload. The
+// table of deployments lives in executor, next to the Placement type, so
+// the advisor service resolves the same names.
+func (e *Evaluator) PlacementStudy(workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
 	study := &PlacementStudy{Workload: workload, Size: size}
-	placements := StandardPlacements()
+	placements := executor.StandardPlacements()
 	qs := make([]hibench.Query, len(placements))
 	for i, sp := range placements {
 		qs[i] = hibench.Query{
 			Workload: workload, Size: size.String(), Placement: sp.Name, Seed: seed,
 		}
 	}
-	results, err := cells(qs)
+	results, err := e.Queries(qs)
 	if err != nil {
 		return nil, err
 	}
@@ -113,17 +99,11 @@ type InterleavePoint struct {
 	Slowdown float64
 }
 
-// RunInterleaveSweep traces the classic tiering trade-off curve: heap
+// InterleaveSweep traces the classic tiering trade-off curve: heap
 // traffic split between local DRAM and local DCPM at increasing NVM
 // fractions (numactl --interleave / Memory-Mode-style weighted placement),
 // from the all-DRAM to the all-NVM endpoint.
-func RunInterleaveSweep(workload string, size workloads.Size, fractions []float64, seed int64) []InterleavePoint {
-	return must(RunInterleaveSweepWith(nil, workload, size, fractions, seed))
-}
-
-// RunInterleaveSweepWith is the interleave sweep over an injectable cell
-// evaluator (see RunWhatIfWith).
-func RunInterleaveSweepWith(eval hibench.QueryRunner, workload string, size workloads.Size, fractions []float64, seed int64) ([]InterleavePoint, error) {
+func (e *Evaluator) InterleaveSweep(workload string, size workloads.Size, fractions []float64, seed int64) ([]InterleavePoint, error) {
 	if fractions == nil {
 		fractions = []float64{0, 0.25, 0.5, 0.75, 1.0}
 	}
@@ -134,7 +114,7 @@ func RunInterleaveSweepWith(eval hibench.QueryRunner, workload string, size work
 			Placement: fmt.Sprintf("interleave:%g", f), Seed: seed,
 		}
 	}
-	results, err := cellsOf(eval)(qs)
+	results, err := e.Queries(qs)
 	if err != nil {
 		return nil, err
 	}

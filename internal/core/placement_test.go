@@ -11,7 +11,7 @@ import (
 
 func TestStandardPlacementsWellFormed(t *testing.T) {
 	seen := map[string]bool{}
-	for _, sp := range StandardPlacements() {
+	for _, sp := range executor.StandardPlacements() {
 		if sp.Name == "" || seen[sp.Name] {
 			t.Errorf("placement name %q empty or duplicated", sp.Name)
 		}
@@ -33,7 +33,7 @@ func TestPlacementRecoversPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement study skipped in -short")
 	}
-	study := must(runPlacementStudy(sharedEval().Queries, "pagerank", workloads.Large, 1))
+	study := must(sharedEval().PlacementStudy("pagerank", workloads.Large, 1))
 	allNVM := study.Slowdown("all-NVM")
 	mixed := study.Slowdown("heap-DRAM/shuffle-NVM")
 	t.Logf("pagerank/large: all-NVM %.2fx, heap-DRAM/shuffle-NVM %.2fx", allNVM, mixed)
@@ -59,10 +59,10 @@ func TestPlacementStudyTableAndPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement study skipped in -short")
 	}
-	study := RunPlacementStudy("repartition", workloads.Small, 1)
+	study := must(sharedEval().PlacementStudy("repartition", workloads.Small, 1))
 	tbl := study.Table()
-	if len(tbl.Rows) != len(StandardPlacements()) {
-		t.Fatalf("table rows = %d, want %d", len(tbl.Rows), len(StandardPlacements()))
+	if len(tbl.Rows) != len(executor.StandardPlacements()) {
+		t.Fatalf("table rows = %d, want %d", len(tbl.Rows), len(executor.StandardPlacements()))
 	}
 	defer func() {
 		if recover() == nil {
@@ -104,7 +104,7 @@ func TestInterleaveSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interleave sweep skipped in -short")
 	}
-	points := RunInterleaveSweep("lda", workloads.Small, []float64{0, 0.5, 1.0}, 1)
+	points := must(sharedEval().InterleaveSweep("lda", workloads.Small, []float64{0, 0.5, 1.0}, 1))
 	if len(points) != 3 {
 		t.Fatalf("points = %d", len(points))
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/hibench"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -32,26 +31,18 @@ type PredictorScore struct {
 }
 
 // ComparePredictors runs leave-one-workload-out evaluation of the linear
-// (OLS) advisor and a k-NN regressor over the same feature space and
-// observations, on a fresh evaluator. Workloads defaults to the
-// paper's seven.
-func ComparePredictors(names []string, seed int64) []PredictorScore {
-	return ComparePredictorsWith(nil, names, seed)
-}
-
-// ComparePredictorsWith is the predictor comparison over an injectable
-// cell evaluator (see RunWhatIfWith) — both model families train on the
-// same observations, so through a caching runner the whole comparison
-// costs one simulation per distinct (workload, size, tier) cell.
-func ComparePredictorsWith(eval hibench.QueryRunner, names []string, seed int64) []PredictorScore {
-	return comparePredictors(cellsOf(eval), names, seed)
-}
-
-func comparePredictors(cells queryCells, names []string, seed int64) []PredictorScore {
+// (OLS) advisor and a k-NN regressor over the same feature space. Both
+// model families train on the same observations, so the whole comparison
+// costs one simulation per distinct (workload, size, tier) cell. Workloads
+// defaults to the paper's seven.
+func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorScore, error) {
 	if names == nil {
 		names = workloads.Names()
 	}
-	all := observe(cells, names, seed)
+	all, err := e.observe(names, seed)
+	if err != nil {
+		return nil, err
+	}
 
 	evaluate := func(kind PredictorKind) PredictorScore {
 		score := PredictorScore{Kind: kind, MAPE: make(map[string]float64)}
@@ -89,36 +80,25 @@ func comparePredictors(cells queryCells, names []string, seed int64) []Predictor
 		score.Mean = sum / float64(len(score.MAPE))
 		return score
 	}
-	return []PredictorScore{evaluate(PredictorOLS), evaluate(PredictorKNN)}
+	return []PredictorScore{evaluate(PredictorOLS), evaluate(PredictorKNN)}, nil
 }
 
 // fitPredictor trains one model family and returns its prediction
 // function, flooring predictions at the profiled Tier 0 duration (feature
 // 0 of the advisor feature vector).
 func fitPredictor(kind PredictorKind, xs [][]float64, ys []float64) func([]float64) float64 {
+	var predict func([]float64) float64
 	switch kind {
 	case PredictorOLS:
-		fit := stats.FitOLS(xs, ys)
-		return func(x []float64) float64 {
-			pred := fit.Predict(x)
-			if pred < x[0] {
-				return x[0]
-			}
-			return pred
-		}
+		predict = stats.FitOLS(xs, ys).Predict
 	case PredictorKNN:
 		knn := stats.NewKNNRegressor(3)
 		knn.Fit(xs, ys)
-		return func(x []float64) float64 {
-			pred := knn.Predict(x)
-			if pred < x[0] {
-				return x[0]
-			}
-			return pred
-		}
+		predict = knn.Predict
 	default:
 		panic(fmt.Sprintf("core: unknown predictor kind %q", kind))
 	}
+	return func(x []float64) float64 { return max(predict(x), x[0]) }
 }
 
 // PredictorTable renders the comparison.

@@ -26,13 +26,15 @@ type ReproduceOptions struct {
 // extension studies, rendering them to w in order. This is the one-call
 // version of the whole evaluation; cmd/reproduce wraps it. Like the paper,
 // it measures each cell of the workload x size x tier matrix once: every
-// figure evaluates through one evaluator, so Figure 6, the predictor and
+// figure evaluates through one Evaluator, so Figure 6, the predictor and
 // the other artefacts that revisit Figure 2's cells read them back.
 func Reproduce(w io.Writer, opts ReproduceOptions) {
-	reproduce(w, opts, newEvaluator())
+	NewEvaluator(nil).Reproduce(w, opts)
 }
 
-func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
+// Reproduce renders the full report through e, reading back whatever
+// cells e already holds.
+func (e *Evaluator) Reproduce(w io.Writer, opts ReproduceOptions) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -72,7 +74,7 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 
 	// Figure 2 (all three panels) + guidelines.
 	section("Figure 2 — characterization matrix")
-	c := runCharacterization(ev, names, nil, nil, opts.Seed)
+	c := e.Characterization(names, nil, nil, opts.Seed)
 	c.TimeTable().Render(w)
 	fmt.Fprintln(w)
 	c.AccessTable().Render(w)
@@ -90,7 +92,7 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 
 	// Figure 3.
 	section("Figure 3 — MBA bandwidth caps")
-	sweep := runMBASweep(ev, names, nil, memsim.Tier2, opts.Seed)
+	sweep := e.MBASweep(names, nil, memsim.Tier2, opts.Seed)
 	sweep.Table().Render(w)
 	step("Figure 3")
 
@@ -103,8 +105,8 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 		}
 		for _, wl := range fig4 {
 			for _, size := range []workloads.Size{workloads.Small, workloads.Large} {
-				grid := runScalingGrid(ev, wl, size, memsim.Tier2, nil, nil, opts.Seed)
-				grid.Table(nil, nil).Render(w)
+				grid := e.ScalingGrid(wl, size, memsim.Tier2, nil, nil, opts.Seed)
+				grid.Table().Render(w)
 				fmt.Fprintln(w)
 			}
 		}
@@ -115,7 +117,7 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 	section("Figure 5 — system metrics vs execution time")
 	var cols []MetricCorrelation
 	for _, wl := range names {
-		cols = append(cols, runMetricCorrelation(ev, wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}))
+		cols = append(cols, e.MetricCorrelation(wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}))
 	}
 	Fig5Table(cols).Render(w)
 	step("Figure 5")
@@ -124,7 +126,7 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 	var cells []SpecCorrelation
 	for _, wl := range names {
 		for _, size := range workloads.AllSizes() {
-			cells = append(cells, runSpecCorrelation(ev, wl, size, opts.Seed))
+			cells = append(cells, e.SpecCorrelation(wl, size, opts.Seed))
 		}
 	}
 	Fig6Table(cells).Render(w)
@@ -132,7 +134,7 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 
 	// §IV-F predictor.
 	section("§IV-F — tier performance predictor")
-	scores := comparePredictors(ev.Queries, names, opts.Seed)
+	scores := must(e.ComparePredictors(names, opts.Seed))
 	PredictorTable(scores, names).Render(w)
 	step("predictor")
 
@@ -140,15 +142,15 @@ func reproduce(w io.Writer, opts ReproduceOptions, ev *evaluator) {
 	section("Extensions — placement, what-if, endurance")
 	ext := intersect([]string{"pagerank", "lda"}, names)
 	for _, wl := range ext {
-		must(runPlacementStudy(ev.Queries, wl, workloads.Large, opts.Seed)).Table().Render(w)
+		must(e.PlacementStudy(wl, workloads.Large, opts.Seed)).Table().Render(w)
 		fmt.Fprintln(w)
 	}
 	whatIf := intersect([]string{"sort", "lda", "pagerank"}, names)
 	if len(whatIf) > 0 {
-		WhatIfTable(must(runWhatIf(ev.Queries, whatIf, workloads.Large, opts.Seed))).Render(w)
+		WhatIfTable(must(e.WhatIf(whatIf, workloads.Large, opts.Seed))).Render(w)
 		fmt.Fprintln(w)
 	}
-	wearTable(ev, workloads.Large, opts.Seed, names).Render(w)
+	e.WearTable(workloads.Large, opts.Seed, names).Render(w)
 	step("extensions")
 }
 

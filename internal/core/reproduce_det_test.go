@@ -25,13 +25,13 @@ func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		old := cluster.DefaultTaskParallelism
 		cluster.DefaultTaskParallelism = workers
 		defer func() { cluster.DefaultTaskParallelism = old }()
-		ev := newEvaluator()
+		ev := NewEvaluator(nil)
 		ev.workers = workers
 		var buf bytes.Buffer
-		reproduce(&buf, ReproduceOptions{
+		ev.Reproduce(&buf, ReproduceOptions{
 			Workloads:   []string{"sort", "pagerank"},
 			SkipScaling: true,
-		}, ev)
+		})
 		return buf.String()
 	}
 	seq := render(1)
@@ -54,13 +54,13 @@ func TestReproduceByteIdenticalWithoutMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the reduced report twice")
 	}
-	render := func(ev *evaluator) string {
+	render := func(ev *Evaluator) string {
 		var buf bytes.Buffer
-		reproduce(&buf, ReproduceOptions{Workloads: []string{"als", "lda"}}, ev)
+		ev.Reproduce(&buf, ReproduceOptions{Workloads: []string{"als", "lda"}})
 		return buf.String()
 	}
-	memo := newEvaluator()
-	bypass := newEvaluator()
+	memo := NewEvaluator(nil)
+	bypass := NewEvaluator(nil)
 	bypass.noMemo = true
 	if with, without := render(memo), render(bypass); with != without {
 		t.Fatalf("report differs with and without the memo (len %d vs %d)", len(with), len(without))

@@ -24,9 +24,9 @@ type CellStats struct {
 	N int
 }
 
-// RunVarianceStudy measures every (workload, tier) cell at the given size
+// VarianceStudy measures every (workload, tier) cell at the given size
 // across the seeds and returns per-cell statistics.
-func RunVarianceStudy(names []string, size workloads.Size, seeds []int64) []CellStats {
+func (e *Evaluator) VarianceStudy(names []string, size workloads.Size, seeds []int64) []CellStats {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -43,7 +43,7 @@ func RunVarianceStudy(names []string, size workloads.Size, seeds []int64) []Cell
 			}
 		}
 	}
-	results := newEvaluator().Run(specs...)
+	results := e.Run(specs...)
 	var out []CellStats
 	for _, w := range names {
 		for _, tier := range memsim.AllTiers() {
@@ -73,9 +73,7 @@ func RunVarianceStudy(names []string, size workloads.Size, seeds []int64) []Cell
 func MaxCV(cells []CellStats) float64 {
 	worst := 0.0
 	for _, c := range cells {
-		if c.CV > worst {
-			worst = c.CV
-		}
+		worst = max(worst, c.CV)
 	}
 	return worst
 }

@@ -27,20 +27,15 @@ type WearReport struct {
 // memsim.Tier.WearFraction.
 const ratedCycles = 1e5
 
-// ProjectWear measures one workload's DCPM write rate and extrapolates
-// device lifetime under continuous operation.
-func ProjectWear(workload string, size workloads.Size, seed int64) WearReport {
-	return projectWear(newEvaluator(), []string{workload}, size, seed)[0]
-}
-
-// projectWear projects one report per workload from its Tier 2 run.
-func projectWear(ev *evaluator, names []string, size workloads.Size, seed int64) []WearReport {
+// ProjectWear measures each workload's DCPM write rate on its Tier 2 run
+// and extrapolates device lifetime under continuous operation.
+func (e *Evaluator) ProjectWear(names []string, size workloads.Size, seed int64) []WearReport {
 	specs := make([]hibench.RunSpec, len(names))
 	for i, w := range names {
 		specs[i] = hibench.RunSpec{Workload: w, Size: size, Tier: memsim.Tier2, Seed: seed}
 	}
 	out := make([]WearReport, len(names))
-	for i, res := range ev.Run(specs...) {
+	for i, res := range e.Run(specs...) {
 		secs := res.Duration.Seconds()
 		rate := float64(res.NVMCounters.MediaWriteBytes) / secs
 		spec := memsim.DefaultSpecs()[memsim.Tier2]
@@ -57,11 +52,7 @@ func projectWear(ev *evaluator, names []string, size workloads.Size, seed int64)
 }
 
 // WearTable renders projections for a set of workloads.
-func WearTable(size workloads.Size, seed int64, names []string) Table {
-	return wearTable(newEvaluator(), size, seed, names)
-}
-
-func wearTable(ev *evaluator, size workloads.Size, seed int64, names []string) Table {
+func (e *Evaluator) WearTable(size workloads.Size, seed int64, names []string) Table {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -69,7 +60,7 @@ func wearTable(ev *evaluator, size workloads.Size, seed int64, names []string) T
 		Title:   fmt.Sprintf("Takeaway 3 extension: projected DCPM endurance under continuous %s runs", size),
 		Headers: []string{"workload", "media write rate", "projected lifetime"},
 	}
-	for _, r := range projectWear(ev, names, size, seed) {
+	for _, r := range e.ProjectWear(names, size, seed) {
 		t.AddRow(r.Workload,
 			fmt.Sprintf("%.1f MB/s", r.WriteBytesPerSec/1e6),
 			fmt.Sprintf("%.0f years", r.YearsToWearOut))

@@ -9,19 +9,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// WhatIfScenario swaps a hypothetical memory technology into the Tier 2
-// slot and re-runs the characterization — the paper's introduction
-// motivates exactly this question for upcoming CXL memory expanders and
-// next-generation NVM. The scenario table itself lives in memsim, next to
-// the tier specifications it perturbs, so the advisor service resolves
-// the same names.
-type WhatIfScenario = memsim.CapacityScenario
-
-// WhatIfScenarios returns the modeled future capacity tiers, ordered from
-// the paper's baseline to the most aggressive.
-func WhatIfScenarios() []WhatIfScenario { return memsim.CapacityScenarios() }
-
-// WhatIfResult is one workload's capacity-tier slowdown under a scenario.
+// WhatIfResult is one workload's capacity-tier slowdown under a scenario:
+// a hypothetical memory technology swapped into the Tier 2 slot, the
+// question the paper's introduction motivates for upcoming CXL memory
+// expanders and next-generation NVM. The scenario table lives in memsim
+// (CapacityScenarios), next to the tier specifications it perturbs, so the
+// advisor service resolves the same names.
 type WhatIfResult struct {
 	Scenario string
 	Workload string
@@ -33,24 +26,11 @@ type WhatIfResult struct {
 	Slowdown float64
 }
 
-// RunWhatIf measures every scenario x workload at the given size,
-// on a fresh evaluator.
-func RunWhatIf(names []string, size workloads.Size, seed int64) []WhatIfResult {
-	return must(RunWhatIfWith(nil, names, size, seed))
-}
-
-// RunWhatIfWith is the what-if sweep over an injectable cell evaluator —
-// the advisor engine passes its cached, deduplicated runner here, which
-// is what turns the repeated sweep into cache lookups; a nil runner
-// selects a fresh evaluator. The Tier 0 anchor
-// is scenario-independent (a Tier 0 run never touches the capacity
+// WhatIf measures every scenario x workload at the given size. The Tier 0
+// anchor is scenario-independent (a Tier 0 run never touches the capacity
 // device), so it is evaluated once per workload rather than once per
 // scenario x workload.
-func RunWhatIfWith(eval hibench.QueryRunner, names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
-	return runWhatIf(cellsOf(eval), names, size, seed)
-}
-
-func runWhatIf(cells queryCells, names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
+func (e *Evaluator) WhatIf(names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -59,20 +39,20 @@ func runWhatIf(cells queryCells, names []string, size workloads.Size, seed int64
 	for _, w := range names {
 		qs = append(qs, hibench.Query{Workload: w, Size: size.String(), Placement: "tier:0", Seed: seed})
 	}
-	for _, sc := range WhatIfScenarios() {
+	for _, sc := range memsim.CapacityScenarios() {
 		for _, w := range names {
 			qs = append(qs, hibench.Query{
 				Workload: w, Size: size.String(), Placement: "tier:2", Policy: sc.Name, Seed: seed,
 			})
 		}
 	}
-	results, err := cells(qs)
+	results, err := e.Queries(qs)
 	if err != nil {
 		return nil, err
 	}
 	locals, results := results[:len(names)], results[len(names):]
 	var out []WhatIfResult
-	for _, sc := range WhatIfScenarios() {
+	for _, sc := range memsim.CapacityScenarios() {
 		for i, w := range names {
 			out = append(out, WhatIfResult{
 				Scenario: sc.Name,

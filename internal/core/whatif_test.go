@@ -10,7 +10,7 @@ import (
 )
 
 func TestWhatIfScenariosWellFormed(t *testing.T) {
-	scs := WhatIfScenarios()
+	scs := memsim.CapacityScenarios()
 	if len(scs) < 3 {
 		t.Fatalf("scenarios = %d, want >= 3", len(scs))
 	}
@@ -37,7 +37,7 @@ func TestWhatIfClosesTheGap(t *testing.T) {
 		t.Skip("what-if sweep skipped in -short")
 	}
 	names := []string{"lda", "pagerank"}
-	results := must(runWhatIf(sharedEval().Queries, names, workloads.Large, 1))
+	results := must(sharedEval().WhatIf(names, workloads.Large, 1))
 	byKey := map[[2]string]WhatIfResult{}
 	for _, r := range results {
 		byKey[[2]string{r.Scenario, r.Workload}] = r
@@ -76,7 +76,7 @@ func TestWearProjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wear projection skipped in -short")
 	}
-	reports := projectWear(sharedEval(), []string{"lda", "als"}, workloads.Large, 1)
+	reports := sharedEval().ProjectWear([]string{"lda", "als"}, workloads.Large, 1)
 	lda, als := reports[0], reports[1]
 	t.Logf("lda: %.1f MB/s -> %.0f years; als: %.1f MB/s -> %.0f years",
 		lda.WriteBytesPerSec/1e6, lda.YearsToWearOut, als.WriteBytesPerSec/1e6, als.YearsToWearOut)
@@ -91,7 +91,7 @@ func TestWearProjection(t *testing.T) {
 			t.Errorf("%s projection non-physical: %+v", r.Workload, r)
 		}
 	}
-	tbl := WearTable(workloads.Tiny, 1, []string{"als"})
+	tbl := sharedEval().WearTable(workloads.Tiny, 1, []string{"als"})
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("wear table rows = %d", len(tbl.Rows))
 	}
@@ -141,7 +141,7 @@ func TestVarianceAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("variance study skipped in -short")
 	}
-	cells := RunVarianceStudy([]string{"repartition", "bayes", "pagerank"},
+	cells := NewEvaluator(nil).VarianceStudy([]string{"repartition", "bayes", "pagerank"},
 		workloads.Small, []int64{1, 2, 3})
 	if len(cells) != 3*4 {
 		t.Fatalf("cells = %d, want 12", len(cells))

@@ -178,11 +178,11 @@ func TestAttachExecutorAfterReplace(t *testing.T) {
 }
 
 // The age policy lands blocks on fast and demotes them once they sit
-// idle for MaxIdleEpochs epochs, through the mover's rate limit.
+// idle for maxIdleEpochs epochs, through the mover's rate limit.
 func TestAgeEngineDemotesIdleBlocks(t *testing.T) {
 	cfg := DefaultConfig(Age)
 	cfg.FastBudgetBytes = 10_000 // far from the watermarks: idle age drives everything
-	cfg.MaxIdleEpochs = 2
+	cfg.maxIdleEpochs = 2
 	k, pool, eng := newHarness(t, cfg)
 	blocks := pool.Executors[0].Blocks
 	if got := blocks.LandingTier(); got != memsim.Tier0 {
@@ -240,7 +240,7 @@ func TestForecastEngineLandingAndQuietTicks(t *testing.T) {
 }
 
 // A read-hot block under the forecast policy is promoted once its
-// predicted heat classifies at PromoteClass.
+// predicted heat classifies at promoteClass.
 func TestForecastEnginePromotesReadHot(t *testing.T) {
 	cfg := DefaultConfig(Forecast)
 	cfg.FastBudgetBytes = 1000
@@ -264,9 +264,9 @@ func TestForecastEnginePromotesReadHot(t *testing.T) {
 func TestEngineMoverRateLimit(t *testing.T) {
 	cfg := DefaultConfig(Age)
 	cfg.FastBudgetBytes = 10_000
-	cfg.MaxIdleEpochs = 1
-	cfg.MoverBytesPerEpoch = 250 // two 100 B demotions per epoch
-	cfg.MoverMovesPerEpoch = 64
+	cfg.maxIdleEpochs = 1
+	cfg.moverBytesPerEpoch = 250 // two 100 B demotions per epoch
+	cfg.moverMovesPerEpoch = 64
 	_, pool, eng := newHarness(t, cfg)
 	blocks := pool.Executors[0].Blocks
 	for i := 0; i < 6; i++ {
@@ -286,11 +286,11 @@ func TestEngineMoverRateLimit(t *testing.T) {
 		for _, m := range p.Moves {
 			bytes += m.Bytes
 		}
-		if bytes > cfg.MoverBytesPerEpoch {
-			t.Fatalf("epoch %d moved %d bytes, budget %d", p.Epoch, bytes, cfg.MoverBytesPerEpoch)
+		if bytes > cfg.moverBytesPerEpoch {
+			t.Fatalf("epoch %d moved %d bytes, budget %d", p.Epoch, bytes, cfg.moverBytesPerEpoch)
 		}
-		if len(p.Moves) > cfg.MoverMovesPerEpoch {
-			t.Fatalf("epoch %d planned %d moves, budget %d", p.Epoch, len(p.Moves), cfg.MoverMovesPerEpoch)
+		if len(p.Moves) > cfg.moverMovesPerEpoch {
+			t.Fatalf("epoch %d planned %d moves, budget %d", p.Epoch, len(p.Moves), cfg.moverMovesPerEpoch)
 		}
 	}
 	if eng.Mover(0).Pending() != 0 {

@@ -83,8 +83,8 @@ func (watermarkPolicy) Plan(cfg Config, v View) []Move { return planWatermark(cf
 // from the id-ordered view and sorted stably by heat, so equal-heat ties
 // break by block id — the plan is identical across runs by construction.
 func planWatermark(cfg Config, v View) []Move {
-	high := int64(float64(cfg.FastBudgetBytes) * cfg.HighWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.LowWaterFrac)
+	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
 	fastUsed := v.FastUsed
 
 	if fastUsed > high {
@@ -106,7 +106,7 @@ func planWatermark(cfg Config, v View) []Move {
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Heat > cands[j].Heat })
 		var moves []Move
 		for _, b := range cands {
-			if b.Heat < cfg.MinHeat {
+			if b.Heat < minHeat {
 				break // sorted by heat: everything after is colder
 			}
 			if fastUsed+b.Bytes > high {
@@ -133,7 +133,7 @@ func (bandwidthPolicy) Plan(cfg Config, v View) []Move {
 	}
 	var remaining [memsim.NumTiers]float64
 	for _, id := range memsim.AllTiers() {
-		remaining[id] = cfg.MigrationBWFrac * v.Specs[id].BandwidthBytes * v.EpochSeconds
+		remaining[id] = cfg.migrationBWFrac * v.Specs[id].BandwidthBytes * v.EpochSeconds
 	}
 	// Truncate rather than skip: the plan is priority-ordered (coldest
 	// demotions / hottest promotions first) and skipping ahead to smaller

@@ -10,7 +10,7 @@ import (
 // clock. It expects the idle-age tracker (heat == 1/(1+idleAge)) and
 // plans:
 //
-//   - Demotions: every fast block idle for at least MaxIdleEpochs,
+//   - Demotions: every fast block idle for at least maxIdleEpochs,
 //     oldest first; and, when fast occupancy is above the high
 //     watermark, further coldest-first demotions down to the low
 //     watermark (the capacity backstop the watermark policy provides).
@@ -26,11 +26,11 @@ type agePolicy struct{}
 func (agePolicy) Name() string { return string(Age) }
 
 func (agePolicy) Plan(cfg Config, v View) []Move {
-	high := int64(float64(cfg.FastBudgetBytes) * cfg.HighWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.LowWaterFrac)
+	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
 	// The idle cutoff on the heat scale: HeatForAge is strictly
-	// decreasing, so "idle >= MaxIdleEpochs" is exactly "heat <= cutoff".
-	idleCutoff := heat.HeatForAge(int64(cfg.MaxIdleEpochs))
+	// decreasing, so "idle >= maxIdleEpochs" is exactly "heat <= cutoff".
+	idleCutoff := heat.HeatForAge(int64(cfg.maxIdleEpochs))
 	fastUsed := v.FastUsed
 	var moves []Move
 

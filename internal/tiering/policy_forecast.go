@@ -12,10 +12,10 @@ import (
 // puts them, and the policy selectively promotes the blocks worth the
 // migration cost. Two screens gate a promotion:
 //
-//   - The predicted heat must classify at or above PromoteClass — a
+//   - The predicted heat must classify at or above promoteClass — a
 //     block has to be forecast at least warm, under sustained reads,
 //     before DRAM capacity is spent on it.
-//   - The predicted write heat must stay strictly below WriteHeatMax. A
+//   - The predicted write heat must stay strictly below writeHeatMax. A
 //     write-churned block (lda's Gibbs-sweep state, rewritten every
 //     superstep) is predicted to be rewritten again; promoting it buys
 //     one cheap read epoch and then pays the demotion's XPLine-amplified
@@ -23,7 +23,7 @@ import (
 //     regression. Screening on predicted writes keeps such blocks on
 //     DCPM, where the rewrite lands anyway. The bound is exclusive so
 //     that at the default decay a block put in the just-ended epoch
-//     (write heat exactly DecayFactor) is already screened.
+//     (write heat exactly decayFactor) is already screened.
 //
 // Demotions mirror the screens: fast blocks predicted cold (class 0) are
 // evacuated coldest-first, and occupancy above the high watermark drains
@@ -33,9 +33,9 @@ type forecastPolicy struct{}
 func (forecastPolicy) Name() string { return string(Forecast) }
 
 func (forecastPolicy) Plan(cfg Config, v View) []Move {
-	bounds := cfg.EffectiveBoundaries()
-	high := int64(float64(cfg.FastBudgetBytes) * cfg.HighWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.LowWaterFrac)
+	bounds := cfg.effectiveBoundaries()
+	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
 	fastUsed := v.FastUsed
 	var moves []Move
 
@@ -55,10 +55,10 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 	slow := onTier(v.Blocks, cfg.Slow)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].Predicted > slow[j].Predicted })
 	for _, b := range slow {
-		if heat.Class(bounds, b.Predicted) < cfg.PromoteClass {
+		if heat.Class(bounds, b.Predicted) < cfg.promoteClass {
 			break // hottest-first: everything after is predicted colder
 		}
-		if b.Write >= cfg.WriteHeatMax {
+		if b.Write >= cfg.writeHeatMax {
 			continue // write-churned: the next rewrite lands on DCPM anyway
 		}
 		if fastUsed+b.Bytes > high {

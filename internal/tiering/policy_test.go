@@ -68,12 +68,12 @@ func TestWatermarkDemotesColdestFirst(t *testing.T) {
 func TestWatermarkPromotesHottestThatFit(t *testing.T) {
 	// Budget 1000: high = 900, low = 700. One 100 B fast block leaves
 	// 600 B of headroom below high; promote hottest slow blocks with
-	// heat >= MinHeat (0.25).
+	// heat >= minHeat (0.25).
 	cfg := dynConfig(Watermark, 1000)
 	heats := []float64{1, 4, 3, 0.1, 2}
 	tiers := []memsim.TierID{cfg.Fast, cfg.Slow, cfg.Slow, cfg.Slow, cfg.Slow}
 	moves := NewPolicy(cfg).Plan(cfg, testView(cfg, heats, tiers))
-	wantParts := []int{1, 2, 4} // heat 4, 3, 2; partition 3 is below MinHeat
+	wantParts := []int{1, 2, 4} // heat 4, 3, 2; partition 3 is below minHeat
 	if len(moves) != len(wantParts) {
 		t.Fatalf("planned %d promotions %v, want %d", len(moves), moves, len(wantParts))
 	}
@@ -105,7 +105,7 @@ func TestBandwidthAwareTruncatesPlan(t *testing.T) {
 	// Watermark alone would demote 4 blocks (400 B). Cap the epoch's
 	// budget toward the slow tier at ~214 B: frac x 10.7 GB/s x 1 µs.
 	v.EpochSeconds = 1e-6
-	cfg.MigrationBWFrac = 0.02
+	cfg.migrationBWFrac = 0.02
 	moves := NewPolicy(cfg).Plan(cfg, v)
 	if len(moves) != 2 {
 		t.Fatalf("bandwidth-aware planned %d moves %v, want 2", len(moves), moves)
@@ -119,7 +119,7 @@ func TestBandwidthAwareTruncatesPlan(t *testing.T) {
 
 func TestAgeDemotesIdleAndPromotesFresh(t *testing.T) {
 	// Budget 10000: watermarks are far away, so idle age alone decides.
-	// MaxIdleEpochs 2 -> cutoff HeatForAge(2) = 1/3.
+	// maxIdleEpochs 2 -> cutoff HeatForAge(2) = 1/3.
 	cfg := dynConfig(Age, 10_000)
 	heats := []float64{
 		heat.HeatForAge(3), // fast, idle 3 epochs -> demote (oldest)
@@ -163,10 +163,10 @@ func TestAgeDrainsOverBudgetFastTier(t *testing.T) {
 }
 
 func TestForecastPromotesPredictedHotSkipsWriters(t *testing.T) {
-	// PromoteClass 2 with default boundaries {0.5, 2, 8}: predicted heat
-	// must reach 2. WriteHeatMax 0.5 screens out the write-churned block.
+	// promoteClass 2 with default boundaries {0.5, 2, 8}: predicted heat
+	// must reach 2. writeHeatMax 0.5 screens out the write-churned block.
 	cfg := dynConfig(Forecast, 1000)
-	cfg.PromoteClass = 2
+	cfg.promoteClass = 2
 	v := testView(cfg,
 		[]float64{1, 3, 3, 1.9, 0.2},
 		[]memsim.TierID{cfg.Fast, cfg.Slow, cfg.Slow, cfg.Slow, cfg.Slow})
@@ -203,20 +203,20 @@ func TestConfigValidate(t *testing.T) {
 		{Policy: "lru"},
 		dynConfig(Watermark, 0),
 		func() Config { c := dynConfig(Watermark, 1); c.Slow = c.Fast; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.DecayFactor = 1; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.LowWaterFrac = 0.95; return c }(),
-		func() Config { c := dynConfig(BandwidthAware, 1); c.MigrationBWFrac = 0; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.Tracker = "lru"; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.Boundaries = []float64{2, 1}; return c }(),
-		func() Config { c := dynConfig(Age, 1); c.MaxIdleEpochs = 0; return c }(),
-		func() Config { c := dynConfig(Age, 1); c.MoverBytesPerEpoch = 0; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.MoverMovesPerEpoch = 0; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.HistoryEpochs = 1; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.PromoteClass = 4; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.WriteHeatMax = -1; return c }(),
+		func() Config { c := dynConfig(Watermark, 1); c.decayFactor = 1; return c }(),
+		func() Config { c := dynConfig(Watermark, 1); c.lowWaterFrac = 0.95; return c }(),
+		func() Config { c := dynConfig(BandwidthAware, 1); c.migrationBWFrac = 0; return c }(),
+		func() Config { c := dynConfig(Watermark, 1); c.tracker = "lru"; return c }(),
+		func() Config { c := dynConfig(Watermark, 1); c.boundaries = []float64{2, 1}; return c }(),
+		func() Config { c := dynConfig(Age, 1); c.maxIdleEpochs = 0; return c }(),
+		func() Config { c := dynConfig(Age, 1); c.moverBytesPerEpoch = 0; return c }(),
+		func() Config { c := dynConfig(Forecast, 1); c.moverMovesPerEpoch = 0; return c }(),
+		func() Config { c := dynConfig(Forecast, 1); c.historyEpochs = 1; return c }(),
+		func() Config { c := dynConfig(Forecast, 1); c.promoteClass = 4; return c }(),
+		func() Config { c := dynConfig(Forecast, 1); c.writeHeatMax = -1; return c }(),
 		func() Config {
 			c := dynConfig(Forecast, 1)
-			c.Forecasters = []heat.ForecasterKind{"oracle"}
+			c.forecasters = []heat.ForecasterKind{"oracle"}
 			return c
 		}(),
 	}

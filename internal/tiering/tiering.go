@@ -61,7 +61,7 @@ const (
 	BandwidthAware PolicyKind = "bandwidth-aware"
 	// Age lands new blocks on the fast tier and demotes by idle age
 	// (memtier's idle-page discipline): a fast block untouched for
-	// MaxIdleEpochs epochs is demoted, blocks touched in the current
+	// maxIdleEpochs epochs is demoted, blocks touched in the current
 	// epoch are promoted back, and the whole plan is rate-limited by the
 	// mover's per-epoch budgets.
 	Age PolicyKind = "age"
@@ -87,7 +87,18 @@ func (p PolicyKind) Valid() bool {
 	return false
 }
 
-// Config parameterizes the tiering engine.
+const (
+	// highWaterFrac positions the high watermark as a fraction of
+	// FastBudgetBytes.
+	highWaterFrac = 0.9
+	// minHeat is the minimum heat a slow block needs to be promoted;
+	// blocks colder than this stay put even when fast capacity is free.
+	minHeat = 0.25
+)
+
+// Config parameterizes the tiering engine. A caller chooses the policy,
+// the tier pair and the fast-tier budget; the calibration beneath them is
+// DefaultConfig's, so build a Config there and not as a literal.
 type Config struct {
 	// Policy selects the migration policy.
 	Policy PolicyKind
@@ -103,70 +114,65 @@ type Config struct {
 	// policies.
 	FastBudgetBytes int64
 
-	// DecayFactor multiplies every block's heat at each epoch tick, in
+	// decayFactor multiplies every block's heat at each epoch tick, in
 	// [0, 1): 0 keeps only the last epoch's accesses, values near 1
 	// remember long histories.
-	DecayFactor float64
+	decayFactor float64
 
-	// HighWaterFrac and LowWaterFrac position the watermarks as
-	// fractions of FastBudgetBytes, with 0 < low < high <= 1.
-	HighWaterFrac float64
-	LowWaterFrac  float64
+	// lowWaterFrac positions the low watermark as a fraction of
+	// FastBudgetBytes, with 0 < low < highWaterFrac.
+	lowWaterFrac float64
 
-	// MinHeat is the minimum heat a slow block needs to be promoted;
-	// blocks colder than this stay put even when fast capacity is free.
-	MinHeat float64
-
-	// MigrationBWFrac caps, for the bandwidth-aware policy, the bytes
+	// migrationBWFrac caps, for the bandwidth-aware policy, the bytes
 	// migrated toward a destination tier per epoch at this fraction of
 	// the tier's peak bandwidth times the epoch's virtual duration.
-	MigrationBWFrac float64
+	migrationBWFrac float64
 
-	// Tracker selects the hotness tracker feeding the policy; empty picks
+	// tracker selects the hotness tracker feeding the policy; empty picks
 	// the policy's natural tracker (idle-age for the age policy, decayed
 	// access counts for everything else).
-	Tracker heat.TrackerKind
+	tracker heat.TrackerKind
 
-	// Boundaries are the heat-class boundaries for the classifier
+	// boundaries are the heat-class boundaries for the classifier
 	// (strictly increasing, positive); nil uses heat.DefaultBoundaries().
-	Boundaries []float64
+	boundaries []float64
 
-	// Forecasters is the forecaster chain for the forecast policy, in
+	// forecasters is the forecaster chain for the forecast policy, in
 	// composition order; nil uses the trend+phase default chain.
-	Forecasters []heat.ForecasterKind
+	forecasters []heat.ForecasterKind
 
-	// HistoryEpochs bounds the per-executor ring of heat snapshots the
+	// historyEpochs bounds the per-executor ring of heat snapshots the
 	// forecasters read. Must be at least 2 for the forecast policy.
-	HistoryEpochs int
+	historyEpochs int
 
-	// MaxIdleEpochs is the idle age at which the age policy demotes a
+	// maxIdleEpochs is the idle age at which the age policy demotes a
 	// fast block: untouched for this many epochs means cold. Must be at
 	// least 1 for the age policy.
-	MaxIdleEpochs int
+	maxIdleEpochs int
 
-	// MoverBytesPerEpoch and MoverMovesPerEpoch rate-limit the age and
+	// moverBytesPerEpoch and moverMovesPerEpoch rate-limit the age and
 	// forecast policies: each executor's mover queue emits at most this
 	// many bytes and moves per epoch, deferring the backlog to later
 	// epochs. Both must be positive for those policies.
-	MoverBytesPerEpoch int64
-	MoverMovesPerEpoch int
+	moverBytesPerEpoch int64
+	moverMovesPerEpoch int
 
-	// PromoteClass is the minimum *predicted* heat class (index into the
+	// promoteClass is the minimum *predicted* heat class (index into the
 	// classifier's classes, 0 = coldest) a slow block needs for the
 	// forecast policy to promote it. The default is class 1 (warm):
 	// under the default 0.5 decay a block's steady-state heat equals its
 	// per-epoch read rate approached from below, so demanding the hot
 	// class would exclude even steady once-per-epoch readers.
-	PromoteClass int
+	promoteClass int
 
-	// WriteHeatMax is the forecast policy's write-churn cutoff: only
+	// writeHeatMax is the forecast policy's write-churn cutoff: only
 	// blocks whose predicted write heat stays strictly below it are ever
 	// promoted — a rewrite would land them back on the landing tier,
 	// wasting the promotion (the lda failure mode of the watermark
 	// policy). A single put one epoch ago leaves write heat exactly
-	// DecayFactor, so the default of 0.5 (= the default decay) reads as
+	// decayFactor, so the default of 0.5 (= the default decay) reads as
 	// "not written within the last epoch".
-	WriteHeatMax float64
+	writeHeatMax float64
 }
 
 // DefaultConfig returns the calibrated defaults for a policy: DRAM
@@ -179,17 +185,15 @@ func DefaultConfig(policy PolicyKind) Config {
 		Policy:             policy,
 		Fast:               memsim.Tier0,
 		Slow:               memsim.Tier2,
-		DecayFactor:        0.5,
-		HighWaterFrac:      0.9,
-		LowWaterFrac:       0.7,
-		MinHeat:            0.25,
-		MigrationBWFrac:    0.05,
-		HistoryEpochs:      12,
-		MaxIdleEpochs:      2,
-		MoverBytesPerEpoch: 256 << 10,
-		MoverMovesPerEpoch: 64,
-		PromoteClass:       1,
-		WriteHeatMax:       0.5,
+		decayFactor:        0.5,
+		lowWaterFrac:       0.7,
+		migrationBWFrac:    0.05,
+		historyEpochs:      12,
+		maxIdleEpochs:      2,
+		moverBytesPerEpoch: 256 << 10,
+		moverMovesPerEpoch: 64,
+		promoteClass:       1,
+		writeHeatMax:       0.5,
 	}
 }
 
@@ -207,12 +211,12 @@ func (c Config) UsesMover() bool { return c.Policy == Age || c.Policy == Forecas
 // predicted-hot, non-write-churned blocks earn a promotion.
 func (c Config) RebindsLanding() bool { return c.Dynamic() && c.Policy != Forecast }
 
-// EffectiveTracker resolves the tracker kind: an explicit choice wins,
+// effectiveTracker resolves the tracker kind: an explicit choice wins,
 // otherwise the age policy tracks idle age and everything else tracks
 // decayed access counts.
-func (c Config) EffectiveTracker() heat.TrackerKind {
-	if c.Tracker != "" {
-		return c.Tracker
+func (c Config) effectiveTracker() heat.TrackerKind {
+	if c.tracker != "" {
+		return c.tracker
 	}
 	if c.Policy == Age {
 		return heat.IdleAge
@@ -220,18 +224,18 @@ func (c Config) EffectiveTracker() heat.TrackerKind {
 	return heat.AccessCounts
 }
 
-// EffectiveBoundaries resolves the classifier boundaries.
-func (c Config) EffectiveBoundaries() []float64 {
-	if c.Boundaries != nil {
-		return c.Boundaries
+// effectiveBoundaries resolves the classifier boundaries.
+func (c Config) effectiveBoundaries() []float64 {
+	if c.boundaries != nil {
+		return c.boundaries
 	}
 	return heat.DefaultBoundaries()
 }
 
-// EffectiveForecasters resolves the forecaster chain.
-func (c Config) EffectiveForecasters() []heat.ForecasterKind {
-	if c.Forecasters != nil {
-		return c.Forecasters
+// effectiveForecasters resolves the forecaster chain.
+func (c Config) effectiveForecasters() []heat.ForecasterKind {
+	if c.forecasters != nil {
+		return c.forecasters
 	}
 	return heat.AllForecasters()
 }
@@ -253,43 +257,40 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tiering: fast and slow tier are both %s", c.Fast)
 	case c.FastBudgetBytes <= 0:
 		return fmt.Errorf("tiering: dynamic policy %q needs FastBudgetBytes > 0", c.Policy)
-	case c.DecayFactor < 0 || c.DecayFactor >= 1:
-		return fmt.Errorf("tiering: decay factor %v out of [0,1)", c.DecayFactor)
-	case c.LowWaterFrac <= 0 || c.HighWaterFrac > 1 || c.LowWaterFrac >= c.HighWaterFrac:
-		return fmt.Errorf("tiering: watermarks low=%v high=%v need 0 < low < high <= 1",
-			c.LowWaterFrac, c.HighWaterFrac)
-	case c.MinHeat < 0:
-		return fmt.Errorf("tiering: negative MinHeat %v", c.MinHeat)
-	case c.Tracker != "" && !c.Tracker.Valid():
-		return fmt.Errorf("tiering: unknown tracker kind %q", c.Tracker)
+	case c.decayFactor < 0 || c.decayFactor >= 1:
+		return fmt.Errorf("tiering: decay factor %v out of [0,1)", c.decayFactor)
+	case c.lowWaterFrac <= 0 || c.lowWaterFrac >= highWaterFrac:
+		return fmt.Errorf("tiering: low watermark %v needs 0 < low < %v", c.lowWaterFrac, highWaterFrac)
+	case c.tracker != "" && !c.tracker.Valid():
+		return fmt.Errorf("tiering: unknown tracker kind %q", c.tracker)
 	}
-	if c.Policy == BandwidthAware && (c.MigrationBWFrac <= 0 || c.MigrationBWFrac > 1) {
-		return fmt.Errorf("tiering: migration bandwidth fraction %v out of (0,1]", c.MigrationBWFrac)
+	if c.Policy == BandwidthAware && (c.migrationBWFrac <= 0 || c.migrationBWFrac > 1) {
+		return fmt.Errorf("tiering: migration bandwidth fraction %v out of (0,1]", c.migrationBWFrac)
 	}
-	cls, err := heat.NewClassifier(c.EffectiveBoundaries())
+	cls, err := heat.NewClassifier(c.effectiveBoundaries())
 	if err != nil {
 		return fmt.Errorf("tiering: %w", err)
 	}
 	if c.UsesMover() {
-		if c.MoverBytesPerEpoch <= 0 || c.MoverMovesPerEpoch <= 0 {
+		if c.moverBytesPerEpoch <= 0 || c.moverMovesPerEpoch <= 0 {
 			return fmt.Errorf("tiering: policy %q needs positive mover budgets (bytes=%d moves=%d)",
-				c.Policy, c.MoverBytesPerEpoch, c.MoverMovesPerEpoch)
+				c.Policy, c.moverBytesPerEpoch, c.moverMovesPerEpoch)
 		}
 	}
-	if c.Policy == Age && c.MaxIdleEpochs < 1 {
-		return fmt.Errorf("tiering: age policy needs MaxIdleEpochs >= 1, got %d", c.MaxIdleEpochs)
+	if c.Policy == Age && c.maxIdleEpochs < 1 {
+		return fmt.Errorf("tiering: age policy needs maxIdleEpochs >= 1, got %d", c.maxIdleEpochs)
 	}
 	if c.Policy == Forecast {
-		if c.HistoryEpochs < 2 {
-			return fmt.Errorf("tiering: forecast policy needs HistoryEpochs >= 2, got %d", c.HistoryEpochs)
+		if c.historyEpochs < 2 {
+			return fmt.Errorf("tiering: forecast policy needs historyEpochs >= 2, got %d", c.historyEpochs)
 		}
-		if c.PromoteClass < 0 || c.PromoteClass >= cls.Classes() {
-			return fmt.Errorf("tiering: PromoteClass %d out of [0,%d)", c.PromoteClass, cls.Classes())
+		if c.promoteClass < 0 || c.promoteClass >= cls.Classes() {
+			return fmt.Errorf("tiering: promoteClass %d out of [0,%d)", c.promoteClass, cls.Classes())
 		}
-		if c.WriteHeatMax <= 0 {
-			return fmt.Errorf("tiering: forecast policy needs WriteHeatMax > 0 (exclusive bound), got %v", c.WriteHeatMax)
+		if c.writeHeatMax <= 0 {
+			return fmt.Errorf("tiering: forecast policy needs writeHeatMax > 0 (exclusive bound), got %v", c.writeHeatMax)
 		}
-		for _, f := range c.EffectiveForecasters() {
+		for _, f := range c.effectiveForecasters() {
 			if !f.Valid() {
 				return fmt.Errorf("tiering: unknown forecaster kind %q", f)
 			}
