@@ -13,7 +13,9 @@ import (
 // rdd.PartitionOf, each taking `any` — costs one heap allocation per
 // record. Hot paths must resolve a Sizer/Hasher once per RDD operation
 // (SizerFor, PairSizer, HasherFor, NewHashPartitioner) and call the
-// specialized value per record.
+// specialized value per record. The same table forbids the sort package's
+// reflection-based sort.Slice/sort.SliceStable there: a task sorts whole
+// partitions, and the generic sorts do it without a reflect-built swapper.
 //
 // The columnar chunk path adds two more per-record shapes the analyzer
 // flags in the same tainted call graphs:
@@ -47,17 +49,25 @@ var hotboxRule = &reachRule{
 	entry:  taskEntry,
 	exempt: hotboxExempt,
 	bridge: true,
-	table:  map[string]map[string]map[string]string{rddPath: {"": boxingAPI}},
-	format: "boxing %s in task-compute code (one allocation per record): %s",
+	table:  map[string]map[string]map[string]string{rddPath: {"": boxingAPI}, "sort": {"": reflectSortAPI}},
+	format: "%s in task-compute code: %s",
 }
 
 const rddPath = "repro/internal/rdd"
 
 // boxingAPI maps rdd package-level function name -> advice.
 var boxingAPI = map[string]string{
-	"SizeOf":      "resolve a Sizer once per operation (SizerFor/PairSizer) and call sizer.Of per record",
-	"HashAny":     "resolve a Hasher once per operation (HasherFor) or call the key's Hash64 directly",
-	"PartitionOf": "construct the partitioner with NewHashPartitioner so it routes through a resolved Hasher",
+	"SizeOf":      "boxes its argument (one allocation per record); resolve a Sizer once per operation (SizerFor/PairSizer) and call sizer.Of per record",
+	"HashAny":     "boxes its argument (one allocation per record); resolve a Hasher once per operation (HasherFor) or call the key's Hash64 directly",
+	"PartitionOf": "boxes its argument (one allocation per record); construct the partitioner with NewHashPartitioner so it routes through a resolved Hasher",
+}
+
+// reflectSortAPI maps the sort package's reflection-based entry points ->
+// advice: they swap through reflectlite.Swapper and, when stable, move
+// every record O(log² n) times.
+var reflectSortAPI = map[string]string{
+	"Slice":       "sorts through reflection; use slices.SortFunc",
+	"SliceStable": "sorts through reflection; use rdd's generic stableSort or slices.SortStableFunc",
 }
 
 // hotboxExempt exempts the measurement layer itself: TaskContext methods

@@ -1,8 +1,9 @@
-// Package hotbox is simlint test input: boxing measurement calls on
-// task-compute paths. Line positions are pinned by hotbox.golden.
+// Package hotbox is simlint test input: boxing measurement calls and
+// reflection-based sorts on task-compute paths. Line positions are pinned by hotbox.golden.
 package hotbox
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/executor"
@@ -113,15 +114,30 @@ func goodFilterLoop(ctx *executor.TaskContext, src []int64) []int64 {
 }
 
 // goodMapValues collects map values — maps have no bulk copy, so the
-// single-statement loop is fine (sorted afterwards for determinism).
+// single-statement loop is fine (sorted afterwards for determinism, with
+// the generic sort).
 func goodMapValues(ctx *executor.TaskContext, m map[int]int64) []int64 {
 	_ = ctx
 	var dst []int64
 	for k := range m {
 		dst = append(dst, m[k])
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	return dst
+}
+
+// badReflectSort sorts a partition through package sort's reflection-
+// based entry points: a reflect-built swapper per call.
+func badReflectSort(ctx *executor.TaskContext, recs []rdd.Pair[string, int64]) {
+	_ = ctx
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Val < recs[j].Val })
+}
+
+// driverReflectSort is never reached from a TaskContext function; the
+// driver sorts a handful of results once per job.
+func driverReflectSort(vals []int64) {
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 }
 
 // driverBoxLoop never sees a TaskContext: driver-side code may box in

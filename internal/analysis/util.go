@@ -156,7 +156,8 @@ type reachRule struct {
 	// table maps package path -> receiver type ("" for a package-level
 	// function) -> name -> advice.
 	table map[string]map[string]map[string]string
-	// format is the diagnostic: the callee as Recv.Name, then the advice.
+	// format is the diagnostic: the callee as Recv.Name (pkg.Name for a
+	// package-level function), then the advice.
 	format string
 }
 
@@ -180,6 +181,8 @@ func (r *reachRule) run(p *Pass) {
 			}
 			if recv != "" {
 				callee = recv + "." + callee
+			} else {
+				callee = cs.Fn.Pkg().Name() + "." + callee
 			}
 			p.Reportf(cs.Call.Pos(), r.format, callee, advice)
 		}

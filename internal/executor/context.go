@@ -127,6 +127,9 @@ type TaskContext struct {
 	Chunks *blockmgr.ChunkStore
 	// Rand is a task-seeded PRNG for workloads that sample.
 	Rand *rand.Rand
+	// rng backs Rand; embedded so a task that never draws allocates no
+	// source at all.
+	rng lazySource
 
 	profile Profile
 	seen    map[uint64]struct{}
@@ -152,7 +155,7 @@ func NewTaskContext(execID, partition int, tier *memsim.Tier, cost CostModel,
 // NewPlacedTaskContext builds a context with per-category tiers.
 func NewPlacedTaskContext(execID, partition int, heap, shufTier, cacheTier *memsim.Tier,
 	cost CostModel, blocks *blockmgr.Manager, shuf *shuffle.Store, seed int64) *TaskContext {
-	return &TaskContext{
+	c := &TaskContext{
 		ExecID:      execID,
 		Partition:   partition,
 		Heap:        heap,
@@ -161,9 +164,32 @@ func NewPlacedTaskContext(execID, partition int, heap, shufTier, cacheTier *mems
 		Cost:        cost,
 		Blocks:      blocks,
 		Shuffle:     shuf,
-		Rand:        rand.New(rand.NewSource(seed*1_000_003 + int64(partition))),
+		rng:         lazySource{seed: seed*1_000_003 + int64(partition)},
 	}
+	c.Rand = rand.New(&c.rng)
+	return c
 }
+
+// lazySource is rand.NewSource(seed) built on the first draw: seeding
+// fills a 607-word state (~5 KB), and only the few tasks that sample ever
+// read it. The stream is the eager source's, value for value.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+// Seed re-seeds lazily too: the next draw starts seed's stream afresh.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // Tier returns the heap tier (the paper's single membind target).
 func (c *TaskContext) Tier() *memsim.Tier { return c.Heap }

@@ -2,6 +2,8 @@ package executor
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -445,5 +447,45 @@ func TestSimulateStageCPUConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTaskRandIsLazyButIdentical pins the lazily seeded task PRNG: the
+// stream every draw method sees is rand.New(rand.NewSource(s))'s, Seed is
+// honoured, and a context that never draws never builds the source.
+func TestTaskRandIsLazyButIdentical(t *testing.T) {
+	_, _, pool := newTestRig(memsim.Tier2)
+	const seed, part = 42, 3
+	draw := func(r *rand.Rand) []any {
+		var out []any
+		for i := 0; i < 50; i++ {
+			out = append(out, r.Float64(), r.Intn(1000), r.Int63(), r.Uint64())
+		}
+		return out
+	}
+	ctx := newCtx(pool, part)
+	want := rand.New(rand.NewSource(seed*1_000_003 + part))
+	if got, want := draw(ctx.Rand), draw(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lazy task PRNG diverges from the eager one:\n got %v\nwant %v", got[:8], want[:8])
+	}
+	ctx.Rand.Seed(7)
+	want.Seed(7)
+	if got, want := draw(ctx.Rand), draw(want); !reflect.DeepEqual(got, want) {
+		t.Fatal("lazy task PRNG diverges from the eager one after Seed")
+	}
+
+	if ctx := newCtx(pool, part); ctx.rng.src != nil {
+		t.Fatal("fresh context already built its source")
+	}
+	ex := pool.AssignPartition(part)
+	store := shuffle.NewStore()
+	cost := DefaultCostModel()
+	// The context and its *rand.Rand: the 607-word source would be a third.
+	allocs := testing.AllocsPerRun(100, func() {
+		c := NewTaskContext(ex.ID, part, pool.Tier(), cost, ex.Blocks, store, seed)
+		c.CPU(1)
+	})
+	if allocs > 2 {
+		t.Fatalf("a context that never draws costs %.0f allocations, want <= 2", allocs)
 	}
 }

@@ -19,16 +19,22 @@ func NewBinStats(numClasses int) BinStats {
 	return BinStats{Counts: make([]int64, numClasses)}
 }
 
-// Add merges other into s (the shuffle reduce function).
+// Add merges other into a copy of s (the shuffle reduce function).
 func (s BinStats) Add(other BinStats) BinStats {
+	out := NewBinStats(len(s.Counts))
+	copy(out.Counts, s.Counts)
+	out.accumulate(other)
+	return out
+}
+
+// accumulate adds other's counts into s in place.
+func (s BinStats) accumulate(other BinStats) {
 	if len(s.Counts) != len(other.Counts) {
 		panic(fmt.Sprintf("ml: merging bin stats of %d vs %d classes", len(s.Counts), len(other.Counts)))
 	}
-	out := NewBinStats(len(s.Counts))
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + other.Counts[i]
+	for i, c := range other.Counts {
+		s.Counts[i] += c
 	}
-	return out
 }
 
 // Total returns the number of samples in the bin.
@@ -77,10 +83,15 @@ func BestSplit(bins [][]BinStats, numClasses int, minGain float64) (Split, int) 
 		panic("ml: best split with no features")
 	}
 	flops := 0
+	// node, left and right share one scratch allocation and are updated
+	// in place per cut.
+	scratch := make([]int64, 3*numClasses)
+	node := BinStats{scratch[:numClasses:numClasses]}
+	left := BinStats{scratch[numClasses : 2*numClasses : 2*numClasses]}
+	right := BinStats{scratch[2*numClasses:]}
 	// Node totals from feature 0 (identical across features).
-	node := NewBinStats(numClasses)
 	for _, b := range bins[0] {
-		node = node.Add(b)
+		node.accumulate(b)
 	}
 	total := node.Total()
 	if total == 0 {
@@ -91,10 +102,12 @@ func BestSplit(bins [][]BinStats, numClasses int, minGain float64) (Split, int) 
 
 	best := Split{Leaf: true, Pred: node.majority(), Gain: 0}
 	for f, fb := range bins {
-		left := NewBinStats(numClasses)
+		clear(left.Counts)
 		for cut := 0; cut < len(fb)-1; cut++ {
-			left = left.Add(fb[cut])
-			right := node.subtract(left)
+			left.accumulate(fb[cut])
+			for i, c := range left.Counts {
+				right.Counts[i] = node.Counts[i] - c
+			}
 			lt, rt := left.Total(), right.Total()
 			if lt == 0 || rt == 0 {
 				continue
@@ -123,7 +136,7 @@ func Majority(bins [][]BinStats, numClasses int) int {
 	}
 	node := NewBinStats(numClasses)
 	for _, b := range bins[0] {
-		node = node.Add(b)
+		node.accumulate(b)
 	}
 	return node.majority()
 }
@@ -136,14 +149,6 @@ func (s BinStats) majority() int {
 		}
 	}
 	return best
-}
-
-func (s BinStats) subtract(other BinStats) BinStats {
-	out := NewBinStats(len(s.Counts))
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] - other.Counts[i]
-	}
-	return out
 }
 
 // TreeNode is one node of a trained decision tree, stored in a dense

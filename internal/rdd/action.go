@@ -17,7 +17,14 @@ func Collect[T any](r *RDD[T]) []T {
 		ctx.MemSeq(memsim.Read, bytes)
 		return out
 	})
-	var all []T
+	n := 0
+	for _, p := range parts {
+		n += len(p.([]T))
+	}
+	if n == 0 {
+		return nil
+	}
+	all := make([]T, 0, n)
 	for _, p := range parts {
 		all = append(all, p.([]T)...)
 	}

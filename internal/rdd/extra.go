@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/executor"
 )
@@ -76,7 +75,7 @@ func TakeOrdered[T any](r *RDD[T], n int, less func(a, b T) bool) []T {
 	parts := r.base.driver.RunJob(r.base, func(ctx *executor.TaskContext, part int) any {
 		in := r.Compute(ctx, part)
 		local := append([]T(nil), in...)
-		sort.SliceStable(local, func(i, j int) bool { return less(local[i], local[j]) })
+		stableSort(local, byValue(less))
 		ctx.CPU(float64(len(in)) * float64(log2(maxIntN(len(in), 2))) * ctx.Cost.CompareNS)
 		if len(local) > n {
 			local = local[:n]
@@ -87,7 +86,7 @@ func TakeOrdered[T any](r *RDD[T], n int, less func(a, b T) bool) []T {
 	for _, p := range parts {
 		all = append(all, p.([]T)...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	stableSort(all, byValue(less))
 	if len(all) > n {
 		all = all[:n]
 	}

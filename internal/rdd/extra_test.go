@@ -199,3 +199,24 @@ func TestParallelizeEmptyAndUnionMismatchedDrivers(t *testing.T) {
 	}()
 	rdd.Union(a, b)
 }
+
+// TestCollectSizesOnceAndKeepsNilForEmpty pins Collect's two contracts
+// around its presized result: partition order survives empty partitions
+// in between, and a dataset with no records at all is still nil.
+func TestCollectSizesOnceAndKeepsNilForEmpty(t *testing.T) {
+	app := newApp()
+	r := rdd.Parallelize(app, "xs", ints(20), 5)
+	if got := rdd.Collect(rdd.Filter(r, func(int) bool { return false })); got != nil {
+		t.Fatalf("all-empty collect = %#v, want nil", got)
+	}
+	// Only partitions 1 and 3 (values 4..7 and 12..15) keep records.
+	sparse := rdd.Filter(r, func(v int) bool { return v/4 == 1 || v/4 == 3 })
+	got := rdd.Collect(sparse)
+	want := []int{4, 5, 6, 7, 12, 13, 14, 15}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sparse collect = %v, want %v", got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("collect result has cap %d for %d records: not sized from the partitions", cap(got), len(got))
+	}
+}

@@ -1,8 +1,6 @@
 package rdd
 
 import (
-	"sort"
-
 	"repro/internal/executor"
 	"repro/internal/memsim"
 )
@@ -272,7 +270,7 @@ func sortPartition[K comparable, V any](ctx *executor.TaskContext, in []Pair[K, 
 	if n == 0 {
 		return
 	}
-	sort.SliceStable(in, func(i, j int) bool { return less(in[i].Key, in[j].Key) })
+	stableSort(in, func(a, b *Pair[K, V]) bool { return less(a.Key, b.Key) })
 	ctx.CPU(float64(n) * float64(log2(n)) * ctx.Cost.CompareNS)
 	bytes := SizeSlice(in, ps)
 	ctx.MemSeq(memsim.Read, bytes)

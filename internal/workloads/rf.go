@@ -55,10 +55,101 @@ func (w *RandomForest) Describe(size Size) string {
 		"trees", p.Trees, "depth", p.Depth, "bins", p.Bins)
 }
 
+// rfClasses is the label arity of the generated examples.
+const rfClasses = 2
+
+// rfHist is one tree level's class histogram as a single dense slab laid
+// out [feat][bin][node][class] over the nodes an example can sit in at
+// that level — the whole tree down to the level, since examples parked in
+// an early leaf stay there. A task fills one per partition with array
+// writes; the driver sums the partitions' cells into one more.
+type rfHist struct {
+	counts                []int64
+	features, bins, nodes int
+}
+
+func newRFHist(features, bins, level int) rfHist {
+	nodes := (1 << (level + 1)) - 1
+	return rfHist{make([]int64, features*bins*nodes*rfClasses), features, bins, nodes}
+}
+
+// cell returns the class counts of one (node, feature, bin) as a view of
+// the slab, capped so an append cannot run into the next cell.
+func (h rfHist) cell(node, feat, bin int) []int64 {
+	i := ((feat*h.bins+bin)*h.nodes + node) * rfClasses
+	return h.counts[i : i+rfClasses : i+rfClasses]
+}
+
+// add counts one example sitting at node.
+func (h rfHist) add(node int, e Example) {
+	for f := 0; f < h.features; f++ {
+		h.cell(node, f, e.Bins[f])[e.Label]++
+	}
+}
+
+// pairs emits the non-empty cells in (feat, bin, node) order — one linear
+// walk of the slab — with every Counts a view of it.
+func (h rfHist) pairs() []rdd.Pair[NodeFeatBin, ml.BinStats] {
+	nonEmpty := 0
+	for i := 0; i < len(h.counts); i += rfClasses {
+		if !allZero(h.counts[i : i+rfClasses]) {
+			nonEmpty++
+		}
+	}
+	out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, nonEmpty)
+	for f := 0; f < h.features; f++ {
+		for b := 0; b < h.bins; b++ {
+			for node := 0; node < h.nodes; node++ {
+				if c := h.cell(node, f, b); !allZero(c) {
+					out = append(out, rdd.KV(NodeFeatBin{node, f, b}, ml.BinStats{Counts: c}))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// merge sums collected partition cells into h.
+func (h rfHist) merge(parts []rdd.Pair[NodeFeatBin, ml.BinStats]) {
+	for _, pr := range parts {
+		c := h.cell(pr.Key.Node, pr.Key.Feat, pr.Key.Bin)
+		for i, n := range pr.Val.Counts {
+			c[i] += n
+		}
+	}
+}
+
+// node returns bins[feat][bin] views of one node's cells for
+// ml.BestSplit/ml.Majority, or nil when no example reached the node.
+func (h rfHist) node(node int) [][]ml.BinStats {
+	stats := make([]ml.BinStats, h.features*h.bins)
+	bins := make([][]ml.BinStats, h.features)
+	reached := false
+	for f := range bins {
+		bins[f] = stats[f*h.bins:][:h.bins]
+		for b := range bins[f] {
+			bins[f][b].Counts = h.cell(node, f, b)
+			reached = reached || !allZero(bins[f][b].Counts)
+		}
+	}
+	if !reached {
+		return nil
+	}
+	return bins
+}
+
+func allZero(counts []int64) bool {
+	for _, c := range counts {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Run implements Workload.
 func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 	p := rfSizes[size]
-	const numClasses = 2
 	examples := rdd.Cache(rdd.Generate(app, "rf-examples", p.Examples, 0, func(r *rand.Rand, i int) Example {
 		return genExample(r, i, p.Features, p.Bins)
 	}))
@@ -77,66 +168,37 @@ func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 			tr := tree
 			level := level
 			// Distributed histogram job for this level, MLlib-style:
-			// every partition accumulates dense per-node histograms
-			// (sequential array updates), and only the compact
-			// histograms travel to the driver.
+			// every partition fills one dense rfHist slab with array
+			// writes, and only its non-empty cells travel to the driver.
 			partHists := rdd.Collect(rdd.MapPartitions(sample,
 				func(ctx *executor.TaskContext, part int, in []Example) []rdd.Pair[NodeFeatBin, ml.BinStats] {
-					local := map[NodeFeatBin]ml.BinStats{}
+					local := newRFHist(p.Features, p.Bins, level)
 					for _, e := range in {
-						node := tr.NodeOf(e.Bins, level)
-						for f := 0; f < p.Features; f++ {
-							k := NodeFeatBin{node, f, e.Bins[f]}
-							s, ok := local[k]
-							if !ok {
-								s = ml.NewBinStats(numClasses)
-							}
-							s.Counts[e.Label]++
-							local[k] = s
-						}
+						local.add(tr.NodeOf(e.Bins, level), e)
 						// Node routing + one dense histogram row update
 						// per feature: streaming array writes.
 						ctx.MemRand(memsim.Read, 1, 64)
 					}
 					ctx.CPUPerRecord(len(in)*p.Features, ctx.Cost.ReduceNS/4)
-					ctx.MemSeq(memsim.Write, int64(len(local))*int64(8*numClasses+24))
-					out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, len(local))
-					for f := 0; f < p.Features; f++ {
-						for b := 0; b < p.Bins; b++ {
-							for node := 0; node < len(tr.Nodes); node++ {
-								if s, ok := local[NodeFeatBin{node, f, b}]; ok {
-									out = append(out, rdd.KV(NodeFeatBin{node, f, b}, s))
-								}
-							}
-						}
-					}
+					out := local.pairs()
+					ctx.MemSeq(memsim.Write, int64(len(out))*int64(8*rfClasses+24))
 					return out
 				}))
 
 			// Driver: merge partition histograms, pick best split per node.
-			byNode := map[int][][]ml.BinStats{}
-			for _, pr := range partHists {
-				k := pr.Key
-				bins, ok := byNode[k.Node]
-				if !ok {
-					bins = make([][]ml.BinStats, p.Features)
-					for f := range bins {
-						bins[f] = make([]ml.BinStats, p.Bins)
-						for b := range bins[f] {
-							bins[f][b] = ml.NewBinStats(numClasses)
-						}
-					}
-					byNode[k.Node] = bins
-				}
-				bins[k.Feat][k.Bin] = bins[k.Feat][k.Bin].Add(pr.Val)
-			}
+			merged := newRFHist(p.Features, p.Bins, level)
+			merged.merge(partHists)
 			lastLevel := level == p.Depth-1
-			for node, bins := range byNode {
-				split, _ := ml.BestSplit(bins, numClasses, 1e-6)
+			for node := 0; node < merged.nodes; node++ {
+				bins := merged.node(node)
+				if bins == nil {
+					continue
+				}
+				split, _ := ml.BestSplit(bins, rfClasses, 1e-6)
 				if lastLevel || 2*node+2 >= len(tree.Nodes) {
 					// Bottom of the tree: label a majority leaf
 					// instead of splitting into untrained children.
-					split = ml.Split{Leaf: true, Pred: ml.Majority(bins, numClasses)}
+					split = ml.Split{Leaf: true, Pred: ml.Majority(bins, rfClasses)}
 				}
 				tree.Nodes[node].Split = split
 			}
@@ -152,7 +214,7 @@ func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 			forest := bcast.Value(ctx)
 			correct := 0
 			for _, e := range in {
-				votes := [numClasses]int{}
+				votes := [rfClasses]int{}
 				for _, tr := range forest {
 					votes[tr.Predict(e.Bins)]++
 				}
