@@ -191,13 +191,58 @@ func AggregateByKey[K comparable, V, C any](r *RDD[Pair[K, V]], zero func() C,
 }
 
 // GroupByKey gathers all values per key without map-side combining (like
-// Spark, it ships every record across the shuffle).
+// Spark, it ships every record across the shuffle). Each reduce partition
+// carves its groups out of one arena sized from the fetched chunks.
 func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, []V]] {
-	return CombineByKey(r,
-		func(v V) []V { return []V{v} },
-		func(acc []V, v V) []V { return append(acc, v) },
-		func(a, b []V) []V { return append(a, b...) },
-		parts, false)
+	d := r.base.driver
+	if parts <= 0 {
+		parts = d.DefaultParallelism()
+	}
+	part := NewHashPartitioner[K](parts)
+	ks, gs := SizerFor[K](), SizerFor[[]V]()
+	ps := PairSizer(ks, SizerFor[V]())
+	shuffleID := d.NextShuffleID()
+	dep := &ShuffleDep{
+		P:         r.base,
+		ShuffleID: shuffleID,
+		NumReduce: parts,
+		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
+			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), part, ps)
+		},
+	}
+	return newRDD(d, "combineByKey", parts, []Dep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, []V] {
+		chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
+		n := chunkRecords(chunks)
+		slots := newKeySlots[K](n)
+		for _, ch := range chunks {
+			slots.add(ch.Keys)
+		}
+		groups := carveGroups[V](slots.of, len(slots.keys))
+		var probeBytes, keyBytes int64
+		rec := 0
+		for _, ch := range chunks {
+			for j, v := range ch.Vals {
+				i := slots.of[rec]
+				groups[i] = append(groups[i], v)
+				probeBytes += ps.Of(KV(ch.Keys[j], v))
+				rec++
+			}
+		}
+		var out []Pair[K, []V]
+		if n > 0 {
+			out = make([]Pair[K, []V], len(slots.keys))
+			for i, k := range slots.keys {
+				out[i] = KV(k, groups[i])
+				keyBytes += ks.Of(k)
+			}
+		}
+		ctx.CPUPerRecord(n, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
+		ctx.MemRand(memsim.Read, n, probeBytes)
+		if len(out) > 0 {
+			ctx.MemRand(memsim.Write, len(out), aggOutputBytes(out, keyBytes, gs))
+		}
+		return out
+	})
 }
 
 // PartitionBy redistributes pairs by the given partitioner without
@@ -220,10 +265,7 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 			// borrowed chunks' lengths — the single copy the reference-
 			// passing shuffle still pays, at the consumer boundary.
 			chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
-			n := 0
-			for _, ch := range chunks {
-				n += ch.Len()
-			}
+			n := chunkRecords(chunks)
 			if n == 0 {
 				return nil
 			}
@@ -317,44 +359,55 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 	}
 	return newRDD(d, "cogroup", parts, []Dep{depL, depR},
 		func(ctx *executor.TaskContext, reduce int) []Pair[K, CoGrouped[V, W]] {
-			index := make(map[K]int)
+			// Both sides' groups are carved out of one arena each, sized
+			// from the fetched chunks; keys keep first-seen order, left
+			// side first.
+			left := fetchChunks[K, V](ctx, leftID, reduce)
+			right := fetchChunks[K, W](ctx, rightID, reduce)
+			nLeft, nRight := chunkRecords(left), chunkRecords(right)
+			slots := newKeySlots[K](nLeft + nRight)
+			for _, ch := range left {
+				slots.add(ch.Keys)
+			}
+			for _, ch := range right {
+				slots.add(ch.Keys)
+			}
+			lefts := carveGroups[V](slots.of[:nLeft], len(slots.keys))
+			rights := carveGroups[W](slots.of[nLeft:], len(slots.keys))
+			// keyBytes and cellBytes accumulate the output footprint (48
+			// bytes per cogroup cell plus each grouped element), replacing
+			// a full SizeOfSlice re-walk of out.
+			var keyBytes, cellBytes, probeBytes int64
+			rec := 0
+			for _, ch := range left {
+				for j, v := range ch.Vals {
+					i := slots.of[rec]
+					lefts[i] = append(lefts[i], v)
+					cellBytes += vs.Of(v)
+					probeBytes += pvs.Of(KV(ch.Keys[j], v))
+					rec++
+				}
+			}
+			for _, ch := range right {
+				for j, w := range ch.Vals {
+					i := slots.of[rec]
+					rights[i] = append(rights[i], w)
+					cellBytes += ws.Of(w)
+					probeBytes += pws.Of(KV(ch.Keys[j], w))
+					rec++
+				}
+			}
 			var out []Pair[K, CoGrouped[V, W]]
-			// keyBytes and cellBytes accumulate the output footprint as it
-			// grows (48 bytes per cogroup cell plus each appended element),
-			// replacing the old full SizeOfSlice re-walk of out.
-			var keyBytes, cellBytes int64
-			slot := func(k K) int {
-				if i, ok := index[k]; ok {
-					return i
-				}
-				index[k] = len(out)
-				keyBytes += ks.Of(k)
-				cellBytes += 48
-				out = append(out, KV(k, CoGrouped[V, W]{}))
-				return len(out) - 1
-			}
-			var n int
-			var probeBytes int64
-			for _, ch := range fetchChunks[K, V](ctx, leftID, reduce) {
-				for j := range ch.Keys {
-					i := slot(ch.Keys[j])
-					out[i].Val.Left = append(out[i].Val.Left, ch.Vals[j])
-					cellBytes += vs.Of(ch.Vals[j])
-					probeBytes += pvs.Of(KV(ch.Keys[j], ch.Vals[j]))
-					n++
+			if rec > 0 {
+				out = make([]Pair[K, CoGrouped[V, W]], len(slots.keys))
+				for i, k := range slots.keys {
+					out[i] = KV(k, CoGrouped[V, W]{Left: lefts[i], Right: rights[i]})
+					keyBytes += ks.Of(k)
+					cellBytes += 48
 				}
 			}
-			for _, ch := range fetchChunks[K, W](ctx, rightID, reduce) {
-				for j := range ch.Keys {
-					i := slot(ch.Keys[j])
-					out[i].Val.Right = append(out[i].Val.Right, ch.Vals[j])
-					cellBytes += ws.Of(ch.Vals[j])
-					probeBytes += pws.Of(KV(ch.Keys[j], ch.Vals[j]))
-					n++
-				}
-			}
-			ctx.CPUPerRecord(n, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
-			ctx.MemRand(memsim.Read, n, probeBytes)
+			ctx.CPUPerRecord(rec, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
+			ctx.MemRand(memsim.Read, rec, probeBytes)
 			if len(out) > 0 {
 				ctx.MemRand(memsim.Write, len(out), 24+keyBytes+cellBytes)
 			}
