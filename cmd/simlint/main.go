@@ -9,7 +9,8 @@
 //	stagedcharge   direct tier/blockmgr/shuffle mutation in task compute
 //	locksafety     lock copies, sends under lock, unguarded fields
 //	errflow        discarded errors from module-internal APIs
-//	hotbox         per-record boxing on task hot paths
+//	hotbox         per-record boxing and reflection-based sorts on task
+//	               hot paths
 //	chunkalias     chunk-reference escapes, borrowed-column writes,
 //	               reads after DropShuffle
 //	tierledger     direct hotness/residency/copy-ledger mutation outside

@@ -37,7 +37,7 @@ import (
 // through interfaces the static resolver cannot see through.
 var Hotbox = &Analyzer{
 	Name:     "hotbox",
-	Doc:      "forbid boxing calls, in-loop interface boxing and element copy loops in task-compute call graphs",
+	Doc:      "forbid boxing calls, reflection-based sorts, in-loop interface boxing and element copy loops in task-compute call graphs",
 	Severity: SevWarning,
 	Init:     hotboxRule.reach,
 	Run:      runHotbox,

@@ -192,7 +192,9 @@ func AggregateByKey[K comparable, V, C any](r *RDD[Pair[K, V]], zero func() C,
 
 // GroupByKey gathers all values per key without map-side combining (like
 // Spark, it ships every record across the shuffle). Each reduce partition
-// carves its groups out of one arena sized from the fetched chunks.
+// carves its groups out of one arena sized from the fetched chunks. It is
+// CombineByKey without a combiner in everything the ledger sees: the same
+// lineage name and the same charges.
 func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, []V]] {
 	d := r.base.driver
 	if parts <= 0 {

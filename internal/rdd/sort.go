@@ -10,8 +10,8 @@ const sortRun = 16
 // same length — so every element moves O(log n) times, the comparator is
 // a direct generic call (no reflection-built swapper), and elements are
 // compared through pointers so wide records are not copied to be ordered.
-// A stable sort's output is unique for a given comparator, which is what
-// lets it stand in for sort.SliceStable under the frozen virtual ledger.
+// A stable sort's output is unique for a given comparator, so the choice
+// of algorithm cannot show in the virtual ledger.
 func stableSort[T any](s []T, less func(a, b *T) bool) {
 	n := len(s)
 	for lo := 0; lo < n; lo += sortRun {
