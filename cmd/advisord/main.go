@@ -37,10 +37,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 
 	"repro/internal/advisor"
 	"repro/internal/hibench"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -178,9 +178,6 @@ func emitReport(r report, out string) error {
 // persistent cache and the singleflight window and the printed hit-rate
 // means something.
 func loadgen(eng *advisor.Engine, handler http.Handler, clients, requests int, seed int64, out string) error {
-	if clients < 1 {
-		clients = 1
-	}
 	grid := loadgenGrid()
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]hibench.Query, requests)
@@ -194,25 +191,10 @@ func loadgen(eng *advisor.Engine, handler http.Handler, clients, requests int, s
 	}
 	defer stop()
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	idx := make(chan int)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := range idx {
-				if _, err := post(base+"/v1/eval", qs[i]); err != nil && errs[c] == nil {
-					errs[c] = err
-				}
-			}
-		}(c)
-	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	errs := make([]error, len(qs))
+	par.Do(len(qs), max(clients, 1), func(i int) {
+		_, errs[i] = post(base+"/v1/eval", qs[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

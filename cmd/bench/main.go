@@ -20,7 +20,7 @@
 //
 //	bench [-label after] [-iters 3] [-run substring]
 //	      [-out BENCH_wallclock.json] [-md results/wallclock.md]
-//	      [-max-allocs case=N,...] [-max-reduce-allocs N]
+//	      [-max-allocs case=N,...]
 //	      [-cpuprofile f] [-memprofile f]
 package main
 
@@ -60,8 +60,6 @@ func main() {
 	note := flag.String("note", "", "free-form note stored with the run (e.g. commit subject)")
 	maxAllocs := flag.String("max-allocs", "",
 		"comma-separated case=N allocs/op ceilings; fail if any measured case exceeds its ceiling")
-	maxReduceAllocs := flag.Int64("max-reduce-allocs", 0,
-		"legacy alias for -max-allocs micro/reduceByKey=N (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -135,9 +133,6 @@ func main() {
 	ceilings, err := parseCeilings(*maxAllocs)
 	if err != nil {
 		fatal(err)
-	}
-	if *maxReduceAllocs > 0 {
-		ceilings["micro/reduceByKey"] = *maxReduceAllocs
 	}
 	if len(ceilings) > 0 {
 		for _, r := range results {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/hibench"
 	"repro/internal/memsim"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -112,40 +113,18 @@ func (e *Engine) RunQuery(q hibench.Query) (hibench.RunResult, error) {
 	return res.RunResult()
 }
 
-// EvalBatch answers a query list by fanning it across a bounded worker
-// pool. Results are merged in request order — position i of the output
-// always answers position i of the input — so the response bytes are
-// identical at any worker count. The first error (by request position,
-// not completion time) fails the batch.
+// EvalBatch answers a query list by fanning it through par.Do over at
+// most workers goroutines (0 means 1). Results are merged in request order
+// — position i of the output always answers position i of the input — so
+// the response bytes are identical at any worker count. The first error
+// (by request position, not completion time) fails the batch; a panic out
+// of a query's evaluation arrives on the caller as a *par.Panic.
 func (e *Engine) EvalBatch(qs []hibench.Query, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
 	results := make([]Result, len(qs))
 	errs := make([]error, len(qs))
-	if len(qs) == 0 {
-		return results, nil
-	}
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range idx {
-				results[i], errs[i] = e.Eval(qs[i])
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	par.Do(len(qs), max(workers, 1), func(i int) {
+		results[i], errs[i] = e.Eval(qs[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("advisor: batch query %d (%s): %w", i, qs[i], err)

@@ -3,9 +3,11 @@ package advisor
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 
 	"repro/internal/hibench"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -51,20 +53,41 @@ func NewServer(e *Engine) http.Handler {
 	return withMetrics(e, mux)
 }
 
-// withMetrics counts and times every request.
+// withMetrics counts and times every request, and keeps a batch that
+// panicked from taking the server with it: the *par.Panic EvalBatch raises
+// on the handler's goroutine becomes a 500 carrying the thrown value, its
+// stack goes to the log, and the next request is served as usual.
 func withMetrics(e *Engine, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		e.metrics.count(CounterRequests)
 		stop := e.metrics.timeRequest()
 		defer stop()
+		defer func() {
+			switch p := recover().(type) {
+			case nil:
+			case *par.Panic:
+				log.Printf("advisor: %s %s: %v", r.Method, r.URL.Path, p)
+				httpError(e, w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p.Value))
+			default:
+				panic(p)
+			}
+		}()
 		next.ServeHTTP(w, r)
 	})
 }
 
+const (
+	// maxBatchWorkers caps the worker count a request may ask for.
+	maxBatchWorkers = 64
+	// maxBodyBytes caps the request body decodeBody will read.
+	maxBodyBytes = 1 << 20
+)
+
 // BatchRequest is the /v1/batch body.
 type BatchRequest struct {
 	Queries []hibench.Query `json:"queries"`
-	// Workers bounds the evaluation pool; 0 means 1.
+	// Workers bounds the evaluation goroutines; 0 means 1, and the server
+	// caps it at maxBatchWorkers.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -158,23 +181,22 @@ func handleEval(e *Engine, w http.ResponseWriter, r *http.Request) {
 
 func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeBody(e, w, r, &req) {
-		return
+	if decodeBody(e, w, r, &req) {
+		answerBatch(e, w, req.Queries, req.Workers)
 	}
-	results, err := e.EvalBatch(req.Queries, req.Workers)
-	if err != nil {
-		httpError(e, w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(e, w, BatchResponse{Results: results})
 }
 
 func handleSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if !decodeBody(e, w, r, &req) {
-		return
+	if decodeBody(e, w, r, &req) {
+		answerBatch(e, w, req.Grid(), req.Workers)
 	}
-	results, err := e.EvalBatch(req.Grid(), req.Workers)
+}
+
+// answerBatch evaluates a query list on the workers the request asked for,
+// capped at maxBatchWorkers.
+func answerBatch(e *Engine, w http.ResponseWriter, qs []hibench.Query, workers int) {
+	results, err := e.EvalBatch(qs, min(workers, maxBatchWorkers))
 	if err != nil {
 		httpError(e, w, http.StatusBadRequest, err.Error())
 		return
@@ -207,12 +229,17 @@ func handleStats(e *Engine, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody parses a POST body, reporting false after answering the
-// request on failure.
+// decodeBody parses a POST body of at most maxBodyBytes, reporting false
+// after answering the request on failure.
 func decodeBody(e *Engine, w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		httpError(e, w, http.StatusMethodNotAllowed, "POST only")
 		return false
+	}
+	// A declared length within the limit is already enforced by net/http's
+	// body reader, so only an unknown or oversized one pays for the wrapper.
+	if r.ContentLength < 0 || r.ContentLength > maxBodyBytes {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

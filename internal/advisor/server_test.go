@@ -1,16 +1,21 @@
 package advisor
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/hibench"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -237,5 +242,107 @@ func TestStatsCountersAreRegistryBacked(t *testing.T) {
 	}
 	if reg.Get(CounterCacheMiss) != 1 || reg.Get(CounterSimRuns) != 1 {
 		t.Fatalf("registry not updated: %v", reg.Snapshot())
+	}
+}
+
+// A panic out of a query's evaluation used to unwind a bare EvalBatch
+// goroutine and kill the process. It now reaches EvalBatch's caller as a
+// *par.Panic, and behind the server it is a 500 in the uniform error body
+// with the stack in the log — after which the same server still answers.
+func TestBatchPanicIsContained(t *testing.T) {
+	boom := errors.New("runner exploded")
+	e := NewEngine(Options{
+		Registry: telemetry.NewRegistry(),
+		Runner: func(q hibench.Query) (hibench.RunResult, error) {
+			if q.Workload == "lda" {
+				panic(boom)
+			}
+			return fabricate(q), nil
+		},
+	})
+	qs := []hibench.Query{{Workload: "sort", Size: "tiny"}, {Workload: "lda", Size: "tiny"}}
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				p, ok := recover().(*par.Panic)
+				if !ok || p.Index != 1 || p.Value != error(boom) || !errors.Is(p, boom) {
+					t.Fatalf("workers=%d: EvalBatch raised %+v; want a *par.Panic of query 1 carrying the thrown error", workers, p)
+				}
+			}()
+			e.EvalBatch(qs, workers)
+			t.Fatalf("workers=%d: EvalBatch returned past a panicking runner", workers)
+		}()
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	errsBefore := e.Registry().Get(CounterErrors)
+	for path, body := range map[string]string{
+		"/v1/batch":     `{"queries":[{"workload":"sort","size":"tiny"},{"workload":"lda","size":"tiny"}],"workers":2}`,
+		"/v1/sweep":     `{"workloads":["sort","lda"],"workers":2}`,
+		"/v1/recommend": `{"workload":"lda","size":"tiny"}`,
+	} {
+		resp, respBody := postJSON(t, srv.URL+path, body)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s: HTTP %d (%s); want 500", path, resp.StatusCode, respBody)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(respBody, &eb); err != nil || !strings.Contains(eb.Error, boom.Error()) {
+			t.Errorf("%s: body %s is not an error body naming the thrown value", path, respBody)
+		}
+		if strings.Contains(eb.Error, "goroutine") {
+			t.Errorf("%s: the response leaks the stack: %s", path, eb.Error)
+		}
+		if resp, respBody := postJSON(t, srv.URL+"/v1/eval", `{"workload":"sort","size":"tiny"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after %s: /v1/eval answers HTTP %d (%s); the server did not survive", path, resp.StatusCode, respBody)
+		}
+	}
+	if got := e.Registry().Get(CounterErrors) - errsBefore; got != 3 {
+		t.Errorf("error counter rose by %d; want 3", got)
+	}
+	if !strings.Contains(logged.String(), "goroutine") || !strings.Contains(logged.String(), boom.Error()) {
+		t.Errorf("the log does not hold the panic's value and stack:\n%s", logged.String())
+	}
+}
+
+// A request cannot size the server's goroutines or its read buffer: an
+// absurd worker count is clamped and answers normally, a body past
+// maxBodyBytes is refused before it is buffered.
+func TestServerBoundsWorkersAndBody(t *testing.T) {
+	_, srv, _ := testServer(t)
+	for path, body := range map[string]string{
+		"/v1/batch": `{"queries":[{"workload":"sort","size":"tiny"},{"workload":"lda","size":"tiny"}],"workers":1073741824}`,
+		"/v1/sweep": `{"workloads":["sort","lda"],"workers":1073741824}`,
+	} {
+		resp, respBody := postJSON(t, srv.URL+path, body)
+		var got BatchResponse
+		if err := json.Unmarshal(respBody, &got); resp.StatusCode != http.StatusOK || err != nil || len(got.Results) != 2 {
+			t.Errorf("%s with 2^30 workers: HTTP %d, %d results (%v); want 200 and 2", path, resp.StatusCode, len(got.Results), err)
+		}
+	}
+	huge := `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `","size":"tiny"}`
+	for path, body := range map[string]string{
+		"/v1/eval":      huge,
+		"/v1/batch":     `{"queries":[` + huge + `]}`,
+		"/v1/sweep":     `{"workloads":["` + strings.Repeat("a", maxBodyBytes) + `"]}`,
+		"/v1/recommend": huge,
+	} {
+		resp, respBody := postJSON(t, srv.URL+path, body)
+		var eb errorBody
+		if err := json.Unmarshal(respBody, &eb); resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eb.Error, "too large") {
+			t.Errorf("%s with a %d-byte body: HTTP %d (%.80s); want 400 naming the limit", path, len(body), resp.StatusCode, respBody)
+		}
+	}
+	// The same body with no declared length (chunked) is cut off while read.
+	resp, err := http.Post(srv.URL+"/v1/eval", "application/json", struct{ io.Reader }{strings.NewReader(huge)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("chunked %d-byte body: HTTP %d; want 400", len(huge), resp.StatusCode)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Severity ranks a diagnostic: errors are invariant violations that must
@@ -166,29 +166,16 @@ func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*A
 	// One result slot per (analyzer, package) pair keeps the merge order
 	// independent of goroutine scheduling.
 	results := make([][]Diagnostic, len(analyzers)*len(pkgs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		if a.Run == nil {
-			continue
+	par.Do(len(results), 0, func(slot int) {
+		i := slot / len(pkgs)
+		if a := analyzers[i]; a.Run != nil {
+			a.Run(&Pass{
+				ModulePath: modulePath, Packages: pkgs, Fset: fset,
+				Facts: facts, Pkg: pkgs[slot%len(pkgs)],
+				analyzer: a, state: states[i], diags: &results[slot],
+			})
 		}
-		for j, pkg := range pkgs {
-			wg.Add(1)
-			slot := i*len(pkgs) + j
-			go func(a *Analyzer, pkg *Package, state any) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				p := &Pass{
-					ModulePath: modulePath, Packages: pkgs, Fset: fset,
-					Facts: facts, Pkg: pkg,
-					analyzer: a, state: state, diags: &results[slot],
-				}
-				a.Run(p)
-			}(a, pkg, states[i])
-		}
-	}
-	wg.Wait()
+	})
 	for _, r := range results {
 		diags = append(diags, r...)
 	}

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/blockmgr"
 	"repro/internal/energy"
@@ -49,15 +48,9 @@ type Conf struct {
 	// studies on hypothetical memory technologies); nil uses the paper's
 	// Table I testbed.
 	TierSpecs *[memsim.NumTiers]memsim.TierSpec
-	// TaskFailureRate injects seeded task failures: each task attempt
-	// fails with this probability and is retried (Spark re-runs failed
-	// tasks from lineage). Zero disables injection. A task whose every
-	// attempt up to the fault plan's MaxTaskFailures bound fails aborts
-	// the job.
-	TaskFailureRate float64
 	// Faults is the application's deterministic fault schedule (executor
-	// crashes, stragglers, retry bounds); nil injects nothing. A positive
-	// Faults.TaskFailureRate overrides TaskFailureRate above.
+	// crashes, stragglers, seeded task failures and their retry bounds);
+	// nil injects nothing.
 	Faults *faults.Plan
 	// TaskParallelism bounds the worker goroutines that compute real task
 	// data concurrently during phase 1 of stage execution. Virtual-time
@@ -114,9 +107,6 @@ func (c Conf) Validate() error {
 		if err := c.Placement.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.TaskFailureRate < 0 || c.TaskFailureRate >= 1 {
-		return fmt.Errorf("cluster: task failure rate %v out of [0,1)", c.TaskFailureRate)
 	}
 	if c.TaskParallelism < 0 {
 		return fmt.Errorf("cluster: task parallelism %d negative", c.TaskParallelism)
@@ -254,15 +244,6 @@ func (a *App) Seed() int64 { return a.conf.Seed }
 // Tracer implements scheduler.Env; nil until EnableTracing is called.
 func (a *App) Tracer() *trace.Recorder { return a.tracer }
 
-// TaskFailureRate implements scheduler.Env; a positive rate in the fault
-// plan overrides the conf-level rate.
-func (a *App) TaskFailureRate() float64 {
-	if a.conf.Faults != nil && a.conf.Faults.TaskFailureRate > 0 {
-		return a.conf.Faults.TaskFailureRate
-	}
-	return a.conf.TaskFailureRate
-}
-
 // FaultPlan implements scheduler.Env.
 func (a *App) FaultPlan() *faults.Plan { return a.conf.Faults }
 
@@ -278,17 +259,14 @@ func (a *App) Tiering() *tiering.Engine { return a.tier }
 // before building Apps.
 var DefaultTaskParallelism int
 
-// TaskParallelism implements scheduler.Env: the phase-1 worker count,
-// defaulting to DefaultTaskParallelism and then runtime.GOMAXPROCS(0)
-// when the conf leaves it zero.
+// TaskParallelism implements scheduler.Env: the conf's phase-1 worker
+// count, else DefaultTaskParallelism; zero leaves the scheduler to pick
+// runtime.GOMAXPROCS(0).
 func (a *App) TaskParallelism() int {
 	if a.conf.TaskParallelism > 0 {
 		return a.conf.TaskParallelism
 	}
-	if DefaultTaskParallelism > 0 {
-		return DefaultTaskParallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	return DefaultTaskParallelism
 }
 
 // EngineCounters exposes the scheduler's engine-level counter registry

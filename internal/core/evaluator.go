@@ -3,12 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/hibench"
+	"repro/internal/par"
 )
 
 // Evaluator is the package's one evaluation path, and every driver is a
@@ -16,12 +16,11 @@ import (
 // over once and folds the answers by request index. Behind that sit a memo
 // keyed on hibench.RunSpec.Key (a cell is simulated once per Evaluator,
 // however many figures ask for it), a join on cells another caller already
-// has in flight, and a fan-out of the cells still to simulate over
-// min(GOMAXPROCS, cells) workers, the caller among them — inline, with no
-// goroutine started, when that is one. An answer depends only on the
-// request, never on the worker count or on who simulated the cell. Share
-// one Evaluator between the drivers of one report; nothing in it outlives
-// the value or leaks between seeds.
+// has in flight, and a par.Do fan-out of the cells still to simulate over
+// GOMAXPROCS workers. An answer depends only on the request, never on the
+// worker count or on who simulated the cell. Share one Evaluator between
+// the drivers of one report; nothing in it outlives the value or leaks
+// between seeds.
 type Evaluator struct {
 	runner  hibench.QueryRunner // answers Queries when non-nil
 	workers int                 // test seam: 0 selects GOMAXPROCS
@@ -116,37 +115,17 @@ func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	}
 	e.mu.Unlock()
 
-	var next, failedAt atomic.Int64 // indexes into mine
+	var failedAt atomic.Int64 // index into mine
 	failedAt.Store(int64(len(mine)))
-	work := func() bool {
-		n := next.Add(1) - 1
-		if n >= int64(len(mine)) {
-			return false
-		}
+	par.Do(len(mine), e.workers, func(j int) {
+		n := int64(j)
 		if c := cells[mine[n]]; failedAt.Load() < n {
 			e.drop(c)
 		} else if !c.run(specs[mine[n]]) {
 			for at := failedAt.Load(); n < at && !failedAt.CompareAndSwap(at, n); at = failedAt.Load() {
 			}
 		}
-		return true
-	}
-	workers := e.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	for w := min(workers, len(mine)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for work() {
-			}
-		}()
-	}
-	for work() { // the caller is a worker too: alone, it runs the batch inline
-	}
-	wg.Wait()
+	})
 
 	out := make([]hibench.RunResult, len(specs))
 	for i, c := range cells {

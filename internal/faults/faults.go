@@ -63,8 +63,8 @@ type Plan struct {
 	Crashes []Crash
 	// Stragglers are slow-executor multipliers, constant for the run.
 	Stragglers []Straggler
-	// TaskFailureRate is the per-attempt task failure probability in
-	// [0,1); it overrides cluster.Conf.TaskFailureRate when positive.
+	// TaskFailureRate is the per-attempt task failure probability in [0,1);
+	// a failed attempt is retried up to MaxTaskFailures. Zero injects none.
 	TaskFailureRate float64
 	// MaxTaskFailures bounds attempts per task (spark.task.maxFailures);
 	// reaching it aborts the job. Zero selects DefaultMaxTaskFailures.

@@ -18,9 +18,6 @@ const (
 // AllForecasters lists the forecaster kinds.
 func AllForecasters() []ForecasterKind { return []ForecasterKind{Trend, Phase} }
 
-// Valid reports whether the kind names a known forecaster.
-func (k ForecasterKind) Valid() bool { return k == Trend || k == Phase }
-
 // Forecaster predicts the next epoch's per-block heat. history is the
 // tracker's recorded past (newest snapshot = history.At(0), the current
 // epoch); cur is the prediction so far — the current snapshot for the

@@ -166,10 +166,9 @@ func TestFailureInjectionDeterministicAcrossWorkerCounts(t *testing.T) {
 		conf := cluster.DefaultConf()
 		conf.CoresPerExecutor = 4
 		conf.DefaultParallelism = 6
-		conf.TaskFailureRate = 0.3
 		// Keep the flaky run below the abort threshold: this test pins
 		// retry determinism, not exhaustion.
-		conf.Faults = &faults.Plan{MaxTaskFailures: 16}
+		conf.Faults = &faults.Plan{TaskFailureRate: 0.3, MaxTaskFailures: 16}
 		conf.Seed = 11
 		conf.TaskParallelism = workers
 		app := cluster.New(conf)

@@ -5,8 +5,8 @@
 // discipline.
 //
 // Stage execution is two-phase. Phase 1 computes every task's real data
-// concurrently on a bounded worker pool (Env.TaskParallelism OS
-// goroutines): tasks charge into task-local staging inside their
+// concurrently through par.Do on Env.TaskParallelism goroutines, the
+// driver's among them: tasks charge into task-local staging inside their
 // TaskContext and never touch the simulation kernel or shared stores.
 // Phase 2 runs on the driver goroutine after the workers join: staged side
 // effects are committed in partition order, injected failures replayed,
@@ -34,11 +34,10 @@ package scheduler
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/faults"
+	"repro/internal/par"
 	"repro/internal/rdd"
 	"repro/internal/shuffle"
 	"repro/internal/sim"
@@ -56,9 +55,6 @@ type Env interface {
 	Seed() int64
 	// Tracer returns the span recorder; a nil recorder disables tracing.
 	Tracer() *trace.Recorder
-	// TaskFailureRate is the injected per-attempt task failure
-	// probability (0 disables failure injection).
-	TaskFailureRate() float64
 	// TaskParallelism is the number of worker goroutines computing real
 	// task data concurrently during phase 1. Values <= 0 select
 	// runtime.GOMAXPROCS(0); 1 is the sequential escape hatch.
@@ -121,26 +117,12 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // Counters returns the scheduler's engine-level counter registry.
 func (s *Scheduler) Counters() *telemetry.Registry { return s.reg }
 
-// workers resolves the phase-1 worker count for a stage of n tasks.
-func (s *Scheduler) workers(n int) int {
-	w := s.env.TaskParallelism()
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // computeAttempt is phase 1 + commit for one stage attempt over the given
 // partitions: it builds one TaskContext per partition, runs the task body
-// over all of them on the worker pool capturing per-task panics, then —
-// if no task failed — commits each context's staged side effects in
-// partition order and returns the simulation tasks.
+// over all of them through par.Do capturing per-task panics (every task's
+// outcome is needed to rank fetch failures below bugs), then — if no task
+// failed — commits each context's staged side effects in partition order
+// and returns the simulation tasks.
 //
 // A non-fetch task panic is re-raised on the driver goroutine after all
 // workers join — deterministically the lowest-partition one when several
@@ -156,24 +138,23 @@ func (s *Scheduler) computeAttempt(parts []int, body func(ctx *executor.TaskCont
 		ctxs[i] = s.newContext(part)
 	}
 	panics := make([]any, n)
-	workers := s.workers(n)
-	if workers <= 1 {
-		s.reg.Add("stages.sequential", 1)
-		for i, part := range parts {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panics[i] = r
-					}
-				}()
-				body(ctxs[i], part)
-				s.reg.Add("tasks.computed", 1)
-			}()
-		}
-	} else {
-		s.reg.Add("stages.parallel", 1)
-		s.fanOut(ctxs, parts, body, workers, panics)
+	workers, mode := s.env.TaskParallelism(), "stages.parallel"
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	if min(workers, n) <= 1 {
+		mode = "stages.sequential"
+	}
+	s.reg.Add(mode, 1)
+	par.Do(n, workers, func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[i] = r
+			}
+		}()
+		body(ctxs[i], parts[i])
+		s.reg.Add("tasks.computed", 1)
+	})
 
 	// Non-fetch panics win over fetch failures: they are bugs (or test
 	// probes) that recovery must not mask. Among fetch failures the
@@ -202,37 +183,6 @@ func (s *Scheduler) computeAttempt(parts []int, body func(ctx *executor.TaskCont
 	return tasks, fetch
 }
 
-// fanOut runs the task body over every context on `workers` goroutines.
-// Work is handed out through an atomic partition cursor; each worker
-// recovers task panics into a per-partition slot so the driver can react
-// deterministically after the join.
-func (s *Scheduler) fanOut(ctxs []*executor.TaskContext, parts []int, body func(ctx *executor.TaskContext, part int), workers int, panics []any) {
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(ctxs) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					body(ctxs[i], parts[i])
-					s.reg.Add("tasks.computed", 1)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // runStage executes one stage to completion through the recovery loop:
 // due crashes are applied at the attempt boundary, the attempt is
 // computed, and on a fetch failure the attempt's partial work is charged
@@ -242,22 +192,20 @@ func (s *Scheduler) fanOut(ctxs []*executor.TaskContext, parts []int, body func(
 func (s *Scheduler) runStage(name, category string, parts []int, body func(ctx *executor.TaskContext, part int)) {
 	k := s.env.Kernel()
 	attemptCap := s.env.FaultPlan().StageAttemptCap()
+	// simulate charges one attempt's tasks in virtual time under a span.
+	simulate := func(span trace.Span, tasks []executor.SimTask) {
+		span.Start = k.Now()
+		res := executor.SimulateStage(k, s.env.Pool(), tasks, s.env.Cost())
+		s.accountStage(res, len(parts))
+		span.End, span.Tasks = k.Now(), len(parts)
+		s.env.Tracer().Add(span)
+	}
 	for attempt := 1; ; attempt++ {
 		s.applyDueFaults()
 		tasks, fetch := s.computeAttempt(parts, body)
 		if fetch == nil {
 			s.injectFailures(tasks, parts)
-			tasks = s.speculate(tasks)
-			start := k.Now()
-			res := executor.SimulateStage(k, s.env.Pool(), tasks, s.env.Cost())
-			s.accountStage(res, len(parts))
-			s.env.Tracer().Add(trace.Span{
-				Name:     name,
-				Category: category,
-				Start:    start,
-				End:      k.Now(),
-				Tasks:    len(parts),
-			})
+			simulate(trace.Span{Name: name, Category: category}, s.speculate(tasks))
 			// Epoch tick: stage boundaries are the only points residency
 			// may change, so parallel phase-1 compute always reads a
 			// frozen placement. A tick that plans no moves costs zero
@@ -272,16 +220,10 @@ func (s *Scheduler) runStage(name, category string, parts []int, body func(ctx *
 		// reduce tasks ran until the missing segment), then recover.
 		s.stats.FetchFailures++
 		s.reg.Add("recovery.fetch_failures", 1)
-		start := k.Now()
-		res := executor.SimulateStage(k, s.env.Pool(), tasks, s.env.Cost())
-		s.accountStage(res, len(parts))
-		s.env.Tracer().Add(trace.Span{
+		simulate(trace.Span{
 			Name:     fmt.Sprintf("%s — attempt %d fetch failed (%v)", name, attempt, fetch),
 			Category: "recovery",
-			Start:    start,
-			End:      k.Now(),
-			Tasks:    len(parts),
-		})
+		}, tasks)
 		if attempt >= attemptCap {
 			s.abortJob(fmt.Sprintf("stage %q exhausted %d attempts: %v", name, attempt, fetch), attempt)
 		}
@@ -298,7 +240,7 @@ func (s *Scheduler) RunJob(final *rdd.Base, fn rdd.ResultFunc) []any {
 	s.visit(final)
 
 	// Result stage: phase-1 compute fills results task-locally (each task
-	// writes only its own slice index); the WaitGroup join in computeAttempt
+	// writes only its own slice index); par.Do's join in computeAttempt
 	// orders those writes before the driver reads them. A retried attempt
 	// overwrites with recomputed — identical — values.
 	results := make([]any, final.NumParts)
@@ -498,11 +440,11 @@ func better(f1 float64, l1, id1 int, f2 float64, l2, id2 int) bool {
 // whose every attempt up to the plan's spark.task.maxFailures bound fails
 // aborts the job — flaky tasks cannot silently succeed past the cap.
 func (s *Scheduler) injectFailures(tasks []executor.SimTask, parts []int) {
-	rate := s.env.TaskFailureRate()
-	if rate <= 0 {
+	plan := s.env.FaultPlan()
+	if plan == nil || plan.TaskFailureRate <= 0 {
 		return
 	}
-	maxFailures := s.env.FaultPlan().TaskFailureCap()
+	rate, maxFailures := plan.TaskFailureRate, plan.TaskFailureCap()
 	for i := range tasks {
 		h := faults.TaskHash(s.env.Seed(), s.stats.Stages, parts[i])
 		attempts := 1

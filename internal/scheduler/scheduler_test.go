@@ -188,11 +188,10 @@ func TestFailureInjectionRetriesAndSlowsDown(t *testing.T) {
 		conf := cluster.DefaultConf()
 		conf.CoresPerExecutor = 4
 		conf.DefaultParallelism = 8
-		conf.TaskFailureRate = rate
 		// A 30% rate busts the default 4-attempt budget with probability
 		// 0.3^4 per task; raise the cap so this test exercises retries,
 		// not job abort (abort has its own tests).
-		conf.Faults = &faults.Plan{MaxTaskFailures: 16}
+		conf.Faults = &faults.Plan{TaskFailureRate: rate, MaxTaskFailures: 16}
 		app := cluster.New(conf)
 		var pairs []rdd.Pair[int, int]
 		for i := 0; i < 2000; i++ {
@@ -220,11 +219,11 @@ func TestFailureInjectionRetriesAndSlowsDown(t *testing.T) {
 
 func TestFailureRateValidation(t *testing.T) {
 	conf := cluster.DefaultConf()
-	conf.TaskFailureRate = 1.0
+	conf.Faults = &faults.Plan{TaskFailureRate: 1.0}
 	if conf.Validate() == nil {
 		t.Fatal("failure rate 1.0 accepted (would loop forever)")
 	}
-	conf.TaskFailureRate = -0.1
+	conf.Faults = &faults.Plan{TaskFailureRate: -0.1}
 	if conf.Validate() == nil {
 		t.Fatal("negative failure rate accepted")
 	}

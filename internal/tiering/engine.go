@@ -78,7 +78,7 @@ func NewEngine(cfg Config, pool *executor.Pool, store *shuffle.Store,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	classifier, err := heat.NewClassifier(cfg.effectiveBoundaries())
+	classifier, err := heat.NewClassifier(heat.DefaultBoundaries())
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func NewEngine(cfg Config, pool *executor.Pool, store *shuffle.Store,
 		execs:      make([]execState, pool.Size()),
 	}
 	if cfg.Policy == Forecast {
-		if e.chain, err = heat.NewChain(cfg.effectiveForecasters()); err != nil {
+		if e.chain, err = heat.NewChain(heat.AllForecasters()); err != nil {
 			return nil, err
 		}
 	}
@@ -121,11 +121,11 @@ func (e *Engine) SetRegistry(reg *telemetry.Registry) { e.reg = reg }
 // the scheduler when a crashed executor is replaced with a fresh block
 // manager.
 func (e *Engine) AttachExecutor(id int) {
-	tr, err := heat.NewTracker(e.cfg.effectiveTracker(), e.cfg.decayFactor)
+	tr, err := heat.NewTracker(e.cfg.effectiveTracker(), decayFactor)
 	if err != nil {
 		panic(err) // the kind was validated at construction
 	}
-	st := execState{tracker: tr, history: heat.NewHistory(e.cfg.historyEpochs)}
+	st := execState{tracker: tr, history: heat.NewHistory(historyEpochs)}
 	if e.cfg.UsesMover() {
 		st.mover = heat.NewMover(e.cfg.moverBytesPerEpoch, e.cfg.moverMovesPerEpoch)
 	}

@@ -84,7 +84,7 @@ func (watermarkPolicy) Plan(cfg Config, v View) []Move { return planWatermark(cf
 // break by block id — the plan is identical across runs by construction.
 func planWatermark(cfg Config, v View) []Move {
 	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * lowWaterFrac)
 	fastUsed := v.FastUsed
 
 	if fastUsed > high {

@@ -27,7 +27,7 @@ func (agePolicy) Name() string { return string(Age) }
 
 func (agePolicy) Plan(cfg Config, v View) []Move {
 	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * lowWaterFrac)
 	// The idle cutoff on the heat scale: HeatForAge is strictly
 	// decreasing, so "idle >= maxIdleEpochs" is exactly "heat <= cutoff".
 	idleCutoff := heat.HeatForAge(int64(cfg.maxIdleEpochs))

@@ -33,9 +33,9 @@ type forecastPolicy struct{}
 func (forecastPolicy) Name() string { return string(Forecast) }
 
 func (forecastPolicy) Plan(cfg Config, v View) []Move {
-	bounds := cfg.effectiveBoundaries()
+	bounds := heat.DefaultBoundaries()
 	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
-	low := int64(float64(cfg.FastBudgetBytes) * cfg.lowWaterFrac)
+	low := int64(float64(cfg.FastBudgetBytes) * lowWaterFrac)
 	fastUsed := v.FastUsed
 	var moves []Move
 
@@ -58,7 +58,7 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 		if heat.Class(bounds, b.Predicted) < cfg.promoteClass {
 			break // hottest-first: everything after is predicted colder
 		}
-		if b.Write >= cfg.writeHeatMax {
+		if b.Write >= writeHeatMax {
 			continue // write-churned: the next rewrite lands on DCPM anyway
 		}
 		if fastUsed+b.Bytes > high {

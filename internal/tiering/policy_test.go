@@ -203,22 +203,11 @@ func TestConfigValidate(t *testing.T) {
 		{Policy: "lru"},
 		dynConfig(Watermark, 0),
 		func() Config { c := dynConfig(Watermark, 1); c.Slow = c.Fast; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.decayFactor = 1; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.lowWaterFrac = 0.95; return c }(),
 		func() Config { c := dynConfig(BandwidthAware, 1); c.migrationBWFrac = 0; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.tracker = "lru"; return c }(),
-		func() Config { c := dynConfig(Watermark, 1); c.boundaries = []float64{2, 1}; return c }(),
 		func() Config { c := dynConfig(Age, 1); c.maxIdleEpochs = 0; return c }(),
 		func() Config { c := dynConfig(Age, 1); c.moverBytesPerEpoch = 0; return c }(),
 		func() Config { c := dynConfig(Forecast, 1); c.moverMovesPerEpoch = 0; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.historyEpochs = 1; return c }(),
 		func() Config { c := dynConfig(Forecast, 1); c.promoteClass = 4; return c }(),
-		func() Config { c := dynConfig(Forecast, 1); c.writeHeatMax = -1; return c }(),
-		func() Config {
-			c := dynConfig(Forecast, 1)
-			c.forecasters = []heat.ForecasterKind{"oracle"}
-			return c
-		}(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

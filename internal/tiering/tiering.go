@@ -87,13 +87,32 @@ func (p PolicyKind) Valid() bool {
 	return false
 }
 
+// The calibration every policy shares: no caller varies it, so these are
+// constants and not Config fields. Likewise the heat classes are always
+// heat.DefaultBoundaries() and the forecast policy's chain is always
+// heat.AllForecasters() (trend, then phase).
 const (
-	// highWaterFrac positions the high watermark as a fraction of
-	// FastBudgetBytes.
+	// highWaterFrac and lowWaterFrac position the watermark band as
+	// fractions of FastBudgetBytes.
 	highWaterFrac = 0.9
+	lowWaterFrac  = 0.7
 	// minHeat is the minimum heat a slow block needs to be promoted;
 	// blocks colder than this stay put even when fast capacity is free.
 	minHeat = 0.25
+	// decayFactor multiplies every block's heat at each epoch tick, in
+	// [0, 1): 0 keeps only the last epoch's accesses, values near 1
+	// remember long histories.
+	decayFactor = 0.5
+	// historyEpochs bounds the per-executor ring of heat snapshots the
+	// forecasters read.
+	historyEpochs = 12
+	// writeHeatMax is the forecast policy's write-churn cutoff: only
+	// blocks whose predicted write heat stays strictly below it are ever
+	// promoted — a rewrite would land them back on the landing tier,
+	// wasting the promotion (the lda failure mode of the watermark
+	// policy). A single put one epoch ago leaves write heat exactly
+	// decayFactor, so 0.5 reads as "not written within the last epoch".
+	writeHeatMax = 0.5
 )
 
 // Config parameterizes the tiering engine. A caller chooses the policy,
@@ -114,36 +133,10 @@ type Config struct {
 	// policies.
 	FastBudgetBytes int64
 
-	// decayFactor multiplies every block's heat at each epoch tick, in
-	// [0, 1): 0 keeps only the last epoch's accesses, values near 1
-	// remember long histories.
-	decayFactor float64
-
-	// lowWaterFrac positions the low watermark as a fraction of
-	// FastBudgetBytes, with 0 < low < highWaterFrac.
-	lowWaterFrac float64
-
 	// migrationBWFrac caps, for the bandwidth-aware policy, the bytes
 	// migrated toward a destination tier per epoch at this fraction of
 	// the tier's peak bandwidth times the epoch's virtual duration.
 	migrationBWFrac float64
-
-	// tracker selects the hotness tracker feeding the policy; empty picks
-	// the policy's natural tracker (idle-age for the age policy, decayed
-	// access counts for everything else).
-	tracker heat.TrackerKind
-
-	// boundaries are the heat-class boundaries for the classifier
-	// (strictly increasing, positive); nil uses heat.DefaultBoundaries().
-	boundaries []float64
-
-	// forecasters is the forecaster chain for the forecast policy, in
-	// composition order; nil uses the trend+phase default chain.
-	forecasters []heat.ForecasterKind
-
-	// historyEpochs bounds the per-executor ring of heat snapshots the
-	// forecasters read. Must be at least 2 for the forecast policy.
-	historyEpochs int
 
 	// maxIdleEpochs is the idle age at which the age policy demotes a
 	// fast block: untouched for this many epochs means cold. Must be at
@@ -160,40 +153,26 @@ type Config struct {
 	// promoteClass is the minimum *predicted* heat class (index into the
 	// classifier's classes, 0 = coldest) a slow block needs for the
 	// forecast policy to promote it. The default is class 1 (warm):
-	// under the default 0.5 decay a block's steady-state heat equals its
+	// under the 0.5 decay a block's steady-state heat equals its
 	// per-epoch read rate approached from below, so demanding the hot
 	// class would exclude even steady once-per-epoch readers.
 	promoteClass int
-
-	// writeHeatMax is the forecast policy's write-churn cutoff: only
-	// blocks whose predicted write heat stays strictly below it are ever
-	// promoted — a rewrite would land them back on the landing tier,
-	// wasting the promotion (the lda failure mode of the watermark
-	// policy). A single put one epoch ago leaves write heat exactly
-	// decayFactor, so the default of 0.5 (= the default decay) reads as
-	// "not written within the last epoch".
-	writeHeatMax float64
 }
 
 // DefaultConfig returns the calibrated defaults for a policy: DRAM
-// (Tier 0) over local DCPM (Tier 2), half-life heat decay, a 70–90%
-// watermark band and a 10% migration bandwidth budget. FastBudgetBytes
-// is left zero — capacity is experiment-specific and must be set by the
-// caller for dynamic policies.
+// (Tier 0) over local DCPM (Tier 2), a 5% migration bandwidth budget and
+// the mover's per-epoch limits. FastBudgetBytes is left zero — capacity is
+// experiment-specific and must be set by the caller for dynamic policies.
 func DefaultConfig(policy PolicyKind) Config {
 	return Config{
 		Policy:             policy,
 		Fast:               memsim.Tier0,
 		Slow:               memsim.Tier2,
-		decayFactor:        0.5,
-		lowWaterFrac:       0.7,
 		migrationBWFrac:    0.05,
-		historyEpochs:      12,
 		maxIdleEpochs:      2,
 		moverBytesPerEpoch: 256 << 10,
 		moverMovesPerEpoch: 64,
 		promoteClass:       1,
-		writeHeatMax:       0.5,
 	}
 }
 
@@ -211,33 +190,13 @@ func (c Config) UsesMover() bool { return c.Policy == Age || c.Policy == Forecas
 // predicted-hot, non-write-churned blocks earn a promotion.
 func (c Config) RebindsLanding() bool { return c.Dynamic() && c.Policy != Forecast }
 
-// effectiveTracker resolves the tracker kind: an explicit choice wins,
-// otherwise the age policy tracks idle age and everything else tracks
-// decayed access counts.
+// effectiveTracker is the hotness tracker feeding the policy: the age
+// policy tracks idle age, everything else decayed access counts.
 func (c Config) effectiveTracker() heat.TrackerKind {
-	if c.tracker != "" {
-		return c.tracker
-	}
 	if c.Policy == Age {
 		return heat.IdleAge
 	}
 	return heat.AccessCounts
-}
-
-// effectiveBoundaries resolves the classifier boundaries.
-func (c Config) effectiveBoundaries() []float64 {
-	if c.boundaries != nil {
-		return c.boundaries
-	}
-	return heat.DefaultBoundaries()
-}
-
-// effectiveForecasters resolves the forecaster chain.
-func (c Config) effectiveForecasters() []heat.ForecasterKind {
-	if c.forecasters != nil {
-		return c.forecasters
-	}
-	return heat.AllForecasters()
 }
 
 // Validate rejects inconsistent configurations.
@@ -257,19 +216,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tiering: fast and slow tier are both %s", c.Fast)
 	case c.FastBudgetBytes <= 0:
 		return fmt.Errorf("tiering: dynamic policy %q needs FastBudgetBytes > 0", c.Policy)
-	case c.decayFactor < 0 || c.decayFactor >= 1:
-		return fmt.Errorf("tiering: decay factor %v out of [0,1)", c.decayFactor)
-	case c.lowWaterFrac <= 0 || c.lowWaterFrac >= highWaterFrac:
-		return fmt.Errorf("tiering: low watermark %v needs 0 < low < %v", c.lowWaterFrac, highWaterFrac)
-	case c.tracker != "" && !c.tracker.Valid():
-		return fmt.Errorf("tiering: unknown tracker kind %q", c.tracker)
 	}
 	if c.Policy == BandwidthAware && (c.migrationBWFrac <= 0 || c.migrationBWFrac > 1) {
 		return fmt.Errorf("tiering: migration bandwidth fraction %v out of (0,1]", c.migrationBWFrac)
-	}
-	cls, err := heat.NewClassifier(c.effectiveBoundaries())
-	if err != nil {
-		return fmt.Errorf("tiering: %w", err)
 	}
 	if c.UsesMover() {
 		if c.moverBytesPerEpoch <= 0 || c.moverMovesPerEpoch <= 0 {
@@ -281,19 +230,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tiering: age policy needs maxIdleEpochs >= 1, got %d", c.maxIdleEpochs)
 	}
 	if c.Policy == Forecast {
-		if c.historyEpochs < 2 {
-			return fmt.Errorf("tiering: forecast policy needs historyEpochs >= 2, got %d", c.historyEpochs)
-		}
-		if c.promoteClass < 0 || c.promoteClass >= cls.Classes() {
-			return fmt.Errorf("tiering: promoteClass %d out of [0,%d)", c.promoteClass, cls.Classes())
-		}
-		if c.writeHeatMax <= 0 {
-			return fmt.Errorf("tiering: forecast policy needs writeHeatMax > 0 (exclusive bound), got %v", c.writeHeatMax)
-		}
-		for _, f := range c.effectiveForecasters() {
-			if !f.Valid() {
-				return fmt.Errorf("tiering: unknown forecaster kind %q", f)
-			}
+		if classes := len(heat.DefaultBoundaries()) + 1; c.promoteClass < 0 || c.promoteClass >= classes {
+			return fmt.Errorf("tiering: promoteClass %d out of [0,%d)", c.promoteClass, classes)
 		}
 	}
 	return nil
