@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/hibench"
 	"repro/internal/memsim"
@@ -384,10 +383,8 @@ func chaosMultiJob(c *ctx, seed int64, fails *failures) error {
 func sameAtAnyWorkerCount(conf multitenant.Conf, fail func(string, ...any)) bool {
 	var reports [2]string
 	for i, workers := range []int{1, 8} {
-		old := cluster.DefaultTaskParallelism
-		cluster.DefaultTaskParallelism = workers
+		conf.TaskParallelism = workers
 		res, err := multitenant.Run(conf)
-		cluster.DefaultTaskParallelism = old
 		if err != nil {
 			fail("determinism run (workers=%d): %v", workers, err)
 			return false

@@ -1,6 +1,9 @@
 package advisor
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // flightGroup coalesces concurrent calls with the same key into one
 // execution: the first caller (the leader) runs fn, every concurrent
@@ -58,9 +61,4 @@ func (g *flightGroup) Do(key string, fn func() (Result, error)) (res Result, sha
 }
 
 // errPanicked is what waiters observe when a flight leader panicked.
-var errPanicked = errorString("advisor: query evaluation panicked")
-
-// errorString is a tiny allocation-free error type.
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+var errPanicked = errors.New("advisor: query evaluation panicked")

@@ -11,9 +11,8 @@ import (
 	"repro/internal/par"
 )
 
-// Severity ranks a diagnostic: errors are invariant violations that must
-// fail the build, warnings are quality findings a driver may choose to
-// tolerate (the default driver fails on both).
+// Severity classifies a diagnostic: errors are invariant violations,
+// warnings are quality findings. The driver prints it and fails on both.
 type Severity string
 
 const (
@@ -22,17 +21,6 @@ const (
 	// SevWarning marks a quality or hygiene finding.
 	SevWarning Severity = "warning"
 )
-
-// rank orders severities for threshold comparisons (higher is worse).
-func (s Severity) rank() int {
-	if s == SevError {
-		return 2
-	}
-	return 1
-}
-
-// AtLeast reports whether s is at least as severe as min.
-func (s Severity) AtLeast(min Severity) bool { return s.rank() >= min.rank() }
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
@@ -51,11 +39,37 @@ func (d Diagnostic) String() string {
 // StringRel renders the diagnostic with its filename relative to base
 // (falling back to the absolute path if base does not contain it).
 func (d Diagnostic) StringRel(base string) string {
-	name := d.Pos.Filename
+	return fmt.Sprintf("%s:%d: %s: %s", relName(base, d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message)
+}
+
+// relName is name relative to base and slash-separated, or name as it is
+// when base does not contain it.
+func relName(base, name string) string {
 	if rel, err := filepath.Rel(base, name); err == nil && !strings.HasPrefix(rel, "..") {
-		name = filepath.ToSlash(rel)
+		return filepath.ToSlash(rel)
 	}
-	return fmt.Sprintf("%s:%d: %s: %s", name, d.Pos.Line, d.Analyzer, d.Message)
+	return name
+}
+
+// WireDiag is a diagnostic as serialized: by simlint -json with File
+// relative to the working directory, and by the result cache with File
+// relative to the module root, so an entry survives a checkout moving on
+// disk.
+type WireDiag struct {
+	File     string   `json:"file"`
+	Line     int      `json:"line"`
+	Column   int      `json:"column"`
+	Analyzer string   `json:"analyzer"`
+	Severity Severity `json:"severity"`
+	Message  string   `json:"message"`
+}
+
+// Wire is d in its serialized form, its filename relative to base.
+func (d Diagnostic) Wire(base string) WireDiag {
+	return WireDiag{
+		File: relName(base, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
+		Analyzer: d.Analyzer, Severity: d.Severity, Message: d.Message,
+	}
 }
 
 // Analyzer is one invariant checker.
@@ -217,14 +231,14 @@ func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*A
 			})
 		}
 	}
-	SortDiagnostics(kept)
+	sortDiagnostics(kept)
 	return kept
 }
 
-// SortDiagnostics orders diagnostics by (file, line, analyzer, message)
-// — the canonical reporting order Run returns and the cached driver must
-// reproduce byte-identically on warm runs.
-func SortDiagnostics(diags []Diagnostic) {
+// sortDiagnostics orders diagnostics by (file, line, analyzer, message)
+// — the canonical reporting order Run returns and the cache stores, so a
+// warm run reproduces it byte-identically.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,57 +16,38 @@ import (
 
 // cacheSchema versions the on-disk entry format; bump it whenever the
 // entry layout or the meaning of a stored diagnostic changes.
-const cacheSchema = 1
+const cacheSchema = 2
 
 // CacheDirName is the cache directory created under the module root.
 const CacheDirName = ".simlintcache"
 
-// Cache is a content-hash result cache for simlint runs. One JSON entry
-// is stored per analyzed package directory, keyed by the directory's
-// module-relative path and validated against two hashes:
-//
-//   - the package hash — the names and bytes of the directory's non-test
-//     Go sources;
-//   - the module hash — go.mod plus every non-test Go source in the
-//     module tree, mixed with the analyzer suite's fingerprint.
-//
-// Analyzer facts flow across package boundaries (call-graph taint
-// reaches callees in other packages), so a package's diagnostics are
-// only reusable when nothing in the module changed: the module hash is
-// what makes the per-package entries sound, the package hash localizes
-// the report of what went stale. A warm lookup therefore costs file
-// hashing only — no parsing, no type-checking — which is what makes the
-// cached re-run an order of magnitude faster than a cold one while
-// producing byte-identical diagnostics.
+// Cache is a content-hash result cache for simlint runs. Analyzer facts
+// flow across package boundaries (call-graph taint reaches callees in
+// other packages), so diagnostics are only reusable when nothing in the
+// module changed, and the cache is shaped like that rule: it holds one
+// entry, named after the module hash — go.mod plus every non-test Go
+// source in the module tree, mixed with the analyzer suite's
+// fingerprint — and listing the package directories the run covered
+// beside its diagnostics. A request whose directories are all covered is
+// served; anything else runs cold and replaces the entry. A warm lookup
+// therefore costs file hashing only — no parsing, no type-checking —
+// which is what makes the cached re-run an order of magnitude faster
+// than a cold one while producing byte-identical diagnostics.
 type Cache struct {
-	root    string // module root (entry paths are stored relative to it)
-	dir     string // <root>/.simlintcache
-	modHash string
+	root string // module root (stored paths are relative to it)
+	file string // <root>/.simlintcache/<module hash>.json
 }
 
-// cacheEntry is the on-disk format of one package's results.
+// cacheEntry is the on-disk format of one run's results. Dirs are
+// module-relative and slash-separated, like WireDiag.File.
 type cacheEntry struct {
-	Schema  int          `json:"schema"`
-	ModHash string       `json:"mod_hash"`
-	PkgDir  string       `json:"pkg_dir"` // module-relative, slash-separated
-	PkgHash string       `json:"pkg_hash"`
-	Diags   []cachedDiag `json:"diags"`
-}
-
-// cachedDiag is one serialized diagnostic; File is module-relative so
-// entries survive a checkout moving on disk.
-type cachedDiag struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Column   int      `json:"column"`
-	Analyzer string   `json:"analyzer"`
-	Severity Severity `json:"severity"`
-	Message  string   `json:"message"`
+	Dirs  []string   `json:"dirs"`
+	Diags []WireDiag `json:"diags"`
 }
 
 // OpenCache prepares a cache rooted at the module directory, computing
 // the module-wide content hash for the given analyzer suite. The cache
-// directory itself is created lazily on the first Store.
+// directory itself is created by the first Store.
 func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema %d\n", cacheSchema)
@@ -75,19 +58,19 @@ func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 		return nil, err
 	}
 	var files []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(file string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if file != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
 		if isSourceName(name) {
-			files = append(files, path)
+			files = append(files, file)
 		}
 		return nil
 	})
@@ -96,27 +79,17 @@ func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 	}
 	sort.Strings(files)
 	for _, f := range files {
-		rel, err := filepath.Rel(root, f)
-		if err != nil {
-			return nil, err
-		}
-		if err := hashFile(h, f, filepath.ToSlash(rel)); err != nil {
+		if err := hashFile(h, f, relName(root, f)); err != nil {
 			return nil, err
 		}
 	}
-	return &Cache{
-		root:    root,
-		dir:     filepath.Join(root, CacheDirName),
-		modHash: hex.EncodeToString(h.Sum(nil)),
-	}, nil
+	name := hex.EncodeToString(h.Sum(nil)) + ".json"
+	return &Cache{root: root, file: filepath.Join(root, CacheDirName, name)}, nil
 }
 
-// ModHash exposes the module-wide content hash (for driver logging).
-func (c *Cache) ModHash() string { return c.modHash }
-
 // hashFile mixes a file's label and contents into h.
-func hashFile(h interface{ Write(p []byte) (int, error) }, path, label string) error {
-	data, err := os.ReadFile(path)
+func hashFile(h io.Writer, file, label string) error {
+	data, err := os.ReadFile(file)
 	if err != nil {
 		return err
 	}
@@ -125,52 +98,13 @@ func hashFile(h interface{ Write(p []byte) (int, error) }, path, label string) e
 	return err
 }
 
-// pkgHash hashes a package directory's non-test sources by name and
-// content, without parsing them.
-func pkgHash(dir string) (string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	for _, e := range ents { // ReadDir is sorted by name
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
-		}
-		if err := hashFile(h, filepath.Join(dir, e.Name()), e.Name()); err != nil {
-			return "", err
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// entryPath names the entry file for a package directory: a hash of its
-// module-relative path, so entries are stable across checkouts and never
-// collide on case-insensitive filesystems.
-func (c *Cache) entryPath(relDir string) string {
-	sum := sha256.Sum256([]byte(relDir))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:])[:24]+".json")
-}
-
-// relDir maps an absolute package directory to the module-relative form
-// used as the entry key.
-func (c *Cache) relDir(dir string) (string, error) {
-	rel, err := filepath.Rel(c.root, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, c.root)
-	}
-	return filepath.ToSlash(rel), nil
-}
-
-// Lookup returns the cached diagnostics for a package directory, or
-// ok=false when the entry is missing or stale (different package bytes,
-// different module state, different analyzer suite).
-func (c *Cache) Lookup(dir string) (diags []Diagnostic, ok bool) {
-	rel, err := c.relDir(dir)
-	if err != nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.entryPath(rel))
+// Lookup returns, in reporting order, the stored diagnostics positioned
+// in the given package directories — every analyzer reports into the
+// files of the package under analysis — or ok=false when this module
+// state and analyzer suite has no entry, or its entry does not cover
+// every one of them.
+func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
+	data, err := os.ReadFile(c.file)
 	if err != nil {
 		return nil, false
 	}
@@ -178,84 +112,49 @@ func (c *Cache) Lookup(dir string) (diags []Diagnostic, ok bool) {
 	if json.Unmarshal(data, &e) != nil {
 		return nil, false
 	}
-	if e.Schema != cacheSchema || e.ModHash != c.modHash || e.PkgDir != rel {
-		return nil, false
+	asked := make(map[string]bool, len(e.Dirs)) // by covered directory
+	for _, rel := range e.Dirs {
+		asked[rel] = false
 	}
-	ph, err := pkgHash(dir)
-	if err != nil || ph != e.PkgHash {
-		return nil, false
+	for _, dir := range dirs {
+		rel := relName(c.root, dir)
+		if _, covered := asked[rel]; !covered {
+			return nil, false
+		}
+		asked[rel] = true
 	}
-	diags = make([]Diagnostic, 0, len(e.Diags))
-	for _, d := range e.Diags {
-		diags = append(diags, Diagnostic{
-			Pos: token.Position{
-				Filename: filepath.Join(c.root, filepath.FromSlash(d.File)),
-				Line:     d.Line,
-				Column:   d.Column,
-			},
-			Analyzer: d.Analyzer,
-			Severity: d.Severity,
-			Message:  d.Message,
-		})
+	for _, w := range e.Diags {
+		if asked[path.Dir(w.File)] {
+			diags = append(diags, Diagnostic{
+				Pos:      token.Position{Filename: filepath.Join(c.root, filepath.FromSlash(w.File)), Line: w.Line, Column: w.Column},
+				Analyzer: w.Analyzer, Severity: w.Severity, Message: w.Message,
+			})
+		}
 	}
 	return diags, true
 }
 
-// Store writes one package directory's diagnostics (possibly none — a
-// clean package is exactly what a warm run wants to know about).
-func (c *Cache) Store(dir string, diags []Diagnostic) error {
-	rel, err := c.relDir(dir)
-	if err != nil {
-		return err
+// Store replaces whatever the cache holds with one run's result: the
+// package directories it covered (a clean one is exactly what a warm run
+// wants to know about) and the diagnostics Run returned for them.
+func (c *Cache) Store(dirs []string, diags []Diagnostic) error {
+	e := cacheEntry{Dirs: make([]string, len(dirs)), Diags: make([]WireDiag, len(diags))}
+	for i, dir := range dirs {
+		e.Dirs[i] = relName(c.root, dir)
 	}
-	ph, err := pkgHash(dir)
-	if err != nil {
-		return err
-	}
-	e := cacheEntry{
-		Schema:  cacheSchema,
-		ModHash: c.modHash,
-		PkgDir:  rel,
-		PkgHash: ph,
-		Diags:   make([]cachedDiag, 0, len(diags)),
-	}
-	for _, d := range diags {
-		relFile, err := filepath.Rel(c.root, d.Pos.Filename)
-		if err != nil || strings.HasPrefix(relFile, "..") {
-			return fmt.Errorf("analysis: diagnostic outside module: %s", d.Pos.Filename)
-		}
-		e.Diags = append(e.Diags, cachedDiag{
-			File:     filepath.ToSlash(relFile),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Severity: d.Severity,
-			Message:  d.Message,
-		})
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
+	for i, d := range diags {
+		e.Diags[i] = d.Wire(c.root)
 	}
 	data, err := json.MarshalIndent(e, "", "\t")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(c.entryPath(rel), append(data, '\n'), 0o644)
-}
-
-// GroupByDir buckets diagnostics by the directory of the file they are
-// positioned in — which is the package directory, since every analyzer
-// reports into the files of the package under analysis. Directories with
-// no findings map to an empty (non-nil) slice so the caller can store a
-// clean entry for them.
-func GroupByDir(dirs []string, diags []Diagnostic) map[string][]Diagnostic {
-	out := make(map[string][]Diagnostic, len(dirs))
-	for _, d := range dirs {
-		out[d] = []Diagnostic{}
+	// One entry, not one per module state seen: drop what earlier runs left.
+	if err := os.RemoveAll(filepath.Dir(c.file)); err != nil {
+		return err
 	}
-	for _, d := range diags {
-		dir := filepath.Dir(d.Pos.Filename)
-		out[dir] = append(out[dir], d)
+	if err := os.MkdirAll(filepath.Dir(c.file), 0o755); err != nil {
+		return err
 	}
-	return out
+	return os.WriteFile(c.file, append(data, '\n'), 0o644)
 }

@@ -59,9 +59,24 @@ func runModule(t *testing.T, root string) (*Loader, []string, []Diagnostic) {
 	return ld, dirs, Run(ld.ModulePath(), ld.Fset(), pkgs, All())
 }
 
+// sameDiags fails the test unless got reproduces want diagnostic for
+// diagnostic, severity included.
+func sameDiags(t *testing.T, got, want []Diagnostic) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("cache returned %d diagnostics, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].String() != want[i].String() || got[i].Severity != want[i].Severity {
+			t.Errorf("diag %d: cached %q (%s) != cold %q (%s)",
+				i, got[i].String(), got[i].Severity, want[i].String(), want[i].Severity)
+		}
+	}
+}
+
 // TestCacheRoundTrip pins the cache contract: a stored run is served
-// back identically, package-by-package, including empty entries for
-// clean packages.
+// back identically, clean packages included, and so is any subset of the
+// directories it covered.
 func TestCacheRoundTrip(t *testing.T) {
 	root := writeTestModule(t)
 	_, dirs, diags := runModule(t, root)
@@ -73,41 +88,43 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dir, group := range GroupByDir(dirs, diags) {
-		if err := cache.Store(dir, group); err != nil {
-			t.Fatal(err)
-		}
+	if err := cache.Store(dirs, diags); err != nil {
+		t.Fatal(err)
 	}
 
-	// A fresh cache handle (fresh module hash) must hit on every dir and
-	// reproduce the run byte-for-byte.
+	// A fresh cache handle (fresh module hash) must hit on the stored
+	// dirs and reproduce the run byte-for-byte.
 	cache2, err := OpenCache(root, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Diagnostic
-	for _, dir := range dirs {
-		g, ok := cache2.Lookup(dir)
-		if !ok {
-			t.Fatalf("cache miss for %s on an unchanged module", dir)
-		}
-		got = append(got, g...)
+	got, ok := cache2.Lookup(dirs)
+	if !ok {
+		t.Fatalf("cache miss for %v on an unchanged module", dirs)
 	}
-	SortDiagnostics(got)
-	if len(got) != len(diags) {
-		t.Fatalf("cache returned %d diagnostics, want %d", len(got), len(diags))
+	sameDiags(t, got, diags)
+
+	// A subset of the covered dirs is served warm with its own share of
+	// the findings: none for the clean package, all of them for the other.
+	if got, ok := cache2.Lookup([]string{filepath.Join(root, "clean")}); !ok || len(got) != 0 {
+		t.Errorf("clean subset: ok=%v with %d diagnostics, want a hit with none", ok, len(got))
 	}
-	for i := range got {
-		if got[i].String() != diags[i].String() || got[i].Severity != diags[i].Severity {
-			t.Errorf("diag %d: cached %q (%s) != cold %q (%s)",
-				i, got[i].String(), got[i].Severity, diags[i].String(), diags[i].Severity)
-		}
+	got, ok = cache2.Lookup([]string{filepath.Join(root, "dirty")})
+	if !ok {
+		t.Fatal("cache miss for a covered subset")
+	}
+	sameDiags(t, got, diags)
+
+	// A directory the stored run did not cover is a miss, not an empty hit.
+	if _, ok := cache2.Lookup(append(dirs, filepath.Join(root, "other"))); ok {
+		t.Error("cache hit for a directory the stored run never covered")
 	}
 }
 
 // TestCacheInvalidation pins the two staleness axes: editing any module
-// file invalidates every entry (facts cross package boundaries), and a
-// different analyzer suite never reuses entries.
+// file misses (facts cross package boundaries), and a different analyzer
+// suite never reuses the entry. Either way the next Store replaces the
+// entry instead of adding one.
 func TestCacheInvalidation(t *testing.T) {
 	root := writeTestModule(t)
 	_, dirs, diags := runModule(t, root)
@@ -115,13 +132,21 @@ func TestCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dir, group := range GroupByDir(dirs, diags) {
-		if err := cache.Store(dir, group); err != nil {
-			t.Fatal(err)
-		}
+	if err := cache.Store(dirs, diags); err != nil {
+		t.Fatal(err)
 	}
 
-	// Edit the clean package: even the dirty package's entry must go
+	// A subset analyzer suite has a different fingerprint: no reuse in
+	// either direction.
+	subset, err := OpenCache(root, []*Analyzer{NoDeterminism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := subset.Lookup(dirs); ok {
+		t.Error("cache hit under a different analyzer suite")
+	}
+
+	// Edit the clean package: even the dirty package's findings must go
 	// stale, because taint facts flow across packages.
 	cleanGo := filepath.Join(root, "clean", "clean.go")
 	if err := os.WriteFile(cleanGo, []byte("// Package clean has no findings.\npackage clean\n\n// Add adds.\nfunc Add(a, b int) int { return b + a }\n"), 0o644); err != nil {
@@ -132,20 +157,35 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dir := range dirs {
-		if _, ok := edited.Lookup(dir); ok {
+		if _, ok := edited.Lookup([]string{dir}); ok {
 			t.Errorf("cache hit for %s after a module edit", dir)
 		}
 	}
 
-	// A subset analyzer suite has a different fingerprint: no reuse in
-	// either direction.
-	subset, err := OpenCache(root, []*Analyzer{NoDeterminism})
+	// A second Store, from the edited module, replaces the entry: the
+	// cache directory holds exactly one file, and it is served.
+	_, dirs, diags = runModule(t, root)
+	if err := edited.Store(dirs, diags); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(filepath.Join(root, CacheDirName)); err != nil || len(ents) != 1 {
+		t.Errorf("cache directory holds %d files after a second Store (err %v), want exactly one", len(ents), err)
+	}
+	got, ok := edited.Lookup(dirs)
+	if !ok {
+		t.Fatal("cache miss right after Store")
+	}
+	sameDiags(t, got, diags)
+
+	// go.mod is part of the module state too.
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module cachetest\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bumped, err := OpenCache(root, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range dirs {
-		if _, ok := subset.Lookup(dir); ok {
-			t.Errorf("cache hit for %s under a different analyzer suite", dir)
-		}
+	if _, ok := bumped.Lookup(dirs); ok {
+		t.Error("cache hit after a go.mod edit")
 	}
 }

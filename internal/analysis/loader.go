@@ -14,14 +14,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -120,33 +119,22 @@ func (l *Loader) ResolveDirs(patterns ...string) ([]string, error) {
 		}
 	}
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			sub, err := l.walkTree(l.root)
-			if err != nil {
+		base, tree := strings.CutSuffix(pat, "/...")
+		abs, err := filepath.Abs(base)
+		if err != nil {
+			return nil, err
+		}
+		if pat == "./..." || pat == "..." {
+			abs, tree = l.root, true // the whole module, wherever the loader was started
+		}
+		sub := []string{abs}
+		if tree {
+			if sub, err = l.walkTree(abs); err != nil {
 				return nil, err
 			}
-			for _, d := range sub {
-				add(d)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base, err := filepath.Abs(strings.TrimSuffix(pat, "/..."))
-			if err != nil {
-				return nil, err
-			}
-			sub, err := l.walkTree(base)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range sub {
-				add(d)
-			}
-		default:
-			abs, err := filepath.Abs(pat)
-			if err != nil {
-				return nil, err
-			}
-			add(abs)
+		}
+		for _, d := range sub {
+			add(d)
 		}
 	}
 	return dirs, nil
@@ -201,42 +189,6 @@ func (l *Loader) walkTree(base string) ([]string, error) {
 		return nil
 	})
 	return dirs, err
-}
-
-// buildIncluded evaluates a file's //go:build constraint (the first one
-// appearing before the package clause) for the host platform. Files with
-// no constraint are included; `//go:build ignore` and foreign-platform
-// files are skipped, mirroring what the go tool would compile here.
-// Legacy "// +build" lines without a //go:build form are rare enough in
-// a single-module tree to ignore.
-func buildIncluded(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break // constraints must precede the package clause
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			return true // malformed constraint: let the type-checker complain
-		}
-		return expr.Eval(func(tag string) bool {
-			return tag == runtime.GOOS || tag == runtime.GOARCH ||
-				tag == "unix" && isUnixGOOS(runtime.GOOS) ||
-				strings.HasPrefix(tag, "go1")
-		})
-	}
-	return true
-}
-
-func isUnixGOOS(goos string) bool {
-	switch goos {
-	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly", "solaris", "aix":
-		return true
-	}
-	return false
 }
 
 func isSourceName(name string) bool {
@@ -321,15 +273,14 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
+		// What the go tool would compile here: //go:build ignore and
+		// foreign-platform files (by constraint or file name) are skipped.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
 			return nil, err
+		} else if !ok {
+			continue
 		}
-		if !buildIncluded(src) {
-			continue // excluded by its //go:build constraint (e.g. ignore)
-		}
-		f, err := parser.ParseFile(l.fset, path, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}

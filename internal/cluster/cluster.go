@@ -251,23 +251,9 @@ func (a *App) FaultPlan() *faults.Plan { return a.conf.Faults }
 // engine; nil when the conf leaves tiering disabled.
 func (a *App) Tiering() *tiering.Engine { return a.tier }
 
-// DefaultTaskParallelism, when positive, overrides the phase-1 worker
-// count for every Conf that leaves TaskParallelism zero. It exists for
-// determinism harnesses (e.g. rendering the full report at 1 worker and
-// at 8 and requiring byte-identical output); production paths leave it
-// zero and fall back to GOMAXPROCS. Set it only from a single goroutine
-// before building Apps.
-var DefaultTaskParallelism int
-
 // TaskParallelism implements scheduler.Env: the conf's phase-1 worker
-// count, else DefaultTaskParallelism; zero leaves the scheduler to pick
-// runtime.GOMAXPROCS(0).
-func (a *App) TaskParallelism() int {
-	if a.conf.TaskParallelism > 0 {
-		return a.conf.TaskParallelism
-	}
-	return DefaultTaskParallelism
-}
+// count; zero leaves the scheduler to pick runtime.GOMAXPROCS(0).
+func (a *App) TaskParallelism() int { return a.conf.TaskParallelism }
 
 // EngineCounters exposes the scheduler's engine-level counter registry
 // (tasks computed, parallel vs sequential stages).

@@ -23,7 +23,7 @@ import (
 // between seeds.
 type Evaluator struct {
 	runner  hibench.QueryRunner // answers Queries when non-nil
-	workers int                 // test seam: 0 selects GOMAXPROCS
+	workers int                 // test seam: cell and phase-1 workers; 0 selects GOMAXPROCS
 	noMemo  bool                // test seam: treat every cell as unkeyable
 
 	mu    sync.Mutex
@@ -119,9 +119,13 @@ func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	failedAt.Store(int64(len(mine)))
 	par.Do(len(mine), e.workers, func(j int) {
 		n := int64(j)
+		spec := specs[mine[n]]
+		if e.workers > 0 {
+			spec.TaskParallelism = e.workers // host-only: Key ignores it, out[i].Spec overwrites it
+		}
 		if c := cells[mine[n]]; failedAt.Load() < n {
 			e.drop(c)
-		} else if !c.run(specs[mine[n]]) {
+		} else if !c.run(spec) {
 			for at := failedAt.Load(); n < at && !failedAt.CompareAndSwap(at, n); at = failedAt.Load() {
 			}
 		}

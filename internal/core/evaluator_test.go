@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -75,6 +76,20 @@ func TestEvaluatorMemoHitHygiene(t *testing.T) {
 	}
 }
 
+// virtual is rs without the scheduler's stages.sequential/stages.parallel
+// split: the workers seam reaches phase 1 too, and that pair records how
+// the host ran the stages, not what they computed.
+func virtual(rs []hibench.RunResult) []hibench.RunResult {
+	out := make([]hibench.RunResult, len(rs))
+	for i, r := range rs {
+		out[i] = r
+		out[i].Engine = maps.Clone(r.Engine)
+		delete(out[i].Engine, "stages.sequential")
+		delete(out[i].Engine, "stages.parallel")
+	}
+	return out
+}
+
 // The same list, with repeats, answers identically by request index at 1
 // and 8 workers, with and without the memo.
 func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
@@ -89,7 +104,7 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 		ev := NewEvaluator(nil)
 		ev.workers = workers
 		got := ev.Run(specs...)
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(virtual(got), virtual(want)) {
 			t.Errorf("%d workers with memo: results differ from the serial unmemoised run", workers)
 		}
 		if len(ev.cells) != 6 {

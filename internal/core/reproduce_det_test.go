@@ -3,28 +3,23 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // TestReproduceByteIdenticalAcrossWorkerCounts renders a narrowed full
-// report twice — once with every App forced to 1 phase-1 worker and the
-// evaluator to 1 cell worker, once with 8 of each — and requires the
-// bytes to match exactly. The chunk shuffle passes block-manager-owned
-// chunk sets by reference between map and reduce tasks, so this is the
-// end-to-end proof that chunk residency, the copy ledger, and every
-// charge sequence are independent of how task compute interleaves, and
-// that the evaluator's fan-out merges by request index. sort covers the
-// range-partitioned chunk path (sampling job + sort shuffle), pagerank
-// the cogroup/join path.
+// report twice — once with the evaluator's workers seam forcing 1 cell
+// worker and 1 phase-1 worker in every cell, once with 8 of each — and
+// requires the bytes to match exactly. The chunk shuffle passes
+// block-manager-owned chunk sets by reference between map and reduce
+// tasks, so this is the end-to-end proof that chunk residency, the copy
+// ledger, and every charge sequence are independent of how task compute
+// interleaves, and that the evaluator's fan-out merges by request index.
+// sort covers the range-partitioned chunk path (sampling job + sort
+// shuffle), pagerank the cogroup/join path.
 func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-report determinism sweep skipped in -short")
 	}
 	render := func(workers int) string {
-		old := cluster.DefaultTaskParallelism
-		cluster.DefaultTaskParallelism = workers
-		defer func() { cluster.DefaultTaskParallelism = old }()
 		ev := NewEvaluator(nil)
 		ev.workers = workers
 		var buf bytes.Buffer

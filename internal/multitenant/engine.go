@@ -348,13 +348,6 @@ func (e *engine) admit(js *jobState) error {
 		}
 		spec.Tiering = &tcfg
 	}
-	if e.conf.BandwidthShare && e.running > 1 {
-		share := 1 / float64(e.running)
-		if share < 0.25 {
-			share = 0.25
-		}
-		spec.BandwidthCap = share
-	}
 
 	before := q.Usage()
 	q.BeginJob()

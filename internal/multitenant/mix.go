@@ -2,6 +2,7 @@ package multitenant
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -32,7 +33,7 @@ type Job struct {
 
 // String renders "a/0 sort@tiny".
 func (j Job) String() string {
-	return j.Tenant + "/" + itoa(j.Seq) + " " + j.Workload + "@" + j.Size.String()
+	return j.Tenant + "/" + strconv.Itoa(j.Seq) + " " + j.Workload + "@" + j.Size.String()
 }
 
 // demandTable declares each workload's nominal DRAM demand per size
@@ -105,20 +106,4 @@ func GenerateMix(c Conf) []Job {
 		return mix[i].Seq < mix[j].Seq
 	})
 	return mix
-}
-
-// itoa is a minimal non-negative integer formatter (avoids strconv for a
-// one-call-site helper).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -139,16 +139,12 @@ type Conf struct {
 	Executors        int
 	CoresPerExecutor int
 	// TaskParallelism bounds each job's phase-1 compute workers; zero
-	// defers to cluster.DefaultTaskParallelism / GOMAXPROCS. Virtual
-	// time is identical either way.
+	// defers to GOMAXPROCS. Virtual time is identical either way.
 	TaskParallelism int
 	// Tiering enables the per-job dynamic migration engine with this
 	// policy; "" disables tiering. Dynamic policies get a per-executor
 	// fast budget carved from the tenant's free fast quota.
 	Tiering tiering.PolicyKind
-	// BandwidthShare throttles each job's memory bandwidth by the number
-	// of jobs running at its admission (an MBA-style colocation model).
-	BandwidthShare bool
 	// Seed drives the mix generator and every per-job seed.
 	Seed int64
 	// Faults, when set, supplies a deterministic per-job fault plan (the

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/blockmgr"
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -352,9 +351,7 @@ func TestMixByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		c.Tiering = "watermark"
 	})
 	run := func(workers int) string {
-		old := cluster.DefaultTaskParallelism
-		cluster.DefaultTaskParallelism = workers
-		defer func() { cluster.DefaultTaskParallelism = old }()
+		c.TaskParallelism = workers
 		res, err := Run(c)
 		if err != nil {
 			t.Fatal(err)

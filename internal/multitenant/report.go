@@ -16,9 +16,9 @@ func RenderReport(res *MixResult) string {
 	c := res.Conf
 	fmt.Fprintf(&b, "# multitenant mix: %d tenants, policy=%s admission=%s seed=%d\n",
 		len(c.Tenants), c.Policy, c.Admission, c.Seed)
-	fmt.Fprintf(&b, "dram_budget=%dB arrival_window=%dns size=%s layout=%dx%d tiering=%q bwshare=%v\n",
+	fmt.Fprintf(&b, "dram_budget=%dB arrival_window=%dns size=%s layout=%dx%d tiering=%q\n",
 		c.DRAMBudgetBytes, int64(c.ArrivalWindow), c.Size, c.Executors, c.CoresPerExecutor,
-		string(c.Tiering), c.BandwidthShare)
+		string(c.Tiering))
 	for _, t := range c.Tenants {
 		fmt.Fprintf(&b, "tenant %-10s weight=%d jobs=%d fast_quota=%dB slow_quota=%dB\n",
 			t.Name, t.Weight, t.Jobs, t.FastQuotaBytes, t.SlowQuotaBytes)

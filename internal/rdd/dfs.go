@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/dfs"
@@ -31,9 +32,9 @@ func FromDFS[T any](d Driver, fs *dfs.FileSystem, path string, parse func(block 
 		}
 		ctx.Disk(int64(len(raw)))
 		out := parse(raw)
-		bytes := SizeOfSlice(out)
-		ctx.CPU(float64(bytes) * ctx.Cost.SerDePerB)
-		ctx.MemSeq(memsim.Write, bytes)
+		size := SizeOfSlice(out)
+		ctx.CPU(float64(size) * ctx.Cost.SerDePerB)
+		ctx.MemSeq(memsim.Write, size)
 		return out
 	}), nil
 }
@@ -69,7 +70,7 @@ func TextFileDFS(d Driver, fs *dfs.FileSystem, path string) (*RDD[string], error
 				panic(fmt.Sprintf("rdd: %s block %d vanished: %v", path, part-1, err))
 			}
 			if len(prev) > 0 && prev[len(prev)-1] != '\n' {
-				nl := indexByte(raw, '\n')
+				nl := bytes.IndexByte(raw, '\n')
 				if nl < 0 {
 					// The whole block is the tail of a line owned by
 					// the predecessor.
@@ -88,7 +89,7 @@ func TextFileDFS(d Driver, fs *dfs.FileSystem, path string) (*RDD[string], error
 				if err != nil {
 					panic(fmt.Sprintf("rdd: %s block %d vanished: %v", path, next, err))
 				}
-				nl := indexByte(cont, '\n')
+				nl := bytes.IndexByte(cont, '\n')
 				if nl >= 0 {
 					tail = append(tail, cont[:nl]...)
 					read += int64(nl)
@@ -102,20 +103,11 @@ func TextFileDFS(d Driver, fs *dfs.FileSystem, path string) (*RDD[string], error
 		joined := append(append([]byte(nil), raw[start:]...), tail...)
 		out := splitLines(joined)
 		ctx.Disk(read)
-		bytes := SizeOfSlice(out)
-		ctx.CPU(float64(bytes) * ctx.Cost.SerDePerB)
-		ctx.MemSeq(memsim.Write, bytes)
+		size := SizeOfSlice(out)
+		ctx.CPU(float64(size) * ctx.Cost.SerDePerB)
+		ctx.MemSeq(memsim.Write, size)
 		return out
 	}), nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
 
 func splitLines(b []byte) []string {

@@ -76,7 +76,7 @@ func TakeOrdered[T any](r *RDD[T], n int, less func(a, b T) bool) []T {
 		in := r.Compute(ctx, part)
 		local := append([]T(nil), in...)
 		stableSort(local, byValue(less))
-		ctx.CPU(float64(len(in)) * float64(log2(maxIntN(len(in), 2))) * ctx.Cost.CompareNS)
+		ctx.CPU(float64(len(in)) * float64(log2(max(len(in), 2))) * ctx.Cost.CompareNS)
 		if len(local) > n {
 			local = local[:n]
 		}
@@ -96,11 +96,4 @@ func TakeOrdered[T any](r *RDD[T], n int, less func(a, b T) bool) []T {
 // Top returns the n largest records under less.
 func Top[T any](r *RDD[T], n int, less func(a, b T) bool) []T {
 	return TakeOrdered(r, n, func(a, b T) bool { return less(b, a) })
-}
-
-func maxIntN(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

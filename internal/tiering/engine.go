@@ -225,8 +225,7 @@ func (e *Engine) Tick() {
 		execIDs = append(execIDs, id)
 		batches = append(batches, moves)
 		for _, m := range moves {
-			plan.Moves = append(plan.Moves,
-				PlannedMove{Exec: id, ID: m.ID, Bytes: m.Bytes, From: m.From, To: m.To})
+			plan.Moves = append(plan.Moves, PlannedMove{id, m})
 			e.migratedBlocks++
 			e.migratedBytes += m.Bytes
 		}
@@ -269,20 +268,12 @@ func (e *Engine) Tick() {
 // request's source tier are dropped as stale at batch time.
 func rateLimit(mv *heat.Mover, blocks *blockmgr.Manager, moves []Move) []Move {
 	for _, m := range moves {
-		mv.Enqueue(heat.MoveRequest{ID: m.ID, Bytes: m.Bytes, From: m.From, To: m.To})
+		mv.Enqueue(m)
 	}
-	batch := mv.NextBatch(func(r heat.MoveRequest) bool {
-		tier, ok := blocks.TierOf(r.ID)
-		return ok && tier == r.From
+	return mv.NextBatch(func(m Move) bool {
+		tier, ok := blocks.TierOf(m.ID)
+		return ok && tier == m.From
 	})
-	if len(batch) == 0 {
-		return nil
-	}
-	out := make([]Move, len(batch))
-	for i, r := range batch {
-		out[i] = Move{ID: r.ID, Bytes: r.Bytes, From: r.From, To: r.To}
-	}
-	return out
 }
 
 // admitMoves filters a planned batch through the block manager's quota

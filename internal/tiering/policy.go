@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/blockmgr"
+	"repro/internal/heat"
 	"repro/internal/memsim"
 )
 
@@ -21,13 +22,9 @@ type BlockHeat struct {
 	Write     float64
 }
 
-// Move is one planned block migration on one executor.
-type Move struct {
-	ID    blockmgr.BlockID
-	Bytes int64
-	From  memsim.TierID
-	To    memsim.TierID
-}
+// Move is one planned block migration on one executor — the mover
+// queue's own currency, so a plan passes through rate limiting as it is.
+type Move = heat.MoveRequest
 
 // View is the frozen per-executor state a policy plans over at an epoch
 // tick: the resident blocks in block-id order with their decayed heat,

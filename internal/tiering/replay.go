@@ -1,7 +1,6 @@
 package tiering
 
 import (
-	"repro/internal/blockmgr"
 	"repro/internal/memsim"
 	"repro/internal/sim"
 )
@@ -9,11 +8,8 @@ import (
 // PlannedMove is one recorded migration: which executor moved which
 // block, how many bytes, and between which tiers.
 type PlannedMove struct {
-	Exec  int
-	ID    blockmgr.BlockID
-	Bytes int64
-	From  memsim.TierID
-	To    memsim.TierID
+	Exec int
+	Move
 }
 
 // EpochPlan records the moves of one epoch tick, in the order they were
