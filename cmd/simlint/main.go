@@ -28,7 +28,7 @@
 // stops matching any finding is itself reported by allowaudit.
 //
 // The last run's result is cached under <module root>/.simlintcache,
-// named after a content hash of the whole module (facts cross package
+// stamped with a content hash of the whole module (facts cross package
 // boundaries, so only a fully unchanged module can serve from cache). A
 // warm run re-emits byte-identical diagnostics without parsing or
 // type-checking anything; rm -rf .simlintcache forces a cold run.

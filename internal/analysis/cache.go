@@ -10,39 +10,45 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // cacheSchema versions the on-disk entry format; bump it whenever the
 // entry layout or the meaning of a stored diagnostic changes.
-const cacheSchema = 2
+const cacheSchema = 3
 
-// CacheDirName is the cache directory created under the module root.
-const CacheDirName = ".simlintcache"
+// CacheDirName is the cache directory created under the module root, and
+// cacheFileName the one entry in it.
+const (
+	CacheDirName  = ".simlintcache"
+	cacheFileName = "entry.json"
+)
 
 // Cache is a content-hash result cache for simlint runs. Analyzer facts
 // flow across package boundaries (call-graph taint reaches callees in
 // other packages), so diagnostics are only reusable when nothing in the
 // module changed, and the cache is shaped like that rule: it holds one
-// entry, named after the module hash — go.mod plus every non-test Go
-// source in the module tree, mixed with the analyzer suite's
-// fingerprint — and listing the package directories the run covered
-// beside its diagnostics. A request whose directories are all covered is
-// served; anything else runs cold and replaces the entry. A warm lookup
-// therefore costs file hashing only — no parsing, no type-checking —
-// which is what makes the cached re-run an order of magnitude faster
-// than a cold one while producing byte-identical diagnostics.
+// entry, stamped with the module hash — go.mod plus every non-test Go
+// source a request can name (testdata and _-prefixed trees included;
+// only hidden directories are left out, and never served), mixed with
+// the analyzer suite's fingerprint — and listing the package directories
+// the run covered beside its diagnostics. A request whose directories are
+// all covered is served; anything else runs cold and replaces the entry.
+// A warm lookup therefore costs file hashing only — no parsing, no
+// type-checking — which is what makes the cached re-run an order of
+// magnitude faster than a cold one while producing byte-identical
+// diagnostics.
 type Cache struct {
 	root string // module root (stored paths are relative to it)
-	file string // <root>/.simlintcache/<module hash>.json
+	hash string // module hash of the tree as OpenCache found it
 }
 
 // cacheEntry is the on-disk format of one run's results. Dirs are
 // module-relative and slash-separated, like WireDiag.File.
 type cacheEntry struct {
-	Dirs  []string   `json:"dirs"`
-	Diags []WireDiag `json:"diags"`
+	Module string     `json:"module"` // hash of the module state the run saw
+	Dirs   []string   `json:"dirs"`
+	Diags  []WireDiag `json:"diags"`
 }
 
 // OpenCache prepares a cache rooted at the module directory, computing
@@ -54,37 +60,33 @@ func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 	for _, a := range analyzers {
 		fmt.Fprintf(h, "analyzer %s %s %s\n", a.Name, a.Severity, a.Doc)
 	}
-	if err := hashFile(h, filepath.Join(root, "go.mod"), "go.mod"); err != nil {
-		return nil, err
-	}
-	var files []string
+	// WalkDir visits in lexical order, so the hash is deterministic.
 	err := filepath.WalkDir(root, func(file string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if file != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			if file != root && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir // .git, the cache itself: see hidden
 			}
 			return nil
 		}
-		if isSourceName(name) {
-			files = append(files, file)
+		if name == "go.mod" || isSourceName(name) {
+			return hashFile(h, file, relName(root, file))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(files)
-	for _, f := range files {
-		if err := hashFile(h, f, relName(root, f)); err != nil {
-			return nil, err
-		}
-	}
-	name := hex.EncodeToString(h.Sum(nil)) + ".json"
-	return &Cache{root: root, file: filepath.Join(root, CacheDirName, name)}, nil
+	return &Cache{root: root, hash: hex.EncodeToString(h.Sum(nil))}, nil
+}
+
+// hidden reports whether the module-relative directory rel lies in a
+// .-prefixed tree, whose sources the module hash does not see.
+func hidden(rel string) bool {
+	return strings.HasPrefix(rel, ".") && rel != "." || strings.Contains(rel, "/.")
 }
 
 // hashFile mixes a file's label and contents into h.
@@ -100,16 +102,13 @@ func hashFile(h io.Writer, file, label string) error {
 
 // Lookup returns, in reporting order, the stored diagnostics positioned
 // in the given package directories — every analyzer reports into the
-// files of the package under analysis — or ok=false when this module
-// state and analyzer suite has no entry, or its entry does not cover
-// every one of them.
+// files of the package under analysis — or ok=false when the entry is
+// of another module state or analyzer suite, or does not cover every one
+// of them.
 func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
-	data, err := os.ReadFile(c.file)
-	if err != nil {
-		return nil, false
-	}
 	var e cacheEntry
-	if json.Unmarshal(data, &e) != nil {
+	data, err := os.ReadFile(filepath.Join(c.root, CacheDirName, cacheFileName))
+	if err != nil || json.Unmarshal(data, &e) != nil || e.Module != c.hash {
 		return nil, false
 	}
 	asked := make(map[string]bool, len(e.Dirs)) // by covered directory
@@ -118,7 +117,7 @@ func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
 	}
 	for _, dir := range dirs {
 		rel := relName(c.root, dir)
-		if _, covered := asked[rel]; !covered {
+		if _, covered := asked[rel]; !covered || hidden(rel) {
 			return nil, false
 		}
 		asked[rel] = true
@@ -138,7 +137,7 @@ func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
 // package directories it covered (a clean one is exactly what a warm run
 // wants to know about) and the diagnostics Run returned for them.
 func (c *Cache) Store(dirs []string, diags []Diagnostic) error {
-	e := cacheEntry{Dirs: make([]string, len(dirs)), Diags: make([]WireDiag, len(diags))}
+	e := cacheEntry{Module: c.hash, Dirs: make([]string, len(dirs)), Diags: make([]WireDiag, len(diags))}
 	for i, dir := range dirs {
 		e.Dirs[i] = relName(c.root, dir)
 	}
@@ -149,12 +148,9 @@ func (c *Cache) Store(dirs []string, diags []Diagnostic) error {
 	if err != nil {
 		return err
 	}
-	// One entry, not one per module state seen: drop what earlier runs left.
-	if err := os.RemoveAll(filepath.Dir(c.file)); err != nil {
+	dir := filepath.Join(c.root, CacheDirName)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(c.file), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(c.file, append(data, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, cacheFileName), append(data, '\n'), 0o644)
 }

@@ -188,4 +188,46 @@ func TestCacheInvalidation(t *testing.T) {
 	if _, ok := bumped.Lookup(dirs); ok {
 		t.Error("cache hit after a go.mod edit")
 	}
+
+	// Trees ./... skips can still be named outright. A testdata (or _)
+	// tree is part of the module state like any other: a run over it is
+	// served until a file in it changes. A hidden tree is not hashed, so
+	// a run over it is never served.
+	fixture := filepath.Join(root, "dirty", "testdata", "fix", "fix.go")
+	for _, file := range []string{fixture, filepath.Join(root, ".hidden", "h", "h.go")} {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte("package p\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ld, _, _ := runModule(t, root)
+	named, err := ld.ResolveDirs(filepath.Join(root, "dirty", "testdata", "..."), filepath.Join(root, ".hidden", "..."))
+	if err != nil || len(named) != 2 {
+		t.Fatalf("named trees resolved to %v (err %v), want the two fixture dirs", named, err)
+	}
+	withFixtures, err := OpenCache(root, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := withFixtures.Store(named, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := withFixtures.Lookup(named[:1]); !ok {
+		t.Error("cache miss for an unchanged testdata tree")
+	}
+	if _, ok := withFixtures.Lookup(named[1:]); ok {
+		t.Error("cache hit for a hidden tree the module hash does not cover")
+	}
+	if err := os.WriteFile(fixture, []byte("package p\n\nvar X int\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fixtureEdited, err := OpenCache(root, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fixtureEdited.Lookup(named[:1]); ok {
+		t.Error("cache hit after editing a file in a named testdata tree")
+	}
 }

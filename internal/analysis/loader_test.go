@@ -142,4 +142,19 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	if len(pkgs) != 0 {
 		t.Fatalf("fully build-excluded directory yielded %d packages", len(pkgs))
 	}
+
+	// A constraint the go tool cannot parse is a load error naming the
+	// file, as it is for go build: not a guess at whether to include it.
+	if err := os.WriteFile(filepath.Join(root, "pkg", "odd.go"), []byte("//go:build linux &&\n\npackage pkg\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ld3, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ld3.Load(filepath.Join(root, "pkg")); err == nil {
+		t.Fatal("a malformed //go:build line loaded")
+	} else if !strings.Contains(err.Error(), "odd.go") {
+		t.Fatalf("error does not name the file: %v", err)
+	}
 }

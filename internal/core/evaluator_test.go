@@ -77,8 +77,9 @@ func TestEvaluatorMemoHitHygiene(t *testing.T) {
 }
 
 // virtual is rs without the scheduler's stages.sequential/stages.parallel
-// split: the workers seam reaches phase 1 too, and that pair records how
-// the host ran the stages, not what they computed.
+// split, for comparing across worker counts only: the workers seam
+// reaches phase 1 too, and that pair records how the host ran the stages,
+// not what they computed.
 func virtual(rs []hibench.RunResult) []hibench.RunResult {
 	out := make([]hibench.RunResult, len(rs))
 	for i, r := range rs {
@@ -99,19 +100,25 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 			specs = append(specs, hibench.RunSpec{Workload: w, Size: workloads.Tiny, Tier: tier})
 		}
 	}
-	want := (&Evaluator{workers: 1, noMemo: true, cells: map[string]*cell{}}).Run(specs...)
+	var serial []hibench.RunResult
 	for _, workers := range []int{1, 8} {
+		want := (&Evaluator{workers: workers, noMemo: true, cells: map[string]*cell{}}).Run(specs...)
 		ev := NewEvaluator(nil)
 		ev.workers = workers
 		got := ev.Run(specs...)
-		if !reflect.DeepEqual(virtual(got), virtual(want)) {
-			t.Errorf("%d workers with memo: results differ from the serial unmemoised run", workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: memoised results differ from the unmemoised run", workers)
 		}
 		if len(ev.cells) != 6 {
 			t.Errorf("%d workers: simulated %d distinct cells, want 6", workers, len(ev.cells))
 		}
+		if serial == nil {
+			serial = want
+		} else if !reflect.DeepEqual(virtual(got), virtual(serial)) {
+			t.Errorf("%d workers: results differ from the serial run", workers)
+		}
 	}
-	for i, res := range want {
+	for i, res := range serial {
 		if res.Spec != specs[i].WithDefaults() {
 			t.Errorf("result %d answers %s, want %s", i, res.Spec, specs[i])
 		}
