@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/bench"
@@ -30,8 +31,7 @@ func TestMicroBenchesRun(t *testing.T) {
 		t.Skip("bench cases skipped in -short")
 	}
 	for _, c := range bench.Cases() {
-		if c.Name == "micro/reduceByKey" || c.Name == "micro/groupByKey" ||
-			c.Name == "micro/migrationEpoch" {
+		if strings.HasPrefix(c.Name, "micro/") {
 			c.Iter()
 		}
 	}

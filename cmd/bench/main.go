@@ -45,9 +45,13 @@ type run struct {
 	Results []bench.Result `json:"results"`
 }
 
-// file is the on-disk BENCH_wallclock.json shape.
+// file is the on-disk BENCH_wallclock.json shape. Notes are markdown
+// lines the -md report carries below its table: measurements the harness
+// does not take itself (the repository benchmark's per-layer numbers)
+// that belong beside the rows they explain.
 type file struct {
 	Description string         `json:"description"`
+	Notes       []string       `json:"notes,omitempty"`
 	Runs        map[string]run `json:"runs"`
 }
 
@@ -232,6 +236,7 @@ func renderMarkdown(doc file) string {
 				group(pre.AllocsPerOp), group(a.AllocsPerOp), delta(pre.AllocsPerOp, a.AllocsPerOp),
 				float64(pre.BytesPerOp)/1e6, float64(a.BytesPerOp)/1e6))
 		}
+		writeNotes(&b, doc)
 		return b.String()
 	}
 
@@ -250,7 +255,14 @@ func renderMarkdown(doc file) string {
 		}
 		b.WriteString("\n")
 	}
+	writeNotes(&b, doc)
 	return b.String()
+}
+
+func writeNotes(b *strings.Builder, doc file) {
+	if len(doc.Notes) > 0 {
+		b.WriteString("\n" + strings.Join(doc.Notes, "\n") + "\n")
+	}
 }
 
 func runDesc(r run) string {

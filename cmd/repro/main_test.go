@@ -111,3 +111,29 @@ func TestOutputFileAndRunFailure(t *testing.T) {
 		t.Errorf("unwritable -o: exit %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 }
+
+// The committed tiering report is what the command prints today: every
+// plan, heatmap and virtual duration in results/autotier.md regenerates
+// byte-identical, whatever the host-side data structures under the
+// tiering tick look like.
+func TestAutotierReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates cells")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "autotier.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "autotier.md")
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("autotier -size large -seed 1 -o "+path), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("autotier report differs from results/autotier.md (%d vs %d bytes); regenerate it only if the virtual ledger was meant to move", len(got), len(want))
+	}
+}

@@ -10,7 +10,7 @@
 //	locksafety     lock copies, sends under lock, unguarded fields
 //	errflow        discarded errors from module-internal APIs
 //	hotbox         per-record boxing and reflection-based sorts on task
-//	               hot paths
+//	               hot paths, and those sorts under the tiering tick
 //	chunkalias     chunk-reference escapes, borrowed-column writes,
 //	               reads after DropShuffle
 //	tierledger     direct hotness/residency/copy-ledger mutation outside

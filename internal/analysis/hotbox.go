@@ -27,7 +27,14 @@ import (
 //     dst = append(dst, src[i]) — chunk columns move by reference or by
 //     one bulk append(dst, src...)/copy(dst, src), never element-wise.
 //
-// The CI wall-clock harness (cmd/bench) enforces the same invariant
+// The reflection-based sorts have a second entry point: the tiering
+// epoch tick, which walks every resident block of every executor between
+// stages. Block order is maintained where blocks live (the block
+// manager's id index, the heat trackers' ledgers), so nothing in the
+// tick's call graph has a reason to sort by id, and what it does sort —
+// policy candidates — sorts through slices.SortStableFunc.
+//
+// The CI wall-clock harness (cmd/bench) enforces the same invariants
 // dynamically via its allocs/op ceilings; this analyzer catches the
 // regression before it runs.
 //
@@ -37,11 +44,14 @@ import (
 // through interfaces the static resolver cannot see through.
 var Hotbox = &Analyzer{
 	Name:     "hotbox",
-	Doc:      "forbid boxing calls, reflection-based sorts, in-loop interface boxing and element copy loops in task-compute call graphs",
+	Doc:      "forbid boxing calls, reflection-based sorts, in-loop interface boxing and element copy loops in task-compute call graphs, and reflection-based sorts under the tiering tick",
 	Severity: SevWarning,
-	Init:     hotboxRule.reach,
+	Init:     func(p *Pass) any { return hotboxTaint{task: hotboxRule.taint(p), tick: tickSortRule.taint(p)} },
 	Run:      runHotbox,
 }
+
+// hotboxTaint is the analyzer's state: one taint set per entry point.
+type hotboxTaint struct{ task, tick map[*Node]bool }
 
 // hotboxRule is the interface-bridged task-compute call graph and the
 // boxing calls it must not make.
@@ -51,6 +61,30 @@ var hotboxRule = &reachRule{
 	bridge: true,
 	table:  map[string]map[string]map[string]string{rddPath: {"": boxingAPI}, "sort": {"": reflectSortAPI}},
 	format: "%s in task-compute code: %s",
+}
+
+// tickSortRule is the interface-bridged call graph of the tiering epoch
+// tick (policies, trackers and forecasters are all reached through
+// interfaces) and the reflection-based sorts it must not make.
+var tickSortRule = &reachRule{
+	entry:  epochTick,
+	exempt: func(*Node) bool { return false },
+	bridge: true,
+	table:  map[string]map[string]map[string]string{"sort": {"": reflectSortAPI}},
+	format: "%s in the tiering tick's call graph: %s",
+}
+
+// epochTick reports whether the node is a tiering epoch tick: the
+// function that records a heat.History epoch. In the tree that is
+// tiering.Engine.Tick alone — tierledger keeps task and workload code
+// away from History.Push.
+func epochTick(n *Node) bool {
+	for _, cs := range n.Calls {
+		if cs.Fn.Name() == "Push" && recvTypeName(cs.Fn) == "History" && funcPkgPath(cs.Fn) == heatPath {
+			return true
+		}
+	}
+	return false
 }
 
 const rddPath = "repro/internal/rdd"
@@ -83,10 +117,11 @@ func hotboxExempt(n *Node) bool {
 }
 
 func runHotbox(p *Pass) {
-	hotboxRule.run(p)
-	tainted := p.State().(map[*Node]bool)
+	taint := p.State().(hotboxTaint)
+	hotboxRule.report(p, taint.task)
+	tickSortRule.report(p, taint.tick)
 	for _, n := range p.Facts.PkgNodes[p.Pkg] {
-		if !tainted[n] {
+		if !taint.task[n] {
 			continue
 		}
 		loops := hbLoopBodies(n.Body)

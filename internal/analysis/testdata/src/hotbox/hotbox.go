@@ -1,5 +1,6 @@
-// Package hotbox is simlint test input: boxing measurement calls and
-// reflection-based sorts on task-compute paths. Line positions are pinned by hotbox.golden.
+// Package hotbox is simlint test input: boxing measurement calls on
+// task-compute paths, and reflection-based sorts there and under a
+// tiering tick. Line positions are pinned by hotbox.golden.
 package hotbox
 
 import (
@@ -7,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/executor"
+	"repro/internal/heat"
 	"repro/internal/rdd"
 )
 
@@ -148,4 +150,44 @@ func driverBoxLoop(vals []int64) []any {
 		out = append(out, any(v))
 	}
 	return out
+}
+
+// planner is how the fixture's tick reaches its policy, the way the
+// engine reaches tiering.Policy.
+type planner interface {
+	Plan(cands []heat.Sample) []heat.Sample
+}
+
+// epochTick records a history epoch, which makes it a tiering tick: the
+// second entry point of the reflect-sort table. Sorting the snapshot by
+// id is what the id-ordered trackers made unnecessary.
+func epochTick(h *heat.History, p planner, snap []heat.Sample) {
+	sort.Slice(snap, func(i, j int) bool { return snap[i].ID.Less(snap[j].ID) })
+	h.Push(snap)
+	p.Plan(snap)
+}
+
+// reflectPolicy is reached from epochTick only through the planner
+// interface; the bridge taints it all the same.
+type reflectPolicy struct{}
+
+func (reflectPolicy) Plan(cands []heat.Sample) []heat.Sample {
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Heat < cands[j].Heat })
+	return cands
+}
+
+// genericPolicy sorts its candidates the way the real policies do.
+type genericPolicy struct{}
+
+func (genericPolicy) Plan(cands []heat.Sample) []heat.Sample {
+	slices.SortStableFunc(cands, func(a, b heat.Sample) int {
+		switch {
+		case a.Heat < b.Heat:
+			return -1
+		case b.Heat < a.Heat:
+			return 1
+		}
+		return 0
+	})
+	return cands
 }

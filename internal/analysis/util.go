@@ -161,14 +161,18 @@ type reachRule struct {
 	format string
 }
 
-// reach is the rule's Analyzer.Init: the taint set, computed once from the
-// shared call graph.
-func (r *reachRule) reach(p *Pass) any { return p.Facts.Reach(r.entry, r.exempt, r.bridge) }
+// taint is the rule's taint set, computed from the shared call graph.
+func (r *reachRule) taint(p *Pass) map[*Node]bool { return p.Facts.Reach(r.entry, r.exempt, r.bridge) }
 
-// run is the rule's Analyzer.Run: it reports every forbidden call site in
-// the tainted nodes of p.Pkg.
-func (r *reachRule) run(p *Pass) {
-	tainted := p.State().(map[*Node]bool)
+// reach is the rule's Analyzer.Init: the taint set, computed once.
+func (r *reachRule) reach(p *Pass) any { return r.taint(p) }
+
+// run is the rule's Analyzer.Run, for an analyzer whose state is this
+// rule's taint set.
+func (r *reachRule) run(p *Pass) { r.report(p, p.State().(map[*Node]bool)) }
+
+// report reports every forbidden call site in the tainted nodes of p.Pkg.
+func (r *reachRule) report(p *Pass, tainted map[*Node]bool) {
 	for _, n := range p.Facts.PkgNodes[p.Pkg] {
 		if !tainted[n] {
 			continue

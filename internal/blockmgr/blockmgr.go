@@ -17,7 +17,7 @@ package blockmgr
 import (
 	"container/list"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/memsim"
 )
@@ -83,7 +83,10 @@ type Manager struct {
 	capacity int64
 	used     int64
 	blocks   map[BlockID]*entry
-	lru      *list.List // front = most recently used
+	// order holds the same entries as blocks, sorted by id: Put and
+	// removeEntry keep it sorted, so enumeration never sorts.
+	order []*entry
+	lru   *list.List // front = most recently used
 
 	// landing is the tier newly stored blocks are resident on; tierUsed
 	// tracks resident bytes per tier (summing to used at all times).
@@ -222,12 +225,26 @@ func (m *Manager) CanMigrate(id BlockID, to memsim.TierID) bool {
 // Blocks lists every resident block ordered by id — the deterministic
 // enumeration migration policies plan over.
 func (m *Manager) Blocks() []BlockInfo {
-	out := make([]BlockInfo, 0, len(m.blocks))
-	for _, e := range m.blocks {
-		out = append(out, BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier})
+	out := make([]BlockInfo, len(m.order))
+	for i, e := range m.order {
+		out[i] = BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
+}
+
+// orderIndex returns the position of id in the id-ordered index, or the
+// position it would be inserted at.
+func (m *Manager) orderIndex(id BlockID) int {
+	lo, hi := 0, len(m.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.order[mid].id.Less(id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Get returns the block's data and size, marking it most recently used.
@@ -296,10 +313,17 @@ func (m *Manager) Put(id BlockID, data any, bytes int64, items int) (evicted []B
 	if bytes < 0 {
 		panic(fmt.Sprintf("blockmgr: negative block size %d for %s", bytes, id))
 	}
-	if old, ok := m.blocks[id]; ok {
+	old, overwrite := m.blocks[id]
+	if overwrite {
 		m.removeEntry(old)
 	}
 	if m.capacity > 0 && bytes > m.capacity {
+		// The oversized rewrite is not stored, but it did displace the
+		// resident incarnation: that block is gone, and nothing else
+		// would tell the observer.
+		if overwrite && m.obs != nil {
+			m.obs.BlockDropped(id, old.bytes)
+		}
 		return nil
 	}
 	for m.capacity > 0 && m.used+bytes > m.capacity && m.lru.Len() > 0 {
@@ -322,6 +346,13 @@ func (m *Manager) Put(id BlockID, data any, bytes int64, items int) (evicted []B
 	e := &entry{id: id, data: data, bytes: bytes, items: items, tier: tier}
 	e.elem = m.lru.PushFront(e)
 	m.blocks[id] = e
+	// The commit path stores partitions in increasing order, so the new
+	// id usually sorts last and the index grows by an append.
+	if n := len(m.order); n == 0 || m.order[n-1].id.Less(id) {
+		m.order = append(m.order, e)
+	} else {
+		m.order = slices.Insert(m.order, m.orderIndex(id), e)
+	}
 	m.used += bytes
 	m.tierUsed[e.tier] += bytes
 	if m.obs != nil {
@@ -352,25 +383,20 @@ func (m *Manager) RemoveAll() (blocks int, bytes int64) {
 	blocks = len(m.blocks)
 	bytes = m.used
 	if m.quota != nil {
-		// Return every block's bytes to the tenant budget; per-tier sums
-		// are order-independent, so plain map iteration is fine.
-		for _, e := range m.blocks {
+		// Return every block's bytes to the tenant budget.
+		for _, e := range m.order {
 			m.quota.Release(e.tier, e.bytes)
 		}
 	}
-	if m.obs != nil && blocks > 0 {
+	if m.obs != nil {
 		// Notify in id order so observers see a deterministic drop
-		// sequence regardless of map iteration order.
-		dropped := make([]*entry, 0, blocks)
-		for _, e := range m.blocks {
-			dropped = append(dropped, e)
-		}
-		sort.Slice(dropped, func(i, j int) bool { return dropped[i].id.Less(dropped[j].id) })
-		for _, e := range dropped {
+		// sequence.
+		for _, e := range m.order {
 			m.obs.BlockDropped(e.id, e.bytes)
 		}
 	}
 	m.blocks = make(map[BlockID]*entry)
+	m.order = nil
 	m.lru.Init()
 	m.used = 0
 	m.tierUsed = [memsim.NumTiers]int64{}
@@ -385,6 +411,8 @@ func (m *Manager) Clear() {
 func (m *Manager) removeEntry(e *entry) {
 	m.lru.Remove(e.elem)
 	delete(m.blocks, e.id)
+	i := m.orderIndex(e.id)
+	m.order = slices.Delete(m.order, i, i+1)
 	m.used -= e.bytes
 	m.tierUsed[e.tier] -= e.bytes
 	if m.quota != nil {

@@ -3,6 +3,7 @@ package blockmgr
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/memsim"
@@ -203,5 +204,96 @@ func TestPutResetsResidencyToLanding(t *testing.T) {
 	}
 	if m.SetResidency(BlockID{RDD: 9, Partition: 9}, memsim.Tier1) {
 		t.Fatal("SetResidency on absent block returned true")
+	}
+}
+
+// Overwriting a resident block with one larger than the whole capacity
+// stores nothing but does displace the old incarnation: the observer
+// must hear that the block is gone, or a tracker keeps it forever.
+func TestOversizedOverwriteDropsDisplaced(t *testing.T) {
+	obs := &recordingObserver{}
+	m := New(250)
+	m.SetObserver(obs)
+	id := BlockID{RDD: 1, Partition: 0}
+	m.Put(id, "small", 100, 1)
+	if ev := m.Put(id, "huge", 300, 1); ev != nil {
+		t.Fatalf("oversized overwrite reported evictions %v", ev)
+	}
+	if m.Contains(id) || m.Used() != 0 || len(m.Blocks()) != 0 {
+		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.Used(), m.Blocks())
+	}
+	want := []string{"put rdd_1_0 100", "drop rdd_1_0 100"}
+	if fmt.Sprint(obs.events) != fmt.Sprint(want) {
+		t.Fatalf("events = %v, want %v", obs.events, want)
+	}
+	// An oversized put of a block that was never resident displaces
+	// nothing and stays silent.
+	obs.events = nil
+	m.Put(BlockID{RDD: 1, Partition: 1}, "huge", 300, 1)
+	if len(obs.events) != 0 {
+		t.Fatalf("oversized put of an absent block fired %v", obs.events)
+	}
+}
+
+// residentSet is the observer-side picture of which blocks are resident.
+type residentSet map[BlockID]int64
+
+func (r residentSet) BlockAccessed(id BlockID, bytes int64) {}
+func (r residentSet) BlockPut(id BlockID, bytes int64)      { r[id] = bytes }
+func (r residentSet) BlockEvicted(id BlockID, bytes int64)  { delete(r, id) }
+func (r residentSet) BlockDropped(id BlockID, bytes int64)  { delete(r, id) }
+
+// Model-based: under a seeded random mix of puts, overwrites (some
+// oversized), capacity evictions, removes and RemoveAll, the maintained
+// id-ordered index always equals "collect the map and sort", and an
+// observer that only listens to events always knows the resident set.
+func TestBlocksOrderModel(t *testing.T) {
+	for _, capacity := range []int64{0, 900} {
+		r := rand.New(rand.NewSource(7))
+		m := New(capacity)
+		seen := residentSet{}
+		m.SetObserver(seen)
+		for step := 0; step < 4000; step++ {
+			id := BlockID{RDD: r.Intn(3), Partition: r.Intn(16)}
+			switch op := r.Intn(20); {
+			case op < 10:
+				m.Put(id, step, int64(1+r.Intn(150)), 1+r.Intn(3))
+			case op < 11:
+				m.Put(id, step, 1000, 1) // oversized under the bounded capacity
+			case op < 14:
+				m.Get(id)
+			case op < 17:
+				m.Remove(id)
+			case op < 19:
+				m.SetResidency(id, memsim.TierID(r.Intn(int(memsim.NumTiers))))
+			default:
+				if r.Intn(10) == 0 {
+					m.RemoveAll()
+				}
+			}
+
+			want := make([]BlockInfo, 0, len(m.blocks))
+			for _, e := range m.blocks {
+				want = append(want, BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier})
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].ID.Less(want[j].ID) })
+			got := m.Blocks()
+			if len(got) != len(want) {
+				t.Fatalf("capacity=%d step %d: Blocks() has %d entries, map has %d", capacity, step, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("capacity=%d step %d: Blocks()[%d] = %+v, want %+v", capacity, step, i, got[i], want[i])
+				}
+			}
+			if len(seen) != len(want) {
+				t.Fatalf("capacity=%d step %d: observer sees %d resident blocks, manager holds %d", capacity, step, len(seen), len(want))
+			}
+			for _, b := range want {
+				if seen[b.ID] != b.Bytes {
+					t.Fatalf("capacity=%d step %d: observer has %s at %d bytes, manager %d", capacity, step, b.ID, seen[b.ID], b.Bytes)
+				}
+			}
+		}
 	}
 }

@@ -39,11 +39,12 @@ func (PhaseForecaster) Forecast(history *History, cur []Sample) []Sample {
 		return cur
 	}
 	out := make([]Sample, len(cur))
+	j, ok := 0, false
 	for i, s := range cur {
 		out[i] = s
-		if r, ok := Lookup(replay, s.ID); ok {
-			out[i].Heat = r.Heat
-			out[i].Write = r.Write
+		if j, ok = Seek(replay, j, s.ID); ok {
+			out[i].Heat = replay[j].Heat
+			out[i].Write = replay[j].Write
 		}
 	}
 	return out

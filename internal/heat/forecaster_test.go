@@ -52,16 +52,24 @@ func TestHistoryTotals(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	s := samples(1, 2, 3)
-	if got, ok := Lookup(s, bid(1)); !ok || got.Heat != 2 {
-		t.Fatalf("Lookup hit = %v/%v", got, ok)
+func TestSeek(t *testing.T) {
+	s := []Sample{{ID: bid(1)}, {ID: bid(3)}, {ID: bid(4)}}
+	// Increasing ids walk the cursor forward once: hits land on the
+	// sample, misses on the first sample after the id.
+	steps := []struct {
+		id     int
+		cursor int
+		hit    bool
+	}{{0, 0, false}, {1, 0, true}, {2, 1, false}, {3, 1, true}, {4, 2, true}, {9, 3, false}, {10, 3, false}}
+	j := 0
+	for _, st := range steps {
+		var ok bool
+		if j, ok = Seek(s, j, bid(st.id)); j != st.cursor || ok != st.hit {
+			t.Fatalf("Seek(%d) = %d/%v, want %d/%v", st.id, j, ok, st.cursor, st.hit)
+		}
 	}
-	if _, ok := Lookup(s, bid(9)); ok {
-		t.Fatal("Lookup found a missing block")
-	}
-	if _, ok := Lookup(nil, bid(0)); ok {
-		t.Fatal("Lookup found in empty snapshot")
+	if j, ok := Seek(nil, 0, bid(0)); j != 0 || ok {
+		t.Fatalf("Seek in empty snapshot = %d/%v", j, ok)
 	}
 }
 

@@ -18,11 +18,12 @@ func (TrendForecaster) Forecast(history *History, cur []Sample) []Sample {
 		return cur
 	}
 	out := make([]Sample, len(cur))
+	j, ok := 0, false
 	for i, s := range cur {
 		out[i] = s
-		if p, ok := Lookup(prev, s.ID); ok {
-			out[i].Heat = clampZero(2*s.Heat - p.Heat)
-			out[i].Write = clampZero(2*s.Write - p.Write)
+		if j, ok = Seek(prev, j, s.ID); ok {
+			out[i].Heat = clampZero(2*s.Heat - prev[j].Heat)
+			out[i].Write = clampZero(2*s.Write - prev[j].Write)
 		}
 	}
 	return out

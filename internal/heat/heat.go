@@ -6,8 +6,8 @@
 // onto the simulator's deterministic block vocabulary:
 //
 //   - Tracker (tracker_access.go, tracker_idle.go) — pluggable per-block
-//     hotness accounting, fed exclusively from blockmgr.Observer
-//     commit-time callbacks. AccessTracker is the exponentially decayed
+//     hotness accounting over an id-ordered dense ledger, fed exclusively
+//     from blockmgr.Observer commit-time callbacks. AccessTracker is the exponentially decayed
 //     access counter (memtier's counters_heatmap); IdleTracker records
 //     epochs since last touch (memtier's idlepage-style aging).
 //   - Classifier (classifier.go) — buckets per-block heat into a
@@ -25,7 +25,10 @@
 // order, and the tiering engine ticks at stage boundaries), so no part
 // of it locks and every output is deterministic for any phase-1 worker
 // count. No wall clock, no unseeded randomness, no map-order dependence:
-// snapshots are sorted by block ID and histograms index by class.
+// block-ID order is maintained where per-block state lives (ledger.go),
+// not produced by sorting when somebody reads it, so snapshots come out
+// in ID order, consumers join them cursor against cursor, and
+// histograms index by class.
 package heat
 
 import (
@@ -82,8 +85,10 @@ type Tracker interface {
 	// unknown blocks, and 0 always for trackers that do not separate
 	// writes).
 	WriteHeat(id blockmgr.BlockID) float64
-	// Snapshot returns every tracked block's sample, sorted by block ID
-	// — the deterministic per-epoch record History accumulates.
+	// Snapshot returns the sample of every block with recorded heat, in
+	// block-ID order — the order the tracker keeps its blocks in, so
+	// nothing is sorted here. It is the deterministic per-epoch record
+	// History accumulates.
 	Snapshot() []Sample
 	// Len returns the number of tracked blocks.
 	Len() int

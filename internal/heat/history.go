@@ -1,23 +1,19 @@
 package heat
 
-import (
-	"sort"
-
-	"repro/internal/blockmgr"
-)
+import "repro/internal/blockmgr"
 
 // History is a bounded ring of per-epoch heat snapshots for one tracker,
-// newest last. Forecasters read it two ways: per-block lookups into past
-// epochs (linear trend) and the aggregate heat series (phase-period
-// detection). Push is called exactly once per epoch tick by the tiering
-// engine, on the driver goroutine.
+// newest last. Forecasters read it two ways: merge joins against a past
+// epoch's ID-ordered samples (linear trend, phase replay) and the
+// aggregate heat series (phase-period detection). Push is called exactly
+// once per epoch tick by the tiering engine, on the driver goroutine.
 type History struct {
 	limit  int
 	epochs []epochRecord
 }
 
 type epochRecord struct {
-	samples []Sample // sorted by block ID
+	samples []Sample // in block-ID order
 	total   float64  // sum of Heat across samples
 	writes  float64  // sum of Write across samples
 }
@@ -31,9 +27,9 @@ func NewHistory(limit int) *History {
 	return &History{limit: limit}
 }
 
-// Push records one epoch's snapshot (already block-ID sorted, as
-// Tracker.Snapshot guarantees), evicting the oldest epoch past the
-// limit.
+// Push records one epoch's snapshot, evicting the oldest epoch past the
+// limit. The samples must be in block-ID order — the order every tracker
+// maintains, so Tracker.Snapshot output qualifies as it is.
 func (h *History) Push(samples []Sample) {
 	rec := epochRecord{samples: samples}
 	for _, s := range samples {
@@ -79,12 +75,14 @@ func (h *History) WriteTotal(back int) float64 {
 	return h.epochs[len(h.epochs)-1-back].writes
 }
 
-// Lookup finds a block's sample in an ID-sorted snapshot by binary
-// search.
-func Lookup(samples []Sample, id blockmgr.BlockID) (Sample, bool) {
-	i := sort.Search(len(samples), func(i int) bool { return !samples[i].ID.Less(id) })
-	if i < len(samples) && samples[i].ID == id {
-		return samples[i], true
+// Seek advances a cursor over an ID-ordered snapshot to the first sample
+// not before id and reports whether that sample is id's. Called with ids
+// in increasing order it is one side of a merge join: joining two
+// ID-ordered lists visits every sample once, where a search per block
+// would start over each time.
+func Seek(samples []Sample, cursor int, id blockmgr.BlockID) (int, bool) {
+	for cursor < len(samples) && samples[cursor].ID.Less(id) {
+		cursor++
 	}
-	return Sample{}, false
+	return cursor, cursor < len(samples) && samples[cursor].ID == id
 }

@@ -54,9 +54,15 @@ type MoverStats struct {
 type Mover struct {
 	maxBytes int64
 	maxMoves int
-	queue    []MoveRequest
-	pending  map[blockmgr.BlockID]int // block -> index in queue
-	stats    MoverStats
+	// queue[head:] is the live backlog; queue[:head] has already been
+	// emitted or dropped and is reclaimed lazily. seq0 is the sequence
+	// number of queue[0]: a request's sequence number never changes while
+	// it is queued, so pending stays valid when the queue is compacted.
+	queue   []MoveRequest
+	head    int
+	seq0    int
+	pending map[blockmgr.BlockID]int // block -> sequence number
+	stats   MoverStats
 }
 
 // NewMover builds a queue emitting at most maxBytes and maxMoves per
@@ -83,7 +89,8 @@ func (m *Mover) Enqueue(req MoveRequest) bool {
 		m.stats.RefusedOversize++
 		return false
 	}
-	if i, ok := m.pending[req.ID]; ok {
+	if seq, ok := m.pending[req.ID]; ok {
+		i := seq - m.seq0
 		if m.queue[i] != req {
 			m.stats.Replaced++
 		}
@@ -91,7 +98,7 @@ func (m *Mover) Enqueue(req MoveRequest) bool {
 		m.stats.Enqueued++
 		return true
 	}
-	m.pending[req.ID] = len(m.queue)
+	m.pending[req.ID] = m.seq0 + len(m.queue)
 	m.queue = append(m.queue, req)
 	m.stats.Enqueued++
 	return true
@@ -106,7 +113,7 @@ func (m *Mover) Enqueue(req MoveRequest) bool {
 func (m *Mover) NextBatch(valid func(MoveRequest) bool) []MoveRequest {
 	var batch []MoveRequest
 	var batchBytes int64
-	i := 0
+	i := m.head
 	for ; i < len(m.queue); i++ {
 		req := m.queue[i]
 		if valid != nil && !valid(req) {
@@ -121,20 +128,23 @@ func (m *Mover) NextBatch(valid func(MoveRequest) bool) []MoveRequest {
 		batchBytes += req.Bytes
 		delete(m.pending, req.ID)
 	}
-	// Compact the survivors to the front and rebuild their indexes.
-	rest := m.queue[:0]
-	for ; i < len(m.queue); i++ {
-		m.pending[m.queue[i].ID] = len(rest)
-		rest = append(rest, m.queue[i])
+	m.head = i
+	// Reclaim the consumed prefix only once it is at least as long as
+	// the backlog behind it: the copy is then paid for by requests that
+	// already left, however many batches a long backlog takes to drain.
+	if rest := len(m.queue) - m.head; m.head >= rest {
+		copy(m.queue, m.queue[m.head:])
+		m.queue = m.queue[:rest]
+		m.seq0 += m.head
+		m.head = 0
 	}
-	m.queue = rest
 	m.stats.Emitted += int64(len(batch))
 	m.stats.EmittedBytes += batchBytes
 	return batch
 }
 
 // Pending returns the number of queued requests.
-func (m *Mover) Pending() int { return len(m.queue) }
+func (m *Mover) Pending() int { return len(m.queue) - m.head }
 
 // Stats returns the queue's lifetime counters.
 func (m *Mover) Stats() MoverStats { return m.stats }

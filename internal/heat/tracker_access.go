@@ -1,10 +1,6 @@
 package heat
 
-import (
-	"sort"
-
-	"repro/internal/blockmgr"
-)
+import "repro/internal/blockmgr"
 
 // heatFloor is the heat below which a decayed entry is dropped from the
 // tracker, bounding its size by the set of recently touched blocks.
@@ -18,23 +14,30 @@ const heatFloor = 1e-9
 // resets to one touch (the store rewrote the data, history from the
 // previous incarnation is stale), a hit adds one, Tick multiplies by the
 // decay factor and drops entries under the floor.
+//
+// Both components live in one id-ordered cell per block, and a zero
+// component is an absent one: recorded heat is at least the floor, so
+// zero is free to mean "no entry". Heat and write heat therefore still
+// decay out independently — a block whose combined heat has dropped
+// leaves Snapshot and Len while its write heat lives on.
 type AccessTracker struct {
-	decay float64
-	heat  map[blockmgr.BlockID]float64
-	write map[blockmgr.BlockID]float64
+	decay  float64
+	blocks ledger[accessHeat]
 
 	accesses int64
 	puts     int64
 }
 
+// accessHeat is one block's decayed counters; zero means absent.
+type accessHeat struct {
+	heat  float64
+	write float64
+}
+
 // NewAccessTracker returns an empty tracker decaying by the given factor
 // per epoch.
 func NewAccessTracker(decay float64) *AccessTracker {
-	return &AccessTracker{
-		decay: decay,
-		heat:  make(map[blockmgr.BlockID]float64),
-		write: make(map[blockmgr.BlockID]float64),
-	}
+	return &AccessTracker{decay: decay}
 }
 
 var _ Tracker = (*AccessTracker)(nil)
@@ -44,7 +47,7 @@ func (t *AccessTracker) Kind() TrackerKind { return AccessCounts }
 
 // BlockAccessed bumps the block's heat by one touch.
 func (t *AccessTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
-	t.heat[id]++
+	t.blocks.record(id).heat++
 	t.accesses++
 }
 
@@ -53,63 +56,69 @@ func (t *AccessTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 // (the data was rewritten), while the write component accumulates so a
 // block rewritten every epoch reads as persistently write-hot.
 func (t *AccessTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
-	t.heat[id] = 1
-	t.write[id]++
+	c := t.blocks.record(id)
+	c.heat = 1
+	c.write++
 	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
-func (t *AccessTracker) BlockEvicted(id blockmgr.BlockID, bytes int64) {
-	delete(t.heat, id)
-	delete(t.write, id)
-}
+func (t *AccessTracker) BlockEvicted(id blockmgr.BlockID, bytes int64) { t.blocks.forget(id) }
 
 // BlockDropped forgets an explicitly removed block.
-func (t *AccessTracker) BlockDropped(id blockmgr.BlockID, bytes int64) {
-	delete(t.heat, id)
-	delete(t.write, id)
+func (t *AccessTracker) BlockDropped(id blockmgr.BlockID, bytes int64) { t.blocks.forget(id) }
+
+// Tick decays every entry by the configured factor in one pass over the
+// cells, dropping components that fall below the floor and compacting
+// away cells with neither component left.
+func (t *AccessTracker) Tick() {
+	live := t.blocks.cells[:0]
+	for _, c := range t.blocks.cells {
+		c.p.heat = t.decayed(c.p.heat)
+		c.p.write = t.decayed(c.p.write)
+		if c.p != (accessHeat{}) {
+			live = append(live, c)
+		}
+	}
+	t.blocks.cells = live
 }
 
-// Tick decays every entry by the configured factor, dropping entries
-// that fall below the floor. Each entry is updated independently, so map
-// iteration order cannot influence the result.
-func (t *AccessTracker) Tick() {
-	for id, h := range t.heat {
-		h *= t.decay
-		if h < heatFloor {
-			delete(t.heat, id)
-		} else {
-			t.heat[id] = h
-		}
+// decayed is one component after a tick; an absent one stays absent.
+func (t *AccessTracker) decayed(h float64) float64 {
+	if h *= t.decay; h < heatFloor {
+		return 0
 	}
-	for id, w := range t.write {
-		w *= t.decay
-		if w < heatFloor {
-			delete(t.write, id)
-		} else {
-			t.write[id] = w
-		}
-	}
+	return h
 }
 
 // Heat returns the block's combined hotness (0 for unknown blocks).
-func (t *AccessTracker) Heat(id blockmgr.BlockID) float64 { return t.heat[id] }
+func (t *AccessTracker) Heat(id blockmgr.BlockID) float64 { return t.blocks.get(id).heat }
 
 // WriteHeat returns the block's write EWMA (0 for unknown blocks).
-func (t *AccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.write[id] }
+func (t *AccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.blocks.get(id).write }
 
-// Snapshot returns every tracked block's sample in block-ID order.
+// Snapshot returns the sample of every block with recorded heat: a
+// filtered copy of the cells, which are in block-ID order already.
 func (t *AccessTracker) Snapshot() []Sample {
-	out := make([]Sample, 0, len(t.heat))
-	for id, h := range t.heat {
-		out = append(out, Sample{ID: id, Heat: h, Write: t.write[id]})
+	out := make([]Sample, 0, len(t.blocks.cells))
+	for _, c := range t.blocks.cells {
+		if c.p.heat != 0 {
+			out = append(out, Sample{ID: c.id, Heat: c.p.heat, Write: c.p.write})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
 }
 
 // Len returns the number of blocks with recorded heat.
-func (t *AccessTracker) Len() int { return len(t.heat) }
+func (t *AccessTracker) Len() int {
+	n := 0
+	for _, c := range t.blocks.cells {
+		if c.p.heat != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // Counts returns the lifetime access and put totals.
 func (t *AccessTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }

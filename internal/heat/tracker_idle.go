@@ -1,10 +1,6 @@
 package heat
 
-import (
-	"sort"
-
-	"repro/internal/blockmgr"
-)
+import "repro/internal/blockmgr"
 
 // IdleTracker records, per block, how many epochs have passed since the
 // block was last touched — memtier's idle-page aging. Heat is derived as
@@ -14,21 +10,23 @@ import (
 // the same way from the last put, so WriteHeat == 1 identifies blocks
 // rewritten this epoch.
 type IdleTracker struct {
-	epoch     int64
-	lastTouch map[blockmgr.BlockID]int64
-	lastPut   map[blockmgr.BlockID]int64
+	// epoch starts at 1 so that a zero stamp means "never".
+	epoch  int64
+	blocks ledger[idleStamps]
 
 	accesses int64
 	puts     int64
 }
 
-// NewIdleTracker returns an empty idle-age tracker.
-func NewIdleTracker() *IdleTracker {
-	return &IdleTracker{
-		lastTouch: make(map[blockmgr.BlockID]int64),
-		lastPut:   make(map[blockmgr.BlockID]int64),
-	}
+// idleStamps are the epochs of one block's last touch and last put; a
+// block that was only ever read has put == 0.
+type idleStamps struct {
+	touched int64
+	put     int64
 }
+
+// NewIdleTracker returns an empty idle-age tracker.
+func NewIdleTracker() *IdleTracker { return &IdleTracker{epoch: 1} }
 
 var _ Tracker = (*IdleTracker)(nil)
 
@@ -37,59 +35,44 @@ func (t *IdleTracker) Kind() TrackerKind { return IdleAge }
 
 // BlockAccessed stamps the block as touched this epoch.
 func (t *IdleTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
-	t.lastTouch[id] = t.epoch
+	t.blocks.record(id).touched = t.epoch
 	t.accesses++
 }
 
 // BlockPut stamps the block as touched and written this epoch.
 func (t *IdleTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
-	t.lastTouch[id] = t.epoch
-	t.lastPut[id] = t.epoch
+	*t.blocks.record(id) = idleStamps{touched: t.epoch, put: t.epoch}
 	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
-func (t *IdleTracker) BlockEvicted(id blockmgr.BlockID, bytes int64) {
-	delete(t.lastTouch, id)
-	delete(t.lastPut, id)
-}
+func (t *IdleTracker) BlockEvicted(id blockmgr.BlockID, bytes int64) { t.blocks.forget(id) }
 
 // BlockDropped forgets an explicitly removed block.
-func (t *IdleTracker) BlockDropped(id blockmgr.BlockID, bytes int64) {
-	delete(t.lastTouch, id)
-	delete(t.lastPut, id)
-}
+func (t *IdleTracker) BlockDropped(id blockmgr.BlockID, bytes int64) { t.blocks.forget(id) }
 
 // Tick advances the epoch counter; every tracked block ages by one.
 func (t *IdleTracker) Tick() { t.epoch++ }
 
 // Age returns the epochs since the block was last touched, or -1 for
 // unknown blocks.
-func (t *IdleTracker) Age(id blockmgr.BlockID) int64 {
-	last, ok := t.lastTouch[id]
-	if !ok {
+func (t *IdleTracker) Age(id blockmgr.BlockID) int64 { return t.since(t.blocks.get(id).touched) }
+
+// since is the age of a stamp, -1 for one never set.
+func (t *IdleTracker) since(stamp int64) int64 {
+	if stamp == 0 {
 		return -1
 	}
-	return t.epoch - last
+	return t.epoch - stamp
 }
 
 // Heat returns 1/(1+age) — exactly HeatForAge(t.Age(id)) — and 0 for
 // unknown blocks.
-func (t *IdleTracker) Heat(id blockmgr.BlockID) float64 {
-	last, ok := t.lastTouch[id]
-	if !ok {
-		return 0
-	}
-	return HeatForAge(t.epoch - last)
-}
+func (t *IdleTracker) Heat(id blockmgr.BlockID) float64 { return HeatForAge(t.Age(id)) }
 
 // WriteHeat returns 1/(1+writeAge), aging from the last put.
 func (t *IdleTracker) WriteHeat(id blockmgr.BlockID) float64 {
-	last, ok := t.lastPut[id]
-	if !ok {
-		return 0
-	}
-	return HeatForAge(t.epoch - last)
+	return HeatForAge(t.since(t.blocks.get(id).put))
 }
 
 // HeatForAge maps an idle age (epochs since last touch) onto the heat
@@ -102,18 +85,22 @@ func HeatForAge(age int64) float64 {
 	return 1 / (1 + float64(age))
 }
 
-// Snapshot returns every tracked block's sample in block-ID order.
+// Snapshot returns every tracked block's sample: one pass over the
+// cells, which are in block-ID order already.
 func (t *IdleTracker) Snapshot() []Sample {
-	out := make([]Sample, 0, len(t.lastTouch))
-	for id := range t.lastTouch {
-		out = append(out, Sample{ID: id, Heat: t.Heat(id), Write: t.WriteHeat(id)})
+	out := make([]Sample, len(t.blocks.cells))
+	for i, c := range t.blocks.cells {
+		out[i] = Sample{
+			ID:    c.id,
+			Heat:  HeatForAge(t.since(c.p.touched)),
+			Write: HeatForAge(t.since(c.p.put)),
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
 }
 
 // Len returns the number of tracked blocks.
-func (t *IdleTracker) Len() int { return len(t.lastTouch) }
+func (t *IdleTracker) Len() int { return len(t.blocks.cells) }
 
 // Counts returns the lifetime access and put totals.
 func (t *IdleTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }

@@ -66,6 +66,12 @@ type Engine struct {
 	refusedMoves   int64
 	migStallNS     float64
 	migCounters    [memsim.NumTiers]memsim.Counters
+
+	// Names of the per-tier and per-class gauges, built once: tier and
+	// class counts are fixed at construction.
+	occupancyGauges   [memsim.NumTiers]string
+	classBlocksGauges []string
+	classBytesGauges  []string
 }
 
 // NewEngine builds an engine over an application's executor pool and
@@ -97,6 +103,13 @@ func NewEngine(cfg Config, pool *executor.Pool, store *shuffle.Store,
 		if e.chain, err = heat.NewChain(heat.AllForecasters()); err != nil {
 			return nil, err
 		}
+	}
+	for _, t := range memsim.AllTiers() {
+		e.occupancyGauges[t] = fmt.Sprintf("tiering.occupancy.tier%d", int(t))
+	}
+	for i := 0; i < classifier.Classes(); i++ {
+		e.classBlocksGauges = append(e.classBlocksGauges, fmt.Sprintf("tiering.heatmap.class%d.blocks", i))
+		e.classBytesGauges = append(e.classBytesGauges, fmt.Sprintf("tiering.heatmap.class%d.bytes", i))
 	}
 	for id := range e.execs {
 		e.AttachExecutor(id)
@@ -207,7 +220,7 @@ func (e *Engine) Tick() {
 		if e.chain != nil {
 			pred = e.chain.Forecast(st.history, snap)
 		}
-		moves := e.policy.Plan(e.cfg, e.view(id, epochSeconds, specs, pred, &epochMap))
+		moves := e.policy.Plan(e.cfg, e.view(id, epochSeconds, specs, snap, pred, &epochMap))
 		if st.mover != nil {
 			moves = rateLimit(st.mover, e.pool.Executors[id].Blocks, moves)
 		}
@@ -331,23 +344,32 @@ func (e *Engine) RefusedMoves() int64 { return e.refusedMoves }
 
 // view builds the frozen planning view for one executor and, as a side
 // effect of the same walk, classifies every resident block into the
-// epoch's heatmap. pred is the forecaster chain's output (nil when the
-// policy does not forecast): blocks found there plan on their predicted
-// heat and write heat, blocks absent from it (or every block, without a
-// chain) plan on the tracker's current values.
+// epoch's heatmap. The walk is a merge join of three id-ordered lists:
+// the resident blocks, the tracker snapshot the tick just took (a block
+// absent from it has no recorded heat) and pred, the forecaster chain's
+// output (nil when the policy does not forecast). Blocks found in pred
+// plan on their predicted heat and write heat, blocks absent from it (or
+// every block, without a chain) plan on the tracker's current values.
 func (e *Engine) view(id int, epochSeconds float64, specs [memsim.NumTiers]memsim.TierSpec,
-	pred []heat.Sample, epochMap *heat.Heatmap) View {
+	snap, pred []heat.Sample, epochMap *heat.Heatmap) View {
 	blocks := e.pool.Executors[id].Blocks
 	tr := e.execs[id].tracker
 	infos := blocks.Blocks()
 	heats := make([]BlockHeat, len(infos))
+	// infos, snap and pred are all in block-id order: one cursor each.
+	si, pi := 0, 0
 	for i, b := range infos {
-		h := tr.Heat(b.ID)
-		p, w := h, tr.WriteHeat(b.ID)
-		if pred != nil {
-			if s, ok := heat.Lookup(pred, b.ID); ok {
-				p, w = s.Heat, s.Write
-			}
+		var h, p, w float64
+		var ok bool
+		if si, ok = heat.Seek(snap, si, b.ID); ok {
+			h, p, w = snap[si].Heat, snap[si].Heat, snap[si].Write
+		} else {
+			// No recorded heat; the access tracker may still hold write
+			// heat for it, which decays on its own clock.
+			w = tr.WriteHeat(b.ID)
+		}
+		if pi, ok = heat.Seek(pred, pi, b.ID); ok {
+			p, w = pred[pi].Heat, pred[pi].Write
 		}
 		heats[i] = BlockHeat{BlockInfo: b, Heat: h, Predicted: p, Write: w}
 		epochMap.Add(h, b.Bytes)
@@ -390,7 +412,7 @@ func (e *Engine) publishGauges() {
 		}
 	}
 	for _, t := range memsim.AllTiers() {
-		e.reg.Set(fmt.Sprintf("tiering.occupancy.tier%d", int(t)), occ[t])
+		e.reg.Set(e.occupancyGauges[t], occ[t])
 	}
 	e.reg.Set("tiering.epochs", int64(e.epoch))
 	e.reg.Set("tiering.migrated_blocks", e.migratedBlocks)
@@ -399,8 +421,8 @@ func (e *Engine) publishGauges() {
 	if len(e.heatmaps) > 0 {
 		m := e.heatmaps[len(e.heatmaps)-1].Map
 		for i := range m.Blocks {
-			e.reg.Set(fmt.Sprintf("tiering.heatmap.class%d.blocks", i), m.Blocks[i])
-			e.reg.Set(fmt.Sprintf("tiering.heatmap.class%d.bytes", i), m.Bytes[i])
+			e.reg.Set(e.classBlocksGauges[i], m.Blocks[i])
+			e.reg.Set(e.classBytesGauges[i], m.Bytes[i])
 		}
 	}
 	if e.cfg.UsesMover() {

@@ -2,7 +2,7 @@ package tiering
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/blockmgr"
 	"repro/internal/heat"
@@ -86,7 +86,7 @@ func planWatermark(cfg Config, v View) []Move {
 
 	if fastUsed > high {
 		cands := onTier(v.Blocks, cfg.Fast)
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Heat < cands[j].Heat })
+		slices.SortStableFunc(cands, coldestFirst)
 		var moves []Move
 		for _, b := range cands {
 			if fastUsed <= low {
@@ -100,7 +100,7 @@ func planWatermark(cfg Config, v View) []Move {
 
 	if fastUsed < low {
 		cands := onTier(v.Blocks, cfg.Slow)
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Heat > cands[j].Heat })
+		slices.SortStableFunc(cands, hottestFirst)
 		var moves []Move
 		for _, b := range cands {
 			if b.Heat < minHeat {
@@ -149,11 +149,36 @@ func (bandwidthPolicy) Plan(cfg Config, v View) []Move {
 // onTier filters the id-ordered block view down to one tier, preserving
 // order.
 func onTier(blocks []BlockHeat, t memsim.TierID) []BlockHeat {
-	var out []BlockHeat
+	n := 0
+	for i := range blocks {
+		if blocks[i].Tier == t {
+			n++
+		}
+	}
+	out := make([]BlockHeat, 0, n)
 	for _, b := range blocks {
 		if b.Tier == t {
 			out = append(out, b)
 		}
 	}
 	return out
+}
+
+// The candidate orders. Every one is a stable sort of an id-ordered
+// list, so equal keys break by block id.
+func coldestFirst(a, b BlockHeat) int          { return heatOrder(a.Heat, b.Heat) }
+func hottestFirst(a, b BlockHeat) int          { return heatOrder(b.Heat, a.Heat) }
+func predictedColdestFirst(a, b BlockHeat) int { return heatOrder(a.Predicted, b.Predicted) }
+func predictedHottestFirst(a, b BlockHeat) int { return heatOrder(b.Predicted, a.Predicted) }
+
+// heatOrder compares two heats with < alone, not cmp.Compare: two blocks
+// tie exactly when neither heat is strictly below the other.
+func heatOrder(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }

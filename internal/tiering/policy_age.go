@@ -1,7 +1,7 @@
 package tiering
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/heat"
 )
@@ -35,7 +35,7 @@ func (agePolicy) Plan(cfg Config, v View) []Move {
 	var moves []Move
 
 	fast := onTier(v.Blocks, cfg.Fast)
-	sort.SliceStable(fast, func(i, j int) bool { return fast[i].Heat < fast[j].Heat })
+	slices.SortStableFunc(fast, coldestFirst)
 	draining := fastUsed > high
 	for _, b := range fast {
 		// Coldest-first means the idle blocks form a prefix; past it,

@@ -1,7 +1,7 @@
 package tiering
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/heat"
 )
@@ -40,7 +40,7 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 	var moves []Move
 
 	fast := onTier(v.Blocks, cfg.Fast)
-	sort.SliceStable(fast, func(i, j int) bool { return fast[i].Predicted < fast[j].Predicted })
+	slices.SortStableFunc(fast, predictedColdestFirst)
 	draining := fastUsed > high
 	for _, b := range fast {
 		// Classification is monotone in heat, so the predicted-cold
@@ -53,7 +53,7 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 	}
 
 	slow := onTier(v.Blocks, cfg.Slow)
-	sort.SliceStable(slow, func(i, j int) bool { return slow[i].Predicted > slow[j].Predicted })
+	slices.SortStableFunc(slow, predictedHottestFirst)
 	for _, b := range slow {
 		if heat.Class(bounds, b.Predicted) < cfg.promoteClass {
 			break // hottest-first: everything after is predicted colder
