@@ -85,7 +85,7 @@ func autotier(c *ctx) func() error {
 			fmt.Fprintf(c.stderr, "autotier: %s/%s done (footprint %d B, %d cells)\n",
 				w, *size, s.footprint, len(s.cells))
 		}
-		report := renderSweeps(sweeps, size.String(), *seed)
+		report := renderSweeps(sweeps, size.String(), c.generatedBy("autotier.md", "size", "seed", "policies"))
 		path, err := deliver(report)
 		if path == "" {
 			fmt.Fprint(c.stdout, report)
@@ -154,10 +154,10 @@ func sweepWorkload(workload string, size workloads.Size, seed int64, policies []
 }
 
 // renderSweeps produces the markdown report.
-func renderSweeps(sweeps []tierSweep, size string, seed int64) string {
+func renderSweeps(sweeps []tierSweep, size, generatedBy string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Online tiering sweep\n\n")
-	fmt.Fprintf(&b, "Generated by `go run ./cmd/repro autotier -size %s -seed %d -o results/autotier.md`.\n\n", size, seed)
+	b.WriteString(generatedBy)
 	b.WriteString(`Placement: heap and shuffle on Tier 0 (local DRAM), the RDD cache on
 Tier 3 (remote DCPM) — the DRAM-constrained deployment where cached data
 overflows to the far NVDIMM group. The static policy keeps every cached

@@ -144,7 +144,7 @@ func chaos(c *ctx) func() error {
 				}
 			}
 		}
-		if err := c.deliverAfterLog(deliver, chaosReport(cells, tiers)); err != nil {
+		if err := c.deliverAfterLog(deliver, chaosReport(cells, tiers, c.generatedBy("chaos_recovery.md", "smoke", "tiers", "size", "seed"))); err != nil {
 			return err
 		}
 		return fails.err()
@@ -230,9 +230,10 @@ func runScenario(base hibench.RunSpec, baseline hibench.RunResult, sc scenario) 
 }
 
 // chaosReport emits the per-tier recovery-overhead table in markdown.
-func chaosReport(cells []chaosCell, tiers []memsim.TierID) string {
+func chaosReport(cells []chaosCell, tiers []memsim.TierID, generatedBy string) string {
 	var b strings.Builder
 	b.WriteString("# Chaos harness: virtual-time recovery overhead\n\n")
+	b.WriteString(generatedBy)
 	b.WriteString("Every recovered run reproduced its fault-free results byte-identically;\n")
 	b.WriteString("the table shows what recovery cost in virtual time, per tier.\n\n")
 	for _, tier := range tiers {

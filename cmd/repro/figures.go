@@ -314,7 +314,11 @@ func correlate(c *ctx) func() error {
 func sensitivity(c *ctx) func() error {
 	size, names, seed := c.size("small"), c.workloads(nil), c.seed(1)
 	return func() error {
-		core.SensitivityTable(core.RunSensitivity(*names, *size, *seed)).Render(c.stdout)
+		results, err := core.RunSensitivity(*names, *size, *seed)
+		if err != nil {
+			return err
+		}
+		core.SensitivityTable(results).Render(c.stdout)
 		return nil
 	}
 }
@@ -334,6 +338,7 @@ func copybytes(c *ctx) func() error {
 		var w strings.Builder
 		fmt.Fprintln(&w, "# Shuffle copy bytes saved per tier")
 		fmt.Fprintln(&w)
+		fmt.Fprint(&w, c.generatedBy("shuffle_copy.md", "workloads", "size", "seed"))
 		fmt.Fprintln(&w, "Map outputs are block-manager-owned chunk sets; a reduce task")
 		fmt.Fprintln(&w, "co-resident with the writer reads them by reference, so those bytes")
 		fmt.Fprintln(&w, "never cross the shuffle tier a second time. With the shuffle placed")

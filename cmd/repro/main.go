@@ -189,6 +189,25 @@ func (c *ctx) output() (deliver func(report string) (path string, err error)) {
 	}
 }
 
+// generatedBy is the line a report carries under its title: the command
+// that regenerates the committed results/<file>, with the named flags as
+// they were given (an unset boolean or empty one left out).
+func (c *ctx) generatedBy(file string, flags ...string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Generated by `go run ./cmd/repro %s", c.fs.Name())
+	for _, name := range flags {
+		switch v := c.fs.Lookup(name).Value.String(); v {
+		case "", "false":
+		case "true":
+			fmt.Fprintf(&b, " -%s", name)
+		default:
+			fmt.Fprintf(&b, " -%s %s", name, v)
+		}
+	}
+	fmt.Fprintf(&b, " -o results/%s`.\n\n", file)
+	return b.String()
+}
+
 func (c *ctx) cache() *string {
 	return c.fs.String("cache", advisor.DefaultCacheDir, "advisor result-cache directory (empty disables)")
 }

@@ -111,7 +111,7 @@ func tenants(c *ctx) func() error {
 			c.println("determinism: 1-vs-8 worker reports byte-identical")
 		}
 
-		if err := c.deliverAfterLog(deliver, tenantReport(cells, exhaustion, *seed, *size)); err != nil {
+		if err := c.deliverAfterLog(deliver, tenantReport(cells, exhaustion, *seed, *size, c.generatedBy("multitenant.md", "smoke", "size", "seed"))); err != nil {
 			return err
 		}
 		return fails.err()
@@ -176,9 +176,10 @@ func totalJobDur(res *multitenant.MixResult) sim.Time {
 // policy with the lowest mean total job duration across scheduler
 // policies (makespan tie-breaks: queue serialization dominates it, so
 // per-job virtual time is where migration quality shows).
-func tenantReport(cells []tenantCell, exhaustion string, seed int64, size workloads.Size) string {
+func tenantReport(cells []tenantCell, exhaustion string, seed int64, size workloads.Size, generatedBy string) string {
 	var b strings.Builder
 	b.WriteString("# Multi-tenant contention: scheduler x migration policy sweep\n\n")
+	b.WriteString(generatedBy)
 	fmt.Fprintf(&b, "Seeded mix (seed %d, %s size): tenants with pinched DRAM quotas submit\n", seed, size)
 	b.WriteString("concurrent jobs under a DRAM budget that fits ~2 jobs; overflow queues, and\n")
 	b.WriteString("over-quota placements spill to DCPM instead of failing.\n\n")

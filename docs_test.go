@@ -94,6 +94,64 @@ func TestDocsAndCINameRealCommands(t *testing.T) {
 	}
 }
 
+// pathMention finds the repository paths prose names: a file under
+// results/, a *_output.txt transcript, an examples/ program. In
+// results/README.md a backticked bare file name is a sibling of the README.
+var (
+	pathMention    = regexp.MustCompile(`\b(results/[\w.-]+\.(?:md|txt|json)|\w+_output\.txt|examples/[\w-]+)`)
+	siblingMention = regexp.MustCompile("`([\\w-]+\\.(?:md|txt|json))`")
+)
+
+// TestDocsNameRealPaths fails on a named artefact that is not in the tree:
+// README.md cited test and bench transcripts nobody had committed, and a
+// results/ file deleted or renamed would otherwise stay advertised.
+func TestDocsNameRealPaths(t *testing.T) {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "results/README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, m := range pathMention.FindAllStringSubmatch(string(text), -1) {
+			paths = append(paths, m[1])
+		}
+		if doc == "results/README.md" {
+			for _, m := range siblingMention.FindAllStringSubmatch(string(text), -1) {
+				paths = append(paths, filepath.Join("results", m[1]))
+			}
+		}
+		for _, path := range paths {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s names %s, which is not in the tree", doc, path)
+			}
+		}
+	}
+}
+
+// TestExamplesBuildAndRun keeps examples/ more than prose: each program
+// builds and runs to exit 0. They are the only callers of the DFS-backed
+// sources and sinks, the Chrome trace export and EnableTracing, so this is
+// also what keeps those reachable for TestExportedSymbolsAreReached.
+func TestExamplesBuildAndRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the examples")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	for name, args := range map[string][]string{
+		"quickstart":       nil,
+		"pagerank-tiering": nil,
+		"trace-explorer":   {filepath.Join(t.TempDir(), "trace.json")},
+	} {
+		out, err := exec.Command(filepath.Join(bin, name), args...).CombinedOutput()
+		if err != nil || len(out) == 0 {
+			t.Errorf("examples/%s %v: %v\n%s", name, args, err, out)
+		}
+	}
+}
+
 // TestWorkflowStepNamesParse rejects the defect that once disabled every
 // CI check silently: a plain YAML scalar holding ": " ends at the colon, so
 // GitHub refuses the whole workflow file.

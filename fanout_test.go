@@ -28,16 +28,23 @@ func goStatementAllowed(path string, g *ast.GoStmt) bool {
 // aside, and hands it to visit under its slash-separated path.
 func eachSourceFile(t *testing.T, roots []string, visit func(path string, fset *token.FileSet, file *ast.File)) {
 	t.Helper()
+	eachGoFile(t, roots, func(path string) bool { return !strings.HasSuffix(path, "_test.go") }, visit)
+}
+
+// eachGoFile is eachSourceFile over the Go files keep admits; hidden
+// directories (build and cache output) are skipped with testdata.
+func eachGoFile(t *testing.T, roots []string, keep func(path string) bool, visit func(path string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() && d.Name() == "testdata" {
+			if d.IsDir() && (d.Name() == "testdata" || len(d.Name()) > 1 && d.Name()[0] == '.') {
 				return filepath.SkipDir
 			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || !keep(path) {
 				return nil
 			}
 			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)

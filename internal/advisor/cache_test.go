@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,4 +107,45 @@ func TestNilCacheIsInert(t *testing.T) {
 	if err := c.Store("k", Result{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzCacheEntryDecode puts arbitrary bytes where an entry file belongs
+// (a torn write, a stranger's file, a hostile cache directory). Lookup
+// never panics; it reports a miss or a Result that is well-formed in the
+// sense that matters to a cache: stored again, it reads back unchanged.
+func FuzzCacheEntryDecode(f *testing.F) {
+	const key, hash = "pagerank|tiny|tier:2||1", "hash-a"
+	valid, err := json.Marshal(cacheEntry{Schema: cacheSchema, EngineHash: hash, Key: key, Result: sampleResult(key)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		[]byte(`{"schema":1,"engine_hash":"hash-a","key":"pagerank|tiny|tier:2||1","result":{}}`),
+		[]byte(`{"schema":1,"engine_hash":"hash-a","key":"pagerank|tiny|tier:2||1","result":{"seconds":1e999}}`),
+		[]byte(`{"schema":1,"engine_hash":"hash-a","key":"pagerank|tiny|tier:2||1","result":{"query":[]}}`),
+		[]byte(`{"schema":999,"engine_hash":"hash-a","key":"pagerank|tiny|tier:2||1"}`),
+		[]byte("\x00\x01\x02 not json at all"),
+		[]byte(`null`),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := OpenCache(t.TempDir(), hash)
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := c.Lookup(key)
+		if !ok {
+			return
+		}
+		if err := c.Store(key, res); err != nil {
+			t.Fatalf("a result Lookup served cannot be stored: %v", err)
+		}
+		if again, ok := c.Lookup(key); !ok || again != res {
+			t.Fatalf("a result Lookup served does not survive a store: %+v, then %+v (hit %v)", res, again, ok)
+		}
+	})
 }

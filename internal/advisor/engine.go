@@ -147,9 +147,6 @@ type Recommendation struct {
 	Best int `json:"best"`
 }
 
-// BestResult returns the recommended cell.
-func (r Recommendation) BestResult() Result { return r.Candidates[r.Best] }
-
 // Recommend evaluates the candidate placement set — every membind tier
 // plus every standard placement — and picks the fastest one whose NVM
 // share meets the floor. All candidate cells go through Eval, so a

@@ -294,7 +294,7 @@ func TestEngineRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.BestResult().Query.Placement; got != "tier:0" {
+	if got := rec.Candidates[rec.Best].Query.Placement; got != "tier:0" {
 		t.Fatalf("unconstrained recommendation = %q; want tier:0", got)
 	}
 
@@ -304,7 +304,7 @@ func TestEngineRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.BestResult().Query.Placement; got != "cache-NVM" {
+	if got := rec.Candidates[rec.Best].Query.Placement; got != "cache-NVM" {
 		t.Fatalf("constrained recommendation = %q; want cache-NVM", got)
 	}
 	if len(rec.Candidates) != len(durations) {

@@ -25,7 +25,7 @@ import (
 //
 // Borrowed references are tracked by an intra-procedural value-flow pass
 // over the shared fact base: a value is borrowed when it comes from
-// TaskContext.FetchShuffleChunks, the shuffle store's Get/Fetch/Inputs
+// TaskContext.FetchShuffleChunks, the shuffle store's Get/Inputs
 // accessors, a ChunkSet's Chunks payload, a module call returning chunks
 // (the column-window accessors), or any indexing/slicing/assignment
 // chain rooted at one of those. The shuffle package itself (the owner)
@@ -56,7 +56,7 @@ func chunkish(t types.Type) bool {
 // whose results are borrowed chunk references.
 var borrowSources = map[string]map[string]map[string]bool{
 	executorPath: {"TaskContext": {"FetchShuffleChunks": true}},
-	shufflePath:  {"Store": {"Get": true, "Fetch": true, "Inputs": true}},
+	shufflePath:  {"Store": {"Get": true, "Inputs": true}},
 }
 
 func runChunkAlias(p *Pass) {

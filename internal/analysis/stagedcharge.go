@@ -51,7 +51,6 @@ var forbiddenInTask = map[string]map[string]map[string]string{
 			"Put":        "use TaskContext.PutBlock: puts are staged and replayed at commit",
 			"Get":        "use TaskContext.GetBlock: it reads the stage-start snapshot via Peek and stages the hit",
 			"Remove":     "block removal mutates LRU state; it belongs to the driver",
-			"Clear":      "block clearing mutates LRU state; it belongs to the driver",
 			"RemoveAll":  "wholesale block loss is the scheduler's crash path (crashExecutor), never task compute",
 			"ReplayHit":  "replays are issued by TaskContext.Commit only",
 			"ReplayMiss": "replays are issued by TaskContext.Commit only",

@@ -116,12 +116,6 @@ func New(capacity int64) *Manager {
 	}
 }
 
-// Capacity returns the configured capacity (0 or negative = unbounded).
-func (m *Manager) Capacity() int64 { return m.capacity }
-
-// Used returns the bytes currently stored.
-func (m *Manager) Used() int64 { return m.used }
-
 // Len returns the number of stored blocks.
 func (m *Manager) Len() int { return len(m.blocks) }
 
@@ -401,11 +395,6 @@ func (m *Manager) RemoveAll() (blocks int, bytes int64) {
 	m.used = 0
 	m.tierUsed = [memsim.NumTiers]int64{}
 	return blocks, bytes
-}
-
-// Clear drops all blocks.
-func (m *Manager) Clear() {
-	m.RemoveAll()
 }
 
 func (m *Manager) removeEntry(e *entry) {

@@ -48,8 +48,8 @@ func TestLRUEviction(t *testing.T) {
 	if !m.Contains(a) || !m.Contains(c) || m.Contains(b) {
 		t.Fatal("wrong survivor set after eviction")
 	}
-	if m.Used() != 80 {
-		t.Fatalf("used = %d, want 80", m.Used())
+	if m.used != 80 {
+		t.Fatalf("used = %d, want 80", m.used)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestReplaceUpdatesUsage(t *testing.T) {
 	id := BlockID{2, 0}
 	m.Put(id, "v1", 30, 1)
 	m.Put(id, "v2", 70, 2)
-	if m.Used() != 70 || m.Len() != 1 {
-		t.Fatalf("used/len = %d/%d, want 70/1", m.Used(), m.Len())
+	if m.used != 70 || m.Len() != 1 {
+		t.Fatalf("used/len = %d/%d, want 70/1", m.used, m.Len())
 	}
 	data, _, _, _ := m.Get(id)
 	if data.(string) != "v2" {
@@ -93,9 +93,9 @@ func TestRemoveAndClear(t *testing.T) {
 		t.Fatal("Remove returned true for missing block")
 	}
 	m.Put(id, 1, 10, 1)
-	m.Clear()
-	if m.Len() != 0 || m.Used() != 0 {
-		t.Fatal("Clear left residue")
+	m.RemoveAll()
+	if m.Len() != 0 || m.used != 0 {
+		t.Fatal("RemoveAll left residue")
 	}
 }
 
@@ -139,7 +139,7 @@ func TestUsageInvariantProperty(t *testing.T) {
 			}
 			want += sz
 		}
-		return m.Used() == want && m.Used() <= capBytes && m.Len() == len(live)
+		return m.used == want && m.used <= capBytes && m.Len() == len(live)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -160,8 +160,8 @@ func TestRemoveAllReportsLossAndKeepsStats(t *testing.T) {
 	if blocks != 2 || bytes != 150 {
 		t.Fatalf("RemoveAll = (%d, %d), want (2, 150)", blocks, bytes)
 	}
-	if m.Len() != 0 || m.Used() != 0 {
-		t.Fatalf("store not empty after RemoveAll: len=%d used=%d", m.Len(), m.Used())
+	if m.Len() != 0 || m.used != 0 {
+		t.Fatalf("store not empty after RemoveAll: len=%d used=%d", m.Len(), m.used)
 	}
 	hits, misses, _ := m.Stats()
 	if hits != 1 || misses != 1 {
@@ -169,7 +169,7 @@ func TestRemoveAllReportsLossAndKeepsStats(t *testing.T) {
 	}
 	// The LRU list must be reusable after the wipe.
 	m.Put(BlockID{RDD: 2, Partition: 0}, "c", 10, 1)
-	if m.Len() != 1 || m.Used() != 10 {
+	if m.Len() != 1 || m.used != 10 {
 		t.Fatal("store unusable after RemoveAll")
 	}
 	if b, _ := m.RemoveAll(); b != 1 {

@@ -47,7 +47,7 @@ func driveOps(m *Manager) []string {
 	log = append(log, fmt.Sprintf("bigput evicted %v", ev))
 	m.Remove(ids(1))
 	h, mi, e := m.Stats()
-	log = append(log, fmt.Sprintf("stats %d/%d/%d used=%d len=%d", h, mi, e, m.Used(), m.Len()))
+	log = append(log, fmt.Sprintf("stats %d/%d/%d used=%d len=%d", h, mi, e, m.used, m.Len()))
 	return log
 }
 
@@ -146,8 +146,8 @@ func checkResidencyInvariants(t *testing.T, m *Manager) {
 		}
 		sum += m.TierUsed(id)
 	}
-	if sum != m.Used() {
-		t.Fatalf("per-tier occupancy sums to %d, Used()=%d", sum, m.Used())
+	if sum != m.used {
+		t.Fatalf("per-tier occupancy sums to %d, used=%d", sum, m.used)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestResidencyInvariantsProperty(t *testing.T) {
 		}
 		m.RemoveAll()
 		checkResidencyInvariants(t, m)
-		if m.Used() != 0 || m.Len() != 0 {
-			t.Fatalf("capacity=%d: RemoveAll left used=%d len=%d", capacity, m.Used(), m.Len())
+		if m.used != 0 || m.Len() != 0 {
+			t.Fatalf("capacity=%d: RemoveAll left used=%d len=%d", capacity, m.used, m.Len())
 		}
 	}
 }
@@ -219,8 +219,8 @@ func TestOversizedOverwriteDropsDisplaced(t *testing.T) {
 	if ev := m.Put(id, "huge", 300, 1); ev != nil {
 		t.Fatalf("oversized overwrite reported evictions %v", ev)
 	}
-	if m.Contains(id) || m.Used() != 0 || len(m.Blocks()) != 0 {
-		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.Used(), m.Blocks())
+	if m.Contains(id) || m.used != 0 || len(m.Blocks()) != 0 {
+		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.used, m.Blocks())
 	}
 	want := []string{"put rdd_1_0 100", "drop rdd_1_0 100"}
 	if fmt.Sprint(obs.events) != fmt.Sprint(want) {

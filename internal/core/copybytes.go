@@ -37,10 +37,6 @@ type CopyPoint struct {
 	Copies memsim.CopyCounters
 }
 
-// SavedBytes is the chunk bytes served by reference on the shuffle tier —
-// the copy traffic a segment-copying shuffle would have issued there.
-func (p CopyPoint) SavedBytes() int64 { return p.Copies.LocalBytes }
-
 // CopyStudy is the copy-bytes report for a set of workloads.
 type CopyStudy struct {
 	Size   workloads.Size

@@ -42,10 +42,19 @@ func sensitivityKnobs() []string {
 }
 
 // RunSensitivity perturbs each knob by ±20% (object churn by ±1 step) and
-// re-measures the tier gaps for the given workloads at the given size.
-func RunSensitivity(names []string, size workloads.Size, seed int64) []SensitivityResult {
+// re-measures the tier gaps for the given workloads at the given size. An
+// unknown workload name is an error.
+func RunSensitivity(names []string, size workloads.Size, seed int64) ([]SensitivityResult, error) {
 	if names == nil {
 		names = []string{"repartition", "bayes", "lda"}
+	}
+	ws := make([]workloads.Workload, len(names))
+	for i, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		ws[i] = w
 	}
 	var out []SensitivityResult
 	for _, knob := range sensitivityKnobs() {
@@ -58,7 +67,7 @@ func RunSensitivity(names []string, size workloads.Size, seed int64) []Sensitivi
 			specs := memsim.DefaultSpecs()
 			applyKnob(&cost, &specs, knob, scale)
 
-			geo, ordering := measureGaps(names, size, seed, &cost, &specs)
+			geo, ordering := measureGaps(ws, size, seed, &cost, &specs)
 			out = append(out, SensitivityResult{
 				Knob:          knob,
 				Scale:         scale,
@@ -67,7 +76,7 @@ func RunSensitivity(names []string, size workloads.Size, seed int64) []Sensitivi
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // applyKnob perturbs one parameter group in place.
@@ -113,15 +122,11 @@ func applyKnob(cost *executor.CostModel, specs *[memsim.NumTiers]memsim.TierSpec
 
 // measureGaps runs the workloads across all tiers under the perturbed
 // model and returns (geomean T2 slowdown, ordering-held).
-func measureGaps(names []string, size workloads.Size, seed int64,
+func measureGaps(ws []workloads.Workload, size workloads.Size, seed int64,
 	cost *executor.CostModel, specs *[memsim.NumTiers]memsim.TierSpec) (float64, bool) {
 	ordering := true
 	var t2ratios []float64
-	for _, name := range names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			panic(err)
-		}
+	for _, w := range ws {
 		var times [memsim.NumTiers]float64
 		for _, tier := range memsim.AllTiers() {
 			conf := cluster.DefaultConf()

@@ -104,7 +104,10 @@ func TestSensitivityRobustConclusions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity analysis skipped in -short")
 	}
-	results := RunSensitivity([]string{"repartition", "bayes"}, workloads.Small, 1)
+	results, err := RunSensitivity([]string{"repartition", "bayes"}, workloads.Small, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var baseline float64
 	for _, r := range results {
 		if r.Knob == "baseline" {
@@ -134,30 +137,12 @@ func TestSensitivityRobustConclusions(t *testing.T) {
 	}
 }
 
-// Across different input seeds (different generated datasets of the same
-// size), execution times vary only mildly: the tier conclusions are not
-// dataset luck.
-func TestVarianceAcrossSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("variance study skipped in -short")
-	}
-	cells := NewEvaluator(nil).VarianceStudy([]string{"repartition", "bayes", "pagerank"},
-		workloads.Small, []int64{1, 2, 3})
-	if len(cells) != 3*4 {
-		t.Fatalf("cells = %d, want 12", len(cells))
-	}
-	for _, c := range cells {
-		t.Logf("%s %v: %.4fs ± %.1f%%", c.Workload, c.Tier, c.MeanSec, c.CV*100)
-		if c.N != 3 || c.MeanSec <= 0 {
-			t.Fatalf("malformed cell %+v", c)
-		}
-	}
-	if worst := MaxCV(cells); worst > 0.15 {
-		t.Errorf("worst CV %.1f%% across seeds; conclusions too dataset-dependent", worst*100)
-	}
-	tbl := VarianceTable(cells)
-	if len(tbl.Rows) != len(cells) {
-		t.Fatalf("table rows = %d", len(tbl.Rows))
+// An unknown workload name is the caller's error to handle, whether or
+// not a flag parser stood in front of the library.
+func TestSensitivityUnknownWorkload(t *testing.T) {
+	results, err := RunSensitivity([]string{"sort", "nosuch"}, workloads.Tiny, 1)
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) || results != nil {
+		t.Fatalf("RunSensitivity(nosuch) = %v, %v; want an error naming the workload", results, err)
 	}
 }
 

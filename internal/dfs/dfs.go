@@ -1,9 +1,10 @@
 // Package dfs implements a miniature Hadoop Distributed File System: a
 // namenode holding the namespace and block locations, datanodes holding
 // replicated fixed-size blocks, and client read/write paths. The paper's
-// testbed stores Spark input/output on HDFS; here the engine's sources and
-// sinks stream through dfs so scan and write costs flow through the same
-// charging paths as everything else.
+// testbed stores Spark input/output on HDFS. No catalog workload goes
+// through this package — they generate their input in place and write to
+// rdd.SaveAsSink — only a pipeline that stages a file and reads it back
+// (rdd.SaveToDFS, rdd.TextFileDFS; examples/trace-explorer) does.
 //
 // dfs is a pure data structure: byte movement is charged by the caller
 // (the RDD source / sink) which knows the executor's memory binding.
@@ -53,12 +54,6 @@ type DataNode struct {
 	used   int64
 }
 
-// Used returns the bytes stored on the node.
-func (d *DataNode) Used() int64 { return d.used }
-
-// NumBlocks returns the replica count held.
-func (d *DataNode) NumBlocks() int { return len(d.blocks) }
-
 // FileSystem is the namenode plus its datanodes.
 type FileSystem struct {
 	blockSize   int64
@@ -97,31 +92,6 @@ func New(nodes int, blockSize int64, replication int) *FileSystem {
 	return fs
 }
 
-// BlockSize returns the filesystem block size.
-func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
-
-// Replication returns the effective replication factor.
-func (fs *FileSystem) Replication() int { return fs.replication }
-
-// NumDataNodes returns the cluster size.
-func (fs *FileSystem) NumDataNodes() int { return len(fs.nodes) }
-
-// DataNodeStats returns (used bytes, replica count) per node.
-func (fs *FileSystem) DataNodeStats() []struct {
-	Used   int64
-	Blocks int
-} {
-	out := make([]struct {
-		Used   int64
-		Blocks int
-	}, len(fs.nodes))
-	for i, n := range fs.nodes {
-		out[i].Used = n.used
-		out[i].Blocks = n.NumBlocks()
-	}
-	return out
-}
-
 // Create writes a file from data, splitting into blocks and replicating
 // across datanodes round-robin. Overwriting an existing path fails like
 // HDFS (write-once semantics).
@@ -158,12 +128,6 @@ func (fs *FileSystem) Create(path string, data []byte) error {
 	}
 	fs.files[path] = meta
 	return nil
-}
-
-// Exists reports whether the path is present.
-func (fs *FileSystem) Exists(path string) bool {
-	_, ok := fs.files[path]
-	return ok
 }
 
 // Size returns a file's length in bytes.
@@ -235,13 +199,4 @@ func (fs *FileSystem) List() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalUsed returns the cluster-wide stored bytes (including replication).
-func (fs *FileSystem) TotalUsed() int64 {
-	var t int64
-	for _, n := range fs.nodes {
-		t += n.used
-	}
-	return t
 }

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// totalUsed is the cluster-wide stored bytes, replication included.
+func totalUsed(fs *FileSystem) int64 {
+	var t int64
+	for _, n := range fs.nodes {
+		t += n.used
+	}
+	return t
+}
+
 func TestCreateReadRoundtrip(t *testing.T) {
 	fs := New(4, 1024, 2)
 	data := bytes.Repeat([]byte("hibench!"), 1000) // 8000 bytes -> 8 blocks
@@ -55,25 +64,24 @@ func TestReplicationFactor(t *testing.T) {
 		}
 	}
 	// Each block replicated 3x: total = 250 * 3.
-	if fs.TotalUsed() != 750 {
-		t.Fatalf("total used = %d, want 750", fs.TotalUsed())
+	if totalUsed(fs) != 750 {
+		t.Fatalf("total used = %d, want 750", totalUsed(fs))
 	}
 }
 
 func TestReplicationCappedAtNodes(t *testing.T) {
 	fs := New(2, 0, 5)
-	if fs.Replication() != 2 {
-		t.Fatalf("replication = %d, want capped at 2", fs.Replication())
+	if fs.replication != 2 {
+		t.Fatalf("replication = %d, want capped at 2", fs.replication)
 	}
 }
 
 func TestBlockPlacementSpreads(t *testing.T) {
 	fs := New(4, 64, 1)
 	fs.Create("/big", make([]byte, 64*8)) // 8 blocks over 4 nodes
-	stats := fs.DataNodeStats()
-	for i, s := range stats {
-		if s.Blocks != 2 {
-			t.Fatalf("node %d holds %d blocks, want 2 (round-robin)", i, s.Blocks)
+	for i, n := range fs.nodes {
+		if len(n.blocks) != 2 {
+			t.Fatalf("node %d holds %d blocks, want 2 (round-robin)", i, len(n.blocks))
 		}
 	}
 }
@@ -84,10 +92,10 @@ func TestDeleteFreesSpace(t *testing.T) {
 	if err := fs.Delete("/tmp1"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.TotalUsed() != 0 {
-		t.Fatalf("used = %d after delete", fs.TotalUsed())
+	if totalUsed(fs) != 0 {
+		t.Fatalf("used = %d after delete", totalUsed(fs))
 	}
-	if fs.Exists("/tmp1") {
+	if len(fs.List()) != 0 {
 		t.Fatal("file still listed")
 	}
 	if err := fs.Delete("/tmp1"); err == nil {
@@ -163,7 +171,7 @@ func TestRoundtripProperty(t *testing.T) {
 		if eff > n {
 			eff = n
 		}
-		return fs.TotalUsed() == int64(len(data)*eff)
+		return totalUsed(fs) == int64(len(data)*eff)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -33,12 +33,6 @@ type Coefficients struct {
 	BackgroundWattsPerDIMM float64
 }
 
-// ReadNJPerByte returns dynamic read energy normalized per byte, used to
-// check the paper's "NVM costs less power per access" premise.
-func (c Coefficients) ReadNJPerByte(kind memsim.Kind) float64 {
-	return c.ReadNJPerLine / float64(kind.LineSize())
-}
-
 // DefaultCoefficients returns the calibrated per-technology parameters.
 func DefaultCoefficients() map[memsim.Kind]Coefficients {
 	return map[memsim.Kind]Coefficients{
@@ -62,12 +56,6 @@ type Meter struct {
 
 // NewMeter returns a meter with the default coefficients.
 func NewMeter() *Meter { return &Meter{coeffs: DefaultCoefficients()} }
-
-// NewMeterWithCoefficients returns a meter with custom parameters (for
-// ablation studies).
-func NewMeterWithCoefficients(c map[memsim.Kind]Coefficients) *Meter {
-	return &Meter{coeffs: c}
-}
 
 // Report is the energy breakdown for one device group over one run.
 type Report struct {
@@ -119,14 +107,4 @@ func (m *Meter) Measure(spec memsim.TierSpec, counters memsim.Counters, elapsed 
 		r.AvgPowerWatt = total / s
 	}
 	return r
-}
-
-// MeasureSystem reports energy for every tier of the system over elapsed.
-func (m *Meter) MeasureSystem(sys *memsim.System, elapsed sim.Time) [memsim.NumTiers]Report {
-	var out [memsim.NumTiers]Report
-	for _, id := range memsim.AllTiers() {
-		t := sys.Tier(id)
-		out[id] = m.Measure(t.Spec, t.Counters(), elapsed)
-	}
-	return out
 }

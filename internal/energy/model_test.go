@@ -13,8 +13,8 @@ func TestDCPMCheaperPerByteRead(t *testing.T) {
 	// The paper's premise in §IV-D: NVM provides less power consumption
 	// per access (per byte moved) than DRAM.
 	c := DefaultCoefficients()
-	dram := c[memsim.DRAM].ReadNJPerByte(memsim.DRAM)
-	dcpm := c[memsim.DCPM].ReadNJPerByte(memsim.DCPM)
+	dram := c[memsim.DRAM].ReadNJPerLine / float64(memsim.DRAM.LineSize())
+	dcpm := c[memsim.DCPM].ReadNJPerLine / float64(memsim.DCPM.LineSize())
 	if dcpm >= dram {
 		t.Errorf("DCPM read energy/byte %.3f nJ must be below DRAM %.3f nJ", dcpm, dram)
 	}
@@ -96,29 +96,10 @@ func TestDCPMTotalEnergyExceedsDRAMDespiteCheaperAccesses(t *testing.T) {
 	}
 }
 
-func TestMeasureSystem(t *testing.T) {
-	k := sim.NewKernel()
-	sys := memsim.NewSystem(k)
-	sys.Tier(memsim.Tier1).RecordAccess(Read, 1<<20)
-	m := NewMeter()
-	reports := m.MeasureSystem(sys, sim.Second)
-	if reports[memsim.Tier1].MediaReads == 0 {
-		t.Error("tier 1 activity missing from system report")
-	}
-	for _, r := range reports {
-		if r.BackgroundJ <= 0 {
-			t.Errorf("%v background energy must be positive over 1s", r.Tier)
-		}
-	}
-	if reports[memsim.Tier0].String() == "" {
-		t.Error("empty report string")
-	}
-}
-
 func TestCustomCoefficientsAndPanic(t *testing.T) {
-	m := NewMeterWithCoefficients(map[memsim.Kind]Coefficients{
+	m := &Meter{coeffs: map[memsim.Kind]Coefficients{
 		memsim.DRAM: {ReadNJPerLine: 1, WriteNJPerLine: 1, BackgroundWattsPerDIMM: 1},
-	})
+	}}
 	spec := memsim.DefaultSpecs()[memsim.Tier2] // DCPM has no coefficients here
 	defer func() {
 		if recover() == nil {
@@ -127,9 +108,6 @@ func TestCustomCoefficientsAndPanic(t *testing.T) {
 	}()
 	m.Measure(spec, memsim.Counters{}, sim.Second)
 }
-
-// Read is a local alias to keep the test table terse.
-const Read = memsim.Read
 
 func TestReportString(t *testing.T) {
 	m := NewMeter()

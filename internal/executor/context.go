@@ -145,13 +145,6 @@ type TaskContext struct {
 	committed   bool
 }
 
-// NewTaskContext builds a context with all categories on one tier; rand is
-// seeded from (seed, partition) so reruns are bit-identical.
-func NewTaskContext(execID, partition int, tier *memsim.Tier, cost CostModel,
-	blocks *blockmgr.Manager, shuf *shuffle.Store, seed int64) *TaskContext {
-	return NewPlacedTaskContext(execID, partition, tier, tier, tier, cost, blocks, shuf, seed)
-}
-
 // NewPlacedTaskContext builds a context with per-category tiers.
 func NewPlacedTaskContext(execID, partition int, heap, shufTier, cacheTier *memsim.Tier,
 	cost CostModel, blocks *blockmgr.Manager, shuf *shuffle.Store, seed int64) *TaskContext {
@@ -300,9 +293,6 @@ func (c *TaskContext) ShuffleSeq(op memsim.Op, bytes int64) { c.seqOn(c.ShuffleT
 func (c *TaskContext) ShuffleRand(op memsim.Op, items int, bytes int64) {
 	c.randOn(c.ShuffleTier, op, items, bytes)
 }
-
-// CacheSeq charges a streaming burst against the RDD-cache tier.
-func (c *TaskContext) CacheSeq(op memsim.Op, bytes int64) { c.seqOn(c.CacheTier, op, bytes) }
 
 // TierSeq charges a streaming burst against an explicit tier. It is the
 // staged charge primitive behind residency-aware cache accounting and the

@@ -129,15 +129,6 @@ func (p *Pool) ConfigureContext(ctx *TaskContext) *TaskContext {
 // Size returns the number of executors.
 func (p *Pool) Size() int { return len(p.Executors) }
 
-// TotalCores returns the pool-wide core count.
-func (p *Pool) TotalCores() int {
-	n := 0
-	for _, e := range p.Executors {
-		n += e.Cores
-	}
-	return n
-}
-
 // Alive reports whether an executor slot holds a live executor.
 func (p *Pool) Alive(id int) bool {
 	return id >= 0 && id < len(p.Executors) && !p.dead[id]

@@ -69,7 +69,7 @@ func TestTaskContextIgnoresNonPositive(t *testing.T) {
 	ctx.CPUPerRecord(-1, 10)
 	ctx.MemSeq(memsim.Read, 0)
 	ctx.MemRand(memsim.Write, 0, 100)
-	if p := ctx.Profile(); p.CPUNS != 0 || p.TotalMediaBytes() != 0 {
+	if p := ctx.Profile(); p != (Profile{}) {
 		t.Errorf("non-positive charges leaked into profile: %+v", p)
 	}
 	ctx.Commit()
@@ -136,15 +136,15 @@ func TestProfileAdd(t *testing.T) {
 	if a.CPUNS != 13 || a.Tiers[memsim.Tier0].StallLines[memsim.Read] != 7 || a.Tiers[memsim.Tier0].SeqBytes[memsim.Write] != 150 {
 		t.Errorf("Add result wrong: %+v", a)
 	}
-	if a.TotalMediaBytes() != 180 {
-		t.Errorf("TotalMediaBytes = %d, want 180", a.TotalMediaBytes())
+	if got := a.Tiers[memsim.Tier2].RandBytes[memsim.Read]; got != 30 {
+		t.Errorf("Add dropped a tier the receiver had not touched: %d rand bytes, want 30", got)
 	}
 }
 
 func TestPoolBasics(t *testing.T) {
 	_, _, pool := newTestRig(memsim.Tier1)
-	if pool.Size() != 1 || pool.TotalCores() != 4 {
-		t.Fatalf("pool = %d execs x %d cores", pool.Size(), pool.TotalCores())
+	if pool.Size() != 1 || pool.Executors[0].Cores != 4 {
+		t.Fatalf("pool = %d execs x %d cores", pool.Size(), pool.Executors[0].Cores)
 	}
 	if pool.AssignPartition(7) != pool.Executors[0] {
 		t.Error("single-executor pool must own every partition")
@@ -362,7 +362,7 @@ func TestPlacedContextRoutesCategories(t *testing.T) {
 
 	ctx.MemSeq(memsim.Read, 64_000)
 	ctx.ShuffleSeq(memsim.Write, 64_000)
-	ctx.CacheSeq(memsim.Write, 64_000)
+	ctx.TierSeq(ctx.CacheTier, memsim.Write, 64_000)
 	ctx.ShuffleRand(memsim.Read, 10, 640)
 	ctx.Commit() // nil Blocks/Shuffle: commit publishes only tier deltas
 

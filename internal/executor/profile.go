@@ -53,17 +53,6 @@ func (p *Profile) Add(other Profile) {
 	}
 }
 
-// TotalMediaBytes is the task's total media traffic across all tiers.
-func (p Profile) TotalMediaBytes() int64 {
-	var total int64
-	for t := range p.Tiers {
-		for i := 0; i < 2; i++ {
-			total += p.Tiers[t].SeqBytes[i] + p.Tiers[t].RandBytes[i]
-		}
-	}
-	return total
-}
-
 // randSeqBytes returns the task's total scattered and streaming bytes,
 // used by the allocator-contention model.
 func (p Profile) randSeqBytes() (randB, seqB float64) {

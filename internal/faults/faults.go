@@ -18,7 +18,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -163,88 +162,6 @@ func (p *Plan) SpeculationThreshold() float64 {
 		return DefaultSpeculationFactor
 	}
 	return p.SpeculationFactor
-}
-
-// ScheduleSpec parameterizes a seeded chaos schedule.
-type ScheduleSpec struct {
-	// Executors is the pool size the schedule is drawn against.
-	Executors int
-	// Window is the virtual-time span crash times are drawn from.
-	Window sim.Time
-	// Crashes is the number of executor crashes to schedule; victims are
-	// distinct executors. Capped at Executors-1 when Replace is false so
-	// the pool never empties.
-	Crashes int
-	// Replace restarts every crashed executor.
-	Replace bool
-	// Stragglers is the number of slow executors, drawn from slots not
-	// already crashed where possible.
-	Stragglers int
-	// StragglerFactor is the slowdown applied to each straggler (must
-	// be >= 1 to have an effect).
-	StragglerFactor float64
-	// TaskFailureRate is copied into the plan.
-	TaskFailureRate float64
-	// Speculation is copied into the plan.
-	Speculation bool
-}
-
-// Generate draws a deterministic chaos schedule from a seed: crash times
-// uniform over the window, victims and stragglers from a seeded
-// permutation of the executors. The same (seed, spec) always yields the
-// same plan.
-func Generate(seed int64, spec ScheduleSpec) *Plan {
-	if spec.Executors <= 0 {
-		spec.Executors = 1
-	}
-	perm := seededPerm(seed, spec.Executors)
-	plan := &Plan{
-		TaskFailureRate: spec.TaskFailureRate,
-		Speculation:     spec.Speculation,
-	}
-	crashes := spec.Crashes
-	if !spec.Replace && crashes > spec.Executors-1 {
-		crashes = spec.Executors - 1
-	}
-	if crashes > spec.Executors {
-		crashes = spec.Executors
-	}
-	for i := 0; i < crashes; i++ {
-		at := sim.Time(float64(spec.Window) * Uniform(Mix(uint64(seed), 0xc4a5, uint64(i))))
-		plan.Crashes = append(plan.Crashes, Crash{Exec: perm[i], At: at, Replace: spec.Replace})
-	}
-	// Crashes apply in slice order at stage boundaries; keep them in
-	// time order so the schedule reads naturally.
-	sort.SliceStable(plan.Crashes, func(i, j int) bool { return plan.Crashes[i].At < plan.Crashes[j].At })
-	stragglers := spec.Stragglers
-	if stragglers > spec.Executors {
-		stragglers = spec.Executors
-	}
-	for i := 0; i < stragglers; i++ {
-		// Walk the permutation backwards so stragglers avoid crash
-		// victims until the pool is exhausted.
-		slot := perm[(spec.Executors-1-i+spec.Executors)%spec.Executors]
-		plan.Stragglers = append(plan.Stragglers, Straggler{Exec: slot, Factor: spec.StragglerFactor})
-	}
-	sort.SliceStable(plan.Stragglers, func(i, j int) bool { return plan.Stragglers[i].Exec < plan.Stragglers[j].Exec })
-	return plan
-}
-
-// seededPerm orders 0..n-1 by a per-slot hash (a deterministic shuffle).
-func seededPerm(seed int64, n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ha := Mix(uint64(seed), 0x9e37, uint64(perm[a]))
-		hb := Mix(uint64(seed), 0x9e37, uint64(perm[b]))
-		if ha != hb {
-			return ha < hb
-		}
-		return perm[a] < perm[b]
-	})
-	return perm
 }
 
 // JobAbortedError is the job-level failure surfaced when recovery gives

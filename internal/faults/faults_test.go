@@ -3,8 +3,6 @@ package faults
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestNilPlanIsInert(t *testing.T) {
@@ -55,80 +53,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	}
 	if err := ok.Validate(4); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
-	}
-}
-
-func TestGenerateDeterministicAndInBounds(t *testing.T) {
-	spec := ScheduleSpec{
-		Executors:       6,
-		Window:          sim.Time(1e9),
-		Crashes:         3,
-		Stragglers:      2,
-		StragglerFactor: 2.5,
-		TaskFailureRate: 0.01,
-		Speculation:     true,
-	}
-	a := Generate(42, spec)
-	b := Generate(42, spec)
-	if len(a.Crashes) != 3 || len(a.Stragglers) != 2 {
-		t.Fatalf("generated %d crashes, %d stragglers", len(a.Crashes), len(a.Stragglers))
-	}
-	for i := range a.Crashes {
-		if a.Crashes[i] != b.Crashes[i] {
-			t.Fatalf("crash %d differs across same-seed generations: %+v vs %+v", i, a.Crashes[i], b.Crashes[i])
-		}
-		if a.Crashes[i].At < 0 || a.Crashes[i].At >= sim.Time(1e9) {
-			t.Fatalf("crash time %v outside window", a.Crashes[i].At)
-		}
-		if i > 0 && a.Crashes[i].At < a.Crashes[i-1].At {
-			t.Fatal("crashes not time-sorted")
-		}
-	}
-	for i := range a.Stragglers {
-		if a.Stragglers[i] != b.Stragglers[i] {
-			t.Fatal("stragglers differ across same-seed generations")
-		}
-	}
-	if err := a.Validate(spec.Executors); err != nil {
-		t.Fatalf("generated plan invalid: %v", err)
-	}
-
-	// Distinct crash victims.
-	seen := map[int]bool{}
-	for _, c := range a.Crashes {
-		if seen[c.Exec] {
-			t.Fatalf("executor %d crashed twice", c.Exec)
-		}
-		seen[c.Exec] = true
-	}
-
-	// A different seed must eventually produce a different schedule.
-	c := Generate(43, spec)
-	same := len(c.Crashes) == len(a.Crashes)
-	if same {
-		for i := range a.Crashes {
-			if a.Crashes[i] != c.Crashes[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 generated identical crash schedules")
-	}
-}
-
-func TestGenerateCapsUnreplacedCrashes(t *testing.T) {
-	p := Generate(7, ScheduleSpec{Executors: 3, Window: 100, Crashes: 5})
-	if len(p.Crashes) != 2 {
-		t.Fatalf("unreplaced crashes = %d, want capped at executors-1 = 2", len(p.Crashes))
-	}
-	if err := p.Validate(3); err != nil {
-		t.Fatalf("capped plan invalid: %v", err)
-	}
-	r := Generate(7, ScheduleSpec{Executors: 3, Window: 100, Crashes: 5, Replace: true})
-	if len(r.Crashes) != 3 {
-		t.Fatalf("replaced crashes = %d, want capped at executors = 3", len(r.Crashes))
 	}
 }
 

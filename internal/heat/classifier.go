@@ -91,17 +91,6 @@ func (m *Heatmap) Add(h float64, bytes int64) {
 	m.Bytes[cls] += bytes
 }
 
-// Merge accumulates another heatmap with identical boundaries.
-func (m *Heatmap) Merge(o Heatmap) {
-	if len(o.Blocks) != len(m.Blocks) {
-		panic(fmt.Sprintf("heat: merging heatmaps with %d vs %d classes", len(o.Blocks), len(m.Blocks)))
-	}
-	for i := range m.Blocks {
-		m.Blocks[i] += o.Blocks[i]
-		m.Bytes[i] += o.Bytes[i]
-	}
-}
-
 // Totals sums the map: total blocks and bytes across every class.
 func (m *Heatmap) Totals() (blocks, bytes int64) {
 	for i := range m.Blocks {

@@ -120,27 +120,9 @@ func TestHeatmapAccounting(t *testing.T) {
 		t.Fatalf("totals = %d/%d, want 4/1350", blocks, bytes)
 	}
 
-	o := c.NewHeatmap()
-	o.Add(3, 30) // class 2
-	m.Merge(o)
-	if m.Blocks[2] != 1 || m.Bytes[2] != 30 {
-		t.Fatalf("merge lost class 2: %v", m)
-	}
-
 	clone := m.Clone()
 	clone.Add(0.1, 1)
 	if m.Blocks[0] != 1 {
 		t.Fatal("clone aliases the original")
 	}
-}
-
-func TestHeatmapMergeShapeMismatchPanics(t *testing.T) {
-	a := mustClassifier(t, []float64{1}).NewHeatmap()
-	b := mustClassifier(t, []float64{1, 2}).NewHeatmap()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched merge did not panic")
-		}
-	}()
-	a.Merge(b)
 }

@@ -14,8 +14,8 @@ func samples(heats ...float64) []Sample {
 
 func TestHistoryRing(t *testing.T) {
 	h := NewHistory(3)
-	if h.Limit() != 3 || h.Epochs() != 0 {
-		t.Fatalf("fresh history: limit=%d epochs=%d", h.Limit(), h.Epochs())
+	if h.limit != 3 || h.Epochs() != 0 {
+		t.Fatalf("fresh history: limit=%d epochs=%d", h.limit, h.Epochs())
 	}
 	for i := 1; i <= 5; i++ {
 		h.Push(samples(float64(i)))
@@ -36,7 +36,7 @@ func TestHistoryRing(t *testing.T) {
 	if got := h.Total(1); got != 4 {
 		t.Fatalf("Total(1) = %v, want 4", got)
 	}
-	if NewHistory(0).Limit() != 2 {
+	if NewHistory(0).limit != 2 {
 		t.Fatal("limit floor not applied")
 	}
 }
@@ -46,9 +46,6 @@ func TestHistoryTotals(t *testing.T) {
 	h.Push([]Sample{{ID: bid(0), Heat: 1, Write: 0.5}, {ID: bid(1), Heat: 2, Write: 0.25}})
 	if got := h.Total(0); got != 3 {
 		t.Fatalf("Total = %v, want 3", got)
-	}
-	if got := h.WriteTotal(0); got != 0.75 {
-		t.Fatalf("WriteTotal = %v, want 0.75", got)
 	}
 }
 

@@ -52,9 +52,6 @@ const (
 	IdleAge TrackerKind = "idle"
 )
 
-// AllTrackers lists the tracker kinds.
-func AllTrackers() []TrackerKind { return []TrackerKind{AccessCounts, IdleAge} }
-
 // Sample is one block's heat at one epoch. Heat is the generic hotness
 // scalar every consumer orders by (higher = hotter); Write isolates the
 // write component so policies can tell a read-hot block (worth promoting

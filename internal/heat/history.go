@@ -15,7 +15,6 @@ type History struct {
 type epochRecord struct {
 	samples []Sample // in block-ID order
 	total   float64  // sum of Heat across samples
-	writes  float64  // sum of Write across samples
 }
 
 // NewHistory returns an empty history keeping the last limit epochs
@@ -34,7 +33,6 @@ func (h *History) Push(samples []Sample) {
 	rec := epochRecord{samples: samples}
 	for _, s := range samples {
 		rec.total += s.Heat
-		rec.writes += s.Write
 	}
 	h.epochs = append(h.epochs, rec)
 	if len(h.epochs) > h.limit {
@@ -45,9 +43,6 @@ func (h *History) Push(samples []Sample) {
 
 // Epochs returns how many epochs are recorded (≤ the limit).
 func (h *History) Epochs() int { return len(h.epochs) }
-
-// Limit returns the configured ring capacity.
-func (h *History) Limit() int { return h.limit }
 
 // At returns the snapshot back epochs ago (0 = the newest), or nil when
 // the history is shorter than that.
@@ -65,14 +60,6 @@ func (h *History) Total(back int) float64 {
 		return 0
 	}
 	return h.epochs[len(h.epochs)-1-back].total
-}
-
-// WriteTotal returns the aggregate write heat back epochs ago.
-func (h *History) WriteTotal(back int) float64 {
-	if back < 0 || back >= len(h.epochs) {
-		return 0
-	}
-	return h.epochs[len(h.epochs)-1-back].writes
 }
 
 // Seek advances a cursor over an ID-ordered snapshot to the first sample

@@ -78,9 +78,6 @@ func NewMover(maxBytes int64, maxMoves int) *Mover {
 	}
 }
 
-// Budgets returns the per-batch byte and move budgets.
-func (m *Mover) Budgets() (maxBytes int64, maxMoves int) { return m.maxBytes, m.maxMoves }
-
 // Enqueue adds one desired move, replacing any pending request for the
 // same block, and reports whether the request was accepted. A request
 // bigger than the whole byte budget is refused — it could never ship.

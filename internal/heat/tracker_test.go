@@ -124,7 +124,7 @@ func TestSnapshotsSorted(t *testing.T) {
 }
 
 func TestNewTracker(t *testing.T) {
-	for _, k := range AllTrackers() {
+	for _, k := range []TrackerKind{AccessCounts, IdleAge} {
 		tr, err := NewTracker(k, 0.5)
 		if err != nil {
 			t.Fatal(err)

@@ -175,7 +175,7 @@ func parseTierPlacement(s string) (memsim.TierID, error) {
 
 func parseInterleavePlacement(s string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimPrefix(s, "interleave:"), 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // NaN parses and compares false with everything
 		return 0, fmt.Errorf("hibench: invalid interleave placement %q (want interleave:F with F in [0,1])", s)
 	}
 	return f, nil

@@ -36,6 +36,7 @@ func TestQueryNormalizeRejectsInvalid(t *testing.T) {
 		"bad-size":         {Workload: "pagerank", Size: "huge"},
 		"bad-tier":         {Workload: "pagerank", Size: "tiny", Placement: "tier:7"},
 		"bad-interleave":   {Workload: "pagerank", Size: "tiny", Placement: "interleave:1.5"},
+		"nan-interleave":   {Workload: "pagerank", Size: "tiny", Placement: "interleave:NaN"},
 		"bad-name":         {Workload: "pagerank", Size: "tiny", Placement: "all-Optane"},
 		"bad-policy":       {Workload: "pagerank", Size: "tiny", Policy: "dram-gen9"},
 		"tier-not-numeric": {Workload: "pagerank", Size: "tiny", Placement: "tier:two"},
@@ -136,4 +137,42 @@ func TestNVMShare(t *testing.T) {
 	if got := NVMShare(res); got != 0.5 {
 		t.Fatalf("NVMShare = %v; want 0.5", got)
 	}
+}
+
+// FuzzQueryNormalize feeds Normalize what an advisord request body can
+// hold. It never panics; what it accepts is a fixed point (normalizing
+// again changes nothing, so Key is stable) and names a cell: Spec resolves
+// it, with an interleave fraction inside [0, 1].
+func FuzzQueryNormalize(f *testing.F) {
+	for _, q := range []Query{
+		{Workload: "pagerank", Size: "tiny"},
+		{Workload: "lda", Size: "large", Placement: "interleave:0.50", Policy: "cxl-dram", Seed: 7},
+		{Workload: "sort", Size: "small", Placement: "tier:+3", Seed: -1},
+		{Workload: "rf", Size: "tiny", Placement: "cache-NVM"},
+		{Workload: "als", Size: "tiny", Placement: "interleave:NaN"},
+		{Workload: "bayes", Size: "tiny", Placement: "interleave:-0"},
+		{Workload: "bayes", Size: "tiny", Placement: "interleave:0x1p-1"},
+		{Workload: "sort", Size: "tiny", Placement: "tier:7"},
+		{Size: "tiny", Placement: "tier:"},
+	} {
+		f.Add(q.Workload, q.Size, q.Placement, q.Policy, q.Seed)
+	}
+	f.Fuzz(func(t *testing.T, workload, size, placement, policy string, seed int64) {
+		q := Query{Workload: workload, Size: size, Placement: placement, Policy: policy, Seed: seed}
+		n, err := q.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil || again != n || again.Key() != n.Key() {
+			t.Fatalf("Normalize(%+v) = %+v is not a fixed point: normalizing again gives %+v, %v", q, n, again, err)
+		}
+		spec, err := n.Spec()
+		if err != nil {
+			t.Fatalf("normalized query %+v names no cell: %v", n, err)
+		}
+		if p := spec.Placement; p != nil && !(p.HeapSpillFrac >= 0 && p.HeapSpillFrac <= 1) {
+			t.Fatalf("normalized query %+v spills a fraction %v of the heap", n, p.HeapSpillFrac)
+		}
+	})
 }

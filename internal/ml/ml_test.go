@@ -257,21 +257,6 @@ func TestTreeRouting(t *testing.T) {
 	}
 }
 
-func TestQuantize(t *testing.T) {
-	if Quantize(-1, 0, 1, 8) != 0 {
-		t.Error("below-range not clamped")
-	}
-	if Quantize(2, 0, 1, 8) != 7 {
-		t.Error("above-range not clamped")
-	}
-	if Quantize(0.5, 0, 1, 8) != 4 {
-		t.Error("midpoint bin wrong")
-	}
-	if Quantize(1, 1, 1, 4) != 0 {
-		t.Error("degenerate range must map to bin 0")
-	}
-}
-
 func TestLDAGibbsConservesCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	state := NewLDAState(4, 20, 0.1, 0.01)

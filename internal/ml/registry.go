@@ -10,8 +10,6 @@ import "repro/internal/rdd"
 // is by construction.
 func init() {
 	rdd.RegisterSized[BinStats]()
-	rdd.RegisterSized[KMeansAccum]()
-	rdd.RegisterSized[*KMeansState]()
 	rdd.RegisterSized[*LDAState]()
 	rdd.RegisterSized[*LDADelta]()
 	rdd.RegisterSized[*Document]()

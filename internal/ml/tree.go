@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BinStats accumulates per-(node, feature, bin) class histograms for
 // level-wise distributed decision-tree building (the MLlib approach:
@@ -212,23 +209,4 @@ func (t *Tree) NodeOf(bins []int, level int) int {
 		}
 	}
 	return i
-}
-
-// Quantize maps a raw feature value into one of nBins equi-width bins over
-// [lo, hi].
-func Quantize(v, lo, hi float64, nBins int) int {
-	if nBins <= 0 {
-		panic("ml: quantize with no bins")
-	}
-	if hi <= lo {
-		return 0
-	}
-	b := int(math.Floor((v - lo) / (hi - lo) * float64(nBins)))
-	if b < 0 {
-		return 0
-	}
-	if b >= nBins {
-		return nBins - 1
-	}
-	return b
 }

@@ -53,29 +53,6 @@ func TestBindingForTier(t *testing.T) {
 	}
 }
 
-func TestTierNodeMapping(t *testing.T) {
-	cases := map[memsim.TierID]NodeID{
-		memsim.Tier0: Node0DRAM,
-		memsim.Tier1: Node1DRAM,
-		memsim.Tier2: Node2NVM,
-		memsim.Tier3: Node2NVM,
-	}
-	for tier, want := range cases {
-		if got := TierNode(tier); got != want {
-			t.Errorf("TierNode(%v) = %v, want %v", tier, got, want)
-		}
-	}
-}
-
-func TestTierNodePanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("TierNode(invalid) did not panic")
-		}
-	}()
-	TierNode(memsim.TierID(42))
-}
-
 // The probes must recover Table I: this validates the entire latency and
 // bandwidth plumbing of the memory simulator end to end (experiment E-T1).
 func TestProbesRecoverTableI(t *testing.T) {
@@ -119,35 +96,4 @@ func TestProbeDefaults(t *testing.T) {
 
 func newProbeSystem() *memsim.System {
 	return memsim.NewSystem(sim.NewKernel())
-}
-
-func TestLoadedLatencyCurveMonotone(t *testing.T) {
-	for _, tier := range []memsim.TierID{memsim.Tier0, memsim.Tier2} {
-		curve := LoadedLatencyCurve(tier, nil)
-		if len(curve) != 8 {
-			t.Fatalf("curve points = %d", len(curve))
-		}
-		if math.Abs(curve[0][1]-memsim.DefaultSpecs()[tier].IdleLatencyNS) > 1e-6 {
-			t.Errorf("%v single-sharer latency %.6f != idle %.1f",
-				tier, curve[0][1], memsim.DefaultSpecs()[tier].IdleLatencyNS)
-		}
-		for i := 1; i < len(curve); i++ {
-			if curve[i][1] <= curve[i-1][1] {
-				t.Fatalf("%v loaded latency not increasing at %v sharers", tier, curve[i][0])
-			}
-		}
-	}
-	// DCPM's curve rises faster than DRAM's (Takeaway 6).
-	dram := LoadedLatencyCurve(memsim.Tier0, []int{1, 40})
-	dcpm := LoadedLatencyCurve(memsim.Tier2, []int{1, 40})
-	if dcpm[1][1]/dcpm[0][1] <= dram[1][1]/dram[0][1] {
-		t.Error("DCPM loaded-latency inflation must exceed DRAM's")
-	}
-}
-
-func TestProbeLoadedLatencyDefaults(t *testing.T) {
-	sys := newProbeSystem()
-	if l := ProbeLoadedLatency(sys, memsim.Tier1, 0, 0); l <= 0 {
-		t.Fatal("default loaded-latency probe returned nothing")
-	}
 }

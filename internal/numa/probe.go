@@ -68,37 +68,3 @@ func ProbeAllTiers() []ProbeResult {
 	}
 	return out
 }
-
-// ProbeLoadedLatency measures a tier's access latency with `sharers`
-// concurrent pointer-chasers active, the way Intel MLC's loaded-latency
-// sweep does. Returns nanoseconds per access for the observed chaser.
-func ProbeLoadedLatency(sys *memsim.System, tier memsim.TierID, sharers, accesses int) float64 {
-	if accesses <= 0 {
-		accesses = 1 << 12
-	}
-	if sharers < 1 {
-		sharers = 1
-	}
-	t := sys.Tier(tier)
-	line := t.Spec.Kind.LineSize()
-	totalNS := 0.0
-	for i := 0; i < accesses; i++ {
-		t.RecordAccess(memsim.Read, line)
-		totalNS += t.LoadedLatencyNS(memsim.Read, sharers) * memsim.Random.LatencyExposure()
-	}
-	return totalNS / float64(accesses)
-}
-
-// LoadedLatencyCurve sweeps sharer counts and returns (sharers, ns) pairs,
-// the shape MLC plots as its loaded-latency curve.
-func LoadedLatencyCurve(tier memsim.TierID, sharerCounts []int) [][2]float64 {
-	if sharerCounts == nil {
-		sharerCounts = []int{1, 2, 4, 8, 16, 24, 32, 40}
-	}
-	out := make([][2]float64, 0, len(sharerCounts))
-	for _, s := range sharerCounts {
-		sys := memsim.NewSystem(sim.NewKernel())
-		out = append(out, [2]float64{float64(s), ProbeLoadedLatency(sys, tier, s, 1024)})
-	}
-	return out
-}

@@ -17,29 +17,15 @@ import (
 // SocketID identifies a physical processor socket.
 type SocketID int
 
-// The testbed's two sockets.
+// The testbed has two sockets; every binding in the tree computes on the
+// first (Table I's tiers are already local or remote relative to it).
 const (
-	Socket0 SocketID = iota
-	Socket1
-	NumSockets
+	Socket0    SocketID = 0
+	NumSockets SocketID = 2
 )
 
 // String returns "socket0" or "socket1".
 func (s SocketID) String() string { return fmt.Sprintf("socket%d", int(s)) }
-
-// NodeID identifies an OS-visible NUMA node.
-type NodeID int
-
-// The three NUMA nodes of Figure 1.
-const (
-	Node0DRAM NodeID = iota // DRAM of socket 0
-	Node1DRAM               // DRAM of socket 1
-	Node2NVM                // Optane DCPM capacity
-	NumNodes
-)
-
-// String returns a numactl-style node name.
-func (n NodeID) String() string { return fmt.Sprintf("numa%d", int(n)) }
 
 // Topology describes the simulated machine.
 type Topology struct {
@@ -102,18 +88,4 @@ func (b Binding) Validate() error {
 // socket — Table I was measured exactly this way.)
 func BindingForTier(tier memsim.TierID) Binding {
 	return Binding{CPU: Socket0, Mem: tier}
-}
-
-// TierNode maps an access-scenario tier to the OS NUMA node that backs it.
-func TierNode(tier memsim.TierID) NodeID {
-	switch tier {
-	case memsim.Tier0:
-		return Node0DRAM
-	case memsim.Tier1:
-		return Node1DRAM
-	case memsim.Tier2, memsim.Tier3:
-		return Node2NVM
-	default:
-		panic(fmt.Sprintf("numa: invalid tier %d", tier))
-	}
 }

@@ -61,11 +61,12 @@ func TestAccumulator(t *testing.T) {
 		t.Fatal("name lost")
 	}
 	r := rdd.Parallelize(app, "xs", ints(100), 5)
-	rdd.ForeachPartition(r, func(ctx *executor.TaskContext, part int, in []int) {
+	rdd.Count(rdd.MapPartitions(r, func(ctx *executor.TaskContext, part int, in []int) []int {
 		for range in {
 			acc.Add(ctx, 1)
 		}
-	})
+		return in
+	}))
 	if acc.Value() != 100 {
 		t.Fatalf("accumulator = %d, want 100", acc.Value())
 	}

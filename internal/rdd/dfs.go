@@ -9,36 +9,6 @@ import (
 	"repro/internal/memsim"
 )
 
-// FromDFS reads a file from the mini-HDFS as a dataset of records, one
-// partition per block (HDFS-style input splits). parse converts a block's
-// raw bytes into records; it is called once per partition and must cope
-// with records that are block-aligned (use TextFileDFS for newline
-// records that may span block boundaries). Each task charges the disk
-// scan (tier-independent) plus deserialization into the executor's heap
-// tier.
-func FromDFS[T any](d Driver, fs *dfs.FileSystem, path string, parse func(block []byte) []T) (*RDD[T], error) {
-	blocks, err := fs.Blocks(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("rdd: %s has no blocks", path)
-	}
-	name := fmt.Sprintf("dfs:%s", path)
-	return newRDD(d, name, len(blocks), nil, func(ctx *executor.TaskContext, part int) []T {
-		raw, err := fs.ReadBlock(blocks[part])
-		if err != nil {
-			panic(fmt.Sprintf("rdd: %s block %d vanished: %v", path, part, err))
-		}
-		ctx.Disk(int64(len(raw)))
-		out := parse(raw)
-		size := SizeOfSlice(out)
-		ctx.CPU(float64(size) * ctx.Cost.SerDePerB)
-		ctx.MemSeq(memsim.Write, size)
-		return out
-	}), nil
-}
-
 // TextFileDFS reads a newline-delimited text file from the mini-HDFS with
 // Hadoop's LineRecordReader semantics: one partition per block, records
 // spanning block boundaries belong to the partition where they start — a

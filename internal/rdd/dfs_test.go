@@ -25,44 +25,9 @@ func linesRender(records []string) []byte {
 	return []byte(strings.Join(records, "\n") + "\n")
 }
 
-func TestFromDFSRoundtrip(t *testing.T) {
-	app := newApp()
-	fs := dfs.New(3, 64, 2)
-
-	var input bytes.Buffer
-	for i := 0; i < 50; i++ {
-		fmt.Fprintf(&input, "line-%02d\n", i)
-	}
-	if err := fs.Create("/in/data.txt", input.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := rdd.FromDFS(app, fs, "/in/data.txt", linesParse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, _ := fs.Blocks("/in/data.txt")
-	if r.NumPartitions() != len(blocks) {
-		t.Fatalf("partitions = %d, want one per block (%d)", r.NumPartitions(), len(blocks))
-	}
-	got := rdd.Collect(r)
-	if len(got) != 50 {
-		t.Fatalf("collected %d lines, want 50", len(got))
-	}
-	if got[0] != "line-00" || got[49] != "line-49" {
-		t.Fatalf("line order broken: %q .. %q", got[0], got[49])
-	}
-	if app.Tier().Counters().WriteBytes == 0 {
-		t.Error("dfs scan must deserialize into the bound tier")
-	}
-}
-
-func TestFromDFSMissingFile(t *testing.T) {
+func TestTextFileDFSMissingFile(t *testing.T) {
 	app := newApp()
 	fs := dfs.New(1, 0, 0)
-	if _, err := rdd.FromDFS(app, fs, "/nope", linesParse); err == nil {
-		t.Fatal("missing file accepted")
-	}
 	if _, err := rdd.TextFileDFS(app, fs, "/nope"); err == nil {
 		t.Fatal("missing text file accepted")
 	}

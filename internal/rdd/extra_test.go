@@ -2,44 +2,10 @@ package rdd_test
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/rdd"
 )
-
-func TestCoalesceMergesPartitions(t *testing.T) {
-	app := newApp()
-	r := rdd.Parallelize(app, "xs", ints(100), 10)
-	c := rdd.Coalesce(r, 3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("parts = %d, want 3", c.NumPartitions())
-	}
-	got := rdd.Collect(c)
-	if len(got) != 100 {
-		t.Fatalf("records = %d, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken at %d: %d", i, v)
-		}
-	}
-	// Coalescing to the same width is a no-op returning the receiver.
-	if rdd.Coalesce(c, 3) != c {
-		t.Fatal("same-width coalesce should be identity")
-	}
-}
-
-func TestCoalesceValidation(t *testing.T) {
-	app := newApp()
-	r := rdd.Parallelize(app, "xs", ints(10), 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("widening coalesce did not panic")
-		}
-	}()
-	rdd.Coalesce(r, 5)
-}
 
 func TestGlom(t *testing.T) {
 	app := newApp()
@@ -54,53 +20,6 @@ func TestGlom(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("glom lost records: %d", total)
-	}
-}
-
-func TestIntersection(t *testing.T) {
-	app := newApp()
-	a := rdd.Parallelize(app, "a", []int{1, 2, 3, 4, 4}, 2)
-	b := rdd.Parallelize(app, "b", []int{3, 4, 5, 3}, 2)
-	got := rdd.Collect(rdd.Intersection(a, b, 3))
-	sort.Ints(got)
-	if fmt.Sprint(got) != "[3 4]" {
-		t.Fatalf("intersection = %v, want [3 4]", got)
-	}
-}
-
-func TestSubtractByKey(t *testing.T) {
-	app := newApp()
-	a := rdd.Parallelize(app, "a", []rdd.Pair[int, string]{
-		rdd.KV(1, "keep"), rdd.KV(2, "drop"), rdd.KV(3, "keep"), rdd.KV(3, "keep2"),
-	}, 2)
-	b := rdd.Parallelize(app, "b", []rdd.Pair[int, int]{rdd.KV(2, 0)}, 1)
-	got := rdd.Collect(rdd.SubtractByKey(a, b, 2))
-	keys := map[int]int{}
-	for _, p := range got {
-		keys[p.Key]++
-	}
-	if len(got) != 3 || keys[1] != 1 || keys[3] != 2 || keys[2] != 0 {
-		t.Fatalf("subtractByKey = %v", got)
-	}
-}
-
-func TestTakeOrderedAndTop(t *testing.T) {
-	app := newApp()
-	data := []int{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
-	r := rdd.Parallelize(app, "xs", data, 4)
-	less := func(a, b int) bool { return a < b }
-
-	if got := rdd.TakeOrdered(r, 3, less); fmt.Sprint(got) != "[0 1 2]" {
-		t.Fatalf("takeOrdered = %v", got)
-	}
-	if got := rdd.Top(r, 2, less); fmt.Sprint(got) != "[9 8]" {
-		t.Fatalf("top = %v", got)
-	}
-	if got := rdd.TakeOrdered(r, 100, less); len(got) != 10 {
-		t.Fatalf("oversized takeOrdered = %d records", len(got))
-	}
-	if got := rdd.TakeOrdered(r, 0, less); got != nil {
-		t.Fatalf("zero takeOrdered = %v", got)
 	}
 }
 
@@ -149,23 +68,6 @@ func TestJoinManyToMany(t *testing.T) {
 	}
 }
 
-func TestFlatMapValuesAndUnionOfShuffled(t *testing.T) {
-	app := newApp()
-	a := rdd.Parallelize(app, "a", []rdd.Pair[int, int]{rdd.KV(1, 2)}, 1)
-	fm := rdd.FlatMapValues(a, func(v int) []int { return []int{v, v * 10} })
-	got := rdd.Collect(fm)
-	if len(got) != 2 || got[0].Val != 2 || got[1].Val != 20 {
-		t.Fatalf("flatMapValues = %v", got)
-	}
-	// Union of two shuffled datasets runs both map stages.
-	r1 := rdd.ReduceByKey(a, func(x, y int) int { return x + y }, 2)
-	r2 := rdd.ReduceByKey(fm, func(x, y int) int { return x + y }, 2)
-	u := rdd.Union(r1, r2)
-	if n := rdd.Count(u); n != 2 {
-		t.Fatalf("union of shuffles count = %d, want 2", n)
-	}
-}
-
 func TestSampleEdgeFractions(t *testing.T) {
 	app := newApp()
 	r := rdd.Parallelize(app, "xs", ints(100), 4)
@@ -183,21 +85,12 @@ func TestSampleEdgeFractions(t *testing.T) {
 	rdd.Sample(r, 1.5)
 }
 
-func TestParallelizeEmptyAndUnionMismatchedDrivers(t *testing.T) {
+func TestParallelizeEmpty(t *testing.T) {
 	app := newApp()
 	e := rdd.Parallelize(app, "empty", []int{}, 4)
 	if n := rdd.Count(e); n != 0 {
 		t.Fatalf("empty parallelize count = %d", n)
 	}
-	other := newApp()
-	a := rdd.Parallelize(app, "a", []int{1}, 1)
-	b := rdd.Parallelize(other, "b", []int{2}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("cross-application union did not panic")
-		}
-	}()
-	rdd.Union(a, b)
 }
 
 // TestCollectSizesOnceAndKeepsNilForEmpty pins Collect's two contracts

@@ -38,18 +38,6 @@ func MapValues[K comparable, V, U any](r *RDD[Pair[K, V]], f func(V) U) *RDD[Pai
 	return Map(r, func(p Pair[K, V]) Pair[K, U] { return KV(p.Key, f(p.Val)) })
 }
 
-// FlatMapValues expands each value to zero or more values under the same key.
-func FlatMapValues[K comparable, V, U any](r *RDD[Pair[K, V]], f func(V) []U) *RDD[Pair[K, U]] {
-	return FlatMap(r, func(p Pair[K, V]) []Pair[K, U] {
-		vs := f(p.Val)
-		out := make([]Pair[K, U], len(vs))
-		for i, v := range vs {
-			out[i] = KV(p.Key, v)
-		}
-		return out
-	})
-}
-
 // Keys projects the keys of a pair dataset.
 func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
 	return Map(r, func(p Pair[K, V]) K { return p.Key })
@@ -180,14 +168,6 @@ func mergeChunks[K comparable, V, C any](ctx *executor.TaskContext, shuffleID, r
 // ReduceByKey merges values per key with f, combining map-side.
 func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, parts int) *RDD[Pair[K, V]] {
 	return CombineByKey(r, func(v V) V { return v }, f, f, parts, true)
-}
-
-// AggregateByKey folds values into a zero accumulator with seqOp, merging
-// accumulators with combOp.
-func AggregateByKey[K comparable, V, C any](r *RDD[Pair[K, V]], zero func() C,
-	seqOp func(C, V) C, combOp func(C, C) C, parts int) *RDD[Pair[K, C]] {
-	return CombineByKey(r,
-		func(v V) C { return seqOp(zero(), v) }, seqOp, combOp, parts, true)
 }
 
 // GroupByKey gathers all values per key without map-side combining (like
@@ -432,13 +412,6 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts 
 		}
 		return out
 	})
-}
-
-// Distinct deduplicates a dataset of comparable records via a shuffle.
-func Distinct[T comparable](r *RDD[T], parts int) *RDD[T] {
-	pairs := Map(r, func(v T) Pair[T, bool] { return KV(v, true) })
-	reduced := ReduceByKey(pairs, func(a, b bool) bool { return a }, parts)
-	return Keys(reduced)
 }
 
 // Repartition redistributes records round-robin across parts partitions —

@@ -71,9 +71,6 @@ type Base struct {
 	driver   Driver
 }
 
-// Driver returns the owning application.
-func (b *Base) Driver() Driver { return b.driver }
-
 // String renders like "RDD[12 sortByKey, 80 parts]".
 func (b *Base) String() string {
 	return fmt.Sprintf("RDD[%d %s, %d parts]", b.ID, b.Name, b.NumParts)

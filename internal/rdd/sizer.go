@@ -141,21 +141,6 @@ func PairSizer[K comparable, V any](ks Sizer[K], vs Sizer[V]) Sizer[Pair[K, V]] 
 	return FuncSizer(func(p Pair[K, V]) int64 { return ks.Of(p.Key) + vs.Of(p.Val) })
 }
 
-// coGroupedSizer composes element sizers into a sizer for a cogroup cell,
-// matching CoGrouped.ByteSize.
-func coGroupedSizer[V, W any](vs Sizer[V], ws Sizer[W]) Sizer[CoGrouped[V, W]] {
-	return FuncSizer(func(c CoGrouped[V, W]) int64 {
-		total := int64(48)
-		for i := range c.Left {
-			total += vs.Of(c.Left[i])
-		}
-		for i := range c.Right {
-			total += ws.Of(c.Right[i])
-		}
-		return total
-	})
-}
-
 // SizeSlice sums a slice's footprint — header plus elements — with a
 // resolved sizer, constant-folding fixed-size element types. It matches
 // SizeOfSlice exactly whenever the sizer matches SizeOf.

@@ -63,8 +63,3 @@ func mergeRuns[T any](dst, a, b []T, less func(a, b *T) bool) {
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
 }
-
-// byValue adapts a by-value comparator to stableSort's pointer form.
-func byValue[T any](less func(a, b T) bool) func(a, b *T) bool {
-	return func(a, b *T) bool { return less(*a, *b) }
-}

@@ -82,23 +82,15 @@ func Sample[T any](r *RDD[T], frac float64) *RDD[T] {
 		})
 }
 
-// Union concatenates two datasets; partitions of b follow partitions of a.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.base.driver != b.base.driver {
-		panic("rdd: union across applications")
-	}
-	na := a.base.NumParts
-	return newRDD(a.base.driver, "union", na+b.base.NumParts,
-		[]Dep{NarrowDep{a.base}, NarrowDep{b.base}},
-		func(ctx *executor.TaskContext, part int) []T {
-			if part < na {
-				return a.Compute(ctx, part)
-			}
-			return b.Compute(ctx, part-na)
-		})
-}
-
 // KeyBy turns records into pairs keyed by f.
 func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[Pair[K, T]] {
 	return Map(r, func(v T) Pair[K, T] { return KV(f(v), v) })
+}
+
+// Glom turns each partition into a single slice record, like Spark's glom.
+func Glom[T any](r *RDD[T]) *RDD[[]T] {
+	return newRDD(r.base.driver, "glom", r.base.NumParts, []Dep{NarrowDep{r.base}},
+		func(ctx *executor.TaskContext, part int) [][]T {
+			return [][]T{r.Compute(ctx, part)}
+		})
 }

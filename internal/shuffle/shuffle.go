@@ -170,21 +170,6 @@ func (s *Store) RegisterShuffle(shuffleID, numMapParts int) {
 	}
 }
 
-// Registered reports whether a shuffle's outputs have been declared.
-func (s *Store) Registered(shuffleID int) bool {
-	_, ok := s.shuffles[shuffleID]
-	return ok
-}
-
-// NumMapParts returns the map-side width of a registered shuffle.
-func (s *Store) NumMapParts(shuffleID int) int {
-	st, ok := s.shuffles[shuffleID]
-	if !ok {
-		panic(fmt.Sprintf("shuffle: shuffle %d not registered", shuffleID))
-	}
-	return st.numMapParts
-}
-
 // forget removes one chunk set's bookkeeping (byte counters, executor
 // index, residency ledger) and frees its payload; the caller clears the
 // byMap slot.
@@ -245,16 +230,6 @@ func (s *Store) Get(shuffleID, mapPart int) *ChunkSet {
 	return st.byMap[mapPart]
 }
 
-// Fetch returns one map task's chunk set, distinguishing a legitimately
-// empty output (nil, nil) from one lost to an executor crash
-// (*SegmentLostError).
-func (s *Store) Fetch(shuffleID, mapPart int) (*ChunkSet, error) {
-	if s.Lost(shuffleID, mapPart) {
-		return nil, &SegmentLostError{Shuffle: shuffleID, MapPart: mapPart, Reduce: -1}
-	}
-	return s.Get(shuffleID, mapPart), nil
-}
-
 // Inputs returns the chunk sets feeding a reduce task, ordered by map
 // partition (deterministic). Map tasks that wrote nothing appear as nil
 // entries; a map output lost to an executor crash fails the whole fetch
@@ -274,13 +249,6 @@ func (s *Store) Inputs(shuffleID, reducePart int) ([]*ChunkSet, error) {
 	out := make([]*ChunkSet, st.numMapParts)
 	copy(out, st.byMap)
 	return out, nil
-}
-
-// Lost reports whether a map partition's output was dropped by an
-// executor crash and not yet rewritten.
-func (s *Store) Lost(shuffleID, mapPart int) bool {
-	st, ok := s.shuffles[shuffleID]
-	return ok && st.lost[mapPart]
 }
 
 // LostMapParts returns the sorted lost map partitions of a shuffle — the

@@ -18,11 +18,10 @@ func set(shuffleID, mapPart, execID int, chunks any, items []int, bytes []int64)
 func TestRegisterPutGet(t *testing.T) {
 	s := NewStore()
 	s.RegisterShuffle(1, 3)
-	if !s.Registered(1) || s.Registered(2) {
+	if st := s.shuffles[1]; st == nil || s.shuffles[2] != nil {
 		t.Fatal("registration state wrong")
-	}
-	if s.NumMapParts(1) != 3 {
-		t.Fatalf("map parts = %d, want 3", s.NumMapParts(1))
+	} else if st.numMapParts != 3 {
+		t.Fatalf("map parts = %d, want 3", st.numMapParts)
 	}
 	s.PutChunks(set(1, 0, 7, [][]int{nil, nil, {1, 2}}, []int{0, 0, 2}, []int64{0, 0, 64}))
 	cs := s.Get(1, 0)
@@ -81,7 +80,7 @@ func TestDropShuffle(t *testing.T) {
 	s.PutChunks(set(1, 0, 0, nil, []int{1}, []int64{100}))
 	s.PutChunks(set(2, 0, 0, nil, []int{1}, []int64{40}))
 	s.DropShuffle(1)
-	if s.Registered(1) {
+	if s.shuffles[1] != nil {
 		t.Fatal("shuffle 1 still registered after drop")
 	}
 	if s.TotalBytes() != 40 {
@@ -129,9 +128,6 @@ func TestDeregisterExecutorMarksOutputsLost(t *testing.T) {
 	if s.TotalBytes() != 100 {
 		t.Fatalf("total = %d, want 100", s.TotalBytes())
 	}
-	if s.Lost(1, 0) || !s.Lost(1, 1) || !s.Lost(1, 2) {
-		t.Fatalf("lost marks wrong: %v %v %v", s.Lost(1, 0), s.Lost(1, 1), s.Lost(1, 2))
-	}
 	if got := s.LostMapParts(1); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("LostMapParts = %v, want [1 2]", got)
 	}
@@ -145,19 +141,10 @@ func TestDeregisterExecutorMarksOutputsLost(t *testing.T) {
 			t.Fatalf("err = %v, want SegmentLostError{1,1,0}", err)
 		}
 	}
-	if _, err := s.Fetch(1, 0); err != nil {
-		t.Fatalf("Fetch of live output: %v", err)
-	}
-	if cs, err := s.Fetch(1, 1); cs != nil || err == nil {
-		t.Fatalf("Fetch of lost output = (%v, %v), want (nil, error)", cs, err)
-	}
 
 	// Resubmitted map outputs clear the lost marks.
 	s.PutChunks(set(1, 1, 0, "bd'", []int{1, 1}, []int64{50, 10}))
 	s.PutChunks(set(1, 2, 0, "c'", []int{1, 0}, []int64{25, 0}))
-	if s.Lost(1, 1) || s.Lost(1, 2) {
-		t.Fatal("lost marks survive resubmission")
-	}
 	if _, err := s.Inputs(1, 0); err != nil {
 		t.Fatalf("Inputs after resubmission: %v", err)
 	}
@@ -173,8 +160,8 @@ func TestDropShuffleClearsLostMarks(t *testing.T) {
 	s.DeregisterExecutor(3)
 	s.DropShuffle(1)
 	s.RegisterShuffle(1, 1)
-	if s.Lost(1, 0) {
-		t.Fatal("lost mark survived DropShuffle")
+	if got := s.LostMapParts(1); got != nil {
+		t.Fatalf("lost marks %v survived DropShuffle", got)
 	}
 }
 

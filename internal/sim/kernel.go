@@ -34,9 +34,6 @@ const MaxTime Time = math.MaxInt64
 // Seconds converts a virtual duration to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Millis converts a virtual duration to floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / 1e6 }
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
@@ -113,7 +110,7 @@ type Kernel struct {
 	now    Time
 	queue  eventQueue
 	nextID uint64
-	fired  uint64
+	fired  uint64 // events executed; the livelock regression test bounds it
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -121,9 +118,6 @@ func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Fired returns the number of events executed so far (for diagnostics).
-func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return len(k.queue) }

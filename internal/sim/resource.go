@@ -15,9 +15,6 @@ type Flow struct {
 	finished  bool
 }
 
-// Remaining returns the unserved work of the flow.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // SharedServer models a capacity shared among concurrent flows with
 // (weighted) processor sharing: at any instant each active flow is served at
 // rate capacity * w_i / Σw. This is the standard fluid model for a memory
@@ -36,8 +33,6 @@ type SharedServer struct {
 	nextSeq    uint64
 	lastUpdate Time
 	next       *Event
-	served     float64 // total units served (for utilization accounting)
-	busy       Time    // total time with >=1 active flow
 	name       string
 }
 
@@ -59,12 +54,6 @@ func NewSharedServer(k *Kernel, name string, capacity float64) *SharedServer {
 // Name returns the diagnostic name of the server.
 func (s *SharedServer) Name() string { return s.name }
 
-// Capacity returns the unthrottled capacity in units/second.
-func (s *SharedServer) Capacity() float64 { return s.capacity }
-
-// EffectiveCapacity returns the current (possibly throttled) capacity.
-func (s *SharedServer) EffectiveCapacity() float64 { return s.capacity * s.capFrac }
-
 // SetCapFraction throttles the server to frac of its capacity, mimicking
 // Intel's Memory Bandwidth Allocation knob. frac is clamped to (0, 1].
 func (s *SharedServer) SetCapFraction(frac float64) {
@@ -81,22 +70,6 @@ func (s *SharedServer) SetCapFraction(frac float64) {
 
 // CapFraction returns the current throttle fraction.
 func (s *SharedServer) CapFraction() float64 { return s.capFrac }
-
-// ActiveFlows returns the number of flows currently being served.
-func (s *SharedServer) ActiveFlows() int { return len(s.flows) }
-
-// Served returns the total units served since creation.
-func (s *SharedServer) Served() float64 {
-	s.advance()
-	return s.served
-}
-
-// BusyTime returns total virtual time during which at least one flow was
-// active. Utilization over a window is Served / (capacity * window).
-func (s *SharedServer) BusyTime() Time {
-	s.advance()
-	return s.busy
-}
 
 // Submit adds a flow of `units` work with weight 1 and calls done when the
 // flow completes. Zero or negative work completes via a zero-delay event,
@@ -168,7 +141,6 @@ func (s *SharedServer) advance() {
 	if len(s.flows) == 0 {
 		return
 	}
-	s.busy += Time(dt * 1e9)
 	rate := s.capacity * s.capFrac / s.totalWeight()
 	for _, f := range s.flows {
 		servedUnits := rate * f.Weight * dt
@@ -176,7 +148,6 @@ func (s *SharedServer) advance() {
 			servedUnits = f.remaining
 		}
 		f.remaining -= servedUnits
-		s.served += servedUnits
 	}
 }
 

@@ -133,21 +133,8 @@ func TestCancelFlow(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled flow completed")
 	}
-	if s.ActiveFlows() != 0 {
-		t.Fatalf("ActiveFlows = %d after cancel, want 0", s.ActiveFlows())
-	}
-}
-
-func TestServedAndBusyAccounting(t *testing.T) {
-	k := NewKernel()
-	s := NewSharedServer(k, "mem", 1e9)
-	s.Submit(2.5e8, nil)
-	k.Run()
-	if diff := math.Abs(s.Served() - 2.5e8); diff > 1 {
-		t.Fatalf("Served = %g, want 2.5e8", s.Served())
-	}
-	if diff := math.Abs(float64(s.BusyTime()) - 2.5e8); diff > 5000 {
-		t.Fatalf("BusyTime = %v, want ~0.25s", s.BusyTime())
+	if len(s.flows) != 0 {
+		t.Fatalf("%d active flows after cancel, want 0", len(s.flows))
 	}
 }
 
@@ -198,17 +185,17 @@ func TestStaggeredResidueTerminates(t *testing.T) {
 	}
 	submit(0)
 	k.Run()
-	if k.Fired() > 100_000 {
-		t.Fatalf("kernel fired %d events for ~270 flows: livelock", k.Fired())
+	if k.fired > 100_000 {
+		t.Fatalf("kernel fired %d events for ~270 flows: livelock", k.fired)
 	}
 	if done < 200 {
 		t.Fatalf("only %d completions", done)
 	}
 }
 
-// Property: total served work equals total submitted work for any batch of
-// flows submitted at t=0, and the makespan is (total work)/capacity when all
-// flows are backlogged from the start.
+// Property: for any batch of flows submitted at t=0 the makespan is
+// (total work)/capacity: all flows are backlogged from the start, so no
+// capacity is lost and no work is served twice.
 func TestConservationOfWorkProperty(t *testing.T) {
 	prop := func(sizes []uint32) bool {
 		k := NewKernel()
@@ -224,9 +211,6 @@ func TestConservationOfWorkProperty(t *testing.T) {
 		end := k.Run()
 		if n == 0 {
 			return true
-		}
-		if math.Abs(s.Served()-total) > 1 {
-			return false
 		}
 		wantEnd := total / 1e9 * 1e9 // seconds→ns with capacity 1e9/s
 		return math.Abs(float64(end)-wantEnd) <= float64(n)*10+1000

@@ -40,33 +40,6 @@ func Pearson(x, y []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// Spearman returns the rank correlation of two samples (Pearson over
-// ranks), more robust to the non-linear relations of some workloads.
-func Spearman(x, y []float64) float64 {
-	return Pearson(ranks(x), ranks(y))
-}
-
-func ranks(v []float64) []float64 {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
-	out := make([]float64, len(v))
-	for r := 0; r < len(idx); {
-		// Average ranks over ties.
-		s := r
-		for r < len(idx) && v[idx[r]] == v[idx[s]] {
-			r++
-		}
-		avg := float64(s+r-1)/2 + 1
-		for k := s; k < r; k++ {
-			out[idx[k]] = avg
-		}
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean (NaN for empty input).
 func Mean(v []float64) float64 {
 	if len(v) == 0 {

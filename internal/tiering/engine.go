@@ -150,15 +150,6 @@ func (e *Engine) AttachExecutor(id int) {
 	}
 }
 
-// Tracker exposes one executor's hotness tracker (for tests and reports).
-func (e *Engine) Tracker(id int) heat.Tracker { return e.execs[id].tracker }
-
-// Mover exposes one executor's mover queue, nil for non-mover policies.
-func (e *Engine) Mover(id int) *heat.Mover { return e.execs[id].mover }
-
-// Classifier exposes the engine's heat classifier.
-func (e *Engine) Classifier() *heat.Classifier { return e.classifier }
-
 // Heatmaps returns the recorded per-epoch heat histograms, one per tick.
 func (e *Engine) Heatmaps() []EpochHeatmap { return e.heatmaps }
 

@@ -58,7 +58,7 @@ func TestStaticEngineIsInert(t *testing.T) {
 		t.Fatalf("blocks moved off the landing tier: Tier2 holds %d", got)
 	}
 	// The tracker still observes accesses (hotness is policy-independent).
-	if eng.Tracker(0).Len() == 0 {
+	if eng.execs[0].tracker.Len() == 0 {
 		t.Fatal("static engine's tracker saw nothing")
 	}
 }
@@ -158,21 +158,21 @@ func TestAttachExecutorAfterReplace(t *testing.T) {
 	cfg.FastBudgetBytes = 400
 	_, pool, eng := newHarness(t, cfg)
 	put(pool.Executors[1].Blocks, 0, 100)
-	if eng.Tracker(1).Len() != 1 {
+	if eng.execs[1].tracker.Len() != 1 {
 		t.Fatal("tracker missed the put")
 	}
 
 	pool.Executors[1].Blocks.RemoveAll()
 	fresh := pool.Replace(1)
 	eng.AttachExecutor(1)
-	if eng.Tracker(1).Len() != 0 {
+	if eng.execs[1].tracker.Len() != 0 {
 		t.Fatal("re-attach kept the stale tracker")
 	}
 	if got := fresh.Blocks.LandingTier(); got != memsim.Tier0 {
 		t.Fatalf("replacement landing tier = %v, want Tier 0", got)
 	}
 	put(fresh.Blocks, 3, 100)
-	if eng.Tracker(1).Heat(blockmgr.BlockID{RDD: 1, Partition: 3}) != 1 {
+	if eng.execs[1].tracker.Heat(blockmgr.BlockID{RDD: 1, Partition: 3}) != 1 {
 		t.Fatal("fresh tracker not observing the replacement manager")
 	}
 }
@@ -256,7 +256,7 @@ func TestForecastEnginePromotesReadHot(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("read-hot block never promoted; heat=%v", eng.Tracker(0).Heat(hot))
+	t.Fatalf("read-hot block never promoted; heat=%v", eng.execs[0].tracker.Heat(hot))
 }
 
 // The engine-level rate limit: with a tiny mover budget, no recorded
@@ -293,7 +293,7 @@ func TestEngineMoverRateLimit(t *testing.T) {
 			t.Fatalf("epoch %d planned %d moves, budget %d", p.Epoch, len(p.Moves), cfg.moverMovesPerEpoch)
 		}
 	}
-	if eng.Mover(0).Pending() != 0 {
-		t.Fatalf("mover still holds %d requests", eng.Mover(0).Pending())
+	if eng.execs[0].mover.Pending() != 0 {
+		t.Fatalf("mover still holds %d requests", eng.execs[0].mover.Pending())
 	}
 }

@@ -116,7 +116,7 @@ func TestViewMatchesTracker(t *testing.T) {
 	cfg.FastBudgetBytes = 1 << 20
 	_, pool, eng := newHarness(t, cfg)
 	blocks := pool.Executors[0].Blocks
-	tr := eng.Tracker(0)
+	tr := eng.execs[0].tracker
 
 	blocks.SetObserver(nil)
 	unseen := put(blocks, 0, 100)
@@ -137,7 +137,7 @@ func TestViewMatchesTracker(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("setup: snapshot has %d samples, want 2 (blocks 1 and 3)", len(snap))
 	}
-	epochMap := eng.Classifier().NewHeatmap()
+	epochMap := eng.classifier.NewHeatmap()
 	v := eng.view(0, 0, [memsim.NumTiers]memsim.TierSpec{}, snap, nil, &epochMap)
 	infos := blocks.Blocks()
 	if len(v.Blocks) != 4 || len(infos) != 4 {

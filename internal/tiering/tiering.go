@@ -22,8 +22,8 @@
 //     them through a per-executor heat.Mover queue, charges the real
 //     data movement to the memory system through the staged task-context
 //     path, and applies residency changes to the block managers.
-//   - A recorded EpochPlan history that ReplayPlan can re-price
-//     independently, pinning the engine's accounting in tests.
+//   - A recorded EpochPlan history that the package's tests re-price
+//     independently, pinning the engine's accounting.
 //
 // Migration is never free: a demotion streams the block out of the fast
 // tier and writes it to DCPM at 256 B XPLine granularity (write

@@ -71,15 +71,6 @@ func (r *Recorder) Len() int {
 	return len(r.spans)
 }
 
-// TotalByCategory sums span durations per category.
-func (r *Recorder) TotalByCategory() map[string]sim.Time {
-	out := make(map[string]sim.Time)
-	for _, s := range r.Spans() {
-		out[s.Category] += s.Duration()
-	}
-	return out
-}
-
 // chromeEvent is one entry of the Chrome trace-event format ("X" =
 // complete event; timestamps and durations in microseconds).
 type chromeEvent struct {

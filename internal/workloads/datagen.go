@@ -24,19 +24,8 @@ func (t TextRecord) Hash64() uint64 {
 	return rdd.HashString(t.Key) ^ uint64(t.Payload)
 }
 
-// genTextRecord draws a record with a 10-character key.
-func genTextRecord(r *rand.Rand) TextRecord {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-	key := make([]byte, 10)
-	for i := range key {
-		key[i] = alphabet[r.Intn(len(alphabet))]
-	}
-	return TextRecord{Key: string(key), Payload: r.Int63()}
-}
-
-// genTextRecords fills out with exactly the records repeated genTextRecord
-// calls would draw — the PRNG sequence (10 key bytes, then the payload,
-// per record) and the record contents are byte-identical — but every key
+// genTextRecords fills out with records of a 10-character key and a
+// payload, drawn per record as 10 key bytes then the payload; every key
 // is a substring of one shared arena built in a single strings.Builder,
 // so a whole partition costs one key allocation instead of one per
 // record. Text-heavy workloads (sort, repartition) generate their input

@@ -9,6 +9,18 @@ import (
 	"repro/internal/rdd"
 )
 
+// genTextRecord draws one record the way genTextRecords draws each of
+// its batch, with a key allocation of its own: the reference the batch
+// path is compared against.
+func genTextRecord(r *rand.Rand) TextRecord {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+	key := make([]byte, 10)
+	for i := range key {
+		key[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	return TextRecord{Key: string(key), Payload: r.Int63()}
+}
+
 // TestGeneratorsDeterministic pins the audit result that every dataset
 // generator draws only from an explicitly seeded source: the same seed
 // must yield byte-identical records on repeated runs.

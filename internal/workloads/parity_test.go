@@ -46,7 +46,6 @@ func TestRegisteredSizersMatchSizeOf(t *testing.T) {
 	checkSizer[[]Rating](t, "[]Rating")
 	checkSizer[rdd.Two[[]int, float64]](t, "Two[[]int,float64]")
 	checkSizer[ml.BinStats](t, "ml.BinStats")
-	checkSizer[ml.KMeansAccum](t, "ml.KMeansAccum")
 }
 
 func TestRegisteredPairSizersMatchSizeOf(t *testing.T) {
@@ -62,7 +61,6 @@ func TestRegisteredPairSizersMatchSizeOf(t *testing.T) {
 	checkSizer[rdd.Pair[int, []int]](t, "Pair[int,[]int]")
 	checkSizer[rdd.Pair[int, rdd.Two[[]int, float64]]](t, "Pair[int,Two]")
 	checkSizer[rdd.Pair[NodeFeatBin, ml.BinStats]](t, "Pair[NodeFeatBin,BinStats]")
-	checkSizer[rdd.Pair[int, ml.KMeansAccum]](t, "Pair[int,KMeansAccum]")
 }
 
 func TestRegisteredHashersMatchHashAny(t *testing.T) {

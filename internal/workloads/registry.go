@@ -48,5 +48,4 @@ func init() {
 	rdd.RegisterPairSizer[int, []int]()
 	rdd.RegisterPairSizer[int, rdd.Two[[]int, float64]]()
 	rdd.RegisterPairSizer[NodeFeatBin, ml.BinStats]()
-	rdd.RegisterPairSizer[int, ml.KMeansAccum]()
 }
