@@ -19,6 +19,12 @@
 // around it. With -out, the final metrics report is also written to a
 // JSON file (the CI artifact).
 //
+// The server reads a request's headers within 5 s and its body within
+// 30 s, and closes a connection idle for two minutes, so a silent client
+// cannot hold one open; answers have no deadline (a cold sweep takes as
+// long as its simulations). On SIGINT or SIGTERM it stops accepting and
+// gives in-flight requests 30 s to finish.
+//
 // Example session against a running server:
 //
 //	curl -s localhost:8791/v1/eval -d '{"workload":"pagerank","size":"tiny","placement":"tier:2"}'
@@ -29,6 +35,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -37,6 +44,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/hibench"
@@ -88,7 +98,42 @@ func serve(addr, cacheDir string, eng *advisor.Engine, handler http.Handler) err
 	}
 	fmt.Fprintf(os.Stderr, "advisord: serving on http://%s (engine %s, cache %s)\n",
 		ln.Addr(), eng.EngineHash()[:12], cacheDir)
-	return http.Serve(ln, handler)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntil(ctx, newServer(handler), ln)
+}
+
+// shutdownGrace is how long in-flight requests get to finish once the
+// server has been told to stop.
+const shutdownGrace = 30 * time.Second
+
+// newServer is the http.Server every mode serves the handler with. There
+// is no WriteTimeout: a cold sweep's answer takes as long as its
+// simulations.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// serveUntil serves on ln until ctx is done, then shuts down: the
+// listener closes at once and in-flight requests get shutdownGrace to
+// finish. It returns nil after a clean shutdown.
+func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	shut := make(chan error, 1)
+	stop := context.AfterFunc(ctx, func() {
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		shut <- srv.Shutdown(grace)
+	})
+	err := srv.Serve(ln) // http.ErrServerClosed as soon as Shutdown is called
+	if stop() {
+		return err // Serve failed on its own; Shutdown never ran
+	}
+	return <-shut
 }
 
 // startLoopback serves the handler on an ephemeral loopback port and
@@ -98,7 +143,7 @@ func startLoopback(handler http.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("advisord: listen: %w", err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := newServer(handler)
 	go srv.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }

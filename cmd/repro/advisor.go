@@ -74,7 +74,7 @@ func tierAdvisor(c *ctx) func() error {
 			results = results[len(memsim.AllTiers()):]
 		}
 		t.Render(c.stdout)
-		best, predicted := model.Recommend(profile, nil)
+		best, predicted := model.Recommend(profile)
 		c.printf("\nrecommended tier for %s/large: %s (predicted %.4fs)\n", *holdout, best, predicted)
 
 		if *compare {

@@ -2,7 +2,7 @@
 // ownership analyzers over the module. It is a stdlib-only lint driver:
 // packages are parsed with go/parser and type-checked with go/types
 // (source importer), the module-wide call graph and value-flow facts are
-// computed once, then eight project-specific analyzers run in parallel
+// computed once, then nine project-specific analyzers run in parallel
 // per package:
 //
 //	nodeterminism  wall-clock reads, global math/rand, map-order leaks
@@ -15,6 +15,8 @@
 //	               reads after DropShuffle
 //	tierledger     direct hotness/residency/copy-ledger mutation outside
 //	               the observer and staged-commit paths
+//	unreached      internal/ declarations no shipped code uses (judged
+//	               only when the run holds the whole module)
 //	allowaudit     stale //simlint:allow directives
 //
 // Diagnostics print as "file:line: analyzer: message" (or as a JSON

@@ -131,7 +131,7 @@ func TestDocsNameRealPaths(t *testing.T) {
 // TestExamplesBuildAndRun keeps examples/ more than prose: each program
 // builds and runs to exit 0. They are the only callers of the DFS-backed
 // sources and sinks, the Chrome trace export and EnableTracing, so this is
-// also what keeps those reachable for TestExportedSymbolsAreReached.
+// also what keeps those alive for simlint's unreached analyzer.
 func TestExamplesBuildAndRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the examples")

@@ -24,16 +24,10 @@ func goStatementAllowed(path string, g *ast.GoStmt) bool {
 	return false
 }
 
-// eachSourceFile parses every non-test Go file under roots, testdata
-// aside, and hands it to visit under its slash-separated path.
+// eachSourceFile parses every non-test Go file under roots and hands it
+// to visit under its slash-separated path; testdata and hidden
+// directories (build and cache output) are skipped.
 func eachSourceFile(t *testing.T, roots []string, visit func(path string, fset *token.FileSet, file *ast.File)) {
-	t.Helper()
-	eachGoFile(t, roots, func(path string) bool { return !strings.HasSuffix(path, "_test.go") }, visit)
-}
-
-// eachGoFile is eachSourceFile over the Go files keep admits; hidden
-// directories (build and cache output) are skipped with testdata.
-func eachGoFile(t *testing.T, roots []string, keep func(path string) bool, visit func(path string, fset *token.FileSet, file *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	for _, root := range roots {
@@ -44,7 +38,7 @@ func eachGoFile(t *testing.T, roots []string, keep func(path string) bool, visit
 			if d.IsDir() && (d.Name() == "testdata" || len(d.Name()) > 1 && d.Name()[0] == '.') {
 				return filepath.SkipDir
 			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || !keep(path) {
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
 			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)

@@ -47,9 +47,6 @@ func OpenCache(dir, engineHash string) *Cache {
 	return &Cache{dir: dir, engineHash: engineHash}
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path maps a canonical query key to its entry file.
 func (c *Cache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))

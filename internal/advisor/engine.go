@@ -40,7 +40,7 @@ type Engine struct {
 // contract.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{
-		hash:   computeEngineHash(executor.DefaultCostModel()),
+		hash:   computeEngineHash(),
 		runner: opts.Runner,
 		metrics: metrics{
 			reg:     opts.Registry,

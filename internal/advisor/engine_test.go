@@ -1,6 +1,8 @@
 package advisor
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -240,8 +242,7 @@ func TestEngineBatchEmpty(t *testing.T) {
 }
 
 func TestEngineHashIsStableAndShaped(t *testing.T) {
-	cost := executor.DefaultCostModel()
-	a, b := computeEngineHash(cost), computeEngineHash(cost)
+	a, b := computeEngineHash(), computeEngineHash()
 	if a != b {
 		t.Fatalf("engine hash not deterministic: %s vs %s", a, b)
 	}
@@ -254,19 +255,16 @@ func TestEngineHashIsStableAndShaped(t *testing.T) {
 }
 
 // A cost-model edit changes every cell's virtual time, so it must orphan
-// the cache: perturbing any one constant moves the hash.
+// the cache: the digested text renders the default cost model with %+v,
+// every field by name and value, so perturbing any constant moves the hash.
 func TestEngineHashCoversCostModel(t *testing.T) {
-	base := computeEngineHash(executor.DefaultCostModel())
-	for name, edit := range map[string]func(*executor.CostModel){
-		"FlopNS":            func(c *executor.CostModel) { c.FlopNS *= 1.01 },
-		"ObjectChurn":       func(c *executor.CostModel) { c.ObjectChurn++ },
-		"MigrateDispatchNS": func(c *executor.CostModel) { c.MigrateDispatchNS++ },
-	} {
-		cost := executor.DefaultCostModel()
-		edit(&cost)
-		if computeEngineHash(cost) == base {
-			t.Errorf("perturbing %s left the engine hash unchanged", name)
-		}
+	var fp strings.Builder
+	writeFingerprint(&fp)
+	if want := fmt.Sprintf("cost-model=%+v\n", executor.DefaultCostModel()); !strings.Contains(fp.String(), want) {
+		t.Errorf("the engine fingerprint does not hold %q", want)
+	}
+	if sum := sha256.Sum256([]byte(fp.String())); hex.EncodeToString(sum[:]) != computeEngineHash() {
+		t.Error("the engine hash is not the digest of the fingerprint")
 	}
 }
 

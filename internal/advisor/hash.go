@@ -22,20 +22,26 @@ const EngineVersion = 1
 // computeEngineHash derives the cache-invalidation fingerprint from the
 // engine version and every configuration table a query resolves against:
 // the NUMA topology, the tier specifications, the capacity scenarios, the
-// standard placements, the workload roster and the executor cost model
-// (every engine passes executor.DefaultCostModel, the one every cell is
-// charged under). Any change to any of them
+// standard placements, the workload roster and executor.DefaultCostModel,
+// the cost model every cell is charged under. Any change to any of them
 // changes the hash, which orphans (and thereby invalidates) every cached
 // entry — the same discipline .simlintcache uses for analyzer results.
-//
-// Only value types are serialized (with %+v over struct values, never
-// pointers), so the fingerprint is a pure function of configuration
-// content, stable across processes.
-func computeEngineHash(cost executor.CostModel) string {
+func computeEngineHash() string {
 	h := sha256.New()
+	writeFingerprint(h)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeFingerprint writes the text computeEngineHash digests. Only value
+// types are serialized (with %+v over struct values, never pointers), so
+// the fingerprint is a pure function of configuration content, stable
+// across processes.
+func writeFingerprint(h io.Writer) {
 	fmt.Fprintf(h, "engine-version=%d\n", EngineVersion)
 	fmt.Fprintf(h, "topology=%+v\n", numa.DefaultTopology())
-	writeSpecs(h, "default", memsim.DefaultSpecs())
+	for i, spec := range memsim.DefaultSpecs() {
+		fmt.Fprintf(h, "spec/default/%d=%+v\n", i, spec)
+	}
 	for _, sc := range memsim.CapacityScenarios() {
 		fmt.Fprintf(h, "scenario/%s=%+v\n", sc.Name, sc.Spec)
 	}
@@ -48,12 +54,5 @@ func computeEngineHash(cost executor.CostModel) string {
 	for _, size := range workloads.AllSizes() {
 		fmt.Fprintf(h, "size=%s\n", size)
 	}
-	fmt.Fprintf(h, "cost-model=%+v\n", cost)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func writeSpecs(w io.Writer, label string, specs [memsim.NumTiers]memsim.TierSpec) {
-	for i, spec := range specs {
-		fmt.Fprintf(w, "spec/%s/%d=%+v\n", label, i, spec)
-	}
+	fmt.Fprintf(h, "cost-model=%+v\n", executor.DefaultCostModel())
 }

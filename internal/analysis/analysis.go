@@ -80,6 +80,11 @@ type Analyzer struct {
 	Doc string
 	// Severity classifies this analyzer's findings.
 	Severity Severity
+	// WholeModule marks an analyzer whose findings are only sound when
+	// the pass holds every package directory ./... resolves to from the
+	// module root. On a narrower pass the framework leaves it out: it
+	// reports nothing, and allowaudit does not judge its directives.
+	WholeModule bool
 	// Init, when set, runs once per module before the per-package runs,
 	// with a Pass whose Pkg is nil; its return value is handed to every
 	// Run via Pass.State. Module-wide facts (call-graph taint sets) are
@@ -130,16 +135,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// IsTestFile reports whether the file containing pos is a _test.go file.
-// The loader does not parse test files, but analyzers guard anyway so
-// they behave when handed test sources directly.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return isTestFilename(p.Fset, pos)
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterminism, StagedCharge, LockSafety, ErrFlow, Hotbox, ChunkAlias, TierLedger, AllowAudit}
+	return []*Analyzer{NoDeterminism, StagedCharge, LockSafety, ErrFlow, Hotbox, ChunkAlias, TierLedger, Unreached, AllowAudit}
 }
 
 // DirectiveName is the comment prefix of a suppression directive:
@@ -166,7 +164,22 @@ type directive struct {
 // check; when the AllowAudit analyzer is enabled, directives that no
 // longer suppress anything are reported too.
 func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	facts := ComputeFacts(fset, pkgs)
+	facts := computeFacts(pkgs)
+
+	// known are the analyzers a directive may name; audited those whose
+	// directives allowaudit judges, because they ran.
+	known := make(map[string]bool)
+	audited := make(map[string]bool)
+	whole := holdsModule(modulePath, pkgs)
+	ran := make([]*Analyzer, 0, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+		if !a.WholeModule || whole {
+			audited[a.Name] = true
+			ran = append(ran, a)
+		}
+	}
+	analyzers = ran
 
 	var diags []Diagnostic
 	states := make([]any, len(analyzers))
@@ -194,14 +207,6 @@ func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*A
 		diags = append(diags, r...)
 	}
 
-	known := make(map[string]bool)
-	auditEnabled := false
-	for _, a := range analyzers {
-		known[a.Name] = true
-		if a.Name == AllowAudit.Name {
-			auditEnabled = true
-		}
-	}
 	var dirs []directive
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -217,9 +222,9 @@ func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*A
 		}
 		kept = append(kept, d)
 	}
-	if auditEnabled {
+	if audited[AllowAudit.Name] {
 		for i, dir := range dirs {
-			if matched[i] || dir.analyzer == AllowAudit.Name {
+			if matched[i] || dir.analyzer == AllowAudit.Name || !audited[dir.analyzer] {
 				continue
 			}
 			kept = append(kept, Diagnostic{

@@ -9,8 +9,9 @@ import (
 )
 
 // loadTestdata loads every package under testdata/src with one shared
-// loader and returns the base directory and resulting diagnostics grouped
-// by top-level package directory.
+// loader — a fixture with a go.mod of its own is a module instead, loaded
+// whole by its own loader — and returns the base directory and resulting
+// diagnostics grouped by top-level fixture directory.
 func loadTestdata(t *testing.T) (base string, byDir map[string][]string, dirs []string) {
 	t.Helper()
 	base, err := filepath.Abs(filepath.Join("testdata", "src"))
@@ -21,10 +22,15 @@ func loadTestdata(t *testing.T) (base string, byDir map[string][]string, dirs []
 	if err != nil {
 		t.Fatal(err)
 	}
-	var patterns []string
+	var patterns, modules []string
 	for _, e := range ents {
-		if e.IsDir() {
-			dirs = append(dirs, e.Name())
+		if !e.IsDir() {
+			continue
+		}
+		dirs = append(dirs, e.Name())
+		if _, err := os.Stat(filepath.Join(base, e.Name(), "go.mod")); err == nil {
+			modules = append(modules, filepath.Join(base, e.Name()))
+		} else {
 			patterns = append(patterns, filepath.Join(base, e.Name()))
 		}
 	}
@@ -37,10 +43,21 @@ func loadTestdata(t *testing.T) (base string, byDir map[string][]string, dirs []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != len(dirs) {
-		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(dirs))
+	if len(pkgs) != len(patterns) {
+		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(patterns))
 	}
 	diags := Run(ld.ModulePath(), ld.Fset(), pkgs, All())
+	for _, root := range modules {
+		ld, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := ld.Load("./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags = append(diags, Run(ld.ModulePath(), ld.Fset(), pkgs, All())...)
+	}
 	byDir = make(map[string][]string)
 	for _, d := range diags {
 		rel, err := filepath.Rel(base, d.Pos.Filename)
@@ -134,9 +151,43 @@ func TestModuleIsClean(t *testing.T) {
 			t.Errorf("no %s packages loaded; the clean check is not covering that tree", prefix)
 		}
 	}
+	if !holdsModule(ld.ModulePath(), pkgs) {
+		t.Error("./... is not a whole-module pass: the WholeModule analyzers judged nothing")
+	}
 	diags := Run(ld.ModulePath(), ld.Fset(), pkgs, All())
 	for _, d := range diags {
 		t.Errorf("%s", d.StringRel(ld.Root()))
+	}
+	// What nothing calls is deleted, not excused: the exceptions stay few.
+	allowed := 0
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, group := range f.Comments {
+				for _, c := range group.List {
+					allowed += strings.Count(c.Text, DirectiveName+" "+Unreached.Name+" ")
+				}
+			}
+		}
+	}
+	if allowed > 12 {
+		t.Errorf("%d //%s %s directives; the cap is 12", allowed, DirectiveName, Unreached.Name)
+	}
+}
+
+// TestNarrowPassLeavesWholeModuleAnalyzersOut loads one package of the
+// unreached fixture module: without the command that uses it nothing can
+// be judged dead, and the allow directives in it are not stale either.
+func TestNarrowPassLeavesWholeModuleAnalyzersOut(t *testing.T) {
+	ld, err := NewLoader(filepath.Join("testdata", "src", "unreached"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ld.Load(filepath.Join(ld.Root(), "internal", "lib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Run(ld.ModulePath(), ld.Fset(), pkgs, All()) {
+		t.Errorf("narrow pass reported %s", d.StringRel(ld.Root()))
 	}
 }
 

@@ -39,8 +39,9 @@ const (
 // magnitude faster than a cold one while producing byte-identical
 // diagnostics.
 type Cache struct {
-	root string // module root (stored paths are relative to it)
-	hash string // module hash of the tree as OpenCache found it
+	root  string          // module root (stored paths are relative to it)
+	hash  string          // module hash of the tree as OpenCache found it
+	whole map[string]bool // the suite's WholeModule analyzers, by name
 }
 
 // cacheEntry is the on-disk format of one run's results. Dirs are
@@ -57,8 +58,10 @@ type cacheEntry struct {
 func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema %d\n", cacheSchema)
+	whole := make(map[string]bool)
 	for _, a := range analyzers {
 		fmt.Fprintf(h, "analyzer %s %s %s\n", a.Name, a.Severity, a.Doc)
+		whole[a.Name] = a.WholeModule
 	}
 	// WalkDir visits in lexical order, so the hash is deterministic.
 	err := filepath.WalkDir(root, func(file string, d os.DirEntry, err error) error {
@@ -80,7 +83,7 @@ func OpenCache(root string, analyzers []*Analyzer) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{root: root, hash: hex.EncodeToString(h.Sum(nil))}, nil
+	return &Cache{root: root, hash: hex.EncodeToString(h.Sum(nil)), whole: whole}, nil
 }
 
 // hidden reports whether the module-relative directory rel lies in a
@@ -104,7 +107,8 @@ func hashFile(h io.Writer, file, label string) error {
 // in the given package directories — every analyzer reports into the
 // files of the package under analysis — or ok=false when the entry is
 // of another module state or analyzer suite, or does not cover every one
-// of them.
+// of them. Findings of a WholeModule analyzer are served only to a
+// request that holds the module, as a cold run of it would decide.
 func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
 	var e cacheEntry
 	data, err := os.ReadFile(filepath.Join(c.root, CacheDirName, cacheFileName))
@@ -115,15 +119,18 @@ func (c *Cache) Lookup(dirs []string) (diags []Diagnostic, ok bool) {
 	for _, rel := range e.Dirs {
 		asked[rel] = false
 	}
+	held := make(map[string]bool, len(dirs))
 	for _, dir := range dirs {
 		rel := relName(c.root, dir)
 		if _, covered := asked[rel]; !covered || hidden(rel) {
 			return nil, false
 		}
 		asked[rel] = true
+		held[dir] = true
 	}
+	narrow := !holdsDirs(c.root, held)
 	for _, w := range e.Diags {
-		if asked[path.Dir(w.File)] {
+		if asked[path.Dir(w.File)] && !(narrow && c.whole[w.Analyzer]) {
 			diags = append(diags, Diagnostic{
 				Pos:      token.Position{Filename: filepath.Join(c.root, filepath.FromSlash(w.File)), Line: w.Line, Column: w.Column},
 				Analyzer: w.Analyzer, Severity: w.Severity, Message: w.Message,

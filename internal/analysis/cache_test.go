@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // writeTestModule lays out a tiny self-contained module with one clean
 // package and one package carrying a nodeterminism violation.
-func writeTestModule(t *testing.T) string {
+func writeTestModule(t testing.TB) string {
 	t.Helper()
 	root := t.TempDir()
 	files := map[string]string{
@@ -42,7 +45,7 @@ func Stamp() time.Time { return time.Now() }
 
 // runModule cold-runs the full suite over the module and returns the
 // loader, resolved dirs and diagnostics.
-func runModule(t *testing.T, root string) (*Loader, []string, []Diagnostic) {
+func runModule(t testing.TB, root string) (*Loader, []string, []Diagnostic) {
 	t.Helper()
 	ld, err := NewLoader(root)
 	if err != nil {
@@ -118,6 +121,47 @@ func TestCacheRoundTrip(t *testing.T) {
 	// A directory the stored run did not cover is a miss, not an empty hit.
 	if _, ok := cache2.Lookup(append(dirs, filepath.Join(root, "other"))); ok {
 		t.Error("cache hit for a directory the stored run never covered")
+	}
+}
+
+// TestCacheKeepsWholeModuleFindingsForWholeRequests: a subset request is
+// served from a whole-module entry with what a cold run of it would
+// report, which leaves the WholeModule analyzers out.
+func TestCacheKeepsWholeModuleFindingsForWholeRequests(t *testing.T) {
+	root := writeTestModule(t)
+	lib := filepath.Join(root, "internal", "lib")
+	if err := os.MkdirAll(lib, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "// Package lib holds a function nothing calls.\npackage lib\n\n// Dead is dead.\nfunc Dead() {}\n"
+	if err := os.WriteFile(filepath.Join(lib, "lib.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, dirs, diags := runModule(t, root)
+	cache, err := OpenCache(root, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Store(dirs, diags); err != nil {
+		t.Fatal(err)
+	}
+	count := func(dirs []string) (n int) {
+		got, ok := cache.Lookup(dirs)
+		if !ok {
+			t.Fatalf("cache miss for %v", dirs)
+		}
+		for _, d := range got {
+			if d.Analyzer == Unreached.Name {
+				n++
+			}
+		}
+		return n
+	}
+	if n := count(dirs); n != 1 {
+		t.Errorf("whole-module request served %d unreached findings, want 1", n)
+	}
+	if n := count([]string{lib}); n != 0 {
+		t.Errorf("subset request served %d unreached findings; a cold run of it judges none", n)
 	}
 }
 
@@ -230,4 +274,52 @@ func TestCacheInvalidation(t *testing.T) {
 	if _, ok := fixtureEdited.Lookup(named[:1]); ok {
 		t.Error("cache hit after editing a file in a named testdata tree")
 	}
+}
+
+// FuzzEntryDecode overwrites a stored entry.json with arbitrary bytes.
+// Lookup never panics, and what it serves comes from an entry that decodes
+// and carries this module state's hash, positioned in the directories
+// asked for; anything else is a miss, which the driver answers with a cold
+// run.
+func FuzzEntryDecode(f *testing.F) {
+	root := writeTestModule(f)
+	_, dirs, diags := runModule(f, root)
+	cache, err := OpenCache(root, All())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := cache.Store(dirs, diags); err != nil {
+		f.Fatal(err)
+	}
+	entry := filepath.Join(root, CacheDirName, cacheFileName)
+	valid, err := os.ReadFile(entry)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(bytes.Clone(valid), valid...))
+	f.Add(bytes.Replace(valid, []byte(cache.hash), []byte(strings.Repeat("0", len(cache.hash))), 1))
+	f.Add([]byte(`{"module":"` + cache.hash + `","dirs":["clean","dirty",".","../.."],"diags":[{"file":"../x.go","line":-1},{"file":"dirty/../../x.go"}]}`))
+	f.Add([]byte(`{"module":"` + cache.hash + `","dirs":null,"diags":null}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(entry, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := cache.Lookup(dirs)
+		if !ok {
+			return
+		}
+		var e cacheEntry
+		if json.Unmarshal(data, &e) != nil || e.Module != cache.hash {
+			t.Fatalf("served %d diagnostics from an entry that is not this module state's: %q", len(got), data)
+		}
+		for _, d := range got {
+			if dir := filepath.Dir(d.Pos.Filename); dir != dirs[0] && dir != dirs[1] {
+				t.Fatalf("served a diagnostic positioned in %s, outside the directories asked for", dir)
+			}
+		}
+	})
 }

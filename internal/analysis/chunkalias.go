@@ -25,8 +25,8 @@ import (
 //
 // Borrowed references are tracked by an intra-procedural value-flow pass
 // over the shared fact base: a value is borrowed when it comes from
-// TaskContext.FetchShuffleChunks, the shuffle store's Get/Inputs
-// accessors, a ChunkSet's Chunks payload, a module call returning chunks
+// TaskContext.FetchShuffleChunks, the shuffle store's Inputs
+// accessor, a ChunkSet's Chunks payload, a module call returning chunks
 // (the column-window accessors), or any indexing/slicing/assignment
 // chain rooted at one of those. The shuffle package itself (the owner)
 // and TaskContext's methods (the staging layer) are exempt.
@@ -56,7 +56,7 @@ func chunkish(t types.Type) bool {
 // whose results are borrowed chunk references.
 var borrowSources = map[string]map[string]map[string]bool{
 	executorPath: {"TaskContext": {"FetchShuffleChunks": true}},
-	shufflePath:  {"Store": {"Get": true, "Inputs": true}},
+	shufflePath:  {"Store": {"Inputs": true}},
 }
 
 func runChunkAlias(p *Pass) {
@@ -67,7 +67,7 @@ func runChunkAlias(p *Pass) {
 		if n.Parent != nil {
 			continue // literals are scanned under their declaring function
 		}
-		if taskCtxMethod(n) || p.IsTestFile(n.Body.Pos()) {
+		if taskCtxMethod(n) {
 			continue // the staging layer is the sanctioned custodian
 		}
 		caScanNode(p, n, nil)

@@ -34,9 +34,6 @@ var ErrFlow = &Analyzer{
 func runErrFlow(p *Pass) {
 	pkg := p.Pkg
 	for _, f := range pkg.Files {
-		if p.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:

@@ -107,10 +107,9 @@ func (n *Node) HasParamType(pkgPath, typeName string) bool {
 	return false
 }
 
-// ComputeFacts builds the module call graph and value-flow bindings for
-// the given packages. Test files are excluded, matching every analyzer's
-// scope.
-func ComputeFacts(fset *token.FileSet, pkgs []*Package) *Facts {
+// computeFacts builds the module call graph and value-flow bindings for
+// the given packages (the loader parses no test files).
+func computeFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		ByFunc:        make(map[*types.Func]*Node),
 		PkgNodes:      make(map[*Package][]*Node),
@@ -118,9 +117,6 @@ func ComputeFacts(fset *token.FileSet, pkgs []*Package) *Facts {
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			if isTestFilename(fset, file.Pos()) {
-				continue
-			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {

@@ -129,7 +129,7 @@ func (l *Loader) ResolveDirs(patterns ...string) ([]string, error) {
 		}
 		sub := []string{abs}
 		if tree {
-			if sub, err = l.walkTree(abs); err != nil {
+			if sub, err = packageDirs(abs); err != nil {
 				return nil, err
 			}
 		}
@@ -161,9 +161,10 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// walkTree collects package directories under base, skipping testdata,
-// hidden directories and directories without non-test Go files.
-func (l *Loader) walkTree(base string) ([]string, error) {
+// packageDirs collects the package directories under base — those with a
+// non-test Go file — skipping testdata, hidden and _-prefixed directories.
+// It is what a "base/..." pattern resolves to.
+func packageDirs(base string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -189,6 +190,36 @@ func (l *Loader) walkTree(base string) ([]string, error) {
 		return nil
 	})
 	return dirs, err
+}
+
+// holdsModule reports whether pkgs are a whole-module pass: one with a
+// package for every directory ./... resolves to from the module root.
+func holdsModule(modulePath string, pkgs []*Package) bool {
+	if len(pkgs) == 0 {
+		return false
+	}
+	rel := strings.TrimPrefix(strings.TrimPrefix(pkgs[0].Path, modulePath), "/")
+	root := filepath.Clean(strings.TrimSuffix(pkgs[0].Dir, filepath.FromSlash(rel)))
+	held := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		held[pkg.Dir] = true
+	}
+	return holdsDirs(root, held)
+}
+
+// holdsDirs reports whether held names every package directory of the
+// module rooted at root.
+func holdsDirs(root string, held map[string]bool) bool {
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return false
+	}
+	for _, dir := range dirs {
+		if !held[dir] {
+			return false
+		}
+	}
+	return true
 }
 
 func isSourceName(name string) bool {

@@ -29,9 +29,6 @@ func runLockSafety(p *Pass) {
 	pkg := p.Pkg
 	protected := protectedStructs(pkg)
 	for _, f := range pkg.Files {
-		if p.IsTestFile(f.Pos()) {
-			continue
-		}
 		checkLockCopies(p, pkg, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

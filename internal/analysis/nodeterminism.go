@@ -40,9 +40,6 @@ var seededRandCtors = map[string]bool{
 func runNoDeterminism(p *Pass) {
 	pkg := p.Pkg
 	for _, f := range pkg.Files {
-		if p.IsTestFile(f.Pos()) {
-			continue
-		}
 		checkForbiddenCalls(p, pkg, f)
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {

@@ -39,10 +39,8 @@ var forbiddenInTask = map[string]map[string]map[string]string{
 			"RecordAccess":  "stage tier charges through TaskContext (BurstDelta deltas commit in partition order)",
 			"RecordBurst":   "stage tier charges through TaskContext (BurstDelta deltas commit in partition order)",
 			"MergeCounters": "counter merges happen in TaskContext.Commit, in partition order",
-			"ResetCounters": "counter resets belong to the driver between runs, not task compute",
 		},
 		"System": {
-			"ResetCounters":   "counter resets belong to the driver between runs, not task compute",
 			"SetBandwidthCap": "bandwidth caps are driver configuration, not task compute",
 		},
 	},

@@ -48,9 +48,9 @@ func badClosures(ctx *executor.TaskContext, c *cache, shuffleID, reduce int, out
 // This is driver-side code (no TaskContext), so the store accessors are
 // legal here — the stale read is not.
 func badUseAfterDrop(st *shuffle.Store, shuffleID int) int {
-	cs := st.Get(shuffleID, 0)
+	sets, _ := st.Inputs(shuffleID, 0)
 	st.DropShuffle(shuffleID)
-	return cs.NonEmpty()
+	return sets[0].NonEmpty()
 }
 
 // goodConsume materializes rows by value at the consumer's own output
@@ -68,8 +68,8 @@ func goodConsume(ctx *executor.TaskContext, shuffleID, reduce int) []int {
 
 // goodDropLast drops only after the last read: no stale reference.
 func goodDropLast(st *shuffle.Store, shuffleID int) int {
-	cs := st.Get(shuffleID, 0)
-	n := cs.NonEmpty()
+	sets, _ := st.Inputs(shuffleID, 0)
+	n := sets[0].NonEmpty()
 	st.DropShuffle(shuffleID)
 	return n
 }

@@ -23,10 +23,10 @@ func helper(t *memsim.Tier) {
 	t.RecordAccess(memsim.Read, 64)
 }
 
-// driverReset is never reached from a TaskContext function; driver code
+// driverCharge is never reached from a TaskContext function; driver code
 // may touch tiers directly.
-func driverReset(t *memsim.Tier) {
-	t.ResetCounters()
+func driverCharge(t *memsim.Tier) {
+	t.RecordAccess(memsim.Write, 64)
 }
 
 // lambdaCompute hands a task closure to a runner; the closure's direct

@@ -29,7 +29,7 @@ func tickHelper(tr *heat.AccessTracker) {
 func badResidency(ctx *executor.TaskContext, cs *blockmgr.ChunkStore, m *blockmgr.Manager) {
 	ctx.CPU(100)
 	cs.ChunkPut(1, 2, 64)
-	cs.SetLandingTier(memsim.Tier2)
+	m.SetLandingTier(memsim.Tier2)
 	m.SetResidency(blockmgr.BlockID{RDD: 1}, memsim.Tier0)
 }
 
@@ -65,8 +65,8 @@ func badQuota(ctx *executor.TaskContext, q *blockmgr.TenantQuota, m *blockmgr.Ma
 	q.Release(memsim.Tier0, 128)
 	q.Move(memsim.Tier0, memsim.Tier2, 64)
 	m.SetQuota(q)
-	if err := cl.Reserve(memsim.Tier0, 256); err == nil {
-		cl.Release(memsim.Tier0, 256)
+	if err := cl.Reserve(256); err == nil {
+		cl.Release(256)
 	}
 	sessionHelper(q)
 }
@@ -81,11 +81,11 @@ func sessionHelper(q *blockmgr.TenantQuota) {
 // admissionWiring is driver code: reserve-at-admit, budget setup and job
 // sessions on the driver goroutine are the sanctioned paths, so nothing
 // here is flagged.
-func admissionWiring(q *blockmgr.TenantQuota, cl *memsim.CapacityLedger) {
-	cl.SetBudget(memsim.Tier0, 1<<20)
-	if err := cl.Reserve(memsim.Tier0, 512); err == nil {
+func admissionWiring(q *blockmgr.TenantQuota) {
+	cl := memsim.NewCapacityLedger(1 << 20)
+	if err := cl.Reserve(512); err == nil {
 		q.BeginJob()
 		q.ReleaseHoldings(q.EndJob())
-		cl.Release(memsim.Tier0, 512)
+		cl.Release(512)
 	}
 }

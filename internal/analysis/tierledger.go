@@ -68,9 +68,8 @@ var ledgerMutators = map[string]map[string]map[string]string{
 	},
 	blockmgrPath: {
 		"ChunkStore": {
-			"ChunkPut":       "chunk residency is maintained by the shuffle store's ledger callbacks (SetLedger), driven by partition-ordered commits",
-			"ChunkDropped":   "chunk residency is maintained by the shuffle store's ledger callbacks (SetLedger), driven by partition-ordered commits",
-			"SetLandingTier": "landing tiers are rebound by the tiering engine and driver wiring, never mid-task",
+			"ChunkPut":     "chunk residency is maintained by the shuffle store's ledger callbacks (SetLedger), driven by partition-ordered commits",
+			"ChunkDropped": "chunk residency is maintained by the shuffle store's ledger callbacks (SetLedger), driven by partition-ordered commits",
 		},
 		"Manager": {
 			"SetResidency":   "block residency moves only when the tiering engine applies a migration plan",
@@ -94,9 +93,8 @@ var ledgerMutators = map[string]map[string]map[string]string{
 			"Add": "copy-ledger deltas are staged in the task context and merged by Commit in partition order",
 		},
 		"CapacityLedger": {
-			"Reserve":   "DRAM admission reservations are made and released by the admission engine, never from task or workload code",
-			"Release":   "DRAM admission reservations are made and released by the admission engine, never from task or workload code",
-			"SetBudget": "the cluster DRAM budget is fixed by the admission engine at mix start",
+			"Reserve": "DRAM admission reservations are made and released by the admission engine, never from task or workload code",
+			"Release": "DRAM admission reservations are made and released by the admission engine, never from task or workload code",
 		},
 	},
 }

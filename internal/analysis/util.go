@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // unparen strips parentheses.
@@ -131,11 +129,6 @@ func returnsError(sig *types.Signature) bool {
 		return false
 	}
 	return types.Identical(res.At(res.Len()-1).Type(), errorType)
-}
-
-// isTestFilename reports whether pos sits in a _test.go file.
-func isTestFilename(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // objOf resolves an identifier to its object via Uses then Defs.

@@ -45,7 +45,7 @@ func TestLRUEviction(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != b {
 		t.Fatalf("evicted = %v, want [%v]", evicted, b)
 	}
-	if !m.Contains(a) || !m.Contains(c) || m.Contains(b) {
+	if m.blocks[a] == nil || m.blocks[c] == nil || m.blocks[b] != nil {
 		t.Fatal("wrong survivor set after eviction")
 	}
 	if m.used != 80 {
@@ -60,10 +60,10 @@ func TestOversizedBlockNotStored(t *testing.T) {
 	if len(evicted) != 0 {
 		t.Fatal("oversized put must not evict")
 	}
-	if m.Contains(BlockID{1, 1}) {
+	if m.blocks[BlockID{1, 1}] != nil {
 		t.Fatal("oversized block stored")
 	}
-	if !m.Contains(BlockID{1, 0}) {
+	if m.blocks[BlockID{1, 0}] == nil {
 		t.Fatal("existing block lost")
 	}
 }
@@ -73,8 +73,8 @@ func TestReplaceUpdatesUsage(t *testing.T) {
 	id := BlockID{2, 0}
 	m.Put(id, "v1", 30, 1)
 	m.Put(id, "v2", 70, 2)
-	if m.used != 70 || m.Len() != 1 {
-		t.Fatalf("used/len = %d/%d, want 70/1", m.used, m.Len())
+	if m.used != 70 || len(m.blocks) != 1 {
+		t.Fatalf("used/len = %d/%d, want 70/1", m.used, len(m.blocks))
 	}
 	data, _, _, _ := m.Get(id)
 	if data.(string) != "v2" {
@@ -94,7 +94,7 @@ func TestRemoveAndClear(t *testing.T) {
 	}
 	m.Put(id, 1, 10, 1)
 	m.RemoveAll()
-	if m.Len() != 0 || m.used != 0 {
+	if len(m.blocks) != 0 || m.used != 0 {
 		t.Fatal("RemoveAll left residue")
 	}
 }
@@ -134,12 +134,12 @@ func TestUsageInvariantProperty(t *testing.T) {
 		}
 		var want int64
 		for id, sz := range live {
-			if !m.Contains(id) {
+			if m.blocks[id] == nil {
 				return false
 			}
 			want += sz
 		}
-		return m.used == want && m.used <= capBytes && m.Len() == len(live)
+		return m.used == want && m.used <= capBytes && len(m.blocks) == len(live)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -160,8 +160,8 @@ func TestRemoveAllReportsLossAndKeepsStats(t *testing.T) {
 	if blocks != 2 || bytes != 150 {
 		t.Fatalf("RemoveAll = (%d, %d), want (2, 150)", blocks, bytes)
 	}
-	if m.Len() != 0 || m.used != 0 {
-		t.Fatalf("store not empty after RemoveAll: len=%d used=%d", m.Len(), m.used)
+	if len(m.blocks) != 0 || m.used != 0 {
+		t.Fatalf("store not empty after RemoveAll: len=%d used=%d", len(m.blocks), m.used)
 	}
 	hits, misses, _ := m.Stats()
 	if hits != 1 || misses != 1 {
@@ -169,7 +169,7 @@ func TestRemoveAllReportsLossAndKeepsStats(t *testing.T) {
 	}
 	// The LRU list must be reusable after the wipe.
 	m.Put(BlockID{RDD: 2, Partition: 0}, "c", 10, 1)
-	if m.Len() != 1 || m.used != 10 {
+	if len(m.blocks) != 1 || m.used != 10 {
 		t.Fatal("store unusable after RemoveAll")
 	}
 	if b, _ := m.RemoveAll(); b != 1 {

@@ -29,13 +29,7 @@ type ChunkID struct {
 // no locking.
 type ChunkStore struct {
 	landing  memsim.TierID
-	resident map[ChunkID]chunkInfo
-	used     [memsim.NumTiers]int64
-}
-
-type chunkInfo struct {
-	tier  memsim.TierID
-	bytes int64
+	resident map[ChunkID]memsim.TierID
 }
 
 // NewChunkStore returns an empty store whose chunks land on the given tier.
@@ -43,62 +37,25 @@ func NewChunkStore(landing memsim.TierID) *ChunkStore {
 	if !landing.Valid() {
 		panic(fmt.Sprintf("blockmgr: invalid chunk landing tier %d", landing))
 	}
-	return &ChunkStore{landing: landing, resident: make(map[ChunkID]chunkInfo)}
-}
-
-// LandingTier returns the tier newly written chunk sets are placed on.
-func (s *ChunkStore) LandingTier() memsim.TierID { return s.landing }
-
-// SetLandingTier rebinds where future chunk sets land (existing residency
-// is unchanged).
-func (s *ChunkStore) SetLandingTier(t memsim.TierID) {
-	if !t.Valid() {
-		panic(fmt.Sprintf("blockmgr: invalid chunk landing tier %d", t))
-	}
-	s.landing = t
+	return &ChunkStore{landing: landing, resident: make(map[ChunkID]memsim.TierID)}
 }
 
 // ChunkPut records one committed map output on the landing tier,
 // replacing any previous registration (a resubmitted map task rewrites
-// its output). It implements the shuffle store's ledger hook.
-func (s *ChunkStore) ChunkPut(shuffleID, mapPart int, bytes int64) {
-	id := ChunkID{Shuffle: shuffleID, MapPart: mapPart}
-	if old, ok := s.resident[id]; ok {
-		s.used[old.tier] -= old.bytes
-	}
-	s.resident[id] = chunkInfo{tier: s.landing, bytes: bytes}
-	s.used[s.landing] += bytes
+// its output). It implements the shuffle store's ledger hook, whose size
+// argument residency has no use for.
+func (s *ChunkStore) ChunkPut(shuffleID, mapPart int, _ int64) {
+	s.resident[ChunkID{Shuffle: shuffleID, MapPart: mapPart}] = s.landing
 }
 
 // ChunkDropped releases one chunk set's residency (shuffle cleanup or
 // executor loss). It implements the shuffle store's ledger hook.
 func (s *ChunkStore) ChunkDropped(shuffleID, mapPart int) {
-	id := ChunkID{Shuffle: shuffleID, MapPart: mapPart}
-	info, ok := s.resident[id]
-	if !ok {
-		return
-	}
-	s.used[info.tier] -= info.bytes
-	delete(s.resident, id)
+	delete(s.resident, ChunkID{Shuffle: shuffleID, MapPart: mapPart})
 }
 
 // TierOf returns the tier a registered chunk set is resident on.
 func (s *ChunkStore) TierOf(shuffleID, mapPart int) (memsim.TierID, bool) {
-	info, ok := s.resident[ChunkID{Shuffle: shuffleID, MapPart: mapPart}]
-	return info.tier, ok
-}
-
-// TierUsed returns the chunk bytes resident on one tier.
-func (s *ChunkStore) TierUsed(t memsim.TierID) int64 { return s.used[t] }
-
-// Count returns the number of registered chunk sets.
-func (s *ChunkStore) Count() int { return len(s.resident) }
-
-// TotalBytes returns the chunk bytes resident across all tiers.
-func (s *ChunkStore) TotalBytes() int64 {
-	var total int64
-	for _, u := range s.used {
-		total += u
-	}
-	return total
+	tier, ok := s.resident[ChunkID{Shuffle: shuffleID, MapPart: mapPart}]
+	return tier, ok
 }

@@ -7,64 +7,34 @@ import (
 )
 
 func TestChunkStoreResidencyAccounting(t *testing.T) {
-	s := NewChunkStore(memsim.Tier0)
-	if got := s.LandingTier(); got != memsim.Tier0 {
-		t.Fatalf("landing tier = %v, want %v", got, memsim.Tier0)
-	}
-
+	s := NewChunkStore(memsim.Tier2)
 	s.ChunkPut(1, 0, 1000)
 	s.ChunkPut(1, 1, 500)
-	if s.Count() != 2 || s.TotalBytes() != 1500 {
-		t.Fatalf("count/bytes = %d/%d, want 2/1500", s.Count(), s.TotalBytes())
+	if len(s.resident) != 2 {
+		t.Fatalf("%d chunk sets registered, want 2", len(s.resident))
 	}
-	if got := s.TierUsed(memsim.Tier0); got != 1500 {
-		t.Fatalf("tier0 used = %d, want 1500", got)
-	}
-	if tier, ok := s.TierOf(1, 0); !ok || tier != memsim.Tier0 {
+	if tier, ok := s.TierOf(1, 0); !ok || tier != memsim.Tier2 {
 		t.Fatalf("TierOf(1,0) = %v,%v", tier, ok)
 	}
 	if _, ok := s.TierOf(1, 9); ok {
 		t.Fatal("TierOf reports an unregistered chunk as resident")
 	}
 
-	// Later chunks land on the rebound tier; existing residency stays.
-	s.SetLandingTier(memsim.Tier2)
-	s.ChunkPut(2, 0, 300)
-	if tier, _ := s.TierOf(1, 0); tier != memsim.Tier0 {
-		t.Fatal("rebinding the landing tier moved an existing chunk")
-	}
-	if tier, _ := s.TierOf(2, 0); tier != memsim.Tier2 {
-		t.Fatal("new chunk did not land on the rebound tier")
-	}
-	if s.TierUsed(memsim.Tier2) != 300 || s.TierUsed(memsim.Tier0) != 1500 {
-		t.Fatalf("per-tier usage = %d/%d, want 1500/300",
-			s.TierUsed(memsim.Tier0), s.TierUsed(memsim.Tier2))
-	}
-
-	// A resubmitted map task replaces its registration: the old bytes are
-	// released from the old tier before the new bytes are charged.
+	// A resubmitted map task replaces its registration.
 	s.ChunkPut(1, 0, 250)
-	if s.Count() != 3 {
-		t.Fatalf("replace changed count: %d, want 3", s.Count())
-	}
-	if got := s.TierUsed(memsim.Tier0); got != 500 {
-		t.Fatalf("tier0 used after replace = %d, want 500", got)
-	}
-	if tier, _ := s.TierOf(1, 0); tier != memsim.Tier2 {
-		t.Fatal("replaced chunk did not move to the current landing tier")
+	if len(s.resident) != 2 {
+		t.Fatalf("replace changed count: %d, want 2", len(s.resident))
 	}
 
 	// Drops release residency; double drops are no-ops.
 	s.ChunkDropped(1, 1)
 	s.ChunkDropped(1, 1)
-	if s.Count() != 2 || s.TierUsed(memsim.Tier0) != 0 {
-		t.Fatalf("after drop: count %d, tier0 %d; want 2, 0", s.Count(), s.TierUsed(memsim.Tier0))
+	if _, ok := s.TierOf(1, 1); ok || len(s.resident) != 1 {
+		t.Fatalf("after drop: %d chunk sets, want 1", len(s.resident))
 	}
 	s.ChunkDropped(1, 0)
-	s.ChunkDropped(2, 0)
-	if s.Count() != 0 || s.TotalBytes() != 0 {
-		t.Fatalf("store not empty after dropping everything: %d chunks, %d bytes",
-			s.Count(), s.TotalBytes())
+	if len(s.resident) != 0 {
+		t.Fatalf("store not empty after dropping everything: %d chunk sets", len(s.resident))
 	}
 }
 

@@ -47,7 +47,7 @@ func driveOps(m *Manager) []string {
 	log = append(log, fmt.Sprintf("bigput evicted %v", ev))
 	m.Remove(ids(1))
 	h, mi, e := m.Stats()
-	log = append(log, fmt.Sprintf("stats %d/%d/%d used=%d len=%d", h, mi, e, m.used, m.Len()))
+	log = append(log, fmt.Sprintf("stats %d/%d/%d used=%d len=%d", h, mi, e, m.used, len(m.blocks)))
 	return log
 }
 
@@ -177,8 +177,8 @@ func TestResidencyInvariantsProperty(t *testing.T) {
 		}
 		m.RemoveAll()
 		checkResidencyInvariants(t, m)
-		if m.used != 0 || m.Len() != 0 {
-			t.Fatalf("capacity=%d: RemoveAll left used=%d len=%d", capacity, m.used, m.Len())
+		if m.used != 0 || len(m.blocks) != 0 {
+			t.Fatalf("capacity=%d: RemoveAll left used=%d len=%d", capacity, m.used, len(m.blocks))
 		}
 	}
 }
@@ -219,7 +219,7 @@ func TestOversizedOverwriteDropsDisplaced(t *testing.T) {
 	if ev := m.Put(id, "huge", 300, 1); ev != nil {
 		t.Fatalf("oversized overwrite reported evictions %v", ev)
 	}
-	if m.Contains(id) || m.used != 0 || len(m.Blocks()) != 0 {
+	if m.blocks[id] != nil || m.used != 0 || len(m.Blocks()) != 0 {
 		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.used, m.Blocks())
 	}
 	want := []string{"put rdd_1_0 100", "drop rdd_1_0 100"}

@@ -116,12 +116,6 @@ func (q *TenantQuota) FastFree() int64 {
 	return 0
 }
 
-// SpilledBlocks returns how many placements degraded to the slow tier.
-func (q *TenantQuota) SpilledBlocks() int64 { return q.spilledBlocks }
-
-// SpilledBytes returns how many bytes degraded to the slow tier.
-func (q *TenantQuota) SpilledBytes() int64 { return q.spilledBytes }
-
 // QuotaUsage is a snapshot of a quota's accounting, for gauge publishing.
 type QuotaUsage struct {
 	FastUsed, SlowUsed int64
@@ -139,20 +133,13 @@ func (q *TenantQuota) Usage() QuotaUsage {
 	}
 }
 
-// PlannedLanding is the tier a new block of the given size would be placed
-// on right now: the fast tier while the fast budget holds it, the slow
-// tier otherwise. Zero bytes probes for any fast headroom at all (the
-// sizeless charge-path resolver). Read-only — the quota-aware
-// landing-tier resolver the charge path consults during phase-1, against
-// usage frozen at stage start.
-func (q *TenantQuota) PlannedLanding(bytes int64) memsim.TierID {
-	if bytes == 0 {
-		if q.fastUsed < q.FastBudgetBytes {
-			return q.Fast
-		}
-		return q.Slow
-	}
-	if q.fastUsed+bytes <= q.FastBudgetBytes {
+// PlannedLanding is the tier a new block would be placed on right now:
+// the fast tier while it has any headroom at all, the slow tier
+// otherwise. Read-only — the quota-aware landing-tier resolver the
+// sizeless charge path consults during phase-1, against usage frozen at
+// stage start.
+func (q *TenantQuota) PlannedLanding() memsim.TierID {
+	if q.fastUsed < q.FastBudgetBytes {
 		return q.Fast
 	}
 	return q.Slow

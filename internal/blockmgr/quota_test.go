@@ -83,8 +83,8 @@ func TestQuotaGracefulSpill(t *testing.T) {
 	if tier, _ := m.TierOf(id(1)); tier != memsim.Tier2 {
 		t.Fatalf("block 1 on %s, want slow tier after spill", tier)
 	}
-	if q.SpilledBlocks() != 1 || q.SpilledBytes() != 60 {
-		t.Fatalf("spill accounting = %d blocks / %d B, want 1/60", q.SpilledBlocks(), q.SpilledBytes())
+	if u := q.Usage(); u.SpilledBlocks != 1 || u.SpilledBytes != 60 {
+		t.Fatalf("spill accounting = %d blocks / %d B, want 1/60", u.SpilledBlocks, u.SpilledBytes)
 	}
 	if q.FastUsed() != 100 || q.SlowUsed() != 60 {
 		t.Fatalf("usage fast=%d slow=%d, want 100/60", q.FastUsed(), q.SlowUsed())
@@ -144,8 +144,8 @@ func TestQuotaEvictionReleases(t *testing.T) {
 	m.SetQuota(q)
 	m.Put(BlockID{RDD: 1, Partition: 0}, nil, 80, 1)
 	m.Put(BlockID{RDD: 1, Partition: 1}, nil, 80, 1) // evicts block 0
-	if m.Len() != 1 {
-		t.Fatalf("cache holds %d blocks, want 1", m.Len())
+	if len(m.blocks) != 1 {
+		t.Fatalf("cache holds %d blocks, want 1", len(m.blocks))
 	}
 	if q.FastUsed() != 80 {
 		t.Fatalf("fast usage %d after eviction, want 80", q.FastUsed())

@@ -42,10 +42,10 @@ func TestReplayHitRenewsLRU(t *testing.T) {
 	m.Put(b, "b", 100, 1)
 	m.ReplayHit(a) // a becomes most recently used
 	m.Put(BlockID{RDD: 1, Partition: 2}, "c", 100, 1)
-	if !m.Contains(a) {
+	if m.blocks[a] == nil {
 		t.Fatal("replay-hit block was evicted first")
 	}
-	if m.Contains(b) {
+	if m.blocks[b] != nil {
 		t.Fatal("LRU victim should have been the non-renewed block")
 	}
 }
@@ -88,7 +88,7 @@ func TestReplayEquivalentToLiveGet(t *testing.T) {
 	// Same LRU order: adding a third block must evict the same victim.
 	live.Put(BlockID{RDD: 3, Partition: 0}, "c", 150, 1)
 	staged.Put(BlockID{RDD: 3, Partition: 0}, "c", 150, 1)
-	if live.Contains(BlockID{RDD: 1, Partition: 1}) != staged.Contains(BlockID{RDD: 1, Partition: 1}) {
+	if (live.blocks[BlockID{RDD: 1, Partition: 1}] != nil) != (staged.blocks[BlockID{RDD: 1, Partition: 1}] != nil) {
 		t.Fatal("LRU order diverged between live Get and staged replay")
 	}
 }

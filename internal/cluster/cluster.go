@@ -141,7 +141,6 @@ type App struct {
 
 	rddSeq     int
 	shuffleSeq int
-	started    sim.Time
 	tracer     *trace.Recorder
 }
 
@@ -202,7 +201,6 @@ func New(conf Conf) *App {
 		a.tier.SetRegistry(a.sched.Counters())
 	}
 	a.startExecutors()
-	a.started = k.Now()
 	return a
 }
 
@@ -222,9 +220,6 @@ func (a *App) startExecutors() {
 	}
 	executor.SimulateStage(a.kern, a.pool, tasks, a.cost)
 }
-
-// Conf returns the application configuration (post-defaulting).
-func (a *App) Conf() Conf { return a.conf }
 
 // Kernel implements scheduler.Env.
 func (a *App) Kernel() *sim.Kernel { return a.kern }
@@ -258,10 +253,6 @@ func (a *App) TaskParallelism() int { return a.conf.TaskParallelism }
 // EngineCounters exposes the scheduler's engine-level counter registry
 // (tasks computed, parallel vs sequential stages).
 func (a *App) EngineCounters() *telemetry.Registry { return a.sched.Counters() }
-
-// SchedulerStats exposes the raw scheduler statistics (Metrics folds most
-// of them in, but not jobs and task retries).
-func (a *App) SchedulerStats() scheduler.Stats { return a.sched.Stats() }
 
 // EnableTracing turns on stage-span recording and returns the recorder.
 // Call it before running jobs; spans land in chrome://tracing format via

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/memsim"
 	"repro/internal/numa"
+	"repro/internal/sim"
 )
 
 func TestDefaultConfIsPaperDefault(t *testing.T) {
@@ -135,12 +137,20 @@ func TestDefaultParallelismDerivation(t *testing.T) {
 }
 
 func TestBandwidthCapApplied(t *testing.T) {
-	conf := DefaultConf()
-	conf.CoresPerExecutor = 4
-	conf.BandwidthCap = 0.25
-	app := New(conf)
-	if got := app.Tier().BandwidthCap(); got != 0.25 {
-		t.Fatalf("cap = %v, want 0.25", got)
+	// drain is how long the bound tier takes to stream 1 GB.
+	drain := func(cap float64) sim.Duration {
+		conf := DefaultConf()
+		conf.CoresPerExecutor = 4
+		conf.BandwidthCap = cap
+		app := New(conf)
+		start := app.Kernel().Now()
+		var end sim.Time
+		app.Tier().Server().Submit(app.Tier().ChannelUnits(memsim.Read, memsim.Sequential, 1e9), func(now sim.Time) { end = now })
+		app.Kernel().Run()
+		return end - start
+	}
+	if got := float64(drain(0)) / float64(drain(0.25)); math.Abs(got-0.25) > 1e-6 {
+		t.Fatalf("capped tier drains at %v of full speed, want 0.25", got)
 	}
 }
 

@@ -125,19 +125,16 @@ func (a *TierAdvisor) Predict(profile hibench.RunResult, tier memsim.TierID) flo
 	return max(a.fit.Predict(advisorFeatures(profile, spec)), profile.Duration.Seconds())
 }
 
-// Recommend returns the fastest predicted tier among candidates and its
-// predicted time, given a Tier 0 profile. Candidates are considered in
-// order, and a later tier must predict at least 2% faster to displace the
-// incumbent, so model noise cannot unseat an earlier (cheaper-to-reach)
-// tier on a spurious margin.
-func (a *TierAdvisor) Recommend(profile hibench.RunResult, candidates []memsim.TierID) (memsim.TierID, float64) {
+// Recommend returns the fastest predicted tier and its predicted time,
+// given a Tier 0 profile. Tiers are considered in order, and a later tier
+// must predict at least 2% faster to displace the incumbent, so model
+// noise cannot unseat an earlier (cheaper-to-reach) tier on a spurious
+// margin.
+func (a *TierAdvisor) Recommend(profile hibench.RunResult) (memsim.TierID, float64) {
 	a.mustBeTrained()
-	if len(candidates) == 0 {
-		candidates = memsim.AllTiers()
-	}
-	best := candidates[0]
+	best := memsim.Tier0
 	bestT := math.Inf(1)
-	for _, tier := range candidates {
+	for _, tier := range memsim.AllTiers() {
 		if t := a.Predict(profile, tier); t < bestT*0.98 {
 			best, bestT = tier, t
 		}

@@ -239,7 +239,7 @@ func TestAdvisorPredictsHeldOutWorkload(t *testing.T) {
 	profile := sharedEval().Run(hibench.RunSpec{
 		Workload: "pagerank", Size: workloads.Large, Tier: memsim.Tier0,
 	})[0]
-	best, pred := adv.Recommend(profile, nil)
+	best, pred := adv.Recommend(profile)
 	if best != memsim.Tier0 {
 		t.Errorf("recommended %v, want Tier 0 as fastest", best)
 	}

@@ -154,16 +154,19 @@ func (e *Evaluator) Run(specs ...hibench.RunSpec) []hibench.RunResult {
 }
 
 // Queries answers a planned query list by request index. An injected
-// runner is asked cell by cell in request order; without one each query is
-// resolved to its RunSpec and goes through the memo, so
-// Query{Placement: "tier:2"} and RunSpec{Tier: memsim.Tier2} are one entry.
+// runner is asked for the cells through the same par.Do fan-out as eval's
+// (it joins duplicate in-flight cells itself), and the first error in list
+// order is the one returned; without one each query is resolved to its
+// RunSpec and goes through the memo, so Query{Placement: "tier:2"} and
+// RunSpec{Tier: memsim.Tier2} are one entry.
 func (e *Evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
 	//simlint:allow locksafety runner is set by NewEvaluator and never written again
-	if e.runner != nil {
+	if run := e.runner; run != nil {
 		out := make([]hibench.RunResult, len(qs))
-		for i, q := range qs {
-			var err error
-			if out[i], err = e.runner(q); err != nil {
+		errs := make([]error, len(qs))
+		par.Do(len(qs), e.workers, func(i int) { out[i], errs[i] = run(qs[i]) })
+		for _, err := range errs {
+			if err != nil {
 				return nil, err
 			}
 		}

@@ -210,19 +210,24 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	}
 }
 
-// An injected runner answers the query-vocabulary drivers cell by cell in
-// plan order, its error comes back to the caller as returned, and the
-// RunSpec drivers keep simulating locally beside it.
+// An injected runner answers the query-vocabulary drivers, one call per
+// planned cell — in plan order at one worker — its error comes back to the
+// caller as returned, and the RunSpec drivers keep simulating locally
+// beside it.
 func TestInjectedRunnerAnswersQueriesInRequestOrder(t *testing.T) {
+	var mu sync.Mutex
 	var asked []string
 	failOn := "none"
 	ev := NewEvaluator(func(q hibench.Query) (hibench.RunResult, error) {
+		mu.Lock()
+		defer mu.Unlock()
 		asked = append(asked, q.Placement+"/"+q.Policy)
-		if q.Policy == failOn {
-			return hibench.RunResult{}, errors.New("runner down")
+		if strings.HasPrefix(q.Policy, failOn) {
+			return hibench.RunResult{}, errors.New("runner down at " + q.Policy)
 		}
-		return hibench.RunResult{Duration: 1 + sim.Time(len(asked))}, nil
+		return hibench.RunResult{Duration: 1 + sim.Time(len(q.Policy))}, nil
 	})
+	ev.workers = 1
 	results, err := ev.WhatIf([]string{"sort"}, workloads.Tiny, 1)
 	scenarios := memsim.CapacityScenarios()
 	if err != nil || len(results) != len(scenarios) {
@@ -239,9 +244,25 @@ func TestInjectedRunnerAnswersQueriesInRequestOrder(t *testing.T) {
 		t.Errorf("injected runner's cells reached the local memo (%d entries)", len(ev.cells))
 	}
 
-	failOn = scenarios[1].Name
-	if _, err := ev.WhatIf([]string{"sort"}, workloads.Tiny, 1); err == nil || err.Error() != "runner down" {
-		t.Errorf("failing runner returned %v, want its own error", err)
+	// The fan-out answers by request index at any worker count, and of
+	// several failed cells the first in list order is the one reported.
+	ev.workers = 8
+	qs := make([]hibench.Query, 40)
+	for i := range qs {
+		qs[i] = hibench.Query{Workload: "sort", Size: "tiny", Placement: "tier:2", Policy: strings.Repeat("p", i)}
+	}
+	out, err := ev.Queries(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out {
+		if res.Duration != sim.Time(1+i) {
+			t.Fatalf("request %d answered with %v, want %v", i, res.Duration, sim.Time(1+i))
+		}
+	}
+	failOn = strings.Repeat("p", 7) // fails every cell from index 7 on
+	if _, err := ev.Queries(qs); err == nil || err.Error() != "runner down at "+failOn {
+		t.Errorf("failing runner returned %v, want the error of request 7", err)
 	}
 	adv := TierAdvisor{Ev: ev}
 	failOn = "none"

@@ -17,10 +17,9 @@ func DefaultMBACaps() []float64 { return []float64{1.0, 0.8, 0.6, 0.4, 0.2, 0.1}
 // MBAPoint is one violin of Figure 3: a workload under one bandwidth cap,
 // summarizing execution time across the input sizes.
 type MBAPoint struct {
-	Workload  string
-	Cap       float64
-	Durations []float64 // seconds, one per size
-	Violin    stats.Violin
+	Workload string
+	Cap      float64
+	Violin   stats.Violin
 }
 
 // MBASweep is the Figure 3 dataset.
@@ -63,10 +62,9 @@ func (e *Evaluator) MBASweep(names []string, caps []float64, tier memsim.TierID,
 			}
 			results = results[len(sizes):]
 			sweep.Points = append(sweep.Points, MBAPoint{
-				Workload:  w,
-				Cap:       cap,
-				Durations: durations,
-				Violin:    stats.NewViolin(durations),
+				Workload: w,
+				Cap:      cap,
+				Violin:   stats.NewViolin(durations),
 			})
 		}
 	}

@@ -23,9 +23,7 @@ func Fig4Workloads() []string { return []string{"sort", "rf", "lda", "pagerank"}
 
 // ScalingCell is one square of a Figure 4 heatmap.
 type ScalingCell struct {
-	Executors  int
-	TotalCores int
-	Duration   sim.Time
+	Duration sim.Time
 	// Speedup is baseline time / cell time: >1 is faster than the
 	// 1x40 baseline, <1 is a slowdown.
 	Speedup float64
@@ -83,7 +81,7 @@ func (e *Evaluator) ScalingGrid(workload string, size workloads.Size, tier memsi
 	grid.Baseline = base.Duration
 	for _, n := range executors {
 		for _, c := range cores {
-			cell := ScalingCell{Executors: n, TotalCores: c}
+			var cell ScalingCell
 			if c >= n {
 				cell.Duration = results[0].Duration
 				cell.Speedup = float64(base.Duration) / float64(cell.Duration)

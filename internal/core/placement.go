@@ -59,21 +59,6 @@ func (e *Evaluator) PlacementStudy(workload string, size workloads.Size, seed in
 	return study, nil
 }
 
-// Point returns a named deployment's measurement.
-func (s *PlacementStudy) Point(name string) PlacementPoint {
-	for _, p := range s.Points {
-		if p.Name == name {
-			return p
-		}
-	}
-	panic(fmt.Sprintf("core: placement study has no point %q", name))
-}
-
-// Slowdown returns a named deployment's time over the all-DRAM time.
-func (s *PlacementStudy) Slowdown(name string) float64 {
-	return float64(s.Point(name).Duration) / float64(s.Point("all-DRAM").Duration)
-}
-
 // Table renders the study.
 func (s *PlacementStudy) Table() Table {
 	t := Table{

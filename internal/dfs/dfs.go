@@ -10,10 +10,7 @@
 // (the RDD source / sink) which knows the executor's memory binding.
 package dfs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultBlockSize mirrors HDFS's 128 MiB default, scaled 1/64 to suit the
 // simulator's scaled datasets (2 MiB).
@@ -42,8 +39,6 @@ type Block struct {
 // fileMeta is the namenode's record of one file.
 type fileMeta struct {
 	id     int
-	path   string
-	size   int64
 	blocks []BlockID
 }
 
@@ -102,7 +97,7 @@ func (fs *FileSystem) Create(path string, data []byte) error {
 	if _, exists := fs.files[path]; exists {
 		return fmt.Errorf("dfs: %s already exists (HDFS is write-once)", path)
 	}
-	meta := &fileMeta{id: fs.nextFile, path: path, size: int64(len(data))}
+	meta := &fileMeta{id: fs.nextFile}
 	fs.nextFile++
 	for off, idx := int64(0), 0; off < int64(len(data)) || (off == 0 && len(data) == 0); idx++ {
 		end := off + fs.blockSize
@@ -130,15 +125,6 @@ func (fs *FileSystem) Create(path string, data []byte) error {
 	return nil
 }
 
-// Size returns a file's length in bytes.
-func (fs *FileSystem) Size(path string) (int64, error) {
-	m, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("dfs: %s not found", path)
-	}
-	return m.size, nil
-}
-
 // Blocks returns a file's block ids in order.
 func (fs *FileSystem) Blocks(path string) ([]BlockID, error) {
 	m, ok := fs.files[path]
@@ -155,48 +141,4 @@ func (fs *FileSystem) ReadBlock(id BlockID) ([]byte, error) {
 		return nil, fmt.Errorf("dfs: block %s not found", id)
 	}
 	return blk.Data, nil
-}
-
-// Read returns a whole file's contents by concatenating its blocks.
-func (fs *FileSystem) Read(path string) ([]byte, error) {
-	m, ok := fs.files[path]
-	if !ok {
-		return nil, fmt.Errorf("dfs: %s not found", path)
-	}
-	out := make([]byte, 0, m.size)
-	for _, id := range m.blocks {
-		out = append(out, fs.blocks[id].Data...)
-	}
-	return out, nil
-}
-
-// Delete removes a file and frees its replicas.
-func (fs *FileSystem) Delete(path string) error {
-	m, ok := fs.files[path]
-	if !ok {
-		return fmt.Errorf("dfs: %s not found", path)
-	}
-	for _, id := range m.blocks {
-		blk := fs.blocks[id]
-		for _, nodeID := range blk.Replicas {
-			node := fs.nodes[nodeID]
-			if data, held := node.blocks[id]; held {
-				node.used -= int64(len(data))
-				delete(node.blocks, id)
-			}
-		}
-		delete(fs.blocks, id)
-	}
-	delete(fs.files, path)
-	return nil
-}
-
-// List returns all paths in lexical order.
-func (fs *FileSystem) List() []string {
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

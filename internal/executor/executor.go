@@ -12,10 +12,9 @@ import (
 // Executor is one Spark computing unit: a set of cores pinned to a socket
 // and a memory binding, with its own block manager.
 type Executor struct {
-	ID      int
-	Cores   int
-	Binding numa.Binding
-	Blocks  *blockmgr.Manager
+	ID     int
+	Cores  int
+	Blocks *blockmgr.Manager
 }
 
 // NewExecutor builds an executor with the given core count and binding.
@@ -27,7 +26,7 @@ func NewExecutor(id, cores int, binding numa.Binding, cacheCapacity int64) *Exec
 	if err := binding.Validate(); err != nil {
 		panic(err)
 	}
-	return &Executor{ID: id, Cores: cores, Binding: binding, Blocks: blockmgr.New(cacheCapacity)}
+	return &Executor{ID: id, Cores: cores, Blocks: blockmgr.New(cacheCapacity)}
 }
 
 // Pool is the set of executors of one application, sharing one memory
@@ -83,9 +82,6 @@ func NewPlacedPool(n, coresEach int, binding numa.Binding, sys *memsim.System,
 
 // System returns the memory system the pool allocates from.
 func (p *Pool) System() *memsim.System { return p.sys }
-
-// Placement returns the pool's traffic-category placement.
-func (p *Pool) Placement() Placement { return p.placement }
 
 // Tier returns the heap tier — the paper's single membind target.
 func (p *Pool) Tier() *memsim.Tier { return p.sys.Tier(p.placement.Heap) }

@@ -73,7 +73,7 @@ func TestTaskContextIgnoresNonPositive(t *testing.T) {
 		t.Errorf("non-positive charges leaked into profile: %+v", p)
 	}
 	ctx.Commit()
-	if c := sys.Tier(memsim.Tier0).Counters(); c.TotalAccesses() != 0 {
+	if c := sys.Tier(memsim.Tier0).Counters(); c.MediaReads+c.MediaWrites != 0 {
 		t.Error("non-positive charges leaked into counters")
 	}
 }
@@ -348,7 +348,7 @@ func TestPlacedPoolTierAccessors(t *testing.T) {
 	if pool.CacheTier().Spec.ID != memsim.Tier1 {
 		t.Fatal("cache tier wrong")
 	}
-	if pool.Placement() != p {
+	if pool.placement != p {
 		t.Fatal("placement not retained")
 	}
 }

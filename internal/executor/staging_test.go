@@ -15,7 +15,7 @@ func TestStagedCountersLandOnlyAtCommit(t *testing.T) {
 	_, sys, pool := newTestRig(memsim.Tier2)
 	ctx := newCtx(pool, 0)
 	ctx.MemSeq(memsim.Read, 25_600)
-	if c := sys.Tier(memsim.Tier2).Counters(); c.TotalAccesses() != 0 {
+	if c := sys.Tier(memsim.Tier2).Counters(); c.MediaReads+c.MediaWrites != 0 {
 		t.Fatalf("charges visible before commit: %+v", c)
 	}
 	ctx.Commit()
@@ -49,7 +49,7 @@ func TestGetBlockSeesOwnStagedPut(t *testing.T) {
 		t.Fatal("hit before any put")
 	}
 	ctx.PutBlock(id, "payload", 64, 4)
-	if ctx.Blocks.Contains(id) {
+	if _, ok := ctx.Blocks.TierOf(id); ok {
 		t.Fatal("staged put leaked into the shared manager before commit")
 	}
 	data, bytes, items, ok := ctx.GetBlock(id)
@@ -58,7 +58,7 @@ func TestGetBlockSeesOwnStagedPut(t *testing.T) {
 	}
 
 	ctx.Commit()
-	if !ctx.Blocks.Contains(id) {
+	if _, ok := ctx.Blocks.TierOf(id); !ok {
 		t.Fatal("staged put not committed")
 	}
 	// Commit replays the outcomes: one miss, then one hit via the overlay.
@@ -109,7 +109,11 @@ func TestShufflePutsStagedUntilCommit(t *testing.T) {
 	if store.TotalBytes() != 24 {
 		t.Fatalf("store bytes after commit = %d, want 24", store.TotalBytes())
 	}
-	cs := store.Get(1, 0)
+	sets, err := store.Inputs(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := sets[0]
 	if cs == nil || cs.Items[1] != 3 || cs.ExecID != ex.ID {
 		t.Fatalf("committed chunk set = %+v", cs)
 	}

@@ -54,9 +54,6 @@ func (c *Classifier) Bounds() []float64 {
 	return out
 }
 
-// Class returns the heat's class index in [0, Classes()).
-func (c *Classifier) Class(h float64) int { return Class(c.bounds, h) }
-
 // Class buckets a heat value against sorted boundaries: the index of the
 // first boundary exceeding the heat, or len(bounds) when none does. A
 // binary search keeps classification O(log n) for long boundary lists.
@@ -98,20 +95,6 @@ func (m *Heatmap) Totals() (blocks, bytes int64) {
 		bytes += m.Bytes[i]
 	}
 	return blocks, bytes
-}
-
-// Clone deep-copies the heatmap (recorded histories must not alias the
-// working map the engine keeps mutating).
-func (m Heatmap) Clone() Heatmap {
-	out := Heatmap{
-		Bounds: make([]float64, len(m.Bounds)),
-		Blocks: make([]int64, len(m.Blocks)),
-		Bytes:  make([]int64, len(m.Bytes)),
-	}
-	copy(out.Bounds, m.Bounds)
-	copy(out.Blocks, m.Blocks)
-	copy(out.Bytes, m.Bytes)
-	return out
 }
 
 // String renders "3/120KiB | 1/4KiB | 0/0 | 2/64KiB" — blocks/bytes per

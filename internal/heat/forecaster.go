@@ -72,9 +72,6 @@ func (c *Chain) Name() string {
 	return s
 }
 
-// Len returns the number of stages.
-func (c *Chain) Len() int { return len(c.stages) }
-
 // Forecast implements Forecaster by folding cur through every stage. An
 // empty chain is the identity.
 func (c *Chain) Forecast(history *History, cur []Sample) []Sample {

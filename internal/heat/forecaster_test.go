@@ -145,8 +145,8 @@ func TestChainComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "trend+phase" || c.Len() != 2 {
-		t.Fatalf("chain = %s/%d", c.Name(), c.Len())
+	if c.Name() != "trend+phase" || len(c.stages) != 2 {
+		t.Fatalf("chain = %s/%d", c.Name(), len(c.stages))
 	}
 
 	// With no detectable period the phase stage is the identity, so the

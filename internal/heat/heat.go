@@ -31,26 +31,7 @@
 // histograms index by class.
 package heat
 
-import (
-	"fmt"
-
-	"repro/internal/blockmgr"
-)
-
-// TrackerKind names a tracker implementation.
-type TrackerKind string
-
-const (
-	// AccessCounts is the exponentially decayed access counter: a put
-	// resets a block's heat to one touch, every counted hit adds one,
-	// and Tick multiplies all heats by the decay factor. The PR 5 EWMA
-	// ledger, refactored behind the Tracker interface.
-	AccessCounts TrackerKind = "access"
-	// IdleAge tracks epochs since a block was last touched, memtier's
-	// idle-page aging: heat is 1/(1+age), so a block touched this epoch
-	// has heat exactly 1 and heat halves after one idle epoch.
-	IdleAge TrackerKind = "idle"
-)
+import "repro/internal/blockmgr"
 
 // Sample is one block's heat at one epoch. Heat is the generic hotness
 // scalar every consumer orders by (higher = hotter); Write isolates the
@@ -71,13 +52,9 @@ type Sample struct {
 type Tracker interface {
 	blockmgr.Observer
 
-	// Kind names the implementation.
-	Kind() TrackerKind
 	// Tick advances one epoch: decay for counter trackers, aging for
 	// idle trackers.
 	Tick()
-	// Heat returns a block's current hotness (0 for unknown blocks).
-	Heat(id blockmgr.BlockID) float64
 	// WriteHeat returns the write component of a block's hotness (0 for
 	// unknown blocks, and 0 always for trackers that do not separate
 	// writes).
@@ -87,20 +64,4 @@ type Tracker interface {
 	// nothing is sorted here. It is the deterministic per-epoch record
 	// History accumulates.
 	Snapshot() []Sample
-	// Len returns the number of tracked blocks.
-	Len() int
-	// Counts returns the lifetime access and put totals.
-	Counts() (accesses, puts int64)
-}
-
-// NewTracker builds a tracker of the given kind. decay parameterizes
-// AccessCounts (per-epoch multiplier in [0,1)); IdleAge ignores it.
-func NewTracker(kind TrackerKind, decay float64) (Tracker, error) {
-	switch kind {
-	case AccessCounts:
-		return NewAccessTracker(decay), nil
-	case IdleAge:
-		return NewIdleTracker(), nil
-	}
-	return nil, fmt.Errorf("heat: unknown tracker kind %q", kind)
 }

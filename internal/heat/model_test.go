@@ -29,18 +29,7 @@ func checkTrackersAgree(t *testing.T, where string, got, want Tracker, ids []blo
 	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: Snapshot\n got %v\nwant %v", where, g, w)
 	}
-	if g, w := got.Len(), want.Len(); g != w {
-		t.Fatalf("%s: Len = %d, want %d", where, g, w)
-	}
-	ga, gp := got.Counts()
-	wa, wp := want.Counts()
-	if ga != wa || gp != wp {
-		t.Fatalf("%s: Counts = %d/%d, want %d/%d", where, ga, gp, wa, wp)
-	}
 	for _, id := range ids {
-		if g, w := got.Heat(id), want.Heat(id); g != w {
-			t.Fatalf("%s: Heat(%s) = %v, want %v", where, id, g, w)
-		}
 		if g, w := got.WriteHeat(id), want.WriteHeat(id); g != w {
 			t.Fatalf("%s: WriteHeat(%s) = %v, want %v", where, id, g, w)
 		}
@@ -101,7 +90,7 @@ func TestIdleTrackerMatchesMapModel(t *testing.T) {
 		got, want := NewIdleTracker(), newMapIdleTracker()
 		driveTrackers(t, "idle", seed, got, want)
 		for _, id := range modelIDs() {
-			if g, w := got.Age(id), want.Age(id); g != w {
+			if g, w := got.since(got.blocks.get(id).touched), want.Age(id); g != w {
 				t.Fatalf("idle seed %d: Age(%s) = %d, want %d", seed, id, g, w)
 			}
 		}
@@ -110,19 +99,19 @@ func TestIdleTrackerMatchesMapModel(t *testing.T) {
 
 // The write heat of a block outlives its combined heat (a put resets
 // heat to one touch but accumulates write heat), and in between the
-// block is out of Snapshot and Len while WriteHeat still answers.
+// block is out of Snapshot while WriteHeat still answers.
 func TestAccessTrackerWriteOutlivesHeat(t *testing.T) {
 	tr := NewAccessTracker(0.5)
 	tr.BlockPut(bid(0), 64)
 	tr.BlockPut(bid(0), 64) // heat 1, write 2
-	for tr.Heat(bid(0)) != 0 {
+	for heatOf(tr, bid(0)) != 0 {
 		tr.Tick()
 	}
 	if w := tr.WriteHeat(bid(0)); w == 0 {
 		t.Fatal("write heat dropped together with the combined heat")
 	}
-	if tr.Len() != 0 || len(tr.Snapshot()) != 0 {
-		t.Fatalf("heat-less block still counted: len=%d snapshot=%v", tr.Len(), tr.Snapshot())
+	if len(tr.Snapshot()) != 0 {
+		t.Fatalf("heat-less block still counted: snapshot=%v", tr.Snapshot())
 	}
 	tr.Tick()
 	if w := tr.WriteHeat(bid(0)); w != 0 {

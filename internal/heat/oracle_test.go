@@ -19,9 +19,6 @@ type mapAccessTracker struct {
 	decay float64
 	heat  map[blockmgr.BlockID]float64
 	write map[blockmgr.BlockID]float64
-
-	accesses int64
-	puts     int64
 }
 
 func newMapAccessTracker(decay float64) *mapAccessTracker {
@@ -34,13 +31,9 @@ func newMapAccessTracker(decay float64) *mapAccessTracker {
 
 var _ Tracker = (*mapAccessTracker)(nil)
 
-// Kind implements Tracker.
-func (t *mapAccessTracker) Kind() TrackerKind { return AccessCounts }
-
 // BlockAccessed bumps the block's heat by one touch.
 func (t *mapAccessTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 	t.heat[id]++
-	t.accesses++
 }
 
 // BlockPut resets the block's combined heat to one touch and adds one to
@@ -50,7 +43,6 @@ func (t *mapAccessTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 func (t *mapAccessTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
 	t.heat[id] = 1
 	t.write[id]++
-	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
@@ -87,9 +79,6 @@ func (t *mapAccessTracker) Tick() {
 	}
 }
 
-// Heat returns the block's combined hotness (0 for unknown blocks).
-func (t *mapAccessTracker) Heat(id blockmgr.BlockID) float64 { return t.heat[id] }
-
 // WriteHeat returns the block's write EWMA (0 for unknown blocks).
 func (t *mapAccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.write[id] }
 
@@ -103,20 +92,11 @@ func (t *mapAccessTracker) Snapshot() []Sample {
 	return out
 }
 
-// Len returns the number of blocks with recorded heat.
-func (t *mapAccessTracker) Len() int { return len(t.heat) }
-
-// Counts returns the lifetime access and put totals.
-func (t *mapAccessTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }
-
 // mapIdleTracker is the two-map IdleTracker.
 type mapIdleTracker struct {
 	epoch     int64
 	lastTouch map[blockmgr.BlockID]int64
 	lastPut   map[blockmgr.BlockID]int64
-
-	accesses int64
-	puts     int64
 }
 
 func newMapIdleTracker() *mapIdleTracker {
@@ -128,20 +108,15 @@ func newMapIdleTracker() *mapIdleTracker {
 
 var _ Tracker = (*mapIdleTracker)(nil)
 
-// Kind implements Tracker.
-func (t *mapIdleTracker) Kind() TrackerKind { return IdleAge }
-
 // BlockAccessed stamps the block as touched this epoch.
 func (t *mapIdleTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 	t.lastTouch[id] = t.epoch
-	t.accesses++
 }
 
 // BlockPut stamps the block as touched and written this epoch.
 func (t *mapIdleTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
 	t.lastTouch[id] = t.epoch
 	t.lastPut[id] = t.epoch
-	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
@@ -197,12 +172,6 @@ func (t *mapIdleTracker) Snapshot() []Sample {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
 }
-
-// Len returns the number of tracked blocks.
-func (t *mapIdleTracker) Len() int { return len(t.lastTouch) }
-
-// Counts returns the lifetime access and put totals.
-func (t *mapIdleTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }
 
 // compactingMover is the Mover queue that compacts and re-indexes every
 // survivor on every batch.

@@ -19,13 +19,10 @@ const heatFloor = 1e-9
 // component is an absent one: recorded heat is at least the floor, so
 // zero is free to mean "no entry". Heat and write heat therefore still
 // decay out independently — a block whose combined heat has dropped
-// leaves Snapshot and Len while its write heat lives on.
+// leaves Snapshot while its write heat lives on.
 type AccessTracker struct {
 	decay  float64
 	blocks ledger[accessHeat]
-
-	accesses int64
-	puts     int64
 }
 
 // accessHeat is one block's decayed counters; zero means absent.
@@ -42,13 +39,9 @@ func NewAccessTracker(decay float64) *AccessTracker {
 
 var _ Tracker = (*AccessTracker)(nil)
 
-// Kind implements Tracker.
-func (t *AccessTracker) Kind() TrackerKind { return AccessCounts }
-
 // BlockAccessed bumps the block's heat by one touch.
 func (t *AccessTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 	t.blocks.record(id).heat++
-	t.accesses++
 }
 
 // BlockPut resets the block's combined heat to one touch and adds one to
@@ -59,7 +52,6 @@ func (t *AccessTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
 	c := t.blocks.record(id)
 	c.heat = 1
 	c.write++
-	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
@@ -91,9 +83,6 @@ func (t *AccessTracker) decayed(h float64) float64 {
 	return h
 }
 
-// Heat returns the block's combined hotness (0 for unknown blocks).
-func (t *AccessTracker) Heat(id blockmgr.BlockID) float64 { return t.blocks.get(id).heat }
-
 // WriteHeat returns the block's write EWMA (0 for unknown blocks).
 func (t *AccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.blocks.get(id).write }
 
@@ -108,17 +97,3 @@ func (t *AccessTracker) Snapshot() []Sample {
 	}
 	return out
 }
-
-// Len returns the number of blocks with recorded heat.
-func (t *AccessTracker) Len() int {
-	n := 0
-	for _, c := range t.blocks.cells {
-		if c.p.heat != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Counts returns the lifetime access and put totals.
-func (t *AccessTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }

@@ -13,9 +13,6 @@ type IdleTracker struct {
 	// epoch starts at 1 so that a zero stamp means "never".
 	epoch  int64
 	blocks ledger[idleStamps]
-
-	accesses int64
-	puts     int64
 }
 
 // idleStamps are the epochs of one block's last touch and last put; a
@@ -30,19 +27,14 @@ func NewIdleTracker() *IdleTracker { return &IdleTracker{epoch: 1} }
 
 var _ Tracker = (*IdleTracker)(nil)
 
-// Kind implements Tracker.
-func (t *IdleTracker) Kind() TrackerKind { return IdleAge }
-
 // BlockAccessed stamps the block as touched this epoch.
 func (t *IdleTracker) BlockAccessed(id blockmgr.BlockID, bytes int64) {
 	t.blocks.record(id).touched = t.epoch
-	t.accesses++
 }
 
 // BlockPut stamps the block as touched and written this epoch.
 func (t *IdleTracker) BlockPut(id blockmgr.BlockID, bytes int64) {
 	*t.blocks.record(id) = idleStamps{touched: t.epoch, put: t.epoch}
-	t.puts++
 }
 
 // BlockEvicted forgets an LRU-evicted block.
@@ -54,10 +46,6 @@ func (t *IdleTracker) BlockDropped(id blockmgr.BlockID, bytes int64) { t.blocks.
 // Tick advances the epoch counter; every tracked block ages by one.
 func (t *IdleTracker) Tick() { t.epoch++ }
 
-// Age returns the epochs since the block was last touched, or -1 for
-// unknown blocks.
-func (t *IdleTracker) Age(id blockmgr.BlockID) int64 { return t.since(t.blocks.get(id).touched) }
-
 // since is the age of a stamp, -1 for one never set.
 func (t *IdleTracker) since(stamp int64) int64 {
 	if stamp == 0 {
@@ -65,10 +53,6 @@ func (t *IdleTracker) since(stamp int64) int64 {
 	}
 	return t.epoch - stamp
 }
-
-// Heat returns 1/(1+age) — exactly HeatForAge(t.Age(id)) — and 0 for
-// unknown blocks.
-func (t *IdleTracker) Heat(id blockmgr.BlockID) float64 { return HeatForAge(t.Age(id)) }
 
 // WriteHeat returns 1/(1+writeAge), aging from the last put.
 func (t *IdleTracker) WriteHeat(id blockmgr.BlockID) float64 {
@@ -98,9 +82,3 @@ func (t *IdleTracker) Snapshot() []Sample {
 	}
 	return out
 }
-
-// Len returns the number of tracked blocks.
-func (t *IdleTracker) Len() int { return len(t.blocks.cells) }
-
-// Counts returns the lifetime access and put totals.
-func (t *IdleTracker) Counts() (accesses, puts int64) { return t.accesses, t.puts }

@@ -8,6 +8,17 @@ import (
 
 func bid(p int) blockmgr.BlockID { return blockmgr.BlockID{RDD: 1, Partition: p} }
 
+// heatOf is a block's heat as the tracker's snapshot records it, 0 for a
+// block it does not hold.
+func heatOf(tr Tracker, id blockmgr.BlockID) float64 {
+	for _, s := range tr.Snapshot() {
+		if s.ID == id {
+			return s.Heat
+		}
+	}
+	return 0
+}
+
 // The access tracker must reproduce the PR 5 ledger arithmetic exactly:
 // put resets to 1, hit adds 1, tick multiplies by the decay factor, and
 // sub-floor entries vanish.
@@ -16,22 +27,19 @@ func TestAccessTrackerLedgerCompat(t *testing.T) {
 	tr.BlockPut(bid(0), 64)
 	tr.BlockAccessed(bid(0), 64)
 	tr.BlockAccessed(bid(0), 64)
-	if got := tr.Heat(bid(0)); got != 3 {
+	if got := heatOf(tr, bid(0)); got != 3 {
 		t.Fatalf("heat after put+2 hits = %v, want 3", got)
 	}
 	tr.BlockPut(bid(0), 64)
-	if got := tr.Heat(bid(0)); got != 1 {
+	if got := heatOf(tr, bid(0)); got != 1 {
 		t.Fatalf("overwrite did not reset heat: %v", got)
 	}
 	tr.Tick()
-	if got := tr.Heat(bid(0)); got != 0.5 {
+	if got := heatOf(tr, bid(0)); got != 0.5 {
 		t.Fatalf("decayed heat = %v, want 0.5", got)
 	}
-	if a, p := tr.Counts(); a != 2 || p != 2 {
-		t.Fatalf("counts = %d accesses / %d puts, want 2 / 2", a, p)
-	}
 	tr.BlockDropped(bid(0), 64)
-	if tr.Len() != 0 || tr.Heat(bid(0)) != 0 {
+	if len(tr.Snapshot()) != 0 || heatOf(tr, bid(0)) != 0 {
 		t.Fatal("drop did not forget the block")
 	}
 
@@ -40,8 +48,8 @@ func TestAccessTrackerLedgerCompat(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tr.Tick()
 	}
-	if tr.Len() != 0 {
-		t.Fatalf("decayed-out entry survived: len=%d", tr.Len())
+	if len(tr.Snapshot()) != 0 {
+		t.Fatalf("decayed-out entry survived: len=%d", len(tr.Snapshot()))
 	}
 }
 
@@ -80,28 +88,28 @@ func TestIdleTrackerAges(t *testing.T) {
 	tr.BlockAccessed(bid(0), 64)
 	tr.Tick()
 
-	if got := tr.Age(bid(0)); got != 1 {
+	if got := tr.since(tr.blocks.get(bid(0)).touched); got != 1 {
 		t.Fatalf("touched block age = %d, want 1", got)
 	}
-	if got := tr.Age(bid(1)); got != 2 {
+	if got := tr.since(tr.blocks.get(bid(1)).touched); got != 2 {
 		t.Fatalf("untouched block age = %d, want 2", got)
 	}
-	if got := tr.Heat(bid(0)); got != HeatForAge(1) {
+	if got := heatOf(tr, bid(0)); got != HeatForAge(1) {
 		t.Fatalf("heat = %v, want %v", got, HeatForAge(1))
 	}
-	if got := tr.Heat(bid(1)); got != HeatForAge(2) {
+	if got := heatOf(tr, bid(1)); got != HeatForAge(2) {
 		t.Fatalf("heat = %v, want %v", got, HeatForAge(2))
 	}
 	// Writes age independently of touches.
 	if got, want := tr.WriteHeat(bid(0)), HeatForAge(2); got != want {
 		t.Fatalf("write heat = %v, want %v (put 2 epochs ago)", got, want)
 	}
-	if got := tr.Age(bid(9)); got != -1 {
+	if got := tr.since(tr.blocks.get(bid(9)).touched); got != -1 {
 		t.Fatalf("unknown block age = %d, want -1", got)
 	}
 	tr.BlockEvicted(bid(1), 64)
-	if tr.Len() != 1 {
-		t.Fatalf("eviction did not forget: len=%d", tr.Len())
+	if len(tr.Snapshot()) != 1 {
+		t.Fatalf("eviction did not forget: len=%d", len(tr.Snapshot()))
 	}
 }
 
@@ -113,27 +121,12 @@ func TestSnapshotsSorted(t *testing.T) {
 		}
 		snap := tr.Snapshot()
 		if len(snap) != 5 {
-			t.Fatalf("%s: snapshot has %d entries, want 5", tr.Kind(), len(snap))
+			t.Fatalf("%T: snapshot has %d entries, want 5", tr, len(snap))
 		}
 		for i := 1; i < len(snap); i++ {
 			if !snap[i-1].ID.Less(snap[i].ID) {
-				t.Fatalf("%s: snapshot out of order at %d: %v", tr.Kind(), i, snap)
+				t.Fatalf("%T: snapshot out of order at %d: %v", tr, i, snap)
 			}
 		}
-	}
-}
-
-func TestNewTracker(t *testing.T) {
-	for _, k := range []TrackerKind{AccessCounts, IdleAge} {
-		tr, err := NewTracker(k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Kind() != k {
-			t.Fatalf("kind = %s, want %s", tr.Kind(), k)
-		}
-	}
-	if _, err := NewTracker("lru", 0.5); err == nil {
-		t.Fatal("unknown kind accepted")
 	}
 }

@@ -3,11 +3,10 @@ package memsim
 import "fmt"
 
 // CapacityExceededError is the typed admission failure: a byte
-// reservation did not fit a tier's remaining budget. The multitenant
+// reservation did not fit the remaining DRAM budget. The multitenant
 // admission controller consults the ledger before admitting a job; the
 // error reaches a submitter only after its retry/queue budget is spent.
 type CapacityExceededError struct {
-	Tier      TierID
 	Requested int64
 	Reserved  int64
 	Budget    int64
@@ -15,100 +14,55 @@ type CapacityExceededError struct {
 
 // Error implements error.
 func (e *CapacityExceededError) Error() string {
-	return fmt.Sprintf("memsim: %s capacity exceeded: %d B requested, %d/%d B reserved",
-		e.Tier, e.Requested, e.Reserved, e.Budget)
+	return fmt.Sprintf("memsim: DRAM capacity exceeded: %d B requested, %d/%d B reserved",
+		e.Requested, e.Reserved, e.Budget)
 }
 
-// CapacityLedger tracks cluster-level byte reservations against per-tier
-// budgets — the charge-path bookkeeping behind admission control. It is a
-// pure accounting structure: budgets default to the testbed tier
-// capacities (Table I device groups) and reservations are made by the
-// multitenant admission controller when a job is admitted and released at
-// its virtual completion time. Driver goroutine only.
+// CapacityLedger tracks cluster-level byte reservations against the DRAM
+// budget — the charge-path bookkeeping behind admission control. It is a
+// pure accounting structure: reservations are made by the multitenant
+// admission controller when a job is admitted and released at its
+// virtual completion time. Driver goroutine only.
 type CapacityLedger struct {
-	budget   [NumTiers]int64
-	reserved [NumTiers]int64
+	budget   int64
+	reserved int64
 }
 
-// NewCapacityLedger builds a ledger budgeted at the default testbed
-// capacities.
-func NewCapacityLedger() *CapacityLedger {
-	return NewCapacityLedgerWithSpecs(DefaultSpecs())
+// NewCapacityLedger builds a ledger with the given budget (<= 0 is
+// rejected).
+func NewCapacityLedger(budget int64) *CapacityLedger {
+	if budget <= 0 {
+		panic(fmt.Sprintf("memsim: capacity budget %d non-positive", budget))
+	}
+	return &CapacityLedger{budget: budget}
 }
 
-// NewCapacityLedgerWithSpecs builds a ledger budgeted at the given specs'
-// capacities.
-func NewCapacityLedgerWithSpecs(specs [NumTiers]TierSpec) *CapacityLedger {
-	l := &CapacityLedger{}
-	for _, id := range AllTiers() {
-		l.budget[id] = specs[id].CapacityBytes
-	}
-	return l
-}
-
-// SetBudget overrides one tier's budget (an oversubscription or headroom
-// knob; <= 0 is rejected).
-func (l *CapacityLedger) SetBudget(t TierID, bytes int64) {
-	if !t.Valid() {
-		panic(fmt.Sprintf("memsim: SetBudget on invalid tier %d", t))
-	}
-	if bytes <= 0 {
-		panic(fmt.Sprintf("memsim: SetBudget(%s, %d) non-positive", t, bytes))
-	}
-	l.budget[t] = bytes
-}
-
-// Budget returns one tier's budget.
-func (l *CapacityLedger) Budget(t TierID) int64 {
-	if !t.Valid() {
-		return 0
-	}
-	return l.budget[t]
-}
-
-// Reserved returns one tier's outstanding reservations.
-func (l *CapacityLedger) Reserved(t TierID) int64 {
-	if !t.Valid() {
-		return 0
-	}
-	return l.reserved[t]
-}
-
-// Free returns one tier's unreserved budget.
-func (l *CapacityLedger) Free(t TierID) int64 {
-	if !t.Valid() {
-		return 0
-	}
-	if free := l.budget[t] - l.reserved[t]; free > 0 {
+// Free returns the unreserved budget.
+func (l *CapacityLedger) Free() int64 {
+	if free := l.budget - l.reserved; free > 0 {
 		return free
 	}
 	return 0
 }
 
-// Reserve charges a reservation against one tier's budget, failing typed
-// when it does not fit.
-func (l *CapacityLedger) Reserve(t TierID, bytes int64) error {
-	if !t.Valid() {
-		return fmt.Errorf("memsim: Reserve on invalid tier %d", t)
-	}
+// Reserve charges a reservation against the budget, failing typed when it
+// does not fit.
+func (l *CapacityLedger) Reserve(bytes int64) error {
 	if bytes < 0 {
-		return fmt.Errorf("memsim: Reserve(%s, %d) negative", t, bytes)
+		return fmt.Errorf("memsim: Reserve(%d) negative", bytes)
 	}
-	if l.reserved[t]+bytes > l.budget[t] {
-		return &CapacityExceededError{Tier: t, Requested: bytes, Reserved: l.reserved[t], Budget: l.budget[t]}
+	if l.reserved+bytes > l.budget {
+		return &CapacityExceededError{Requested: bytes, Reserved: l.reserved, Budget: l.budget}
 	}
-	l.reserved[t] += bytes
+	l.reserved += bytes
 	return nil
 }
 
 // Release returns a reservation to the budget. Releasing more than is
 // reserved panics — the ledger leaked.
-func (l *CapacityLedger) Release(t TierID, bytes int64) {
-	if !t.Valid() {
-		panic(fmt.Sprintf("memsim: Release on invalid tier %d", t))
-	}
-	l.reserved[t] -= bytes
-	if l.reserved[t] < 0 {
-		panic(fmt.Sprintf("memsim: %s reservation underflow (%d B)", t, l.reserved[t]))
+func (l *CapacityLedger) Release(bytes int64) {
+	l.reserved -= bytes
+	if l.reserved < 0 {
+		panic(fmt.Sprintf("memsim: reservation underflow (%d B)", l.reserved))
 	}
 }

@@ -8,18 +8,14 @@ import (
 // TestCapacityLedger exercises reserve/release against the default
 // budgets and the typed exhaustion error.
 func TestCapacityLedger(t *testing.T) {
-	l := NewCapacityLedger()
-	if got := l.Budget(Tier0); got != DefaultSpecs()[Tier0].CapacityBytes {
-		t.Fatalf("Tier0 budget %d, want spec capacity", got)
-	}
-	l.SetBudget(Tier0, 1000)
-	if err := l.Reserve(Tier0, 600); err != nil {
+	l := NewCapacityLedger(1000)
+	if err := l.Reserve(600); err != nil {
 		t.Fatalf("reserve 600/1000: %v", err)
 	}
-	if free := l.Free(Tier0); free != 400 {
+	if free := l.Free(); free != 400 {
 		t.Fatalf("free %d, want 400", free)
 	}
-	err := l.Reserve(Tier0, 500)
+	err := l.Reserve(500)
 	if err == nil {
 		t.Fatal("over-reserve admitted")
 	}
@@ -27,14 +23,14 @@ func TestCapacityLedger(t *testing.T) {
 	if !errors.As(err, &typed) {
 		t.Fatalf("error %v (%T), want *CapacityExceededError", err, err)
 	}
-	if typed.Tier != Tier0 || typed.Requested != 500 || typed.Reserved != 600 || typed.Budget != 1000 {
+	if typed.Requested != 500 || typed.Reserved != 600 || typed.Budget != 1000 {
 		t.Fatalf("error fields %+v", typed)
 	}
-	l.Release(Tier0, 600)
-	if l.Reserved(Tier0) != 0 {
-		t.Fatalf("reserved %d after release, want 0", l.Reserved(Tier0))
+	l.Release(600)
+	if l.reserved != 0 {
+		t.Fatalf("reserved %d after release, want 0", l.reserved)
 	}
-	if err := l.Reserve(Tier0, 1000); err != nil {
+	if err := l.Reserve(1000); err != nil {
 		t.Fatalf("full-budget reserve: %v", err)
 	}
 
@@ -43,5 +39,5 @@ func TestCapacityLedger(t *testing.T) {
 			t.Fatal("reservation underflow did not panic")
 		}
 	}()
-	l.Release(Tier0, 2000)
+	l.Release(2000)
 }

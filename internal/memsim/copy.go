@@ -31,16 +31,6 @@ func (c *CopyCounters) Add(other CopyCounters) {
 	c.RemoteBytes += other.RemoteBytes
 }
 
-// Sub returns c - other, useful for per-run deltas.
-func (c CopyCounters) Sub(other CopyCounters) CopyCounters {
-	return CopyCounters{
-		LocalChunks:  c.LocalChunks - other.LocalChunks,
-		LocalBytes:   c.LocalBytes - other.LocalBytes,
-		RemoteChunks: c.RemoteChunks - other.RemoteChunks,
-		RemoteBytes:  c.RemoteBytes - other.RemoteBytes,
-	}
-}
-
 // TotalChunks is the number of chunk reads observed on the tier.
 func (c CopyCounters) TotalChunks() int64 { return c.LocalChunks + c.RemoteChunks }
 

@@ -94,16 +94,3 @@ func (c Counters) Sub(other Counters) Counters {
 		MediaWriteBytes: c.MediaWriteBytes - other.MediaWriteBytes,
 	}
 }
-
-// TotalAccesses is the total number of media line transfers.
-func (c Counters) TotalAccesses() int64 { return c.MediaReads + c.MediaWrites }
-
-// WriteRatio is the fraction of media accesses that are writes; 0 when the
-// tier saw no traffic.
-func (c Counters) WriteRatio() float64 {
-	t := c.TotalAccesses()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.MediaWrites) / float64(t)
-}

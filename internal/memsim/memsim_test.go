@@ -100,7 +100,7 @@ func TestRecordAccessCounters(t *testing.T) {
 	if c.MediaWriteBytes != 256 {
 		t.Fatalf("media write bytes = %d, want 256 (write amplification)", c.MediaWriteBytes)
 	}
-	if got := c.WriteRatio(); math.Abs(got-0.2) > 1e-9 {
+	if got := float64(c.MediaWrites) / float64(c.MediaReads+c.MediaWrites); math.Abs(got-0.2) > 1e-9 {
 		t.Fatalf("write ratio = %v, want 0.2", got)
 	}
 }
@@ -238,24 +238,26 @@ func TestChannelUnitsWriteDerating(t *testing.T) {
 }
 
 func TestBandwidthCap(t *testing.T) {
-	sys := NewSystem(sim.NewKernel())
-	sys.SetBandwidthCap(0.4)
-	for _, id := range AllTiers() {
-		if got := sys.Tier(id).BandwidthCap(); math.Abs(got-0.4) > 1e-9 {
-			t.Errorf("%v cap = %v, want 0.4", id, got)
+	// drain is how long each tier takes to stream 1 GB.
+	drain := func(cap float64) (out [NumTiers]sim.Time) {
+		k := sim.NewKernel()
+		sys := NewSystem(k)
+		if cap > 0 {
+			sys.SetBandwidthCap(cap)
 		}
+		for _, id := range AllTiers() {
+			id := id
+			tier := sys.Tier(id)
+			tier.Server().Submit(tier.ChannelUnits(Read, Sequential, 1e9), func(now sim.Time) { out[id] = now })
+		}
+		k.Run()
+		return out
 	}
-}
-
-func TestWearOnlyOnDCPM(t *testing.T) {
-	sys := NewSystem(sim.NewKernel())
-	sys.Tier(Tier0).RecordAccess(Write, 1<<20)
-	sys.Tier(Tier2).RecordAccess(Write, 1<<20)
-	if sys.Tier(Tier0).WearFraction() != 0 {
-		t.Error("DRAM must report zero wear")
-	}
-	if sys.Tier(Tier2).WearFraction() <= 0 {
-		t.Error("DCPM wear must be positive after writes")
+	full, capped := drain(0), drain(0.4)
+	for _, id := range AllTiers() {
+		if got := float64(full[id]) / float64(capped[id]); math.Abs(got-0.4) > 1e-6 {
+			t.Errorf("%v drains at %v of full speed under a 0.4 cap", id, got)
+		}
 	}
 }
 
@@ -269,10 +271,6 @@ func TestSnapshotAndReset(t *testing.T) {
 	if snap[Tier0].ReadBytes != 0 {
 		t.Fatal("tier 0 should be untouched")
 	}
-	sys.ResetCounters()
-	if sys.Tier(Tier1).Counters().ReadBytes != 0 {
-		t.Fatal("reset did not clear counters")
-	}
 }
 
 func TestCountersAddSub(t *testing.T) {
@@ -285,9 +283,6 @@ func TestCountersAddSub(t *testing.T) {
 	diff := sum.Sub(b)
 	if diff != a {
 		t.Fatalf("Add/Sub roundtrip failed: %+v != %+v", diff, a)
-	}
-	if a.TotalAccesses() != 7 {
-		t.Fatalf("TotalAccesses = %d, want 7", a.TotalAccesses())
 	}
 }
 

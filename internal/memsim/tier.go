@@ -34,13 +34,6 @@ func (t *Tier) Server() *sim.SharedServer { return t.server }
 // Counters returns a snapshot of the tier's access counters.
 func (t *Tier) Counters() Counters { return t.counters }
 
-// ResetCounters zeroes the access counters and the shuffle-copy ledger
-// (between experiment runs).
-func (t *Tier) ResetCounters() {
-	t.counters = Counters{}
-	t.copies = CopyCounters{}
-}
-
 // Lines returns the number of media-granularity line transfers needed for a
 // burst of the given size. Every non-empty burst touches at least one line.
 func (t *Tier) Lines(bytes int64) int64 {
@@ -186,24 +179,6 @@ func (t *Tier) ChannelUnits(op Op, pattern Pattern, bytes int64) float64 {
 // emulating Intel MBA. frac is clamped to (0,1].
 func (t *Tier) SetBandwidthCap(frac float64) { t.server.SetCapFraction(frac) }
 
-// BandwidthCap returns the current throttle fraction.
-func (t *Tier) BandwidthCap() float64 { return t.server.CapFraction() }
-
-// WearFraction estimates consumed endurance as written media bytes over the
-// device group's total endurance budget (capacity x rated write cycles).
-// DRAM endurance is effectively unlimited and reports 0.
-func (t *Tier) WearFraction() float64 {
-	if t.Spec.Kind != DCPM {
-		return 0
-	}
-	// Optane DCPM media endurance is on the order of 10^6 cycles; even a
-	// conservative 10^5 makes wear negligible per run, but the counter is
-	// the long-term signal the paper's Takeaway 3 warns about.
-	const ratedCycles = 1e5
-	budget := float64(t.Spec.CapacityBytes) * ratedCycles
-	return float64(t.counters.MediaWriteBytes) / budget
-}
-
 // System bundles the four tiers over one simulation kernel.
 type System struct {
 	kernel *sim.Kernel
@@ -250,11 +225,4 @@ func (s *System) Snapshot() [NumTiers]Counters {
 		out[i] = t.Counters()
 	}
 	return out
-}
-
-// ResetCounters zeroes all tier counters.
-func (s *System) ResetCounters() {
-	for _, t := range s.tiers {
-		t.ResetCounters()
-	}
 }

@@ -191,7 +191,9 @@ func TestBinStatsAndGini(t *testing.T) {
 	if g := s.Gini(); math.Abs(g-0.5) > 1e-12 {
 		t.Fatalf("50/50 gini = %v, want 0.5", g)
 	}
-	sum := s.Add(s)
+	sum := NewBinStats(2)
+	sum.accumulate(s)
+	sum.accumulate(s)
 	if sum.Total() != 40 {
 		t.Fatalf("merged total = %d", sum.Total())
 	}

@@ -11,6 +11,8 @@ const (
 // links[page] lists the page's outgoing edges; iterations matches the
 // distributed workload. Pages with no outlinks distribute nothing (the
 // same simplification Spark's canonical example makes).
+//
+//simlint:allow unreached the reference ml's and workloads' tests compare the distributed pagerank against
 func PageRankReference(links map[int][]int, iterations int) map[int]float64 {
 	ranks := make(map[int]float64, len(links))
 	for p := range links {

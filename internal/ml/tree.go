@@ -16,14 +16,6 @@ func NewBinStats(numClasses int) BinStats {
 	return BinStats{Counts: make([]int64, numClasses)}
 }
 
-// Add merges other into a copy of s (the shuffle reduce function).
-func (s BinStats) Add(other BinStats) BinStats {
-	out := NewBinStats(len(s.Counts))
-	copy(out.Counts, s.Counts)
-	out.accumulate(other)
-	return out
-}
-
 // accumulate adds other's counts into s in place.
 func (s BinStats) accumulate(other BinStats) {
 	if len(s.Counts) != len(other.Counts) {
@@ -156,7 +148,6 @@ type TreeNode struct {
 
 // Tree is a trained fixed-depth binary decision tree over binned features.
 type Tree struct {
-	Depth int
 	Nodes []TreeNode
 }
 
@@ -167,7 +158,7 @@ func NewTree(depth int) *Tree {
 		panic("ml: tree depth must be >= 1")
 	}
 	n := (1 << (depth + 1)) - 1
-	t := &Tree{Depth: depth, Nodes: make([]TreeNode, n)}
+	t := &Tree{Nodes: make([]TreeNode, n)}
 	for i := range t.Nodes {
 		t.Nodes[i].Split.Leaf = true
 	}

@@ -140,11 +140,10 @@ func Run(c Conf) (*MixResult, error) {
 		conf:     c,
 		quotas:   make([]*blockmgr.TenantQuota, len(c.Tenants)),
 		admitted: make([]int, len(c.Tenants)),
-		capacity: memsim.NewCapacityLedger(),
+		capacity: memsim.NewCapacityLedger(c.DRAMBudgetBytes),
 		reg:      telemetry.NewRegistry(),
 		results:  make([]JobResult, len(mix)),
 	}
-	e.capacity.SetBudget(memsim.Tier0, c.DRAMBudgetBytes)
 	for i, t := range c.Tenants {
 		e.quotas[i] = &blockmgr.TenantQuota{
 			Tenant: t.Name, Fast: memsim.Tier0, Slow: memsim.Tier2,
@@ -206,7 +205,7 @@ func (e *engine) tracef(format string, args ...interface{}) {
 // arrive handles a submission (or a Retry-mode re-submission).
 func (e *engine) arrive(js *jobState) error {
 	j := js.job
-	free := e.capacity.Free(memsim.Tier0)
+	free := e.capacity.Free()
 	if js.retries == 0 {
 		e.tracef("arrive %s demand=%dB free=%dB", j, j.DemandBytes, free)
 	}
@@ -252,7 +251,7 @@ func (e *engine) reject(js *jobState, reason string) error {
 	j := js.job
 	rej := &AdmissionRejectedError{
 		Tenant: j.Tenant, Seq: j.Seq, Workload: j.Workload,
-		Demand: j.DemandBytes, Free: e.capacity.Free(memsim.Tier0),
+		Demand: j.DemandBytes, Free: e.capacity.Free(),
 		Budget: e.conf.DRAMBudgetBytes, Retries: js.retries, Reason: reason,
 	}
 	r := &e.results[js.idx]
@@ -265,7 +264,7 @@ func (e *engine) reject(js *jobState, reason string) error {
 
 // fits reports whether a job's declared demand fits the free budget now.
 func (e *engine) fits(js *jobState) bool {
-	return js.job.DemandBytes <= e.capacity.Free(memsim.Tier0)
+	return js.job.DemandBytes <= e.capacity.Free()
 }
 
 // drain admits queued jobs per the scheduler policy until nothing
@@ -314,7 +313,7 @@ func (e *engine) drain() error {
 // virtual completion event.
 func (e *engine) admit(js *jobState) error {
 	j := js.job
-	if err := e.capacity.Reserve(memsim.Tier0, j.DemandBytes); err != nil {
+	if err := e.capacity.Reserve(j.DemandBytes); err != nil {
 		return fmt.Errorf("multitenant: admitting %s: %w", j, err)
 	}
 	js.reserved = j.DemandBytes
@@ -322,7 +321,7 @@ func (e *engine) admit(js *jobState) error {
 	e.admitted[j.TenantIdx]++
 	q := e.quotas[j.TenantIdx]
 	e.tracef("admit  %s demand=%dB free=%dB running=%d",
-		j, j.DemandBytes, e.capacity.Free(memsim.Tier0), e.running)
+		j, j.DemandBytes, e.capacity.Free(), e.running)
 
 	spec := hibench.RunSpec{
 		Workload: j.Workload, Size: j.Size, Tier: memsim.Tier0,
@@ -405,7 +404,7 @@ func (e *engine) admit(js *jobState) error {
 // virtual end time, then drains the queue.
 func (e *engine) complete(js *jobState) error {
 	j := js.job
-	e.capacity.Release(memsim.Tier0, js.reserved)
+	e.capacity.Release(js.reserved)
 	e.quotas[j.TenantIdx].ReleaseHoldings(js.holdings)
 	e.running--
 	r := &e.results[js.idx]

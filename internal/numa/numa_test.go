@@ -10,21 +10,11 @@ import (
 
 func TestDefaultTopology(t *testing.T) {
 	topo := DefaultTopology()
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if topo.HyperthreadsPerSocket() != 40 {
 		t.Errorf("hyperthreads/socket = %d, want 40 (2x20 cores SMT2)", topo.HyperthreadsPerSocket())
 	}
 	if topo.TotalThreads() != 80 {
 		t.Errorf("total threads = %d, want 80", topo.TotalThreads())
-	}
-}
-
-func TestTopologyValidate(t *testing.T) {
-	bad := Topology{CoresPerSocket: 0, ThreadsPerCore: 2}
-	if bad.Validate() == nil {
-		t.Error("zero cores should be invalid")
 	}
 }
 

@@ -51,14 +51,6 @@ func (t Topology) TotalThreads() int {
 	return t.HyperthreadsPerSocket() * int(NumSockets)
 }
 
-// Validate checks the topology is physically sensible.
-func (t Topology) Validate() error {
-	if t.CoresPerSocket <= 0 || t.ThreadsPerCore <= 0 {
-		return fmt.Errorf("numa: invalid topology %+v", t)
-	}
-	return nil
-}
-
 // Binding is a numactl-style placement: which socket the computing unit's
 // threads run on, and which memory tier its allocations are served from.
 type Binding struct {

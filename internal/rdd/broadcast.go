@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/memsim"
@@ -29,9 +28,6 @@ func NewBroadcast[T any](d Driver, value T, bytes int64) *Broadcast[T] {
 	return &Broadcast[T]{id: d.NextRDDID(), value: value, bytes: bytes}
 }
 
-// Bytes returns the serialized size charged per task.
-func (b *Broadcast[T]) Bytes() int64 { return b.bytes }
-
 // Value returns the broadcast value, charging the per-task fetch on first
 // access.
 func (b *Broadcast[T]) Value(ctx *executor.TaskContext) T {
@@ -44,33 +40,3 @@ func (b *Broadcast[T]) Value(ctx *executor.TaskContext) T {
 	}
 	return b.value
 }
-
-// Accumulator is a driver-visible counter that tasks add to, like Spark's
-// long accumulators. Tasks run concurrently on phase-1 workers, so the
-// total is atomic; each Add charges a trivial CPU cost.
-type Accumulator struct {
-	name  string
-	total atomic.Int64
-}
-
-// NewAccumulator registers a named accumulator.
-func NewAccumulator(name string) *Accumulator {
-	return &Accumulator{name: name}
-}
-
-// Name returns the accumulator's label.
-func (a *Accumulator) Name() string { return a.name }
-
-// Add contributes n from within a task.
-func (a *Accumulator) Add(ctx *executor.TaskContext, n int64) {
-	if ctx != nil {
-		ctx.CPU(4)
-	}
-	a.total.Add(n)
-}
-
-// Value reads the accumulated total on the driver.
-func (a *Accumulator) Value() int64 { return a.total.Load() }
-
-// Reset zeroes the accumulator (between phases).
-func (a *Accumulator) Reset() { a.total.Store(0) }

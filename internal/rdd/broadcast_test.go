@@ -11,10 +11,6 @@ func TestBroadcastChargesOncePerTask(t *testing.T) {
 	app := newApp()
 	model := make([]float64, 1000)
 	b := rdd.NewBroadcast(app, model, 8000)
-	if b.Bytes() != 8000 {
-		t.Fatalf("bytes = %d", b.Bytes())
-	}
-
 	before := app.Tier().Counters().ReadBytes
 	r := rdd.Parallelize(app, "xs", []int{1, 2, 3, 4, 5, 6, 7, 8}, 4)
 	sum := rdd.Collect(rdd.MapPartitions(r, func(ctx *executor.TaskContext, part int, in []int) []int {
@@ -52,30 +48,4 @@ func TestBroadcastOutsideTaskPanics(t *testing.T) {
 		}
 	}()
 	b.Value(nil)
-}
-
-func TestAccumulator(t *testing.T) {
-	app := newApp()
-	acc := rdd.NewAccumulator("records-seen")
-	if acc.Name() != "records-seen" {
-		t.Fatal("name lost")
-	}
-	r := rdd.Parallelize(app, "xs", ints(100), 5)
-	rdd.Count(rdd.MapPartitions(r, func(ctx *executor.TaskContext, part int, in []int) []int {
-		for range in {
-			acc.Add(ctx, 1)
-		}
-		return in
-	}))
-	if acc.Value() != 100 {
-		t.Fatalf("accumulator = %d, want 100", acc.Value())
-	}
-	acc.Reset()
-	if acc.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-	acc.Add(nil, 5) // driver-side add is allowed
-	if acc.Value() != 5 {
-		t.Fatal("driver-side add failed")
-	}
 }

@@ -17,7 +17,7 @@ func Cache[T any](r *RDD[T]) *RDD[T] {
 		return r
 	}
 	cached := newRDD[T](r.base.driver, r.base.Name+".cached", r.base.NumParts,
-		[]Dep{NarrowDep{r.base}}, nil)
+		r.base, nil, nil)
 	cached.cached = true
 	id := cached.base.ID
 	cached.compute = func(ctx *executor.TaskContext, part int) []T {

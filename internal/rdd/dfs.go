@@ -24,7 +24,7 @@ func TextFileDFS(d Driver, fs *dfs.FileSystem, path string) (*RDD[string], error
 	}
 	name := fmt.Sprintf("dfs-text:%s", path)
 	n := len(blocks)
-	return newRDD(d, name, n, nil, func(ctx *executor.TaskContext, part int) []string {
+	return newRDD(d, name, n, nil, nil, func(ctx *executor.TaskContext, part int) []string {
 		raw, err := fs.ReadBlock(blocks[part])
 		if err != nil {
 			panic(fmt.Sprintf("rdd: %s block %d vanished: %v", path, part, err))

@@ -81,6 +81,24 @@ func TestTextFileDFSLineLongerThanBlock(t *testing.T) {
 	}
 }
 
+// readDFS concatenates a file's blocks.
+func readDFS(t *testing.T, fs *dfs.FileSystem, path string) []byte {
+	t.Helper()
+	ids, err := fs.Blocks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, id := range ids {
+		data, err := fs.ReadBlock(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data...)
+	}
+	return out
+}
+
 func TestSaveToDFSRoundtrip(t *testing.T) {
 	app := newApp()
 	fs := dfs.New(2, 256, 1)
@@ -96,10 +114,7 @@ func TestSaveToDFSRoundtrip(t *testing.T) {
 	if n <= 0 {
 		t.Fatal("no bytes written")
 	}
-	raw, err := fs.Read("/out/result.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readDFS(t, fs, "/out/result.txt")
 	back := linesParse(raw)
 	if len(back) != 30 || back[0] != "rec-0" || back[29] != "rec-29" {
 		t.Fatalf("dfs roundtrip corrupted: %d records, %q..%q", len(back), back[0], back[len(back)-1])
@@ -150,7 +165,7 @@ func TestDFSPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, _ := fs.Read("/hibench/output")
+	raw := readDFS(t, fs, "/hibench/output")
 	got := map[string]bool{}
 	for _, line := range linesParse(raw) {
 		got[line] = true

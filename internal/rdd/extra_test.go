@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/rdd"
 )
+
+// glom turns each partition into a single slice record, like Spark's glom.
+func glom[T any](r *rdd.RDD[T]) *rdd.RDD[[]T] {
+	return rdd.MapPartitions(r, func(_ *executor.TaskContext, _ int, in []T) [][]T { return [][]T{in} })
+}
 
 func TestGlom(t *testing.T) {
 	app := newApp()
 	r := rdd.Parallelize(app, "xs", ints(10), 5)
-	g := rdd.Collect(rdd.Glom(r))
+	g := rdd.Collect(glom(r))
 	if len(g) != 5 {
 		t.Fatalf("glommed partitions = %d, want 5", len(g))
 	}

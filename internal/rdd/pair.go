@@ -92,12 +92,11 @@ func localCombine[K comparable, V, C any](ctx *executor.TaskContext, recs []Pair
 	return out
 }
 
-// CombineByKey is the general shuffle aggregation underlying reduceByKey,
-// aggregateByKey and groupByKey. When mapSideCombine is set, map tasks
-// pre-aggregate before writing segments (Spark's combiner).
+// CombineByKey is the general shuffle aggregation underlying reduceByKey:
+// map tasks pre-aggregate before writing segments (Spark's combiner).
 func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 	create func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
-	parts int, mapSideCombine bool) *RDD[Pair[K, C]] {
+	parts int) *RDD[Pair[K, C]] {
 
 	d := r.base.driver
 	if parts <= 0 {
@@ -106,31 +105,22 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 	// Resolve the partitioner's hasher and the record sizers once for the
 	// whole operation; per-record work in the closures below never boxes.
 	part := NewHashPartitioner[K](parts)
-	ks, vs, cs := SizerFor[K](), SizerFor[V](), SizerFor[C]()
-	ps := PairSizer(ks, vs)
+	ks, cs := SizerFor[K](), SizerFor[C]()
+	ps := PairSizer(ks, SizerFor[V]())
 	pcs := PairSizer(ks, cs)
 	shuffleID := d.NextShuffleID()
 
 	dep := &ShuffleDep{
 		P:         r.base,
 		ShuffleID: shuffleID,
-		NumReduce: parts,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			recs := r.Compute(ctx, mapPart)
-			if mapSideCombine {
-				combined := localCombine(ctx, recs, create, mergeValue, ps, ks, cs)
-				writeChunks(ctx, shuffleID, mapPart, combined, part, pcs)
-			} else {
-				writeChunks(ctx, shuffleID, mapPart, recs, part, ps)
-			}
+			combined := localCombine(ctx, r.Compute(ctx, mapPart), create, mergeValue, ps, ks, cs)
+			writeChunks(ctx, shuffleID, mapPart, combined, part, pcs)
 		},
 	}
-	return newRDD(d, "combineByKey", parts, []Dep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, C] {
-		if mapSideCombine {
-			return mergeChunks[K, C, C](ctx, shuffleID, reduce,
-				func(c C) C { return c }, mergeCombiners, pcs, ks, cs)
-		}
-		return mergeChunks[K, V, C](ctx, shuffleID, reduce, create, mergeValue, ps, ks, cs)
+	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, C] {
+		return mergeChunks[K, C, C](ctx, shuffleID, reduce,
+			func(c C) C { return c }, mergeCombiners, pcs, ks, cs)
 	})
 }
 
@@ -167,7 +157,7 @@ func mergeChunks[K comparable, V, C any](ctx *executor.TaskContext, shuffleID, r
 
 // ReduceByKey merges values per key with f, combining map-side.
 func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, parts int) *RDD[Pair[K, V]] {
-	return CombineByKey(r, func(v V) V { return v }, f, f, parts, true)
+	return CombineByKey(r, func(v V) V { return v }, f, f, parts)
 }
 
 // GroupByKey gathers all values per key without map-side combining (like
@@ -187,12 +177,11 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 	dep := &ShuffleDep{
 		P:         r.base,
 		ShuffleID: shuffleID,
-		NumReduce: parts,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
 			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), part, ps)
 		},
 	}
-	return newRDD(d, "combineByKey", parts, []Dep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, []V] {
+	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, []V] {
 		chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
 		n := chunkRecords(chunks)
 		slots := newKeySlots[K](n)
@@ -236,12 +225,11 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 	dep := &ShuffleDep{
 		P:         r.base,
 		ShuffleID: shuffleID,
-		NumReduce: p.NumPartitions(),
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
 			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), p, ps)
 		},
 	}
-	return newRDD(d, "partitionBy", p.NumPartitions(), []Dep{dep},
+	return newRDD(d, "partitionBy", p.NumPartitions(), nil, []*ShuffleDep{dep},
 		func(ctx *executor.TaskContext, reduce int) []Pair[K, V] {
 			// Rows materialize exactly once, into a page pre-sized from the
 			// borrowed chunks' lengths — the single copy the reference-
@@ -328,18 +316,18 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 	rightID := d.NextShuffleID()
 
 	depL := &ShuffleDep{
-		P: a.base, ShuffleID: leftID, NumReduce: parts,
+		P: a.base, ShuffleID: leftID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
 			writeChunks(ctx, leftID, mapPart, a.Compute(ctx, mapPart), p, pvs)
 		},
 	}
 	depR := &ShuffleDep{
-		P: b.base, ShuffleID: rightID, NumReduce: parts,
+		P: b.base, ShuffleID: rightID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
 			writeChunks(ctx, rightID, mapPart, b.Compute(ctx, mapPart), p, pws)
 		},
 	}
-	return newRDD(d, "cogroup", parts, []Dep{depL, depR},
+	return newRDD(d, "cogroup", parts, nil, []*ShuffleDep{depL, depR},
 		func(ctx *executor.TaskContext, reduce int) []Pair[K, CoGrouped[V, W]] {
 			// Both sides' groups are carved out of one arena each, sized
 			// from the fetched chunks; keys keep first-seen order, left

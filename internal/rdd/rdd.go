@@ -36,38 +36,29 @@ type Driver interface {
 	Seed() int64
 }
 
-// Dep is a dependency edge in the lineage graph.
-type Dep interface {
-	// Parent returns the upstream dataset.
-	Parent() *Base
-}
-
-// NarrowDep is a pipelined one-to-one dependency (map, filter, ...).
-type NarrowDep struct{ P *Base }
-
-// Parent returns the upstream dataset.
-func (d NarrowDep) Parent() *Base { return d.P }
-
 // ShuffleDep is a wide dependency: the parent is hash/range partitioned
-// into NumReduce buckets by map tasks before the child can compute.
+// into the child's partitions by map tasks before the child can compute.
 type ShuffleDep struct {
+	// P is the upstream dataset.
 	P         *Base
 	ShuffleID int
-	NumReduce int
 	// WriteMap computes parent partition mapPart and writes its buckets
 	// to the shuffle store, charging costs on ctx.
 	WriteMap func(ctx *executor.TaskContext, mapPart int)
 }
 
-// Parent returns the upstream dataset.
-func (d *ShuffleDep) Parent() *Base { return d.P }
-
 // Base is the untyped skeleton of a dataset: what the DAG scheduler sees.
+// A dataset is pipelined onto one parent, fed by wide dependencies, or a
+// source with neither.
 type Base struct {
 	ID       int
 	Name     string
 	NumParts int
-	Deps     []Dep
+	// Narrow is the parent of a pipelined one-to-one dependency (map,
+	// filter, ...).
+	Narrow *Base
+	// Shuffles are the wide dependencies feeding the dataset.
+	Shuffles []*ShuffleDep
 	driver   Driver
 }
 
@@ -85,20 +76,14 @@ type RDD[T any] struct {
 }
 
 // newRDD wires a typed dataset onto a fresh Base.
-func newRDD[T any](d Driver, name string, parts int, deps []Dep,
+func newRDD[T any](d Driver, name string, parts int, narrow *Base, shuffles []*ShuffleDep,
 	compute func(ctx *executor.TaskContext, part int) []T) *RDD[T] {
 	if parts <= 0 {
 		panic(fmt.Sprintf("rdd: %s with %d partitions", name, parts))
 	}
-	base := &Base{ID: d.NextRDDID(), Name: name, NumParts: parts, Deps: deps, driver: d}
+	base := &Base{ID: d.NextRDDID(), Name: name, NumParts: parts, Narrow: narrow, Shuffles: shuffles, driver: d}
 	return &RDD[T]{base: base, compute: compute}
 }
-
-// Base exposes the scheduler view of the dataset.
-func (r *RDD[T]) Base() *Base { return r.base }
-
-// NumPartitions returns the dataset's partition count.
-func (r *RDD[T]) NumPartitions() int { return r.base.NumParts }
 
 // Compute materializes one partition in the context of a task. It is
 // invoked by the scheduler (through closures) and by downstream RDDs.

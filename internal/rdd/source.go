@@ -21,7 +21,7 @@ func Parallelize[T any](d Driver, name string, data []T, parts int) *RDD[T] {
 		parts = 1
 	}
 	n := len(data)
-	return newRDD(d, name, parts, nil, func(ctx *executor.TaskContext, part int) []T {
+	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
 		slice := data[lo:hi]
@@ -49,7 +49,7 @@ func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand,
 		parts = 1
 	}
 	seed := d.Seed()
-	return newRDD(d, name, parts, nil, func(ctx *executor.TaskContext, part int) []T {
+	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
 		r := rand.New(rand.NewSource(seed ^ int64(part)*0x9e3779b9))
@@ -85,7 +85,7 @@ func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand
 		parts = 1
 	}
 	seed := d.Seed()
-	return newRDD(d, name, parts, nil, func(ctx *executor.TaskContext, part int) []T {
+	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
 		r := rand.New(rand.NewSource(seed ^ int64(part)*0x9e3779b9))

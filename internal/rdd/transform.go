@@ -8,7 +8,7 @@ import (
 
 // Map applies f to every record. Pipelined: charges per-record CPU only.
 func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	return newRDD(r.base.driver, "map", r.base.NumParts, []Dep{NarrowDep{r.base}},
+	return newRDD(r.base.driver, "map", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []U {
 			in := r.Compute(ctx, part)
 			out := make([]U, len(in))
@@ -22,7 +22,7 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 
 // Filter keeps records satisfying pred.
 func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	return newRDD(r.base.driver, "filter", r.base.NumParts, []Dep{NarrowDep{r.base}},
+	return newRDD(r.base.driver, "filter", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []T {
 			in := r.Compute(ctx, part)
 			out := in[:0:0]
@@ -38,7 +38,7 @@ func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 
 // FlatMap maps each record to zero or more records.
 func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return newRDD(r.base.driver, "flatMap", r.base.NumParts, []Dep{NarrowDep{r.base}},
+	return newRDD(r.base.driver, "flatMap", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []U {
 			in := r.Compute(ctx, part)
 			var out []U
@@ -54,7 +54,7 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 // MapPartitions transforms a whole partition at once. f must not retain the
 // input slice. CPU is charged per input record; f may charge extra via ctx.
 func MapPartitions[T, U any](r *RDD[T], f func(ctx *executor.TaskContext, part int, in []T) []U) *RDD[U] {
-	return newRDD(r.base.driver, "mapPartitions", r.base.NumParts, []Dep{NarrowDep{r.base}},
+	return newRDD(r.base.driver, "mapPartitions", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []U {
 			in := r.Compute(ctx, part)
 			ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
@@ -68,7 +68,7 @@ func Sample[T any](r *RDD[T], frac float64) *RDD[T] {
 	if frac < 0 || frac > 1 {
 		panic(fmt.Sprintf("rdd: sample fraction %v out of [0,1]", frac))
 	}
-	return newRDD(r.base.driver, "sample", r.base.NumParts, []Dep{NarrowDep{r.base}},
+	return newRDD(r.base.driver, "sample", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []T {
 			in := r.Compute(ctx, part)
 			var out []T
@@ -85,12 +85,4 @@ func Sample[T any](r *RDD[T], frac float64) *RDD[T] {
 // KeyBy turns records into pairs keyed by f.
 func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[Pair[K, T]] {
 	return Map(r, func(v T) Pair[K, T] { return KV(f(v), v) })
-}
-
-// Glom turns each partition into a single slice record, like Spark's glom.
-func Glom[T any](r *RDD[T]) *RDD[[]T] {
-	return newRDD(r.base.driver, "glom", r.base.NumParts, []Dep{NarrowDep{r.base}},
-		func(ctx *executor.TaskContext, part int) [][]T {
-			return [][]T{r.Compute(ctx, part)}
-		})
 }

@@ -11,17 +11,15 @@ import (
 	"repro/internal/faults"
 	"repro/internal/memsim"
 	"repro/internal/rdd"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // fingerprint is everything observable about a run that the determinism
-// contract covers: scheduler stats, run metrics, the full per-tier counter
+// contract covers: run metrics (the scheduler's stats folded in), the full per-tier counter
 // snapshot, energy totals and the job results. Parallel and sequential
 // phase-1 execution must produce identical fingerprints.
 type fingerprint struct {
-	stats    scheduler.Stats
 	metrics  telemetry.RunMetrics
 	snapshot [memsim.NumTiers]memsim.Counters
 	energyJ  [2]float64 // Tier 0 and Tier 2 device groups
@@ -30,7 +28,7 @@ type fingerprint struct {
 }
 
 func (f fingerprint) equal(g fingerprint) bool {
-	return f.stats == g.stats && f.metrics == g.metrics &&
+	return f.metrics == g.metrics &&
 		f.snapshot == g.snapshot && f.energyJ == g.energyJ &&
 		f.results == g.results && f.tasks == g.tasks
 }
@@ -73,7 +71,6 @@ func runWithWorkers(t *testing.T, workers int, body func(app *cluster.App) strin
 	app := cluster.New(conf)
 	results := body(app)
 	return fingerprint{
-		stats:    app.SchedulerStats(),
 		metrics:  app.Metrics(),
 		snapshot: app.System().Snapshot(),
 		energyJ:  [2]float64{app.EnergyReport(memsim.Tier0).TotalJ, app.EnergyReport(memsim.Tier2).TotalJ},
@@ -162,7 +159,7 @@ func TestTaskPanicPropagates(t *testing.T) {
 // retry counts — and the virtual time they cost — must be identical for
 // any phase-1 worker count.
 func TestFailureInjectionDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) (int, sim.Time) {
+	run := func(workers int) (int64, sim.Time) {
 		conf := cluster.DefaultConf()
 		conf.CoresPerExecutor = 4
 		conf.DefaultParallelism = 6
@@ -173,7 +170,7 @@ func TestFailureInjectionDeterministicAcrossWorkerCounts(t *testing.T) {
 		conf.TaskParallelism = workers
 		app := cluster.New(conf)
 		runShuffleWorkload(app)
-		return app.SchedulerStats().TaskRetries, app.Elapsed()
+		return app.EngineCounters().Get("recovery.task_retries"), app.Elapsed()
 	}
 	seqRetries, seqElapsed := run(1)
 	if seqRetries == 0 {
@@ -185,25 +182,5 @@ func TestFailureInjectionDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("%d workers: retries=%d elapsed=%v, sequential retries=%d elapsed=%v",
 				workers, retries, elapsed, seqRetries, seqElapsed)
 		}
-	}
-}
-
-// Accumulators must be exact under concurrent task updates.
-func TestAccumulatorExactUnderParallelTasks(t *testing.T) {
-	conf := cluster.DefaultConf()
-	conf.CoresPerExecutor = 4
-	conf.TaskParallelism = 8
-	app := cluster.New(conf)
-	acc := rdd.NewAccumulator("records")
-	data := rdd.Generate(app, "xs", 1000, 10, func(r *rand.Rand, i int) int { return i })
-	counted := rdd.MapPartitions(data, func(ctx *executor.TaskContext, part int, in []int) []int {
-		for range in {
-			acc.Add(ctx, 1)
-		}
-		return in
-	})
-	rdd.Count(counted)
-	if acc.Value() != 1000 {
-		t.Fatalf("accumulator = %d, want 1000", acc.Value())
 	}
 }

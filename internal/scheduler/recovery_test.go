@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/rdd"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
 
@@ -32,8 +33,25 @@ func runLineageWorkload(app *cluster.App) string {
 type recoveryRun struct {
 	results string
 	elapsed sim.Time
-	stats   scheduler.Stats
 	engine  map[string]int64
+}
+
+// recovery renders the run's recovery.* counters: the part of the engine
+// snapshot that may not depend on the phase-1 worker count (the
+// stages.parallel/stages.sequential split does).
+func (r recoveryRun) recovery() string {
+	var names []string
+	for name := range r.engine {
+		if strings.HasPrefix(name, "recovery.") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s=%d ", name, r.engine[name])
+	}
+	return b.String()
 }
 
 func runWithPlan(t *testing.T, plan *faults.Plan, workers int) recoveryRun {
@@ -49,7 +67,6 @@ func runWithPlan(t *testing.T, plan *faults.Plan, workers int) recoveryRun {
 	return recoveryRun{
 		results: results,
 		elapsed: app.Elapsed(),
-		stats:   app.SchedulerStats(),
 		engine:  app.EngineCounters().Snapshot(),
 	}
 }
@@ -71,7 +88,6 @@ func midRunCrash(t *testing.T, replace bool) (*faults.Plan, recoveryRun) {
 	baseline := recoveryRun{
 		results: runLineageWorkload(app),
 		elapsed: app.Elapsed(),
-		stats:   app.SchedulerStats(),
 		engine:  app.EngineCounters().Snapshot(),
 	}
 	spans := rec.Spans()
@@ -99,22 +115,22 @@ func TestCrashRecoveryProducesIdenticalResults(t *testing.T) {
 				t.Fatalf("recovered results differ from fault-free:\nfault-free %s\nrecovered  %s",
 					baseline.results, faulted.results)
 			}
-			if faulted.stats.ExecutorsLost != 1 {
-				t.Fatalf("executors lost = %d, want 1", faulted.stats.ExecutorsLost)
+			if lost := faulted.engine["recovery.executor_crashes"]; lost != 1 {
+				t.Fatalf("executors lost = %d, want 1", lost)
 			}
-			if faulted.stats.FetchFailures == 0 || faulted.stats.Resubmissions == 0 {
-				t.Fatalf("crash did not exercise fetch-failure recovery: %+v (vacuous scenario)", faulted.stats)
+			if faulted.engine["recovery.fetch_failures"] == 0 || faulted.engine["recovery.stage_resubmissions"] == 0 {
+				t.Fatalf("crash did not exercise fetch-failure recovery: %s (vacuous scenario)", faulted.recovery())
 			}
 			if faulted.elapsed <= baseline.elapsed {
 				t.Fatalf("recovery was free: %v vs fault-free %v", faulted.elapsed, baseline.elapsed)
 			}
 
-			// Bit-identical virtual time and stats across worker counts.
+			// Bit-identical virtual time and counters across worker counts.
 			for _, workers := range []int{2, 8} {
 				again := runWithPlan(t, plan, workers)
-				if again.results != faulted.results || again.elapsed != faulted.elapsed || again.stats != faulted.stats {
-					t.Fatalf("%d workers diverged under faults:\nseq %v %+v\npar %v %+v",
-						workers, faulted.elapsed, faulted.stats, again.elapsed, again.stats)
+				if again.results != faulted.results || again.elapsed != faulted.elapsed || again.recovery() != faulted.recovery() {
+					t.Fatalf("%d workers diverged under faults:\nseq %v %s\npar %v %s",
+						workers, faulted.elapsed, faulted.recovery(), again.elapsed, again.recovery())
 				}
 			}
 		})
@@ -225,7 +241,7 @@ func TestAllExecutorsLostAborts(t *testing.T) {
 		Crashes: []faults.Crash{{Exec: 0, At: baseline.elapsed / 4}},
 	}
 	app := cluster.New(conf)
-	app.Conf().Faults.Crashes = append(app.Conf().Faults.Crashes,
+	conf.Faults.Crashes = append(conf.Faults.Crashes,
 		faults.Crash{Exec: 1, At: baseline.elapsed / 4})
 
 	var recovered any
@@ -258,7 +274,7 @@ func TestSpeculationRecoversStragglerTime(t *testing.T) {
 	if spec.elapsed >= slow.elapsed {
 		t.Fatalf("speculation did not help: %v vs straggler-only %v", spec.elapsed, slow.elapsed)
 	}
-	if spec.stats.SpeculativeTasks == 0 {
+	if spec.engine["recovery.speculative_tasks"] == 0 {
 		t.Fatal("no speculative tasks launched")
 	}
 	if spec.results != clean.results || slow.results != clean.results {
@@ -266,9 +282,9 @@ func TestSpeculationRecoversStragglerTime(t *testing.T) {
 	}
 	// Determinism across worker counts with speculation active.
 	again := runWithPlan(t, speculating, 8)
-	if again.elapsed != spec.elapsed || again.stats != spec.stats {
-		t.Fatalf("speculation not deterministic across workers: %v/%+v vs %v/%+v",
-			spec.elapsed, spec.stats, again.elapsed, again.stats)
+	if again.elapsed != spec.elapsed || again.recovery() != spec.recovery() {
+		t.Fatalf("speculation not deterministic across workers: %v/%s vs %v/%s",
+			spec.elapsed, spec.recovery(), again.elapsed, again.recovery())
 	}
 }
 

@@ -73,17 +73,13 @@ type Stats struct {
 	Jobs        int
 	Stages      int // stage attempts simulated, failed attempts included
 	Tasks       int
-	TaskRetries int // injected failures that were retried
 	CPUNS       float64
 	StallNS     float64
 	ShuffleRead int64 // bytes fetched by reduce tasks
 	MaxSharers  int
-
-	// Recovery observables (all zero on a fault-free run).
-	ExecutorsLost    int // scheduled crashes applied
-	FetchFailures    int // stage attempts lost to missing map outputs
-	Resubmissions    int // parent map stages rerun for lost partitions
-	SpeculativeTasks int // straggler clones launched
+	// ExecutorsLost counts the scheduled crashes applied. The other
+	// recovery observables are the registry's recovery.* counters.
+	ExecutorsLost int
 }
 
 // Scheduler owns shuffle materialization state for one application.
@@ -218,7 +214,6 @@ func (s *Scheduler) runStage(name, category string, parts []int, body func(ctx *
 
 		// Fetch failed: charge the doomed attempt's partial work (the
 		// reduce tasks ran until the missing segment), then recover.
-		s.stats.FetchFailures++
 		s.reg.Add("recovery.fetch_failures", 1)
 		simulate(trace.Span{
 			Name:     fmt.Sprintf("%s — attempt %d fetch failed (%v)", name, attempt, fetch),
@@ -253,13 +248,11 @@ func (s *Scheduler) RunJob(final *rdd.Base, fn rdd.ResultFunc) []any {
 
 // visit materializes every shuffle dependency reachable from b.
 func (s *Scheduler) visit(b *rdd.Base) {
-	for _, dep := range b.Deps {
-		switch d := dep.(type) {
-		case rdd.NarrowDep:
-			s.visit(d.P)
-		case *rdd.ShuffleDep:
-			s.ensureShuffle(d)
-		}
+	if b.Narrow != nil {
+		s.visit(b.Narrow)
+	}
+	for _, d := range b.Shuffles {
+		s.ensureShuffle(d)
 	}
 }
 
@@ -302,7 +295,6 @@ func (s *Scheduler) recoverShuffle(shuffleID int) {
 	if len(lost) == 0 {
 		return // already recovered on another branch
 	}
-	s.stats.Resubmissions++
 	s.reg.Add("recovery.stage_resubmissions", 1)
 	s.runStage(fmt.Sprintf("map stage (shuffle %d) resubmission — %d lost partitions", shuffleID, len(lost)),
 		"recovery", lost, func(ctx *executor.TaskContext, mapPart int) {
@@ -416,7 +408,6 @@ func (s *Scheduler) speculate(tasks []executor.SimTask) []executor.SimTask {
 			SpeculativeOf: i + 1,
 		})
 		load[target]++
-		s.stats.SpeculativeTasks++
 		s.reg.Add("recovery.speculative_tasks", 1)
 	}
 	return append(tasks, clones...)
@@ -462,7 +453,6 @@ func (s *Scheduler) injectFailures(tasks []executor.SimTask, parts []int) {
 		for a := 1; a < attempts; a++ {
 			tasks[i].Profile.Add(base)
 		}
-		s.stats.TaskRetries += attempts - 1
 		s.reg.Add("recovery.task_retries", int64(attempts-1))
 	}
 }

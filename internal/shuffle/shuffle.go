@@ -123,8 +123,7 @@ type shuffleState struct {
 	// lost marks map partitions whose outputs were dropped by an
 	// executor crash. A re-registered output (a resubmitted map task's
 	// PutChunks) clears the mark.
-	lost  map[int]bool
-	bytes int64
+	lost map[int]bool
 }
 
 // Store is the application-wide registry of shuffle outputs, indexed by
@@ -173,10 +172,8 @@ func (s *Store) RegisterShuffle(shuffleID, numMapParts int) {
 // forget removes one chunk set's bookkeeping (byte counters, executor
 // index, residency ledger) and frees its payload; the caller clears the
 // byMap slot.
-func (s *Store) forget(st *shuffleState, l csLoc, cs *ChunkSet) {
-	bytes := cs.TotalBytes()
-	s.bytes -= bytes
-	st.bytes -= bytes
+func (s *Store) forget(l csLoc, cs *ChunkSet) {
+	s.bytes -= cs.TotalBytes()
 	if set, ok := s.byExec[cs.ExecID]; ok {
 		delete(set, l)
 		if len(set) == 0 {
@@ -201,12 +198,11 @@ func (s *Store) PutChunks(cs *ChunkSet) {
 	}
 	l := csLoc{cs.Shuffle, cs.MapPart}
 	if old := st.byMap[cs.MapPart]; old != nil {
-		s.forget(st, l, old)
+		s.forget(l, old)
 	}
 	st.byMap[cs.MapPart] = cs
 	bytes := cs.TotalBytes()
 	s.bytes += bytes
-	st.bytes += bytes
 	set := s.byExec[cs.ExecID]
 	if set == nil {
 		set = make(map[csLoc]struct{})
@@ -218,16 +214,6 @@ func (s *Store) PutChunks(cs *ChunkSet) {
 	}
 	// A rewritten output is no longer lost (map-stage resubmission).
 	delete(st.lost, cs.MapPart)
-}
-
-// Get returns one map task's chunk set, or nil if the map task wrote
-// nothing for this shuffle.
-func (s *Store) Get(shuffleID, mapPart int) *ChunkSet {
-	st, ok := s.shuffles[shuffleID]
-	if !ok || mapPart < 0 || mapPart >= len(st.byMap) {
-		return nil
-	}
-	return st.byMap[mapPart]
 }
 
 // Inputs returns the chunk sets feeding a reduce task, ordered by map
@@ -282,7 +268,6 @@ func (s *Store) DeregisterExecutor(execID int) (segments int, bytes int64) {
 		cs := st.byMap[l.mapPart]
 		csBytes := cs.TotalBytes()
 		s.bytes -= csBytes
-		st.bytes -= csBytes
 		bytes += csBytes
 		segments += cs.NonEmpty()
 		cs.invalidate()
@@ -308,7 +293,7 @@ func (s *Store) DropShuffle(shuffleID int) {
 	}
 	for mapPart, cs := range st.byMap {
 		if cs != nil {
-			s.forget(st, csLoc{shuffleID, mapPart}, cs)
+			s.forget(csLoc{shuffleID, mapPart}, cs)
 			st.byMap[mapPart] = nil
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// get is one map task's chunk set, nil if it wrote nothing.
+func (s *Store) get(shuffleID, mapPart int) *ChunkSet { return s.shuffles[shuffleID].byMap[mapPart] }
+
 // set builds a chunk set whose per-reduce sizes are given; items default
 // to 1 record per non-zero-byte chunk unless explicit items are passed.
 func set(shuffleID, mapPart, execID int, chunks any, items []int, bytes []int64) *ChunkSet {
@@ -24,14 +27,14 @@ func TestRegisterPutGet(t *testing.T) {
 		t.Fatalf("map parts = %d, want 3", st.numMapParts)
 	}
 	s.PutChunks(set(1, 0, 7, [][]int{nil, nil, {1, 2}}, []int{0, 0, 2}, []int64{0, 0, 64}))
-	cs := s.Get(1, 0)
+	cs := s.get(1, 0)
 	if cs == nil || cs.Items[2] != 2 || cs.Bytes[2] != 64 || cs.ExecID != 7 {
 		t.Fatalf("chunk set = %+v", cs)
 	}
 	if cs.TotalBytes() != 64 || cs.NonEmpty() != 1 {
 		t.Fatalf("TotalBytes/NonEmpty = %d/%d, want 64/1", cs.TotalBytes(), cs.NonEmpty())
 	}
-	if s.Get(1, 1) != nil {
+	if s.get(1, 1) != nil {
 		t.Fatal("phantom chunk set")
 	}
 }
@@ -86,7 +89,7 @@ func TestDropShuffle(t *testing.T) {
 	if s.TotalBytes() != 40 {
 		t.Fatalf("total = %d, want 40", s.TotalBytes())
 	}
-	if s.Get(2, 0) == nil {
+	if s.get(2, 0) == nil {
 		t.Fatal("shuffle 2 collateral damage")
 	}
 }
@@ -196,13 +199,13 @@ func TestDroppedChunkSetsAreInvalidated(t *testing.T) {
 	if stale.Chunks != nil {
 		t.Fatal("stale reference resurrected by resubmission")
 	}
-	if s.Get(1, 0).Chunks.([]string)[0] != "fresh" {
+	if s.get(1, 0).Chunks.([]string)[0] != "fresh" {
 		t.Fatal("resubmitted output wrong")
 	}
 
 	// Replacing an output invalidates the replaced set, and dropping the
 	// shuffle invalidates everything still live.
-	replaced := s.Get(1, 0)
+	replaced := s.get(1, 0)
 	s.PutChunks(set(1, 0, 0, []string{"fresh2"}, []int{1}, []int64{10}))
 	if replaced.Chunks != nil {
 		t.Fatal("replaced chunk set still holds its payload")

@@ -72,9 +72,6 @@ func (e *Event) Cancel() {
 	heap.Remove(&e.kernel.queue, e.index)
 }
 
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.index >= 0 }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -118,9 +115,6 @@ func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: that is always a logic error in a discrete-event model.

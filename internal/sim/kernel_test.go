@@ -54,11 +54,11 @@ func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	e := k.At(10, func(Time) { fired = true })
-	if !e.Pending() {
+	if len(k.queue) != 1 {
 		t.Fatal("event should be pending")
 	}
 	e.Cancel()
-	if e.Pending() {
+	if len(k.queue) != 0 {
 		t.Fatal("event should not be pending after cancel")
 	}
 	e.Cancel() // double-cancel is a no-op
@@ -112,8 +112,8 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("fired %d events by t=20, want 2", len(fired))
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
+	if len(k.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(k.queue))
 	}
 	k.Run()
 	if len(fired) != 3 {

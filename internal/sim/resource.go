@@ -1,23 +1,18 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Flow is one active transfer on a SharedServer. Flows receive an equal
-// share of the server's capacity (processor sharing), weighted by Weight.
+// share of the server's capacity (processor sharing).
 type Flow struct {
 	remaining float64 // work units left (e.g. bytes)
-	Weight    float64
 	done      func(now Time)
-	seq       uint64
 	finished  bool
 }
 
 // SharedServer models a capacity shared among concurrent flows with
-// (weighted) processor sharing: at any instant each active flow is served at
-// rate capacity * w_i / Σw. This is the standard fluid model for a memory
+// processor sharing: at any instant each of n active flows is served at
+// rate capacity / n. This is the standard fluid model for a memory
 // channel or network link and is what produces bandwidth contention between
 // concurrently running tasks in the memory simulator.
 //
@@ -30,10 +25,8 @@ type SharedServer struct {
 	capacity   float64 // units per second at full speed
 	capFrac    float64 // throttle in (0,1], e.g. Intel MBA style cap
 	flows      []*Flow // active flows in submission order
-	nextSeq    uint64
 	lastUpdate Time
 	next       *Event
-	name       string
 }
 
 // NewSharedServer creates a server bound to k with the given capacity in
@@ -47,12 +40,8 @@ func NewSharedServer(k *Kernel, name string, capacity float64) *SharedServer {
 		capacity:   capacity,
 		capFrac:    1,
 		lastUpdate: k.Now(),
-		name:       name,
 	}
 }
-
-// Name returns the diagnostic name of the server.
-func (s *SharedServer) Name() string { return s.name }
 
 // SetCapFraction throttles the server to frac of its capacity, mimicking
 // Intel's Memory Bandwidth Allocation knob. frac is clamped to (0, 1].
@@ -68,23 +57,11 @@ func (s *SharedServer) SetCapFraction(frac float64) {
 	s.replan()
 }
 
-// CapFraction returns the current throttle fraction.
-func (s *SharedServer) CapFraction() float64 { return s.capFrac }
-
-// Submit adds a flow of `units` work with weight 1 and calls done when the
-// flow completes. Zero or negative work completes via a zero-delay event,
+// Submit adds a flow of `units` work and calls done when the flow
+// completes. Zero or negative work completes via a zero-delay event,
 // preserving event ordering relative to other same-instant activity.
 func (s *SharedServer) Submit(units float64, done func(now Time)) *Flow {
-	return s.SubmitWeighted(units, 1, done)
-}
-
-// SubmitWeighted adds a flow with an explicit processor-sharing weight.
-func (s *SharedServer) SubmitWeighted(units, weight float64, done func(now Time)) *Flow {
-	if weight <= 0 {
-		weight = 1
-	}
-	f := &Flow{remaining: units, Weight: weight, done: done, seq: s.nextSeq}
-	s.nextSeq++
+	f := &Flow{remaining: units, done: done}
 	if units <= 0 {
 		f.finished = true
 		s.kernel.After(0, func(now Time) {
@@ -120,15 +97,6 @@ func (s *SharedServer) removeFlow(f *Flow) {
 	}
 }
 
-// totalWeight returns the sum of active flow weights.
-func (s *SharedServer) totalWeight() float64 {
-	w := 0.0
-	for _, f := range s.flows {
-		w += f.Weight
-	}
-	return w
-}
-
 // advance serves all active flows for the time elapsed since lastUpdate at
 // the current per-flow rates, without completing any of them.
 func (s *SharedServer) advance() {
@@ -141,9 +109,9 @@ func (s *SharedServer) advance() {
 	if len(s.flows) == 0 {
 		return
 	}
-	rate := s.capacity * s.capFrac / s.totalWeight()
+	rate := s.capacity * s.capFrac / float64(len(s.flows))
 	for _, f := range s.flows {
-		servedUnits := rate * f.Weight * dt
+		servedUnits := rate * dt
 		if servedUnits > f.remaining {
 			servedUnits = f.remaining
 		}
@@ -160,11 +128,9 @@ func (s *SharedServer) replan() {
 	if len(s.flows) == 0 {
 		return
 	}
-	total := s.totalWeight()
-	effective := s.capacity * s.capFrac
+	rate := s.capacity * s.capFrac / float64(len(s.flows))
 	var soonest Time = MaxTime
 	for _, f := range s.flows {
-		rate := effective * f.Weight / total
 		dt := f.remaining / rate // seconds
 		ns := Time(dt*1e9 + 0.999)
 		if ns < 1 {
@@ -181,8 +147,8 @@ func (s *SharedServer) replan() {
 }
 
 // onCompletion fires when the earliest flow should have drained. It serves
-// elapsed time, completes every drained flow in submission order, and
-// replans the next completion.
+// elapsed time, completes every drained flow in submission order (the
+// order s.flows is kept in), and replans the next completion.
 func (s *SharedServer) onCompletion(now Time) {
 	s.next = nil
 	s.advance()
@@ -197,7 +163,6 @@ func (s *SharedServer) onCompletion(now Time) {
 		}
 	}
 	s.flows = remaining
-	sort.Slice(doneFlows, func(i, j int) bool { return doneFlows[i].seq < doneFlows[j].seq })
 	s.replan()
 	for _, f := range doneFlows {
 		if f.done != nil {

@@ -50,22 +50,6 @@ func TestShortFlowFinishesFirstThenLongSpeedsUp(t *testing.T) {
 	}
 }
 
-func TestWeightedSharing(t *testing.T) {
-	k := NewKernel()
-	s := NewSharedServer(k, "mem", 1e9)
-	var dA, dB Time
-	// A has weight 3, B weight 1: A served at 750MB/s, B at 250MB/s.
-	s.SubmitWeighted(7.5e8, 3, func(now Time) { dA = now })
-	s.SubmitWeighted(2.5e8, 1, func(now Time) { dB = now })
-	k.Run()
-	if diff := math.Abs(float64(dA) - 1e9); diff > 5000 {
-		t.Fatalf("A finished at %v, want ~1s", dA)
-	}
-	if diff := math.Abs(float64(dB) - 1e9); diff > 5000 {
-		t.Fatalf("B finished at %v, want ~1s", dB)
-	}
-}
-
 func TestCapFractionThrottles(t *testing.T) {
 	k := NewKernel()
 	s := NewSharedServer(k, "mem", 1e9)
@@ -82,12 +66,12 @@ func TestCapFractionClamped(t *testing.T) {
 	k := NewKernel()
 	s := NewSharedServer(k, "mem", 1e9)
 	s.SetCapFraction(-3)
-	if s.CapFraction() <= 0 {
-		t.Fatalf("cap fraction %v not clamped above 0", s.CapFraction())
+	if s.capFrac <= 0 {
+		t.Fatalf("cap fraction %v not clamped above 0", s.capFrac)
 	}
 	s.SetCapFraction(7)
-	if s.CapFraction() != 1 {
-		t.Fatalf("cap fraction %v not clamped to 1", s.CapFraction())
+	if s.capFrac != 1 {
+		t.Fatalf("cap fraction %v not clamped to 1", s.capFrac)
 	}
 }
 

@@ -117,9 +117,6 @@ func NewEngine(cfg Config, pool *executor.Pool, store *shuffle.Store,
 	return e, nil
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // PolicyName returns the active policy's name.
 func (e *Engine) PolicyName() string { return e.policy.Name() }
 
@@ -134,9 +131,10 @@ func (e *Engine) SetRegistry(reg *telemetry.Registry) { e.reg = reg }
 // the scheduler when a crashed executor is replaced with a fresh block
 // manager.
 func (e *Engine) AttachExecutor(id int) {
-	tr, err := heat.NewTracker(e.cfg.effectiveTracker(), decayFactor)
-	if err != nil {
-		panic(err) // the kind was validated at construction
+	// The age policy tracks idle age, everything else decayed access counts.
+	var tr heat.Tracker = heat.NewAccessTracker(decayFactor)
+	if e.cfg.Policy == Age {
+		tr = heat.NewIdleTracker()
 	}
 	st := execState{tracker: tr, history: heat.NewHistory(historyEpochs)}
 	if e.cfg.UsesMover() {
@@ -168,10 +166,14 @@ func (e *Engine) MigrationNS() float64 { return e.migStallNS }
 // MigrationCounters returns the per-tier counter deltas attributable to
 // migration traffic, measured by snapshotting the memory system around
 // each epoch's charge batch.
+//
+//simlint:allow unreached what replay_test.go compares ReplayPlan's re-priced migrations against
 func (e *Engine) MigrationCounters() [memsim.NumTiers]memsim.Counters { return e.migCounters }
 
 // Plans returns the recorded migration history, one EpochPlan per tick
 // that moved at least one block.
+//
+//simlint:allow unreached input of ReplayPlan, the reference replay_test.go and storm_test.go pin the policies with
 func (e *Engine) Plans() []EpochPlan { return e.plans }
 
 // Tick runs one migration epoch. It must be called on the driver
@@ -328,10 +330,6 @@ func (e *Engine) admitMoves(id int, moves []Move, fastDelta, slowDelta *int64) [
 	}
 	return kept
 }
-
-// RefusedMoves returns how many planned migrations the tenant quota
-// refused (always zero without a quota).
-func (e *Engine) RefusedMoves() int64 { return e.refusedMoves }
 
 // view builds the frozen planning view for one executor and, as a side
 // effect of the same walk, classifies every resident block into the

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blockmgr"
 	"repro/internal/executor"
+	"repro/internal/heat"
 	"repro/internal/memsim"
 	"repro/internal/numa"
 	"repro/internal/shuffle"
@@ -24,6 +25,17 @@ func newHarness(t *testing.T, cfg Config) (*sim.Kernel, *executor.Pool, *Engine)
 		t.Fatal(err)
 	}
 	return k, pool, eng
+}
+
+// heatOf is a block's heat as the tracker's snapshot records it, 0 for a
+// block it does not hold.
+func heatOf(tr heat.Tracker, id blockmgr.BlockID) float64 {
+	for _, s := range tr.Snapshot() {
+		if s.ID == id {
+			return s.Heat
+		}
+	}
+	return 0
 }
 
 func put(m *blockmgr.Manager, part int, bytes int64) blockmgr.BlockID {
@@ -58,7 +70,7 @@ func TestStaticEngineIsInert(t *testing.T) {
 		t.Fatalf("blocks moved off the landing tier: Tier2 holds %d", got)
 	}
 	// The tracker still observes accesses (hotness is policy-independent).
-	if eng.execs[0].tracker.Len() == 0 {
+	if len(eng.execs[0].tracker.Snapshot()) == 0 {
 		t.Fatal("static engine's tracker saw nothing")
 	}
 }
@@ -158,21 +170,21 @@ func TestAttachExecutorAfterReplace(t *testing.T) {
 	cfg.FastBudgetBytes = 400
 	_, pool, eng := newHarness(t, cfg)
 	put(pool.Executors[1].Blocks, 0, 100)
-	if eng.execs[1].tracker.Len() != 1 {
+	if len(eng.execs[1].tracker.Snapshot()) != 1 {
 		t.Fatal("tracker missed the put")
 	}
 
 	pool.Executors[1].Blocks.RemoveAll()
 	fresh := pool.Replace(1)
 	eng.AttachExecutor(1)
-	if eng.execs[1].tracker.Len() != 0 {
+	if len(eng.execs[1].tracker.Snapshot()) != 0 {
 		t.Fatal("re-attach kept the stale tracker")
 	}
 	if got := fresh.Blocks.LandingTier(); got != memsim.Tier0 {
 		t.Fatalf("replacement landing tier = %v, want Tier 0", got)
 	}
 	put(fresh.Blocks, 3, 100)
-	if eng.execs[1].tracker.Heat(blockmgr.BlockID{RDD: 1, Partition: 3}) != 1 {
+	if heatOf(eng.execs[1].tracker, blockmgr.BlockID{RDD: 1, Partition: 3}) != 1 {
 		t.Fatal("fresh tracker not observing the replacement manager")
 	}
 }
@@ -256,7 +268,7 @@ func TestForecastEnginePromotesReadHot(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("read-hot block never promoted; heat=%v", eng.execs[0].tracker.Heat(hot))
+	t.Fatalf("read-hot block never promoted; heat=%v", heatOf(eng.execs[0].tracker, hot))
 }
 
 // The engine-level rate limit: with a tiny mover budget, no recorded

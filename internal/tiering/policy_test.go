@@ -1,11 +1,16 @@
 package tiering
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/blockmgr"
+	"repro/internal/executor"
 	"repro/internal/heat"
 	"repro/internal/memsim"
+	"repro/internal/numa"
+	"repro/internal/shuffle"
+	"repro/internal/sim"
 )
 
 // testView builds a view over synthetic blocks, all 100 bytes, with the
@@ -218,4 +223,51 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Policy: Static}).Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTieringConfigValidate holds Validate to its word over every field,
+// the unexported calibration included: a config it accepts builds an
+// engine on a one-executor pool, and that engine survives a few epochs of
+// cache traffic without panicking.
+func FuzzTieringConfigValidate(f *testing.F) {
+	for _, pol := range AllPolicies() {
+		c := dynConfig(pol, 1<<20)
+		f.Add(string(c.Policy), int(c.Fast), int(c.Slow), c.FastBudgetBytes, c.migrationBWFrac,
+			c.maxIdleEpochs, c.moverBytesPerEpoch, c.moverMovesPerEpoch, c.promoteClass)
+	}
+	f.Add("lru", 0, 2, int64(1), 0.05, 2, int64(1), 1, 1)
+	f.Add("watermark", 2, 2, int64(1<<62), 0.05, 2, int64(1), 1, 1)
+	f.Add("bandwidth-aware", 3, 1, int64(1), math.NaN(), 0, int64(0), 0, -1)
+	f.Add("forecast", 0, 2, int64(300), 1.0, 1, int64(math.MaxInt64), math.MaxInt, 3)
+	f.Fuzz(func(t *testing.T, policy string, fast, slow int, budget int64, bwFrac float64,
+		idle int, moverBytes int64, moverMoves, promoteClass int) {
+		cfg := Config{
+			Policy: PolicyKind(policy), Fast: memsim.TierID(fast), Slow: memsim.TierID(slow),
+			FastBudgetBytes: budget, migrationBWFrac: bwFrac, maxIdleEpochs: idle,
+			moverBytesPerEpoch: moverBytes, moverMovesPerEpoch: moverMoves, promoteClass: promoteClass,
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		k := sim.NewKernel()
+		pool := executor.NewPool(1, 2, numa.BindingForTier(memsim.Tier2), memsim.NewSystem(k), 0)
+		eng, err := NewEngine(cfg, pool, shuffle.NewStore(), executor.DefaultCostModel(), 1)
+		if err != nil {
+			t.Fatalf("Validate accepted %+v, NewEngine did not: %v", cfg, err)
+		}
+		blocks := pool.Executors[0].Blocks
+		for epoch := 0; epoch < 4; epoch++ {
+			for p := 0; p < 6; p++ {
+				id := blockmgr.BlockID{RDD: 1, Partition: p}
+				if epoch == 0 || p == epoch {
+					blocks.Put(id, p, 100, 1)
+				} else if p%2 == 0 {
+					blocks.Get(id)
+				}
+			}
+			k.After(1_000_000, func(sim.Time) {})
+			k.Run()
+			eng.Tick()
+		}
+	})
 }

@@ -70,7 +70,7 @@ func runStorm(t *testing.T, pol PolicyKind) string {
 			}
 			for i := 0; i < 16; i++ {
 				p := (epoch*16 + i*61 + x) % blocks
-				if ex.Blocks.Contains(id(p)) {
+				if _, ok := ex.Blocks.TierOf(id(p)); ok {
 					ex.Blocks.Put(id(p), p, blockBytes, 1)
 				}
 			}
@@ -123,7 +123,7 @@ func TestViewMatchesTracker(t *testing.T) {
 	blocks.SetObserver(tr)
 	churned := put(blocks, 2, 100)
 	put(blocks, 2, 100) // heat 1, write 2: the write heat outlives the heat
-	for tr.Heat(churned) != 0 {
+	for heatOf(tr, churned) != 0 {
 		tr.Tick()
 	}
 	if tr.WriteHeat(churned) == 0 {
@@ -147,9 +147,9 @@ func TestViewMatchesTracker(t *testing.T) {
 		if b.BlockInfo != infos[i] {
 			t.Fatalf("view block %d = %+v, manager has %+v", i, b.BlockInfo, infos[i])
 		}
-		if b.Heat != tr.Heat(b.ID) || b.Predicted != b.Heat || b.Write != tr.WriteHeat(b.ID) {
+		if b.Heat != heatOf(tr, b.ID) || b.Predicted != b.Heat || b.Write != tr.WriteHeat(b.ID) {
 			t.Fatalf("%s: view heat/predicted/write = %v/%v/%v, tracker heat/write = %v/%v",
-				b.ID, b.Heat, b.Predicted, b.Write, tr.Heat(b.ID), tr.WriteHeat(b.ID))
+				b.ID, b.Heat, b.Predicted, b.Write, heatOf(tr, b.ID), tr.WriteHeat(b.ID))
 		}
 	}
 	if v.Blocks[0].ID != unseen || v.Blocks[0].Heat != 0 || v.Blocks[2].Write == 0 {
@@ -163,7 +163,7 @@ func TestViewMatchesTracker(t *testing.T) {
 	// names.
 	pred := []heat.Sample{{ID: blockmgr.BlockID{RDD: 1, Partition: 3}, Heat: 9, Write: 7}}
 	v = eng.view(0, 0, [memsim.NumTiers]memsim.TierSpec{}, snap, pred, &epochMap)
-	if b := v.Blocks[3]; b.Predicted != 9 || b.Write != 7 || b.Heat != tr.Heat(b.ID) {
+	if b := v.Blocks[3]; b.Predicted != 9 || b.Write != 7 || b.Heat != heatOf(tr, b.ID) {
 		t.Fatalf("predicted block reads %+v", b)
 	}
 	if b := v.Blocks[1]; b.Predicted != b.Heat || b.Write != tr.WriteHeat(b.ID) {

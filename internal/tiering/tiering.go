@@ -190,15 +190,6 @@ func (c Config) UsesMover() bool { return c.Policy == Age || c.Policy == Forecas
 // predicted-hot, non-write-churned blocks earn a promotion.
 func (c Config) RebindsLanding() bool { return c.Dynamic() && c.Policy != Forecast }
 
-// effectiveTracker is the hotness tracker feeding the policy: the age
-// policy tracks idle age, everything else decayed access counts.
-func (c Config) effectiveTracker() heat.TrackerKind {
-	if c.Policy == Age {
-		return heat.IdleAge
-	}
-	return heat.AccessCounts
-}
-
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
 	if !c.Policy.Valid() {

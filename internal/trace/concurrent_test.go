@@ -24,8 +24,8 @@ func TestRecorderConcurrentAdd(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Len() != workers*perWorker {
-		t.Fatalf("lost spans: %d, want %d", r.Len(), workers*perWorker)
+	if len(r.Spans()) != workers*perWorker {
+		t.Fatalf("lost spans: %d, want %d", len(r.Spans()), workers*perWorker)
 	}
 }
 

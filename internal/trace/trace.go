@@ -61,16 +61,6 @@ func (r *Recorder) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // chromeEvent is one entry of the Chrome trace-event format ("X" =
 // complete event; timestamps and durations in microseconds).
 type chromeEvent struct {

@@ -11,8 +11,8 @@ func TestRecorderBasics(t *testing.T) {
 	r.Add(Span{Name: "a", Category: "stage", Start: 0, End: 100, Tasks: 4})
 	r.Add(Span{Name: "b", Category: "stage", Start: 100, End: 250})
 	r.Add(Span{Name: "j", Category: "job", Start: 0, End: 250})
-	if r.Len() != 3 {
-		t.Fatalf("len = %d", r.Len())
+	if len(r.Spans()) != 3 {
+		t.Fatalf("len = %d", len(r.Spans()))
 	}
 	if r.Spans()[0].Duration() != 100 {
 		t.Fatal("duration wrong")
@@ -22,7 +22,7 @@ func TestRecorderBasics(t *testing.T) {
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Add(Span{Name: "x", Start: 0, End: 1}) // must not panic
-	if r.Len() != 0 || r.Spans() != nil {
+	if len(r.Spans()) != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder retained data")
 	}
 	var buf bytes.Buffer

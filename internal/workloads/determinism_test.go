@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/executor"
 	"repro/internal/rdd"
 )
 
@@ -131,7 +132,9 @@ func TestDatasetPartitionsByteIdentical(t *testing.T) {
 		data := rdd.GenerateBatch(app, "det-input", 4_000, 0, func(r *rand.Rand, _, _ int, out []TextRecord) {
 			genTextRecords(r, out)
 		})
-		parts := rdd.Collect(rdd.Glom(data))
+		parts := rdd.Collect(rdd.MapPartitions(data, func(_ *executor.TaskContext, _ int, in []TextRecord) [][]TextRecord {
+			return [][]TextRecord{in}
+		}))
 		return fmt.Sprintf("%#v", parts)
 	}
 	seq := build(1)

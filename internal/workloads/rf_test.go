@@ -61,7 +61,9 @@ func refRFMerge(partHists []rdd.Pair[NodeFeatBin, ml.BinStats], features, bins i
 			}
 			byNode[k.Node] = nb
 		}
-		nb[k.Feat][k.Bin] = nb[k.Feat][k.Bin].Add(pr.Val)
+		for class, n := range pr.Val.Counts {
+			nb[k.Feat][k.Bin].Counts[class] += n
+		}
 	}
 	return byNode
 }
