@@ -42,8 +42,8 @@ type Result struct {
 // Tier 2 (the paper's DCPM tier), plus micro-benchmarks isolating the
 // shuffle aggregation paths (reduceByKey's combine pipeline and
 // groupByKey's ship-everything pipeline) where per-record overheads
-// dominate, the tiering engine's epoch loop at two scales, and one
-// end-to-end case: the report a user waits for.
+// dominate, the tiering engine's epoch loop at two scales, a warm advisor
+// query, and one end-to-end case: the report a user waits for.
 func Cases() []Case {
 	var cases []Case
 	for _, w := range workloads.Names() {
@@ -64,6 +64,7 @@ func Cases() []Case {
 		Case{Name: "micro/groupByKey", Iter: microGroupByKey},
 		Case{Name: "micro/migrationEpoch", Iter: microMigrationEpoch},
 		Case{Name: "micro/tickStorm", Iter: microTickStorm},
+		Case{Name: "micro/advisorHit", Iter: microAdvisorHit},
 		Case{Name: "e2e/reproduce", Iter: e2eReproduce},
 	)
 	return cases

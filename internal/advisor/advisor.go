@@ -9,10 +9,12 @@
 //
 //   - every question is a hibench.Query cell (workload, size, placement,
 //     policy, seed) with one canonical key;
-//   - a persistent on-disk result cache (.advisorcache, one JSON entry
-//     per cell) is consulted first, guarded by an engine-version/config
-//     content hash so stale entries can never resurface after the
-//     simulator or its configuration tables change;
+//   - a persistent on-disk result cache (.advisorcache, one checksummed
+//     file per cell holding the result as a binary record and as the
+//     JSON body /v1/eval answers) is consulted first, guarded by an
+//     engine-version/config/result-shape content hash so stale entries
+//     can never resurface after the simulator, its configuration tables
+//     or the Result struct change;
 //   - concurrent identical queries are coalesced singleflight-style, so
 //     N clients asking the same cold question cost one simulation;
 //   - batch sweeps fan across a bounded worker pool and merge results in
@@ -36,7 +38,9 @@ import (
 // what-if, placement and tier-advisor consumers actually read — duration,
 // system-level metrics, the verification summary and the DCPM access
 // counters — trimmed of the energy and copy ledgers so entries stay
-// compact and JSON-serializable.
+// compact. Its leaves are strings, ints and floats only: the cache's
+// record codec (cache.go) names each one, and a test fails when a field
+// added here is missing there.
 type Result struct {
 	Query      hibench.Query        `json:"query"`
 	DurationNS int64                `json:"duration_ns"`

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/executor"
@@ -31,7 +32,7 @@ type Engine struct {
 	hash    string
 	cache   *Cache
 	runner  hibench.QueryRunner
-	flights flightGroup
+	flights flightGroup[cell]
 	metrics metrics
 }
 
@@ -70,36 +71,53 @@ func (e *Engine) LatencySummary() telemetry.DistSummary {
 
 // Eval answers one query: normalize, then cache -> singleflight ->
 // simulate -> persist. Identical concurrent queries cost one simulation;
-// identical repeated queries cost one disk read.
+// identical repeated queries cost one disk read. The Result is decoded
+// from the cell's record on a miss as on a hit, so a caller cannot see
+// one that differs cold from warm.
 func (e *Engine) Eval(q hibench.Query) (Result, error) {
-	nq, err := q.Normalize()
+	entry, err := e.evalCell(q)
 	if err != nil {
 		return Result{}, err
 	}
+	return entry.result()
+}
+
+// evalCell is the one evaluation path. What a flight carries — to its
+// leader, to the callers that shared it, and to the cache — is the cell:
+// the record Eval decodes and the body /v1/eval writes.
+func (e *Engine) evalCell(q hibench.Query) (cell, error) {
+	nq, err := q.Normalize()
+	if err != nil {
+		return cell{}, err
+	}
 	key := nq.Key()
-	res, shared, err := e.flights.Do(key, func() (Result, error) {
-		if cached, ok := e.cache.Lookup(key); ok {
+	entry, shared, err := e.flights.Do(key, func() (cell, error) {
+		if cached, ok := e.cache.lookup(key); ok {
 			e.metrics.count(CounterCacheHit)
 			return cached, nil
 		}
 		e.metrics.count(CounterCacheMiss)
 		run, err := e.runner(nq)
 		if err != nil {
-			return Result{}, err
+			return cell{}, err
 		}
 		e.metrics.count(CounterSimRuns)
-		res := resultOf(nq, run)
-		if err := e.cache.Store(key, res); err != nil {
+		entry, err := newCell(resultOf(nq, run))
+		if err != nil {
+			e.metrics.count(CounterStoreError)
+			return cell{}, err
+		}
+		if err := e.cache.store(key, entry); err != nil {
 			// A failed store only shrinks the cache; the computed
 			// result is still good, so count and continue.
 			e.metrics.count(CounterStoreError)
 		}
-		return res, nil
+		return entry, nil
 	})
 	if shared {
 		e.metrics.count(CounterDedupShare)
 	}
-	return res, err
+	return entry, err
 }
 
 // RunQuery is Eval in hibench.QueryRunner shape: the adapter that turns
@@ -120,10 +138,20 @@ func (e *Engine) RunQuery(q hibench.Query) (hibench.RunResult, error) {
 // (by request position, not completion time) fails the batch; a panic out
 // of a query's evaluation arrives on the caller as a *par.Panic.
 func (e *Engine) EvalBatch(qs []hibench.Query, workers int) ([]Result, error) {
+	return e.evalBatch(context.Background(), qs, workers)
+}
+
+// evalBatch is EvalBatch for a caller that may give up: once ctx is done,
+// cells not yet started are skipped and the batch fails with ctx's error.
+// A simulation already running finishes and is stored — it is somebody's
+// future hit.
+func (e *Engine) evalBatch(ctx context.Context, qs []hibench.Query, workers int) ([]Result, error) {
 	results := make([]Result, len(qs))
 	errs := make([]error, len(qs))
 	par.Do(len(qs), max(workers, 1), func(i int) {
-		results[i], errs[i] = e.Eval(qs[i])
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			results[i], errs[i] = e.Eval(qs[i])
+		}
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -150,8 +178,9 @@ type Recommendation struct {
 // Recommend evaluates the candidate placement set — every membind tier
 // plus every standard placement — and picks the fastest one whose NVM
 // share meets the floor. All candidate cells go through Eval, so a
-// repeated recommendation is pure cache hits.
-func (e *Engine) Recommend(workload, size string, seed int64, minNVMShare float64) (Recommendation, error) {
+// repeated recommendation is pure cache hits; ctx stops it as it stops a
+// batch.
+func (e *Engine) Recommend(ctx context.Context, workload, size string, seed int64, minNVMShare float64) (Recommendation, error) {
 	var qs []hibench.Query
 	for tier := 0; tier < int(memsim.NumTiers); tier++ {
 		qs = append(qs, hibench.Query{
@@ -165,7 +194,7 @@ func (e *Engine) Recommend(workload, size string, seed int64, minNVMShare float6
 			Placement: np.Name, Seed: seed,
 		})
 	}
-	results, err := e.EvalBatch(qs, len(qs))
+	results, err := e.evalBatch(ctx, qs, len(qs))
 	if err != nil {
 		return Recommendation{}, err
 	}

@@ -1,11 +1,13 @@
 package advisor
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -268,6 +270,48 @@ func TestEngineHashCoversCostModel(t *testing.T) {
 	}
 }
 
+// Result's shape is part of the fingerprint, so a stored record or body
+// cannot outlive the struct it was rendered from: typeShape names every
+// leaf by path, kind and json tag, and two types that differ by one tag
+// have different shapes.
+func TestEngineHashCoversResultShape(t *testing.T) {
+	type inner struct {
+		Reads int64 `json:"reads"`
+	}
+	type before struct {
+		Name  string  `json:"name"`
+		Share float64 `json:"share"`
+		In    inner   `json:"in"`
+	}
+	type after struct {
+		Name  string  `json:"name"`
+		Share float64 `json:"nvm_share"`
+		In    inner   `json:"in"`
+	}
+	a, b := typeShape(reflect.TypeOf(before{})), typeShape(reflect.TypeOf(after{}))
+	if a == b {
+		t.Errorf("a renamed tag left the shape unchanged: %s", a)
+	}
+	if a != typeShape(reflect.TypeOf(before{})) {
+		t.Error("typeShape is not a function of the type")
+	}
+	for _, want := range []string{"Name string `name`;", "Share float64 `share`;", "In.Reads int64 `reads`;"} {
+		if !strings.Contains(a, want) {
+			t.Errorf("shape %q does not hold %q", a, want)
+		}
+	}
+	shape := typeShape(reflect.TypeOf(Result{}))
+	if !strings.Contains(shape, "NVMCounters.MediaWriteBytes int64 ``;") || !strings.Contains(shape, "Query.Seed int64 `seed,omitempty`;") {
+		t.Errorf("Result's shape misses a nested leaf: %s", shape)
+	}
+	var fp strings.Builder
+	writeFingerprint(&fp)
+	sum := sha256.Sum256([]byte(shape))
+	if want := "result-shape=" + hex.EncodeToString(sum[:]) + "\n"; !strings.Contains(fp.String(), want) {
+		t.Errorf("the engine fingerprint does not hold the digest of Result's shape")
+	}
+}
+
 func TestEngineRecommend(t *testing.T) {
 	// Durations by placement: DRAM fastest, mixed placements in between,
 	// all-NVM slowest. NVM share comes from fabricate: ~0.6 for anything
@@ -288,7 +332,7 @@ func TestEngineRecommend(t *testing.T) {
 	}})
 
 	// Unconstrained: the fastest cell wins outright.
-	rec, err := e.Recommend("pagerank", "tiny", 1, 0)
+	rec, err := e.Recommend(context.Background(), "pagerank", "tiny", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +342,7 @@ func TestEngineRecommend(t *testing.T) {
 
 	// Requiring half the traffic on NVM excludes the DRAM-only cells;
 	// cache-NVM is the fastest that qualifies.
-	rec, err = e.Recommend("pagerank", "tiny", 1, 0.5)
+	rec, err = e.Recommend(context.Background(), "pagerank", "tiny", 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +354,7 @@ func TestEngineRecommend(t *testing.T) {
 	}
 
 	// An unreachable constraint is an error, not a silent fallback.
-	if _, err := e.Recommend("pagerank", "tiny", 1, 0.99); err == nil {
+	if _, err := e.Recommend(context.Background(), "pagerank", "tiny", 1, 0.99); err == nil {
 		t.Fatal("impossible NVM-share constraint did not error")
 	}
 }

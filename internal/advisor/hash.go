@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 
 	"repro/internal/executor"
 	"repro/internal/memsim"
@@ -22,8 +24,9 @@ const EngineVersion = 1
 // computeEngineHash derives the cache-invalidation fingerprint from the
 // engine version and every configuration table a query resolves against:
 // the NUMA topology, the tier specifications, the capacity scenarios, the
-// standard placements, the workload roster and executor.DefaultCostModel,
-// the cost model every cell is charged under. Any change to any of them
+// standard placements, the workload roster, executor.DefaultCostModel
+// (the cost model every cell is charged under) and the shape of Result,
+// which stored records and bodies follow. Any change to any of them
 // changes the hash, which orphans (and thereby invalidates) every cached
 // entry — the same discipline .simlintcache uses for analyzer results.
 func computeEngineHash() string {
@@ -55,4 +58,36 @@ func writeFingerprint(h io.Writer) {
 		fmt.Fprintf(h, "size=%s\n", size)
 	}
 	fmt.Fprintf(h, "cost-model=%+v\n", executor.DefaultCostModel())
+	fmt.Fprintf(h, "result-shape=%s\n", resultShape)
+}
+
+// resultShape digests Result's wire shape, once: adding, removing,
+// retyping or re-tagging a field anywhere under Result changes the engine
+// hash, so entries rendered for the old shape are orphaned without anyone
+// remembering to bump a constant — and opening an engine hashes 64 bytes
+// more for it, not the whole field list.
+var resultShape = func() string {
+	sum := sha256.Sum256([]byte(typeShape(reflect.TypeOf(Result{}))))
+	return hex.EncodeToString(sum[:])
+}()
+
+// typeShape renders a struct type as "path kind `json tag`;" per leaf, in
+// declaration order, descending into nested structs.
+func typeShape(t reflect.Type) string {
+	var b strings.Builder
+	var walk func(path string, t reflect.Type)
+	walk = func(path string, t reflect.Type) {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			name := path + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				fmt.Fprintf(&b, "%s{%s};", name, f.Tag.Get("json"))
+				walk(name+".", f.Type)
+				continue
+			}
+			fmt.Fprintf(&b, "%s %s `%s`;", name, f.Type.Kind(), f.Tag.Get("json"))
+		}
+	}
+	walk("", t)
+	return b.String()
 }

@@ -3,6 +3,7 @@ package advisor
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 
@@ -171,32 +172,37 @@ func handleEval(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(e, w, r, &q) {
 		return
 	}
-	res, err := e.Eval(q)
+	entry, err := e.evalCell(q)
 	if err != nil {
 		httpError(e, w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(e, w, res)
+	if entry.body == nil {
+		httpError(e, w, http.StatusInternalServerError, "result holds a value JSON cannot carry (NaN or Inf)")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(entry.body)
 }
 
 func handleBatch(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if decodeBody(e, w, r, &req) {
-		answerBatch(e, w, req.Queries, req.Workers)
+		answerBatch(e, w, r, req.Queries, req.Workers)
 	}
 }
 
 func handleSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if decodeBody(e, w, r, &req) {
-		answerBatch(e, w, req.Grid(), req.Workers)
+		answerBatch(e, w, r, req.Grid(), req.Workers)
 	}
 }
 
 // answerBatch evaluates a query list on the workers the request asked for,
-// capped at maxBatchWorkers.
-func answerBatch(e *Engine, w http.ResponseWriter, qs []hibench.Query, workers int) {
-	results, err := e.EvalBatch(qs, min(workers, maxBatchWorkers))
+// capped at maxBatchWorkers, for as long as the client stays connected.
+func answerBatch(e *Engine, w http.ResponseWriter, r *http.Request, qs []hibench.Query, workers int) {
+	results, err := e.evalBatch(r.Context(), qs, min(workers, maxBatchWorkers))
 	if err != nil {
 		httpError(e, w, http.StatusBadRequest, err.Error())
 		return
@@ -209,7 +215,7 @@ func handleRecommend(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(e, w, r, &req) {
 		return
 	}
-	rec, err := e.Recommend(req.Workload, req.Size, req.Seed, req.MinNVMShare)
+	rec, err := e.Recommend(r.Context(), req.Workload, req.Size, req.Seed, req.MinNVMShare)
 	if err != nil {
 		httpError(e, w, http.StatusBadRequest, err.Error())
 		return
@@ -245,6 +251,11 @@ func decodeBody(e *Engine, w http.ResponseWriter, r *http.Request, dst any) bool
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		httpError(e, w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+		return false
+	}
+	// One document per request: only whitespace may follow it.
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(e, w, http.StatusBadRequest, "invalid request body: data after the JSON document")
 		return false
 	}
 	return true

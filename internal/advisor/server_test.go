@@ -2,11 +2,13 @@ package advisor
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,7 +46,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 }
 
 func TestServerEval(t *testing.T) {
-	_, srv, calls := testServer(t)
+	e, srv, calls := testServer(t)
 	resp, body := postJSON(t, srv.URL+"/v1/eval", `{"workload":"pagerank","size":"tiny","placement":"tier:2"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body)
@@ -60,6 +62,104 @@ func TestServerEval(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("eval simulated %d times; want 1", calls.Load())
 	}
+
+	// The answer is the stdlib's rendering of the cell, and the same bytes
+	// cold, warm, and from another engine that finds the entry on disk.
+	inProcess, err := e.Eval(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, rendered(t, inProcess)) {
+		t.Fatalf("/v1/eval answered\n%s\nwant the indented rendering of\n%+v", body, inProcess)
+	}
+	fresh := httptest.NewServer(NewServer(NewEngine(Options{CacheDir: e.cache.dir, Runner: func(hibench.Query) (hibench.RunResult, error) {
+		return hibench.RunResult{}, errors.New("a persisted cell was simulated again")
+	}})))
+	defer fresh.Close()
+	for name, url := range map[string]string{"warm": srv.URL, "fresh engine": fresh.URL} {
+		resp, again := postJSON(t, url+"/v1/eval", `{"workload":"pagerank","size":"tiny","placement":"tier:2","seed":1}`)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(again, body) {
+			t.Fatalf("%s /v1/eval: HTTP %d, body\n%s\nwant the cold answer\n%s", name, resp.StatusCode, again, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s /v1/eval: Content-Type %q", name, ct)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("warm evals re-simulated (calls=%d)", calls.Load())
+	}
+}
+
+// A result encoding/json has no spelling for (NaN, Inf) is never stored
+// and is a 500 over HTTP, every time it is asked for.
+func TestServerEvalUnrenderableResultIs500(t *testing.T) {
+	e := NewEngine(Options{CacheDir: t.TempDir(), Registry: telemetry.NewRegistry(), Runner: func(q hibench.Query) (hibench.RunResult, error) {
+		run := fabricate(q)
+		run.Metrics.CPUNS = math.NaN()
+		return run, nil
+	}})
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	for i := 1; i <= 2; i++ {
+		resp, body := postJSON(t, srv.URL+"/v1/eval", `{"workload":"sort","size":"tiny"}`)
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); resp.StatusCode != http.StatusInternalServerError || err != nil || eb.Error == "" {
+			t.Fatalf("request %d: HTTP %d (%s); want 500 with an error body", i, resp.StatusCode, body)
+		}
+		if sims := e.Registry().Get(CounterSimRuns); sims != int64(i) {
+			t.Fatalf("request %d: %d simulations; an unrenderable cell must not be cached", i, sims)
+		}
+	}
+	if resp, body := postJSON(t, srv.URL+"/v1/sweep", `{"workloads":["sort"]}`); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("/v1/sweep over the same cell: HTTP %d (%s); want 500", resp.StatusCode, body)
+	}
+}
+
+// A client that hangs up stops its sweep at the next cell boundary: the
+// simulation in flight finishes and is stored — it is somebody's future
+// hit — the cells behind it are never started, and the server goes on
+// serving.
+func TestClientHangUpStopsItsSweep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	e := NewEngine(Options{CacheDir: t.TempDir(), Registry: telemetry.NewRegistry(), Runner: func(q hibench.Query) (hibench.RunResult, error) {
+		if calls.Add(1) == 3 {
+			cancel()
+		}
+		return fabricate(q), nil
+	}})
+	handler := NewServer(e)
+	post := func(ctx context.Context, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx))
+		return w
+	}
+	cells := len(SweepRequest{}.Grid())
+	if w := post(ctx, "/v1/sweep", `{"workers":1}`); w.Code == http.StatusOK || !strings.Contains(w.Body.String(), context.Canceled.Error()) {
+		t.Fatalf("abandoned sweep answered HTTP %d (%s); want the context's error", w.Code, w.Body)
+	}
+	if got := e.Registry().Get(CounterSimRuns); got != 3 {
+		t.Fatalf("a sweep abandoned during its third cell simulated %d of %d; want 3", got, cells)
+	}
+	for _, req := range [][2]string{
+		{"/v1/batch", `{"queries":[{"workload":"lda","size":"small"}]}`},
+		{"/v1/recommend", `{"workload":"lda","size":"small"}`},
+	} {
+		if w := post(ctx, req[0], req[1]); w.Code == http.StatusOK {
+			t.Errorf("%s under a done context answered 200", req[0])
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("requests that arrived abandoned started %d simulations", got-3)
+	}
+	// The next client gets the whole grid; three cells of it are hits.
+	if w := post(context.Background(), "/v1/sweep", `{"workers":1}`); w.Code != http.StatusOK {
+		t.Fatalf("sweep after the hang-up: HTTP %d (%s)", w.Code, w.Body)
+	}
+	if sims, hits := e.Registry().Get(CounterSimRuns), e.Registry().Get(CounterCacheHit); sims != int64(cells) || hits != 3 {
+		t.Fatalf("after the second sweep: %d simulations, %d hits; want %d and 3", sims, hits, cells)
+	}
 }
 
 func TestServerEvalRejectsBadRequests(t *testing.T) {
@@ -68,6 +168,8 @@ func TestServerEvalRejectsBadRequests(t *testing.T) {
 		"unknown-workload": `{"workload":"bogus","size":"tiny"}`,
 		"unknown-field":    `{"workload":"pagerank","size":"tiny","frobnicate":1}`,
 		"not-json":         `pagerank tiny please`,
+		"second-document":  `{"workload":"pagerank","size":"tiny"}{"workload":"lda","size":"tiny"}`,
+		"trailing-brace":   `{"workload":"pagerank","size":"tiny"} }`,
 	} {
 		resp, respBody := postJSON(t, srv.URL+"/v1/eval", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -81,8 +183,12 @@ func TestServerEvalRejectsBadRequests(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Fatalf("bad requests reached the runner %d times", calls.Load())
 	}
-	if errs := e.Registry().Get(CounterErrors); errs != 3 {
-		t.Fatalf("error counter = %d; want 3", errs)
+	if errs := e.Registry().Get(CounterErrors); errs != 5 {
+		t.Fatalf("error counter = %d; want 5", errs)
+	}
+	// Whitespace after the document is not a second document.
+	if resp, body := postJSON(t, srv.URL+"/v1/eval", "{\"workload\":\"pagerank\",\"size\":\"tiny\"} \n\t\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: HTTP %d (%s); want 200", resp.StatusCode, body)
 	}
 }
 

@@ -13,15 +13,15 @@ import (
 //
 // Completed flights are forgotten, not memoized — persistence is the
 // cache's job; the group only collapses the in-flight window.
-type flightGroup struct {
+type flightGroup[T any] struct {
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[string]*flight[T]
 }
 
 // flight is one in-progress execution and its eventual outcome.
-type flight struct {
+type flight[T any] struct {
 	wg  sync.WaitGroup
-	res Result
+	res T
 	err error
 }
 
@@ -30,17 +30,17 @@ type flight struct {
 // is converted into an error for every caller (leader included, via
 // re-panic after waiters are released) so waiters can never deadlock on
 // a leader that died.
-func (g *flightGroup) Do(key string, fn func() (Result, error)) (res Result, shared bool, err error) {
+func (g *flightGroup[T]) Do(key string, fn func() (T, error)) (res T, shared bool, err error) {
 	g.mu.Lock()
 	if g.flights == nil {
-		g.flights = make(map[string]*flight)
+		g.flights = make(map[string]*flight[T])
 	}
 	if f, ok := g.flights[key]; ok {
 		g.mu.Unlock()
 		f.wg.Wait()
 		return f.res, true, f.err
 	}
-	f := &flight{}
+	f := &flight[T]{}
 	f.wg.Add(1)
 	g.flights[key] = f
 	g.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFlightGroupSequentialCallsAllExecute(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[Result]
 	var execs atomic.Int64
 	for i := 0; i < 3; i++ {
 		res, shared, err := g.Do("k", func() (Result, error) {
@@ -29,7 +29,7 @@ func TestFlightGroupSequentialCallsAllExecute(t *testing.T) {
 
 func TestFlightGroupConcurrentCallsAreConsistent(t *testing.T) {
 	const n = 32
-	var g flightGroup
+	var g flightGroup[Result]
 	var execs, shares atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -66,7 +66,7 @@ func TestFlightGroupConcurrentCallsAreConsistent(t *testing.T) {
 }
 
 func TestFlightGroupDistinctKeysDoNotShare(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[Result]
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -93,7 +93,7 @@ func TestFlightGroupDistinctKeysDoNotShare(t *testing.T) {
 }
 
 func TestFlightGroupLeaderPanicReleasesWaiters(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[Result]
 
 	// The leader's panic must propagate to the leader itself...
 	func() {
