@@ -266,11 +266,9 @@ func multiJobConf(seed int64, faulted bool) multitenant.Conf {
 			{Name: "a", Jobs: 2, FastQuotaBytes: 32 << 10},
 			{Name: "b", Jobs: 2, FastQuotaBytes: 4 << 20},
 		},
-		Workloads:        []string{"sort", "bayes"},
-		Size:             workloads.Tiny,
-		Executors:        2,
-		CoresPerExecutor: 2,
-		Seed:             seed,
+		Workloads: []string{"sort", "bayes"},
+		Size:      workloads.Tiny,
+		Seed:      seed,
 	}
 	if faulted {
 		c.Faults = func(tenant, seq int) *faults.Plan {

@@ -33,12 +33,10 @@ func sweepConf(seed int64, size workloads.Size, smoke bool) multitenant.Conf {
 			{Name: "bo", Weight: 2, Jobs: 3, FastQuotaBytes: 32 << 10},
 			{Name: "cy", Weight: 1, Jobs: 3, FastQuotaBytes: 64 << 10},
 		},
-		Workloads:        []string{"sort", "bayes", "pagerank"},
-		Size:             size,
-		DRAMBudgetBytes:  2 << 20,
-		Executors:        2,
-		CoresPerExecutor: 2,
-		Seed:             seed,
+		Workloads:       []string{"sort", "bayes", "pagerank"},
+		Size:            size,
+		DRAMBudgetBytes: 2 << 20,
+		Seed:            seed,
 	}
 	if smoke {
 		c.Tenants = c.Tenants[:2]
@@ -126,11 +124,9 @@ func exhaustionCheck(c *ctx, seed int64, size workloads.Size, fails *failures) s
 			{Name: "greedy", Jobs: 2, FastQuotaBytes: 4 << 10, SlowQuotaBytes: 4 << 10},
 			{Name: "steady", Jobs: 2, FastQuotaBytes: 4 << 20},
 		},
-		Workloads:        []string{"bayes"},
-		Size:             size,
-		Executors:        2,
-		CoresPerExecutor: 2,
-		Seed:             seed,
+		Workloads: []string{"bayes"},
+		Size:      size,
+		Seed:      seed,
 	}
 	res, err := multitenant.Run(conf)
 	if err != nil {
@@ -183,8 +179,8 @@ func tenantReport(cells []tenantCell, exhaustion string, seed int64, size worklo
 	fmt.Fprintf(&b, "Seeded mix (seed %d, %s size): tenants with pinched DRAM quotas submit\n", seed, size)
 	b.WriteString("concurrent jobs under a DRAM budget that fits ~2 jobs; overflow queues, and\n")
 	b.WriteString("over-quota placements spill to DCPM instead of failing.\n\n")
-	b.WriteString("| scheduler | migration | makespan (s) | Σ job dur (s) | queued | retries | spilled (B) | refused moves | failed |\n")
-	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| scheduler | migration | makespan (s) | Σ job dur (s) | queued | spilled (B) | refused moves | failed |\n")
+	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|\n")
 	type agg struct {
 		makespan, jobDur sim.Time
 		n                int
@@ -192,9 +188,9 @@ func tenantReport(cells []tenantCell, exhaustion string, seed int64, size worklo
 	byMig := map[tiering.PolicyKind]*agg{}
 	for _, c := range cells {
 		jobDur := totalJobDur(c.res)
-		fmt.Fprintf(&b, "| %s | %s | %.6f | %.6f | %d | %d | %d | %d | %d |\n",
+		fmt.Fprintf(&b, "| %s | %s | %.6f | %.6f | %d | %d | %d | %d |\n",
 			c.policy, c.tiering, c.res.Makespan.Seconds(), jobDur.Seconds(), c.res.QueuedJobs,
-			c.res.RetryRounds, c.res.SpilledBytes, c.res.RefusedMoves, c.res.Failed)
+			c.res.SpilledBytes, c.res.RefusedMoves, c.res.Failed)
 		a := byMig[c.tiering]
 		if a == nil {
 			a = &agg{}

@@ -129,9 +129,9 @@ func TestDocsNameRealPaths(t *testing.T) {
 }
 
 // TestExamplesBuildAndRun keeps examples/ more than prose: each program
-// builds and runs to exit 0. They are the only callers of the DFS-backed
-// sources and sinks, the Chrome trace export and EnableTracing, so this is
-// also what keeps those alive for simlint's unreached analyzer.
+// builds and runs to exit 0. They are the only callers of the Chrome trace
+// export and EnableTracing, so this is also what keeps those alive for
+// simlint's unreached analyzer.
 func TestExamplesBuildAndRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the examples")
@@ -140,15 +140,19 @@ func TestExamplesBuildAndRun(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {
 		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
 	}
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
 	for name, args := range map[string][]string{
 		"quickstart":       nil,
 		"pagerank-tiering": nil,
-		"trace-explorer":   {filepath.Join(t.TempDir(), "trace.json")},
+		"trace-explorer":   {traceFile},
 	} {
 		out, err := exec.Command(filepath.Join(bin, name), args...).CombinedOutput()
 		if err != nil || len(out) == 0 {
 			t.Errorf("examples/%s %v: %v\n%s", name, args, err, out)
 		}
+	}
+	if fi, err := os.Stat(traceFile); err != nil || fi.Size() == 0 {
+		t.Errorf("examples/trace-explorer wrote no trace file: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
-// trace-explorer: run a full HiBench-style pipeline (stage input on the
-// mini-HDFS, run wordcount over it on the NVM tier) with stage tracing
-// enabled, print a text timeline and write a Chrome trace-event file you
-// can open in chrome://tracing or Perfetto.
+// trace-explorer: run a wordcount over a generated corpus on the NVM tier
+// with stage tracing enabled, print a text timeline and write a Chrome
+// trace-event file you can open in chrome://tracing or Perfetto.
 //
 // Run with:
 //
@@ -15,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/dfs"
 	"repro/internal/memsim"
 	"repro/internal/numa"
 	"repro/internal/rdd"
@@ -32,38 +30,20 @@ func main() {
 	app := cluster.New(conf)
 	rec := app.EnableTracing()
 
-	// Stage the input corpus on the mini-HDFS (the HiBench dataprep step).
-	fs := dfs.New(4, 64<<10, 2)
 	vocabulary := []string{"tier", "dram", "optane", "latency", "bandwidth",
 		"shuffle", "executor", "spark", "memory", "numa"}
-	gen := rdd.Generate(app, "corpus", 5_000, 0, func(r *rand.Rand, _ int) string {
+	corpus := rdd.Generate(app, "corpus", 5_000, 0, func(r *rand.Rand, _ int) string {
 		words := make([]string, 8)
 		for i := range words {
 			words[i] = vocabulary[r.Intn(len(vocabulary))]
 		}
 		return strings.Join(words, " ")
 	})
-	if _, err := rdd.SaveToDFS(gen, fs, "/wc/input", func(lines []string) []byte {
-		if len(lines) == 0 {
-			return nil
-		}
-		return []byte(strings.Join(lines, "\n") + "\n")
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	// The job: read back from DFS, word-count, collect.
-	in, err := rdd.TextFileDFS(app, fs, "/wc/input")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	words := rdd.FlatMap(in, strings.Fields)
+	words := rdd.FlatMap(corpus, strings.Fields)
 	pairs := rdd.Map(words, func(w string) rdd.Pair[string, int] { return rdd.KV(w, 1) })
 	counts := rdd.Collect(rdd.ReduceByKey(pairs, func(a, b int) int { return a + b }, 0))
 
-	fmt.Printf("wordcount over DFS on %s: %d distinct words, %.4fs virtual\n\n",
+	fmt.Printf("wordcount on %s: %d distinct words, %.4fs virtual\n\n",
 		app.Tier().Spec.Name, len(counts), app.Elapsed().Seconds())
 
 	fmt.Println("stage timeline:")

@@ -277,13 +277,26 @@ func TestComparePredictors(t *testing.T) {
 	}
 }
 
-func TestFitPredictorUnknownKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown predictor kind did not panic")
+// TestPredictorTable pins the compared families and their column order,
+// and checks the OLS row recovers an exactly linear training set.
+func TestPredictorTable(t *testing.T) {
+	want := []PredictorKind{"ols", "knn"}
+	if len(predictors) != len(want) {
+		t.Fatalf("%d predictor families, want %d", len(predictors), len(want))
+	}
+	for i, p := range predictors {
+		if p.kind != want[i] {
+			t.Fatalf("predictor %d is %q, want %q", i, p.kind, want[i])
 		}
-	}()
-	fitPredictor("nope", [][]float64{{1}}, []float64{1})
+	}
+	xs := [][]float64{{1, 0}, {2, 1}, {3, 0}, {4, 1}, {5, 0}}
+	ys := []float64{2, 5, 6, 9, 10} // y = 2*x0 + x1
+	predict := predictors[0].fit(xs, ys)
+	for i, x := range xs {
+		if got := predict(x); math.Abs(got-ys[i]) > 1e-6 {
+			t.Errorf("ols predicts %v at %v, want %v", got, x, ys[i])
+		}
+	}
 }
 
 func TestAdvisorUntrainedPanics(t *testing.T) {

@@ -14,11 +14,21 @@ import (
 // Learning techniques"; we evaluate one of each.
 type PredictorKind string
 
-// The compared model families.
-const (
-	PredictorOLS PredictorKind = "ols"
-	PredictorKNN PredictorKind = "knn"
-)
+// predictors are the compared model families in report column order; fit
+// trains one on (xs, ys) and returns its prediction function.
+var predictors = []struct {
+	kind PredictorKind
+	fit  func(xs [][]float64, ys []float64) func([]float64) float64
+}{
+	{"ols", func(xs [][]float64, ys []float64) func([]float64) float64 {
+		return stats.FitOLS(xs, ys).Predict
+	}},
+	{"knn", func(xs [][]float64, ys []float64) func([]float64) float64 {
+		knn := stats.NewKNNRegressor(3)
+		knn.Fit(xs, ys)
+		return knn.Predict
+	}},
+}
 
 // PredictorScore is the leave-one-workload-out error of one model family.
 type PredictorScore struct {
@@ -44,8 +54,9 @@ func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorSc
 		return nil, err
 	}
 
-	evaluate := func(kind PredictorKind) PredictorScore {
-		score := PredictorScore{Kind: kind, MAPE: make(map[string]float64)}
+	var scores []PredictorScore
+	for _, p := range predictors {
+		score := PredictorScore{Kind: p.kind, MAPE: make(map[string]float64)}
 		for _, holdout := range names {
 			var trainX [][]float64
 			var trainY []float64
@@ -60,10 +71,12 @@ func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorSc
 					trainY = append(trainY, o.y)
 				}
 			}
-			predict := fitPredictor(kind, trainX, trainY)
+			predict := p.fit(trainX, trainY)
 			var ape float64
 			for i, x := range testX {
-				pred := predict(x)
+				// Floor at the profiled Tier 0 duration, feature 0 of the
+				// advisor feature vector.
+				pred := max(predict(x), x[0])
 				ape += math.Abs(pred-testY[i]) / testY[i]
 			}
 			score.MAPE[holdout] = ape / float64(len(testX))
@@ -78,27 +91,9 @@ func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorSc
 			sum += score.MAPE[name]
 		}
 		score.Mean = sum / float64(len(score.MAPE))
-		return score
+		scores = append(scores, score)
 	}
-	return []PredictorScore{evaluate(PredictorOLS), evaluate(PredictorKNN)}, nil
-}
-
-// fitPredictor trains one model family and returns its prediction
-// function, flooring predictions at the profiled Tier 0 duration (feature
-// 0 of the advisor feature vector).
-func fitPredictor(kind PredictorKind, xs [][]float64, ys []float64) func([]float64) float64 {
-	var predict func([]float64) float64
-	switch kind {
-	case PredictorOLS:
-		predict = stats.FitOLS(xs, ys).Predict
-	case PredictorKNN:
-		knn := stats.NewKNNRegressor(3)
-		knn.Fit(xs, ys)
-		predict = knn.Predict
-	default:
-		panic(fmt.Sprintf("core: unknown predictor kind %q", kind))
-	}
-	return func(x []float64) float64 { return max(predict(x), x[0]) }
+	return scores, nil
 }
 
 // PredictorTable renders the comparison.

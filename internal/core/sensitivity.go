@@ -27,18 +27,57 @@ type SensitivityResult struct {
 	OrderingHolds bool
 }
 
-// sensitivityKnobs enumerates the perturbable parameters.
-func sensitivityKnobs() []string {
-	return []string{
-		"baseline",
-		"cpu-per-record",
-		"engine-overheads",
-		"flops",
-		"object-churn",
-		"dcpm-write-latency",
-		"contention-slope",
-		"alloc-contention",
-	}
+// calibration is the model state a sensitivity knob perturbs.
+type calibration struct {
+	cost  executor.CostModel
+	specs [memsim.NumTiers]memsim.TierSpec
+}
+
+// sensitivityKnobs are the perturbable parameter groups in report order:
+// each is re-measured at every one of its scales, with apply perturbing a
+// fresh default calibration in place.
+var sensitivityKnobs = []struct {
+	name   string
+	scales []float64
+	apply  func(c *calibration, scale float64)
+}{
+	{"baseline", []float64{1.0}, func(*calibration, float64) {}},
+	{"cpu-per-record", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		c.cost.MapNS *= scale
+		c.cost.FilterNS *= scale
+		c.cost.HashNS *= scale
+		c.cost.CompareNS *= scale
+		c.cost.ReduceNS *= scale
+		c.cost.SerDePerB *= scale
+		c.cost.GeneratePNS *= scale
+	}},
+	{"engine-overheads", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		c.cost.TaskDispatchNS *= scale
+		c.cost.StageOverheadNS *= scale
+		c.cost.JobOverheadNS *= scale
+		c.cost.ExecStartupNS *= scale
+	}},
+	{"flops", []float64{0.8, 1.2}, func(c *calibration, scale float64) { c.cost.FlopNS *= scale }},
+	{"object-churn", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		if scale < 1 {
+			c.cost.ObjectChurn--
+		} else {
+			c.cost.ObjectChurn++
+		}
+	}},
+	{"dcpm-write-latency", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		for _, id := range []memsim.TierID{memsim.Tier2, memsim.Tier3} {
+			c.specs[id].WriteLatencyFactor = (c.specs[id].WriteLatencyFactor-1)*scale + 1
+		}
+	}},
+	{"contention-slope", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		for i := range c.specs {
+			c.specs[i].ContentionFactor *= scale
+		}
+	}},
+	{"alloc-contention", []float64{0.8, 1.2}, func(c *calibration, scale float64) {
+		c.cost.AllocContentionFactor *= scale
+	}},
 }
 
 // RunSensitivity perturbs each knob by ±20% (object churn by ±1 step) and
@@ -57,19 +96,14 @@ func RunSensitivity(names []string, size workloads.Size, seed int64) ([]Sensitiv
 		ws[i] = w
 	}
 	var out []SensitivityResult
-	for _, knob := range sensitivityKnobs() {
-		scales := []float64{0.8, 1.2}
-		if knob == "baseline" {
-			scales = []float64{1.0}
-		}
-		for _, scale := range scales {
-			cost := executor.DefaultCostModel()
-			specs := memsim.DefaultSpecs()
-			applyKnob(&cost, &specs, knob, scale)
+	for _, knob := range sensitivityKnobs {
+		for _, scale := range knob.scales {
+			c := calibration{cost: executor.DefaultCostModel(), specs: memsim.DefaultSpecs()}
+			knob.apply(&c, scale)
 
-			geo, ordering := measureGaps(ws, size, seed, &cost, &specs)
+			geo, ordering := measureGaps(ws, size, seed, &c.cost, &c.specs)
 			out = append(out, SensitivityResult{
-				Knob:          knob,
+				Knob:          knob.name,
 				Scale:         scale,
 				T2Geomean:     geo,
 				OrderingHolds: ordering,
@@ -77,47 +111,6 @@ func RunSensitivity(names []string, size workloads.Size, seed int64) ([]Sensitiv
 		}
 	}
 	return out, nil
-}
-
-// applyKnob perturbs one parameter group in place.
-func applyKnob(cost *executor.CostModel, specs *[memsim.NumTiers]memsim.TierSpec, knob string, scale float64) {
-	switch knob {
-	case "baseline":
-	case "cpu-per-record":
-		cost.MapNS *= scale
-		cost.FilterNS *= scale
-		cost.HashNS *= scale
-		cost.CompareNS *= scale
-		cost.ReduceNS *= scale
-		cost.SerDePerB *= scale
-		cost.GeneratePNS *= scale
-	case "engine-overheads":
-		cost.TaskDispatchNS *= scale
-		cost.StageOverheadNS *= scale
-		cost.JobOverheadNS *= scale
-		cost.ExecStartupNS *= scale
-	case "flops":
-		cost.FlopNS *= scale
-	case "object-churn":
-		if scale < 1 {
-			cost.ObjectChurn--
-		} else {
-			cost.ObjectChurn++
-		}
-	case "dcpm-write-latency":
-		for _, id := range []memsim.TierID{memsim.Tier2, memsim.Tier3} {
-			f := (specs[id].WriteLatencyFactor-1)*scale + 1
-			specs[id].WriteLatencyFactor = f
-		}
-	case "contention-slope":
-		for i := range specs {
-			specs[i].ContentionFactor *= scale
-		}
-	case "alloc-contention":
-		cost.AllocContentionFactor *= scale
-	default:
-		panic(fmt.Sprintf("core: unknown sensitivity knob %q", knob))
-	}
 }
 
 // measureGaps runs the workloads across all tiers under the perturbed

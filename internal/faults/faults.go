@@ -30,6 +30,11 @@ const (
 	DefaultSpeculationFactor = 1.5
 )
 
+// maxStragglerFactor bounds a straggler's slowdown far beyond any real
+// straggler and far below where a large run's inflated task times would
+// overflow the virtual clock.
+const maxStragglerFactor = 1e6
+
 // Crash is one scheduled executor failure. It takes effect at the first
 // stage boundary at or after At — the driver learns about executor loss
 // asynchronously, between stages, like Spark's heartbeat timeout.
@@ -50,7 +55,7 @@ type Crash struct {
 type Straggler struct {
 	// Exec is the slow executor slot.
 	Exec int
-	// Factor >= 1 is the slowdown multiplier.
+	// Factor in [1, 1e6] is the slowdown multiplier.
 	Factor float64
 }
 
@@ -106,11 +111,11 @@ func (p *Plan) Validate(executors int) error {
 		if s.Exec < 0 || s.Exec >= executors {
 			return fmt.Errorf("faults: straggler %d targets executor %d of %d", i, s.Exec, executors)
 		}
-		if s.Factor < 1 {
-			return fmt.Errorf("faults: straggler %d factor %v below 1", i, s.Factor)
+		if !(s.Factor >= 1 && s.Factor <= maxStragglerFactor) {
+			return fmt.Errorf("faults: straggler %d factor %v outside [1, %g]", i, s.Factor, maxStragglerFactor)
 		}
 	}
-	if p.TaskFailureRate < 0 || p.TaskFailureRate >= 1 {
+	if !(p.TaskFailureRate >= 0 && p.TaskFailureRate < 1) {
 		return fmt.Errorf("faults: task failure rate %v out of [0,1)", p.TaskFailureRate)
 	}
 	if p.MaxTaskFailures < 0 {
@@ -119,8 +124,8 @@ func (p *Plan) Validate(executors int) error {
 	if p.MaxStageAttempts < 0 {
 		return fmt.Errorf("faults: max stage attempts %d negative", p.MaxStageAttempts)
 	}
-	if p.SpeculationFactor < 0 {
-		return fmt.Errorf("faults: speculation factor %v negative", p.SpeculationFactor)
+	if !(p.SpeculationFactor >= 0) {
+		return fmt.Errorf("faults: speculation factor %v negative or NaN", p.SpeculationFactor)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -34,11 +35,15 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{"negative time", Plan{Crashes: []Crash{{Exec: 0, At: -1}}}, "negative time"},
 		{"pool emptied", Plan{Crashes: []Crash{{Exec: 0}, {Exec: 1}, {Exec: 2}, {Exec: 3}}}, "no executor"},
 		{"straggler out of range", Plan{Stragglers: []Straggler{{Exec: 9, Factor: 2}}}, "targets executor"},
-		{"straggler below 1", Plan{Stragglers: []Straggler{{Exec: 0, Factor: 0.5}}}, "below 1"},
+		{"straggler below 1", Plan{Stragglers: []Straggler{{Exec: 0, Factor: 0.5}}}, "outside [1, 1e+06]"},
+		{"straggler NaN", Plan{Stragglers: []Straggler{{Exec: 0, Factor: math.NaN()}}}, "outside"},
+		{"straggler overflows the clock", Plan{Stragglers: []Straggler{{Exec: 0, Factor: math.Inf(1)}}}, "outside"},
 		{"rate too high", Plan{TaskFailureRate: 1}, "out of [0,1)"},
+		{"rate NaN", Plan{TaskFailureRate: math.NaN()}, "out of [0,1)"},
 		{"negative task cap", Plan{MaxTaskFailures: -1}, "negative"},
 		{"negative stage cap", Plan{MaxStageAttempts: -2}, "negative"},
 		{"negative speculation", Plan{SpeculationFactor: -1}, "negative"},
+		{"NaN speculation", Plan{SpeculationFactor: math.NaN()}, "NaN"},
 	}
 	for _, c := range cases {
 		err := c.plan.Validate(4)

@@ -34,8 +34,6 @@ type JobResult struct {
 	Admitted bool
 	AdmitAt  sim.Time
 	DoneAt   sim.Time
-	// Retries is how many backoff rounds the submitter spent (Retry mode).
-	Retries int
 	// Queued reports the job passed through the scheduler queue;
 	// QueueWait is the virtual time it spent parked there.
 	Queued    bool
@@ -68,8 +66,7 @@ type MixResult struct {
 	// Makespan is the virtual time of the last completion event.
 	Makespan sim.Time
 	// Admission tallies.
-	Admitted, Rejected, Completed, Failed int
-	QueuedJobs, RetryRounds               int
+	Admitted, Rejected, Completed, Failed, QueuedJobs int
 	// SpilledBlocks/SpilledBytes total the graceful-degradation spills
 	// across all tenants; RefusedMoves totals quota-refused migrations.
 	SpilledBlocks, SpilledBytes int64
@@ -95,7 +92,6 @@ type event struct {
 type jobState struct {
 	job        Job
 	idx        int // index into MixResult.Jobs
-	retries    int
 	enqueuedAt sim.Time
 	reserved   int64
 	holdings   blockmgr.JobHoldings
@@ -113,7 +109,7 @@ type engine struct {
 	capacity *memsim.CapacityLedger
 	events   []*event
 	evSeq    int
-	queue    []*jobState // Queue mode, in enqueue order
+	queue    []*jobState // in enqueue order
 	running  int
 	clock    sim.Time
 	reg      *telemetry.Registry
@@ -123,8 +119,7 @@ type engine struct {
 
 // Run generates the seeded workload mix and plays it through the
 // admission controller: every job is admitted (reserving its declared
-// demand against the DRAM budget), queued or retried with backoff, or
-// rejected with a typed error; admitted jobs run on a fresh simulated
+// demand against the DRAM budget), queued, or rejected with a typed error; admitted jobs run on a fresh simulated
 // cluster under their tenant's shared quota and complete at their
 // virtual end time, releasing capacity and draining the queue. The
 // returned MixResult — trace included — is byte-identical for a given
@@ -202,41 +197,21 @@ func (e *engine) tracef(format string, args ...interface{}) {
 	e.trace = append(e.trace, fmt.Sprintf("t=%012dns ", int64(e.clock))+fmt.Sprintf(format, args...))
 }
 
-// arrive handles a submission (or a Retry-mode re-submission).
+// arrive handles a submission.
 func (e *engine) arrive(js *jobState) error {
 	j := js.job
-	free := e.capacity.Free()
-	if js.retries == 0 {
-		e.tracef("arrive %s demand=%dB free=%dB", j, j.DemandBytes, free)
-	}
+	e.tracef("arrive %s demand=%dB free=%dB", j, j.DemandBytes, e.capacity.Free())
 	if j.DemandBytes > e.conf.DRAMBudgetBytes {
-		return e.reject(js, "demand exceeds the DRAM budget")
+		e.reject(js)
+		return nil
 	}
-	if j.DemandBytes <= free {
-		// In Queue mode an arriving job must not jump a non-empty queue
-		// under FIFO; enqueue-then-drain keeps head-of-line semantics and
-		// lets Fair/Weighted pick freely.
-		if e.conf.Admission == Queue && len(e.queue) > 0 {
-			return e.enqueue(js)
-		}
+	// An arriving job must not jump a non-empty queue under FIFO;
+	// enqueue-then-drain keeps head-of-line semantics and lets
+	// Fair/Weighted pick freely.
+	if e.fits(js) && len(e.queue) == 0 {
 		return e.admit(js)
 	}
-	if e.conf.Admission == Queue {
-		return e.enqueue(js)
-	}
-	// Retry mode: bounded exponential virtual-time backoff.
-	if js.retries >= e.conf.MaxRetries {
-		return e.reject(js, "retry budget exhausted while the cluster stayed full")
-	}
-	backoff := e.conf.BackoffBase << uint(js.retries)
-	if backoff > e.conf.BackoffCap {
-		backoff = e.conf.BackoffCap
-	}
-	js.retries++
-	e.results[js.idx].Retries = js.retries
-	e.tracef("retry  %s attempt=%d backoff=%dns", j, js.retries, int64(backoff))
-	e.push(e.clock+backoff, evArrive, js)
-	return nil
+	return e.enqueue(js)
 }
 
 func (e *engine) enqueue(js *jobState) error {
@@ -247,19 +222,16 @@ func (e *engine) enqueue(js *jobState) error {
 	return e.drain()
 }
 
-func (e *engine) reject(js *jobState, reason string) error {
+func (e *engine) reject(js *jobState) {
 	j := js.job
-	rej := &AdmissionRejectedError{
-		Tenant: j.Tenant, Seq: j.Seq, Workload: j.Workload,
-		Demand: j.DemandBytes, Free: e.capacity.Free(),
-		Budget: e.conf.DRAMBudgetBytes, Retries: js.retries, Reason: reason,
-	}
 	r := &e.results[js.idx]
 	r.Outcome = OutcomeRejected
-	r.Err = rej
+	r.Err = &AdmissionRejectedError{
+		Tenant: j.Tenant, Seq: j.Seq, Workload: j.Workload,
+		Demand: j.DemandBytes, Free: e.capacity.Free(), Budget: e.conf.DRAMBudgetBytes,
+	}
 	r.DoneAt = e.clock
-	e.tracef("reject %s after %d retries: %s", j, js.retries, reason)
-	return nil
+	e.tracef("reject %s: demand exceeds the DRAM budget", j)
 }
 
 // fits reports whether a job's declared demand fits the free budget now.
@@ -325,7 +297,7 @@ func (e *engine) admit(js *jobState) error {
 
 	spec := hibench.RunSpec{
 		Workload: j.Workload, Size: j.Size, Tier: memsim.Tier0,
-		Executors: e.conf.Executors, CoresPerExecutor: e.conf.CoresPerExecutor,
+		Executors: executors, CoresPerExecutor: coresPerExecutor,
 		TaskParallelism: e.conf.TaskParallelism,
 		Seed:            j.Seed,
 		Faults:          j.Faults,
@@ -339,7 +311,7 @@ func (e *engine) admit(js *jobState) error {
 			// will actually admit; floor at a page so a full quota still
 			// validates (the job then runs all-spill with an engine that
 			// can only demote).
-			fb := q.FastFree() / int64(e.conf.Executors)
+			fb := q.FastFree() / executors
 			if fb < 4<<10 {
 				fb = 4 << 10
 			}
@@ -411,10 +383,7 @@ func (e *engine) complete(js *jobState) error {
 	r.DoneAt = e.clock
 	e.tracef("done   %s outcome=%s dur=%dns spilled=%dB running=%d",
 		j, r.Outcome, int64(r.Duration), r.SpilledBytes, e.running)
-	if e.conf.Admission == Queue {
-		return e.drain()
-	}
-	return nil
+	return e.drain()
 }
 
 // finish publishes the end-of-run gauges and totals the tallies.
@@ -451,11 +420,9 @@ func (e *engine) finish(res *MixResult) {
 		if r.Queued {
 			res.QueuedJobs++
 		}
-		res.RetryRounds += r.Retries
 	}
 	e.reg.Set("admission.admitted", int64(res.Admitted))
 	e.reg.Set("admission.rejected", int64(res.Rejected))
 	e.reg.Set("admission.completed", int64(res.Completed))
 	e.reg.Set("admission.failed", int64(res.Failed))
-	e.reg.Set("admission.retry_rounds", int64(res.RetryRounds))
 }

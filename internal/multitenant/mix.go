@@ -76,7 +76,7 @@ func GenerateMix(c Conf) []Job {
 		for s := 0; s < t.Jobs; s++ {
 			pick := faults.Mix(uint64(c.Seed), 0x77a1, uint64(ti), uint64(s))
 			w := c.Workloads[pick%uint64(len(c.Workloads))]
-			arrival := sim.Time(float64(c.ArrivalWindow) *
+			arrival := sim.Time(float64(arrivalWindow) *
 				faults.Uniform(faults.Mix(uint64(c.Seed), 0xa221, uint64(ti), uint64(s))))
 			jitter := 0.8 + 0.45*faults.Uniform(faults.Mix(uint64(c.Seed), 0xd3f0, uint64(ti), uint64(s)))
 			demand := int64(float64(EstimateDemand(w, c.Size)) * jitter)

@@ -1,16 +1,15 @@
 // Package multitenant promotes the one-job application simulator into a
 // long-running multi-job cluster: N tenants submit jobs from a seeded
 // workload-mix generator, an admission controller gates entry when DRAM
-// would be oversubscribed (queueing with FIFO/fair/weighted scheduling,
-// or bounded virtual-time retry/backoff), and per-tenant memory quotas
-// are enforced in the block-manager charge paths with graceful
-// degradation — a tenant over its DRAM quota spills new blocks to DCPM
-// instead of failing, and a typed error reaches the submitter only when
-// even the DCPM budget is exhausted. Executor crashes mid-contention
-// recover per job through the lineage machinery; other tenants' jobs are
-// untouched.
+// would be oversubscribed (queueing with FIFO/fair/weighted scheduling),
+// and per-tenant memory quotas are enforced in the block-manager charge
+// paths with graceful degradation — a tenant over its DRAM quota spills
+// new blocks to DCPM instead of failing, and a typed error reaches the
+// submitter only when even the DCPM budget is exhausted. Executor crashes
+// mid-contention recover per job through the lineage machinery; other
+// tenants' jobs are untouched.
 //
-// Everything is deterministic: the mix, every admit/queue/retry/reject
+// Everything is deterministic: the mix, every admit/queue/reject
 // decision and the full trace are pure functions of the configuration
 // and seed, and each job's virtual duration is bit-identical for any
 // phase-1 worker count — so the whole multi-job trace is too.
@@ -53,24 +52,8 @@ func (p SchedulerPolicy) Valid() bool {
 	return false
 }
 
-// AdmissionMode selects what happens when a job does not fit at arrival.
-type AdmissionMode string
-
-const (
-	// Queue parks the job in the scheduler queue; completions drain it.
-	Queue AdmissionMode = "queue"
-	// Retry bounces the job back to the submitter, which retries with
-	// exponential virtual-time backoff up to MaxRetries before the typed
-	// rejection surfaces.
-	Retry AdmissionMode = "retry"
-)
-
-// Valid reports whether the mode is defined.
-func (m AdmissionMode) Valid() bool { return m == Queue || m == Retry }
-
 // AdmissionRejectedError is the typed rejection a submitter sees when its
-// job cannot be admitted: the declared demand can never fit the DRAM
-// budget, or the retry budget is exhausted while the cluster stays full.
+// job's declared demand can never fit the DRAM budget.
 type AdmissionRejectedError struct {
 	Tenant   string
 	Seq      int
@@ -78,16 +61,12 @@ type AdmissionRejectedError struct {
 	// Demand is the job's declared DRAM demand; Free and Budget snapshot
 	// the admission ledger at rejection time.
 	Demand, Free, Budget int64
-	// Retries is how many backoff rounds were spent (0 for a job whose
-	// demand exceeds the whole budget).
-	Retries int
-	Reason  string
 }
 
 // Error implements error.
 func (e *AdmissionRejectedError) Error() string {
-	return fmt.Sprintf("multitenant: %s/%d (%s) rejected after %d retries: %s (demand %d B, free %d of %d B)",
-		e.Tenant, e.Seq, e.Workload, e.Retries, e.Reason, e.Demand, e.Free, e.Budget)
+	return fmt.Sprintf("multitenant: %s/%d (%s) rejected: demand %d B exceeds the DRAM budget (free %d of %d B)",
+		e.Tenant, e.Seq, e.Workload, e.Demand, e.Free, e.Budget)
 }
 
 // TenantSpec describes one tenant of the mix.
@@ -110,34 +89,17 @@ type TenantSpec struct {
 type Conf struct {
 	// Tenants are the submitting tenants (at least one, unique names).
 	Tenants []TenantSpec
-	// Policy orders the admission queue (Queue mode).
+	// Policy orders the admission queue.
 	Policy SchedulerPolicy
-	// Admission selects queueing or bounded retry.
-	Admission AdmissionMode
-	// MaxRetries bounds Retry-mode backoff rounds; 0 selects 4.
-	MaxRetries int
-	// BackoffBase is the first retry delay; doubles per round. 0 selects
-	// 2ms of virtual time.
-	BackoffBase sim.Duration
-	// BackoffCap clamps the exponential backoff; 0 selects 32x the base.
-	BackoffCap sim.Duration
 	// DRAMBudgetBytes is the admission controller's DRAM budget — the
 	// bytes of declared demand that may be in flight at once. 0 selects
 	// the testbed's Tier 0 capacity; small values force contention.
 	DRAMBudgetBytes int64
-	// ArrivalWindow spreads arrivals uniformly over [0, window); 0
-	// selects 50ms of virtual time.
-	ArrivalWindow sim.Duration
 	// Size is the dataset profile every job runs.
 	Size workloads.Size
 	// Workloads restricts the generator's catalog; nil/empty selects all
 	// seven Table II workloads.
 	Workloads []string
-	// Executors and CoresPerExecutor shape each job's cluster; zero
-	// selects 2 executors x 4 cores (small enough that many jobs
-	// coexist).
-	Executors        int
-	CoresPerExecutor int
 	// TaskParallelism bounds each job's phase-1 compute workers; zero
 	// defers to GOMAXPROCS. Virtual time is identical either way.
 	TaskParallelism int
@@ -153,45 +115,22 @@ type Conf struct {
 	Faults func(tenant, seq int) *faults.Plan
 }
 
-// Defaults for the zero-valued knobs.
+// Every job arrives uniformly over [0, arrivalWindow) and runs on a
+// cluster of executors x coresPerExecutor, small enough that many jobs
+// coexist.
 const (
-	DefaultMaxRetries  = 4
-	DefaultBackoffBase = 2 * sim.Millisecond
-	DefaultExecutors   = 2
-	DefaultCores       = 4
+	arrivalWindow    = 50 * sim.Millisecond
+	executors        = 2
+	coresPerExecutor = 2
 )
-
-// DefaultArrivalWindow is the default arrival spread.
-const DefaultArrivalWindow = 50 * sim.Millisecond
 
 // withDefaults fills the zero-valued knobs.
 func (c Conf) withDefaults() Conf {
 	if c.Policy == "" {
 		c.Policy = FIFO
 	}
-	if c.Admission == "" {
-		c.Admission = Queue
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 32 * c.BackoffBase
-	}
 	if c.DRAMBudgetBytes == 0 {
 		c.DRAMBudgetBytes = memsim.DefaultSpecs()[memsim.Tier0].CapacityBytes
-	}
-	if c.ArrivalWindow == 0 {
-		c.ArrivalWindow = DefaultArrivalWindow
-	}
-	if c.Executors == 0 {
-		c.Executors = DefaultExecutors
-	}
-	if c.CoresPerExecutor == 0 {
-		c.CoresPerExecutor = DefaultCores
 	}
 	if len(c.Workloads) == 0 {
 		c.Workloads = workloads.Names()
@@ -236,29 +175,8 @@ func (c Conf) Validate() error {
 			}
 		}
 	}
-	if c.Admission != "" && !c.Admission.Valid() {
-		return fmt.Errorf("multitenant: unknown admission mode %q", c.Admission)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("multitenant: negative MaxRetries %d", c.MaxRetries)
-	}
-	if c.BackoffBase < 0 {
-		return fmt.Errorf("multitenant: negative BackoffBase %v", c.BackoffBase)
-	}
-	if c.BackoffCap < 0 {
-		return fmt.Errorf("multitenant: negative BackoffCap %v", c.BackoffCap)
-	}
-	if c.BackoffBase > 0 && c.BackoffCap > 0 && c.BackoffCap < c.BackoffBase {
-		return fmt.Errorf("multitenant: BackoffCap %v below BackoffBase %v", c.BackoffCap, c.BackoffBase)
-	}
 	if c.DRAMBudgetBytes < 0 {
 		return fmt.Errorf("multitenant: negative DRAMBudgetBytes %d", c.DRAMBudgetBytes)
-	}
-	if c.ArrivalWindow < 0 {
-		return fmt.Errorf("multitenant: negative ArrivalWindow %v", c.ArrivalWindow)
-	}
-	if c.Executors < 0 || c.CoresPerExecutor < 0 {
-		return fmt.Errorf("multitenant: negative executor layout %dx%d", c.Executors, c.CoresPerExecutor)
 	}
 	if c.TaskParallelism < 0 {
 		return fmt.Errorf("multitenant: negative TaskParallelism %d", c.TaskParallelism)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/blockmgr"
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/tiering"
 	"repro/internal/workloads"
 )
 
@@ -19,11 +20,9 @@ func testConf(mod func(*Conf)) Conf {
 			{Name: "a", Weight: 1, Jobs: 3, FastQuotaBytes: 4 << 20},
 			{Name: "b", Weight: 2, Jobs: 3, FastQuotaBytes: 4 << 20},
 		},
-		Workloads:        []string{"sort", "bayes"},
-		Size:             workloads.Tiny,
-		Executors:        2,
-		CoresPerExecutor: 2,
-		Seed:             7,
+		Workloads: []string{"sort", "bayes"},
+		Size:      workloads.Tiny,
+		Seed:      7,
 	}
 	if mod != nil {
 		mod(&c)
@@ -78,13 +77,7 @@ func TestConfValidate(t *testing.T) {
 		{"bad policy", func(c *Conf) { c.Policy = "lifo" }, `unknown scheduler policy "lifo"`},
 		{"weighted needs weights", func(c *Conf) { c.Policy = Weighted; c.Tenants[0].Weight = 0 },
 			"weighted policy needs positive weights"},
-		{"bad admission", func(c *Conf) { c.Admission = "drop" }, `unknown admission mode "drop"`},
-		{"negative retries", func(c *Conf) { c.MaxRetries = -1 }, "negative MaxRetries"},
-		{"negative backoff", func(c *Conf) { c.BackoffBase = -1 }, "negative BackoffBase"},
-		{"cap below base", func(c *Conf) { c.BackoffBase = 10; c.BackoffCap = 5 }, "BackoffCap"},
 		{"negative budget", func(c *Conf) { c.DRAMBudgetBytes = -1 }, "negative DRAMBudgetBytes"},
-		{"negative window", func(c *Conf) { c.ArrivalWindow = -1 }, "negative ArrivalWindow"},
-		{"negative layout", func(c *Conf) { c.Executors = -1 }, "negative executor layout"},
 		{"negative parallelism", func(c *Conf) { c.TaskParallelism = -1 }, "negative TaskParallelism"},
 		{"bad size", func(c *Conf) { c.Size = workloads.NumSizes }, "invalid size"},
 		{"bad tiering", func(c *Conf) { c.Tiering = "psychic" }, `unknown tiering policy "psychic"`},
@@ -184,7 +177,7 @@ func TestHardExhaustionIsolated(t *testing.T) {
 }
 
 // contentionConf squeezes the DRAM budget so only one job fits at a
-// time; everything else must queue or retry.
+// time; everything else must queue.
 func contentionConf(mod func(*Conf)) Conf {
 	return testConf(func(c *Conf) {
 		c.Workloads = []string{"sort"}
@@ -195,8 +188,8 @@ func contentionConf(mod func(*Conf)) Conf {
 	})
 }
 
-// TestQueueModeDrainsEverything: under heavy contention with queueing,
-// nothing is rejected — jobs wait and all complete.
+// TestQueueModeDrainsEverything: under heavy contention nothing is
+// rejected — jobs wait and all complete.
 func TestQueueModeDrainsEverything(t *testing.T) {
 	res, err := Run(contentionConf(nil))
 	if err != nil {
@@ -211,39 +204,8 @@ func TestQueueModeDrainsEverything(t *testing.T) {
 	}
 }
 
-// TestRetryModeRejectsWithTypedError: the same contention under bounded
-// retry surfaces *AdmissionRejectedError after MaxRetries backoffs.
-func TestRetryModeRejectsWithTypedError(t *testing.T) {
-	res, err := Run(contentionConf(func(c *Conf) {
-		c.Admission = Retry
-		c.MaxRetries = 2
-		c.BackoffBase = sim.Millisecond
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected == 0 {
-		t.Fatalf("retry mode under contention rejected nothing\n%s", RenderReport(res))
-	}
-	if res.RetryRounds == 0 {
-		t.Fatal("no retry rounds recorded")
-	}
-	for _, r := range res.Jobs {
-		if r.Outcome != OutcomeRejected {
-			continue
-		}
-		var rej *AdmissionRejectedError
-		if !errors.As(r.Err, &rej) {
-			t.Fatalf("rejected job %s error %v, want *AdmissionRejectedError", r.Job, r.Err)
-		}
-		if rej.Retries != 2 {
-			t.Fatalf("rejection after %d retries, want MaxRetries=2", rej.Retries)
-		}
-	}
-}
-
 // TestRejectOverBudgetDemand: a job whose declared demand exceeds the
-// whole budget is rejected immediately, with zero retries.
+// whole budget is rejected immediately with the typed error.
 func TestRejectOverBudgetDemand(t *testing.T) {
 	res, err := Run(testConf(func(c *Conf) {
 		c.Workloads = []string{"bayes"}
@@ -259,7 +221,7 @@ func TestRejectOverBudgetDemand(t *testing.T) {
 	if !errors.As(res.Jobs[0].Err, &rej) {
 		t.Fatalf("error %v, want *AdmissionRejectedError", res.Jobs[0].Err)
 	}
-	if rej.Retries != 0 || !strings.Contains(rej.Reason, "demand exceeds") {
+	if rej.Demand <= rej.Budget || !strings.Contains(rej.Error(), "exceeds the DRAM budget") {
 		t.Fatalf("immediate rejection got %+v", rej)
 	}
 }
@@ -363,4 +325,92 @@ func TestMixByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if r1 != r8 {
 		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", r1, r8)
 	}
+}
+
+// FuzzMultitenantConf holds Validate to its word over small confs — up to
+// three tenants of up to two tiny sort/bayes jobs each, under any policy,
+// tiering, budget and quotas, malformed values included. Validate never
+// panics; a conf it accepts runs without error, every job ends in exactly
+// one outcome, the admission tallies account for every job, and every
+// tenant's quota ledger drains to zero.
+func FuzzMultitenantConf(f *testing.F) {
+	f.Add("fifo", "", int64(0), 0, uint8(0b011), uint8(0x02), uint16(0x33), uint16(0x22), int64(4<<20), int64(0), int8(1), int64(7))
+	f.Add("fair", "watermark", int64(640<<10), 0, uint8(0b001), uint8(0x03), uint16(0x333), uint16(0x123), int64(16<<10), int64(0), int8(1), int64(5))
+	f.Add("weighted", "forecast", int64(2<<20), 0, uint8(0b011), uint8(0x03), uint16(0x333), uint16(0x232), int64(32<<10), int64(0), int8(2), int64(3))
+	f.Add("fifo", "age", int64(0), 0, uint8(0b010), uint8(0x02), uint16(0x33), uint16(0x22), int64(4<<10), int64(4<<10), int8(1), int64(1))
+	f.Add("fair", "", int64(1<<10), 0, uint8(0b010), uint8(0x01), uint16(0x3), uint16(0x2), int64(1<<62), int64(1<<62), int8(0), int64(-9))
+	f.Add("lifo", "psychic", int64(-1), 3, uint8(0b111), uint8(0x33), uint16(0x0), uint16(0x0), int64(0), int64(-1), int8(-1), int64(0))
+	f.Fuzz(func(t *testing.T, policy, tier string, budget int64, size int, wl, tenants uint8,
+		jobs, weights uint16, fastQuota, slowQuota int64, par int8, seed int64) {
+		c := Conf{
+			Policy: SchedulerPolicy(policy), Tiering: tiering.PolicyKind(tier),
+			DRAMBudgetBytes: budget, Size: workloads.Tiny, TaskParallelism: int(par % 3), Seed: seed,
+		}
+		if size < int(workloads.Tiny) || size >= int(workloads.NumSizes) {
+			c.Size = workloads.Size(size)
+		}
+		for i, name := range []string{"sort", "bayes", "terasort"} {
+			if wl>>i&1 == 1 {
+				c.Workloads = append(c.Workloads, name)
+			}
+		}
+		if len(c.Workloads) == 0 {
+			c.Workloads = []string{"sort"}
+		}
+		for i := 0; i < int(tenants%4); i++ {
+			c.Tenants = append(c.Tenants, TenantSpec{
+				Name:           string(rune('a' + i)),
+				Jobs:           int(jobs>>(4*i)&0xf)%4 - 1,
+				Weight:         int(weights>>(4*i)&0xf)%4 - 1,
+				FastQuotaBytes: fastQuota >> i,
+				SlowQuotaBytes: slowQuota >> i,
+			})
+		}
+		if tenants&0x10 != 0 && len(c.Tenants) > 1 {
+			c.Tenants[1].Name = "a"
+		}
+		if tenants&0x20 != 0 && len(c.Tenants) > 0 {
+			c.Tenants[0].Name = ""
+		}
+		if c.Validate() != nil {
+			return
+		}
+		res, err := Run(c)
+		if err != nil {
+			t.Fatalf("Validate accepted %+v, Run failed: %v", c, err)
+		}
+		submitted := 0
+		for _, ts := range c.Tenants {
+			submitted += ts.Jobs
+		}
+		if len(res.Jobs) != submitted || res.Admitted+res.Rejected != submitted ||
+			res.Completed+res.Failed != res.Admitted {
+			t.Fatalf("%d jobs submitted, %d recorded: admitted=%d rejected=%d completed=%d failed=%d",
+				submitted, len(res.Jobs), res.Admitted, res.Rejected, res.Completed, res.Failed)
+		}
+		for _, r := range res.Jobs {
+			var ok bool
+			switch r.Outcome {
+			case OutcomeCompleted:
+				ok = r.Admitted && r.Err == nil
+			case OutcomeQuotaExhausted, OutcomeAborted:
+				ok = r.Admitted && r.Err != nil
+			case OutcomeRejected:
+				// A job left in the queue would still carry its initial
+				// rejected outcome, without the typed error.
+				var rej *AdmissionRejectedError
+				ok = !r.Admitted && errors.As(r.Err, &rej)
+			}
+			if !ok {
+				t.Fatalf("job %s ended as %q (admitted=%v, err=%v)", r.Job, r.Outcome, r.Admitted, r.Err)
+			}
+		}
+		for _, ts := range c.Tenants {
+			for _, g := range []string{"quota.end_fast_bytes", "quota.end_slow_bytes"} {
+				if v := res.Registry.Get("tenant." + ts.Name + "." + g); v != 0 {
+					t.Fatalf("tenant %s ledger not drained: %s = %d", ts.Name, g, v)
+				}
+			}
+		}
+	})
 }

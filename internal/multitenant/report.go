@@ -14,11 +14,10 @@ import (
 func RenderReport(res *MixResult) string {
 	var b strings.Builder
 	c := res.Conf
-	fmt.Fprintf(&b, "# multitenant mix: %d tenants, policy=%s admission=%s seed=%d\n",
-		len(c.Tenants), c.Policy, c.Admission, c.Seed)
-	fmt.Fprintf(&b, "dram_budget=%dB arrival_window=%dns size=%s layout=%dx%d tiering=%q\n",
-		c.DRAMBudgetBytes, int64(c.ArrivalWindow), c.Size, c.Executors, c.CoresPerExecutor,
-		string(c.Tiering))
+	fmt.Fprintf(&b, "# multitenant mix: %d tenants, policy=%s seed=%d\n",
+		len(c.Tenants), c.Policy, c.Seed)
+	fmt.Fprintf(&b, "dram_budget=%dB size=%s tiering=%q\n",
+		c.DRAMBudgetBytes, c.Size, string(c.Tiering))
 	for _, t := range c.Tenants {
 		fmt.Fprintf(&b, "tenant %-10s weight=%d jobs=%d fast_quota=%dB slow_quota=%dB\n",
 			t.Name, t.Weight, t.Jobs, t.FastQuotaBytes, t.SlowQuotaBytes)
@@ -40,8 +39,6 @@ func RenderReport(res *MixResult) string {
 			if r.Queued {
 				fmt.Fprintf(&b, " queue_wait=%dns", int64(r.QueueWait))
 			}
-		} else {
-			fmt.Fprintf(&b, " retries=%d", r.Retries)
 		}
 		if r.Err != nil {
 			fmt.Fprintf(&b, " err=%q", r.Err.Error())
@@ -55,9 +52,8 @@ func RenderReport(res *MixResult) string {
 	}
 
 	b.WriteString("\n## totals\n")
-	fmt.Fprintf(&b, "makespan=%dns admitted=%d rejected=%d completed=%d failed=%d queued=%d retry_rounds=%d\n",
-		int64(res.Makespan), res.Admitted, res.Rejected, res.Completed, res.Failed,
-		res.QueuedJobs, res.RetryRounds)
+	fmt.Fprintf(&b, "makespan=%dns admitted=%d rejected=%d completed=%d failed=%d queued=%d\n",
+		int64(res.Makespan), res.Admitted, res.Rejected, res.Completed, res.Failed, res.QueuedJobs)
 	fmt.Fprintf(&b, "spilled=%d blocks / %d B, refused_moves=%d\n",
 		res.SpilledBlocks, res.SpilledBytes, res.RefusedMoves)
 	return b.String()
