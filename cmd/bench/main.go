@@ -14,7 +14,7 @@
 // allocation-regression tripwire on the chunk-shuffle hot paths and on
 // the end-to-end report (a lost cell memo nearly doubles its allocs/op):
 //
-//	bench -iters 1 -max-allocs 'micro/reduceByKey=10000,workload/sort=50000,e2e/reproduce=3400000'
+//	bench -iters 1 -max-allocs 'micro/reduceByKey=10000,workload/sort=50000,e2e/reproduce=2100000'
 //
 // Usage:
 //

@@ -3,6 +3,8 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,8 +280,9 @@ func TestLDAGibbsConservesCounts(t *testing.T) {
 	totalTokens := int64(10 * 30)
 	for iter := 0; iter < 3; iter++ {
 		delta := state.NewLDADelta()
+		g := NewGibbsSampler(state, delta)
 		for _, doc := range docs {
-			flops, updates := ResampleDocument(doc, state, delta, r)
+			flops, updates := g.Resample(doc, r)
 			if flops <= 0 || updates <= 0 {
 				t.Fatal("resample cost accounting missing")
 			}
@@ -332,8 +335,9 @@ func TestLDAConcentratesTopics(t *testing.T) {
 	}
 	for iter := 0; iter < 30; iter++ {
 		delta := state.NewLDADelta()
+		g := NewGibbsSampler(state, delta)
 		for _, doc := range docs {
-			ResampleDocument(doc, state, delta, r)
+			g.Resample(doc, r)
 		}
 		state.Apply(delta)
 	}
@@ -351,6 +355,184 @@ func TestLDAConcentratesTopics(t *testing.T) {
 	}
 	if sharp < 15 {
 		t.Fatalf("only %d/20 documents concentrated on one topic", sharp)
+	}
+}
+
+// refClamps counts the conditionals refResampleDocument clamped to zero,
+// so the property below can show its inputs reach the clamp.
+var refClamps int
+
+// refResampleDocument is the sweep as it was before GibbsSampler: every
+// p_k evaluated from the integer tables, probs allocated per document.
+// GibbsSampler.Resample must reproduce it bit for bit.
+func refResampleDocument(doc *Document, state *LDAState, delta *LDADelta, r *rand.Rand) (flops, updates int) {
+	K := state.Topics
+	probs := make([]float64, K)
+	vBeta := float64(state.Vocab) * state.Beta
+	for i, w := range doc.Words {
+		old := doc.Topics[i]
+		// Remove the token from its current topic.
+		doc.TopicCounts[old]--
+		delta.WordTopic[w*K+old]--
+		delta.TopicTotal[old]--
+		updates += 3
+
+		// Sample a new topic from the collapsed conditional.
+		sum := 0.0
+		for k := 0; k < K; k++ {
+			wt := float64(state.WordTopic[w*K+k] + delta.WordTopic[w*K+k])
+			tt := float64(state.TopicTotal[k] + delta.TopicTotal[k])
+			dt := float64(doc.TopicCounts[k])
+			p := (dt + state.Alpha) * (wt + state.Beta) / (tt + vBeta)
+			if p < 0 {
+				p = 0
+				refClamps++
+			}
+			sum += p
+			probs[k] = sum
+		}
+		flops += 6 * K
+		u := r.Float64() * sum
+		next := K - 1
+		for k := 0; k < K; k++ {
+			if u <= probs[k] {
+				next = k
+				break
+			}
+		}
+		doc.Topics[i] = next
+		doc.TopicCounts[next]++
+		delta.WordTopic[w*K+next]++
+		delta.TopicTotal[next]++
+		updates += 3
+	}
+	return flops, updates
+}
+
+// refClone is the per-document deep copy CloneDocuments replaced.
+func refClone(d *Document) *Document {
+	return &Document{
+		Words:       d.Words,
+		Topics:      append([]int(nil), d.Topics...),
+		TopicCounts: append([]int(nil), d.TopicCounts...),
+	}
+}
+
+// Property: over random shapes, hyperparameters, counts and documents —
+// including deltas and document counts driven negative, so conditionals
+// clamp to zero — one GibbsSampler resampling a task's documents leaves
+// exactly the assignments, document counts, delta tables, cost counts and
+// PRNG position of refResampleDocument.
+func TestGibbsSamplerMatchesReference(t *testing.T) {
+	refClamps = 0
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		K, V := 1+r.Intn(40), 1+r.Intn(400)
+		alpha := []float64{0.01, 0.5, 50.0 / float64(K), r.Float64() * 3}[r.Intn(4)]
+		beta := []float64{0.01, 0.5, 1, r.Float64()}[r.Intn(4)]
+		state := NewLDAState(K, V, alpha, beta)
+		for i := range state.WordTopic {
+			state.WordTopic[i] = int64(r.Intn(6))
+		}
+		for k := range state.TopicTotal {
+			state.TopicTotal[k] = int64(r.Intn(3 * V))
+		}
+		delta := state.NewLDADelta()
+		for i := range delta.WordTopic {
+			delta.WordTopic[i] = int64(r.Intn(7) - 5)
+		}
+		for k := range delta.TopicTotal {
+			delta.TopicTotal[k] = int64(r.Intn(6*V+2) - 6*V)
+		}
+		docs := make([]*Document, 1+r.Intn(6))
+		for j := range docs {
+			words := make([]int, r.Intn(80))
+			for i := range words {
+				words[i] = r.Intn(V)
+			}
+			docs[j] = InitDocument(words, K, r)
+			if r.Intn(3) == 0 {
+				for k := range docs[j].TopicCounts {
+					docs[j].TopicCounts[k] -= r.Intn(3)
+				}
+			}
+		}
+
+		wantDocs := make([]*Document, len(docs))
+		for j, d := range docs {
+			wantDocs[j] = refClone(d)
+		}
+		wantDelta := &LDADelta{
+			WordTopic:  append([]int64(nil), delta.WordTopic...),
+			TopicTotal: append([]int64(nil), delta.TopicTotal...),
+		}
+		sampleSeed := r.Int63()
+		rRef, rGot := rand.New(rand.NewSource(sampleSeed)), rand.New(rand.NewSource(sampleSeed))
+		g := NewGibbsSampler(state, delta)
+		for j, d := range docs {
+			wf, wu := refResampleDocument(wantDocs[j], state, wantDelta, rRef)
+			gf, gu := g.Resample(d, rGot)
+			if wf != gf || wu != gu {
+				t.Logf("seed %d doc %d: cost %d/%d, reference %d/%d", seed, j, gf, gu, wf, wu)
+				return false
+			}
+			if !slices.Equal(d.Topics, wantDocs[j].Topics) || !slices.Equal(d.TopicCounts, wantDocs[j].TopicCounts) {
+				t.Logf("seed %d (K=%d V=%d) doc %d: assignments differ from the reference's", seed, K, V, j)
+				return false
+			}
+		}
+		if !slices.Equal(delta.WordTopic, wantDelta.WordTopic) || !slices.Equal(delta.TopicTotal, wantDelta.TopicTotal) {
+			t.Logf("seed %d (K=%d V=%d): delta differs from the reference's", seed, K, V)
+			return false
+		}
+		return rRef.Int63() == rGot.Int63()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if refClamps == 0 {
+		t.Fatal("no conditional was clamped: the inputs never reach p < 0")
+	}
+}
+
+func TestCloneDocumentsIsolatesClones(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var src []*Document
+	for j := 0; j < 4; j++ {
+		words := make([]int, 3+j)
+		for i := range words {
+			words[i] = r.Intn(9)
+		}
+		src = append(src, InitDocument(words, 3, r))
+	}
+	want := make([]*Document, len(src))
+	for j, d := range src {
+		want[j] = refClone(d)
+	}
+	clones := CloneDocuments(src)
+	if !reflect.DeepEqual(clones, want) {
+		t.Fatal("clones differ from per-document copies")
+	}
+	for j, c := range clones {
+		if &c.Words[0] != &src[j].Words[0] {
+			t.Fatalf("clone %d copied Words instead of sharing them", j)
+		}
+	}
+
+	c := clones[1]
+	c.Topics[0] = 99
+	c.TopicCounts[2] = -7
+	c.Topics = append(c.Topics, 42)
+	c.TopicCounts = append(c.TopicCounts, 42)
+	for j, d := range src {
+		if !reflect.DeepEqual(d, want[j]) {
+			t.Fatalf("mutating clone 1 changed source %d", j)
+		}
+	}
+	for _, j := range []int{0, 2, 3} {
+		if !reflect.DeepEqual(clones[j], want[j]) {
+			t.Fatalf("mutating clone 1 changed sibling %d", j)
+		}
 	}
 }
 

@@ -3,10 +3,12 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/executor"
+	"repro/internal/ml"
 	"repro/internal/rdd"
 )
 
@@ -113,6 +115,83 @@ func TestBatchTextGenMatchesPerRecord(t *testing.T) {
 		if a, b := r1.Int63(), r2.Int63(); a != b {
 			t.Fatalf("n=%d: PRNG state diverges after generation (%d vs %d)", n, a, b)
 		}
+	}
+}
+
+// scriptedSource replays fixed Int63 values, so a test can feed a
+// generator draws a seeded source would almost never produce.
+type scriptedSource struct {
+	vals []int64
+	pos  int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.pos%len(s.vals)]
+	s.pos++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}
+
+// TestBatchTextGenRejectsLikeIntn drives genTextRecords' inlined Int31n
+// through its rejection branch, which a seeded source reaches with
+// probability ~1e-8 per draw: about a third of the scripted draws land
+// above the bound (the largest possible draw and the bound's successor
+// included), and the batch must still equal per-record r.Intn(36) record
+// for record and leave the source at the same position.
+func TestBatchTextGenRejectsLikeIntn(t *testing.T) {
+	const maxDraw = (1<<31 - 1) - (1<<31)%36
+	r := rand.New(rand.NewSource(3))
+	vals := []int64{maxDraw << 32, (maxDraw+1)<<32 | 1<<31, 1<<63 - 1, 0}
+	for len(vals) < 500 {
+		if r.Intn(3) == 0 {
+			vals = append(vals, (maxDraw+1+r.Int63n(1<<31-maxDraw-1))<<32|r.Int63n(1<<32))
+		} else {
+			vals = append(vals, r.Int63())
+		}
+	}
+	const n = 40
+	per, batch := &scriptedSource{vals: vals}, &scriptedSource{vals: vals}
+	rPer, rBatch := rand.New(per), rand.New(batch)
+	want := make([]TextRecord, n)
+	for i := range want {
+		want[i] = genTextRecord(rPer)
+	}
+	got := make([]TextRecord, n)
+	genTextRecords(rBatch, got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: batch %+v, per-record %+v", i, got[i], want[i])
+		}
+	}
+	if per.pos != batch.pos {
+		t.Fatalf("batch consumed %d draws, per-record %d", batch.pos, per.pos)
+	}
+	if per.pos <= n*11 {
+		t.Fatalf("%d draws for %d records: the rejection branch never ran", per.pos, n)
+	}
+}
+
+// TestLDADocsReseededMatchesFreshSources pins genLDADocs' one reseeded
+// *rand.Rand per task against a fresh rand.NewSource(seed+i) per
+// document: the same documents, record for record, and the partition's
+// own stream left at the same position.
+func TestLDADocsReseededMatchesFreshSources(t *testing.T) {
+	p := ldaSizes[Large]
+	const seed, lo, n = 42, 300, 100
+	rWant, rGot := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	want := make([]*ml.Document, n)
+	for j := range want {
+		raw := genLDADoc(rWant, p.Vocab, p.Topics, p.DocLen)
+		want[j] = ml.InitDocument(raw.Words, p.Topics, rand.New(rand.NewSource(seed+int64(lo+j))))
+	}
+	got := make([]*ml.Document, n)
+	genLDADocs(rGot, seed, lo, p, got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("reseeded generation differs from per-document sources")
+	}
+	if a, b := rWant.Int63(), rGot.Int63(); a != b {
+		t.Fatalf("partition stream diverges after generation (%d vs %d)", a, b)
 	}
 }
 

@@ -60,9 +60,8 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 	if dp := app.DefaultParallelism(); dp < parts {
 		parts = dp
 	}
-	docs := rdd.Cache(rdd.Generate(app, "lda-docs", p.Docs, parts, func(r *rand.Rand, i int) *ml.Document {
-		raw := genLDADoc(r, p.Vocab, p.Topics, p.DocLen)
-		return ml.InitDocument(raw.Words, p.Topics, rand.New(rand.NewSource(seed+int64(i))))
+	docs := rdd.Cache(rdd.GenerateBatch(app, "lda-docs", p.Docs, parts, func(r *rand.Rand, lo, _ int, out []*ml.Document) {
+		genLDADocs(r, seed, lo, p, out)
 	}))
 
 	// Seed the global state from the initial assignments.
@@ -92,14 +91,12 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 			func(ctx *executor.TaskContext, part int, in []*ldaBatch) []*ldaBatch {
 				st := bcast.Value(ctx) // global count tables
 				delta := st.NewLDADelta()
+				sampler := ml.NewGibbsSampler(st, delta)
 				r := rand.New(rand.NewSource(seed*7919 + int64(part) + int64(it)*13))
-				docs := in[0].Docs
-				out := make([]*ml.Document, len(docs))
+				out := ml.CloneDocuments(in[0].Docs)
 				totalFlops, totalUpdates, tokens := 0, 0, 0
-				for j, d := range docs {
-					nd := d.Clone()
-					f, u := ml.ResampleDocument(nd, st, delta, r)
-					out[j] = nd
+				for _, d := range out {
+					f, u := sampler.Resample(d, r)
 					totalFlops += f
 					totalUpdates += u
 					tokens += len(d.Words)
@@ -127,6 +124,21 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 		Records: p.Docs,
 		Metric:  share / float64(p.Docs),
 		Note:    "dominant_topic_share",
+	}
+}
+
+// genLDADocs fills records [lo, lo+len(out)) of the lda-docs source. Each
+// document's words come from the partition's stream r, and its initial
+// topics from a stream seeded seed+i. One *rand.Rand is reseeded per
+// document instead of built afresh: Rand.Seed resets the source (vec, tap
+// and feed) and the read position, so the draws equal a fresh
+// rand.NewSource(seed+i)'s, without a 5.4 KB source per document.
+func genLDADocs(r *rand.Rand, seed int64, lo int, p ldaParams, out []*ml.Document) {
+	init := rand.New(rand.NewSource(seed + int64(lo)))
+	for j := range out {
+		raw := genLDADoc(r, p.Vocab, p.Topics, p.DocLen)
+		init.Seed(seed + int64(lo+j))
+		out[j] = ml.InitDocument(raw.Words, p.Topics, init)
 	}
 }
 

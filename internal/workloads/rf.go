@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/cluster"
@@ -62,48 +63,58 @@ const rfClasses = 2
 // out [feat][bin][node][class] over the nodes an example can sit in at
 // that level — the whole tree down to the level, since examples parked in
 // an early leaf stay there. A task fills one per partition with array
-// writes; the driver sums the partitions' cells into one more.
+// writes; the driver sums the partitions' cells into one more. The slab's
+// tail holds one occupancy bit per (feat, bin, node) cell, set by add, so
+// pairs visits only the cells add touched.
 type rfHist struct {
-	counts                []int64
+	counts, occupied      []int64
 	features, bins, nodes int
 }
 
 func newRFHist(features, bins, level int) rfHist {
 	nodes := (1 << (level + 1)) - 1
-	return rfHist{make([]int64, features*bins*nodes*rfClasses), features, bins, nodes}
+	cells := features * bins * nodes
+	slab := make([]int64, cells*rfClasses+(cells+63)/64)
+	n := cells * rfClasses
+	return rfHist{slab[:n:n], slab[n:], features, bins, nodes}
 }
 
-// cell returns the class counts of one (node, feature, bin) as a view of
-// the slab, capped so an append cannot run into the next cell.
-func (h rfHist) cell(node, feat, bin int) []int64 {
-	i := ((feat*h.bins+bin)*h.nodes + node) * rfClasses
+// index is the slab position of one (node, feature, bin) cell, in cells.
+func (h rfHist) index(node, feat, bin int) int {
+	return (feat*h.bins+bin)*h.nodes + node
+}
+
+// cell returns the class counts of one cell index as a view of the slab,
+// capped so an append cannot run into the next cell.
+func (h rfHist) cell(c int) []int64 {
+	i := c * rfClasses
 	return h.counts[i : i+rfClasses : i+rfClasses]
 }
 
 // add counts one example sitting at node.
 func (h rfHist) add(node int, e Example) {
-	for f := 0; f < h.features; f++ {
-		h.cell(node, f, e.Bins[f])[e.Label]++
+	for f, b := range e.Bins[:h.features] {
+		c := h.index(node, f, b)
+		h.counts[c*rfClasses+e.Label]++
+		h.occupied[c>>6] |= 1 << (c & 63)
 	}
 }
 
-// pairs emits the non-empty cells in (feat, bin, node) order — one linear
-// walk of the slab — with every Counts a view of it.
+// pairs emits the cells add touched — every one non-empty — in (feat,
+// bin, node) order, which is slab index order, with every Counts a view of
+// the slab.
 func (h rfHist) pairs() []rdd.Pair[NodeFeatBin, ml.BinStats] {
-	nonEmpty := 0
-	for i := 0; i < len(h.counts); i += rfClasses {
-		if !allZero(h.counts[i : i+rfClasses]) {
-			nonEmpty++
-		}
+	n := 0
+	for _, word := range h.occupied {
+		n += bits.OnesCount64(uint64(word))
 	}
-	out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, nonEmpty)
-	for f := 0; f < h.features; f++ {
-		for b := 0; b < h.bins; b++ {
-			for node := 0; node < h.nodes; node++ {
-				if c := h.cell(node, f, b); !allZero(c) {
-					out = append(out, rdd.KV(NodeFeatBin{node, f, b}, ml.BinStats{Counts: c}))
-				}
-			}
+	out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, n)
+	for wi, word := range h.occupied {
+		for w := uint64(word); w != 0; w &= w - 1 {
+			c := wi<<6 + bits.TrailingZeros64(w)
+			fb := c / h.nodes
+			key := NodeFeatBin{Node: c % h.nodes, Feat: fb / h.bins, Bin: fb % h.bins}
+			out = append(out, rdd.KV(key, ml.BinStats{Counts: h.cell(c)}))
 		}
 	}
 	return out
@@ -112,7 +123,7 @@ func (h rfHist) pairs() []rdd.Pair[NodeFeatBin, ml.BinStats] {
 // merge sums collected partition cells into h.
 func (h rfHist) merge(parts []rdd.Pair[NodeFeatBin, ml.BinStats]) {
 	for _, pr := range parts {
-		c := h.cell(pr.Key.Node, pr.Key.Feat, pr.Key.Bin)
+		c := h.cell(h.index(pr.Key.Node, pr.Key.Feat, pr.Key.Bin))
 		for i, n := range pr.Val.Counts {
 			c[i] += n
 		}
@@ -128,7 +139,7 @@ func (h rfHist) node(node int) [][]ml.BinStats {
 	for f := range bins {
 		bins[f] = stats[f*h.bins:][:h.bins]
 		for b := range bins[f] {
-			bins[f][b].Counts = h.cell(node, f, b)
+			bins[f][b].Counts = h.cell(h.index(node, f, b))
 			reached = reached || !allZero(bins[f][b].Counts)
 		}
 	}
