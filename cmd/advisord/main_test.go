@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -47,7 +51,7 @@ func TestSilentClientIsClosedWhileOthersAreServed(t *testing.T) {
 	}
 
 	query := hibench.Query{Workload: "sort", Size: "tiny", Placement: "tier:2"}
-	if _, err := post("http://"+ln.Addr().String()+"/v1/eval", query); err != nil {
+	if err := post("http://"+ln.Addr().String()+"/v1/eval", query); err != nil {
 		t.Fatalf("eval beside a silent client: %v", err)
 	}
 
@@ -67,4 +71,22 @@ func TestSilentClientIsClosedWhileOthersAreServed(t *testing.T) {
 		conn.Close()
 		t.Fatal("the listener still accepts after shutdown")
 	}
+}
+
+// post sends one JSON request and fails unless it is answered 200 OK.
+func post(url string, body any) error {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, out)
+	}
+	return err
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"repro/internal/hibench"
@@ -61,20 +60,11 @@ type tierSweep struct {
 // {watermark, bandwidth-aware, age, forecast}) x the budget fractions and
 // reports end-to-end runtime against the static baseline. Wherever the
 // forecast policy loses to static, the report includes its per-epoch
-// bucketed heatmaps as evidence of what the forecaster saw. -smoke is the
-// CI mode: tiny size, determinism checks.
+// bucketed heatmaps as evidence of what the forecaster saw.
 func autotier(c *ctx) func() error {
 	size, seed, deliver := c.size("small"), c.seed(1), c.output()
 	policies := flagOf(c, "policies", "", "comma-separated dynamic policies to sweep (default: all)", parsePolicies)
-	smoke := c.smoke("CI smoke mode: tiny size, static inert + watermark/forecast determinism checks")
 	return func() error {
-		if *smoke {
-			if err := autotierSmoke(*seed); err != nil {
-				return fmt.Errorf("-smoke: %w", err)
-			}
-			c.println("autotier smoke: OK (static inert, watermark and forecast deterministic)")
-			return nil
-		}
 		var sweeps []tierSweep
 		for _, w := range workloads.Names() {
 			s, err := sweepWorkload(w, *size, *seed, *policies)
@@ -329,44 +319,4 @@ func takeaways(sweeps []tierSweep, size string) string {
 		fmt.Fprintf(&b, "- **Forecast contains write churn** on %s:\n  by leaving the landing tier alone and screening promotions on predicted\n  write heat, the forecaster avoids nearly all of the demote-repromote\n  cycle that hurts the eager landing policies there.\n", strings.Join(sidesteps, ", "))
 	}
 	return b.String()
-}
-
-// autotierSmoke is the CI mode: on the tiny profile it checks that the
-// static policy is inert, that a constrained watermark run both migrates
-// and is bit-identical across two same-seed executions, and that a
-// forecast run (trackers, history, forecaster chain, classifier and mover
-// all engaged) migrates, records per-epoch heatmaps and is equally
-// deterministic.
-func autotierSmoke(seed int64) error {
-	spec := cacheOnRemoteDCPM("pagerank", workloads.Tiny, seed)
-	_, footprint, err := staticBaseline(spec)
-	if err != nil {
-		return err
-	}
-	if footprint == 0 {
-		return fmt.Errorf("pagerank/tiny cached nothing")
-	}
-	for _, pol := range []tiering.PolicyKind{tiering.Watermark, tiering.Forecast} {
-		dyn := tiered(spec, pol, footprint/4)
-		first, err := hibench.Run(dyn)
-		if err != nil {
-			return err
-		}
-		second, err := hibench.Run(dyn)
-		if err != nil {
-			return err
-		}
-		if first.Tiering.MigratedBlocks == 0 {
-			return fmt.Errorf("constrained %s run migrated nothing", pol)
-		}
-		if pol == tiering.Forecast && len(first.Heatmaps) == 0 {
-			return fmt.Errorf("forecast run recorded no per-epoch heatmaps")
-		}
-		if first.Duration != second.Duration || first.Metrics != second.Metrics ||
-			!reflect.DeepEqual(first.Engine, second.Engine) ||
-			!reflect.DeepEqual(first.Heatmaps, second.Heatmaps) {
-			return fmt.Errorf("same-seed %s runs diverged: %v vs %v", pol, first.Duration, second.Duration)
-		}
-	}
-	return nil
 }

@@ -100,7 +100,6 @@ func chaos(c *ctx) func() error {
 	tiersFlag := flagOf(c, "tiers", "0,2", "comma-separated memory tiers to sweep",
 		func(s string) ([]memsim.TierID, error) { return list(s, parseTier) })
 	size, seed, deliver := c.size("tiny"), c.seed(1), c.output()
-	smoke := c.smoke("CI subset: crash-replace + abort per workload on tier 0")
 	multijob := c.fs.Bool("multijob", false, "multi-tenant mode: crash while >=2 jobs are in flight, assert per-job recovery isolation")
 	return func() error {
 		fails := &failures{c: c}
@@ -110,12 +109,7 @@ func chaos(c *ctx) func() error {
 			}
 			return fails.err()
 		}
-		tiers, sweep := *tiersFlag, scenarios
-		if *smoke {
-			tiers = []memsim.TierID{memsim.Tier0}
-			sweep = []scenario{scenarios[0], scenarios[4]} // crash-replace, abort-expected
-		}
-
+		tiers := *tiersFlag
 		var cells []chaosCell
 		for _, name := range workloads.Names() {
 			for _, tier := range tiers {
@@ -128,7 +122,7 @@ func chaos(c *ctx) func() error {
 				if err != nil {
 					return fmt.Errorf("baseline %s: %w", base, err)
 				}
-				for _, sc := range sweep {
+				for _, sc := range scenarios {
 					cell, errs := runScenario(base, baseline, sc)
 					cells = append(cells, cell)
 					for _, e := range errs {
@@ -144,7 +138,7 @@ func chaos(c *ctx) func() error {
 				}
 			}
 		}
-		if err := c.deliverAfterLog(deliver, chaosReport(cells, tiers, c.generatedBy("chaos_recovery.md", "smoke", "tiers", "size", "seed"))); err != nil {
+		if err := c.deliverAfterLog(deliver, chaosReport(cells, tiers, c.generatedBy("chaos_recovery.md", "tiers", "size", "seed"))); err != nil {
 			return err
 		}
 		return fails.err()

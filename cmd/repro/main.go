@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -144,7 +145,8 @@ func (c *ctx) size(def string) *workloads.Size {
 }
 
 func (c *ctx) sizes(def string) *[]workloads.Size {
-	return flagOf(c, "sizes", def, "comma-separated dataset sizes to sweep", workloads.ParseSizes)
+	return flagOf(c, "sizes", def, "comma-separated dataset sizes to sweep",
+		func(s string) ([]workloads.Size, error) { return list(s, workloads.ParseSize) })
 }
 
 // workloads is the -workloads list; empty selects def, the subcommand's
@@ -173,8 +175,6 @@ func (c *ctx) fig(usage, def string, others ...string) *string {
 		return "", fmt.Errorf("unknown figure %q", s)
 	})
 }
-
-func (c *ctx) smoke(usage string) *bool { return c.fs.Bool("smoke", false, usage) }
 
 // output registers -o. The returned deliver writes a rendered report to
 // the named file and returns its path, or returns "" when none was named
@@ -226,13 +226,17 @@ func (c *ctx) engine(cacheDir string) (ev *core.Evaluator, footer func()) {
 }
 
 // list parses a comma-separated flag value item by item, trimming the
-// space around each.
-func list[T any](s string, item func(string) (T, error)) ([]T, error) {
+// space around each. An item given twice is an error: a sweep would run
+// it twice and an average would count it twice.
+func list[T comparable](s string, item func(string) (T, error)) ([]T, error) {
 	var out []T
 	for _, part := range strings.Split(s, ",") {
 		v, err := item(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("%q is listed twice", strings.TrimSpace(part))
 		}
 		out = append(out, v)
 	}

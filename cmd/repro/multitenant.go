@@ -22,7 +22,9 @@ type tenantCell struct {
 // sweepConf is the contended mix every sweep cell runs: three tenants
 // whose pinched fast quotas force spilling to DCPM, under a DRAM budget
 // that fits roughly two jobs at a time so the scheduler policy matters.
-func sweepConf(seed int64, size workloads.Size, smoke bool) multitenant.Conf {
+// The small mix (two tenants of two jobs, two workloads) is the one the
+// determinism check renders at two worker counts.
+func sweepConf(seed int64, size workloads.Size, small bool) multitenant.Conf {
 	c := multitenant.Conf{
 		// Quotas sit well below bayes's ~166 KiB tiny-size cache
 		// footprint (pagerank caches ~4 KiB, sort nothing), so bayes jobs
@@ -38,7 +40,7 @@ func sweepConf(seed int64, size workloads.Size, smoke bool) multitenant.Conf {
 		DRAMBudgetBytes: 2 << 20,
 		Seed:            seed,
 	}
-	if smoke {
+	if small {
 		c.Tenants = c.Tenants[:2]
 		c.Tenants[0].Jobs = 2
 		c.Tenants[1].Jobs = 2
@@ -59,23 +61,16 @@ func sweepConf(seed int64, size workloads.Size, smoke bool) multitenant.Conf {
 // eight.
 func tenants(c *ctx) func() error {
 	size, seed, deliver := c.size("tiny"), c.seed(5), c.output()
-	smoke := c.smoke("CI subset: 2 tenants, fifo x {static,watermark}")
 	return func() error {
-		schedulers := multitenant.AllPolicies()
-		migrations := tiering.AllPolicies()
-		if *smoke {
-			schedulers = []multitenant.SchedulerPolicy{multitenant.FIFO}
-			migrations = []tiering.PolicyKind{tiering.Static, tiering.Watermark}
-		}
 		fails := &failures{c: c}
 
 		// Sweep: every scheduler x migration policy over the oversubscribed
 		// mix. Oversubscription must degrade gracefully — queueing and
 		// spilling, never failing or rejecting.
 		var cells []tenantCell
-		for _, sched := range schedulers {
-			for _, mig := range migrations {
-				conf := sweepConf(*seed, *size, *smoke)
+		for _, sched := range multitenant.AllPolicies() {
+			for _, mig := range tiering.AllPolicies() {
+				conf := sweepConf(*seed, *size, false)
 				conf.Policy = sched
 				conf.Tiering = mig
 				res, err := multitenant.Run(conf)
@@ -109,7 +104,7 @@ func tenants(c *ctx) func() error {
 			c.println("determinism: 1-vs-8 worker reports byte-identical")
 		}
 
-		if err := c.deliverAfterLog(deliver, tenantReport(cells, exhaustion, *seed, *size, c.generatedBy("multitenant.md", "smoke", "size", "seed"))); err != nil {
+		if err := c.deliverAfterLog(deliver, tenantReport(cells, exhaustion, *seed, *size, c.generatedBy("multitenant.md", "size", "seed"))); err != nil {
 			return err
 		}
 		return fails.err()

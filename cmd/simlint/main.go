@@ -29,12 +29,6 @@
 // function's doc comment. The reason is mandatory, and a directive that
 // stops matching any finding is itself reported by allowaudit.
 //
-// The last run's result is cached under <module root>/.simlintcache,
-// stamped with a content hash of the whole module (facts cross package
-// boundaries, so only a fully unchanged module can serve from cache). A
-// warm run re-emits byte-identical diagnostics without parsing or
-// type-checking anything; rm -rf .simlintcache forces a cold run.
-//
 // Usage:
 //
 //	simlint [-list] [-json] [packages]
@@ -75,26 +69,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cache, err := analysis.OpenCache(ld.Root(), analysis.All())
+	pkgs, err := ld.Load(patterns...)
 	if err != nil {
 		fail(err)
 	}
-	dirs, err := ld.ResolveDirs(patterns...)
-	if err != nil {
-		fail(err)
-	}
-
-	diags, warm := cache.Lookup(dirs)
-	if !warm {
-		pkgs, err := ld.Load(patterns...)
-		if err != nil {
-			fail(err)
-		}
-		diags = analysis.Run(ld.ModulePath(), ld.Fset(), pkgs, analysis.All())
-		if err := cache.Store(dirs, diags); err != nil {
-			fail(err)
-		}
-	}
+	diags := analysis.Run(ld.ModulePath(), ld.Fset(), pkgs, analysis.All())
 
 	if *asJSON {
 		out := make([]analysis.WireDiag, len(diags)) // [] when clean, not null

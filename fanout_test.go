@@ -11,19 +11,6 @@ import (
 	"testing"
 )
 
-// goStatementAllowed names the only go statements non-test code may hold.
-func goStatementAllowed(path string, g *ast.GoStmt) bool {
-	switch path {
-	case "internal/par/par.go":
-		return true // the one fan-out; everything else calls par.Do
-	case "cmd/advisord/main.go":
-		// loadgen and smoke serve a loopback listener beside their client;
-		// Serve is not n indexed jobs, it returns when the server is closed.
-		return types.ExprString(g.Call.Fun) == "srv.Serve"
-	}
-	return false
-}
-
 // eachSourceFile parses every non-test Go file under roots and hands it
 // to visit under its slash-separated path; testdata and hidden
 // directories (build and cache output) are skipped.
@@ -55,13 +42,13 @@ func eachSourceFile(t *testing.T, roots []string, visit func(path string, fset *
 }
 
 // TestGoStatementsOnlyInPar keeps the fan-out at one: scheduler, evaluator,
-// advisor batch, simlint and loadgen each once carried their own worker
-// pool, and they disagreed on what a worker's panic does. A sixth pool
-// cannot arrive unnoticed.
+// advisor batch, simlint and advisord's load generator each once carried
+// their own worker pool, and they disagreed on what a worker's panic does.
+// A sixth pool cannot arrive unnoticed.
 func TestGoStatementsOnlyInPar(t *testing.T) {
 	eachSourceFile(t, []string{"internal", "cmd", "bench"}, func(path string, fset *token.FileSet, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && !goStatementAllowed(path, g) {
+			if g, ok := n.(*ast.GoStmt); ok && path != "internal/par/par.go" {
 				t.Errorf("%s: go statement outside internal/par; call par.Do", fset.Position(g.Pos()))
 			}
 			return true

@@ -28,7 +28,7 @@ const EngineVersion = 1
 // (the cost model every cell is charged under) and the shape of Result,
 // which stored records and bodies follow. Any change to any of them
 // changes the hash, which orphans (and thereby invalidates) every cached
-// entry — the same discipline .simlintcache uses for analyzer results.
+// entry.
 func computeEngineHash() string {
 	h := sha256.New()
 	writeFingerprint(h)

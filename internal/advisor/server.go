@@ -26,7 +26,7 @@ import (
 // Every response except /v1/stats is a pure function of the request and
 // the engine configuration — wall-clock latency is observed by the
 // middleware but never serialized into result bodies, which is what lets
-// CI assert byte-identical responses across runs and worker counts.
+// the tests assert byte-identical responses across runs and worker counts.
 func NewServer(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/eval", func(w http.ResponseWriter, r *http.Request) {

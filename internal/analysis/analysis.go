@@ -51,10 +51,8 @@ func relName(base, name string) string {
 	return name
 }
 
-// WireDiag is a diagnostic as serialized: by simlint -json with File
-// relative to the working directory, and by the result cache with File
-// relative to the module root, so an entry survives a checkout moving on
-// disk.
+// WireDiag is a diagnostic as simlint -json serializes it, with File
+// relative to the working directory.
 type WireDiag struct {
 	File     string   `json:"file"`
 	Line     int      `json:"line"`
@@ -240,9 +238,8 @@ func Run(modulePath string, fset *token.FileSet, pkgs []*Package, analyzers []*A
 	return kept
 }
 
-// sortDiagnostics orders diagnostics by (file, line, analyzer, message)
-// — the canonical reporting order Run returns and the cache stores, so a
-// warm run reproduces it byte-identically.
+// sortDiagnostics orders diagnostics by (file, line, analyzer, message):
+// the canonical reporting order Run returns, the same for any GOMAXPROCS.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

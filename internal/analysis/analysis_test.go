@@ -156,7 +156,7 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	diags := Run(ld.ModulePath(), ld.Fset(), pkgs, All())
 	for _, d := range diags {
-		t.Errorf("%s", d.StringRel(ld.Root()))
+		t.Errorf("%s", d.StringRel(ld.root))
 	}
 	// What nothing calls is deleted, not excused: the exceptions stay few.
 	allowed := 0
@@ -182,12 +182,12 @@ func TestNarrowPassLeavesWholeModuleAnalyzersOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := ld.Load(filepath.Join(ld.Root(), "internal", "lib"))
+	pkgs, err := ld.Load(filepath.Join(ld.root, "internal", "lib"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range Run(ld.ModulePath(), ld.Fset(), pkgs, All()) {
-		t.Errorf("narrow pass reported %s", d.StringRel(ld.Root()))
+		t.Errorf("narrow pass reported %s", d.StringRel(ld.root))
 	}
 }
 

@@ -79,9 +79,6 @@ func (l *Loader) Fset() *token.FileSet { return l.fset }
 // ModulePath returns the module path from go.mod.
 func (l *Loader) ModulePath() string { return l.modpath }
 
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
-
 // findModule walks up from dir to the first go.mod and parses its module
 // path.
 func findModule(dir string) (root, modpath string, err error) {
@@ -104,20 +101,13 @@ func findModule(dir string) (root, modpath string, err error) {
 	}
 }
 
-// ResolveDirs resolves patterns to the absolute package directories they
-// name, without parsing or type-checking anything. Supported patterns: a
+// Load resolves the given patterns to package directories and returns the
+// type-checked packages sorted by import path. Supported patterns: a
 // directory path, or a "dir/..." subtree (testdata directories are only
-// visited when named explicitly). The cached driver uses this to decide
-// hits before paying for a load.
-func (l *Loader) ResolveDirs(patterns ...string) ([]string, error) {
-	var dirs []string
+// visited when named explicitly).
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	var out []*Package
 	seen := make(map[string]bool)
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
 	for _, pat := range patterns {
 		base, tree := strings.CutSuffix(pat, "/...")
 		abs, err := filepath.Abs(base)
@@ -127,34 +117,24 @@ func (l *Loader) ResolveDirs(patterns ...string) ([]string, error) {
 		if pat == "./..." || pat == "..." {
 			abs, tree = l.root, true // the whole module, wherever the loader was started
 		}
-		sub := []string{abs}
+		dirs := []string{abs}
 		if tree {
-			if sub, err = packageDirs(abs); err != nil {
+			if dirs, err = packageDirs(abs); err != nil {
 				return nil, err
 			}
 		}
-		for _, d := range sub {
-			add(d)
-		}
-	}
-	return dirs, nil
-}
-
-// Load resolves the given patterns to package directories and returns the
-// type-checked packages sorted by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.ResolveDirs(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, dir := range dirs {
-		pkg, err := l.loadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			out = append(out, pkg)
+		for _, dir := range dirs {
+			if seen[dir] {
+				continue
+			}
+			seen[dir] = true
+			pkg, err := l.loadDir(dir)
+			if err != nil {
+				return nil, err
+			}
+			if pkg != nil {
+				out = append(out, pkg)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -204,12 +184,6 @@ func holdsModule(modulePath string, pkgs []*Package) bool {
 	for _, pkg := range pkgs {
 		held[pkg.Dir] = true
 	}
-	return holdsDirs(root, held)
-}
-
-// holdsDirs reports whether held names every package directory of the
-// module rooted at root.
-func holdsDirs(root string, held map[string]bool) bool {
 	dirs, err := packageDirs(root)
 	if err != nil {
 		return false

@@ -166,7 +166,8 @@ func TestForecastTieringWorkerCountInvariant(t *testing.T) {
 }
 
 // A dynamic policy must migrate under a constrained DRAM budget and be
-// bit-for-bit reproducible across runs of the same seed.
+// bit-for-bit reproducible across runs of the same seed, engine gauges
+// included.
 func TestWatermarkTieringDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a workload twice")
@@ -188,7 +189,7 @@ func TestWatermarkTieringDeterministic(t *testing.T) {
 		t.Fatal("constrained watermark run migrated nothing")
 	}
 	if first.Duration != second.Duration || first.Metrics != second.Metrics ||
-		first.Tiering != second.Tiering {
+		first.Tiering != second.Tiering || !reflect.DeepEqual(first.Engine, second.Engine) {
 		t.Fatalf("same-seed tiered runs diverged:\n  first:  %v %+v\n  second: %v %+v",
 			first.Duration, first.Tiering, second.Duration, second.Tiering)
 	}

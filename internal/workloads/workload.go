@@ -14,7 +14,6 @@ package workloads
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 )
@@ -56,19 +55,6 @@ func ParseSize(s string) (Size, error) {
 		}
 	}
 	return 0, fmt.Errorf("workloads: unknown size %q (valid: tiny, small, large)", s)
-}
-
-// ParseSizes parses a comma-separated size list, preserving order.
-func ParseSizes(csv string) ([]Size, error) {
-	var out []Size
-	for _, part := range strings.Split(csv, ",") {
-		size, err := ParseSize(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, size)
-	}
-	return out, nil
 }
 
 // Category is the paper's workload taxonomy.
