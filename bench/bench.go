@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -24,7 +25,7 @@ import (
 
 // Case is one wall-clock benchmark: Iter executes a single iteration of
 // the measured work. Cases run identically under `go test -bench` (see
-// bench_test.go) and the cmd/bench runner.
+// bench_test.go) and `repro bench`.
 type Case struct {
 	Name string
 	Iter func()
@@ -96,22 +97,23 @@ const (
 	microKeys    = 4096
 )
 
-// microWords is the reduceByKey input: dense string keys, generated once
-// so input construction stays out of the measurement.
-var microWords = func() []string {
+// microWords is the reduceByKey input: dense string keys, generated on
+// first use so input construction stays out of the measurement and out of
+// the start-up of every command that imports this package.
+var microWords = sync.OnceValue(func() []string {
 	out := make([]string, microRecords)
 	for i := range out {
 		out[i] = fmt.Sprintf("key-%05d", i%microKeys)
 	}
 	return out
-}()
+})
 
 // microReduceByKey is the map-side-combining aggregation pipeline: the
 // path through bucketize, localCombine, putBuckets and mergeSegments
 // that dominates wordcount/bayes-shaped jobs.
 func microReduceByKey() {
 	app := microApp()
-	words := rdd.Parallelize(app, "bench-words", microWords, 0)
+	words := rdd.Parallelize(app, "bench-words", microWords(), 0)
 	pairs := rdd.Map(words, func(s string) rdd.Pair[string, int64] { return rdd.KV(s, int64(1)) })
 	counts := rdd.ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 0)
 	if got := len(rdd.Collect(counts)); got != microKeys {
@@ -119,21 +121,21 @@ func microReduceByKey() {
 	}
 }
 
-// microSamples is the groupByKey input, generated once.
-var microSamples = func() []int {
+// microSamples is the groupByKey input, generated on first use.
+var microSamples = sync.OnceValue(func() []int {
 	out := make([]int, microRecords)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}()
+})
 
 // microGroupByKey is the no-map-side-combine pipeline: every record
 // ships through bucketize/putBuckets and aggregates only on the reduce
 // side, the als/groupByKey-shaped shuffle.
 func microGroupByKey() {
 	app := microApp()
-	ids := rdd.Parallelize(app, "bench-ids", microSamples, 0)
+	ids := rdd.Parallelize(app, "bench-ids", microSamples(), 0)
 	pairs := rdd.Map(ids, func(i int) rdd.Pair[int, float64] {
 		return rdd.KV(i%microKeys, float64(i))
 	})
@@ -143,14 +145,11 @@ func microGroupByKey() {
 	}
 }
 
-// Measure runs a case for the given iteration count and reports per-op
-// wall-clock and allocation averages. One untimed warm-up iteration runs
-// first so one-time setup (registration, page faults, catalog builds)
-// stays out of the numbers.
+// Measure runs a case for the given iteration count, at least 1, and
+// reports per-op wall-clock and allocation averages. One untimed warm-up
+// iteration runs first so one-time setup (registration, page faults,
+// catalog builds, the micro inputs) stays out of the numbers.
 func Measure(c Case, iters int) Result {
-	if iters < 1 {
-		iters = 1
-	}
 	c.Iter()
 	runtime.GC()
 	var before, after runtime.MemStats

@@ -1,13 +1,13 @@
 // Command repro runs the paper's experiments and the extension studies,
 // one subcommand each: the tables and figures (tierprobe, report,
 // characterize, mba, scaling, correlate), the studies built on them
-// (advisor, placement, whatif, sensitivity, copybytes) and the harnesses
-// that assert as they measure (autotier, chaos, multitenant). Every
-// subcommand is deterministic at a fixed -seed and prints its tables to
-// stdout; diagnostics and progress go to stderr. A bad flag value is a
-// usage error (exit 2) reported before anything runs; a failed run or a
-// failed assertion is exit 1. cmd/reproduce renders the whole evaluation
-// in one pass instead.
+// (advisor, placement, whatif, sensitivity, copybytes), the harnesses
+// that assert as they measure (autotier, chaos, multitenant), one cell
+// (cell) and the host wall-clock ledger (bench). Every subcommand is
+// deterministic at a fixed -seed and prints to stdout; progress goes to
+// stderr. A bad flag value is a usage error (exit 2) reported before
+// anything runs; a failed run or assertion is exit 1. cmd/reproduce
+// renders the whole evaluation in one pass instead.
 //
 // Usage:
 //
@@ -16,11 +16,14 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -55,6 +58,8 @@ var commands = []command{
 	{"autotier", "dynamic tiering policies x DRAM budgets against the static baseline", autotier},
 	{"chaos", "fault injection: recovered runs byte-identical to fault-free, overhead per tier", chaos},
 	{"multitenant", "scheduler x migration policy sweep over an oversubscribed multi-job mix", tenants},
+	{"cell", "one workload at one size under one configuration: the full measurement record", cell},
+	{"bench", "host wall-clock ledger: ns/op, allocs/op and bytes/op per harness case", hostBench},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -215,14 +220,61 @@ func (c *ctx) cache() *string {
 // engine gives an Evaluator whose query-vocabulary drivers run through the
 // placement-advisor engine on the -cache directory — cells a previous run
 // or an advisord server sharing it evaluated are read back, not simulated
-// — and the function that prints the cache-stats footer to stderr.
+// — and the function that prints the cache-stats footer to stderr. With no
+// directory it is the in-memory memo, which shares a cell between the
+// drivers of one run, and the footer prints nothing.
 func (c *ctx) engine(cacheDir string) (ev *core.Evaluator, footer func()) {
+	if cacheDir == "" {
+		return core.NewEvaluator(nil), func() {}
+	}
 	reg := telemetry.NewRegistry()
 	eng := advisor.NewEngine(advisor.Options{CacheDir: cacheDir, Registry: reg})
 	return core.NewEvaluator(eng.RunQuery), func() {
 		fmt.Fprintf(c.stderr, "advisor cache: %d hits, %d misses (%d simulated)\n",
 			reg.Get(advisor.CounterCacheHit), reg.Get(advisor.CounterCacheMiss), reg.Get(advisor.CounterSimRuns))
 	}
+}
+
+// profiled registers -cpuprofile and -memprofile. The returned wrap runs
+// body under a CPU profile and writes a heap profile after it, each only
+// when its file was named.
+func (c *ctx) profiled() (wrap func(body func() error) error) {
+	cpu := c.fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mem := c.fs.String("memprofile", "", "write a heap profile after the run to this file")
+	return func(body func() error) error {
+		if err := withCPUProfile(*cpu, body); err != nil || *mem == "" {
+			return err
+		}
+		runtime.GC()
+		var heap bytes.Buffer
+		if err := pprof.WriteHeapProfile(&heap); err != nil {
+			return err
+		}
+		return os.WriteFile(*mem, heap.Bytes(), 0o644)
+	}
+}
+
+// withCPUProfile runs body under a CPU profile written to path, or
+// unprofiled when path is empty. The file is created first, so an
+// unwritable path fails before body runs.
+func withCPUProfile(path string, body func() error) error {
+	if path == "" {
+		return body()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close() // for the error paths; the success path checks Close
+	if err := pprof.StartCPUProfile(f); err != nil {
+		return err
+	}
+	err = body()
+	pprof.StopCPUProfile()
+	if err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // list parses a comma-separated flag value item by item, trimming the
@@ -246,6 +298,26 @@ func list[T comparable](s string, item func(string) (T, error)) ([]T, error) {
 func workloadName(s string) (string, error) {
 	_, err := workloads.ByName(s)
 	return s, err
+}
+
+// atLeast parses an integer flag value no smaller than min.
+func atLeast(min int) func(string) (int, error) {
+	return func(s string) (int, error) {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < min {
+			return 0, fmt.Errorf("want an integer >= %d", min)
+		}
+		return n, nil
+	}
+}
+
+// fraction parses a flag value in [0,1].
+func fraction(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(f >= 0 && f <= 1) {
+		return 0, errors.New("want a fraction in [0,1]")
+	}
+	return f, nil
 }
 
 func parseTier(s string) (memsim.TierID, error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +30,8 @@ func TestSubcommandsRender(t *testing.T) {
 		{[]string{"whatif", "-workloads", "sort, lda", "-size", "tiny", "-cache="}, "  lda  ", true}, // the space is trimmed
 		{strings.Fields("sensitivity -workloads sort -size tiny"), "Cost-model sensitivity", true},
 		{strings.Fields("copybytes -workloads sort -size tiny"), "bytes by-ref", true},
+		{strings.Fields("cell -workload sort -size tiny -tier 2 -json"), `"spec": "sort/tiny@Tier 2 1x40"`, true},
+		{strings.Fields("bench -run micro/groupByKey -iters 1 -out="), `"name":"micro/groupByKey"`, true},
 	}
 	covered := map[string]bool{"autotier": true, "chaos": true, "multitenant": true} // by the *Golden tests below
 	for _, tc := range cases {
@@ -78,6 +81,15 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"scaling", "-sizes", "tiny,tiny"},
 		{"chaos", "-tiers", "0,0"},
 		{"autotier", "-policies", "age,age"},
+		{"cell", "-tier", "9"},
+		{"cell", "-cap", "2"},
+		{"cell", "-workload", "nope"},
+		{"cell", "-tasks", "-1"},
+		{"cell", "-executors", "-1"},
+		{"bench", "-iters", "0"},
+		{"bench", "-run", "nope"},
+		{"bench", "-max-allocs", "micro/groupByKey=abc"},
+		{"bench", "-max-allocs", "micro/reducebykey=1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -112,6 +124,46 @@ func TestOutputFileAndRunFailure(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"copybytes", "-workloads", "sort", "-size", "tiny", "-o", missing}, &stdout, &stderr); code != 1 {
 		t.Errorf("unwritable -o: exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+}
+
+// A ledger that exists but does not parse fails the run before any case
+// is measured, and is left byte for byte as it was.
+func TestBenchKeepsUnparseableLedger(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_wallclock.json")
+	broken := []byte(`{"description": "", "runs": {"before": {"iters": 3, "results": []}}`)
+	if err := os.WriteFile(path, broken, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"bench", "-run", "micro/groupByKey", "-out", path}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "micro/groupByKey") {
+		t.Errorf("measured a case before failing:\n%s", stderr.String())
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, broken) {
+		t.Errorf("ledger rewritten (err %v):\n%s", err, got)
+	}
+}
+
+// The committed wall-clock report is what the renderer makes of the
+// committed ledger.
+func TestWallclockReportRendersLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_wallclock.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ledger
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "wallclock.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderMarkdown(doc); got != string(want) {
+		t.Errorf("renderMarkdown(BENCH_wallclock.json) differs from results/wallclock.md:\n%s", got)
 	}
 }
 

@@ -7,7 +7,8 @@
 //
 //	nodeterminism  wall-clock reads, global math/rand, map-order leaks
 //	stagedcharge   direct tier/blockmgr/shuffle mutation in task compute
-//	locksafety     lock copies, sends under lock, unguarded fields
+//	locksafety     sends under lock, unguarded fields (lock copies are
+//	               go vet's copylocks)
 //	errflow        discarded errors from module-internal APIs
 //	hotbox         per-record boxing and reflection-based sorts on task
 //	               hot paths, and those sorts under the tiering tick

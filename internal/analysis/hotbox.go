@@ -34,7 +34,7 @@ import (
 // tick's call graph has a reason to sort by id, and what it does sort —
 // policy candidates — sorts through slices.SortStableFunc.
 //
-// The CI wall-clock harness (cmd/bench) enforces the same invariants
+// The CI wall-clock harness (repro bench) enforces the same invariants
 // dynamically via its allocs/op ceilings; this analyzer catches the
 // regression before it runs.
 //

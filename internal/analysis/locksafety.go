@@ -7,20 +7,18 @@ import (
 	"sort"
 )
 
-// LockSafety enforces the engine's concurrency invariants around mutexes:
+// LockSafety enforces the engine's concurrency invariants around mutexes
+// (a lock copied by value is go vet's copylocks check, not this one):
 //
-//  1. no sync.Mutex/RWMutex (or value containing one) copied by value —
-//     receivers, parameters, plain assignments, range copies, call
-//     arguments;
-//  2. no channel send while a mutex is held (phase-1 workers blocking on
+//  1. no channel send while a mutex is held (phase-1 workers blocking on
 //     a full channel inside a critical section deadlocks the commit
 //     barrier);
-//  3. every method of a mutex-carrying struct (telemetry.Registry,
+//  2. every method of a mutex-carrying struct (telemetry.Registry,
 //     trace.Recorder, and anything like them) that touches a sibling
 //     field must acquire the mutex first.
 var LockSafety = &Analyzer{
 	Name:     "locksafety",
-	Doc:      "forbid lock copies, sends under lock, and unguarded protected-field access",
+	Doc:      "forbid sends under lock and unguarded protected-field access",
 	Severity: SevError,
 	Run:      runLockSafety,
 }
@@ -29,7 +27,6 @@ func runLockSafety(p *Pass) {
 	pkg := p.Pkg
 	protected := protectedStructs(pkg)
 	for _, f := range pkg.Files {
-		checkLockCopies(p, pkg, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -41,82 +38,7 @@ func runLockSafety(p *Pass) {
 	}
 }
 
-// --- check 1: lock copies -------------------------------------------------
-
-func checkLockCopies(p *Pass, pkg *Package, f *ast.File) {
-	info := pkg.Info
-	report := func(pos token.Pos, what string) {
-		p.Reportf(pos, "%s copies a value containing a sync.Mutex; use a pointer", what)
-	}
-	// isCopyRead reports whether e reads an existing addressable value (so
-	// using it as a value copies it). Composite literals and calls create
-	// fresh values and are fine.
-	isCopyRead := func(e ast.Expr) bool {
-		switch unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			return true
-		}
-		return false
-	}
-	lockType := func(e ast.Expr) bool {
-		tv, ok := info.Types[e]
-		return ok && tv.Type != nil && containsLock(tv.Type)
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			if x.Recv != nil {
-				for _, fld := range x.Recv.List {
-					if t := info.Types[fld.Type].Type; t != nil && containsLock(t) {
-						report(fld.Pos(), "receiver")
-					}
-				}
-			}
-			if x.Type.Params != nil {
-				for _, fld := range x.Type.Params.List {
-					if t := info.Types[fld.Type].Type; t != nil && containsLock(t) {
-						report(fld.Pos(), "parameter")
-					}
-				}
-			}
-		case *ast.FuncLit:
-			if x.Type.Params != nil {
-				for _, fld := range x.Type.Params.List {
-					if t := info.Types[fld.Type].Type; t != nil && containsLock(t) {
-						report(fld.Pos(), "parameter")
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range x.Rhs {
-				if isCopyRead(rhs) && lockType(rhs) {
-					report(rhs.Pos(), "assignment")
-				}
-			}
-		case *ast.ValueSpec:
-			for _, v := range x.Values {
-				if isCopyRead(v) && lockType(v) {
-					report(v.Pos(), "declaration")
-				}
-			}
-		case *ast.RangeStmt:
-			if x.Value != nil {
-				if t := info.Types[x.Value].Type; t != nil && containsLock(t) {
-					report(x.Value.Pos(), "range value")
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range x.Args {
-				if isCopyRead(arg) && lockType(arg) {
-					report(arg.Pos(), "call argument")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// --- check 2: channel send while a lock is held ---------------------------
+// --- check 1: channel send while a lock is held ---------------------------
 
 type lockEvent struct {
 	pos  token.Pos
@@ -188,7 +110,7 @@ func checkSendUnderLock(p *Pass, pkg *Package, fd *ast.FuncDecl) {
 	scan(fd.Body)
 }
 
-// --- check 3: unguarded access to mutex-protected fields ------------------
+// --- check 2: unguarded access to mutex-protected fields ------------------
 
 // protectedStruct describes a struct with a by-value mutex field.
 type protectedStruct struct {
@@ -215,7 +137,7 @@ func protectedStructs(pkg *Package) []protectedStruct {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			if isSyncLock(st.Field(i).Type()) {
+			if t := st.Field(i).Type(); isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex") {
 				out = append(out, protectedStruct{named: named, mutexName: st.Field(i).Name()})
 				break
 			}

@@ -86,39 +86,6 @@ func isPtrToNamed(t types.Type, pkgPath, name string) bool {
 	return ok && isNamedType(p.Elem(), pkgPath, name)
 }
 
-// isSyncLock reports whether t is sync.Mutex or sync.RWMutex itself.
-func isSyncLock(t types.Type) bool {
-	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
-}
-
-// containsLock reports whether a value of type t embeds a sync.Mutex or
-// sync.RWMutex by value (so copying the value copies the lock). Pointers
-// are not followed: a *Mutex field is safe to copy.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, make(map[types.Type]bool))
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncLock(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
 // errorType is the predeclared error interface.
 var errorType = types.Universe.Lookup("error").Type()
 
