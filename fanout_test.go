@@ -56,6 +56,43 @@ func TestGoStatementsOnlyInPar(t *testing.T) {
 	})
 }
 
+// TestRandSourcesOnlyInRng keeps one way to build a random stream:
+// rng.New(seed) draws rand.NewSource's values but seeds in O(1), so a
+// math/rand source built anywhere else would bring back the 607-word
+// Seed it replaced (a quarter of reproduce's CPU when lda reseeded one
+// per document).
+func TestRandSourcesOnlyInRng(t *testing.T) {
+	eachSourceFile(t, []string{"internal", "cmd", "bench", "examples"}, func(path string, fset *token.FileSet, file *ast.File) {
+		if strings.HasPrefix(path, "internal/rng/") {
+			return
+		}
+		local := ""
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"math/rand"` {
+				local = "rand"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+					t.Errorf("%s: rand.NewSource outside internal/rng; call rng.New(seed)", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}
+
 // basicVar reports whether the i-th name of a var spec is declared with a
 // predeclared basic type, or untyped from a literal.
 func basicVar(spec *ast.ValueSpec, i int) bool {

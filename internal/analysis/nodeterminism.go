@@ -13,8 +13,8 @@ import (
 //     from the virtual clock; progress output goes through the annotated
 //     telemetry stopwatch;
 //  2. global math/rand functions — they draw from a shared, unseeded
-//     source; every random stream must be an explicit
-//     rand.New(rand.NewSource(seed)) plumbed from configuration;
+//     source; every random stream must be an explicit rng.New(seed)
+//     plumbed from configuration;
 //  3. ranging over a map while the iteration order can escape: appending
 //     to an outer slice that is never sorted afterwards, accumulating
 //     floats (addition order changes the low bits), building strings, or
@@ -66,7 +66,7 @@ func checkForbiddenCalls(p *Pass, pkg *Package, f *ast.File) {
 			}
 		case "math/rand", "math/rand/v2":
 			if !seededRandCtors[fn.Name()] {
-				p.Reportf(call.Pos(), "global rand.%s draws from the shared unseeded source; use rand.New(rand.NewSource(seed)) plumbed from config", fn.Name())
+				p.Reportf(call.Pos(), "global rand.%s draws from the shared unseeded source; use rng.New(seed) plumbed from config", fn.Name())
 			}
 		}
 		return true

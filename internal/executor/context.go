@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockmgr"
 	"repro/internal/memsim"
+	"repro/internal/rng"
 	"repro/internal/shuffle"
 )
 
@@ -127,9 +128,9 @@ type TaskContext struct {
 	Chunks *blockmgr.ChunkStore
 	// Rand is a task-seeded PRNG for workloads that sample.
 	Rand *rand.Rand
-	// rng backs Rand; embedded so a task that never draws allocates no
-	// source at all.
-	rng lazySource
+	// src backs Rand; embedded, and it allocates its state on the first
+	// draw, so a task that never draws allocates no source at all.
+	src rng.Source
 
 	profile Profile
 	seen    map[uint64]struct{}
@@ -157,32 +158,11 @@ func NewPlacedTaskContext(execID, partition int, heap, shufTier, cacheTier *mems
 		Cost:        cost,
 		Blocks:      blocks,
 		Shuffle:     shuf,
-		rng:         lazySource{seed: seed*1_000_003 + int64(partition)},
 	}
-	c.Rand = rand.New(&c.rng)
+	c.src.Seed(seed*1_000_003 + int64(partition))
+	c.Rand = rand.New(&c.src)
 	return c
 }
-
-// lazySource is rand.NewSource(seed) built on the first draw: seeding
-// fills a 607-word state (~5 KB), and only the few tasks that sample ever
-// read it. The stream is the eager source's, value for value.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (s *lazySource) source() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	}
-	return s.src
-}
-
-func (s *lazySource) Int63() int64   { return s.source().Int63() }
-func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
-
-// Seed re-seeds lazily too: the next draw starts seed's stream afresh.
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // Once reports whether this is the first call with the given key in this
 // task, letting callers charge per-task costs (broadcast fetches) exactly

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/executor"
 	"repro/internal/memsim"
+	"repro/internal/rng"
 )
 
 // Parallelize distributes an in-driver slice across parts partitions. Each
@@ -52,7 +53,7 @@ func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand,
 	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
-		r := rand.New(rand.NewSource(seed ^ int64(part)*0x9e3779b9))
+		r := rng.New(seed ^ int64(part)*0x9e3779b9)
 		out := make([]T, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			out = append(out, gen(r, i))
@@ -88,7 +89,7 @@ func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand
 	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
-		r := rand.New(rand.NewSource(seed ^ int64(part)*0x9e3779b9))
+		r := rng.New(seed ^ int64(part)*0x9e3779b9)
 		out := make([]T, hi-lo)
 		fill(r, lo, hi, out)
 		ctx.CPUPerRecord(len(out), ctx.Cost.GeneratePNS)

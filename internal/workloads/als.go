@@ -1,13 +1,12 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"repro/internal/cluster"
 	"repro/internal/executor"
 	"repro/internal/memsim"
 	"repro/internal/ml"
 	"repro/internal/rdd"
+	"repro/internal/rng"
 )
 
 // alsParams scales Table II's user/product/rating counts down 10x. The
@@ -56,7 +55,7 @@ func (a *ALS) Run(app *cluster.App, size Size) Summary {
 	seed := app.Seed()
 
 	// HiBench generates the ratings table once up front.
-	all := genRatings(rand.New(rand.NewSource(seed)), p.Users, p.Products, p.Ratings, p.Rank)
+	all := genRatings(rng.New(seed), p.Users, p.Products, p.Ratings, p.Rank)
 	ratings := rdd.Cache(rdd.Parallelize(app, "ratings", all, 0))
 
 	// Group once per orientation; the groupings are reused every iteration
@@ -67,14 +66,14 @@ func (a *ALS) Run(app *cluster.App, size Size) Summary {
 		rdd.Map(ratings, func(r Rating) rdd.Pair[int, Rating] { return rdd.KV(r.Product, r) }), 0))
 
 	// Initial factors on the driver.
-	rng := rand.New(rand.NewSource(seed + 1))
+	init := rng.New(seed + 1)
 	userF := make(map[int][]float64, p.Users)
 	prodF := make(map[int][]float64, p.Products)
 	for u := 0; u < p.Users; u++ {
-		userF[u] = randVec(rng, p.Rank)
+		userF[u] = randVec(init, p.Rank)
 	}
 	for i := 0; i < p.Products; i++ {
-		prodF[i] = randVec(rng, p.Rank)
+		prodF[i] = randVec(init, p.Rank)
 	}
 
 	factorBytes := func(m map[int][]float64) int64 {

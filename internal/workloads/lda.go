@@ -8,6 +8,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/ml"
 	"repro/internal/rdd"
+	"repro/internal/rng"
 )
 
 // ldaParams scales Table II's docs/vocabulary down 10x; topics follow the
@@ -92,7 +93,7 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 				st := bcast.Value(ctx) // global count tables
 				delta := st.NewLDADelta()
 				sampler := ml.NewGibbsSampler(st, delta)
-				r := rand.New(rand.NewSource(seed*7919 + int64(part) + int64(it)*13))
+				r := rng.New(seed*7919 + int64(part) + int64(it)*13)
 				out := ml.CloneDocuments(in[0].Docs)
 				totalFlops, totalUpdates, tokens := 0, 0, 0
 				for _, d := range out {
@@ -130,11 +131,12 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 // genLDADocs fills records [lo, lo+len(out)) of the lda-docs source. Each
 // document's words come from the partition's stream r, and its initial
 // topics from a stream seeded seed+i. One *rand.Rand is reseeded per
-// document instead of built afresh: Rand.Seed resets the source (vec, tap
-// and feed) and the read position, so the draws equal a fresh
-// rand.NewSource(seed+i)'s, without a 5.4 KB source per document.
+// document instead of built afresh: Rand.Seed resets the source and the
+// read position, so the draws equal a fresh rand.NewSource(seed+i)'s, and
+// an rng.Source's Seed computes nothing, so a document pays only for the
+// words its ~50 draws read.
 func genLDADocs(r *rand.Rand, seed int64, lo int, p ldaParams, out []*ml.Document) {
-	init := rand.New(rand.NewSource(seed + int64(lo)))
+	init := rng.New(seed + int64(lo))
 	for j := range out {
 		raw := genLDADoc(r, p.Vocab, p.Topics, p.DocLen)
 		init.Seed(seed + int64(lo+j))
