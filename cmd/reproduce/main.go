@@ -1,8 +1,8 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect about 6 s on an idle
-// 2-vCPU Xeon with go1.24, twice that on a loaded one: every cell is
-// simulated once and shared between the figures.
+// full report to stdout (or a file with -o). Expect about 11 s on a shared
+// 2-vCPU Xeon with go1.24: every cell is simulated once and shared between
+// the figures.
 //
 // Usage:
 //

@@ -1,6 +1,8 @@
 package rdd
 
 import (
+	"cmp"
+
 	"repro/internal/executor"
 	"repro/internal/memsim"
 )
@@ -253,36 +255,62 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 // partition locally, like Spark: a sampling job runs eagerly to build the
 // partitioner, then the shuffle and per-partition sorts execute lazily.
 func SortByKey[K comparable, V any](r *RDD[Pair[K, V]], less func(a, b K) bool, parts int) *RDD[Pair[K, V]] {
+	return sortByKey(r, parts, func(sample []K, parts int) RangePartitioner[K] {
+		return NewRangePartitioner(sample, parts, less)
+	})
+}
+
+// SortByKeyOrdered is SortByKey in the keys' natural order (cmp.Less),
+// with identical output. For string keys it orders by 8-byte key prefix
+// first, like Spark's Tungsten sorter: partitions radix-sort a (prefix,
+// position) index and range partitioning compares prefixes, both falling
+// back to the full key only on a prefix tie.
+func SortByKeyOrdered[K cmp.Ordered, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, V]] {
+	return sortByKey(r, parts, newOrderedRangePartitioner[K])
+}
+
+// sortByKey is both sorts' body; partitioner builds the range partitioner
+// from the collected key sample, which it may reorder, and the partitioner
+// carries the key order the per-partition sorts use.
+func sortByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int,
+	partitioner func(sample []K, parts int) RangePartitioner[K]) *RDD[Pair[K, V]] {
 	d := r.base.driver
 	if parts <= 0 {
 		parts = d.DefaultParallelism()
 	}
 	// Sampling job (Spark's rangeBounds computation) runs eagerly.
 	sampled := Sample(r, 0.05)
-	keys := Collect(Keys(sampled))
-	rp := NewRangePartitioner(keys, parts, less)
+	rp := partitioner(Collect(Keys(sampled)), parts)
 
 	shuffled := PartitionBy(r, rp)
 	ps := PairSizer(SizerFor[K](), SizerFor[V]())
 	return MapPartitions(shuffled, func(ctx *executor.TaskContext, part int, in []Pair[K, V]) []Pair[K, V] {
-		sortPartition(ctx, in, less, ps)
+		sortPartition(ctx, in, rp.Less, rp.prefix, ps)
 		return in
 	})
 }
 
-// sortPartition sorts records in place and charges n log n comparison CPU
-// plus one streaming read and one streaming write of the partition: range
-// partitions are small enough to merge inside the cache hierarchy, so only
-// the initial load and final store reach memory. This is exactly why the
-// paper's sort benchmark is among the least tier-sensitive applications —
-// it streams, it doesn't chase pointers.
+// sortPartition sorts records in place, stably by key, and charges n log n
+// comparison CPU plus one streaming read and one streaming write of the
+// partition: range partitions are small enough to merge inside the cache
+// hierarchy, so only the initial load and final store reach memory. This
+// is exactly why the paper's sort benchmark is among the least
+// tier-sensitive applications — it streams, it doesn't chase pointers.
+// The charge is a formula and a stable order is unique, so the host
+// algorithm cannot show in the virtual ledger: with a key prefix it is
+// prefixSort, otherwise (and for partitions of at most sortRun records,
+// which insertion-sort without allocating) the generic stableSort.
 func sortPartition[K comparable, V any](ctx *executor.TaskContext, in []Pair[K, V],
-	less func(a, b K) bool, ps Sizer[Pair[K, V]]) {
+	less func(a, b K) bool, prefix func(K) uint64, ps Sizer[Pair[K, V]]) {
 	n := len(in)
 	if n == 0 {
 		return
 	}
-	stableSort(in, func(a, b *Pair[K, V]) bool { return less(a.Key, b.Key) })
+	if prefix != nil && n > sortRun {
+		prefixSort(in, less, prefix)
+	} else {
+		stableSort(in, func(a, b *Pair[K, V]) bool { return less(a.Key, b.Key) })
+	}
 	ctx.CPU(float64(n) * float64(log2(n)) * ctx.Cost.CompareNS)
 	bytes := SizeSlice(in, ps)
 	ctx.MemSeq(memsim.Read, bytes)

@@ -2,6 +2,8 @@ package rdd_test
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -426,6 +428,37 @@ func TestSortPermutationProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSortByKeyOrderedMatchesSortByKey pins the ordered sort to the
+// generic one end to end: sampling, range bounds, shuffle and
+// per-partition sort give the same records in the same order, on string
+// keys with shared prefixes, zero padding, high bytes and duplicates.
+func TestSortByKeyOrderedMatchesSortByKey(t *testing.T) {
+	prop := func(seed int64, size uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		pairs := make([]rdd.Pair[string, int], int(size)%3000)
+		for i := range pairs {
+			key := []byte("keyshare")[:r.Intn(9)]
+			for j := r.Intn(5); j > 0; j-- {
+				key = append(key, "\x00a\x80"[r.Intn(3)])
+			}
+			pairs[i] = rdd.KV(string(key), i)
+		}
+		for _, parts := range []int{1, 4, 7} {
+			src := rdd.Parallelize(newApp(), "pairs", pairs, 5)
+			want := rdd.Collect(rdd.SortByKey(src, func(a, b string) bool { return a < b }, parts))
+			got := rdd.Collect(rdd.SortByKeyOrdered(src, parts))
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d, %d records, %d partitions: ordered sort differs", seed, len(pairs), parts)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,5 +1,7 @@
 package rdd
 
+import "encoding/binary"
+
 // sortRun is the length of the insertion-sorted runs stableSort starts
 // its merges from.
 const sortRun = 16
@@ -62,4 +64,103 @@ func mergeRuns[T any](dst, a, b []T, less func(a, b *T) bool) {
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
+}
+
+// prefixEntry is one record of a prefix sort's index: the key's 8-byte
+// prefix and the record's input position. It holds no pointers, so the
+// collector never scans the index, and a radix pass moves 16 bytes per
+// record instead of the whole pair.
+type prefixEntry struct {
+	pfx uint64
+	pos int
+}
+
+// keyPrefix is s's first 8 bytes read big-endian, zero-padded. It orders
+// strings coarsely: keyPrefix(a) < keyPrefix(b) implies a < b, and only
+// equal prefixes ("ab" and "ab\x00", or keys sharing 8 bytes) need the
+// full compare.
+func keyPrefix(s string) uint64 {
+	var b [8]byte
+	copy(b[:], s)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// prefixSort sorts in stably by key, in place, where prefix agrees with
+// less as keyPrefix does with <. It radix-sorts an index of (prefix,
+// position), stable-sorts by the full key only inside runs of equal
+// prefix, then moves each record once, following the permutation's
+// cycles. Sorting by (key, input position) is exactly a stable sort by
+// key, so the output equals stableSort's.
+func prefixSort[K comparable, V any](in []Pair[K, V], less func(a, b K) bool, prefix func(K) uint64) {
+	n := len(in)
+	buf := make([]prefixEntry, 2*n)
+	idx := buf[:n]
+	for i := range in {
+		idx[i] = prefixEntry{prefix(in[i].Key), i}
+	}
+	idx = radixSortPrefixes(idx, buf[n:])
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && idx[hi].pfx == idx[lo].pfx {
+			hi++
+		}
+		if hi-lo > 1 {
+			stableSort(idx[lo:hi], func(a, b *prefixEntry) bool { return less(in[a.pos].Key, in[b.pos].Key) })
+		}
+		lo = hi
+	}
+	// Slot j takes the record at idx[j].pos; a slot that has been filled
+	// is marked by pointing idx at itself.
+	for i := range idx {
+		if idx[i].pos == i {
+			continue
+		}
+		tmp, j := in[i], i
+		for {
+			k := idx[j].pos
+			idx[j].pos = j
+			if k == i {
+				in[j] = tmp
+				break
+			}
+			in[j] = in[k]
+			j = k
+		}
+	}
+}
+
+// radixSortPrefixes stably sorts idx by pfx with an LSD radix sort, one
+// byte per pass, ping-ponging between idx and scratch (same length); it
+// returns whichever of the two holds the result. One counting pass builds
+// all eight histograms, and a byte every entry shares is skipped, since
+// its pass would move nothing.
+func radixSortPrefixes(idx, scratch []prefixEntry) []prefixEntry {
+	if len(idx) == 0 {
+		return idx
+	}
+	var counts [8][256]int
+	for _, e := range idx {
+		for b := range counts {
+			counts[b][byte(e.pfx>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		shift := 8 * b
+		c := &counts[b]
+		if c[byte(idx[0].pfx>>shift)] == len(idx) {
+			continue
+		}
+		sum := 0
+		for d, k := range c {
+			c[d] = sum
+			sum += k
+		}
+		for _, e := range idx {
+			d := byte(e.pfx >> shift)
+			scratch[c[d]] = e
+			c[d]++
+		}
+		idx, scratch = scratch, idx
+	}
+	return idx
 }

@@ -2,7 +2,9 @@ package rdd
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +59,55 @@ func TestStableSortMatchesSliceStable(t *testing.T) {
 					t.Fatalf("ordered input n=%d: element %d is %v, want %v", n, i, in[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// prefixKeys draws n keys built to trip a prefix sort: lengths 0–12 over
+// {0x00, 'a', 'b', 0x80, 0xff}, half of the long ones sharing one 8-byte
+// prefix, so keys tie on the prefix and differ only past it, zero-padded
+// look-alikes ("ab" and "ab\x00") share a prefix, bytes ≥ 0x80 must order
+// above ASCII, and short keys repeat.
+func prefixKeys(r *rand.Rand, n int) []string {
+	const alphabet, shared = "\x00ab\x80\xff", "ab\x80\xffab\x00a"
+	keys := make([]string, n)
+	for i := range keys {
+		b := make([]byte, r.Intn(13))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		if len(b) >= len(shared) && r.Intn(2) == 0 {
+			copy(b, shared)
+		}
+		keys[i] = string(b)
+	}
+	return keys
+}
+
+// TestPrefixSortMatchesSortStableFunc is the prefix sort's oracle: its
+// output equals slices.SortStableFunc by strings.Compare, input position
+// (the value) included, across the radix sort's and sortRun's edges.
+func TestPrefixSortMatchesSortStableFunc(t *testing.T) {
+	for _, n := range []int{0, 1, 16, 17, 255, 256, 257, 4000} {
+		n := n
+		prop := func(seed int64) bool {
+			got := make([]Pair[string, int], n)
+			for i, k := range prefixKeys(rand.New(rand.NewSource(seed)), n) {
+				got[i] = KV(k, i)
+			}
+			want := slices.Clone(got)
+			slices.SortStableFunc(want, func(a, b Pair[string, int]) int { return strings.Compare(a.Key, b.Key) })
+			prefixSort(got, func(a, b string) bool { return a < b }, keyPrefix)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Logf("n=%d: element %d is (%q, %d), want (%q, %d)", n, i, got[i].Key, got[i].Val, want[i].Key, want[i].Val)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+			t.Errorf("length %d: %v", n, err)
 		}
 	}
 }

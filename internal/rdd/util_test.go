@@ -1,6 +1,8 @@
 package rdd
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +160,38 @@ func TestHashPartitioner(t *testing.T) {
 	p := hp.PartitionFor("key")
 	if p < 0 || p >= 5 {
 		t.Fatalf("partition %d out of range", p)
+	}
+}
+
+// TestOrderedRangePartitionerMatchesGeneric pins the prefix PartitionFor
+// to the generic sort.Search path: same bounds, same partition for every
+// probe key, on samples that are empty, duplicate-heavy or prefix-tied.
+func TestOrderedRangePartitionerMatchesGeneric(t *testing.T) {
+	less := func(a, b string) bool { return a < b }
+	prop := func(seed int64, size, parts uint8, dupHeavy bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		sample := prefixKeys(r, int(size)%64)
+		if dupHeavy && len(sample) > 0 {
+			for i := range sample {
+				sample[i] = sample[r.Intn(min(3, len(sample)))]
+			}
+		}
+		p := int(parts)%12 + 1
+		generic := NewRangePartitioner(sample, p, less)
+		ordered := newOrderedRangePartitioner(slices.Clone(sample), p)
+		if !slices.Equal(generic.Bounds, ordered.Bounds) {
+			t.Logf("bounds %q, want %q", ordered.Bounds, generic.Bounds)
+			return false
+		}
+		for _, k := range append(prefixKeys(r, 200), sample...) {
+			if got, want := ordered.PartitionFor(k), generic.PartitionFor(k); got != want {
+				t.Logf("key %q: partition %d, want %d (bounds %q)", k, got, want, generic.Bounds)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

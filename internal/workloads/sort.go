@@ -46,7 +46,7 @@ func (s *Sort) Run(app *cluster.App, size Size) Summary {
 		genTextRecords(r, out)
 	})
 	keyed := rdd.KeyBy(data, func(t TextRecord) string { return t.Key })
-	sorted := rdd.SortByKey(keyed, func(a, b string) bool { return a < b }, 0)
+	sorted := rdd.SortByKeyOrdered(keyed, 0)
 	bytes := rdd.SaveAsSink(sorted)
 	return Summary{Records: p.Records, Metric: float64(bytes), Note: "output_bytes"}
 }
