@@ -20,59 +20,71 @@ type Chunk[K comparable, V any] struct {
 // Len returns the number of records in the chunk.
 func (c Chunk[K, V]) Len() int { return len(c.Keys) }
 
-// chunkify hash-partitions one computed map partition into per-reduce
-// columnar chunks sharing one backing page: a first-pass key histogram
-// sizes the page, a prefix sum carves the per-reduce column windows, and a
-// single scatter pass fills them. The whole map output costs three fixed
-// allocations (key page, value page, chunk headers) however many reduce
-// partitions it feeds — the pre-chunk row path allocated one bucket slice
-// per non-empty reduce. Charges are identical to the row path's: the data
-// itself streams (sequential writes), only the per-chunk headers scatter.
-// This is what keeps pure-shuffle workloads (sort, repartition) far less
-// latency-sensitive than hash-aggregating ones — the paper's
+// chunkify partitions one computed map partition of n records into
+// per-reduce columnar chunks sharing one backing page. It never touches a
+// record itself: route writes record i's reduce partition into
+// targets[i], and scatter copies record i's key and value into the
+// columns at slot next[targets[i]], advancing that cursor. A writer whose
+// records are not pairs (SortBy's, Repartition's) thus chunks them
+// without building a pair page first. The accessors take whole columns,
+// not one record per call, because a closure call per record costs as
+// much as the copy it makes. A histogram of the targets sizes the page
+// and a prefix sum carves the per-reduce column windows, which the
+// scatter fills. The whole map output costs three fixed allocations (key
+// page, value page, chunk headers) however many reduce partitions it
+// feeds — the pre-chunk row path allocated one bucket slice per
+// non-empty reduce. Charges are identical to the row path's: the data
+// itself streams (sequential writes), only the per-chunk headers
+// scatter. This is what keeps pure-shuffle workloads (sort, repartition)
+// far less latency-sensitive than hash-aggregating ones — the paper's
 // per-application sensitivity split.
-// It also returns per-chunk record bytes so putChunks charges the chunk
-// set without re-walking it. The sizer is resolved once by the caller.
-func chunkify[K comparable, V any](ctx *executor.TaskContext, recs []Pair[K, V],
-	p Partitioner[K], ps Sizer[Pair[K, V]]) ([]Chunk[K, V], []int64) {
-	nparts := p.NumPartitions()
-	targets := make([]int32, len(recs))
-	counts := make([]int, nparts)
-	for i := range recs {
-		b := p.PartitionFor(recs[i].Key)
-		targets[i] = int32(b)
-		counts[b]++
-	}
-	keys := make([]K, len(recs))
-	vals := make([]V, len(recs))
-	chunks := make([]Chunk[K, V], nparts)
+// It also returns per-chunk record bytes (a record's key bytes plus its
+// value bytes, exactly the pair's), so putChunks charges the chunk set
+// without re-walking it. The sizers are resolved once by the caller.
+func chunkify[K comparable, V any](ctx *executor.TaskContext, n, nparts int,
+	route func(targets []int32), scatter func(targets []int32, next []int, keys []K, vals []V),
+	ks Sizer[K], vs Sizer[V]) ([]Chunk[K, V], []int64) {
+	targets := make([]int32, n)
+	route(targets)
 	next := make([]int, nparts)
-	off := 0
-	for b, c := range counts {
-		next[b] = off
-		chunks[b] = Chunk[K, V]{Keys: keys[off : off+c], Vals: vals[off : off+c]}
-		off += c
+	for _, b := range targets {
+		next[b]++
 	}
+	keys := make([]K, n)
+	vals := make([]V, n)
+	chunks := make([]Chunk[K, V], nparts)
 	bucketBytes := make([]int64, nparts)
-	var bytes int64
-	for i := range recs {
-		b := targets[i]
-		j := next[b]
-		next[b] = j + 1
-		keys[j] = recs[i].Key
-		vals[j] = recs[i].Val
-		sz := ps.Of(recs[i])
-		bucketBytes[b] += sz
-		bytes += sz
-	}
-	ctx.CPUPerRecord(len(recs), ctx.Cost.HashNS)
-	ctx.ShuffleSeq(memsim.Write, bytes)
-	used := 0
-	for _, c := range counts {
+	kf, kFixed := ks.Fixed()
+	vf, vFixed := vs.Fixed()
+	fixed := kFixed && vFixed
+	off, used := 0, 0
+	for b, c := range next {
+		chunks[b] = Chunk[K, V]{Keys: keys[off : off+c], Vals: vals[off : off+c]}
+		next[b] = off
+		off += c
 		if c > 0 {
 			used++
 		}
+		if fixed {
+			bucketBytes[b] = int64(c) * (kf + vf)
+		}
 	}
+	scatter(targets, next, keys, vals)
+	var bytes int64
+	if fixed {
+		bytes = int64(n) * (kf + vf)
+	} else {
+		for b, ch := range chunks {
+			var sz int64
+			for j := range ch.Keys {
+				sz += ks.Of(ch.Keys[j]) + vs.Of(ch.Vals[j])
+			}
+			bucketBytes[b] = sz
+			bytes += sz
+		}
+	}
+	ctx.CPUPerRecord(n, ctx.Cost.HashNS)
+	ctx.ShuffleSeq(memsim.Write, bytes)
 	ctx.ShuffleRand(memsim.Write, used, int64(used)*64)
 	return chunks, bucketBytes
 }
@@ -108,11 +120,23 @@ func putChunks[K comparable, V any](ctx *executor.TaskContext, shuffleID, mapPar
 	})
 }
 
-// writeChunks is the whole map side of a shuffle write: compute feeds
-// chunkify feeds putChunks.
+// writeChunks is the whole map side of a pair shuffle write: compute
+// feeds chunkify feeds putChunks.
 func writeChunks[K comparable, V any](ctx *executor.TaskContext, shuffleID, mapPart int,
-	recs []Pair[K, V], p Partitioner[K], ps Sizer[Pair[K, V]]) {
-	chunks, bucketBytes := chunkify(ctx, recs, p, ps)
+	recs []Pair[K, V], p Partitioner[K], ks Sizer[K], vs Sizer[V]) {
+	chunks, bucketBytes := chunkify(ctx, len(recs), p.NumPartitions(),
+		func(targets []int32) {
+			for i := range recs {
+				targets[i] = int32(p.PartitionFor(recs[i].Key))
+			}
+		},
+		func(targets []int32, next []int, keys []K, vals []V) {
+			for i, b := range targets {
+				j := next[b]
+				next[b]++
+				keys[j], vals[j] = recs[i].Key, recs[i].Val
+			}
+		}, ks, vs)
 	putChunks(ctx, shuffleID, mapPart, chunks, bucketBytes)
 }
 

@@ -40,16 +40,6 @@ func MapValues[K comparable, V, U any](r *RDD[Pair[K, V]], f func(V) U) *RDD[Pai
 	return Map(r, func(p Pair[K, V]) Pair[K, U] { return KV(p.Key, f(p.Val)) })
 }
 
-// Keys projects the keys of a pair dataset.
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return Map(r, func(p Pair[K, V]) K { return p.Key })
-}
-
-// Values projects the values of a pair dataset.
-func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
-	return Map(r, func(p Pair[K, V]) V { return p.Val })
-}
-
 // aggOutputBytes is the single-pass replacement for SizeOfSlice over an
 // aggregation's output: the slice header plus the key bytes accumulated
 // at insert time plus the combiner values — constant-folded when the
@@ -117,7 +107,7 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 		ShuffleID: shuffleID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
 			combined := localCombine(ctx, r.Compute(ctx, mapPart), create, mergeValue, ps, ks, cs)
-			writeChunks(ctx, shuffleID, mapPart, combined, part, pcs)
+			writeChunks(ctx, shuffleID, mapPart, combined, part, ks, cs)
 		},
 	}
 	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, C] {
@@ -173,14 +163,14 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 		parts = d.DefaultParallelism()
 	}
 	part := NewHashPartitioner[K](parts)
-	ks, gs := SizerFor[K](), SizerFor[[]V]()
-	ps := PairSizer(ks, SizerFor[V]())
+	ks, vs, gs := SizerFor[K](), SizerFor[V](), SizerFor[[]V]()
+	ps := PairSizer(ks, vs)
 	shuffleID := d.NextShuffleID()
 	dep := &ShuffleDep{
 		P:         r.base,
 		ShuffleID: shuffleID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), part, ps)
+			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), part, ks, vs)
 		},
 	}
 	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, []V] {
@@ -218,44 +208,32 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 	})
 }
 
-// PartitionBy redistributes pairs by the given partitioner without
-// aggregation; within a partition records arrive in map-partition order.
-func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD[Pair[K, V]] {
-	d := r.base.driver
-	ps := PairSizer(SizerFor[K](), SizerFor[V]())
+// shuffleBy allocates a shuffle that write fills from parent's
+// partitions, and the "partitionBy" dataset it feeds. It returns that
+// dataset's lineage node and the shuffle id its reducers fetch: each
+// caller reads the chunks straight into its own output page.
+func shuffleBy(parent *Base, parts int, write func(ctx *executor.TaskContext, shuffleID, mapPart int)) (*Base, int) {
+	d := parent.driver
 	shuffleID := d.NextShuffleID()
 	dep := &ShuffleDep{
-		P:         r.base,
+		P:         parent,
 		ShuffleID: shuffleID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			writeChunks(ctx, shuffleID, mapPart, r.Compute(ctx, mapPart), p, ps)
+			write(ctx, shuffleID, mapPart)
 		},
 	}
-	return newRDD(d, "partitionBy", p.NumPartitions(), nil, []*ShuffleDep{dep},
-		func(ctx *executor.TaskContext, reduce int) []Pair[K, V] {
-			// Rows materialize exactly once, into a page pre-sized from the
-			// borrowed chunks' lengths — the single copy the reference-
-			// passing shuffle still pays, at the consumer boundary.
-			chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
-			n := chunkRecords(chunks)
-			if n == 0 {
-				return nil
-			}
-			out := make([]Pair[K, V], 0, n)
-			for _, ch := range chunks {
-				for j := range ch.Keys {
-					out = append(out, KV(ch.Keys[j], ch.Vals[j]))
-				}
-			}
-			return out
-		})
+	return newBase(d, "partitionBy", parts, nil, []*ShuffleDep{dep}), shuffleID
 }
+
+// sampleFrac is the share of records a sort's sampling job draws keys
+// from.
+const sampleFrac = 0.05
 
 // SortByKey range-partitions by a sampled key distribution and sorts each
 // partition locally, like Spark: a sampling job runs eagerly to build the
 // partitioner, then the shuffle and per-partition sorts execute lazily.
 func SortByKey[K comparable, V any](r *RDD[Pair[K, V]], less func(a, b K) bool, parts int) *RDD[Pair[K, V]] {
-	return sortByKey(r, parts, func(sample []K, parts int) RangePartitioner[K] {
+	return sortPairs(r, parts, func(sample []K, parts int) RangePartitioner[K] {
 		return NewRangePartitioner(sample, parts, less)
 	})
 }
@@ -266,55 +244,140 @@ func SortByKey[K comparable, V any](r *RDD[Pair[K, V]], less func(a, b K) bool, 
 // position) index and range partitioning compares prefixes, both falling
 // back to the full key only on a prefix tie.
 func SortByKeyOrdered[K cmp.Ordered, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, V]] {
-	return sortByKey(r, parts, newOrderedRangePartitioner[K])
+	return sortPairs(r, parts, newOrderedRangePartitioner[K])
 }
 
-// sortByKey is both sorts' body; partitioner builds the range partitioner
-// from the collected key sample, which it may reorder, and the partitioner
-// carries the key order the per-partition sorts use.
-func sortByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int,
+// sortPairs is sortBy over a pair dataset, computed afresh by each job.
+func sortPairs[K comparable, V any](r *RDD[Pair[K, V]], parts int,
 	partitioner func(sample []K, parts int) RangePartitioner[K]) *RDD[Pair[K, V]] {
-	d := r.base.driver
+	return sortBy(r.base, parts, r.Compute, r.Compute,
+		func(p Pair[K, V]) K { return p.Key }, func(p Pair[K, V]) V { return p.Val }, partitioner)
+}
+
+// SortBy sorts records by key(record) in the keys' natural order: it is
+// SortByKeyOrdered(KeyBy(r, key), parts) in output, lineage and every
+// charge, without building the key-pair pages. On a generated source
+// (GenerateBatch, Generate) each partition is generated once for both of
+// the sort's jobs (see parkedSource); any other input falls back to the
+// composition.
+func SortBy[T any, K cmp.Ordered](r *RDD[T], key func(T) K, parts int) *RDD[Pair[K, T]] {
+	if r.fill == nil {
+		return SortByKeyOrdered(KeyBy(r, key), parts)
+	}
+	// KeyBy's dataset stands in the lineage; its per-record CPU is charged
+	// where KeyBy would charge it, right after the source's.
+	keyed := newBase(r.base.driver, "map", r.base.NumParts, r.base, nil)
+	park, take := parkedSource(r)
+	keyBy := func(recs func(ctx *executor.TaskContext, part int) []T) func(ctx *executor.TaskContext, part int) []T {
+		return func(ctx *executor.TaskContext, part int) []T {
+			in := recs(ctx, part)
+			ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
+			return in
+		}
+	}
+	return sortBy(keyed, parts, keyBy(park), keyBy(take), key, func(t T) T { return t }, newOrderedRangePartitioner[K])
+}
+
+// sortBy is every sort's body. parent is the dataset whose records are
+// sorted; sample and shuffle compute its partitions for the sampling job
+// and for the map stage. key and val project a record onto the output
+// pair. partitioner builds the range partitioner from the collected key
+// sample, which it may reorder, and the partitioner carries the key order
+// the per-partition sorts use.
+//
+// It issues the charges, and allocates the dataset and shuffle ids, of the
+// composition Spark's sortByKey is: a Collect of the keys of a Sample of
+// parent for the range bounds, then PartitionBy and a per-partition sort in
+// MapPartitions. But the sampling task draws keys straight from the
+// records, the map task chunks them by key without a pair page, and the
+// reduce task sorts an index over the fetched chunks and gathers each
+// record once into its output page.
+func sortBy[R any, K comparable, V any](parent *Base, parts int,
+	sample, shuffle func(ctx *executor.TaskContext, part int) []R,
+	key func(R) K, val func(R) V,
+	partitioner func(sample []K, parts int) RangePartitioner[K]) *RDD[Pair[K, V]] {
+	d := parent.driver
 	if parts <= 0 {
 		parts = d.DefaultParallelism()
 	}
 	// Sampling job (Spark's rangeBounds computation) runs eagerly.
-	sampled := Sample(r, 0.05)
-	rp := partitioner(Collect(Keys(sampled)), parts)
+	sampled := newBase(d, "sample", parent.NumParts, parent, nil)
+	keys := newRDD(d, "map", parent.NumParts, sampled, nil, func(ctx *executor.TaskContext, part int) []K {
+		in := sample(ctx, part)
+		var out []K
+		for i := range in {
+			if ctx.Rand.Float64() < sampleFrac {
+				out = append(out, key(in[i]))
+			}
+		}
+		ctx.CPUPerRecord(len(in), ctx.Cost.FilterNS)
+		ctx.CPUPerRecord(len(out), ctx.Cost.MapNS)
+		return out
+	})
+	rp := partitioner(Collect(keys), parts)
 
-	shuffled := PartitionBy(r, rp)
-	ps := PairSizer(SizerFor[K](), SizerFor[V]())
-	return MapPartitions(shuffled, func(ctx *executor.TaskContext, part int, in []Pair[K, V]) []Pair[K, V] {
-		sortPartition(ctx, in, rp.Less, rp.prefix, ps)
-		return in
+	ks, vs := SizerFor[K](), SizerFor[V]()
+	shuffled, shuffleID := shuffleBy(parent, rp.NumPartitions(), func(ctx *executor.TaskContext, shuffleID, mapPart int) {
+		in := shuffle(ctx, mapPart)
+		chunks, bucketBytes := chunkify(ctx, len(in), rp.NumPartitions(),
+			func(targets []int32) {
+				for i := range in {
+					targets[i] = int32(rp.PartitionFor(key(in[i])))
+				}
+			},
+			func(targets []int32, next []int, keys []K, vals []V) {
+				for i, b := range targets {
+					j := next[b]
+					next[b]++
+					keys[j], vals[j] = key(in[i]), val(in[i])
+				}
+			}, ks, vs)
+		putChunks(ctx, shuffleID, mapPart, chunks, bucketBytes)
+	})
+	ps := PairSizer(ks, vs)
+	return newRDD(d, "mapPartitions", shuffled.NumParts, shuffled, nil, func(ctx *executor.TaskContext, part int) []Pair[K, V] {
+		chunks := fetchChunks[K, V](ctx, shuffleID, part)
+		ctx.CPUPerRecord(chunkRecords(chunks), ctx.Cost.MapNS)
+		return sortPartition(ctx, chunks, rp.Less, rp.prefix, ps)
 	})
 }
 
-// sortPartition sorts records in place, stably by key, and charges n log n
-// comparison CPU plus one streaming read and one streaming write of the
-// partition: range partitions are small enough to merge inside the cache
-// hierarchy, so only the initial load and final store reach memory. This
-// is exactly why the paper's sort benchmark is among the least
-// tier-sensitive applications — it streams, it doesn't chase pointers.
-// The charge is a formula and a stable order is unique, so the host
-// algorithm cannot show in the virtual ledger: with a key prefix it is
-// prefixSort, otherwise (and for partitions of at most sortRun records,
-// which insertion-sort without allocating) the generic stableSort.
-func sortPartition[K comparable, V any](ctx *executor.TaskContext, in []Pair[K, V],
-	less func(a, b K) bool, prefix func(K) uint64, ps Sizer[Pair[K, V]]) {
-	n := len(in)
+// sortPartition gathers a reduce partition's chunks into one page sorted
+// stably by key (chunks in fetch order, rows in chunk order, are the
+// input order), and charges n log n comparison CPU plus one streaming
+// read and one streaming write of the partition: range partitions are
+// small enough to merge inside the cache hierarchy, so only the initial
+// load and final store reach memory. This is exactly why the paper's sort
+// benchmark is among the least tier-sensitive applications — it streams,
+// it doesn't chase pointers. The charge is a formula and a stable order
+// is unique, so the host algorithm cannot show in the virtual ledger:
+// with a key prefix it is prefixSort, otherwise (and for partitions of at
+// most sortRun records, which insertion-sort without an index) a gather
+// in input order and the generic stableSort.
+func sortPartition[K comparable, V any](ctx *executor.TaskContext, chunks []Chunk[K, V],
+	less func(a, b K) bool, prefix func(K) uint64, ps Sizer[Pair[K, V]]) []Pair[K, V] {
+	n := chunkRecords(chunks)
 	if n == 0 {
-		return
+		return nil
 	}
+	out := make([]Pair[K, V], n)
 	if prefix != nil && n > sortRun {
-		prefixSort(in, less, prefix)
+		prefixSort(out, chunks, less, prefix)
 	} else {
-		stableSort(in, func(a, b *Pair[K, V]) bool { return less(a.Key, b.Key) })
+		i := 0
+		for _, ch := range chunks {
+			for j := range ch.Keys {
+				out[i] = KV(ch.Keys[j], ch.Vals[j])
+				i++
+			}
+		}
+		stableSort(out, func(a, b *Pair[K, V]) bool { return less(a.Key, b.Key) })
 	}
 	ctx.CPU(float64(n) * float64(log2(n)) * ctx.Cost.CompareNS)
-	bytes := SizeSlice(in, ps)
+	bytes := SizeSlice(out, ps)
 	ctx.MemSeq(memsim.Read, bytes)
 	ctx.MemSeq(memsim.Write, bytes)
+	return out
 }
 
 func log2(n int) int {
@@ -346,13 +409,13 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 	depL := &ShuffleDep{
 		P: a.base, ShuffleID: leftID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			writeChunks(ctx, leftID, mapPart, a.Compute(ctx, mapPart), p, pvs)
+			writeChunks(ctx, leftID, mapPart, a.Compute(ctx, mapPart), p, ks, vs)
 		},
 	}
 	depR := &ShuffleDep{
 		P: b.base, ShuffleID: rightID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			writeChunks(ctx, rightID, mapPart, b.Compute(ctx, mapPart), p, pws)
+			writeChunks(ctx, rightID, mapPart, b.Compute(ctx, mapPart), p, ks, ws)
 		},
 	}
 	return newRDD(d, "cogroup", parts, nil, []*ShuffleDep{depL, depR},
@@ -432,19 +495,46 @@ func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts 
 
 // Repartition redistributes records round-robin across parts partitions —
 // Spark's repartition(), the core of the HiBench repartition micro
-// benchmark: a pure shuffle with no aggregation.
+// benchmark: a pure shuffle with no aggregation. It is the composition
+// MapPartitions (key record i of partition part by part+i*srcParts), a
+// hash PartitionBy, and a Map back to the values, in lineage and every
+// charge; but the map task chunks the records by their index key without
+// a pair page, and the reduce task copies the chunks' value columns
+// straight into its output page.
 func Repartition[T any](r *RDD[T], parts int) *RDD[T] {
+	d := r.base.driver
 	if parts <= 0 {
-		parts = r.base.driver.DefaultParallelism()
+		parts = d.DefaultParallelism()
 	}
 	srcParts := r.base.NumParts
-	keyed := MapPartitions(r, func(ctx *executor.TaskContext, part int, in []T) []Pair[int, T] {
-		out := make([]Pair[int, T], len(in))
-		for i, v := range in {
-			out[i] = KV(part+i*srcParts, v) // deterministic round-robin key
+	keyed := newBase(d, "mapPartitions", srcParts, r.base, nil)
+	p := NewHashPartitioner[int](parts)
+	ks, vs := SizerFor[int](), SizerFor[T]()
+	shuffled, shuffleID := shuffleBy(keyed, parts, func(ctx *executor.TaskContext, shuffleID, mapPart int) {
+		in := r.Compute(ctx, mapPart)
+		ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
+		chunks, bucketBytes := chunkify(ctx, len(in), parts,
+			func(targets []int32) {
+				for i := range in {
+					targets[i] = int32(p.PartitionFor(mapPart + i*srcParts)) // deterministic round-robin key
+				}
+			},
+			func(targets []int32, next []int, keys []int, vals []T) {
+				for i, b := range targets {
+					j := next[b]
+					next[b]++
+					keys[j], vals[j] = mapPart+i*srcParts, in[i]
+				}
+			}, ks, vs)
+		putChunks(ctx, shuffleID, mapPart, chunks, bucketBytes)
+	})
+	return newRDD(d, "map", parts, shuffled, nil, func(ctx *executor.TaskContext, reduce int) []T {
+		chunks := fetchChunks[int, T](ctx, shuffleID, reduce)
+		out := make([]T, 0, chunkRecords(chunks))
+		for _, ch := range chunks {
+			out = append(out, ch.Vals...)
 		}
+		ctx.CPUPerRecord(len(out), ctx.Cost.MapNS)
 		return out
 	})
-	shuffled := PartitionBy(keyed, NewHashPartitioner[int](parts))
-	return Values(shuffled)
 }

@@ -73,16 +73,27 @@ type RDD[T any] struct {
 	base    *Base
 	compute func(ctx *executor.TaskContext, part int) []T
 	cached  bool
+	// fill is set on generated sources only: it produces partition part's
+	// records, pure in (seed, part), and compute is chargeGenerated over
+	// its output. SortBy uses it to generate a partition once for both of
+	// its jobs.
+	fill func(part int) []T
+}
+
+// newBase allocates a dataset id and the lineage node the scheduler sees.
+// A fused operator calls it alone for the intermediate datasets of the
+// composition it replaces, so ids, names and stage names stay put.
+func newBase(d Driver, name string, parts int, narrow *Base, shuffles []*ShuffleDep) *Base {
+	if parts <= 0 {
+		panic(fmt.Sprintf("rdd: %s with %d partitions", name, parts))
+	}
+	return &Base{ID: d.NextRDDID(), Name: name, NumParts: parts, Narrow: narrow, Shuffles: shuffles, driver: d}
 }
 
 // newRDD wires a typed dataset onto a fresh Base.
 func newRDD[T any](d Driver, name string, parts int, narrow *Base, shuffles []*ShuffleDep,
 	compute func(ctx *executor.TaskContext, part int) []T) *RDD[T] {
-	if parts <= 0 {
-		panic(fmt.Sprintf("rdd: %s with %d partitions", name, parts))
-	}
-	base := &Base{ID: d.NextRDDID(), Name: name, NumParts: parts, Narrow: narrow, Shuffles: shuffles, driver: d}
-	return &RDD[T]{base: base, compute: compute}
+	return &RDD[T]{base: newBase(d, name, parts, narrow, shuffles), compute: compute}
 }
 
 // Compute materializes one partition in the context of a task. It is

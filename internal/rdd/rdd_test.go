@@ -204,10 +204,10 @@ func TestMapValuesKeysValues(t *testing.T) {
 	pairs := []rdd.Pair[int, int]{rdd.KV(1, 2), rdd.KV(3, 4)}
 	r := rdd.Parallelize(app, "p", pairs, 1)
 	mv := rdd.MapValues(r, func(v int) int { return v * 10 })
-	if got := rdd.Collect(rdd.Values(mv)); fmt.Sprint(got) != "[20 40]" {
+	if got := rdd.Collect(rdd.Map(mv, func(p rdd.Pair[int, int]) int { return p.Val })); fmt.Sprint(got) != "[20 40]" {
 		t.Fatalf("mapValues = %v", got)
 	}
-	if got := rdd.Collect(rdd.Keys(r)); fmt.Sprint(got) != "[1 3]" {
+	if got := rdd.Collect(rdd.Map(r, func(p rdd.Pair[int, int]) int { return p.Key })); fmt.Sprint(got) != "[1 3]" {
 		t.Fatalf("keys = %v", got)
 	}
 }

@@ -67,12 +67,12 @@ func mergeRuns[T any](dst, a, b []T, less func(a, b *T) bool) {
 }
 
 // prefixEntry is one record of a prefix sort's index: the key's 8-byte
-// prefix and the record's input position. It holds no pointers, so the
-// collector never scans the index, and a radix pass moves 16 bytes per
-// record instead of the whole pair.
+// prefix and the record's position in the fetched chunks, chunk<<32|row.
+// It holds no pointers, so the collector never scans the index, and a
+// radix pass moves 16 bytes per record instead of the whole pair.
 type prefixEntry struct {
 	pfx uint64
-	pos int
+	pos uint64
 }
 
 // keyPrefix is s's first 8 bytes read big-endian, zero-padded. It orders
@@ -85,47 +85,40 @@ func keyPrefix(s string) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// prefixSort sorts in stably by key, in place, where prefix agrees with
-// less as keyPrefix does with <. It radix-sorts an index of (prefix,
-// position), stable-sorts by the full key only inside runs of equal
-// prefix, then moves each record once, following the permutation's
-// cycles. Sorting by (key, input position) is exactly a stable sort by
-// key, so the output equals stableSort's.
-func prefixSort[K comparable, V any](in []Pair[K, V], less func(a, b K) bool, prefix func(K) uint64) {
-	n := len(in)
+// prefixSort fills out (one slot per record) with the chunks' records
+// sorted stably by key, where prefix agrees with less as keyPrefix does
+// with <. It radix-sorts an index of (prefix, position) built over the
+// chunks, stable-sorts by the full key only inside runs of equal prefix,
+// then gathers each record once. A position is chunk<<32|row, so
+// positions ascend in input order, and sorting by (key, position) is
+// exactly a stable sort by key: the output equals gathering the chunks in
+// order and calling stableSort.
+func prefixSort[K comparable, V any](out []Pair[K, V], chunks []Chunk[K, V],
+	less func(a, b K) bool, prefix func(K) uint64) {
+	n := len(out)
 	buf := make([]prefixEntry, 2*n)
-	idx := buf[:n]
-	for i := range in {
-		idx[i] = prefixEntry{prefix(in[i].Key), i}
+	i := 0
+	for c, ch := range chunks {
+		for j, k := range ch.Keys {
+			buf[i] = prefixEntry{prefix(k), uint64(c)<<32 | uint64(j)}
+			i++
+		}
 	}
-	idx = radixSortPrefixes(idx, buf[n:])
+	idx := radixSortPrefixes(buf[:n], buf[n:])
+	keyAt := func(pos uint64) K { return chunks[pos>>32].Keys[uint32(pos)] }
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		for hi < n && idx[hi].pfx == idx[lo].pfx {
 			hi++
 		}
 		if hi-lo > 1 {
-			stableSort(idx[lo:hi], func(a, b *prefixEntry) bool { return less(in[a.pos].Key, in[b.pos].Key) })
+			stableSort(idx[lo:hi], func(a, b *prefixEntry) bool { return less(keyAt(a.pos), keyAt(b.pos)) })
 		}
 		lo = hi
 	}
-	// Slot j takes the record at idx[j].pos; a slot that has been filled
-	// is marked by pointing idx at itself.
-	for i := range idx {
-		if idx[i].pos == i {
-			continue
-		}
-		tmp, j := in[i], i
-		for {
-			k := idx[j].pos
-			idx[j].pos = j
-			if k == i {
-				in[j] = tmp
-				break
-			}
-			in[j] = in[k]
-			j = k
-		}
+	for i, e := range idx {
+		ch, row := &chunks[e.pos>>32], uint32(e.pos)
+		out[i] = KV(ch.Keys[row], ch.Vals[row])
 	}
 }
 

@@ -85,19 +85,23 @@ func prefixKeys(r *rand.Rand, n int) []string {
 }
 
 // TestPrefixSortMatchesSortStableFunc is the prefix sort's oracle: its
-// output equals slices.SortStableFunc by strings.Compare, input position
-// (the value) included, across the radix sort's and sortRun's edges.
+// output equals slices.SortStableFunc by strings.Compare over the chunks'
+// concatenation, input position (the value) included, across the radix
+// sort's and sortRun's edges and with the records cut into chunks at
+// random, empty chunks included.
 func TestPrefixSortMatchesSortStableFunc(t *testing.T) {
 	for _, n := range []int{0, 1, 16, 17, 255, 256, 257, 4000} {
 		n := n
 		prop := func(seed int64) bool {
-			got := make([]Pair[string, int], n)
-			for i, k := range prefixKeys(rand.New(rand.NewSource(seed)), n) {
-				got[i] = KV(k, i)
+			r := rand.New(rand.NewSource(seed))
+			want := make([]Pair[string, int], n)
+			for i, k := range prefixKeys(r, n) {
+				want[i] = KV(k, i)
 			}
-			want := slices.Clone(got)
+			chunks := randomChunks(r, want)
 			slices.SortStableFunc(want, func(a, b Pair[string, int]) int { return strings.Compare(a.Key, b.Key) })
-			prefixSort(got, func(a, b string) bool { return a < b }, keyPrefix)
+			got := make([]Pair[string, int], n)
+			prefixSort(got, chunks, func(a, b string) bool { return a < b }, keyPrefix)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Logf("n=%d: element %d is (%q, %d), want (%q, %d)", n, i, got[i].Key, got[i].Val, want[i].Key, want[i].Val)
@@ -110,4 +114,22 @@ func TestPrefixSortMatchesSortStableFunc(t *testing.T) {
 			t.Errorf("length %d: %v", n, err)
 		}
 	}
+}
+
+// randomChunks cuts recs into up to 8 columnar chunks at random
+// boundaries; a chunk may be empty.
+func randomChunks[K comparable, V any](r *rand.Rand, recs []Pair[K, V]) []Chunk[K, V] {
+	chunks := make([]Chunk[K, V], 1+r.Intn(8))
+	for c := range chunks {
+		take := len(recs)
+		if c < len(chunks)-1 {
+			take = r.Intn(len(recs) + 1)
+		}
+		for _, p := range recs[:take] {
+			chunks[c].Keys = append(chunks[c].Keys, p.Key)
+			chunks[c].Vals = append(chunks[c].Vals, p.Val)
+		}
+		recs = recs[take:]
+	}
+	return chunks
 }

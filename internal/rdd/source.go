@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/memsim"
@@ -40,31 +41,10 @@ func Parallelize[T any](d Driver, name string, data []T, parts int) *RDD[T] {
 // gen receives a per-partition deterministic PRNG and the global record
 // index.
 func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand, i int) T) *RDD[T] {
-	if parts <= 0 {
-		parts = d.DefaultParallelism()
-	}
-	if n > 0 && parts > n {
-		parts = n
-	}
-	if parts <= 0 {
-		parts = 1
-	}
-	seed := d.Seed()
-	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
-		lo := part * n / parts
-		hi := (part + 1) * n / parts
-		r := rng.New(seed ^ int64(part)*0x9e3779b9)
-		out := make([]T, 0, hi-lo)
+	return GenerateBatch(d, name, n, parts, func(r *rand.Rand, lo, hi int, out []T) {
 		for i := lo; i < hi; i++ {
-			out = append(out, gen(r, i))
+			out[i-lo] = gen(r, i)
 		}
-		ctx.CPUPerRecord(len(out), ctx.Cost.GeneratePNS)
-		bytes := SizeOfSlice(out)
-		// HiBench reads the generated input from HDFS: the disk scan is
-		// tier-independent, deserializing into the heap is not.
-		ctx.Disk(bytes)
-		ctx.MemSeq(memsim.Write, bytes)
-		return out
 	})
 }
 
@@ -72,9 +52,11 @@ func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand,
 // the partition's pre-sized record buffer in one call (records [lo, hi)
 // of the dataset), letting generators amortize per-record allocations —
 // e.g. one shared key arena per partition instead of one string per
-// record. The PRNG handoff and every charge are identical to Generate's,
-// so a batch generator that draws the same random sequence produces a
-// byte-identical dataset and ledger.
+// record. Generate is GenerateBatch with a per-record fill, so a batch
+// generator that draws the same random sequence produces a
+// byte-identical dataset and ledger. A partition's compute is
+// chargeGenerated over its fill, which SortBy splits apart (see
+// parkedSource).
 func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand.Rand, lo, hi int, out []T)) *RDD[T] {
 	if parts <= 0 {
 		parts = d.DefaultParallelism()
@@ -86,16 +68,58 @@ func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand
 		parts = 1
 	}
 	seed := d.Seed()
-	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
+	fillPart := func(part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
-		r := rng.New(seed ^ int64(part)*0x9e3779b9)
 		out := make([]T, hi-lo)
-		fill(r, lo, hi, out)
-		ctx.CPUPerRecord(len(out), ctx.Cost.GeneratePNS)
-		bytes := SizeOfSlice(out)
-		ctx.Disk(bytes)
-		ctx.MemSeq(memsim.Write, bytes)
+		fill(rng.New(seed^int64(part)*0x9e3779b9), lo, hi, out)
+		return out
+	}
+	src := newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
+		out := fillPart(part)
+		chargeGenerated(ctx, out)
 		return out
 	})
+	src.fill = fillPart
+	return src
+}
+
+// chargeGenerated charges what producing a generated partition costs:
+// HiBench reads the generated input from HDFS, so the disk scan is
+// tier-independent, deserializing into the heap is not.
+func chargeGenerated[T any](ctx *executor.TaskContext, out []T) {
+	ctx.CPUPerRecord(len(out), ctx.Cost.GeneratePNS)
+	bytes := SizeOfSlice(out)
+	ctx.Disk(bytes)
+	ctx.MemSeq(memsim.Write, bytes)
+}
+
+// parkedSource reads a generated source for two jobs in a row — a sampling
+// job, then the map stage of the shuffle it sampled for — generating each
+// partition once. The first job's task parks the partition it generated;
+// the second job's task for that partition takes it out of its slot.
+// Either task charges exactly what computing the source charges, so the
+// virtual ledger cannot tell a parked partition from a regenerated one. A
+// retried attempt or a resubmitted map stage finds the slot empty and
+// regenerates: fill is pure in (seed, partition), so the records are
+// identical.
+func parkedSource[T any](r *RDD[T]) (park, take func(ctx *executor.TaskContext, part int) []T) {
+	slots := make([]atomic.Pointer[[]T], r.base.NumParts)
+	park = func(ctx *executor.TaskContext, part int) []T {
+		out := r.fill(part)
+		slots[part].Store(&out)
+		chargeGenerated(ctx, out)
+		return out
+	}
+	take = func(ctx *executor.TaskContext, part int) []T {
+		var out []T
+		if p := slots[part].Swap(nil); p != nil {
+			out = *p
+		} else {
+			out = r.fill(part)
+		}
+		chargeGenerated(ctx, out)
+		return out
+	}
+	return park, take
 }

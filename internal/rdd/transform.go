@@ -1,10 +1,6 @@
 package rdd
 
-import (
-	"fmt"
-
-	"repro/internal/executor"
-)
+import "repro/internal/executor"
 
 // Map applies f to every record. Pipelined: charges per-record CPU only.
 func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
@@ -59,26 +55,6 @@ func MapPartitions[T, U any](r *RDD[T], f func(ctx *executor.TaskContext, part i
 			in := r.Compute(ctx, part)
 			ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
 			return f(ctx, part, in)
-		})
-}
-
-// Sample keeps each record with probability frac, deterministically per
-// (application seed, partition).
-func Sample[T any](r *RDD[T], frac float64) *RDD[T] {
-	if frac < 0 || frac > 1 {
-		panic(fmt.Sprintf("rdd: sample fraction %v out of [0,1]", frac))
-	}
-	return newRDD(r.base.driver, "sample", r.base.NumParts, r.base, nil,
-		func(ctx *executor.TaskContext, part int) []T {
-			in := r.Compute(ctx, part)
-			var out []T
-			for _, v := range in {
-				if ctx.Rand.Float64() < frac {
-					out = append(out, v)
-				}
-			}
-			ctx.CPUPerRecord(len(in), ctx.Cost.FilterNS)
-			return out
 		})
 }
 

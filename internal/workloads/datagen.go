@@ -28,9 +28,9 @@ func (t TextRecord) Hash64() uint64 {
 // payload, drawn per record as 10 key bytes then the payload; every key
 // is a substring of one shared arena built in a single strings.Builder,
 // so a whole partition costs one key allocation instead of one per
-// record. Text-heavy workloads (sort, repartition) generate their input
-// twice per run (sampling job + shuffle map stage), which made per-record
-// keys the dominant host allocator on the bench wall-clock path. Each key
+// record. The text-heavy workloads (sort, repartition) generate 320k
+// records per large cell, which made per-record keys the dominant host
+// allocator on the bench wall-clock path. Each key
 // byte is r.Intn(36) written out: Int31n's draw, its rejection bound and
 // its modulus, with the constant divisor in place of three call levels.
 func genTextRecords(r *rand.Rand, out []TextRecord) {

@@ -45,8 +45,7 @@ func (s *Sort) Run(app *cluster.App, size Size) Summary {
 	data := rdd.GenerateBatch(app, "sort-input", p.Records, 0, func(r *rand.Rand, _, _ int, out []TextRecord) {
 		genTextRecords(r, out)
 	})
-	keyed := rdd.KeyBy(data, func(t TextRecord) string { return t.Key })
-	sorted := rdd.SortByKeyOrdered(keyed, 0)
+	sorted := rdd.SortBy(data, func(t TextRecord) string { return t.Key }, 0)
 	bytes := rdd.SaveAsSink(sorted)
 	return Summary{Records: p.Records, Metric: float64(bytes), Note: "output_bytes"}
 }
