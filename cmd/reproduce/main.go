@@ -1,6 +1,6 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect about 4 s on a quiet
+// full report to stdout (or a file with -o). Expect about 3.5 s on a quiet
 // 2-vCPU Xeon with go1.24: every cell is simulated once and shared between
 // the figures.
 //

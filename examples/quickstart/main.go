@@ -37,8 +37,8 @@ func wordCount(tier memsim.TierID) (int, sim.Time) {
 		return strings.Join(words, " ")
 	})
 
-	words := rdd.FlatMap(lines, func(line string) []string {
-		return strings.Fields(line)
+	words := rdd.FlatMap(lines, func(dst []string, line string) []string {
+		return append(dst, strings.Fields(line)...)
 	})
 	pairs := rdd.Map(words, func(w string) rdd.Pair[string, int] { return rdd.KV(w, 1) })
 	counts := rdd.ReduceByKey(pairs, func(a, b int) int { return a + b }, 0)

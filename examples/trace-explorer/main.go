@@ -39,7 +39,9 @@ func main() {
 		}
 		return strings.Join(words, " ")
 	})
-	words := rdd.FlatMap(corpus, strings.Fields)
+	words := rdd.FlatMap(corpus, func(dst []string, line string) []string {
+		return append(dst, strings.Fields(line)...)
+	})
 	pairs := rdd.Map(words, func(w string) rdd.Pair[string, int] { return rdd.KV(w, 1) })
 	counts := rdd.Collect(rdd.ReduceByKey(pairs, func(a, b int) int { return a + b }, 0))
 

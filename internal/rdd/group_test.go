@@ -7,10 +7,10 @@ import "testing"
 // append past a group's records copies it away instead of overwriting the
 // next group, and a slot with no records stays nil.
 func TestCarveGroupsIsolatesNeighbours(t *testing.T) {
-	slots := newKeySlots[string](5)
+	slots := newKeySlots[string, []int](HasherFor[string](), 5)
 	slots.add([]string{"a", "b", "a"})
 	slots.add([]string{"c", "a"})
-	if got := len(slots.keys); got != 3 {
+	if got := len(slots.out); got != 3 {
 		t.Fatalf("distinct keys = %d, want 3", got)
 	}
 	groups := carveGroups[int](slots.of, 4) // slot 3 has no records
@@ -29,5 +29,33 @@ func TestCarveGroupsIsolatesNeighbours(t *testing.T) {
 	}
 	if &groups[0][0] == &a[0] {
 		t.Fatal("append past a group's cap did not copy")
+	}
+}
+
+// Below linearKeys records the key index has no table: numbering a few
+// keys allocates nothing.
+func TestKeyIndexBelowLinearKeysAllocatesNothing(t *testing.T) {
+	keys := []int{5, 3, 5, 9, 3, 1, 5}
+	if len(keys) >= linearKeys {
+		t.Fatalf("fixture has %d keys, not below linearKeys %d", len(keys), linearKeys)
+	}
+	hash := HasherFor[int]()
+	out := make([]Pair[int, int], 0, len(keys))
+	allocs := testing.AllocsPerRun(100, func() {
+		ix := newKeyIndex[int, int](hash, len(keys))
+		out = out[:0]
+		for _, k := range keys {
+			if i, ok := ix.find(out, k); ok {
+				out[i].Val++
+			} else {
+				out = append(out, KV(k, 1))
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("numbering %d keys allocated %v times", len(keys), allocs)
+	}
+	if len(out) != 4 || out[0] != KV(5, 3) || out[3] != KV(1, 1) {
+		t.Fatalf("counts = %v", out)
 	}
 }

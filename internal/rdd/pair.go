@@ -58,20 +58,19 @@ func aggOutputBytes[K comparable, C any](out []Pair[K, C], keyBytes int64, cs Si
 	return bytes
 }
 
-// localCombine aggregates a record batch in an insertion-ordered hash map,
-// charging hash-table traffic (random probes and inserts).
+// localCombine aggregates a record batch in first-seen key order through
+// a keyIndex, charging hash-table traffic (random probes and inserts).
 func localCombine[K comparable, V, C any](ctx *executor.TaskContext, recs []Pair[K, V],
-	create func(V) C, merge func(C, V) C,
+	create func(V) C, merge func(C, V) C, hash Hasher[K],
 	ps Sizer[Pair[K, V]], ks Sizer[K], cs Sizer[C]) []Pair[K, C] {
-	index := make(map[K]int, len(recs))
+	index := newKeyIndex[K, C](hash, len(recs))
 	out := make([]Pair[K, C], 0, len(recs)/2+1)
 	var probeBytes, keyBytes int64
 	for _, rec := range recs {
 		probeBytes += ps.Of(rec)
-		if i, ok := index[rec.Key]; ok {
+		if i, ok := index.find(out, rec.Key); ok {
 			out[i].Val = merge(out[i].Val, rec.Val)
 		} else {
-			index[rec.Key] = len(out)
 			keyBytes += ks.Of(rec.Key)
 			out = append(out, KV(rec.Key, create(rec.Val)))
 		}
@@ -106,38 +105,38 @@ func CombineByKey[K comparable, V, C any](r *RDD[Pair[K, V]],
 		P:         r.base,
 		ShuffleID: shuffleID,
 		WriteMap: func(ctx *executor.TaskContext, mapPart int) {
-			combined := localCombine(ctx, r.Compute(ctx, mapPart), create, mergeValue, ps, ks, cs)
+			combined := localCombine(ctx, r.Compute(ctx, mapPart), create, mergeValue, part.hash, ps, ks, cs)
 			writeChunks(ctx, shuffleID, mapPart, combined, part, ks, cs)
 		},
 	}
 	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, C] {
 		return mergeChunks[K, C, C](ctx, shuffleID, reduce,
-			func(c C) C { return c }, mergeCombiners, pcs, ks, cs)
+			func(c C) C { return c }, mergeCombiners, part.hash, pcs, ks, cs)
 	})
 }
 
-// mergeChunks drains one reduce partition's borrowed chunks into an
-// insertion-ordered aggregation map, reading the columns in place.
+// mergeChunks drains one reduce partition's borrowed chunks into a
+// first-seen-ordered aggregation through a keyIndex, reading the columns
+// in place.
 func mergeChunks[K comparable, V, C any](ctx *executor.TaskContext, shuffleID, reduce int,
-	create func(V) C, merge func(C, V) C,
+	create func(V) C, merge func(C, V) C, hash Hasher[K],
 	ps Sizer[Pair[K, V]], ks Sizer[K], cs Sizer[C]) []Pair[K, C] {
-	index := make(map[K]int)
+	chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
+	n := chunkRecords(chunks)
+	index := newKeyIndex[K, C](hash, n)
 	var out []Pair[K, C]
 	var probeBytes, keyBytes int64
-	var n int
-	for _, ch := range fetchChunks[K, V](ctx, shuffleID, reduce) {
+	for _, ch := range chunks {
 		for j := range ch.Keys {
 			k, v := ch.Keys[j], ch.Vals[j]
 			probeBytes += ps.Of(KV(k, v))
-			if i, ok := index[k]; ok {
+			if i, ok := index.find(out, k); ok {
 				out[i].Val = merge(out[i].Val, v)
 			} else {
-				index[k] = len(out)
 				keyBytes += ks.Of(k)
 				out = append(out, KV(k, create(v)))
 			}
 		}
-		n += ch.Len()
 	}
 	ctx.CPUPerRecord(n, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
 	ctx.MemRand(memsim.Read, n, probeBytes)
@@ -176,11 +175,12 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 	return newRDD(d, "combineByKey", parts, nil, []*ShuffleDep{dep}, func(ctx *executor.TaskContext, reduce int) []Pair[K, []V] {
 		chunks := fetchChunks[K, V](ctx, shuffleID, reduce)
 		n := chunkRecords(chunks)
-		slots := newKeySlots[K](n)
+		slots := newKeySlots[K, []V](part.hash, n)
 		for _, ch := range chunks {
 			slots.add(ch.Keys)
 		}
-		groups := carveGroups[V](slots.of, len(slots.keys))
+		out := slots.out
+		groups := carveGroups[V](slots.of, len(out))
 		var probeBytes, keyBytes int64
 		rec := 0
 		for _, ch := range chunks {
@@ -191,13 +191,9 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K,
 				rec++
 			}
 		}
-		var out []Pair[K, []V]
-		if n > 0 {
-			out = make([]Pair[K, []V], len(slots.keys))
-			for i, k := range slots.keys {
-				out[i] = KV(k, groups[i])
-				keyBytes += ks.Of(k)
-			}
+		for i := range out {
+			out[i].Val = groups[i]
+			keyBytes += ks.Of(out[i].Key)
 		}
 		ctx.CPUPerRecord(n, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
 		ctx.MemRand(memsim.Read, n, probeBytes)
@@ -426,15 +422,16 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 			left := fetchChunks[K, V](ctx, leftID, reduce)
 			right := fetchChunks[K, W](ctx, rightID, reduce)
 			nLeft, nRight := chunkRecords(left), chunkRecords(right)
-			slots := newKeySlots[K](nLeft + nRight)
+			slots := newKeySlots[K, CoGrouped[V, W]](p.hash, nLeft+nRight)
 			for _, ch := range left {
 				slots.add(ch.Keys)
 			}
 			for _, ch := range right {
 				slots.add(ch.Keys)
 			}
-			lefts := carveGroups[V](slots.of[:nLeft], len(slots.keys))
-			rights := carveGroups[W](slots.of[nLeft:], len(slots.keys))
+			out := slots.out
+			lefts := carveGroups[V](slots.of[:nLeft], len(out))
+			rights := carveGroups[W](slots.of[nLeft:], len(out))
 			// keyBytes and cellBytes accumulate the output footprint (48
 			// bytes per cogroup cell plus each grouped element), replacing
 			// a full SizeOfSlice re-walk of out.
@@ -458,14 +455,10 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 					rec++
 				}
 			}
-			var out []Pair[K, CoGrouped[V, W]]
-			if rec > 0 {
-				out = make([]Pair[K, CoGrouped[V, W]], len(slots.keys))
-				for i, k := range slots.keys {
-					out[i] = KV(k, CoGrouped[V, W]{Left: lefts[i], Right: rights[i]})
-					keyBytes += ks.Of(k)
-					cellBytes += 48
-				}
+			for i := range out {
+				out[i].Val = CoGrouped[V, W]{Left: lefts[i], Right: rights[i]}
+				keyBytes += ks.Of(out[i].Key)
+				cellBytes += 48
 			}
 			ctx.CPUPerRecord(rec, ctx.Cost.HashNS+ctx.Cost.ReduceNS)
 			ctx.MemRand(memsim.Read, rec, probeBytes)
@@ -479,17 +472,13 @@ func CoGroup[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], par
 // Join inner-joins two pair datasets on their keys.
 func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], parts int) *RDD[Pair[K, Two[V, W]]] {
 	cg := CoGroup(a, b, parts)
-	return FlatMap(cg, func(p Pair[K, CoGrouped[V, W]]) []Pair[K, Two[V, W]] {
-		if len(p.Val.Left) == 0 || len(p.Val.Right) == 0 {
-			return nil
-		}
-		out := make([]Pair[K, Two[V, W]], 0, len(p.Val.Left)*len(p.Val.Right))
+	return FlatMap(cg, func(dst []Pair[K, Two[V, W]], p Pair[K, CoGrouped[V, W]]) []Pair[K, Two[V, W]] {
 		for _, v := range p.Val.Left {
 			for _, w := range p.Val.Right {
-				out = append(out, KV(p.Key, Two[V, W]{v, w}))
+				dst = append(dst, KV(p.Key, Two[V, W]{v, w}))
 			}
 		}
-		return out
+		return dst
 	})
 }
 

@@ -57,8 +57,7 @@ func TestMapFilterCount(t *testing.T) {
 func TestFlatMap(t *testing.T) {
 	app := newApp()
 	a := rdd.Parallelize(app, "a", []string{"x y", "z"}, 2)
-	words := rdd.FlatMap(a, func(s string) []string {
-		var out []string
+	words := rdd.FlatMap(a, func(out []string, s string) []string {
 		start := 0
 		for i := 0; i <= len(s); i++ {
 			if i == len(s) || s[i] == ' ' {

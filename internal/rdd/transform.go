@@ -32,14 +32,17 @@ func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 		})
 }
 
-// FlatMap maps each record to zero or more records.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
+// FlatMap maps each record to zero or more records: f appends v's records
+// to dst and returns the extended slice, so the partition's output grows
+// in one page, which starts with room for one record per input record,
+// instead of a slice per record.
+func FlatMap[T, U any](r *RDD[T], f func(dst []U, v T) []U) *RDD[U] {
 	return newRDD(r.base.driver, "flatMap", r.base.NumParts, r.base, nil,
 		func(ctx *executor.TaskContext, part int) []U {
 			in := r.Compute(ctx, part)
-			var out []U
+			out := make([]U, 0, len(in))
 			for _, v := range in {
-				out = append(out, f(v)...)
+				out = f(out, v)
 			}
 			ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
 			ctx.CPUPerRecord(len(out), ctx.Cost.MapNS/2)

@@ -60,12 +60,11 @@ func (b *Bayes) Run(app *cluster.App, size Size) Summary {
 	}))
 
 	// Token frequency per (class, token): the shuffle-heavy phase.
-	tokenPairs := rdd.FlatMap(pages, func(pg Page) []rdd.Pair[ClassTok, int64] {
-		out := make([]rdd.Pair[ClassTok, int64], len(pg.Tokens))
-		for i, t := range pg.Tokens {
-			out[i] = rdd.KV(ClassTok{pg.Class, t}, int64(1))
+	tokenPairs := rdd.FlatMap(pages, func(dst []rdd.Pair[ClassTok, int64], pg Page) []rdd.Pair[ClassTok, int64] {
+		for _, t := range pg.Tokens {
+			dst = append(dst, rdd.KV(ClassTok{pg.Class, t}, int64(1)))
 		}
-		return out
+		return dst
 	})
 	tokenCounts := rdd.ReduceByKey(tokenPairs, func(a, b int64) int64 { return a + b }, 0)
 

@@ -55,17 +55,16 @@ func (w *PageRank) Run(app *cluster.App, size Size) Summary {
 
 	for it := 0; it < p.Iterations; it++ {
 		joined := rdd.Join(links, ranks, 0)
-		contribs := rdd.FlatMap(joined, func(pr rdd.Pair[int, rdd.Two[[]int, float64]]) []rdd.Pair[int, float64] {
+		contribs := rdd.FlatMap(joined, func(dst []rdd.Pair[int, float64], pr rdd.Pair[int, rdd.Two[[]int, float64]]) []rdd.Pair[int, float64] {
 			outs := pr.Val.A
 			if len(outs) == 0 {
-				return nil
+				return dst
 			}
 			share := pr.Val.B / float64(len(outs))
-			out := make([]rdd.Pair[int, float64], len(outs))
-			for i, q := range outs {
-				out[i] = rdd.KV(q, share)
+			for _, q := range outs {
+				dst = append(dst, rdd.KV(q, share))
 			}
-			return out
+			return dst
 		})
 		summed := rdd.ReduceByKey(contribs, func(a, b float64) float64 { return a + b }, 0)
 		ranks = rdd.MapValues(summed, func(s float64) float64 {

@@ -60,7 +60,6 @@ func TestRegisteredPairSizersMatchSizeOf(t *testing.T) {
 	checkSizer[rdd.Pair[int, float64]](t, "Pair[int,float64]")
 	checkSizer[rdd.Pair[int, []int]](t, "Pair[int,[]int]")
 	checkSizer[rdd.Pair[int, rdd.Two[[]int, float64]]](t, "Pair[int,Two]")
-	checkSizer[rdd.Pair[NodeFeatBin, ml.BinStats]](t, "Pair[NodeFeatBin,BinStats]")
 }
 
 func TestRegisteredHashersMatchHashAny(t *testing.T) {

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"repro/internal/ml"
-	"repro/internal/rdd"
-)
+import "repro/internal/rdd"
 
 // init publishes specialized sizers, hashers and pair sizers for every
 // workload record type, so the hot shuffle paths resolve non-boxing
@@ -28,6 +25,7 @@ func init() {
 	rdd.RegisterSized[LDADoc]()
 	rdd.RegisterSized[*ldaBatch]()
 	rdd.RegisterSized[rdd.Two[[]int, float64]]()
+	rdd.RegisterSized[rfPartial]()
 
 	rdd.RegisterHashable[ClassTok]()
 	rdd.RegisterHashable[NodeFeatBin]()
@@ -47,5 +45,4 @@ func init() {
 	rdd.RegisterPairSizer[int, float64]()
 	rdd.RegisterPairSizer[int, []int]()
 	rdd.RegisterPairSizer[int, rdd.Two[[]int, float64]]()
-	rdd.RegisterPairSizer[NodeFeatBin, ml.BinStats]()
 }

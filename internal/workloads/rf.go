@@ -24,7 +24,9 @@ var rfSizes = [NumSizes]rfParams{
 	Large: {Examples: 1000, Features: 100, Trees: 4, Depth: 3, Bins: 8},
 }
 
-// NodeFeatBin keys the histogram shuffle of level-wise tree building.
+// NodeFeatBin is the (node, feature, bin) key of one histogram cell of
+// level-wise tree building: what map-keyed histogram aggregation shuffles
+// each cell under, and half of what an rfPartial charges per cell.
 type NodeFeatBin struct {
 	Node, Feat, Bin int
 }
@@ -36,8 +38,9 @@ func (k NodeFeatBin) Hash64() uint64 {
 
 // RandomForest is HiBench's rf: an ensemble of decision trees built
 // level-wise in the MLlib style — each level runs one distributed
-// histogram job (flatMap to (node, feature, bin) class counts, reduce by
-// key) and the driver picks the best splits.
+// histogram job (every partition counts its examples into (node, feature,
+// bin) class counts, which the driver collects and sums) and the driver
+// picks the best splits.
 type RandomForest struct{}
 
 // NewRandomForest returns the workload.
@@ -59,24 +62,23 @@ func (w *RandomForest) Describe(size Size) string {
 // rfClasses is the label arity of the generated examples.
 const rfClasses = 2
 
+// rfNodes is the number of tree nodes an example can sit in at level: the
+// whole tree down to the level, since examples parked in an early leaf
+// stay there.
+func rfNodes(level int) int { return (1 << (level + 1)) - 1 }
+
 // rfHist is one tree level's class histogram as a single dense slab laid
-// out [feat][bin][node][class] over the nodes an example can sit in at
-// that level — the whole tree down to the level, since examples parked in
-// an early leaf stay there. A task fills one per partition with array
-// writes; the driver sums the partitions' cells into one more. The slab's
-// tail holds one occupancy bit per (feat, bin, node) cell, set by add, so
-// pairs visits only the cells add touched.
+// out [feat][bin][node][class] over rfNodes(level) nodes. The driver sums
+// the partitions' rfPartials into one and reads each node's split
+// statistics out of it.
 type rfHist struct {
-	counts, occupied      []int64
+	counts                []int64
 	features, bins, nodes int
 }
 
 func newRFHist(features, bins, level int) rfHist {
-	nodes := (1 << (level + 1)) - 1
-	cells := features * bins * nodes
-	slab := make([]int64, cells*rfClasses+(cells+63)/64)
-	n := cells * rfClasses
-	return rfHist{slab[:n:n], slab[n:], features, bins, nodes}
+	nodes := rfNodes(level)
+	return rfHist{make([]int64, features*bins*nodes*rfClasses), features, bins, nodes}
 }
 
 // index is the slab position of one (node, feature, bin) cell, in cells.
@@ -89,45 +91,6 @@ func (h rfHist) index(node, feat, bin int) int {
 func (h rfHist) cell(c int) []int64 {
 	i := c * rfClasses
 	return h.counts[i : i+rfClasses : i+rfClasses]
-}
-
-// add counts one example sitting at node.
-func (h rfHist) add(node int, e Example) {
-	for f, b := range e.Bins[:h.features] {
-		c := h.index(node, f, b)
-		h.counts[c*rfClasses+e.Label]++
-		h.occupied[c>>6] |= 1 << (c & 63)
-	}
-}
-
-// pairs emits the cells add touched — every one non-empty — in (feat,
-// bin, node) order, which is slab index order, with every Counts a view of
-// the slab.
-func (h rfHist) pairs() []rdd.Pair[NodeFeatBin, ml.BinStats] {
-	n := 0
-	for _, word := range h.occupied {
-		n += bits.OnesCount64(uint64(word))
-	}
-	out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, n)
-	for wi, word := range h.occupied {
-		for w := uint64(word); w != 0; w &= w - 1 {
-			c := wi<<6 + bits.TrailingZeros64(w)
-			fb := c / h.nodes
-			key := NodeFeatBin{Node: c % h.nodes, Feat: fb / h.bins, Bin: fb % h.bins}
-			out = append(out, rdd.KV(key, ml.BinStats{Counts: h.cell(c)}))
-		}
-	}
-	return out
-}
-
-// merge sums collected partition cells into h.
-func (h rfHist) merge(parts []rdd.Pair[NodeFeatBin, ml.BinStats]) {
-	for _, pr := range parts {
-		c := h.cell(h.index(pr.Key.Node, pr.Key.Feat, pr.Key.Bin))
-		for i, n := range pr.Val.Counts {
-			c[i] += n
-		}
-	}
 }
 
 // node returns bins[feat][bin] views of one node's cells for
@@ -147,6 +110,76 @@ func (h rfHist) node(node int) [][]ml.BinStats {
 		return nil
 	}
 	return bins
+}
+
+// sum adds a partition's partial into h. int64 sums do not depend on the
+// order the partials arrive in.
+func (h rfHist) sum(p rfPartial) {
+	for i := 0; i < len(p.cells); i += rfStride {
+		c := h.cell(int(p.cells[i]))
+		for k, n := range p.cells[i+1 : i+rfStride] {
+			c[k] += n
+		}
+	}
+}
+
+// rfPartial is one partition's share of a tree level's histogram: the
+// cells its examples reached, in slab order, each stored as rfStride
+// int64s — the cell's slab index, then its class counts. A partition
+// ships it to the driver as its one record. On the ledger each cell is the
+// (NodeFeatBin, BinStats) pair that map-keyed histogram aggregation
+// ships: a 32-byte key and a BinStats of rfClasses counts.
+type rfPartial struct {
+	cells []int64
+}
+
+// rfStride is the length of one cell of an rfPartial.
+const rfStride = 1 + rfClasses
+
+// len returns the number of cells in p.
+func (p rfPartial) len() int { return len(p.cells) / rfStride }
+
+// ByteSize implements rdd.Sized.
+func (p rfPartial) ByteSize() int64 { return int64(p.len()) * (32 + 24 + 8*rfClasses) }
+
+// fillRFPartial counts a partition's examples into its partial at one
+// tree level. It fills the partial one feature at a time: the examples go
+// into a bins × nodes row of the feature's cells, each setting its cell's
+// occupancy bit, and walking the bits in order moves the reached cells
+// out in slab order, clearing the row for the next feature. The partial
+// and the scratch (each example's node, the row, its bits) share one
+// allocation, sized for the most cells the examples can reach.
+func fillRFPartial(tr *ml.Tree, level, features, bins int, in []Example) rfPartial {
+	if len(in) == 0 {
+		return rfPartial{}
+	}
+	nodes := rfNodes(level)
+	row := bins * nodes
+	most := features * min(len(in), row) * rfStride
+	page := make([]int64, most+len(in)+row*rfClasses+(row+63)/64)
+	out, scratch := page[:0:most], page[most:]
+	at, scratch := scratch[:len(in)], scratch[len(in):]
+	counts, occupied := scratch[:row*rfClasses], scratch[row*rfClasses:]
+	for i, e := range in {
+		at[i] = int64(tr.NodeOf(e.Bins, level))
+	}
+	for f := 0; f < features; f++ {
+		for i, e := range in {
+			c := e.Bins[f]*nodes + int(at[i])
+			counts[c*rfClasses+e.Label]++
+			occupied[c>>6] |= 1 << (c & 63)
+		}
+		for wi, word := range occupied {
+			for w := uint64(word); w != 0; w &= w - 1 {
+				c := wi<<6 + bits.TrailingZeros64(w)
+				cell := counts[c*rfClasses : (c+1)*rfClasses]
+				out = append(append(out, int64(f*row+c)), cell...)
+				clear(cell)
+			}
+			occupied[wi] = 0
+		}
+	}
+	return rfPartial{cells: out}
 }
 
 func allZero(counts []int64) bool {
@@ -179,26 +212,32 @@ func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 			tr := tree
 			level := level
 			// Distributed histogram job for this level, MLlib-style:
-			// every partition fills one dense rfHist slab with array
-			// writes, and only its non-empty cells travel to the driver.
+			// every partition counts its examples into one sparse
+			// rfPartial, which travels to the driver as its one record
+			// (none for an empty partition), charged as the per-cell
+			// (NodeFeatBin, BinStats) pairs it stands for.
 			partHists := rdd.Collect(rdd.MapPartitions(sample,
-				func(ctx *executor.TaskContext, part int, in []Example) []rdd.Pair[NodeFeatBin, ml.BinStats] {
-					local := newRFHist(p.Features, p.Bins, level)
-					for _, e := range in {
-						local.add(tr.NodeOf(e.Bins, level), e)
+				func(ctx *executor.TaskContext, part int, in []Example) []rfPartial {
+					local := fillRFPartial(tr, level, p.Features, p.Bins, in)
+					for range in {
 						// Node routing + one dense histogram row update
 						// per feature: streaming array writes.
 						ctx.MemRand(memsim.Read, 1, 64)
 					}
 					ctx.CPUPerRecord(len(in)*p.Features, ctx.Cost.ReduceNS/4)
-					out := local.pairs()
-					ctx.MemSeq(memsim.Write, int64(len(out))*int64(8*rfClasses+24))
-					return out
+					ctx.MemSeq(memsim.Write, int64(local.len())*int64(8*rfClasses+24))
+					if local.len() == 0 {
+						return nil
+					}
+					return []rfPartial{local}
 				}))
 
-			// Driver: merge partition histograms, pick best split per node.
+			// Driver: sum the partials into one slab, pick best split per
+			// node.
 			merged := newRFHist(p.Features, p.Bins, level)
-			merged.merge(partHists)
+			for _, part := range partHists {
+				merged.sum(part)
+			}
 			lastLevel := level == p.Depth-1
 			for node := 0; node < merged.nodes; node++ {
 				bins := merged.node(node)

@@ -9,12 +9,14 @@ import (
 	"repro/internal/rdd"
 )
 
-// The reference below is the map-keyed histogram rf used before the dense
-// slab: a cell exists once an example lands in it, cells are emitted by
-// probing the features × bins × nodes cube, and the driver merges per node
-// with one BinStats.Add per collected pair. The dense path must reproduce
-// its pairs, order, cell count and merged bins exactly — those are what
-// Collect sizes and what the charges are computed from.
+// The reference below is the map-keyed histogram rf used before the sparse
+// partials: a cell exists once an example lands in it, cells are emitted
+// by probing the features × bins × nodes cube, and the driver merges per
+// node with one BinStats.Add per collected pair. A partition's rfPartial
+// must hold the reference's cells in its order with its counts, weigh
+// what its pairs weigh, and the summed slab must reproduce its merged
+// bins — those are what Collect sizes and what the charges are computed
+// from.
 
 func refRFPartition(tr *ml.Tree, level, features, bins int, in []Example) []rdd.Pair[NodeFeatBin, ml.BinStats] {
 	local := map[NodeFeatBin]ml.BinStats{}
@@ -68,7 +70,21 @@ func refRFMerge(partHists []rdd.Pair[NodeFeatBin, ml.BinStats], features, bins i
 	return byNode
 }
 
-func TestRFDenseHistogramMatchesMapReference(t *testing.T) {
+// partialPairs decodes an rfPartial into the reference's pairs.
+func partialPairs(p rfPartial, features, bins, level int) []rdd.Pair[NodeFeatBin, ml.BinStats] {
+	nodes := rfNodes(level)
+	var out []rdd.Pair[NodeFeatBin, ml.BinStats]
+	for i := 0; i < len(p.cells); i += rfStride {
+		c := int(p.cells[i])
+		fb := c / nodes
+		key := NodeFeatBin{Node: c % nodes, Feat: fb / bins, Bin: fb % bins}
+		counts := append([]int64(nil), p.cells[i+1:i+rfStride]...)
+		out = append(out, rdd.KV(key, ml.BinStats{Counts: counts}))
+	}
+	return out
+}
+
+func TestRFPartialMatchesMapReference(t *testing.T) {
 	const features, bins, depth = 7, 8, 3
 	// Root splits; node 1 stays a leaf, so at level 2 its examples are
 	// parked above the level's own nodes (3..6); node 2 splits on.
@@ -90,32 +106,34 @@ func TestRFDenseHistogramMatchesMapReference(t *testing.T) {
 			}
 		}
 		for level := 0; level < depth; level++ {
-			var got, want []rdd.Pair[NodeFeatBin, ml.BinStats]
+			merged := newRFHist(features, bins, level)
+			var want []rdd.Pair[NodeFeatBin, ml.BinStats]
 			for _, in := range parts {
-				local := newRFHist(features, bins, level)
-				for _, e := range in {
-					local.add(tr.NodeOf(e.Bins, level), e)
+				got, ref := fillRFPartial(tr, level, features, bins, in), refRFPartition(tr, level, features, bins, in)
+				if len(in) == 0 && got.cells != nil {
+					t.Fatalf("trial %d level %d: an empty partition filled %d cells", trial, level, got.len())
 				}
-				g, w := local.pairs(), refRFPartition(tr, level, features, bins, in)
-				if len(g) != len(w) || cap(g) != len(w) {
-					t.Fatalf("trial %d level %d: dense path emits %d cells (cap %d), reference holds %d",
-						trial, level, len(g), cap(g), len(w))
+				if pairs := partialPairs(got, features, bins, level); got.len() != len(ref) || len(ref) > 0 && !reflect.DeepEqual(pairs, ref) {
+					t.Fatalf("trial %d level %d: partial holds %d cells, reference %d, or they differ:\n%v\n%v",
+						trial, level, got.len(), len(ref), pairs, ref)
 				}
-				got, want = append(got, g...), append(want, w...)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d level %d: dense pairs differ from the reference's", trial, level)
+				if b, want := got.ByteSize(), rdd.SizeOfSlice(ref)-24; b != want {
+					t.Fatalf("trial %d level %d: partial weighs %d bytes, the reference's pairs %d", trial, level, b, want)
+				}
+				if b, want := rdd.SizerFor[rfPartial]().Of(got), rdd.SizeOf(any(got)); b != want {
+					t.Fatalf("trial %d level %d: registered sizer %d, SizeOf %d", trial, level, b, want)
+				}
+				merged.sum(got)
+				want = append(want, ref...)
 			}
 
-			merged := newRFHist(features, bins, level)
-			merged.merge(got)
 			ref := refRFMerge(want, features, bins)
 			reached := 0
 			for node := 0; node < merged.nodes; node++ {
 				nb := merged.node(node)
 				if nb == nil {
 					if _, ok := ref[node]; ok {
-						t.Fatalf("trial %d level %d: dense merge dropped node %d", trial, level, node)
+						t.Fatalf("trial %d level %d: summed slab dropped node %d", trial, level, node)
 					}
 					continue
 				}
@@ -125,7 +143,7 @@ func TestRFDenseHistogramMatchesMapReference(t *testing.T) {
 				}
 			}
 			if reached != len(ref) {
-				t.Fatalf("trial %d level %d: dense merge reached %d nodes, reference %d", trial, level, reached, len(ref))
+				t.Fatalf("trial %d level %d: summed slab reached %d nodes, reference %d", trial, level, reached, len(ref))
 			}
 			if _, ok := ref[1]; ok && level == 2 {
 				parked = true

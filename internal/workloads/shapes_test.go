@@ -114,14 +114,13 @@ func TestPageRankMatchesReferenceImplementation(t *testing.T) {
 	const iters = 12
 	for it := 0; it < iters; it++ {
 		joined := rdd.Join(linksRDD, ranks, 3)
-		contribs := rdd.FlatMap(joined, func(pr rdd.Pair[int, rdd.Two[[]int, float64]]) []rdd.Pair[int, float64] {
+		contribs := rdd.FlatMap(joined, func(dst []rdd.Pair[int, float64], pr rdd.Pair[int, rdd.Two[[]int, float64]]) []rdd.Pair[int, float64] {
 			outs := pr.Val.A
 			share := pr.Val.B / float64(len(outs))
-			out := make([]rdd.Pair[int, float64], len(outs))
-			for i, q := range outs {
-				out[i] = rdd.KV(q, share)
+			for _, q := range outs {
+				dst = append(dst, rdd.KV(q, share))
 			}
-			return out
+			return dst
 		})
 		summed := rdd.ReduceByKey(contribs, func(a, b float64) float64 { return a + b }, 3)
 		ranks = rdd.MapValues(summed, func(s float64) float64 {
