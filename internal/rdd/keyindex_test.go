@@ -50,6 +50,15 @@ func checkFirstSeen[K comparable](t *testing.T, name string, key func(i int) K) 
 	}
 }
 
+// cellKey is a multi-field struct key, hashed through its fields.
+type cellKey struct {
+	Node, Feat, Bin int
+}
+
+func (k cellKey) Hash64() uint64 {
+	return rdd.HashInt64(int64(k.Node)<<40 | int64(k.Feat)<<16 | int64(k.Bin))
+}
+
 func TestKeyIndexMatchesMapNumbering(t *testing.T) {
 	// k·80+r: every key is r mod 80.
 	checkFirstSeen(t, "k·80+r int", func(i int) int { return i*80 + 17 })
@@ -65,9 +74,7 @@ func TestKeyIndexMatchesMapNumbering(t *testing.T) {
 	checkFirstSeen(t, "same-partition int", func(i int) int { return same[i] })
 	checkFirstSeen(t, "string", func(i int) string { return fmt.Sprintf("key-%05d", i) })
 	checkFirstSeen(t, "ClassTok", func(i int) workloads.ClassTok { return workloads.ClassTok{C: i % 100, T: i / 100} })
-	checkFirstSeen(t, "NodeFeatBin", func(i int) workloads.NodeFeatBin {
-		return workloads.NodeFeatBin{Node: i % 7, Feat: i / 56, Bin: i / 7 % 8}
-	})
+	checkFirstSeen(t, "cellKey", func(i int) cellKey { return cellKey{Node: i % 7, Feat: i / 56, Bin: i / 7 % 8} })
 }
 
 // FlatMap appends each record's outputs to the partition's page: an f

@@ -2,9 +2,7 @@ package workloads
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,8 +12,6 @@ import (
 	"repro/internal/numa"
 	"repro/internal/sim"
 )
-
-var printPins = flag.Bool("print-ledger-pins", false, "log the ledger pin table of the current code instead of checking it")
 
 // pinnedRun is one cell's ledger digest — over the summary, elapsed
 // virtual time, run metrics, Tier 2 and Tier 3 counters and engine
@@ -80,9 +76,8 @@ func crashBeforeReduce(executors int, names []string, starts []sim.Time) (plan *
 // before their histogram, FlatMap and hash-aggregation data paths were
 // rewritten: a host-side rewrite must leave every one unchanged, at any
 // worker count, fault-free, under injected task failures and across a
-// crash that resubmits a map stage. Regenerate with
-// go test ./internal/workloads -run TestLedgerPinned -print-ledger-pins -v
-// only for a change that means to move the ledger.
+// crash that resubmits a map stage. A change that means to move the
+// ledger copies the new table lines from the test's failure output.
 var ledgerPins = map[string]string{
 	"als/small/1x40/crash":              "924fc3834504815b",
 	"als/small/1x40/fault-free":         "eaf1ff59ad586583",
@@ -138,7 +133,6 @@ func TestLedgerPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ledger pins skipped in -short")
 	}
-	var got []string
 	for _, name := range []string{"rf", "pagerank", "bayes", "als"} {
 		w, err := ByName(name)
 		if err != nil {
@@ -175,25 +169,17 @@ func TestLedgerPinned(t *testing.T) {
 						}
 						if workers == 1 {
 							first = digest
-							got = append(got, fmt.Sprintf("%q: %q,", label, digest))
 						} else if digest != first {
 							t.Errorf("%s: %d workers digest %s, 1 worker %s", label, workers, digest, first)
 						}
-						if *printPins {
-							continue
-						}
 						if want, ok := ledgerPins[label]; !ok {
-							t.Errorf("%s: no pinned digest", label)
+							t.Errorf("%d workers: no pinned digest; table line:\n%q: %q,", workers, label, digest)
 						} else if digest != want {
-							t.Errorf("%s/%d-workers: ledger digest %s, pinned %s", label, workers, digest, want)
+							t.Errorf("%d workers: ledger digest moved from %s; table line:\n%q: %q,", workers, want, label, digest)
 						}
 					}
 				}
 			}
 		}
-	}
-	if *printPins {
-		sort.Strings(got)
-		t.Logf("ledgerPins:\n%s", strings.Join(got, "\n"))
 	}
 }

@@ -42,7 +42,6 @@ func TestRegisteredSizersMatchSizeOf(t *testing.T) {
 	checkSizer[WebPage](t, "WebPage")
 	checkSizer[LDADoc](t, "LDADoc")
 	checkSizer[ClassTok](t, "ClassTok")
-	checkSizer[NodeFeatBin](t, "NodeFeatBin")
 	checkSizer[[]Rating](t, "[]Rating")
 	checkSizer[rdd.Two[[]int, float64]](t, "Two[[]int,float64]")
 	checkSizer[ml.BinStats](t, "ml.BinStats")
@@ -64,7 +63,6 @@ func TestRegisteredPairSizersMatchSizeOf(t *testing.T) {
 
 func TestRegisteredHashersMatchHashAny(t *testing.T) {
 	checkHasher[ClassTok](t, "ClassTok")
-	checkHasher[NodeFeatBin](t, "NodeFeatBin")
 	checkHasher[TextRecord](t, "TextRecord")
 }
 
@@ -102,7 +100,6 @@ func TestFixedSizersAreFixed(t *testing.T) {
 		{"TextRecord", func() (int64, bool) { return rdd.SizerFor[TextRecord]().Fixed() }, 100},
 		{"Rating", func() (int64, bool) { return rdd.SizerFor[Rating]().Fixed() }, 24},
 		{"ClassTok", func() (int64, bool) { return rdd.SizerFor[ClassTok]().Fixed() }, 32},
-		{"NodeFeatBin", func() (int64, bool) { return rdd.SizerFor[NodeFeatBin]().Fixed() }, 32},
 		{"Pair[ClassTok,int64]", func() (int64, bool) { return rdd.SizerFor[rdd.Pair[ClassTok, int64]]().Fixed() }, 40},
 		{"Pair[int,TextRecord]", func() (int64, bool) { return rdd.SizerFor[rdd.Pair[int, TextRecord]]().Fixed() }, 108},
 	}

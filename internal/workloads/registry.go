@@ -10,14 +10,13 @@ import "repro/internal/rdd"
 //
 // Fixed-size registrations encode facts the generic fallback cannot see:
 // TextRecord's nominal line is a constant 100 bytes and Rating a constant
-// 24, so slice walks over them constant-fold; ClassTok, NodeFeatBin and
-// []Rating don't implement Sized and land in SizeOf's default 32-byte
+// 24, so slice walks over them constant-fold; ClassTok and []Rating
+// don't implement Sized and land in SizeOf's default 32-byte
 // estimate, which the fixed sizers mirror.
 func init() {
 	rdd.RegisterSizer(rdd.FixedSizer[TextRecord](100))
 	rdd.RegisterSizer(rdd.FixedSizer[Rating](24))
 	rdd.RegisterSizer(rdd.FixedSizer[ClassTok](32))
-	rdd.RegisterSizer(rdd.FixedSizer[NodeFeatBin](32))
 	rdd.RegisterSizer(rdd.FixedSizer[[]Rating](32))
 	rdd.RegisterSized[Page]()
 	rdd.RegisterSized[Example]()
@@ -28,7 +27,6 @@ func init() {
 	rdd.RegisterSized[rfPartial]()
 
 	rdd.RegisterHashable[ClassTok]()
-	rdd.RegisterHashable[NodeFeatBin]()
 	rdd.RegisterHashable[TextRecord]()
 
 	// Pair sizers for every concrete shuffle/materialization pair type,

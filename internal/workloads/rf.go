@@ -24,18 +24,6 @@ var rfSizes = [NumSizes]rfParams{
 	Large: {Examples: 1000, Features: 100, Trees: 4, Depth: 3, Bins: 8},
 }
 
-// NodeFeatBin is the (node, feature, bin) key of one histogram cell of
-// level-wise tree building: what map-keyed histogram aggregation shuffles
-// each cell under, and half of what an rfPartial charges per cell.
-type NodeFeatBin struct {
-	Node, Feat, Bin int
-}
-
-// Hash64 implements rdd.Hashable.
-func (k NodeFeatBin) Hash64() uint64 {
-	return rdd.HashInt64(int64(k.Node)<<40 | int64(k.Feat)<<16 | int64(k.Bin))
-}
-
 // RandomForest is HiBench's rf: an ensemble of decision trees built
 // level-wise in the MLlib style — each level runs one distributed
 // histogram job (every partition counts its examples into (node, feature,
@@ -126,9 +114,9 @@ func (h rfHist) sum(p rfPartial) {
 // rfPartial is one partition's share of a tree level's histogram: the
 // cells its examples reached, in slab order, each stored as rfStride
 // int64s — the cell's slab index, then its class counts. A partition
-// ships it to the driver as its one record. On the ledger each cell is the
-// (NodeFeatBin, BinStats) pair that map-keyed histogram aggregation
-// ships: a 32-byte key and a BinStats of rfClasses counts.
+// ships it to the driver as its one record. On the ledger each cell
+// weighs the ((node, feature, bin), BinStats) pair that map-keyed
+// histogram aggregation ships.
 type rfPartial struct {
 	cells []int64
 }
@@ -136,11 +124,15 @@ type rfPartial struct {
 // rfStride is the length of one cell of an rfPartial.
 const rfStride = 1 + rfClasses
 
+// rfCellKeyBytes is what each cell of an rfPartial is charged for its
+// (node, feature, bin) key: SizeOf's default for a struct key.
+const rfCellKeyBytes = 32
+
 // len returns the number of cells in p.
 func (p rfPartial) len() int { return len(p.cells) / rfStride }
 
 // ByteSize implements rdd.Sized.
-func (p rfPartial) ByteSize() int64 { return int64(p.len()) * (32 + 24 + 8*rfClasses) }
+func (p rfPartial) ByteSize() int64 { return int64(p.len()) * (rfCellKeyBytes + 24 + 8*rfClasses) }
 
 // fillRFPartial counts a partition's examples into its partial at one
 // tree level. It fills the partial one feature at a time: the examples go
@@ -215,7 +207,7 @@ func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 			// every partition counts its examples into one sparse
 			// rfPartial, which travels to the driver as its one record
 			// (none for an empty partition), charged as the per-cell
-			// (NodeFeatBin, BinStats) pairs it stands for.
+			// ((node, feature, bin), BinStats) pairs it stands for.
 			partHists := rdd.Collect(rdd.MapPartitions(sample,
 				func(ctx *executor.TaskContext, part int, in []Example) []rfPartial {
 					local := fillRFPartial(tr, level, p.Features, p.Bins, in)

@@ -18,12 +18,18 @@ import (
 // bins — those are what Collect sizes and what the charges are computed
 // from.
 
-func refRFPartition(tr *ml.Tree, level, features, bins int, in []Example) []rdd.Pair[NodeFeatBin, ml.BinStats] {
-	local := map[NodeFeatBin]ml.BinStats{}
+// nodeFeatBin is the (node, feature, bin) key of one histogram cell, as
+// the reference shuffles it.
+type nodeFeatBin struct {
+	Node, Feat, Bin int
+}
+
+func refRFPartition(tr *ml.Tree, level, features, bins int, in []Example) []rdd.Pair[nodeFeatBin, ml.BinStats] {
+	local := map[nodeFeatBin]ml.BinStats{}
 	for _, e := range in {
 		node := tr.NodeOf(e.Bins, level)
 		for f := 0; f < features; f++ {
-			k := NodeFeatBin{node, f, e.Bins[f]}
+			k := nodeFeatBin{node, f, e.Bins[f]}
 			s, ok := local[k]
 			if !ok {
 				s = ml.NewBinStats(rfClasses)
@@ -32,12 +38,12 @@ func refRFPartition(tr *ml.Tree, level, features, bins int, in []Example) []rdd.
 			local[k] = s
 		}
 	}
-	out := make([]rdd.Pair[NodeFeatBin, ml.BinStats], 0, len(local))
+	out := make([]rdd.Pair[nodeFeatBin, ml.BinStats], 0, len(local))
 	for f := 0; f < features; f++ {
 		for b := 0; b < bins; b++ {
 			for node := 0; node < len(tr.Nodes); node++ {
-				if s, ok := local[NodeFeatBin{node, f, b}]; ok {
-					out = append(out, rdd.KV(NodeFeatBin{node, f, b}, s))
+				if s, ok := local[nodeFeatBin{node, f, b}]; ok {
+					out = append(out, rdd.KV(nodeFeatBin{node, f, b}, s))
 				}
 			}
 		}
@@ -48,7 +54,7 @@ func refRFPartition(tr *ml.Tree, level, features, bins int, in []Example) []rdd.
 	return out
 }
 
-func refRFMerge(partHists []rdd.Pair[NodeFeatBin, ml.BinStats], features, bins int) map[int][][]ml.BinStats {
+func refRFMerge(partHists []rdd.Pair[nodeFeatBin, ml.BinStats], features, bins int) map[int][][]ml.BinStats {
 	byNode := map[int][][]ml.BinStats{}
 	for _, pr := range partHists {
 		k := pr.Key
@@ -71,13 +77,13 @@ func refRFMerge(partHists []rdd.Pair[NodeFeatBin, ml.BinStats], features, bins i
 }
 
 // partialPairs decodes an rfPartial into the reference's pairs.
-func partialPairs(p rfPartial, features, bins, level int) []rdd.Pair[NodeFeatBin, ml.BinStats] {
+func partialPairs(p rfPartial, features, bins, level int) []rdd.Pair[nodeFeatBin, ml.BinStats] {
 	nodes := rfNodes(level)
-	var out []rdd.Pair[NodeFeatBin, ml.BinStats]
+	var out []rdd.Pair[nodeFeatBin, ml.BinStats]
 	for i := 0; i < len(p.cells); i += rfStride {
 		c := int(p.cells[i])
 		fb := c / nodes
-		key := NodeFeatBin{Node: c % nodes, Feat: fb / bins, Bin: fb % bins}
+		key := nodeFeatBin{Node: c % nodes, Feat: fb / bins, Bin: fb % bins}
 		counts := append([]int64(nil), p.cells[i+1:i+rfStride]...)
 		out = append(out, rdd.KV(key, ml.BinStats{Counts: counts}))
 	}
@@ -107,7 +113,7 @@ func TestRFPartialMatchesMapReference(t *testing.T) {
 		}
 		for level := 0; level < depth; level++ {
 			merged := newRFHist(features, bins, level)
-			var want []rdd.Pair[NodeFeatBin, ml.BinStats]
+			var want []rdd.Pair[nodeFeatBin, ml.BinStats]
 			for _, in := range parts {
 				got, ref := fillRFPartial(tr, level, features, bins, in), refRFPartition(tr, level, features, bins, in)
 				if len(in) == 0 && got.cells != nil {
