@@ -16,9 +16,12 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/executor"
 	"repro/internal/hibench"
 	"repro/internal/memsim"
+	"repro/internal/numa"
 	"repro/internal/rdd"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -44,7 +47,8 @@ type Result struct {
 // shuffle aggregation paths (reduceByKey's combine pipeline and
 // groupByKey's ship-everything pipeline) where per-record overheads
 // dominate, the tiering engine's epoch loop at two scales, a warm advisor
-// query, and one end-to-end case: the report a user waits for.
+// query, one stage replay on a warm pool, and one end-to-end case: the
+// report a user waits for.
 func Cases() []Case {
 	var cases []Case
 	for _, w := range workloads.Names() {
@@ -66,6 +70,7 @@ func Cases() []Case {
 		Case{Name: "micro/migrationEpoch", Iter: microMigrationEpoch},
 		Case{Name: "micro/tickStorm", Iter: microTickStorm},
 		Case{Name: "micro/advisorHit", Iter: microAdvisorHit},
+		Case{Name: "micro/simulateStage", Iter: microSimulateStage},
 		Case{Name: "e2e/reproduce", Iter: e2eReproduce},
 	)
 	return cases
@@ -142,6 +147,47 @@ func microGroupByKey() {
 	groups := rdd.GroupByKey(pairs, 0)
 	if got := len(rdd.Collect(groups)); got != microKeys {
 		panic(fmt.Sprintf("bench groupByKey: %d keys, want %d", got, microKeys))
+	}
+}
+
+// desRig is micro/simulateStage's warm pool and its 80-attempt stage on
+// a 4 x 10 layout: 64 tasks with footprints on two tiers, every fourth on
+// a straggling executor and raced by a speculative clone, so the replay's
+// cpu, stall, drain and kill paths all run.
+type desRig struct {
+	k     *sim.Kernel
+	pool  *executor.Pool
+	tasks []executor.SimTask
+}
+
+var microDES = sync.OnceValue(func() desRig {
+	k := sim.NewKernel()
+	rig := desRig{k: k, pool: executor.NewPool(4, 10, numa.BindingForTier(memsim.Tier2), memsim.NewSystem(k), 0)}
+	for i := 0; i < 64; i++ {
+		var p executor.Profile
+		p.CPUNS = float64(1e5 + 997*i)
+		p.Tiers[memsim.Tier2] = executor.TierCost{StallLines: [2]float64{800, 200},
+			SeqBytes: [2]int64{1 << 20, 1 << 18}, RandBytes: [2]int64{1 << 14, 1 << 12}}
+		p.Tiers[memsim.Tier0] = executor.TierCost{StallLines: [2]float64{100, 0}, SeqBytes: [2]int64{1 << 16, 0}}
+		rig.tasks = append(rig.tasks, executor.SimTask{Profile: p, ExecID: i % 4})
+	}
+	for i := 0; i < 64; i += 4 {
+		rig.tasks[i].SlowFactor = 4
+		clone := rig.tasks[i]
+		clone.SlowFactor, clone.ExecID, clone.SpeculativeOf = 0, 1, i+1
+		rig.tasks = append(rig.tasks, clone)
+	}
+	return rig
+})
+
+// microSimulateStage replays the 80-attempt stage on the warm pool: the
+// discrete-event replay every cell's virtual time comes from, with its
+// per-stage scratch and the kernel's and servers' slabs already grown.
+func microSimulateStage() {
+	rig := microDES()
+	res := executor.SimulateStage(rig.k, rig.pool, rig.tasks, executor.DefaultCostModel())
+	if res.Killed != 16 {
+		panic(fmt.Sprintf("bench simulateStage: %d attempts killed, want 16", res.Killed))
 	}
 }
 

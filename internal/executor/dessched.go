@@ -42,22 +42,59 @@ type StageResult struct {
 	Killed int
 }
 
-// attempt is the simulation state of one SimTask while it runs.
+// phase is an attempt's position in its life cycle. An attempt moves
+// queued → cpu → stall → drain → done, or straight to done when it is
+// killed; the phase alone tells the stage simulator which of the
+// attempt's events is firing.
+type phase uint8
+
+const (
+	queued   phase = iota // waiting for a core on its executor
+	onCPU                 // compute and dispatch; its event ends the phase
+	stalled               // memory stalls; its event ends the phase
+	draining              // media traffic in flight on the tier servers
+	done                  // finished or killed
+)
+
+// attempt is the simulation state of one SimTask while it runs: a value
+// slot in the stage simulator's slab.
 type attempt struct {
-	task    SimTask
-	logical int // index of the logical task this attempt computes
-	factor  float64
+	logical   int32 // index of the logical task this attempt computes
+	nextRival int32 // next attempt of the same logical task, -1 at the end
+	factor    float64
+	phase     phase
+	ev        sim.Ticket // the cpu or stall event while one is pending
+	ntiers    int
+	tiers     [memsim.NumTiers]memsim.TierID
+	flows     [memsim.NumTiers]sim.FlowTicket // one drain per touched tier
+	pending   int                             // outstanding bandwidth drains
+}
 
-	running  bool // dequeued and started
-	done     bool // finished or killed
-	released bool // core/memory slots given back
+// stageSim is the discrete-event replay of one stage. Its slabs belong to
+// the Pool and are reused from stage to stage, so a stage costs no
+// allocation per attempt or per event once they have grown; the
+// simulator itself is the kernel Handler for every attempt's events, with
+// the attempt's index as tag.
+type stageSim struct {
+	k     *sim.Kernel
+	pool  *Pool
+	sys   *memsim.System
+	tasks []SimTask
+	cost  CostModel
+	res   StageResult
 
-	ev      *sim.Event // pending compute or stall event
-	memHeld bool       // memActive slots currently held
-	tiers   []memsim.TierID
-	flows   []*sim.Flow
-	servers []*sim.SharedServer
-	pending int // outstanding bandwidth drains
+	atts []attempt
+	// firstOf[l] is logical task l's first attempt (-1 when it has none);
+	// rivals follow through attempt.nextRival in index order.
+	firstOf  []int32
+	taskDone []bool // indexed by logical task
+	// order holds the attempt indices stably bucketed by ExecID: executor
+	// e's FIFO is order[head[e]:end[e]], in submission (partition) order.
+	order     []int32
+	head, end []int32
+	busy      []int
+	memActive [memsim.NumTiers]int
+	lastEnd   sim.Time
 }
 
 // SimulateStage replays a stage's task attempts on the pool with a
@@ -80,176 +117,228 @@ type attempt struct {
 //
 // The kernel's clock is advanced; the caller accumulates makespans across
 // stages. Attempt order within an executor is submission (partition)
-// order, deterministic for any phase-1 worker count.
+// order, deterministic for any phase-1 worker count. A pool simulates one
+// stage at a time: its scratch is reused by the next call.
 func SimulateStage(k *sim.Kernel, pool *Pool, tasks []SimTask, cost CostModel) StageResult {
-	res := StageResult{}
 	if len(tasks) == 0 {
-		res.Makespan = sim.Time(cost.StageOverheadNS)
-		return res
+		return StageResult{Makespan: sim.Time(cost.StageOverheadNS)}
 	}
-	sys := pool.System()
+	s := &pool.des
+	s.reset(k, pool, tasks, cost)
 	start := k.Now()
+	for execID := range s.busy {
+		s.tryStart(execID)
+	}
+	k.Run()
+	res := s.res
+	res.Makespan = (s.lastEnd - start) + sim.Time(cost.StageOverheadNS)
+	s.k, s.pool, s.sys, s.tasks = nil, nil, nil, nil
+	return res
+}
 
-	atts := make([]*attempt, len(tasks))
-	attemptsOf := make(map[int][]*attempt, len(tasks))
-	for i, t := range tasks {
-		logical := i
+// reset sizes and clears the scratch for a stage of tasks: attempts
+// linked to their rivals, and the per-executor FIFOs.
+func (s *stageSim) reset(k *sim.Kernel, pool *Pool, tasks []SimTask, cost CostModel) {
+	n, execs := len(tasks), pool.Size()
+	s.k, s.pool, s.sys, s.tasks, s.cost = k, pool, pool.System(), tasks, cost
+	s.res, s.memActive, s.lastEnd = StageResult{}, [memsim.NumTiers]int{}, 0
+	s.atts = resize(s.atts, n)
+	s.firstOf = resize(s.firstOf, n)
+	s.taskDone = resize(s.taskDone, n)
+	s.order = resize(s.order, n)
+	s.head = resize(s.head, execs)
+	s.end = resize(s.end, execs)
+	s.busy = resize(s.busy, execs)
+	for l := range s.firstOf {
+		s.firstOf[l] = -1
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		logical := int32(i)
 		if t.SpeculativeOf > 0 {
-			logical = t.SpeculativeOf - 1
+			logical = int32(t.SpeculativeOf - 1)
 		}
 		factor := t.SlowFactor
 		if factor <= 0 {
 			factor = 1
 		}
-		atts[i] = &attempt{task: t, logical: logical, factor: factor}
-		attemptsOf[logical] = append(attemptsOf[logical], atts[i])
-		res.CPUNS += t.Profile.CPUNS
+		s.atts[i] = attempt{logical: logical, factor: factor}
+		s.res.CPUNS += t.Profile.CPUNS
+		s.end[t.ExecID]++
 	}
-
-	// Per-executor FIFO queues in submission (partition) order.
-	queues := make([][]*attempt, pool.Size())
-	for _, a := range atts {
-		queues[a.task.ExecID] = append(queues[a.task.ExecID], a)
+	// Link each logical task's attempts in index order, pushing from the
+	// back.
+	for i := n - 1; i >= 0; i-- {
+		l := s.atts[i].logical
+		s.atts[i].nextRival, s.firstOf[l] = s.firstOf[l], int32(i)
 	}
-
-	var memActive [memsim.NumTiers]int
-	taskDone := make([]bool, len(tasks)) // indexed by logical task
-	var lastEnd sim.Time
-	busy := make([]int, pool.Size())
-
-	var tryStart func(execID int)
-
-	// release gives back the attempt's core and memory-activity slots;
-	// it is idempotent so a kill racing a natural finish is safe.
-	release := func(a *attempt) {
-		if a.released {
-			return
-		}
-		a.released = true
-		if a.memHeld {
-			for _, id := range a.tiers {
-				memActive[id]--
-			}
-			a.memHeld = false
-		}
-		if a.running {
-			busy[a.task.ExecID]--
-			tryStart(a.task.ExecID)
-		}
+	// Counting sort by executor: end[e] holds e's count, then its bucket
+	// start; the stable scatter advances it to the bucket end.
+	off := int32(0)
+	for e, c := range s.end {
+		s.head[e], s.end[e] = off, off
+		off += c
 	}
-
-	// kill cancels a racing attempt that lost: pending events and
-	// unserved bandwidth flows are withdrawn and its slots freed.
-	kill := func(a *attempt) {
-		if a.done {
-			return
-		}
-		a.done = true
-		res.Killed++
-		if a.ev != nil {
-			a.ev.Cancel()
-			a.ev = nil
-		}
-		for i, f := range a.flows {
-			a.servers[i].CancelFlow(f)
-		}
-		release(a)
+	for i := range tasks {
+		e := tasks[i].ExecID
+		s.order[s.end[e]] = int32(i)
+		s.end[e]++
 	}
+}
 
-	// complete records a finished attempt; the first attempt of a
-	// logical task to finish wins, updates the stage end and kills its
-	// rivals.
-	complete := func(a *attempt, end sim.Time) {
-		a.done = true
-		release(a)
-		if taskDone[a.logical] {
-			return // a rival finished first at this same instant
-		}
-		taskDone[a.logical] = true
-		if end > lastEnd {
-			lastEnd = end
-		}
-		for _, rival := range attemptsOf[a.logical] {
-			if rival != a {
-				kill(rival)
-			}
-		}
+// resize returns buf with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
 
-	runAttempt := func(a *attempt) {
-		execID := a.task.ExecID
-		cores := pool.Executors[execID].Cores
-		randB, seqB := a.task.Profile.randSeqBytes()
-		randShare := 0.0
-		if randB > 0 {
-			randShare = randB / (randB + seqB)
+// tryStart launches queued attempts on execID while it has free cores.
+func (s *stageSim) tryStart(execID int) {
+	cores := s.pool.Executors[execID].Cores
+	for s.busy[execID] < cores && s.head[execID] < s.end[execID] {
+		i := s.order[s.head[execID]]
+		s.head[execID]++
+		if s.atts[i].phase == done {
+			continue // killed while still queued
 		}
-		alloc := a.task.Profile.CPUNS * cost.AllocContentionFactor * float64(cores-1) / 39 * randShare
-		cpu := sim.Duration((a.task.Profile.CPUNS + cost.TaskDispatchNS + alloc) * a.factor)
-		a.tiers = a.task.Profile.touchedTiers()
-		a.ev = k.After(cpu, func(sim.Time) {
-			a.ev = nil
-			// Memory stall under current per-tier contention.
-			stall := 0.0
-			for _, id := range a.tiers {
-				memActive[id]++
-				if memActive[id] > res.MaxSharers {
-					res.MaxSharers = memActive[id]
-				}
-				stall += a.task.Profile.stallNS(sys.Tier(id), memActive[id])
-			}
-			stall *= a.factor
-			a.memHeld = len(a.tiers) > 0
-			res.StallNS += stall
-			a.ev = k.After(sim.Duration(stall), func(sim.Time) {
-				a.ev = nil
-				// Drain media traffic through each touched channel; the
-				// attempt finishes when all drains complete.
-				a.pending = len(a.tiers)
-				finish := func(end sim.Time) {
-					if a.done {
-						return // killed while a drain completion was in flight
-					}
-					a.pending--
-					if a.pending > 0 {
-						return
-					}
-					complete(a, end)
-				}
-				if a.pending == 0 {
-					// No memory footprint at all: finish via a
-					// zero-delay event to preserve ordering.
-					a.pending = 1
-					k.After(0, finish)
-					return
-				}
-				for _, id := range a.tiers {
-					tier := sys.Tier(id)
-					srv := tier.Server()
-					a.flows = append(a.flows, srv.Submit(a.task.Profile.channelUnits(tier), finish))
-					a.servers = append(a.servers, srv)
-				}
-			})
-		})
+		s.busy[execID]++
+		s.runAttempt(i)
 	}
-	tryStart = func(execID int) {
-		cores := pool.Executors[execID].Cores
-		for busy[execID] < cores && len(queues[execID]) > 0 {
-			a := queues[execID][0]
-			queues[execID] = queues[execID][1:]
-			if a.done {
-				continue // killed while still queued
-			}
-			busy[execID]++
-			a.running = true
-			runAttempt(a)
+}
+
+// runAttempt starts attempt i's compute phase.
+func (s *stageSim) runAttempt(i int32) {
+	a, p := &s.atts[i], &s.tasks[i].Profile
+	cores := s.pool.Executors[s.tasks[i].ExecID].Cores
+	randB, seqB := p.randSeqBytes()
+	randShare := 0.0
+	if randB > 0 {
+		randShare = randB / (randB + seqB)
+	}
+	alloc := p.CPUNS * s.cost.AllocContentionFactor * float64(cores-1) / 39 * randShare
+	cpu := sim.Duration((p.CPUNS + s.cost.TaskDispatchNS + alloc) * a.factor)
+	a.tiers, a.ntiers = p.touchedTiers()
+	a.phase = onCPU
+	a.ev = s.k.Schedule(s.k.Now()+cpu, s, i)
+}
+
+// Fire implements sim.Handler: the attempt at index tag has an event
+// due, and its phase says which.
+func (s *stageSim) Fire(now sim.Time, tag int32) {
+	a := &s.atts[tag]
+	switch a.phase {
+	case onCPU:
+		s.stall(tag)
+	case stalled:
+		s.drain(tag)
+	case draining:
+		a.pending--
+		if a.pending == 0 {
+			s.complete(tag, now)
+		}
+	case done:
+		// Killed while a zero-delay drain completion was in flight.
+	}
+}
+
+// stall ends attempt i's compute phase: its memory stall is priced under
+// the current per-tier contention.
+func (s *stageSim) stall(i int32) {
+	a, p := &s.atts[i], &s.tasks[i].Profile
+	stall := 0.0
+	for _, id := range a.tiers[:a.ntiers] {
+		s.memActive[id]++
+		if s.memActive[id] > s.res.MaxSharers {
+			s.res.MaxSharers = s.memActive[id]
+		}
+		stall += p.stallNS(s.sys.Tier(id), s.memActive[id])
+	}
+	stall *= a.factor
+	s.res.StallNS += stall
+	a.phase = stalled
+	a.ev = s.k.Schedule(s.k.Now()+sim.Duration(stall), s, i)
+}
+
+// drain ends attempt i's stall: its media traffic drains through each
+// touched tier's channel, and the attempt finishes when all drains
+// complete.
+func (s *stageSim) drain(i int32) {
+	a, p := &s.atts[i], &s.tasks[i].Profile
+	a.phase = draining
+	a.pending = a.ntiers
+	if a.ntiers == 0 {
+		// No memory footprint at all: finish via a zero-delay event to
+		// preserve ordering.
+		a.pending = 1
+		s.k.Schedule(s.k.Now(), s, i)
+		return
+	}
+	for j, id := range a.tiers[:a.ntiers] {
+		tier := s.sys.Tier(id)
+		a.flows[j] = tier.Server().SubmitTo(p.channelUnits(tier), s, i)
+	}
+}
+
+// release gives back the slots attempt i held in phase was: its
+// memory-activity slots once it had stalled, its core once it had left
+// the queue.
+func (s *stageSim) release(i int32, was phase) {
+	a := &s.atts[i]
+	if was == stalled || was == draining {
+		for _, id := range a.tiers[:a.ntiers] {
+			s.memActive[id]--
 		}
 	}
-
-	for execID := range queues {
-		tryStart(execID)
+	if was != queued {
+		execID := s.tasks[i].ExecID
+		s.busy[execID]--
+		s.tryStart(execID)
 	}
-	k.Run()
-	res.Makespan = (lastEnd - start) + sim.Time(cost.StageOverheadNS)
-	return res
+}
+
+// kill cancels racing attempt i, which lost: its pending event and
+// unserved bandwidth flows are withdrawn and its slots freed.
+func (s *stageSim) kill(i int32) {
+	a := &s.atts[i]
+	was := a.phase
+	if was == done {
+		return
+	}
+	a.phase = done
+	s.res.Killed++
+	switch was {
+	case onCPU, stalled:
+		s.k.Cancel(a.ev)
+	case draining:
+		for j, id := range a.tiers[:a.ntiers] {
+			s.sys.Tier(id).Server().Withdraw(a.flows[j])
+		}
+	}
+	s.release(i, was)
+}
+
+// complete records finished attempt i; the first attempt of a logical
+// task to finish wins, updates the stage end and kills its rivals in
+// index order.
+func (s *stageSim) complete(i int32, end sim.Time) {
+	a := &s.atts[i]
+	a.phase = done
+	s.release(i, draining)
+	if s.taskDone[a.logical] {
+		return // a rival finished first at this same instant
+	}
+	s.taskDone[a.logical] = true
+	if end > s.lastEnd {
+		s.lastEnd = end
+	}
+	for r := s.firstOf[a.logical]; r >= 0; r = s.atts[r].nextRival {
+		if r != i {
+			s.kill(r)
+		}
+	}
 }

@@ -50,6 +50,8 @@ type Pool struct {
 	quota     *blockmgr.TenantQuota
 	dead      []bool
 	deadCount int
+	// des is SimulateStage's scratch, reused from stage to stage.
+	des stageSim
 }
 
 // NewPool builds n identical executors of coresEach cores, bound to

@@ -84,13 +84,14 @@ func (p Profile) channelUnits(t *memsim.Tier) float64 {
 	return units
 }
 
-// touchedTiers lists the tiers the task has any footprint on, in id order.
-func (p Profile) touchedTiers() []memsim.TierID {
-	var out []memsim.TierID
+// touchedTiers lists the tiers the task has any footprint on, in id
+// order: ids[:n].
+func (p *Profile) touchedTiers() (ids [memsim.NumTiers]memsim.TierID, n int) {
 	for t := range p.Tiers {
 		if !p.Tiers[t].isZero() {
-			out = append(out, memsim.TierID(t))
+			ids[n] = memsim.TierID(t)
+			n++
 		}
 	}
-	return out
+	return ids, n
 }

@@ -315,20 +315,20 @@ func sortBy[R any, K comparable, V any](parent *Base, parts int,
 	ks, vs := SizerFor[K](), SizerFor[V]()
 	shuffled, shuffleID := shuffleBy(parent, rp.NumPartitions(), func(ctx *executor.TaskContext, shuffleID, mapPart int) {
 		in := shuffle(ctx, mapPart)
-		chunks, bucketBytes := chunkify(ctx, len(in), rp.NumPartitions(),
+		page, items, sizes := chunkify(ctx, len(in), rp.NumPartitions(),
 			func(targets []int32) {
 				for i := range in {
 					targets[i] = int32(rp.PartitionFor(key(in[i])))
 				}
 			},
-			func(targets []int32, next []int, keys []K, vals []V) {
+			func(targets []int32, next []int32, keys []K, vals []V) {
 				for i, b := range targets {
 					j := next[b]
 					next[b]++
 					keys[j], vals[j] = key(in[i]), val(in[i])
 				}
 			}, ks, vs)
-		putChunks(ctx, shuffleID, mapPart, chunks, bucketBytes)
+		putChunks(ctx, shuffleID, mapPart, page, items, sizes)
 	})
 	ps := PairSizer(ks, vs)
 	return newRDD(d, "mapPartitions", shuffled.NumParts, shuffled, nil, func(ctx *executor.TaskContext, part int) []Pair[K, V] {
@@ -502,20 +502,20 @@ func Repartition[T any](r *RDD[T], parts int) *RDD[T] {
 	shuffled, shuffleID := shuffleBy(keyed, parts, func(ctx *executor.TaskContext, shuffleID, mapPart int) {
 		in := r.Compute(ctx, mapPart)
 		ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
-		chunks, bucketBytes := chunkify(ctx, len(in), parts,
+		page, items, sizes := chunkify(ctx, len(in), parts,
 			func(targets []int32) {
 				for i := range in {
 					targets[i] = int32(p.PartitionFor(mapPart + i*srcParts)) // deterministic round-robin key
 				}
 			},
-			func(targets []int32, next []int, keys []int, vals []T) {
+			func(targets []int32, next []int32, keys []int, vals []T) {
 				for i, b := range targets {
 					j := next[b]
 					next[b]++
 					keys[j], vals[j] = mapPart+i*srcParts, in[i]
 				}
 			}, ks, vs)
-		putChunks(ctx, shuffleID, mapPart, chunks, bucketBytes)
+		putChunks(ctx, shuffleID, mapPart, page, items, sizes)
 	})
 	return newRDD(d, "map", parts, shuffled, nil, func(ctx *executor.TaskContext, reduce int) []T {
 		chunks := fetchChunks[int, T](ctx, shuffleID, reduce)

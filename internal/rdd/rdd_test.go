@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -333,19 +334,19 @@ func TestCacheEvictionRecomputes(t *testing.T) {
 	conf.CacheCapacity = 600 // two ~280B partitions fit; the rest evict
 	app := cluster.New(conf)
 
-	computes := 0
+	var computes atomic.Int64 // tasks of a stage may run in parallel
 	src := rdd.Parallelize(app, "ints", ints(256), 8)
-	counted := rdd.Map(src, func(v int) int { computes++; return v })
+	counted := rdd.Map(src, func(v int) int { computes.Add(1); return v })
 	cached := rdd.Cache(counted)
 
 	if n := rdd.Count(cached); n != 256 {
 		t.Fatalf("count = %d", n)
 	}
-	first := computes
+	first := computes.Load()
 	if n := rdd.Count(cached); n != 256 {
 		t.Fatalf("recount = %d", n)
 	}
-	if computes == first {
+	if computes.Load() == first {
 		t.Fatal("no recomputation despite a cache too small to hold the data")
 	}
 	var evictions int64

@@ -50,18 +50,28 @@ func TestKernelAfterIsRelative(t *testing.T) {
 	}
 }
 
+// fireFunc adapts a closure to Handler for tests of the typed path.
+type fireFunc func(now Time)
+
+func (f fireFunc) Fire(now Time, _ int32) { f(now) }
+
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.At(10, func(Time) { fired = true })
-	if len(k.queue) != 1 {
+	e := k.Schedule(10, fireFunc(func(Time) { fired = true }), 0)
+	if len(k.heap) != 1 {
 		t.Fatal("event should be pending")
 	}
-	e.Cancel()
-	if len(k.queue) != 0 {
+	k.Cancel(e)
+	if len(k.heap) != 0 {
 		t.Fatal("event should not be pending after cancel")
 	}
-	e.Cancel() // double-cancel is a no-op
+	k.Cancel(e) // double-cancel is a no-op
+	k.Schedule(20, fireFunc(func(Time) {}), 0)
+	k.Cancel(e) // a stale ticket does not cancel the slot's next event
+	if len(k.heap) != 1 {
+		t.Fatal("stale cancel removed another event")
+	}
 	k.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -71,8 +81,8 @@ func TestKernelCancel(t *testing.T) {
 func TestKernelCancelFromAnotherEvent(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	victim := k.At(20, func(Time) { fired = true })
-	k.At(10, func(Time) { victim.Cancel() })
+	victim := k.Schedule(20, fireFunc(func(Time) { fired = true }), 0)
+	k.At(10, func(Time) { k.Cancel(victim) })
 	k.Run()
 	if fired {
 		t.Fatal("event fired despite cancellation at t=10")
@@ -112,12 +122,27 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	if len(fired) != 2 {
 		t.Fatalf("fired %d events by t=20, want 2", len(fired))
 	}
-	if len(k.queue) != 1 {
-		t.Fatalf("pending = %d, want 1", len(k.queue))
+	if len(k.heap) != 1 {
+		t.Fatalf("pending = %d, want 1", len(k.heap))
 	}
 	k.Run()
 	if len(fired) != 3 {
 		t.Fatalf("fired %d total, want 3", len(fired))
+	}
+}
+
+// RunUntil moves the clock to the deadline even when a later event stays
+// queued, and that event still fires at its own time.
+func TestRunUntilAdvancesClockPastQueuedEvents(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	k.At(10, func(now Time) { fired = append(fired, now) })
+	k.At(30, func(now Time) { fired = append(fired, now) })
+	if got := k.RunUntil(20); got != 20 || k.Now() != 20 {
+		t.Fatalf("RunUntil(20) = %v, Now() = %v; want 20", got, k.Now())
+	}
+	if k.Run() != 30 || len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
+		t.Fatalf("fired at %v, want [10 30]", fired)
 	}
 }
 

@@ -2,12 +2,34 @@ package sim
 
 import "fmt"
 
-// Flow is one active transfer on a SharedServer. Flows receive an equal
-// share of the server's capacity (processor sharing).
-type Flow struct {
+// FlowTicket identifies one flow submitted with SubmitTo, for Withdraw.
+// Like Ticket it carries a generation, so withdrawing a flow that already
+// completed or was withdrawn is a no-op even after its slot is reused.
+// The zero FlowTicket matches no flow.
+type FlowTicket struct {
+	slot int32
+	gen  uint64
+}
+
+// flowSlot is one flow's storage in a server's slab.
+type flowSlot struct {
 	remaining float64 // work units left (e.g. bytes)
-	done      func(now Time)
-	finished  bool
+	gen       uint64  // 0 marks a free or finished slot
+	h         Handler
+	tag       int32
+}
+
+// Flow is a transfer submitted with Submit: an adapter over the typed
+// SubmitTo path that calls a closure on completion.
+type Flow struct {
+	done func(now Time)
+}
+
+// Fire implements Handler for the closure adapter.
+func (f *Flow) Fire(now Time, _ int32) {
+	if f.done != nil {
+		f.done(now)
+	}
 }
 
 // SharedServer models a capacity shared among concurrent flows with
@@ -19,14 +41,21 @@ type Flow struct {
 // Capacity is in work units per second (e.g. bytes/s). The server lazily
 // re-plans its single "next completion" event whenever membership or
 // capacity changes. Flow completions at identical instants fire in
-// submission order, keeping runs deterministic.
+// submission order, keeping runs deterministic. Flows live as value slots
+// in a slab reused through a free list, and the server is its own
+// completion Handler, so a flow costs no allocation once the slab has
+// grown to the peak number of concurrent flows.
 type SharedServer struct {
 	kernel     *Kernel
 	capacity   float64 // units per second at full speed
 	capFrac    float64 // throttle in (0,1], e.g. Intel MBA style cap
-	flows      []*Flow // active flows in submission order
+	slots      []flowSlot
+	free       []int32 // free slot indices
+	active     []int32 // active flow slots in submission order
+	done       []int32 // flows drained by the current completion event
+	gen        uint64  // last flow generation handed out
 	lastUpdate Time
-	next       *Event
+	next       Ticket
 }
 
 // NewSharedServer creates a server bound to k with the given capacity in
@@ -61,40 +90,57 @@ func (s *SharedServer) SetCapFraction(frac float64) {
 // completes. Zero or negative work completes via a zero-delay event,
 // preserving event ordering relative to other same-instant activity.
 func (s *SharedServer) Submit(units float64, done func(now Time)) *Flow {
-	f := &Flow{remaining: units, done: done}
-	if units <= 0 {
-		f.finished = true
-		s.kernel.After(0, func(now Time) {
-			if done != nil {
-				done(now)
-			}
-		})
-		return f
-	}
-	s.advance()
-	s.flows = append(s.flows, f)
-	s.replan()
+	f := &Flow{done: done}
+	s.SubmitTo(units, f, 0)
 	return f
 }
 
-// CancelFlow removes a flow without completing it (e.g. task aborted).
-func (s *SharedServer) CancelFlow(f *Flow) {
-	if f == nil || f.finished {
+// SubmitTo adds a flow of `units` work and calls h.Fire(now, tag) when it
+// completes. Zero or negative work completes via a zero-delay event,
+// preserving event ordering relative to other same-instant activity; such
+// a flow is never active, so its ticket is the zero FlowTicket.
+func (s *SharedServer) SubmitTo(units float64, h Handler, tag int32) FlowTicket {
+	if units <= 0 {
+		s.kernel.Schedule(s.kernel.Now(), h, tag)
+		return FlowTicket{}
+	}
+	s.advance()
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, flowSlot{})
+	}
+	s.gen++
+	s.slots[i] = flowSlot{remaining: units, gen: s.gen, h: h, tag: tag}
+	s.active = append(s.active, i)
+	s.replan()
+	return FlowTicket{slot: i, gen: s.gen}
+}
+
+// Withdraw removes a flow without completing it (e.g. task aborted).
+// Withdrawing a finished or already withdrawn flow is a no-op.
+func (s *SharedServer) Withdraw(t FlowTicket) {
+	if t.gen == 0 || s.slots[t.slot].gen != t.gen {
 		return
 	}
 	s.advance()
-	f.finished = true
-	s.removeFlow(f)
+	for j, i := range s.active {
+		if i == t.slot {
+			s.active = append(s.active[:j], s.active[j+1:]...)
+			break
+		}
+	}
+	s.release(t.slot)
 	s.replan()
 }
 
-func (s *SharedServer) removeFlow(f *Flow) {
-	for i, g := range s.flows {
-		if g == f {
-			s.flows = append(s.flows[:i], s.flows[i+1:]...)
-			return
-		}
-	}
+// release returns flow slot i to the free list.
+func (s *SharedServer) release(i int32) {
+	s.slots[i] = flowSlot{}
+	s.free = append(s.free, i)
 }
 
 // advance serves all active flows for the time elapsed since lastUpdate at
@@ -106,11 +152,12 @@ func (s *SharedServer) advance() {
 	}
 	dt := (now - s.lastUpdate).Seconds()
 	s.lastUpdate = now
-	if len(s.flows) == 0 {
+	if len(s.active) == 0 {
 		return
 	}
-	rate := s.capacity * s.capFrac / float64(len(s.flows))
-	for _, f := range s.flows {
+	rate := s.capacity * s.capFrac / float64(len(s.active))
+	for _, i := range s.active {
+		f := &s.slots[i]
 		servedUnits := rate * dt
 		if servedUnits > f.remaining {
 			servedUnits = f.remaining
@@ -121,17 +168,15 @@ func (s *SharedServer) advance() {
 
 // replan cancels the pending completion event and schedules the next one.
 func (s *SharedServer) replan() {
-	if s.next != nil {
-		s.next.Cancel()
-		s.next = nil
-	}
-	if len(s.flows) == 0 {
+	s.kernel.Cancel(s.next)
+	s.next = Ticket{}
+	if len(s.active) == 0 {
 		return
 	}
-	rate := s.capacity * s.capFrac / float64(len(s.flows))
+	rate := s.capacity * s.capFrac / float64(len(s.active))
 	var soonest Time = MaxTime
-	for _, f := range s.flows {
-		dt := f.remaining / rate // seconds
+	for _, i := range s.active {
+		dt := s.slots[i].remaining / rate // seconds
 		ns := Time(dt*1e9 + 0.999)
 		if ns < 1 {
 			// Guarantee forward progress: a sub-nanosecond residue is
@@ -143,30 +188,31 @@ func (s *SharedServer) replan() {
 			soonest = t
 		}
 	}
-	s.next = s.kernel.At(soonest, s.onCompletion)
+	s.next = s.kernel.Schedule(soonest, s, 0)
 }
 
-// onCompletion fires when the earliest flow should have drained. It serves
-// elapsed time, completes every drained flow in submission order (the
-// order s.flows is kept in), and replans the next completion.
-func (s *SharedServer) onCompletion(now Time) {
-	s.next = nil
+// Fire implements Handler: it is the server's own completion event, due
+// when the earliest flow should have drained. It serves elapsed time,
+// completes every drained flow in submission order (the order s.active
+// is kept in), and replans the next completion.
+func (s *SharedServer) Fire(now Time, _ int32) {
+	s.next = Ticket{}
 	s.advance()
-	var doneFlows []*Flow
-	remaining := s.flows[:0]
-	for _, f := range s.flows {
-		if f.remaining <= 1e-6 {
-			f.finished = true
-			doneFlows = append(doneFlows, f)
+	s.done = s.done[:0]
+	remaining := s.active[:0]
+	for _, i := range s.active {
+		if f := &s.slots[i]; f.remaining <= 1e-6 {
+			f.gen = 0 // finished: a Withdraw from a completion below is a no-op
+			s.done = append(s.done, i)
 		} else {
-			remaining = append(remaining, f)
+			remaining = append(remaining, i)
 		}
 	}
-	s.flows = remaining
+	s.active = remaining
 	s.replan()
-	for _, f := range doneFlows {
-		if f.done != nil {
-			f.done(now)
-		}
+	for _, i := range s.done {
+		h, tag := s.slots[i].h, s.slots[i].tag
+		s.release(i)
+		h.Fire(now, tag)
 	}
 }

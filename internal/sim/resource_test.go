@@ -111,14 +111,14 @@ func TestCancelFlow(t *testing.T) {
 	k := NewKernel()
 	s := NewSharedServer(k, "mem", 1e9)
 	fired := false
-	f := s.Submit(1e9, func(Time) { fired = true })
-	k.At(100, func(Time) { s.CancelFlow(f) })
+	f := s.SubmitTo(1e9, fireFunc(func(Time) { fired = true }), 0)
+	k.At(100, func(Time) { s.Withdraw(f) })
 	k.Run()
 	if fired {
 		t.Fatal("cancelled flow completed")
 	}
-	if len(s.flows) != 0 {
-		t.Fatalf("%d active flows after cancel, want 0", len(s.flows))
+	if len(s.active) != 0 {
+		t.Fatalf("%d active flows after cancel, want 0", len(s.active))
 	}
 }
 
