@@ -1,21 +1,15 @@
 // Command simlint runs the engine's determinism, concurrency and
-// ownership analyzers over the module. It is a stdlib-only lint driver:
+// hot-path analyzers over the module. It is a stdlib-only lint driver:
 // packages are parsed with go/parser and type-checked with go/types
-// (source importer), the module-wide call graph and value-flow facts are
-// computed once, then nine project-specific analyzers run in parallel
-// per package:
+// (source importer), the module-wide call graph is computed once, then
+// six project-specific analyzers run in parallel per package:
 //
 //	nodeterminism  wall-clock reads, global math/rand, map-order leaks
-//	stagedcharge   direct tier/blockmgr/shuffle mutation in task compute
 //	locksafety     sends under lock, unguarded fields (lock copies are
 //	               go vet's copylocks)
 //	errflow        discarded errors from module-internal APIs
 //	hotbox         per-record boxing and reflection-based sorts on task
 //	               hot paths, and those sorts under the tiering tick
-//	chunkalias     chunk-reference escapes, borrowed-column writes,
-//	               reads after DropShuffle
-//	tierledger     direct hotness/residency/copy-ledger mutation outside
-//	               the observer and staged-commit paths
 //	unreached      internal/ declarations no shipped code uses (judged
 //	               only when the run holds the whole module)
 //	allowaudit     stale //simlint:allow directives

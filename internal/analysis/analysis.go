@@ -97,8 +97,7 @@ type Analyzer struct {
 }
 
 // Pass is the state handed to an analyzer run: the loaded packages, the
-// module-wide dataflow facts, the package under analysis and the
-// diagnostic sink.
+// module call graph, the package under analysis and the diagnostic sink.
 type Pass struct {
 	// ModulePath is the module's import-path prefix.
 	ModulePath string
@@ -106,7 +105,7 @@ type Pass struct {
 	Packages []*Package
 	// Fset positions every file in Packages.
 	Fset *token.FileSet
-	// Facts is the shared call-graph and value-flow fact base.
+	// Facts is the shared module call graph.
 	Facts *Facts
 	// Pkg is the package this Run call analyzes (nil during Init).
 	Pkg *Package
@@ -135,7 +134,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterminism, StagedCharge, LockSafety, ErrFlow, Hotbox, ChunkAlias, TierLedger, Unreached, AllowAudit}
+	return []*Analyzer{NoDeterminism, LockSafety, ErrFlow, Hotbox, Unreached, AllowAudit}
 }
 
 // DirectiveName is the comment prefix of a suppression directive:

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -121,20 +122,34 @@ func lineNumber(t *testing.T, diag string) int {
 	return n
 }
 
+// moduleLoad is the whole module as ./... resolves it from here.
+type moduleLoad struct {
+	ld   *Loader
+	pkgs []*Package
+}
+
+// loadModule type-checks the module once per test binary: every test
+// that judges the real tree reads the same packages.
+var loadModule = sync.OnceValues(func() (moduleLoad, error) {
+	ld, err := NewLoader(".")
+	if err != nil {
+		return moduleLoad{}, err
+	}
+	pkgs, err := ld.Load("./...")
+	return moduleLoad{ld, pkgs}, err
+})
+
 // TestModuleIsClean runs the full suite over the whole module: the tree
 // must stay violation-free (CI enforces the same via cmd/simlint). The
 // walk must reach every layer — the library tree, the cmd/* drivers and
 // the examples/* programs — so a regression in any of them fails here,
 // not just in CI.
 func TestModuleIsClean(t *testing.T) {
-	ld, err := NewLoader(".")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := ld.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ld, pkgs := m.ld, m.pkgs
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; loader is missing the module tree", len(pkgs))
 	}
@@ -194,18 +209,14 @@ func TestNarrowPassLeavesWholeModuleAnalyzersOut(t *testing.T) {
 // TestLoaderBasics pins the loader's module discovery and testdata
 // exclusion.
 func TestLoaderBasics(t *testing.T) {
-	ld, err := NewLoader(".")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ld.ModulePath() != "repro" {
-		t.Fatalf("module path = %q, want repro", ld.ModulePath())
+	if m.ld.ModulePath() != "repro" {
+		t.Fatalf("module path = %q, want repro", m.ld.ModulePath())
 	}
-	pkgs, err := ld.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pkgs {
+	for _, p := range m.pkgs {
 		if strings.Contains(p.Path, "testdata") {
 			t.Errorf("module walk descended into testdata: %s", p.Path)
 		}

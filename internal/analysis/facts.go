@@ -2,18 +2,12 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Facts is the shared dataflow fact base computed once per Run and handed
-// to every analyzer through its Pass: a module-wide call graph whose
-// nodes are function bodies (declarations and literals), plus the
-// intra-procedural value-flow bindings each body establishes. Analyzers
-// that used to rebuild private call graphs (hotbox, stagedcharge) and the
-// ownership/ledger analyzers (chunkalias, tierledger) all derive their
-// taint sets from this one structure, so the module's ASTs are walked for
-// graph facts exactly once however many analyzers run.
+// Facts is the module-wide call graph computed once per Run and handed
+// to every analyzer through its Pass. Its nodes are function bodies,
+// declarations and literals alike; hotbox derives its taint sets from it.
 type Facts struct {
 	// Nodes are all function bodies in deterministic (package, file,
 	// position) order.
@@ -31,23 +25,14 @@ type Facts struct {
 // Node is one function body — a declaration or a function literal — in
 // the module call graph.
 type Node struct {
-	// Name is the declared name, with ".func" appended per literal
-	// nesting level.
-	Name string
 	// Fn is the declared function object; nil for literals.
 	Fn *types.Func
-	// Decl is the declaration; nil for literals.
-	Decl *ast.FuncDecl
-	// Lit is the literal; nil for declarations.
-	Lit *ast.FuncLit
 	// Body is the function body.
 	Body *ast.BlockStmt
 	// Pkg is the defining package.
 	Pkg *Package
 	// Sig is the function's signature (nil only if type checking lost it).
 	Sig *types.Signature
-	// Parent is the enclosing body for literals; nil for declarations.
-	Parent *Node
 	// Lits are the function literals defined directly in this body.
 	Lits []*Node
 	// Calls are this body's statically resolved call sites, excluding
@@ -55,11 +40,6 @@ type Node struct {
 	Calls []CallSite
 	// IfaceCalls are the names of interface methods this body invokes.
 	IfaceCalls []string
-	// Bindings are the body's value-flow assignments: object <- expression
-	// edges from assignments, declarations and range statements, in source
-	// order. They let an analyzer run an intra-procedural taint pass
-	// without re-walking the AST.
-	Bindings []Binding
 }
 
 // CallSite is one statically resolved call in a body.
@@ -69,18 +49,6 @@ type CallSite struct {
 	// Fn is the invoked function or method, normalized to its generic
 	// origin.
 	Fn *types.Func
-}
-
-// Binding is one value-flow edge: Obj receives (part of) the value of
-// Rhs. For range statements Rhs is the ranged-over expression, so taint
-// through element extraction propagates like indexing.
-type Binding struct {
-	// Obj is the bound variable.
-	Obj types.Object
-	// Rhs is the source expression.
-	Rhs ast.Expr
-	// Pos is the binding's position.
-	Pos token.Pos
 }
 
 // IsMethodOf reports whether the node is a declared method whose receiver
@@ -107,8 +75,8 @@ func (n *Node) HasParamType(pkgPath, typeName string) bool {
 	return false
 }
 
-// computeFacts builds the module call graph and value-flow bindings for
-// the given packages (the loader parses no test files).
+// computeFacts builds the module call graph for the given packages (the
+// loader parses no test files).
 func computeFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		ByFunc:        make(map[*types.Func]*Node),
@@ -122,7 +90,7 @@ func computeFacts(pkgs []*Package) *Facts {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				node := &Node{Name: fd.Name.Name, Decl: fd, Body: fd.Body, Pkg: pkg}
+				node := &Node{Body: fd.Body, Pkg: pkg}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					node.Fn = obj
 					node.Sig, _ = obj.Type().(*types.Signature)
@@ -144,15 +112,15 @@ func (f *Facts) add(pkg *Package, node *Node) {
 	f.PkgNodes[pkg] = append(f.PkgNodes[pkg], node)
 }
 
-// collectBody records the node's call sites, interface calls, bindings
-// and nested literals, stopping at literal boundaries: a literal's
-// interior facts belong to its own child node.
+// collectBody records the node's call sites, interface calls and nested
+// literals, stopping at literal boundaries: a literal's interior facts
+// belong to its own child node.
 func (f *Facts) collectBody(pkg *Package, node *Node) {
 	info := pkg.Info
 	ast.Inspect(node.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			child := &Node{Name: node.Name + ".func", Lit: x, Body: x.Body, Pkg: pkg, Parent: node}
+			child := &Node{Body: x.Body, Pkg: pkg}
 			if sig, ok := info.Types[x].Type.(*types.Signature); ok {
 				child.Sig = sig
 			}
@@ -174,49 +142,6 @@ func (f *Facts) collectBody(pkg *Package, node *Node) {
 				return true
 			}
 			node.Calls = append(node.Calls, CallSite{Call: x, Fn: fn})
-		case *ast.AssignStmt:
-			if len(x.Lhs) == len(x.Rhs) {
-				for i, lhs := range x.Lhs {
-					if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						if obj := objOf(info, id); obj != nil {
-							node.Bindings = append(node.Bindings, Binding{Obj: obj, Rhs: x.Rhs[i], Pos: x.Pos()})
-						}
-					}
-				}
-			} else if len(x.Rhs) == 1 {
-				for _, lhs := range x.Lhs {
-					if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						if obj := objOf(info, id); obj != nil {
-							node.Bindings = append(node.Bindings, Binding{Obj: obj, Rhs: x.Rhs[0], Pos: x.Pos()})
-						}
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			if len(x.Names) == len(x.Values) {
-				for i, name := range x.Names {
-					if obj := info.Defs[name]; obj != nil {
-						node.Bindings = append(node.Bindings, Binding{Obj: obj, Rhs: x.Values[i], Pos: x.Pos()})
-					}
-				}
-			} else if len(x.Values) == 1 {
-				for _, name := range x.Names {
-					if obj := info.Defs[name]; obj != nil {
-						node.Bindings = append(node.Bindings, Binding{Obj: obj, Rhs: x.Values[0], Pos: x.Pos()})
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{x.Key, x.Value} {
-				if e == nil {
-					continue
-				}
-				if id, ok := unparen(e).(*ast.Ident); ok && id.Name != "_" {
-					if obj := objOf(info, id); obj != nil {
-						node.Bindings = append(node.Bindings, Binding{Obj: obj, Rhs: x.X, Pos: x.Pos()})
-					}
-				}
-			}
 		}
 		return true
 	})

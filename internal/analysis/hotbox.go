@@ -59,7 +59,7 @@ var hotboxRule = &reachRule{
 	entry:  taskEntry,
 	exempt: hotboxExempt,
 	bridge: true,
-	table:  map[string]map[string]map[string]string{rddPath: {"": boxingAPI}, "sort": {"": reflectSortAPI}},
+	table:  map[string]map[string]string{rddPath: boxingAPI, "sort": reflectSortAPI},
 	format: "%s in task-compute code: %s",
 }
 
@@ -70,14 +70,13 @@ var tickSortRule = &reachRule{
 	entry:  epochTick,
 	exempt: func(*Node) bool { return false },
 	bridge: true,
-	table:  map[string]map[string]map[string]string{"sort": {"": reflectSortAPI}},
+	table:  map[string]map[string]string{"sort": reflectSortAPI},
 	format: "%s in the tiering tick's call graph: %s",
 }
 
 // epochTick reports whether the node is a tiering epoch tick: the
 // function that records a heat.History epoch. In the tree that is
-// tiering.Engine.Tick alone — tierledger keeps task and workload code
-// away from History.Push.
+// tiering.Engine.Tick alone.
 func epochTick(n *Node) bool {
 	for _, cs := range n.Calls {
 		if cs.Fn.Name() == "Push" && recvTypeName(cs.Fn) == "History" && funcPkgPath(cs.Fn) == heatPath {
@@ -86,8 +85,6 @@ func epochTick(n *Node) bool {
 	}
 	return false
 }
-
-const rddPath = "repro/internal/rdd"
 
 // boxingAPI maps rdd package-level function name -> advice.
 var boxingAPI = map[string]string{
@@ -231,3 +228,49 @@ func hbFlagCopyLoops(p *Pass, pkg *Package, loops []*ast.BlockStmt) {
 		p.Reportf(as.Pos(), "element-at-a-time copy loop in task-compute code: append(dst, src...) or copy(dst, src) moves the whole column in one step")
 	}
 }
+
+// reachRule is hotbox's check: no node of the call graph rooted at entry
+// — followed without entering exempt nodes, through interfaces too when
+// bridge is set — may call a function listed in table.
+type reachRule struct {
+	entry, exempt func(*Node) bool
+	bridge        bool
+	// table maps package path -> package-level function name -> advice.
+	table map[string]map[string]string
+	// format is the diagnostic: the callee as pkg.Name, then the advice.
+	format string
+}
+
+// taint is the rule's taint set, computed from the shared call graph.
+func (r *reachRule) taint(p *Pass) map[*Node]bool { return p.Facts.Reach(r.entry, r.exempt, r.bridge) }
+
+// report reports every forbidden call site in the tainted nodes of p.Pkg.
+func (r *reachRule) report(p *Pass, tainted map[*Node]bool) {
+	for _, n := range p.Facts.PkgNodes[p.Pkg] {
+		if !tainted[n] {
+			continue
+		}
+		for _, cs := range n.Calls {
+			if recvTypeName(cs.Fn) != "" {
+				continue
+			}
+			if advice, ok := r.table[funcPkgPath(cs.Fn)][cs.Fn.Name()]; ok {
+				p.Reportf(cs.Call.Pos(), r.format, cs.Fn.Pkg().Name()+"."+cs.Fn.Name(), advice)
+			}
+		}
+	}
+}
+
+const (
+	executorPath = "repro/internal/executor"
+	heatPath     = "repro/internal/heat"
+	rddPath      = "repro/internal/rdd"
+)
+
+// taskEntry reports whether the node starts a task-compute call graph: a
+// function or literal with a *executor.TaskContext parameter.
+func taskEntry(n *Node) bool { return n.HasParamType(executorPath, "TaskContext") }
+
+// taskCtxMethod reports whether the node is a method of the staging layer
+// itself.
+func taskCtxMethod(n *Node) bool { return n.IsMethodOf(executorPath, "TaskContext") }

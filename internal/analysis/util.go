@@ -105,50 +105,3 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	}
 	return info.Defs[id]
 }
-
-// reachRule is the check stagedcharge, tierledger and hotbox share: no
-// node of the call graph rooted at entry — followed without entering
-// exempt nodes, through interfaces too when bridge is set — may call a
-// function listed in table.
-type reachRule struct {
-	entry, exempt func(*Node) bool
-	bridge        bool
-	// table maps package path -> receiver type ("" for a package-level
-	// function) -> name -> advice.
-	table map[string]map[string]map[string]string
-	// format is the diagnostic: the callee as Recv.Name (pkg.Name for a
-	// package-level function), then the advice.
-	format string
-}
-
-// taint is the rule's taint set, computed from the shared call graph.
-func (r *reachRule) taint(p *Pass) map[*Node]bool { return p.Facts.Reach(r.entry, r.exempt, r.bridge) }
-
-// reach is the rule's Analyzer.Init: the taint set, computed once.
-func (r *reachRule) reach(p *Pass) any { return r.taint(p) }
-
-// run is the rule's Analyzer.Run, for an analyzer whose state is this
-// rule's taint set.
-func (r *reachRule) run(p *Pass) { r.report(p, p.State().(map[*Node]bool)) }
-
-// report reports every forbidden call site in the tainted nodes of p.Pkg.
-func (r *reachRule) report(p *Pass, tainted map[*Node]bool) {
-	for _, n := range p.Facts.PkgNodes[p.Pkg] {
-		if !tainted[n] {
-			continue
-		}
-		for _, cs := range n.Calls {
-			callee, recv := cs.Fn.Name(), recvTypeName(cs.Fn)
-			advice, ok := r.table[funcPkgPath(cs.Fn)][recv][callee]
-			if !ok {
-				continue
-			}
-			if recv != "" {
-				callee = recv + "." + callee
-			} else {
-				callee = cs.Fn.Pkg().Name() + "." + callee
-			}
-			p.Reportf(cs.Call.Pos(), r.format, callee, advice)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,8 +167,11 @@ func TestReproduceNarrowed(t *testing.T) {
 			t.Errorf("report missing section %q", want)
 		}
 	}
-	if len(steps) < 8 {
-		t.Errorf("progress callbacks = %d, want >= 8 (%v)", len(steps), steps)
+	// The order the benchmark's reproduce op checks its progress lines in.
+	wantSteps := []string{"Table I", "Table II", "Figure 2", "guidelines", "Figure 3",
+		"Figure 5", "Figure 6", "predictor", "extensions"}
+	if !slices.Equal(steps, wantSteps) {
+		t.Errorf("progress = %q, want %q", steps, wantSteps)
 	}
 	if strings.Contains(out, "Figure 4") {
 		t.Error("Figure 4 rendered despite SkipScaling")

@@ -214,16 +214,16 @@ func TestMapValuesKeysValues(t *testing.T) {
 
 func TestCacheAvoidsRecompute(t *testing.T) {
 	app := newApp()
-	computes := 0
+	var computes atomic.Int64 // tasks of a stage may run in parallel
 	src := rdd.Parallelize(app, "ints", ints(64), 4)
-	counted := rdd.Map(src, func(v int) int { computes++; return v })
+	counted := rdd.Map(src, func(v int) int { computes.Add(1); return v })
 	cached := rdd.Cache(counted)
 
 	rdd.Count(cached)
-	after1 := computes
+	after1 := computes.Load()
 	rdd.Count(cached)
-	if computes != after1 {
-		t.Fatalf("cached RDD recomputed: %d -> %d map calls", after1, computes)
+	if computes.Load() != after1 {
+		t.Fatalf("cached RDD recomputed: %d -> %d map calls", after1, computes.Load())
 	}
 	m := app.Metrics()
 	if m.CacheHits == 0 {
