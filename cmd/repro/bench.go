@@ -134,11 +134,31 @@ type ledgerRun struct {
 // ledger is the on-disk BENCH_wallclock.json shape. Notes are markdown
 // lines the -md report carries below its table: measurements the harness
 // does not take itself (the repository benchmark's per-layer numbers)
-// that belong beside the rows they explain.
+// that belong beside the rows they explain. Trajectory is append-only: one
+// row per accepted performance claim, kept when runs and notes are
+// overwritten by the next claim.
 type ledger struct {
 	Description string               `json:"description"`
+	Trajectory  []claim              `json:"trajectory,omitempty"`
 	Notes       []string             `json:"notes,omitempty"`
 	Runs        map[string]ledgerRun `json:"runs"`
+}
+
+// claim is one accepted performance claim, measured with the repository
+// benchmark (bash benchmark/run.sh --workload W) over alternating
+// parent/change pairs: the medians of each side, the parent's quartile
+// spread, and in how many pairs the change was better.
+type claim struct {
+	PR        int     `json:"pr"`
+	Workload  string  `json:"workload"`
+	Metric    string  `json:"metric"`
+	Unit      string  `json:"unit"`
+	Parent    float64 `json:"parent_median"`
+	Change    float64 `json:"change_median"`
+	ParentIQR float64 `json:"parent_iqr"`
+	Pairs     int     `json:"pairs"`
+	Wins      int     `json:"wins"`
+	Seeds     string  `json:"seeds"`
 }
 
 // loadLedger reads the results file at path, or starts a fresh ledger
@@ -208,6 +228,16 @@ func renderMarkdown(doc ledger) string {
 					res.Name, group(res.NsPerOp), group(res.AllocsPerOp), float64(res.BytesPerOp)/1e6)
 			}
 			b.WriteString("\n")
+		}
+	}
+	if len(doc.Trajectory) > 0 {
+		b.WriteString("\n## Trajectory: every accepted claim\n\n")
+		b.WriteString("| PR | workload | metric | parent | change | Δ | parent IQR | wins/pairs | seeds |\n")
+		b.WriteString("|---:|---|---|---:|---:|---:|---:|---:|---|\n")
+		for _, c := range doc.Trajectory {
+			fmt.Fprintf(&b, "| %d | %s | %s | %g %s | %g %s | %+.1f%% | %g %s | %d/%d | %s |\n",
+				c.PR, c.Workload, c.Metric, c.Parent, c.Unit, c.Change, c.Unit,
+				100*(c.Change-c.Parent)/c.Parent, c.ParentIQR, c.Unit, c.Wins, c.Pairs, c.Seeds)
 		}
 	}
 	if len(doc.Notes) > 0 {

@@ -1,9 +1,12 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect about 8 s wall at
-// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (7.8–8.3 s over three
-// runs; 11 s at GOMAXPROCS=1): every cell is simulated once and shared
-// between the figures.
+// full report to stdout (or a file with -o). Expect about 5.5 s wall at
+// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (5.1–5.7 s over six
+// runs; 8.6–10.1 s at GOMAXPROCS=1): every cell is simulated once and
+// shared between the figures, and the cells that read the same input
+// share its generated partitions. Progress lines and, last, the host
+// ledger (batches, cells, generated partitions asked and filled) go to
+// stderr.
 //
 // Usage:
 //
@@ -40,7 +43,8 @@ func main() {
 	// sanctioned wrapper) and only to stderr: the report bytes on w are a
 	// pure function of the seed.
 	sw := telemetry.StartStopwatch()
-	core.Reproduce(w, core.ReproduceOptions{
+	e := core.NewEvaluator(nil)
+	e.Reproduce(w, core.ReproduceOptions{
 		Seed:        *seed,
 		SkipScaling: *skipScaling,
 		Progress: func(name string) {
@@ -56,6 +60,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "%s full reproduction complete\n", sw.Stamp())
+	fmt.Fprintf(os.Stderr, "%s %s\n", sw.Stamp(), e.HostLedger())
 }
 
 // fail reports err on stderr and exits 1.

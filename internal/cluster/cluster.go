@@ -142,6 +142,7 @@ type App struct {
 	rddSeq     int
 	shuffleSeq int
 	tracer     *trace.Recorder
+	gen        *rdd.GenStore // host-only: see ShareGenerated
 }
 
 // New builds an application: fresh kernel and memory system, executors
@@ -269,6 +270,16 @@ func (a *App) System() *memsim.System { return a.sys }
 
 // Tier returns the tier executors are bound to.
 func (a *App) Tier() *memsim.Tier { return a.pool.Tier() }
+
+// ShareGenerated makes the application's generated sources read their
+// partitions from store, which the other runs of an evaluation batch share.
+// Call it before building datasets. The store is host-side state: it
+// changes which Go values hold the records, never the records, the charges
+// or anything the run reports.
+func (a *App) ShareGenerated(store *rdd.GenStore) { a.gen = store }
+
+// GenStore implements rdd.Driver; nil unless ShareGenerated was called.
+func (a *App) GenStore() *rdd.GenStore { return a.gen }
 
 // NextRDDID implements rdd.Driver.
 func (a *App) NextRDDID() int { a.rddSeq++; return a.rddSeq }

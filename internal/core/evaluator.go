@@ -9,6 +9,9 @@ import (
 
 	"repro/internal/hibench"
 	"repro/internal/par"
+	"repro/internal/rdd"
+	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 // Evaluator is the package's one evaluation path, and every driver is a
@@ -17,17 +20,22 @@ import (
 // keyed on hibench.RunSpec.Key (a cell is simulated once per Evaluator,
 // however many figures ask for it), a join on cells another caller already
 // has in flight, and a par.Do fan-out of the cells still to simulate over
-// GOMAXPROCS workers. An answer depends only on the request, never on the
-// worker count or on who simulated the cell. Share one Evaluator between
-// the drivers of one report; nothing in it outlives the value or leaks
-// between seeds.
+// GOMAXPROCS workers. The cells one call simulates that read the same
+// generated input share a store of its partitions (rdd.GenStore), so each
+// distinct partition is generated once per call; the store goes when the
+// last of those cells ends. An answer depends only on the request, never
+// on the worker count or on who simulated the cell. Share one Evaluator
+// between the drivers of one report; nothing in it outlives the value or
+// leaks between seeds.
 type Evaluator struct {
-	runner  hibench.QueryRunner // answers Queries when non-nil
-	workers int                 // test seam: cell and phase-1 workers; 0 selects GOMAXPROCS
-	noMemo  bool                // test seam: treat every cell as unkeyable
+	runner     hibench.QueryRunner // answers Queries when non-nil
+	workers    int                 // test seam: cell and phase-1 workers; 0 selects GOMAXPROCS
+	noMemo     bool                // test seam: treat every cell as unkeyable
+	checkPages bool                // test seam: checksum shared generated pages, panic on a write
 
-	mu    sync.Mutex
-	cells map[string]*cell
+	mu     sync.Mutex
+	cells  map[string]*cell
+	ledger HostLedger
 }
 
 // cell is one simulation and its outcome, final once done is closed.
@@ -65,15 +73,80 @@ func NewEvaluator(runner hibench.QueryRunner) *Evaluator {
 	return &Evaluator{runner: runner, cells: make(map[string]*cell)}
 }
 
-// run simulates the cell and reports whether that succeeded.
-func (c *cell) run(spec hibench.RunSpec) bool {
+// genGroup is the cells of one eval call that read the same generated
+// input, and the store they share it through. The group's last cell to end
+// drops the store, so a page lives no longer than the cells that can read
+// it, and each of the group's partitions is filled once whatever the
+// worker count.
+type genGroup struct {
+	gen  *rdd.GenStore
+	left atomic.Int64 // cells still to end
+	err  error        // a page a consumer wrote, under checkPages
+}
+
+// genData is what a cell's generated input depends on: its workload, size,
+// seed and source parallelism. Tier, layout, caps, placements, fault plans
+// and tiering leave it alone, so cells that differ only in those share one
+// genGroup.
+type genData struct {
+	workload    string
+	size        workloads.Size
+	seed        int64
+	parallelism int
+}
+
+// genGroups groups the cells of mine by the generated input they read and
+// returns each one's group, by position in mine; check is the checkPages
+// seam.
+func genGroups(specs []hibench.RunSpec, mine []int, check bool) []*genGroup {
+	byData := make(map[genData]*genGroup)
+	groups := make([]*genGroup, len(mine))
+	for j, i := range mine {
+		s := specs[i].WithDefaults()
+		d := genData{s.Workload, s.Size, s.Seed, s.Parallelism}
+		g := byData[d]
+		if g == nil {
+			g = &genGroup{}
+			byData[d] = g
+		}
+		g.left.Add(1)
+		groups[j] = g
+	}
+	for _, g := range groups {
+		if g.gen == nil {
+			g.gen = rdd.NewGenStore(int(g.left.Load()), check)
+		}
+	}
+	return groups
+}
+
+// leave ends one cell of g. The last one checks the group's pages, books
+// its generation in the ledger and drops the store.
+func (e *Evaluator) leave(g *genGroup) {
+	if g.left.Add(-1) > 0 {
+		return
+	}
+	g.err = g.gen.Verify()
+	counts, seconds := g.gen.Counts()
+	g.gen = nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, c := range counts {
+		e.ledger.Gen = rdd.AddGenCount(e.ledger.Gen, c)
+	}
+	e.ledger.GenSeconds += seconds
+}
+
+// run simulates the cell, reading generated partitions from gen, and
+// reports whether that succeeded.
+func (c *cell) run(spec hibench.RunSpec, gen *rdd.GenStore) bool {
 	defer close(c.done)
 	defer func() {
 		if r := recover(); r != nil {
 			c.err = &cellPanic{spec, r, debug.Stack()}
 		}
 	}()
-	c.res, c.err = hibench.Run(spec)
+	c.res, c.err = hibench.RunShared(spec, gen)
 	return c.err == nil
 }
 
@@ -95,6 +168,7 @@ func (e *Evaluator) drop(c *cell) {
 // order; cells behind a failed one that have not started are dropped. Only
 // those are, so the failure raised is the same at every worker count.
 func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
+	sw := telemetry.StartStopwatch()
 	cells := make([]*cell, len(specs))
 	var mine []int // requests whose cell this call simulates
 	e.mu.Lock()
@@ -115,6 +189,7 @@ func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	}
 	e.mu.Unlock()
 
+	groups := genGroups(specs, mine, e.checkPages)
 	var failedAt atomic.Int64 // index into mine
 	failedAt.Store(int64(len(mine)))
 	par.Do(len(mine), e.workers, func(j int) {
@@ -123,13 +198,21 @@ func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 		if e.workers > 0 {
 			spec.TaskParallelism = e.workers // host-only: Key ignores it, out[i].Spec overwrites it
 		}
+		g := groups[j]
 		if c := cells[mine[n]]; failedAt.Load() < n {
 			e.drop(c)
-		} else if !c.run(spec) {
+		} else if !c.run(spec, g.gen) {
 			for at := failedAt.Load(); n < at && !failedAt.CompareAndSwap(at, n); at = failedAt.Load() {
 			}
 		}
+		e.leave(g)
 	})
+	for _, g := range groups {
+		if g.err != nil {
+			panic(g.err)
+		}
+	}
+	e.account(len(specs), len(mine), sw)
 
 	out := make([]hibench.RunResult, len(specs))
 	for i, c := range cells {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/memsim"
 	"repro/internal/numa"
+	"repro/internal/rdd"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tiering"
@@ -175,7 +176,15 @@ type TieringStats struct {
 // job abort surfaces here as an ordinary *faults.JobAbortedError — callers
 // distinguish "the configuration is invalid" from "the run gave up" with
 // errors.As.
-func Run(spec RunSpec) (result RunResult, err error) {
+func Run(spec RunSpec) (RunResult, error) {
+	return RunShared(spec, nil)
+}
+
+// RunShared is Run whose generated sources read their partitions from gen,
+// a store the other runs of one evaluation batch share (see rdd.GenStore);
+// a nil gen is Run. gen is host-side: the result is the one Run returns,
+// and neither RunSpec.Key nor RunResult records it.
+func RunShared(spec RunSpec, gen *rdd.GenStore) (result RunResult, err error) {
 	spec = spec.WithDefaults()
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
@@ -199,6 +208,7 @@ func Run(spec RunSpec) (result RunResult, err error) {
 		return RunResult{}, fmt.Errorf("hibench: %s: %w", spec, err)
 	}
 	app := cluster.New(conf)
+	app.ShareGenerated(gen)
 	// The scheduler signals an exhausted recovery budget by panicking
 	// with the typed abort, and the block manager signals an exhausted
 	// tenant quota the same way from the commit path; convert either into

@@ -2,12 +2,14 @@ package hibench
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/executor"
 	"repro/internal/faults"
 	"repro/internal/memsim"
+	"repro/internal/rdd"
 	"repro/internal/workloads"
 )
 
@@ -149,5 +151,43 @@ func TestRunRecordsRecoveryCounters(t *testing.T) {
 	}
 	if clean.Duration >= res.Duration {
 		t.Fatalf("retries were free: %v vs clean %v", res.Duration, clean.Duration)
+	}
+}
+
+// TestRunSharedMatchesRun: a run whose generated partitions come from a
+// store other runs filled — other layouts, a fault plan that retries
+// tasks over the shared pages — returns exactly what Run returns, and no
+// run writes a page it read.
+func TestRunSharedMatchesRun(t *testing.T) {
+	store := rdd.NewGenStore(2*3*len(workloads.Names()), true)
+	for _, w := range workloads.Names() {
+		for _, spec := range []RunSpec{
+			{Workload: w, Size: workloads.Tiny, Tier: memsim.Tier2},
+			{Workload: w, Size: workloads.Tiny, Tier: memsim.Tier0, Executors: 4, CoresPerExecutor: 10},
+			{Workload: w, Size: workloads.Tiny, Tier: memsim.Tier2, Faults: &faults.Plan{TaskFailureRate: 0.3, MaxTaskFailures: 16}},
+		} {
+			want, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := RunShared(spec, store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s pass %d: the shared run differs from Run", spec, pass)
+				}
+			}
+		}
+	}
+	if err := store.Verify(); err != nil {
+		t.Error(err)
+	}
+	counts, _ := store.Counts()
+	for _, c := range counts {
+		if c.Filled == 0 || c.Filled >= c.Asked {
+			t.Errorf("%s: %d filled of %d asked; want each partition filled once and read again", c.Gen, c.Filled, c.Asked)
+		}
 	}
 }

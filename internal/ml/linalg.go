@@ -51,18 +51,15 @@ func AddOuter(a []float64, x []float64) int {
 	return 2 * n * n
 }
 
-// CholeskySolve solves A x = b for symmetric positive-definite A (row-major
-// n x n), overwriting neither input. It returns the solution and the flop
-// count. A ridge is expected to have been added by the caller (ALS adds
-// lambda*I), keeping the factorization stable.
-func CholeskySolve(a []float64, b []float64) ([]float64, int) {
+// choleskySolve solves A x = b for symmetric positive-definite A (row-major
+// n x n), overwriting neither input; l (n x n) and y (n) are scratch and x
+// receives the solution. It returns the flop count. A ridge is expected to
+// have been added by the caller (ALS adds lambda*I), keeping the
+// factorization stable.
+func choleskySolve(a, b, l, y, x []float64) int {
 	n := len(b)
-	if len(a) != n*n {
-		panic(fmt.Sprintf("ml: cholesky with %d-buffer for n=%d", len(a), n))
-	}
 	flops := 0
 	// Factor A = L Lᵀ.
-	l := make([]float64, n*n)
 	copy(l, a)
 	for j := 0; j < n; j++ {
 		d := l[j*n+j]
@@ -87,7 +84,6 @@ func CholeskySolve(a []float64, b []float64) ([]float64, int) {
 		}
 	}
 	// Forward substitution L y = b.
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
@@ -98,7 +94,6 @@ func CholeskySolve(a []float64, b []float64) ([]float64, int) {
 		flops++
 	}
 	// Back substitution Lᵀ x = y.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -108,33 +103,47 @@ func CholeskySolve(a []float64, b []float64) ([]float64, int) {
 		x[i] = s / l[i*n+i]
 		flops++
 	}
-	return x, flops
+	return flops
 }
 
-// NormalEquations accumulates the ALS per-entity normal equations
-// A = Σ qᵀq + lambda·I, b = Σ r·q over the rated factor vectors and solves
-// for the entity's factor vector. rank is inferred from the factors.
-func NormalEquations(factors [][]float64, ratings []float64, lambda float64) ([]float64, int) {
-	if len(factors) == 0 {
-		return nil, 0
+// Solver solves the ALS per-entity normal equations
+// A = Σ qᵀq + lambda·I, b = Σ r·q over an entity's rated factor vectors:
+// Reset starts an entity, Add accumulates each rated factor vector, Solve
+// writes the entity's factor vector. It is one task's scratch for a run of
+// solves: its buffers are reused from entity to entity, so a task
+// allocates them once, not once per entity.
+type Solver struct {
+	a, b, l, y []float64
+}
+
+// Reset clears the accumulated system for a rank-n entity.
+func (s *Solver) Reset(n int) {
+	if cap(s.b) < n {
+		s.a, s.l = make([]float64, n*n), make([]float64, n*n)
+		s.b, s.y = make([]float64, n), make([]float64, n)
 	}
-	if len(factors) != len(ratings) {
-		panic(fmt.Sprintf("ml: %d factors vs %d ratings", len(factors), len(ratings)))
-	}
-	n := len(factors[0])
-	a := make([]float64, n*n)
-	b := make([]float64, n)
-	flops := 0
-	for i, q := range factors {
-		flops += AddOuter(a, q)
-		flops += AxPy(ratings[i], q, b)
+	s.a, s.l, s.b, s.y = s.a[:n*n], s.l[:n*n], s.b[:n], s.y[:n]
+	clear(s.a)
+	clear(s.b)
+}
+
+// Add accumulates one rated factor vector q with rating r and returns the
+// flop count.
+func (s *Solver) Add(q []float64, r float64) int {
+	return AddOuter(s.a, q) + AxPy(r, q, s.b)
+}
+
+// Solve adds the lambda ridge, solves the accumulated system into x and
+// returns the flop count.
+func (s *Solver) Solve(lambda float64, x []float64) int {
+	n := len(s.b)
+	if len(x) != n {
+		panic(fmt.Sprintf("ml: solve into %d-vector for n=%d", len(x), n))
 	}
 	for i := 0; i < n; i++ {
-		a[i*n+i] += lambda
+		s.a[i*n+i] += lambda
 	}
-	flops += n
-	x, f := CholeskySolve(a, b)
-	return x, flops + f
+	return n + choleskySolve(s.a, s.b, s.l, s.y, x)
 }
 
 // RMSE computes the root-mean-square error of predictions dot(u,p) against

@@ -564,3 +564,30 @@ func TestPageRankReferenceHubGetsMore(t *testing.T) {
 		}
 	}
 }
+
+// One Solver reused across entities — the ALS task's scratch — returns
+// each entity's factors and flops bit for bit as a fresh solve does.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var s Solver
+	for entity := 0; entity < 50; entity++ {
+		n := 1 + r.Intn(8)
+		factors := make([][]float64, n)
+		ratings := make([]float64, n)
+		for i := range factors {
+			factors[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64(), r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+			ratings[i] = r.NormFloat64()
+		}
+		want, wantFlops := NormalEquations(factors, ratings, 0.1)
+		s.Reset(6)
+		flops := 0
+		for i, q := range factors {
+			flops += s.Add(q, ratings[i])
+		}
+		got := make([]float64, 6)
+		flops += s.Solve(0.1, got)
+		if !slices.Equal(got, want) || flops != wantFlops {
+			t.Fatalf("entity %d: reused solver gave %v (%d flops), fresh %v (%d)", entity, got, flops, want, wantFlops)
+		}
+	}
+}

@@ -34,6 +34,10 @@ type Driver interface {
 	RunJob(final *Base, fn ResultFunc) []any
 	// Seed is the application's deterministic random seed.
 	Seed() int64
+	// GenStore is the store generated sources share their partitions
+	// through (see Generator.Source); nil generates every partition
+	// afresh. It is host-side state: nothing a run computes depends on it.
+	GenStore() *GenStore
 }
 
 // ShuffleDep is a wide dependency: the parent is hash/range partitioned
@@ -74,9 +78,9 @@ type RDD[T any] struct {
 	compute func(ctx *executor.TaskContext, part int) []T
 	cached  bool
 	// fill is set on generated sources only: it produces partition part's
-	// records, pure in (seed, part), and compute is chargeGenerated over
-	// its output. SortBy uses it to generate a partition once for both of
-	// its jobs.
+	// records, pure in (seed, part), from a GenStore when the source shares
+	// one, and compute is chargeGenerated over its output. SortBy uses it
+	// to generate a partition once for both of its jobs.
 	fill func(part int) []T
 }
 

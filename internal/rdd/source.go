@@ -56,7 +56,8 @@ func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand,
 // generator that draws the same random sequence produces a
 // byte-identical dataset and ledger. A partition's compute is
 // chargeGenerated over its fill, which SortBy splits apart (see
-// parkedSource).
+// parkedSource). Its fill closure names no generator, so its partitions
+// are never shared through a GenStore; Generator.Source's are.
 func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand.Rand, lo, hi int, out []T)) *RDD[T] {
 	if parts <= 0 {
 		parts = d.DefaultParallelism()
@@ -75,12 +76,13 @@ func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand
 		fill(rng.New(seed^int64(part)*0x9e3779b9), lo, hi, out)
 		return out
 	}
-	src := newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
-		out := fillPart(part)
+	src := newRDD[T](d, name, parts, nil, nil, nil)
+	src.fill = fillPart
+	src.compute = func(ctx *executor.TaskContext, part int) []T {
+		out := src.fill(part)
 		chargeGenerated(ctx, out)
 		return out
-	})
-	src.fill = fillPart
+	}
 	return src
 }
 

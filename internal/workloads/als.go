@@ -87,17 +87,23 @@ func (a *ALS) Run(app *cluster.App, size Size) Summary {
 			func(ctx *executor.TaskContext, part int, in []rdd.Pair[int, []Rating]) []rdd.Pair[int, []float64] {
 				factors := bcast.Value(ctx) // the other side's factors
 				out := make([]rdd.Pair[int, []float64], 0, len(in))
+				// One solver scratch per task, and every entity's factor
+				// vector carved from one page.
+				var solver ml.Solver
+				page := make([]float64, len(in)*p.Rank)
 				for _, g := range in {
-					qs := make([][]float64, 0, len(g.Val))
-					rs := make([]float64, 0, len(g.Val))
-					for _, rat := range g.Val {
-						q := factors[otherKey(rat)]
-						qs = append(qs, q)
-						rs = append(rs, rat.Score)
-						// Factor lookup is a scattered read.
-						ctx.MemRand(memsim.Read, 1, int64(8*p.Rank))
+					var x []float64
+					flops := 0
+					if len(g.Val) > 0 {
+						solver.Reset(p.Rank)
+						for _, rat := range g.Val {
+							flops += solver.Add(factors[otherKey(rat)], rat.Score)
+							// Factor lookup is a scattered read.
+							ctx.MemRand(memsim.Read, 1, int64(8*p.Rank))
+						}
+						x, page = page[:p.Rank:p.Rank], page[p.Rank:]
+						flops += solver.Solve(p.Lambda, x)
 					}
-					x, flops := ml.NormalEquations(qs, rs, p.Lambda)
 					ctx.CPU(float64(flops) * ctx.Cost.FlopNS)
 					out = append(out, rdd.KV(g.Key, x))
 				}

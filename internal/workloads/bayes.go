@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"repro/internal/cluster"
 	"repro/internal/executor"
 	"repro/internal/memsim"
@@ -55,9 +53,7 @@ func (b *Bayes) Describe(size Size) string {
 // Run implements Workload.
 func (b *Bayes) Run(app *cluster.App, size Size) Summary {
 	p := bayesSizes[size]
-	pages := rdd.Cache(rdd.Generate(app, "bayes-corpus", p.Pages, 0, func(r *rand.Rand, _ int) Page {
-		return genPage(r, p.Classes, p.Vocab, p.TokensPerPage)
-	}))
+	pages := rdd.Cache(bayesCorpusGen.Source(app, "bayes-corpus", p, p.Pages, 0))
 
 	// Token frequency per (class, token): the shuffle-heavy phase.
 	tokenPairs := rdd.FlatMap(pages, func(dst []rdd.Pair[ClassTok, int64], pg Page) []rdd.Pair[ClassTok, int64] {

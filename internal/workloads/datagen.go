@@ -5,7 +5,44 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/ml"
 	"repro/internal/rdd"
+)
+
+// The registered generators: every generated input a workload reads. A
+// generator's ID names its fill body and its params type is everything the
+// body reads besides the seed, so two sources with equal (ID, params, seed,
+// n, parts) hold the same records partition for partition. Within one
+// evaluation batch a GenStore generates each such partition once and hands
+// the page to every cell that asks (rdd.Generator.Source), so the figures'
+// many tiers and layouts of a cell read one copy of its input. A fill
+// reads nothing else — no captured variable, no package state — and no
+// consumer writes the records it reads.
+var (
+	textRecordsGen = rdd.Generator[TextRecord, struct{}]{ID: "text-records",
+		Fill: func(_ struct{}, _ int64, r *rand.Rand, _, _ int, out []TextRecord) { genTextRecords(r, out) }}
+	webGraphGen = rdd.Generator[WebPage, pagerankParams]{ID: "web-graph",
+		Fill: func(p pagerankParams, _ int64, r *rand.Rand, lo, _ int, out []WebPage) {
+			for j := range out {
+				out[j] = genWebPage(r, lo+j, p.Pages, p.MaxDegree)
+			}
+		}}
+	bayesCorpusGen = rdd.Generator[Page, bayesParams]{ID: "bayes-corpus",
+		Fill: func(p bayesParams, _ int64, r *rand.Rand, _, _ int, out []Page) {
+			for j := range out {
+				out[j] = genPage(r, p.Classes, p.Vocab, p.TokensPerPage)
+			}
+		}}
+	rfExamplesGen = rdd.Generator[Example, rfParams]{ID: "rf-examples",
+		Fill: func(p rfParams, _ int64, r *rand.Rand, lo, _ int, out []Example) {
+			for j := range out {
+				out[j] = genExample(r, lo+j, p.Features, p.Bins)
+			}
+		}}
+	ldaDocsGen = rdd.Generator[*ml.Document, ldaParams]{ID: "lda-docs",
+		Fill: func(p ldaParams, seed int64, r *rand.Rand, lo, _ int, out []*ml.Document) {
+			genLDADocs(r, seed, lo, p, out)
+		}}
 )
 
 // TextRecord is a HiBench-style text line: a short random key plus an

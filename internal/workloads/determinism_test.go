@@ -199,8 +199,7 @@ func TestLDADocsReseededMatchesFreshSources(t *testing.T) {
 // twice — and once more with phase-1 parallelism — and requires the
 // partitioned dataset to render byte-identically: partition boundaries,
 // record order within partitions, and record contents. It uses
-// GenerateBatch + genTextRecords, the exact production path of the text
-// workloads.
+// textRecordsGen, the exact production path of the text workloads.
 func TestDatasetPartitionsByteIdentical(t *testing.T) {
 	build := func(taskParallelism int) string {
 		conf := cluster.DefaultConf()
@@ -208,9 +207,7 @@ func TestDatasetPartitionsByteIdentical(t *testing.T) {
 		conf.DefaultParallelism = 8
 		conf.TaskParallelism = taskParallelism
 		app := cluster.New(conf)
-		data := rdd.GenerateBatch(app, "det-input", 4_000, 0, func(r *rand.Rand, _, _ int, out []TextRecord) {
-			genTextRecords(r, out)
-		})
+		data := textRecordsGen.Source(app, "det-input", struct{}{}, 4_000, 0)
 		parts := rdd.Collect(rdd.MapPartitions(data, func(_ *executor.TaskContext, _ int, in []TextRecord) [][]TextRecord {
 			return [][]TextRecord{in}
 		}))
@@ -222,5 +219,53 @@ func TestDatasetPartitionsByteIdentical(t *testing.T) {
 	}
 	if par := build(8); par != seq {
 		t.Fatal("parallel (8-worker) dataset generation differs from sequential")
+	}
+}
+
+// TestGeneratorKeysOnCapturedParams: sources of one registered generator
+// whose params differ only in what the fill reads beside n — pagerank's
+// MaxDegree, bayes' Vocab and Classes — read their own pages from a shared
+// store, each equal to what a store-less source generates.
+func TestGeneratorKeysOnCapturedParams(t *testing.T) {
+	store := rdd.NewGenStore(4, false)
+	app := func(shared bool) *cluster.App {
+		conf := cluster.DefaultConf()
+		conf.CoresPerExecutor, conf.DefaultParallelism = 8, 8
+		a := cluster.New(conf)
+		if shared {
+			a.ShareGenerated(store)
+		}
+		return a
+	}
+	pr := pagerankSizes[Small]
+	pr2 := pr
+	pr2.MaxDegree++
+	by := bayesSizes[Small]
+	by2 := by
+	by2.Vocab, by2.Classes = by.Vocab/2, by.Classes/2
+	graphs := [][]WebPage{
+		rdd.Collect(webGraphGen.Source(app(true), "web-graph", pr, pr.Pages, 0)),
+		rdd.Collect(webGraphGen.Source(app(true), "web-graph", pr2, pr2.Pages, 0)),
+		rdd.Collect(webGraphGen.Source(app(false), "web-graph", pr2, pr2.Pages, 0)),
+	}
+	corpora := [][]Page{
+		rdd.Collect(bayesCorpusGen.Source(app(true), "bayes-corpus", by, by.Pages, 0)),
+		rdd.Collect(bayesCorpusGen.Source(app(true), "bayes-corpus", by2, by2.Pages, 0)),
+		rdd.Collect(bayesCorpusGen.Source(app(false), "bayes-corpus", by2, by2.Pages, 0)),
+	}
+	if reflect.DeepEqual(graphs[0], graphs[1]) || !reflect.DeepEqual(graphs[1], graphs[2]) {
+		t.Error("web-graph: a MaxDegree change read the other parameters' pages")
+	}
+	if reflect.DeepEqual(corpora[0], corpora[1]) || !reflect.DeepEqual(corpora[1], corpora[2]) {
+		t.Error("bayes-corpus: a Vocab and Classes change read the other parameters' pages")
+	}
+	counts, _ := store.Counts()
+	for _, c := range counts {
+		if c.Filled != 2*8 || c.Asked != 2*8 {
+			t.Errorf("%s: %d asked, %d filled; want 16 of each (two keys of 8 partitions)", c.Gen, c.Asked, c.Filled)
+		}
+	}
+	if len(counts) != 2 {
+		t.Errorf("tallied %d generators, want web-graph and bayes-corpus", len(counts))
 	}
 }

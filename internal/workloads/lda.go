@@ -61,9 +61,7 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 	if dp := app.DefaultParallelism(); dp < parts {
 		parts = dp
 	}
-	docs := rdd.Cache(rdd.GenerateBatch(app, "lda-docs", p.Docs, parts, func(r *rand.Rand, lo, _ int, out []*ml.Document) {
-		genLDADocs(r, seed, lo, p, out)
-	}))
+	docs := rdd.Cache(ldaDocsGen.Source(app, "lda-docs", p, p.Docs, parts))
 
 	// Seed the global state from the initial assignments.
 	state := ml.NewLDAState(p.Topics, p.Vocab, 50.0/float64(p.Topics), 0.01)

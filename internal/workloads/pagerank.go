@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"repro/internal/cluster"
 	"repro/internal/ml"
 	"repro/internal/rdd"
@@ -45,9 +43,7 @@ func (w *PageRank) Describe(size Size) string {
 // Run implements Workload.
 func (w *PageRank) Run(app *cluster.App, size Size) Summary {
 	p := pagerankSizes[size]
-	pages := rdd.Generate(app, "web-graph", p.Pages, 0, func(r *rand.Rand, i int) WebPage {
-		return genWebPage(r, i, p.Pages, p.MaxDegree)
-	})
+	pages := webGraphGen.Source(app, "web-graph", p, p.Pages, 0)
 	links := rdd.Cache(rdd.Map(pages, func(pg WebPage) rdd.Pair[int, []int] {
 		return rdd.KV(pg.ID, pg.Links)
 	}))

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"repro/internal/cluster"
 	"repro/internal/rdd"
 )
@@ -42,9 +40,7 @@ func (w *Repartition) Describe(size Size) string {
 // Run implements Workload.
 func (w *Repartition) Run(app *cluster.App, size Size) Summary {
 	p := repartitionSizes[size]
-	data := rdd.GenerateBatch(app, "repartition-input", p.Records, 0, func(r *rand.Rand, _, _ int, out []TextRecord) {
-		genTextRecords(r, out)
-	})
+	data := textRecordsGen.Source(app, "repartition-input", struct{}{}, p.Records, 0)
 	shuffled := rdd.Repartition(data, app.DefaultParallelism())
 	bytes := rdd.SaveAsSink(shuffled)
 	return Summary{Records: p.Records, Metric: float64(bytes), Note: "output_bytes"}

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/cluster"
 	"repro/internal/executor"
@@ -186,9 +185,7 @@ func allZero(counts []int64) bool {
 // Run implements Workload.
 func (w *RandomForest) Run(app *cluster.App, size Size) Summary {
 	p := rfSizes[size]
-	examples := rdd.Cache(rdd.Generate(app, "rf-examples", p.Examples, 0, func(r *rand.Rand, i int) Example {
-		return genExample(r, i, p.Features, p.Bins)
-	}))
+	examples := rdd.Cache(rfExamplesGen.Source(app, "rf-examples", p, p.Examples, 0))
 
 	trees := make([]*ml.Tree, p.Trees)
 	for t := 0; t < p.Trees; t++ {

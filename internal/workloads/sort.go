@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"repro/internal/cluster"
 	"repro/internal/rdd"
 )
@@ -42,9 +40,7 @@ func (s *Sort) Describe(size Size) string {
 // Run implements Workload.
 func (s *Sort) Run(app *cluster.App, size Size) Summary {
 	p := sortSizes[size]
-	data := rdd.GenerateBatch(app, "sort-input", p.Records, 0, func(r *rand.Rand, _, _ int, out []TextRecord) {
-		genTextRecords(r, out)
-	})
+	data := textRecordsGen.Source(app, "sort-input", struct{}{}, p.Records, 0)
 	sorted := rdd.SortBy(data, func(t TextRecord) string { return t.Key }, 0)
 	bytes := rdd.SaveAsSink(sorted)
 	return Summary{Records: p.Records, Metric: float64(bytes), Note: "output_bytes"}
