@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -186,6 +187,36 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	if allowed > 12 {
 		t.Errorf("%d //%s %s directives; the cap is 12", allowed, DirectiveName, Unreached.Name)
+	}
+}
+
+// hotbox finds the tiering tick by what it calls — recording a
+// heat.History epoch — not by its name, so a refactor that stopped the
+// tick from calling History.Push would empty tickSortRule without a
+// word. On the real module the rule must start at Engine.Tick and reach
+// the policies' candidate sorts through the Policy interface.
+func TestTickSortRuleFindsTheTick(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := computeFacts(m.pkgs)
+	const tick, plan = "(*repro/internal/tiering.Engine).Tick", "repro/internal/tiering.planWatermark"
+	var entries []string
+	for _, n := range facts.Nodes {
+		if n.Fn != nil && tickSortRule.entry(n) {
+			entries = append(entries, n.Fn.FullName())
+		}
+	}
+	if !slices.Contains(entries, tick) {
+		t.Fatalf("tickSortRule's entries are %v; %s is not among them", entries, tick)
+	}
+	reached := false
+	for n := range facts.Reach(tickSortRule.entry, tickSortRule.exempt, tickSortRule.bridge) {
+		reached = reached || n.Fn != nil && n.Fn.FullName() == plan
+	}
+	if !reached {
+		t.Fatalf("tickSortRule does not reach %s from the tick", plan)
 	}
 }
 

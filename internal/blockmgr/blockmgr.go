@@ -213,14 +213,17 @@ func (m *Manager) CanMigrate(id BlockID, to memsim.TierID) bool {
 	return m.quota == nil || m.quota.CanMove(e.tier, to, e.bytes)
 }
 
-// Blocks lists every resident block ordered by id — the deterministic
-// enumeration migration policies plan over.
-func (m *Manager) Blocks() []BlockInfo {
-	out := make([]BlockInfo, len(m.order))
-	for i, e := range m.order {
-		out[i] = BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier}
+// AppendBlocks appends every resident block to dst, ordered by id — the
+// deterministic enumeration migration policies plan over — and returns
+// the extended slice. dst is grown at most once, so a caller passing the
+// previous epoch's buffer back allocates only when the manager has grown
+// past it; AppendBlocks(nil) is a fresh list sized to the manager.
+func (m *Manager) AppendBlocks(dst []BlockInfo) []BlockInfo {
+	dst = slices.Grow(dst, len(m.order))
+	for _, e := range m.order {
+		dst = append(dst, BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier})
 	}
-	return out
+	return dst
 }
 
 // orderIndex returns the position of id in the id-ordered index, or the

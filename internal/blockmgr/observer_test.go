@@ -134,7 +134,7 @@ func checkResidencyInvariants(t *testing.T, m *Manager) {
 	t.Helper()
 	var sum int64
 	perTier := map[memsim.TierID]int64{}
-	for _, b := range m.Blocks() {
+	for _, b := range m.AppendBlocks(nil) {
 		if !b.Tier.Valid() {
 			t.Fatalf("block %s resident on invalid tier %d", b.ID, b.Tier)
 		}
@@ -219,8 +219,8 @@ func TestOversizedOverwriteDropsDisplaced(t *testing.T) {
 	if ev := m.Put(id, "huge", 300, 1); ev != nil {
 		t.Fatalf("oversized overwrite reported evictions %v", ev)
 	}
-	if m.blocks[id] != nil || m.used != 0 || len(m.Blocks()) != 0 {
-		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.used, m.Blocks())
+	if m.blocks[id] != nil || m.used != 0 || len(m.AppendBlocks(nil)) != 0 {
+		t.Fatalf("oversized overwrite left the block resident: used=%d blocks=%v", m.used, m.AppendBlocks(nil))
 	}
 	want := []string{"put rdd_1_0 100", "drop rdd_1_0 100"}
 	if fmt.Sprint(obs.events) != fmt.Sprint(want) {
@@ -277,7 +277,7 @@ func TestBlocksOrderModel(t *testing.T) {
 				want = append(want, BlockInfo{ID: e.id, Bytes: e.bytes, Items: e.items, Tier: e.tier})
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i].ID.Less(want[j].ID) })
-			got := m.Blocks()
+			got := m.AppendBlocks(nil)
 			if len(got) != len(want) {
 				t.Fatalf("capacity=%d step %d: Blocks() has %d entries, map has %d", capacity, step, len(got), len(want))
 			}

@@ -36,7 +36,7 @@ func TestPoolMarkDeadAndReplace(t *testing.T) {
 	if fresh.ID != 1 || fresh.Cores != old.Cores {
 		t.Fatalf("replacement = id %d cores %d, want id 1 cores %d", fresh.ID, fresh.Cores, old.Cores)
 	}
-	if fresh == old || len(fresh.Blocks.Blocks()) != 0 {
+	if fresh == old || len(fresh.Blocks.AppendBlocks(nil)) != 0 {
 		t.Fatal("replacement executor is not fresh")
 	}
 }

@@ -26,8 +26,12 @@ func AllForecasters() []ForecasterKind { return []ForecasterKind{Trend, Phase} }
 // Implementations must be pure: no mutation of history or cur, output
 // sorted by block ID (preserving cur's order suffices, since cur is).
 type Forecaster interface {
-	Name() string
-	Forecast(history *History, cur []Sample) []Sample
+	// ForecastInto writes the prediction into dst's storage
+	// (reallocated only when too short, so a nil dst gets a fresh slice)
+	// and reports whether it wrote one: with nothing to say it returns
+	// cur itself and false. dst must not overlap cur or any of history's
+	// snapshots.
+	ForecastInto(dst []Sample, history *History, cur []Sample) ([]Sample, bool)
 }
 
 // NewForecaster builds one forecaster of the given kind.
@@ -45,6 +49,10 @@ func NewForecaster(kind ForecasterKind) (Forecaster, error) {
 // previous stage's prediction as cur.
 type Chain struct {
 	stages []Forecaster
+	// bufs are ForecastBuffered's ping-pong outputs: each stage writes
+	// into the buffer its input is not in, so two serve a chain of any
+	// length.
+	bufs [2][]Sample
 }
 
 // NewChain builds a chain from kinds, in order.
@@ -60,25 +68,38 @@ func NewChain(kinds []ForecasterKind) (*Chain, error) {
 	return c, nil
 }
 
-// Name renders "trend+phase".
-func (c *Chain) Name() string {
-	s := ""
-	for i, f := range c.stages {
-		if i > 0 {
-			s += "+"
-		}
-		s += f.Name()
-	}
-	return s
-}
-
-// Forecast implements Forecaster by folding cur through every stage. An
-// empty chain is the identity.
+// Forecast folds cur through every stage, each stage's prediction in a
+// fresh slice. An empty chain is the identity.
 func (c *Chain) Forecast(history *History, cur []Sample) []Sample {
 	for _, f := range c.stages {
-		cur = f.Forecast(history, cur)
+		cur, _ = f.ForecastInto(nil, history, cur)
 	}
 	return cur
 }
 
-var _ Forecaster = (*Chain)(nil)
+// ForecastBuffered is Forecast folding through the chain's own two
+// buffers instead of a fresh slice per stage; the predictions are the
+// same. The result is cur itself (every stage had nothing to say) or one
+// of those buffers, so it stays valid only until the next
+// ForecastBuffered call: the tiering engine shares one chain across its
+// executors and reads each prediction within that executor's step.
+func (c *Chain) ForecastBuffered(history *History, cur []Sample) []Sample {
+	next := 0 // cur is never in bufs[next]
+	for _, f := range c.stages {
+		out, wrote := f.ForecastInto(c.bufs[next], history, cur)
+		if wrote {
+			c.bufs[next] = out
+			next ^= 1
+		}
+		cur = out
+	}
+	return cur
+}
+
+// resized returns dst with length n, reallocated only when too short.
+func resized(dst []Sample, n int) []Sample {
+	if cap(dst) < n {
+		return make([]Sample, n)
+	}
+	return dst[:n]
+}

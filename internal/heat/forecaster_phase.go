@@ -25,20 +25,17 @@ const maxPhasePeriod = 8
 // identity.
 type PhaseForecaster struct{}
 
-// Name implements Forecaster.
-func (PhaseForecaster) Name() string { return string(Phase) }
-
-// Forecast implements Forecaster.
-func (PhaseForecaster) Forecast(history *History, cur []Sample) []Sample {
+// ForecastInto implements Forecaster.
+func (PhaseForecaster) ForecastInto(dst []Sample, history *History, cur []Sample) ([]Sample, bool) {
 	p := detectPeriod(history)
 	if p == 0 {
-		return cur
+		return cur, false
 	}
 	replay := history.At(p - 1)
 	if replay == nil {
-		return cur
+		return cur, false
 	}
-	out := make([]Sample, len(cur))
+	out := resized(dst, len(cur))
 	j, ok := 0, false
 	for i, s := range cur {
 		out[i] = s
@@ -47,7 +44,7 @@ func (PhaseForecaster) Forecast(history *History, cur []Sample) []Sample {
 			out[i].Write = replay[j].Write
 		}
 	}
-	return out
+	return out, true
 }
 
 // detectPeriod scans candidate periods over the aggregate heat series

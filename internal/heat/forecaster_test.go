@@ -12,6 +12,12 @@ func samples(heats ...float64) []Sample {
 	return out
 }
 
+// forecast is f's prediction in a fresh slice, or cur itself.
+func forecast(f Forecaster, h *History, cur []Sample) []Sample {
+	out, _ := f.ForecastInto(nil, h, cur)
+	return out
+}
+
 func TestHistoryRing(t *testing.T) {
 	h := NewHistory(3)
 	if h.limit != 3 || h.Epochs() != 0 {
@@ -77,7 +83,7 @@ func TestTrendForecaster(t *testing.T) {
 	// No previous epoch: identity.
 	cur := samples(2)
 	h.Push(cur)
-	if got := f.Forecast(h, cur); got[0].Heat != 2 {
+	if got := forecast(f, h, cur); got[0].Heat != 2 {
 		t.Fatalf("one-epoch forecast = %v, want identity", got[0].Heat)
 	}
 
@@ -86,7 +92,7 @@ func TestTrendForecaster(t *testing.T) {
 	h.Push(samples(2, 4))                                    // prev: block0=2, block1=4
 	cur = append(samples(3, 1), Sample{ID: bid(2), Heat: 5}) // cur adds block2
 	h.Push(cur)
-	out := f.Forecast(h, cur)
+	out := forecast(f, h, cur)
 	if out[0].Heat != 4 { // 2*3-2
 		t.Fatalf("heating block forecast = %v, want 4", out[0].Heat)
 	}
@@ -117,7 +123,7 @@ func TestPhaseForecasterDetectsPeriod(t *testing.T) {
 	// Last pushed epoch is phase 2 of the cycle; the next epoch is phase
 	// 0, whose previous occurrence is At(p-1)=At(2), i.e. heats {8,1}.
 	var f PhaseForecaster
-	out := f.Forecast(h, cur)
+	out := forecast(f, h, cur)
 	if out[0].Heat != 8 || out[1].Heat != 1 {
 		t.Fatalf("phase forecast = %v/%v, want 8/1", out[0].Heat, out[1].Heat)
 	}
@@ -134,7 +140,7 @@ func TestPhaseForecasterQuietOnAperiodic(t *testing.T) {
 	if p := detectPeriod(h); p != 0 {
 		t.Fatalf("aperiodic series detected period %d", p)
 	}
-	out := PhaseForecaster{}.Forecast(h, cur)
+	out := forecast(PhaseForecaster{}, h, cur)
 	if out[0].Heat != cur[0].Heat {
 		t.Fatal("aperiodic forecast not identity")
 	}
@@ -145,8 +151,8 @@ func TestChainComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "trend+phase" || len(c.stages) != 2 {
-		t.Fatalf("chain = %s/%d", c.Name(), len(c.stages))
+	if len(c.stages) != 2 || c.stages[0] != (TrendForecaster{}) || c.stages[1] != (PhaseForecaster{}) {
+		t.Fatalf("chain stages = %v", c.stages)
 	}
 
 	// With no detectable period the phase stage is the identity, so the
@@ -156,7 +162,7 @@ func TestChainComposes(t *testing.T) {
 	cur := samples(3)
 	h.Push(cur)
 	out := c.Forecast(h, cur)
-	want := TrendForecaster{}.Forecast(h, cur)
+	want := forecast(TrendForecaster{}, h, cur)
 	if out[0].Heat != want[0].Heat {
 		t.Fatalf("chain = %v, trend alone = %v", out[0].Heat, want[0].Heat)
 	}
@@ -168,6 +174,9 @@ func TestChainComposes(t *testing.T) {
 	}
 	if got := empty.Forecast(h, cur); got[0] != cur[0] {
 		t.Fatal("empty chain not identity")
+	}
+	if got := empty.ForecastBuffered(h, cur); &got[0] != &cur[0] {
+		t.Fatal("empty buffered chain did not hand back cur")
 	}
 
 	if _, err := NewChain([]ForecasterKind{"oracle"}); err == nil {

@@ -8,16 +8,13 @@ package heat
 // one epoch earlier than the raw EWMA would.
 type TrendForecaster struct{}
 
-// Name implements Forecaster.
-func (TrendForecaster) Name() string { return string(Trend) }
-
-// Forecast implements Forecaster.
-func (TrendForecaster) Forecast(history *History, cur []Sample) []Sample {
+// ForecastInto implements Forecaster.
+func (TrendForecaster) ForecastInto(dst []Sample, history *History, cur []Sample) ([]Sample, bool) {
 	prev := history.At(1)
 	if prev == nil {
-		return cur
+		return cur, false
 	}
-	out := make([]Sample, len(cur))
+	out := resized(dst, len(cur))
 	j, ok := 0, false
 	for i, s := range cur {
 		out[i] = s
@@ -26,7 +23,7 @@ func (TrendForecaster) Forecast(history *History, cur []Sample) []Sample {
 			out[i].Write = clampZero(2*s.Write - prev[j].Write)
 		}
 	}
-	return out
+	return out, true
 }
 
 func clampZero(v float64) float64 {

@@ -59,9 +59,12 @@ type Tracker interface {
 	// unknown blocks, and 0 always for trackers that do not separate
 	// writes).
 	WriteHeat(id blockmgr.BlockID) float64
-	// Snapshot returns the sample of every block with recorded heat, in
-	// block-ID order — the order the tracker keeps its blocks in, so
-	// nothing is sorted here. It is the deterministic per-epoch record
-	// History accumulates.
-	Snapshot() []Sample
+	// AppendSnapshot appends the sample of every block with recorded
+	// heat to dst, in block-ID order — the order the tracker keeps its
+	// blocks in, so nothing is sorted here — and returns the extended
+	// slice. It is the deterministic per-epoch record History
+	// accumulates; dst is grown at most once, so the tiering engine
+	// passes History.Spare's recycled buffer and a warm tick allocates
+	// nothing here.
+	AppendSnapshot(dst []Sample) []Sample
 }

@@ -1,6 +1,10 @@
 package heat
 
-import "repro/internal/blockmgr"
+import (
+	"slices"
+
+	"repro/internal/blockmgr"
+)
 
 // History is a bounded ring of per-epoch heat snapshots for one tracker,
 // newest last. Forecasters read it two ways: merge joins against a past
@@ -39,6 +43,23 @@ func (h *History) Push(samples []Sample) {
 		copy(h.epochs, h.epochs[1:])
 		h.epochs = h.epochs[:h.limit]
 	}
+}
+
+// Spare returns an empty buffer for the next epoch's snapshot, recycling
+// storage instead of letting every epoch allocate its own. Once the ring
+// is full it evicts the oldest epoch now — the one the next Push would
+// evict — and hands back that epoch's samples truncated to zero length;
+// before that it returns nil, and the tracker's AppendSnapshot sizes a
+// fresh buffer to its block count. The caller fills the buffer and
+// pushes it, after which the history owns it again until it is evicted;
+// a Spare not followed by Push leaves the history one epoch short.
+func (h *History) Spare() []Sample {
+	if len(h.epochs) < h.limit {
+		return nil
+	}
+	buf := h.epochs[0].samples[:0]
+	h.epochs = slices.Delete(h.epochs, 0, 1)
+	return buf
 }
 
 // Epochs returns how many epochs are recorded (≤ the limit).

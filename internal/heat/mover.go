@@ -108,7 +108,14 @@ func (m *Mover) Enqueue(req MoveRequest) bool {
 // everything after the stopping point stays pending for later epochs. A
 // nil valid accepts everything.
 func (m *Mover) NextBatch(valid func(MoveRequest) bool) []MoveRequest {
-	var batch []MoveRequest
+	return m.AppendNextBatch(nil, valid)
+}
+
+// AppendNextBatch is NextBatch appending the batch to dst instead of a
+// fresh slice, so a caller that keeps its buffer across epochs emits
+// without allocating.
+func (m *Mover) AppendNextBatch(dst []MoveRequest, valid func(MoveRequest) bool) []MoveRequest {
+	n := 0
 	var batchBytes int64
 	i := m.head
 	for ; i < len(m.queue); i++ {
@@ -118,10 +125,11 @@ func (m *Mover) NextBatch(valid func(MoveRequest) bool) []MoveRequest {
 			delete(m.pending, req.ID)
 			continue
 		}
-		if len(batch) >= m.maxMoves || batchBytes+req.Bytes > m.maxBytes {
+		if n >= m.maxMoves || batchBytes+req.Bytes > m.maxBytes {
 			break
 		}
-		batch = append(batch, req)
+		dst = append(dst, req)
+		n++
 		batchBytes += req.Bytes
 		delete(m.pending, req.ID)
 	}
@@ -135,9 +143,9 @@ func (m *Mover) NextBatch(valid func(MoveRequest) bool) []MoveRequest {
 		m.seq0 += m.head
 		m.head = 0
 	}
-	m.stats.Emitted += int64(len(batch))
+	m.stats.Emitted += int64(n)
 	m.stats.EmittedBytes += batchBytes
-	return batch
+	return dst
 }
 
 // Pending returns the number of queued requests.

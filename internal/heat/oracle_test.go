@@ -1,7 +1,11 @@
 package heat
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
+	"testing"
 
 	"repro/internal/blockmgr"
 )
@@ -81,6 +85,9 @@ func (t *mapAccessTracker) Tick() {
 
 // WriteHeat returns the block's write EWMA (0 for unknown blocks).
 func (t *mapAccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.write[id] }
+
+// AppendSnapshot appends Snapshot's samples to dst.
+func (t *mapAccessTracker) AppendSnapshot(dst []Sample) []Sample { return append(dst, t.Snapshot()...) }
 
 // Snapshot returns every tracked block's sample in block-ID order.
 func (t *mapAccessTracker) Snapshot() []Sample {
@@ -162,6 +169,9 @@ func (t *mapIdleTracker) WriteHeat(id blockmgr.BlockID) float64 {
 	}
 	return HeatForAge(t.epoch - last)
 }
+
+// AppendSnapshot appends Snapshot's samples to dst.
+func (t *mapIdleTracker) AppendSnapshot(dst []Sample) []Sample { return append(dst, t.Snapshot()...) }
 
 // Snapshot returns every tracked block's sample in block-ID order.
 func (t *mapIdleTracker) Snapshot() []Sample {
@@ -254,3 +264,104 @@ func (m *compactingMover) Pending() int { return len(m.queue) }
 
 // Stats returns the queue's lifetime counters.
 func (m *compactingMover) Stats() MoverStats { return m.stats }
+
+// The epoch tick's buffer reuse must not change what the heat layer
+// says. Random event programs — a periodic backbone of touches, so the
+// phase forecaster finds periods, under random puts, hits, evictions and
+// drops — run for 40 epochs, long enough for the 12-epoch ring to
+// recycle every buffer several times. Each epoch, the real tracker
+// appends its snapshot into History.Spare's recycled buffer (its whole
+// capacity scribbled over first) and must equal its map oracle's
+// Snapshot; that history plus Chain.ForecastBuffered must then predict,
+// epoch for epoch, exactly what a history fed Push(Snapshot()) plus
+// Chain.Forecast predicts — over chains of two and three stages, so the
+// ping-pong buffers are exercised past one swap.
+func TestRecycledSnapshotsAndForecastsMatchFresh(t *testing.T) {
+	const epochs, limit = 40, 12
+	chains := [][]ForecasterKind{AllForecasters(), {Phase, Trend, Phase}, {Trend, Trend, Trend}}
+	ids := modelIDs()
+	var trended, phased int
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, kinds := range chains {
+			for _, idle := range []bool{false, true} {
+				var got Tracker = NewAccessTracker(0.5)
+				var want interface {
+					Tracker
+					Snapshot() []Sample
+				} = newMapAccessTracker(0.5)
+				if idle {
+					got, want = NewIdleTracker(), newMapIdleTracker()
+				}
+				recycled, fresh := NewHistory(limit), NewHistory(limit)
+				buffered, err := NewChain(kinds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, _ := NewChain(kinds)
+				r := rand.New(rand.NewSource(seed))
+				period := 2 + r.Intn(3)
+				for epoch := 0; epoch < epochs; epoch++ {
+					where := fmt.Sprintf("seed %d chain %v idle %v epoch %d", seed, kinds, idle, epoch)
+					for i, id := range ids {
+						if i%period == epoch%period {
+							got.BlockAccessed(id, 64)
+							want.BlockAccessed(id, 64)
+						}
+					}
+					for n := r.Intn(6); n > 0; n-- {
+						id := ids[r.Intn(len(ids))]
+						switch r.Intn(4) {
+						case 0:
+							got.BlockPut(id, 64)
+							want.BlockPut(id, 64)
+						case 1:
+							got.BlockAccessed(id, 64)
+							want.BlockAccessed(id, 64)
+						case 2:
+							got.BlockEvicted(id, 64)
+							want.BlockEvicted(id, 64)
+						default:
+							got.BlockDropped(id, 64)
+							want.BlockDropped(id, 64)
+						}
+					}
+					got.Tick()
+					want.Tick()
+
+					buf := recycled.Spare()
+					if epoch >= limit && cap(buf) == 0 {
+						t.Fatalf("%s: a full ring handed back no buffer", where)
+					}
+					dirty := buf[:cap(buf)]
+					for i := range dirty {
+						dirty[i] = Sample{ID: blockmgr.BlockID{RDD: 99, Partition: i}, Heat: -1, Write: -1}
+					}
+					snap := got.AppendSnapshot(buf)
+					wantSnap := want.Snapshot()
+					if !slices.Equal(snap, wantSnap) {
+						t.Fatalf("%s: AppendSnapshot into a recycled buffer\n got %v\nwant %v", where, snap, wantSnap)
+					}
+					recycled.Push(snap)
+					fresh.Push(wantSnap)
+					if recycled.Epochs() != fresh.Epochs() {
+						t.Fatalf("%s: recycled history holds %d epochs, fresh %d", where, recycled.Epochs(), fresh.Epochs())
+					}
+					pred := buffered.ForecastBuffered(recycled, snap)
+					wantPred := plain.Forecast(fresh, wantSnap)
+					if !slices.Equal(pred, wantPred) {
+						t.Fatalf("%s: buffered forecast\n got %v\nwant %v", where, pred, wantPred)
+					}
+					if fresh.At(1) != nil {
+						trended++
+					}
+					if detectPeriod(fresh) > 0 {
+						phased++
+					}
+				}
+			}
+		}
+	}
+	if trended == 0 || phased == 0 {
+		t.Fatalf("the programs never exercised a forecaster: trend acted %d times, phase %d", trended, phased)
+	}
+}

@@ -1,6 +1,10 @@
 package heat
 
-import "repro/internal/blockmgr"
+import (
+	"slices"
+
+	"repro/internal/blockmgr"
+)
 
 // heatFloor is the heat below which a decayed entry is dropped from the
 // tracker, bounding its size by the set of recently touched blocks.
@@ -86,14 +90,17 @@ func (t *AccessTracker) decayed(h float64) float64 {
 // WriteHeat returns the block's write EWMA (0 for unknown blocks).
 func (t *AccessTracker) WriteHeat(id blockmgr.BlockID) float64 { return t.blocks.get(id).write }
 
-// Snapshot returns the sample of every block with recorded heat: a
+// AppendSnapshot appends the sample of every block with recorded heat: a
 // filtered copy of the cells, which are in block-ID order already.
-func (t *AccessTracker) Snapshot() []Sample {
-	out := make([]Sample, 0, len(t.blocks.cells))
+func (t *AccessTracker) AppendSnapshot(dst []Sample) []Sample {
+	dst = slices.Grow(dst, len(t.blocks.cells))
 	for _, c := range t.blocks.cells {
 		if c.p.heat != 0 {
-			out = append(out, Sample{ID: c.id, Heat: c.p.heat, Write: c.p.write})
+			dst = append(dst, Sample{ID: c.id, Heat: c.p.heat, Write: c.p.write})
 		}
 	}
-	return out
+	return dst
 }
+
+// Snapshot returns the same samples as AppendSnapshot in a fresh slice.
+func (t *AccessTracker) Snapshot() []Sample { return t.AppendSnapshot(nil) }

@@ -1,6 +1,10 @@
 package heat
 
-import "repro/internal/blockmgr"
+import (
+	"slices"
+
+	"repro/internal/blockmgr"
+)
 
 // IdleTracker records, per block, how many epochs have passed since the
 // block was last touched — memtier's idle-page aging. Heat is derived as
@@ -69,16 +73,16 @@ func HeatForAge(age int64) float64 {
 	return 1 / (1 + float64(age))
 }
 
-// Snapshot returns every tracked block's sample: one pass over the
+// AppendSnapshot appends every tracked block's sample: one pass over the
 // cells, which are in block-ID order already.
-func (t *IdleTracker) Snapshot() []Sample {
-	out := make([]Sample, len(t.blocks.cells))
-	for i, c := range t.blocks.cells {
-		out[i] = Sample{
+func (t *IdleTracker) AppendSnapshot(dst []Sample) []Sample {
+	dst = slices.Grow(dst, len(t.blocks.cells))
+	for _, c := range t.blocks.cells {
+		dst = append(dst, Sample{
 			ID:    c.id,
 			Heat:  HeatForAge(t.since(c.p.touched)),
 			Write: HeatForAge(t.since(c.p.put)),
-		}
+		})
 	}
-	return out
+	return dst
 }

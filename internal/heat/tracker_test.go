@@ -11,7 +11,7 @@ func bid(p int) blockmgr.BlockID { return blockmgr.BlockID{RDD: 1, Partition: p}
 // heatOf is a block's heat as the tracker's snapshot records it, 0 for a
 // block it does not hold.
 func heatOf(tr Tracker, id blockmgr.BlockID) float64 {
-	for _, s := range tr.Snapshot() {
+	for _, s := range tr.AppendSnapshot(nil) {
 		if s.ID == id {
 			return s.Heat
 		}
@@ -39,7 +39,7 @@ func TestAccessTrackerLedgerCompat(t *testing.T) {
 		t.Fatalf("decayed heat = %v, want 0.5", got)
 	}
 	tr.BlockDropped(bid(0), 64)
-	if len(tr.Snapshot()) != 0 || heatOf(tr, bid(0)) != 0 {
+	if len(tr.AppendSnapshot(nil)) != 0 || heatOf(tr, bid(0)) != 0 {
 		t.Fatal("drop did not forget the block")
 	}
 
@@ -48,8 +48,8 @@ func TestAccessTrackerLedgerCompat(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tr.Tick()
 	}
-	if len(tr.Snapshot()) != 0 {
-		t.Fatalf("decayed-out entry survived: len=%d", len(tr.Snapshot()))
+	if len(tr.AppendSnapshot(nil)) != 0 {
+		t.Fatalf("decayed-out entry survived: len=%d", len(tr.AppendSnapshot(nil)))
 	}
 }
 
@@ -108,8 +108,8 @@ func TestIdleTrackerAges(t *testing.T) {
 		t.Fatalf("unknown block age = %d, want -1", got)
 	}
 	tr.BlockEvicted(bid(1), 64)
-	if len(tr.Snapshot()) != 1 {
-		t.Fatalf("eviction did not forget: len=%d", len(tr.Snapshot()))
+	if len(tr.AppendSnapshot(nil)) != 1 {
+		t.Fatalf("eviction did not forget: len=%d", len(tr.AppendSnapshot(nil)))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestSnapshotsSorted(t *testing.T) {
 		for _, p := range []int{7, 2, 9, 0, 4} {
 			tr.BlockPut(bid(p), 64)
 		}
-		snap := tr.Snapshot()
+		snap := tr.AppendSnapshot(nil)
 		if len(snap) != 5 {
 			t.Fatalf("%T: snapshot has %d entries, want 5", tr, len(snap))
 		}

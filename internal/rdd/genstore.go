@@ -42,6 +42,7 @@ func (g Generator[T, P]) Source(d Driver, name string, p P, n, parts int) *RDD[T
 	// Box the params once: a key built per ask must not allocate.
 	key := genKey{gen: g.ID, params: p, seed: seed, n: n, parts: src.base.NumParts}
 	fresh := src.fill
+	src.stored = store.pages != nil
 	src.fill = func(part int) []T {
 		k := key
 		k.part = part

@@ -254,8 +254,8 @@ func sortPairs[K comparable, V any](r *RDD[Pair[K, V]], parts int,
 // SortByKeyOrdered(KeyBy(r, key), parts) in output, lineage and every
 // charge, without building the key-pair pages. On a generated source
 // (GenerateBatch, Generate) each partition is generated once for both of
-// the sort's jobs (see parkedSource); any other input falls back to the
-// composition.
+// the sort's jobs: by parkedSource, or by the source's GenStore when that
+// keeps its pages. Any other input falls back to the composition.
 func SortBy[T any, K cmp.Ordered](r *RDD[T], key func(T) K, parts int) *RDD[Pair[K, T]] {
 	if r.fill == nil {
 		return SortByKeyOrdered(KeyBy(r, key), parts)
@@ -263,7 +263,10 @@ func SortBy[T any, K cmp.Ordered](r *RDD[T], key func(T) K, parts int) *RDD[Pair
 	// KeyBy's dataset stands in the lineage; its per-record CPU is charged
 	// where KeyBy would charge it, right after the source's.
 	keyed := newBase(r.base.driver, "map", r.base.NumParts, r.base, nil)
-	park, take := parkedSource(r)
+	park, take := r.compute, r.compute
+	if !r.stored {
+		park, take = parkedSource(r)
+	}
 	keyBy := func(recs func(ctx *executor.TaskContext, part int) []T) func(ctx *executor.TaskContext, part int) []T {
 		return func(ctx *executor.TaskContext, part int) []T {
 			in := recs(ctx, part)

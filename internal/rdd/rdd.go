@@ -77,10 +77,15 @@ type RDD[T any] struct {
 	base    *Base
 	compute func(ctx *executor.TaskContext, part int) []T
 	cached  bool
+	// stored is set on a generated source whose fill reads a GenStore
+	// that keeps its pages, which already fills each partition once for
+	// every reader.
+	stored bool
 	// fill is set on generated sources only: it produces partition part's
 	// records, pure in (seed, part), from a GenStore when the source shares
-	// one, and compute is chargeGenerated over its output. SortBy uses it
-	// to generate a partition once for both of its jobs.
+	// one, and compute is chargeGenerated over its output. Unless stored
+	// is set, SortBy uses it to generate a partition once for both of its
+	// jobs.
 	fill func(part int) []T
 }
 

@@ -2,6 +2,7 @@ package tiering
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blockmgr"
 	"repro/internal/executor"
@@ -22,14 +23,24 @@ type EpochHeatmap struct {
 }
 
 // execState is the per-executor heat machinery: the tracker observing the
-// block manager, the snapshot history the forecasters read, and (for
-// mover policies) the rate-limited migration queue. All three live and
-// die with the executor's block manager — AttachExecutor rebuilds them
-// when a crashed executor is replaced.
+// block manager, the snapshot history the forecasters read, (for mover
+// policies) the rate-limited migration queue, and the tick's scratch.
+// All of it lives and dies with the executor's block manager —
+// AttachExecutor rebuilds it when a crashed executor is replaced.
+//
+// The scratch is per executor, never shared across the engine: an
+// executor's moves stay in its move buffer from its step of the tick
+// until the residency flip at the tick's end, while later executors plan
+// into theirs. Each buffer is refilled from zero length every tick and
+// keeps its capacity, so a warm tick allocates nothing per block.
 type execState struct {
 	tracker heat.Tracker
 	history *heat.History
 	mover   *heat.Mover
+
+	infos   []blockmgr.BlockInfo // the block manager's blocks, view's input
+	blocks  []BlockHeat          // the planning view's Blocks
+	scratch planScratch          // lent to the policy through the view
 }
 
 // Engine drives epoch-based block migration for one application. The
@@ -193,8 +204,11 @@ func (e *Engine) Tick() {
 	plan := EpochPlan{Epoch: e.epoch, At: now}
 	epochMap := e.classifier.NewHeatmap()
 	var tasks []executor.SimTask
-	var batches [][]Move // aligned with execIDs
+	// batches[i] is executor execIDs[i]'s admitted moves, still in that
+	// executor's scratch: nothing reuses it before the residency flip.
+	var batches [][]Move
 	var execIDs []int
+	moved := 0
 	// Quota admission deltas accumulated across the whole tick: every
 	// executor shares the tenant budget, and batches apply only after the
 	// migration stage is charged, so admission must account the headroom
@@ -207,15 +221,19 @@ func (e *Engine) Tick() {
 		}
 		st := &e.execs[id]
 		st.tracker.Tick()
-		snap := st.tracker.Snapshot()
+		// The snapshot is written into the buffer of the epoch the
+		// history evicts, and the history owns it from Push on.
+		snap := st.tracker.AppendSnapshot(st.history.Spare())
 		st.history.Push(snap)
+		// pred lives in the chain's buffers, which the next executor's
+		// step overwrites: only view reads it.
 		var pred []heat.Sample
 		if e.chain != nil {
-			pred = e.chain.Forecast(st.history, snap)
+			pred = e.chain.ForecastBuffered(st.history, snap)
 		}
 		moves := e.policy.Plan(e.cfg, e.view(id, epochSeconds, specs, snap, pred, &epochMap))
 		if st.mover != nil {
-			moves = rateLimit(st.mover, e.pool.Executors[id].Blocks, moves)
+			moves = rateLimit(st.mover, e.pool.Executors[id].Blocks, moves, st.scratch.moves[:0])
 		}
 		moves = e.admitMoves(id, moves, &fastDelta, &slowDelta)
 		if len(moves) == 0 {
@@ -230,11 +248,7 @@ func (e *Engine) Tick() {
 		tasks = append(tasks, executor.SimTask{Profile: ctx.Profile(), ExecID: ex.ID})
 		execIDs = append(execIDs, id)
 		batches = append(batches, moves)
-		for _, m := range moves {
-			plan.Moves = append(plan.Moves, PlannedMove{id, m})
-			e.migratedBlocks++
-			e.migratedBytes += m.Bytes
-		}
+		moved += len(moves)
 	}
 
 	if len(tasks) > 0 {
@@ -253,11 +267,16 @@ func (e *Engine) Tick() {
 		e.migStallNS += float64(k.Now() - start)
 		// Residency flips only after the movement is charged and timed:
 		// the plan was made against the pre-move state, and the next
-		// stage reads blocks from their new tiers.
+		// stage reads blocks from their new tiers. The recorded plan
+		// copies the batches out of the executors' scratch.
+		plan.Moves = make([]PlannedMove, 0, moved)
 		for i, id := range execIDs {
 			blocks := e.pool.Executors[id].Blocks
 			for _, m := range batches[i] {
 				blocks.SetResidency(m.ID, m.To)
+				plan.Moves = append(plan.Moves, PlannedMove{id, m})
+				e.migratedBlocks++
+				e.migratedBytes += m.Bytes
 			}
 		}
 		e.plans = append(e.plans, plan)
@@ -267,16 +286,18 @@ func (e *Engine) Tick() {
 }
 
 // rateLimit feeds a policy's plan through one executor's mover queue and
-// returns this epoch's emitted batch: the plan (in priority order) is
-// enqueued — re-requests for already-queued blocks replace in place — and
-// the queue emits up to its byte and move budgets, deferring the backlog.
-// Queued requests whose block is gone or no longer resident on the
-// request's source tier are dropped as stale at batch time.
-func rateLimit(mv *heat.Mover, blocks *blockmgr.Manager, moves []Move) []Move {
+// appends this epoch's emitted batch to dst: the plan (in priority order)
+// is enqueued — re-requests for already-queued blocks replace in place —
+// and the queue emits up to its byte and move budgets, deferring the
+// backlog. Queued requests whose block is gone or no longer resident on
+// the request's source tier are dropped as stale at batch time. dst may
+// share storage with moves: every move is enqueued before the batch is
+// written.
+func rateLimit(mv *heat.Mover, blocks *blockmgr.Manager, moves, dst []Move) []Move {
 	for _, m := range moves {
 		mv.Enqueue(m)
 	}
-	return mv.NextBatch(func(m Move) bool {
+	return mv.AppendNextBatch(dst, func(m Move) bool {
 		tier, ok := blocks.TierOf(m.ID)
 		return ok && tier == m.From
 	})
@@ -339,12 +360,20 @@ func (e *Engine) admitMoves(id int, moves []Move, fastDelta, slowDelta *int64) [
 // output (nil when the policy does not forecast). Blocks found in pred
 // plan on their predicted heat and write heat, blocks absent from it (or
 // every block, without a chain) plan on the tracker's current values.
+//
+// The view lives in the executor's scratch and is valid until the
+// executor's next view; its scratch buffers are sized to the block
+// count, the most candidates or moves any policy plans.
 func (e *Engine) view(id int, epochSeconds float64, specs [memsim.NumTiers]memsim.TierSpec,
 	snap, pred []heat.Sample, epochMap *heat.Heatmap) View {
 	blocks := e.pool.Executors[id].Blocks
-	tr := e.execs[id].tracker
-	infos := blocks.Blocks()
-	heats := make([]BlockHeat, len(infos))
+	st := &e.execs[id]
+	tr := st.tracker
+	infos := blocks.AppendBlocks(st.infos[:0])
+	st.infos = infos
+	heats := slices.Grow(st.blocks[:0], len(infos))[:len(infos)]
+	st.blocks = heats
+	st.scratch.grow(len(infos))
 	// infos, snap and pred are all in block-id order: one cursor each.
 	si, pi := 0, 0
 	for i, b := range infos {
@@ -368,6 +397,7 @@ func (e *Engine) view(id int, epochSeconds float64, specs [memsim.NumTiers]memsi
 		FastUsed:     blocks.TierUsed(e.cfg.Fast),
 		EpochSeconds: epochSeconds,
 		Specs:        specs,
+		scratch:      &st.scratch,
 	}
 }
 

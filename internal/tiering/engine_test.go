@@ -30,7 +30,7 @@ func newHarness(t *testing.T, cfg Config) (*sim.Kernel, *executor.Pool, *Engine)
 // heatOf is a block's heat as the tracker's snapshot records it, 0 for a
 // block it does not hold.
 func heatOf(tr heat.Tracker, id blockmgr.BlockID) float64 {
-	for _, s := range tr.Snapshot() {
+	for _, s := range tr.AppendSnapshot(nil) {
 		if s.ID == id {
 			return s.Heat
 		}
@@ -70,7 +70,7 @@ func TestStaticEngineIsInert(t *testing.T) {
 		t.Fatalf("blocks moved off the landing tier: Tier2 holds %d", got)
 	}
 	// The tracker still observes accesses (hotness is policy-independent).
-	if len(eng.execs[0].tracker.Snapshot()) == 0 {
+	if len(eng.execs[0].tracker.AppendSnapshot(nil)) == 0 {
 		t.Fatal("static engine's tracker saw nothing")
 	}
 }
@@ -170,14 +170,14 @@ func TestAttachExecutorAfterReplace(t *testing.T) {
 	cfg.FastBudgetBytes = 400
 	_, pool, eng := newHarness(t, cfg)
 	put(pool.Executors[1].Blocks, 0, 100)
-	if len(eng.execs[1].tracker.Snapshot()) != 1 {
+	if len(eng.execs[1].tracker.AppendSnapshot(nil)) != 1 {
 		t.Fatal("tracker missed the put")
 	}
 
 	pool.Executors[1].Blocks.RemoveAll()
 	fresh := pool.Replace(1)
 	eng.AttachExecutor(1)
-	if len(eng.execs[1].tracker.Snapshot()) != 0 {
+	if len(eng.execs[1].tracker.AppendSnapshot(nil)) != 0 {
 		t.Fatal("re-attach kept the stale tracker")
 	}
 	if got := fresh.Blocks.LandingTier(); got != memsim.Tier0 {

@@ -37,10 +37,51 @@ type View struct {
 	FastUsed     int64       // bytes resident on Config.Fast
 	EpochSeconds float64     // virtual seconds since the previous tick
 	Specs        [memsim.NumTiers]memsim.TierSpec
+	// scratch lends the policy its executor's candidate and move
+	// buffers; nil in a view built by hand, whose plans allocate.
+	scratch *planScratch
+}
+
+// planScratch is one executor's reusable planning buffers: a candidate
+// list (one tier's blocks, sorted in place) and a move list. The engine
+// grows both to the view's block count before planning — no policy
+// plans more candidates or moves than there are blocks — so a policy
+// appending into them never reallocates.
+type planScratch struct {
+	cands []BlockHeat
+	moves []Move
+}
+
+// grow empties both buffers and makes room for n entries in each.
+func (s *planScratch) grow(n int) {
+	s.cands = slices.Grow(s.cands[:0], n)
+	s.moves = slices.Grow(s.moves[:0], n)
+}
+
+// candidates returns the view's blocks resident on t, in id order: in the
+// scratch candidate buffer when the view has one, overwriting the
+// previous candidates, and in a fresh slice otherwise.
+func (v View) candidates(t memsim.TierID) []BlockHeat {
+	var dst []BlockHeat
+	if v.scratch != nil {
+		dst = v.scratch.cands[:0]
+	}
+	return onTier(dst, v.Blocks, t)
+}
+
+// noMoves returns an empty plan to append to: the scratch move buffer
+// when the view has one, nil otherwise.
+func (v View) noMoves() []Move {
+	if v.scratch == nil {
+		return nil
+	}
+	return v.scratch.moves[:0]
 }
 
 // Policy plans migrations for one executor at an epoch tick. Plan must
-// not mutate the view; the engine charges and applies the moves.
+// not mutate the view; the engine charges and applies the moves. A plan
+// may live in the view's scratch, so it is valid until the executor's
+// next plan.
 type Policy interface {
 	Name() string
 	Plan(cfg Config, v View) []Move
@@ -85,9 +126,9 @@ func planWatermark(cfg Config, v View) []Move {
 	fastUsed := v.FastUsed
 
 	if fastUsed > high {
-		cands := onTier(v.Blocks, cfg.Fast)
+		cands := v.candidates(cfg.Fast)
 		slices.SortStableFunc(cands, coldestFirst)
-		var moves []Move
+		moves := v.noMoves()
 		for _, b := range cands {
 			if fastUsed <= low {
 				break
@@ -99,9 +140,9 @@ func planWatermark(cfg Config, v View) []Move {
 	}
 
 	if fastUsed < low {
-		cands := onTier(v.Blocks, cfg.Slow)
+		cands := v.candidates(cfg.Slow)
 		slices.SortStableFunc(cands, hottestFirst)
-		var moves []Move
+		moves := v.noMoves()
 		for _, b := range cands {
 			if b.Heat < minHeat {
 				break // sorted by heat: everything after is colder
@@ -134,34 +175,25 @@ func (bandwidthPolicy) Plan(cfg Config, v View) []Move {
 	}
 	// Truncate rather than skip: the plan is priority-ordered (coldest
 	// demotions / hottest promotions first) and skipping ahead to smaller
-	// blocks would subvert that order.
-	var out []Move
-	for _, m := range moves {
+	// blocks would subvert that order. What is kept is a prefix.
+	for i, m := range moves {
 		if float64(m.Bytes) > remaining[m.To] {
-			break
+			return moves[:i]
 		}
 		remaining[m.To] -= float64(m.Bytes)
-		out = append(out, m)
 	}
-	return out
+	return moves
 }
 
-// onTier filters the id-ordered block view down to one tier, preserving
-// order.
-func onTier(blocks []BlockHeat, t memsim.TierID) []BlockHeat {
-	n := 0
-	for i := range blocks {
-		if blocks[i].Tier == t {
-			n++
-		}
-	}
-	out := make([]BlockHeat, 0, n)
+// onTier appends the id-ordered block view's blocks on one tier to dst,
+// preserving order.
+func onTier(dst, blocks []BlockHeat, t memsim.TierID) []BlockHeat {
 	for _, b := range blocks {
 		if b.Tier == t {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // The candidate orders. Every one is a stable sort of an id-ordered

@@ -32,9 +32,9 @@ func (agePolicy) Plan(cfg Config, v View) []Move {
 	// decreasing, so "idle >= maxIdleEpochs" is exactly "heat <= cutoff".
 	idleCutoff := heat.HeatForAge(int64(cfg.maxIdleEpochs))
 	fastUsed := v.FastUsed
-	var moves []Move
+	moves := v.noMoves()
 
-	fast := onTier(v.Blocks, cfg.Fast)
+	fast := v.candidates(cfg.Fast)
 	slices.SortStableFunc(fast, coldestFirst)
 	draining := fastUsed > high
 	for _, b := range fast {
@@ -48,7 +48,7 @@ func (agePolicy) Plan(cfg Config, v View) []Move {
 	}
 
 	freshHeat := heat.HeatForAge(1)
-	for _, b := range onTier(v.Blocks, cfg.Slow) {
+	for _, b := range v.candidates(cfg.Slow) {
 		if b.Heat < freshHeat {
 			continue // not touched this epoch
 		}

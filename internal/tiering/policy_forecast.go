@@ -37,9 +37,9 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 	high := int64(float64(cfg.FastBudgetBytes) * highWaterFrac)
 	low := int64(float64(cfg.FastBudgetBytes) * lowWaterFrac)
 	fastUsed := v.FastUsed
-	var moves []Move
+	moves := v.noMoves()
 
-	fast := onTier(v.Blocks, cfg.Fast)
+	fast := v.candidates(cfg.Fast)
 	slices.SortStableFunc(fast, predictedColdestFirst)
 	draining := fastUsed > high
 	for _, b := range fast {
@@ -52,7 +52,7 @@ func (forecastPolicy) Plan(cfg Config, v View) []Move {
 		fastUsed -= b.Bytes
 	}
 
-	slow := onTier(v.Blocks, cfg.Slow)
+	slow := v.candidates(cfg.Slow)
 	slices.SortStableFunc(slow, predictedHottestFirst)
 	for _, b := range slow {
 		if heat.Class(bounds, b.Predicted) < cfg.promoteClass {

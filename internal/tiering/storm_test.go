@@ -133,13 +133,13 @@ func TestViewMatchesTracker(t *testing.T) {
 	put(blocks, 3, 100)
 	blocks.Get(blockmgr.BlockID{RDD: 1, Partition: 3})
 
-	snap := tr.Snapshot()
+	snap := tr.AppendSnapshot(nil)
 	if len(snap) != 2 {
 		t.Fatalf("setup: snapshot has %d samples, want 2 (blocks 1 and 3)", len(snap))
 	}
 	epochMap := eng.classifier.NewHeatmap()
 	v := eng.view(0, 0, [memsim.NumTiers]memsim.TierSpec{}, snap, nil, &epochMap)
-	infos := blocks.Blocks()
+	infos := blocks.AppendBlocks(nil)
 	if len(v.Blocks) != 4 || len(infos) != 4 {
 		t.Fatalf("view has %d blocks, manager %d, want 4", len(v.Blocks), len(infos))
 	}
@@ -168,5 +168,67 @@ func TestViewMatchesTracker(t *testing.T) {
 	}
 	if b := v.Blocks[1]; b.Predicted != b.Heat || b.Write != tr.WriteHeat(b.ID) {
 		t.Fatalf("unpredicted block reads %+v", b)
+	}
+}
+
+// A warm engine's tick must allocate a fixed number of objects however
+// many blocks it walks: the snapshot, forecast, view, candidate and move
+// lists all live in buffers the engine keeps from tick to tick. Every
+// measured tick re-heats a rotating quarter of the blocks and swings the
+// fast budget between a quarter and half of the footprint, so each one
+// plans (the watermark policies alternate between draining the fast
+// tier and refilling it with the re-heated blocks); the warm-up fills
+// the history ring, after which every snapshot is written into a
+// recycled buffer.
+func TestTickAllocsIndependentOfBlocks(t *testing.T) {
+	const blockBytes = 4 << 10
+	allocs := func(pol PolicyKind, blocks int) float64 {
+		footprint := int64(blocks) * blockBytes
+		k := sim.NewKernel()
+		pool := executor.NewPool(2, 10, numa.BindingForTier(memsim.Tier2), memsim.NewSystem(k), 0)
+		cfg := DefaultConfig(pol)
+		cfg.FastBudgetBytes = footprint / 2
+		eng, err := NewEngine(cfg, pool, shuffle.NewStore(), executor.DefaultCostModel(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range pool.Executors {
+			for i := 0; i < blocks; i++ {
+				ex.Blocks.Put(blockmgr.BlockID{RDD: 1, Partition: i}, nil, blockBytes, 1)
+			}
+		}
+		window, epoch := blocks/4, 0
+		tick := func() {
+			for _, ex := range pool.Executors {
+				for i := 0; i < window; i++ {
+					ex.Blocks.Get(blockmgr.BlockID{RDD: 1, Partition: (epoch*window + i) % blocks})
+				}
+			}
+			eng.cfg.FastBudgetBytes = footprint / int64(4-2*(epoch%2))
+			epoch++
+			k.After(10_000_000, func(sim.Time) {})
+			k.Run()
+			eng.Tick()
+		}
+		for i := 0; i < 2*historyEpochs; i++ {
+			tick()
+		}
+		plans := len(eng.Plans())
+		n := testing.AllocsPerRun(20, tick)
+		// AllocsPerRun ticks once more to warm up.
+		if got := len(eng.Plans()) - plans; got != 21 {
+			t.Fatalf("%s at %d blocks: %d of 21 measured ticks moved blocks, want all", pol, blocks, got)
+		}
+		return n
+	}
+	for _, pol := range AllPolicies() {
+		if pol == Static {
+			continue
+		}
+		if small, large := allocs(pol, 512), allocs(pol, 4096); small != large {
+			t.Errorf("%s: %v allocs per tick at 512 blocks per executor, %v at 4096; want the same fixed count", pol, small, large)
+		} else {
+			t.Logf("%s: %v", pol, small)
+		}
 	}
 }
