@@ -1,12 +1,12 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect about 5.5 s wall at
-// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (5.1–5.7 s over six
-// runs; 8.6–10.1 s at GOMAXPROCS=1): every cell is simulated once and
+// full report to stdout (or a file with -o). Expect about 4.7 s wall at
+// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (4.1–5.3 s over six
+// runs; 8.0–8.7 s at GOMAXPROCS=1): every cell is simulated once and
 // shared between the figures, and the cells that read the same input
-// share its generated partitions. Progress lines and, last, the host
-// ledger (batches, cells, generated partitions asked and filled) go to
-// stderr.
+// share its generated partitions and lda's Gibbs sweeps. Progress lines
+// and, last, the host ledger (batches, cells, generated partitions and
+// derived pages asked and filled) go to stderr.
 //
 // Usage:
 //

@@ -22,7 +22,10 @@ import (
 // standard-library one (error, fmt.Stringer, sort.Interface, flag.Value,
 // http.Handler ...), or a module interface whose method of that name is
 // itself called. A module interface method nothing calls is reported,
-// and its implementations with it.
+// and its implementations with it. A call of interface method I.M made
+// inside an implementation of M (a wrapper's M calling its inner I's)
+// counts only once that implementation is live, so methods that only
+// call each other stay dead.
 //
 // The loader parses no _test.go files, so a symbol only tests reach is a
 // test helper: it belongs in a _test.go file. The use set is only
@@ -44,11 +47,15 @@ type useSet struct {
 	modulePath string
 	used       map[types.Object]bool
 	ifaces     []*types.Interface
+	// implUses are the interface methods each implementation of a method
+	// of the same name calls: uses that count once the implementation
+	// is live.
+	implUses map[*types.Func][]*types.Func
 }
 
 // collectUses is Unreached's Init: one walk over every loaded file.
 func collectUses(p *Pass) any {
-	u := &useSet{modulePath: p.ModulePath, used: make(map[types.Object]bool)}
+	u := &useSet{modulePath: p.ModulePath, used: make(map[types.Object]bool), implUses: make(map[*types.Func][]*types.Func)}
 	seenIface := make(map[*types.Interface]bool)
 	addIface := func(t types.Type) {
 		if _, isParam := t.(*types.TypeParam); isParam {
@@ -88,13 +95,19 @@ func collectUses(p *Pass) any {
 		}
 		addImports(pkg.Types)
 		// mark records the uses under n, those of the declaration n belongs
-		// to (owners) aside.
-		mark := func(n ast.Node, owners ...types.Object) {
+		// to (owners) aside; impl is the method n belongs to, if any, whose
+		// calls of its own interface methods wait until it is live.
+		mark := func(n ast.Node, impl *types.Func, owners ...types.Object) {
 			ast.Inspect(n, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
 					obj := info.Uses[id]
 					if fn, ok := obj.(*types.Func); ok {
-						obj = fn.Origin() // an instantiation counts for its generic
+						fn = fn.Origin() // an instantiation counts for its generic
+						obj = fn
+						if impl != nil && implementsMethod(impl, fn) {
+							u.implUses[impl] = append(u.implUses[impl], fn)
+							return true
+						}
 					}
 					if !slices.Contains(owners, obj) {
 						u.used[obj] = true
@@ -107,34 +120,67 @@ func collectUses(p *Pass) any {
 			for _, decl := range file.Decls {
 				switch decl := decl.(type) {
 				case *ast.FuncDecl:
-					owners := []types.Object{info.Defs[decl.Name]}
+					fn, _ := info.Defs[decl.Name].(*types.Func)
+					owners := []types.Object{fn}
+					var impl *types.Func
 					if decl.Recv != nil { // a type's own methods do not keep it alive
+						impl = fn
 						if named := baseNamed(info.TypeOf(decl.Recv.List[0].Type)); named != nil {
 							owners = append(owners, named.Origin().Obj())
 						}
 					}
-					mark(decl.Type, owners...)
+					mark(decl.Type, nil, owners...)
 					if decl.Body != nil {
-						mark(decl.Body, owners...)
+						mark(decl.Body, impl, owners...)
 					}
 				case *ast.GenDecl:
 					for _, spec := range decl.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							mark(spec, info.Defs[spec.Name])
+							mark(spec, nil, info.Defs[spec.Name])
 						case *ast.ValueSpec:
 							var owners []types.Object
 							for _, name := range spec.Names {
 								owners = append(owners, info.Defs[name])
 							}
-							mark(spec, owners...)
+							mark(spec, nil, owners...)
 						}
 					}
 				}
 			}
 		}
 	}
+	// An implementation's calls count once it is live, and they may make
+	// another implementation live: repeat until nothing changes.
+	for changed := true; changed; {
+		changed = false
+		for impl, calls := range u.implUses {
+			if !u.used[impl] && !u.calledThroughInterface(baseNamed(impl.Type().(*types.Signature).Recv().Type()), impl.Name()) {
+				continue
+			}
+			for _, m := range calls {
+				u.used[m] = true
+			}
+			delete(u.implUses, impl)
+			changed = true
+		}
+	}
 	return u
+}
+
+// implementsMethod reports whether method impl implements interface
+// method m: same name, and impl's receiver type implements m's interface.
+func implementsMethod(impl, m *types.Func) bool {
+	if impl.Name() != m.Name() {
+		return false
+	}
+	recv := m.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	it, ok := recv.Type().Underlying().(*types.Interface)
+	t := baseNamed(impl.Type().(*types.Signature).Recv().Type())
+	return ok && t != nil && implements(t, it)
 }
 
 // calledThroughInterface reports whether a method named name on t, which
@@ -142,34 +188,34 @@ func collectUses(p *Pass) any {
 // *t) implements: any interface from outside the module with a method of
 // that name, or a module interface whose method of that name is used.
 func (u *useSet) calledThroughInterface(t *types.Named, name string) bool {
-	ptr := types.NewPointer(t)
-	implements := func(it *types.Interface) bool {
-		return types.Implements(t, it) || !types.IsInterface(t) && types.Implements(ptr, it)
-	}
-	if t.TypeParams().Len() > 0 {
-		// Implements is unspecified for an uninstantiated generic: having
-		// every method by name is as close as it gets without guessing
-		// type arguments.
-		mset := types.NewMethodSet(ptr)
-		implements = func(it *types.Interface) bool {
-			for i := 0; i < it.NumMethods(); i++ {
-				if mset.Lookup(it.Method(i).Pkg(), it.Method(i).Name()) == nil {
-					return false
-				}
-			}
-			return true
-		}
-	}
 	for _, it := range u.ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
 			m := it.Method(i)
 			foreign := m.Pkg() == nil || !strings.HasPrefix(m.Pkg().Path()+"/", u.modulePath+"/")
-			if m.Name() == name && (foreign || u.used[m.Origin()]) && it != t.Underlying() && implements(it) {
+			if m.Name() == name && (foreign || u.used[m.Origin()]) && it != t.Underlying() && implements(t, it) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// implements reports whether t or *t implements it.
+func implements(t *types.Named, it *types.Interface) bool {
+	ptr := types.NewPointer(t)
+	if t.TypeParams().Len() > 0 {
+		// Implements is unspecified for an uninstantiated generic: having
+		// every method by name is as close as it gets without guessing
+		// type arguments.
+		mset := types.NewMethodSet(ptr)
+		for i := 0; i < it.NumMethods(); i++ {
+			if mset.Lookup(it.Method(i).Pkg(), it.Method(i).Name()) == nil {
+				return false
+			}
+		}
+		return true
+	}
+	return types.Implements(t, it) || !types.IsInterface(t) && types.Implements(ptr, it)
 }
 
 // errorsProtocol builds the interfaces package errors asserts for: they

@@ -121,20 +121,25 @@ func genGroups(specs []hibench.RunSpec, mine []int, check bool) []*genGroup {
 }
 
 // leave ends one cell of g. The last one checks the group's pages, books
-// its generation in the ledger and drops the store.
+// its generation and derivation in the ledger and drops the store.
 func (e *Evaluator) leave(g *genGroup) {
 	if g.left.Add(-1) > 0 {
 		return
 	}
 	g.err = g.gen.Verify()
-	counts, seconds := g.gen.Counts()
+	gen, genSeconds := g.gen.Counts()
+	derived, derivedSeconds := g.gen.DerivedCounts()
 	g.gen = nil
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, c := range counts {
+	for _, c := range gen {
 		e.ledger.Gen = rdd.AddGenCount(e.ledger.Gen, c)
 	}
-	e.ledger.GenSeconds += seconds
+	for _, c := range derived {
+		e.ledger.Derived = rdd.AddGenCount(e.ledger.Derived, c)
+	}
+	e.ledger.GenSeconds += genSeconds
+	e.ledger.DerivedSeconds += derivedSeconds
 }
 
 // run simulates the cell, reading generated partitions from gen, and

@@ -11,8 +11,9 @@ import (
 
 // HostLedger is an Evaluator's host-side account: what answering its
 // batches cost the Go process, never what a simulated run measured. It
-// counts cells and generated partitions and times each batch, and the
-// generation inside it, with telemetry stopwatches. Nothing in it enters a
+// counts cells, generated partitions and derived pages and times each
+// batch, and the generation and derivation inside it, with telemetry
+// stopwatches. Nothing in it enters a
 // RunResult or the memo, and its counts are the same at every worker
 // count; only the seconds vary from run to run.
 type HostLedger struct {
@@ -28,6 +29,11 @@ type HostLedger struct {
 	// spent filling them.
 	Gen        []rdd.GenCount
 	GenSeconds float64
+	// Derived is the derived-page tally per derivation (lda's Gibbs
+	// sweeps), ordered by id, and DerivedSeconds the time spent filling
+	// them: a derivation is compute, not data generation.
+	Derived        []rdd.GenCount
+	DerivedSeconds float64
 }
 
 // account folds one finished batch into the ledger: asked requests, the
@@ -49,13 +55,14 @@ func (e *Evaluator) HostLedger() HostLedger {
 	defer e.mu.Unlock()
 	l := e.ledger
 	l.Gen = slices.Clone(l.Gen)
+	l.Derived = slices.Clone(l.Derived)
 	return l
 }
 
-// GenTotal sums the per-generator tallies.
-func (l HostLedger) GenTotal() rdd.GenCount {
+// sumCounts sums per-generator or per-derivation tallies.
+func sumCounts(counts []rdd.GenCount) rdd.GenCount {
 	total := rdd.GenCount{Gen: "all"}
-	for _, c := range l.Gen {
+	for _, c := range counts {
 		total.Asked += c.Asked
 		total.Filled += c.Filled
 		total.Bytes += c.Bytes
@@ -63,15 +70,21 @@ func (l HostLedger) GenTotal() rdd.GenCount {
 	return total
 }
 
-// String renders the ledger as one line: batches, cells, generated
-// partitions asked and filled in total, then per generator.
+// String renders the ledger as one line: batches, cells, then generated
+// partitions and derived pages, each asked and filled in total and per
+// generator or derivation.
 func (l HostLedger) String() string {
 	var b strings.Builder
-	t := l.GenTotal()
-	fmt.Fprintf(&b, "host ledger: %d batches in %.2fs · cells %d asked, %d simulated · generated partitions %d asked, %d filled, %.1f MB in %.2fs",
-		l.Batches, l.BatchSeconds, l.CellsAsked, l.CellsSimulated, t.Asked, t.Filled, float64(t.Bytes)/1e6, l.GenSeconds)
-	for _, c := range l.Gen {
-		fmt.Fprintf(&b, " · %s %d/%d %.1f MB", c.Gen, c.Asked, c.Filled, float64(c.Bytes)/1e6)
+	fmt.Fprintf(&b, "host ledger: %d batches in %.2fs · cells %d asked, %d simulated",
+		l.Batches, l.BatchSeconds, l.CellsAsked, l.CellsSimulated)
+	group := func(name string, counts []rdd.GenCount, seconds float64) {
+		t := sumCounts(counts)
+		fmt.Fprintf(&b, " · %s %d asked, %d filled, %.1f MB in %.2fs", name, t.Asked, t.Filled, float64(t.Bytes)/1e6, seconds)
+		for _, c := range counts {
+			fmt.Fprintf(&b, " · %s %d/%d %.1f MB", c.Gen, c.Asked, c.Filled, float64(c.Bytes)/1e6)
+		}
 	}
+	group("generated partitions", l.Gen, l.GenSeconds)
+	group("derived pages", l.Derived, l.DerivedSeconds)
 	return b.String()
 }

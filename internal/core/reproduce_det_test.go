@@ -41,7 +41,7 @@ func TestReproduceByteIdenticalWithoutMemo(t *testing.T) {
 // genCounts is a ledger's count side: what must not depend on the worker
 // count.
 func genCounts(l HostLedger) string {
-	l.BatchSeconds, l.GenSeconds = 0, 0
+	l.BatchSeconds, l.GenSeconds, l.DerivedSeconds = 0, 0, 0
 	return fmt.Sprintf("%+v", l)
 }
 
@@ -63,6 +63,8 @@ func genCounts(l HostLedger) string {
 // workload's input in each batch. (A sort reading a store that keeps its
 // pages asks for each partition from both of its jobs; on a store that
 // keeps none it parks the first read for the second, which asks nothing.)
+// Apart from them, lda's 3,300 sweep tasks ask for 800 distinct
+// lda-sweep pages, and each is sampled once.
 func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the full report twice")
@@ -86,15 +88,26 @@ func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Errorf("ledger counts differ between 1 and 8 workers:\n%s\n%s", a, b)
 	}
 	l := ledgers[0]
-	if total := l.GenTotal(); l.Batches != 43 || total.Asked != 24_072 || total.Filled != 5_088 {
+	if total := sumCounts(l.Gen); l.Batches != 43 || total.Asked != 24_072 || total.Filled != 5_088 {
 		t.Errorf("%d batches, %d partitions asked, %d filled; want 43, 24072, 5088", l.Batches, total.Asked, total.Filled)
+	}
+	checkSweeps(t, l)
+}
+
+// checkSweeps pins lda's derived pages on a report: 3,300 sweep tasks
+// over 800 distinct sweeps, each sampled once.
+func checkSweeps(t *testing.T, l HostLedger) {
+	t.Helper()
+	if d := l.Derived; len(d) != 1 || d[0].Gen != "lda-sweep" || d[0].Asked != 3_300 || d[0].Filled != 800 {
+		t.Errorf("derived pages %+v, want lda-sweep 3300 asked, 800 filled", d)
 	}
 }
 
 // TestReproduceRosterLedger is the benchmark's roster, Figure 4 included,
 // at 1 and 8 workers: byte-identical reports, equal ledger counts, and
 // lda's 660 asks for 160 distinct lda-docs partitions per batch filled
-// once each (als generates nothing).
+// once each (als generates nothing), and its 3,300 sweep tasks' asks for
+// 800 distinct lda-sweep pages, sampled once each.
 func TestReproduceRosterLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the reduced report twice")
@@ -118,4 +131,5 @@ func TestReproduceRosterLedger(t *testing.T) {
 	if gen := ledgers[0].Gen; len(gen) != 1 || gen[0].Gen != "lda-docs" || gen[0].Asked != 660 || gen[0].Filled != 160 {
 		t.Errorf("generated partitions %+v, want lda-docs 660 asked, 160 filled", gen)
 	}
+	checkSweeps(t, ledgers[0])
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/memsim"
 	"repro/internal/rdd"
+	"repro/internal/tiering"
 	"repro/internal/workloads"
 )
 
@@ -185,9 +186,81 @@ func TestRunSharedMatchesRun(t *testing.T) {
 		t.Error(err)
 	}
 	counts, _ := store.Counts()
-	for _, c := range counts {
+	derived, _ := store.DerivedCounts()
+	for _, c := range append(counts, derived...) {
 		if c.Filled == 0 || c.Filled >= c.Asked {
-			t.Errorf("%s: %d filled of %d asked; want each partition filled once and read again", c.Gen, c.Filled, c.Asked)
+			t.Errorf("%s: %d filled of %d asked; want each page filled once and read again", c.Gen, c.Filled, c.Asked)
 		}
 	}
+}
+
+// TestRunSharedSharesLDASweeps: one store serves lda's Gibbs sweeps to
+// every size across cells that differ in layout, tier, an MBA cap, a
+// crash beside a speculated straggler, and forecast tiering. Each result
+// is exactly Run's, no cell writes a sweep page it read, and each of the
+// 3 sizes x 5 iterations x 10 partitions sweeps is sampled once, though
+// the crash makes lineage ask for some of them again.
+func TestRunSharedSharesLDASweeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs lda at every size in seven cells, twice each")
+	}
+	forecast := tiering.DefaultConfig(tiering.Forecast)
+	forecast.FastBudgetBytes = 1 << 10
+	var specs []RunSpec
+	for _, size := range workloads.AllSizes() {
+		base := RunSpec{Workload: "lda", Size: size, Tier: memsim.Tier2}
+		clean, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := func(s RunSpec) RunSpec { s.Size = size; return s }
+		specs = append(specs,
+			base,
+			at(RunSpec{Workload: "lda", Tier: memsim.Tier0, Executors: 2, CoresPerExecutor: 20}),
+			at(RunSpec{Workload: "lda", Tier: memsim.Tier2, Executors: 4, CoresPerExecutor: 10}),
+			at(RunSpec{Workload: "lda", Tier: memsim.Tier2, BandwidthCap: 0.1}),
+			at(RunSpec{Workload: "lda", Tier: memsim.Tier2, Executors: 4, CoresPerExecutor: 10, Faults: &faults.Plan{
+				Crashes:     []faults.Crash{{Exec: 0, At: clean.Duration / 2, Replace: true}},
+				Stragglers:  []faults.Straggler{{Exec: 1, Factor: 3}},
+				Speculation: true,
+			}}),
+			at(RunSpec{Workload: "lda", Tier: memsim.Tier0, Placement: dcpmCachePlacement(), Tiering: &forecast}),
+		)
+	}
+	store := rdd.NewGenStore(len(specs), true)
+	for _, spec := range specs {
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := store.DerivedCounts()
+		got, err := RunShared(spec, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the shared run differs from Run", spec)
+		}
+		after, _ := store.DerivedCounts()
+		switch asked := sumAsked(after) - sumAsked(before); {
+		case spec.Faults != nil && asked <= 5*10:
+			t.Errorf("%s: %d sweeps asked; want the crash to make lineage ask for some again", spec, asked)
+		case spec.Faults == nil && asked != 5*10:
+			t.Errorf("%s: %d sweeps asked, want 50", spec, asked)
+		}
+	}
+	if err := store.Verify(); err != nil {
+		t.Error(err)
+	}
+	if derived, _ := store.DerivedCounts(); len(derived) != 1 || derived[0].Gen != "lda-sweep" || derived[0].Filled != 3*5*10 {
+		t.Errorf("derived pages %+v, want lda-sweep alone with 150 filled", derived)
+	}
+}
+
+func sumAsked(counts []rdd.GenCount) int {
+	n := 0
+	for _, c := range counts {
+		n += c.Asked
+	}
+	return n
 }

@@ -42,53 +42,135 @@ func (g Generator[T, P]) Source(d Driver, name string, p P, n, parts int) *RDD[T
 	// Box the params once: a key built per ask must not allocate.
 	key := genKey{gen: g.ID, params: p, seed: seed, n: n, parts: src.base.NumParts}
 	fresh := src.fill
+	fillPart := func(part int, _ struct{}) []T { return fresh(part) }
 	src.stored = store.pages != nil
 	src.fill = func(part int) []T {
 		k := key
 		k.part = part
-		return storedPage(store, k, fresh)
+		return storedPage(store, k, fillPart, struct{}{}, SizeOfSlice[T])
 	}
 	return src
 }
 
-// genKey identifies one generated partition: pure in every field.
+// Derivation is a registered derived page: a value a task computes from
+// inputs it already holds by a pure fill, such as one partition's Gibbs
+// sweep in one lda iteration. ID names the fill body and P holds every
+// parameter it reads besides the seed and the partition. The inputs in
+// that the task hands the fill — its parent partition, a broadcast value
+// — must themselves be pure in (ID, params, seed, n, parts, part), so that
+// key determines the page, and a GenStore keys it like a generated
+// partition. The fill takes no TaskContext, so it cannot charge: the task
+// charges from counts its page carries, on every ask, and the virtual
+// ledger cannot tell a shared page from a fresh one.
+type Derivation[T Sized, In any, P comparable] struct {
+	ID   string
+	Fill func(p P, seed int64, part int, in In) T
+}
+
+// Derived is a Derivation bound to one run's params and partitioning.
+// It stays small without a store, so a task closure holds it by value.
+type Derived[T Sized, In any, P comparable] struct {
+	fill   func(p P, seed int64, part int, in In) T
+	p      P
+	seed   int64
+	shared *sharedDerived[T, In] // nil without a store
+}
+
+// sharedDerived is what a Derived asks its store with.
+type sharedDerived[T, In any] struct {
+	store *GenStore
+	key   genKey                  // the params boxed once: a key built per ask must not allocate
+	fill  func(part int, in In) T // Fill bound to the params and seed
+}
+
+// Bind binds dv to params p over n records in parts partitions, on d's
+// seed and GenStore. Without a store it allocates nothing.
+func (dv Derivation[T, In, P]) Bind(d Driver, p P, n, parts int) Derived[T, In, P] {
+	seed := d.Seed()
+	b := Derived[T, In, P]{fill: dv.Fill, p: p, seed: seed}
+	if store := d.GenStore(); store != nil {
+		b.shared = &sharedDerived[T, In]{
+			store: store,
+			key:   genKey{gen: dv.ID, kind: derivedPage, params: p, seed: seed, n: n, parts: parts},
+			fill:  func(part int, in In) T { return dv.Fill(p, seed, part, in) },
+		}
+	}
+	return b
+}
+
+// Page is partition part's page, computed from in: the store's, filled
+// once for every run that shares it, or a fresh fill without a store.
+// Readers must not write it.
+func (b Derived[T, In, P]) Page(part int, in In) T {
+	s := b.shared
+	if s == nil {
+		return b.fill(b.p, b.seed, part, in)
+	}
+	k := s.key
+	k.part = part
+	return storedPage(s.store, k, s.fill, in, sizeOfSized[T])
+}
+
+func sizeOfSized[T Sized](v T) int64 { return v.ByteSize() }
+
+// genKey identifies one generated partition or derived page: pure in every
+// field.
 type genKey struct {
 	gen            string
-	params         any // a Generator's P: comparable by construction
+	kind           pageKind
+	params         any // a Generator's or Derivation's P: comparable by construction
 	seed           int64
 	n, parts, part int
 }
 
-// GenStore is a read-only store of generated input partitions shared by
-// the runs of an evaluation batch that read the same input. Generation is
-// pure in the key, so a page filled for one cell is the page every other
-// cell would have filled; every source still charges chargeGenerated over
-// it, so the virtual ledger cannot tell a shared page from a fresh one.
-// Consumers must not write the records they read (DESIGN.md §6.1). The
-// store only grows; its owner drops it whole when its last reader ends.
+// pageKind tells a Generator's partitions from a Derivation's pages.
+type pageKind uint8
+
+const (
+	generatedPage pageKind = iota
+	derivedPage
+)
+
+var kindNames = [...]string{generatedPage: "generated", derivedPage: "derived"}
+
+// GenStore is a read-only store of generated input partitions, and of
+// the pages derived from them, shared by the runs of an evaluation batch
+// that read the same input. Generation and derivation are pure in the
+// key, so a page filled for one cell is the page every other cell would
+// have filled; every source still charges chargeGenerated over it, and
+// every derived page's asker replays its charges, so the virtual ledger
+// cannot tell a shared page from a fresh one. Consumers must not write
+// what they read (DESIGN.md §6.1). The store only grows; its owner drops
+// it whole when its last reader ends.
 type GenStore struct {
 	check bool // test seam: checksum every page at fill, for Verify
 
-	mu     sync.Mutex
-	pages  map[genKey]*genPage // nil for a store with one reader
-	order  []*genPage          // fill order of first ask, for Verify
-	counts []GenCount          // sorted by Gen
-	fillNS int64               // wall-clock nanoseconds spent filling
+	mu      sync.Mutex
+	pages   map[genKey]*genPage // nil for a store with one reader
+	order   []*genPage          // fill order of first ask, for Verify
+	tallies [len(kindNames)]pageTally
 }
 
-// genPage is one partition's records, filled once under mu.
+// pageTally is a store's account of one kind of page.
+type pageTally struct {
+	counts []GenCount // sorted by Gen
+	fillNS int64      // wall-clock nanoseconds spent filling
+}
+
+// genPage is one partition's records or one derived page, filled once
+// under mu.
 type genPage struct {
 	key  genKey
 	mu   sync.Mutex
-	page any // a []T; nil until filled
+	page any // a []T or a derived T; nil until filled
 	sum  uint64
 }
 
-// GenCount is a store's host-side tally for one generator.
+// GenCount is a store's host-side tally for one generator or derivation.
 type GenCount struct {
 	Gen string
-	// Asked counts partitions sources asked for; Filled the ones
-	// generated; Bytes the nominal bytes of the generated ones.
+	// Asked counts pages asked for; Filled the ones generated or derived;
+	// Bytes the nominal bytes of the filled ones.
 	Asked, Filled int
 	Bytes         int64
 }
@@ -106,12 +188,12 @@ func NewGenStore(readers int, check bool) *GenStore {
 	return s
 }
 
-// storedPage returns key's page, filling it with fill on its first ask.
-// Concurrent askers of one key wait for the one fill, so every key is
-// filled once whatever the worker count.
-func storedPage[T any](s *GenStore, key genKey, fill func(part int) []T) []T {
+// storedPage returns key's page, filling it with fill(key.part, in) on
+// its first ask. Concurrent askers of one key wait for the one fill, so
+// every key is filled once whatever the worker count.
+func storedPage[T, In any](s *GenStore, key genKey, fill func(part int, in In) T, in In, size func(T) int64) T {
 	s.mu.Lock()
-	tally(&s.counts, key.gen).Asked++
+	tally(&s.tallies[key.kind].counts, key.gen).Asked++
 	p := s.pages[key]
 	if p == nil && s.pages != nil {
 		p = &genPage{key: key}
@@ -120,34 +202,35 @@ func storedPage[T any](s *GenStore, key genKey, fill func(part int) []T) []T {
 	}
 	s.mu.Unlock()
 	if p == nil {
-		return countedFill(s, key, fill)
+		return countedFill(s, key, fill, in, size)
 	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.page == nil {
-		out := countedFill(s, key, fill)
+		out := countedFill(s, key, fill, in, size)
 		p.page = out
 		if s.check {
 			p.sum = pageSum(out)
 		}
 	}
-	return p.page.([]T)
+	return p.page.(T)
 }
 
-// countedFill generates key's partition and books the fill, its nominal
-// bytes and its wall-clock span.
-func countedFill[T any](s *GenStore, key genKey, fill func(part int) []T) []T {
+// countedFill fills key's page and books the fill, its nominal bytes and
+// its wall-clock span.
+func countedFill[T, In any](s *GenStore, key genKey, fill func(part int, in In) T, in In, size func(T) int64) T {
 	sw := telemetry.StartStopwatch()
-	out := fill(key.part)
+	out := fill(key.part, in)
 	ns := int64(sw.Seconds() * 1e9)
-	bytes := SizeOfSlice(out)
+	bytes := size(out)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := tally(&s.counts, key.gen)
+	t := &s.tallies[key.kind]
+	c := tally(&t.counts, key.gen)
 	c.Filled++
 	c.Bytes += bytes
-	s.fillNS += ns
+	t.fillNS += ns
 	return out
 }
 
@@ -169,12 +252,22 @@ func AddGenCount(counts []GenCount, c GenCount) []GenCount {
 	return counts
 }
 
-// Counts returns the per-generator tallies, ordered by generator id, and
-// the wall-clock seconds spent filling.
+// Counts returns the per-generator tallies of generated partitions,
+// ordered by generator id, and the wall-clock seconds spent filling them.
 func (s *GenStore) Counts() ([]GenCount, float64) {
+	return s.counts(generatedPage)
+}
+
+// DerivedCounts is Counts for derived pages, per derivation.
+func (s *GenStore) DerivedCounts() ([]GenCount, float64) {
+	return s.counts(derivedPage)
+}
+
+func (s *GenStore) counts(kind pageKind) ([]GenCount, float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.counts), float64(s.fillNS) / 1e9
+	t := s.tallies[kind]
+	return slices.Clone(t.counts), float64(t.fillNS) / 1e9
 }
 
 // Verify recomputes the checksum of every page a checking store filled
@@ -193,8 +286,8 @@ func (s *GenStore) Verify() error {
 		p.mu.Unlock()
 		if page != nil && pageSum(page) != sum {
 			k := p.key
-			return fmt.Errorf("rdd: generated page %s %+v seed %d part %d/%d was written by a consumer",
-				k.gen, k.params, k.seed, k.part, k.parts)
+			return fmt.Errorf("rdd: %s page %s %+v seed %d part %d/%d was written by a consumer",
+				kindNames[k.kind], k.gen, k.params, k.seed, k.part, k.parts)
 		}
 	}
 	return nil

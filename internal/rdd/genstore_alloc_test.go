@@ -8,14 +8,14 @@ import "testing"
 func TestGenStoreAllocations(t *testing.T) {
 	s := NewGenStore(2, false)
 	page := []int{1, 2, 3}
-	fill := func(int) []int { return page }
+	fill := func(int, struct{}) []int { return page }
 	part := 0
 	perFill := testing.AllocsPerRun(1000, func() {
 		part++
-		storedPage(s, genKey{gen: "x", params: struct{}{}, part: part}, fill)
+		storedPage(s, genKey{gen: "x", params: struct{}{}, part: part}, fill, struct{}{}, SizeOfSlice[int])
 	})
 	perHit := testing.AllocsPerRun(1000, func() {
-		storedPage(s, genKey{gen: "x", params: struct{}{}, part: 1}, fill)
+		storedPage(s, genKey{gen: "x", params: struct{}{}, part: 1}, fill, struct{}{}, SizeOfSlice[int])
 	})
 	if perFill > 2 || perHit != 0 {
 		t.Errorf("%.2f allocs per fill, %.2f per hit; want at most 2 and 0", perFill, perHit)

@@ -139,3 +139,88 @@ func TestGenStoreForOneReaderKeepsNoPage(t *testing.T) {
 		t.Fatalf("counts %+v, want 24 asked and 24 filled", counts[0])
 	}
 }
+
+// scaledPage is a derived page: a partition's records, each scaled.
+type scaledPage struct{ Vals []int }
+
+func (p scaledPage) ByteSize() int64 { return int64(24 + 8*len(p.Vals)) }
+
+// scaleDer multiplies a partition's first column by By and the seed; By
+// is the parameter its fill reads, so it is part of the store's key.
+type scaleParams struct{ By int }
+
+var scaleDer = rdd.Derivation[scaledPage, [][]int, scaleParams]{ID: "test-scale",
+	Fill: func(p scaleParams, seed int64, _ int, in [][]int) scaledPage {
+		out := scaledPage{Vals: make([]int, len(in))}
+		for i, rec := range in {
+			out.Vals[i] = rec[0] * p.By * int(seed)
+		}
+		return out
+	}}
+
+// scaled derives every partition of src's page of scaleDer on app.
+func scaled(app *cluster.App, src *rdd.RDD[[]int], by int) []scaledPage {
+	d := scaleDer.Bind(app, scaleParams{by}, 64, 8)
+	return rdd.Collect(rdd.MapPartitions(src, func(_ *executor.TaskContext, part int, in [][]int) []scaledPage {
+		return []scaledPage{d.Page(part, in)}
+	}))
+}
+
+// Two applications sharing a store read one derived page per partition,
+// what a store-less run derives; the derived pages are tallied apart from
+// the generated partitions they were derived from, and a params change
+// derives its own pages.
+func TestDerivedPagesAreSharedAndTalliedApart(t *testing.T) {
+	store := rdd.NewGenStore(3, false)
+	apps := []*cluster.App{sharedApp(store), sharedApp(store)}
+	a := scaled(apps[0], vecGen.Source(apps[0], "a", vecParams{4}, 64, 8), 3)
+	b := scaled(apps[1], vecGen.Source(apps[1], "b", vecParams{4}, 64, 8), 3)
+	for i := range a {
+		if &a[i].Vals[0] != &b[i].Vals[0] {
+			t.Fatalf("partition %d: the second app derived its own page", i)
+		}
+	}
+	fresh := newApp()
+	if want := scaled(fresh, vecGen.Source(fresh, "c", vecParams{4}, 64, 8), 3); !reflect.DeepEqual(a, want) {
+		t.Fatal("shared derived pages differ from freshly derived ones")
+	}
+	other := sharedApp(store)
+	if by4 := scaled(other, vecGen.Source(other, "d", vecParams{4}, 64, 8), 4); reflect.DeepEqual(by4, a) {
+		t.Fatal("By 4 read By 3's pages")
+	}
+	gen, _ := store.Counts()
+	derived, _ := store.DerivedCounts()
+	if len(gen) != 1 || gen[0].Gen != "test-vec" || gen[0].Asked != 24 || gen[0].Filled != 8 {
+		t.Errorf("generated %+v, want test-vec alone, 24 asked and 8 filled", gen)
+	}
+	if len(derived) != 1 || derived[0].Gen != "test-scale" || derived[0].Asked != 24 || derived[0].Filled != 16 || derived[0].Bytes <= 0 {
+		t.Errorf("derived %+v, want test-scale alone, 24 asked, 16 filled and positive bytes", derived)
+	}
+}
+
+// The checking seam catches a reader that writes a derived page.
+func TestGenStoreVerifyCatchesAWrittenDerivedPage(t *testing.T) {
+	store := rdd.NewGenStore(2, true)
+	app := sharedApp(store)
+	pages := scaled(app, vecGen.Source(app, "x", vecParams{4}, 64, 8), 3)
+	if err := store.Verify(); err != nil {
+		t.Fatalf("read-only reader flagged: %v", err)
+	}
+	pages[2].Vals[0]++
+	err := store.Verify()
+	if err == nil || !strings.Contains(err.Error(), "derived page test-scale") {
+		t.Fatalf("Verify = %v, want the written test-scale page", err)
+	}
+}
+
+// Without a store, binding a derivation and asking for a page allocate
+// nothing beyond what the fill allocates.
+func TestDerivedWithoutStoreAllocatesNothing(t *testing.T) {
+	pass := rdd.Derivation[scaledPage, []int, scaleParams]{ID: "test-pass",
+		Fill: func(_ scaleParams, _ int64, _ int, in []int) scaledPage { return scaledPage{Vals: in} }}
+	app, in := newApp(), []int{1, 2, 3}
+	var page scaledPage
+	if n := testing.AllocsPerRun(100, func() { page = pass.Bind(app, scaleParams{2}, 64, 8).Page(1, in) }); n != 0 || len(page.Vals) != 3 {
+		t.Errorf("%.1f allocations per bind and ask, want 0", n)
+	}
+}

@@ -52,7 +52,6 @@ func (w *LDA) Describe(size Size) string {
 // Run implements Workload.
 func (w *LDA) Run(app *cluster.App, size Size) Summary {
 	p := ldaSizes[size]
-	seed := app.Seed()
 
 	// HiBench's LDA corpus ships in a handful of coarse partitions; with
 	// so few concurrently runnable tasks, the core/executor grid barely
@@ -83,29 +82,24 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 		func(ctx *executor.TaskContext, part int, in []*ml.Document) []*ldaBatch {
 			return []*ldaBatch{{Docs: in}}
 		})
+	// A sweep's outcome is pure in (params, seed, parts, iteration, part),
+	// so it is an "lda-sweep" page, sampled once for every cell of an
+	// evaluation batch that shares a GenStore. The task charges from the
+	// page's counts on every ask.
 	for it := 0; it < p.Iterations; it++ {
 		st := state.Clone()
 		bcast := rdd.NewBroadcast(app, st, st.ByteSize())
+		sweep := ldaSweepDer.Bind(app, ldaSweepParams{p, it}, p.Docs, parts)
 		batches = rdd.Cache(rdd.MapPartitions(batches,
 			func(ctx *executor.TaskContext, part int, in []*ldaBatch) []*ldaBatch {
 				st := bcast.Value(ctx) // global count tables
-				delta := st.NewLDADelta()
-				sampler := ml.NewGibbsSampler(st, delta)
-				r := rng.New(seed*7919 + int64(part) + int64(it)*13)
-				out := ml.CloneDocuments(in[0].Docs)
-				totalFlops, totalUpdates, tokens := 0, 0, 0
-				for _, d := range out {
-					f, u := sampler.Resample(d, r)
-					totalFlops += f
-					totalUpdates += u
-					tokens += len(d.Words)
-				}
-				ctx.CPU(float64(totalFlops) * ctx.Cost.FlopNS)
+				s := sweep.Page(part, ldaSweepIn{in[0].Docs, st})
+				ctx.CPU(float64(s.Flops) * ctx.Cost.FlopNS)
 				// Count-table read-modify-writes: scattered 8-byte
 				// updates (doc-topic + word-topic + totals).
-				ctx.MemRand(memsim.Read, tokens*p.Topics/4+1, int64(tokens*p.Topics*2))
-				ctx.MemRand(memsim.Write, totalUpdates, int64(totalUpdates*8))
-				return []*ldaBatch{{Docs: out, Delta: delta}}
+				ctx.MemRand(memsim.Read, s.Tokens*p.Topics/4+1, int64(s.Tokens*p.Topics*2))
+				ctx.MemRand(memsim.Write, s.Updates, int64(s.Updates*8))
+				return []*ldaBatch{{Docs: s.Docs, Delta: s.Delta}}
 			}))
 		for _, b := range rdd.Collect(batches) {
 			state.Apply(b.Delta)
@@ -140,6 +134,54 @@ func genLDADocs(r *rand.Rand, seed int64, lo int, p ldaParams, out []*ml.Documen
 		init.Seed(seed + int64(lo+j))
 		out[j] = ml.InitDocument(raw.Words, p.Topics, init)
 	}
+}
+
+// ldaSweepParams is everything a sweep's fill reads besides the seed, the
+// partition and its inputs: the size's params and the iteration.
+type ldaSweepParams struct {
+	ldaParams
+	Iteration int
+}
+
+// ldaSweepIn is a sweep task's input: the partition's documents from the
+// previous generation and the broadcast count tables, both pure in the
+// sweep's key.
+type ldaSweepIn struct {
+	docs  []*ml.Document
+	state *ml.LDAState
+}
+
+// ldaSweep is one partition's Gibbs sweep in one iteration: the resampled
+// documents, their count-table delta, and the counts the task charges
+// from. Read-only once filled.
+type ldaSweep struct {
+	Docs                   []*ml.Document
+	Delta                  *ml.LDADelta
+	Flops, Updates, Tokens int
+}
+
+// ByteSize implements rdd.Sized: the generation the sweep produced.
+func (s ldaSweep) ByteSize() int64 {
+	return (&ldaBatch{Docs: s.Docs, Delta: s.Delta}).ByteSize()
+}
+
+// ldaSweepDer is lda's derived page: one partition's sweep.
+var ldaSweepDer = rdd.Derivation[ldaSweep, ldaSweepIn, ldaSweepParams]{ID: "lda-sweep", Fill: sweepLDA}
+
+// sweepLDA resamples clones of the input documents against the broadcast
+// state, one collapsed-Gibbs sweep each, on the partition's stream.
+func sweepLDA(p ldaSweepParams, seed int64, part int, in ldaSweepIn) ldaSweep {
+	delta := in.state.NewLDADelta()
+	sampler := ml.NewGibbsSampler(in.state, delta)
+	r := rng.New(seed*7919 + int64(part) + int64(p.Iteration)*13)
+	s := ldaSweep{Docs: ml.CloneDocuments(in.docs), Delta: delta}
+	for _, d := range s.Docs {
+		f, u := sampler.Resample(d, r)
+		s.Flops += f
+		s.Updates += u
+		s.Tokens += len(d.Words)
+	}
+	return s
 }
 
 // ldaBatch is one partition's generation: the resampled documents and the
