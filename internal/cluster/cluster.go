@@ -186,6 +186,7 @@ func New(conf Conf) *App {
 		store: shuffle.NewStore(),
 		cost:  cost,
 		meter: energy.NewMeter(),
+		gen:   rdd.NewGenStore(false),
 	}
 	// Chunk sets committed to the shuffle store register their residency
 	// with the block manager's chunk ledger on the pool.
@@ -272,13 +273,21 @@ func (a *App) System() *memsim.System { return a.sys }
 func (a *App) Tier() *memsim.Tier { return a.pool.Tier() }
 
 // ShareGenerated makes the application's generated sources read their
-// partitions from store, which the other runs of an evaluation batch share.
-// Call it before building datasets. The store is host-side state: it
-// changes which Go values hold the records, never the records, the charges
-// or anything the run reports.
-func (a *App) ShareGenerated(store *rdd.GenStore) { a.gen = store }
+// partitions, and its derived pages, from store, which the other runs of
+// an evaluation batch share, instead of from the store the application
+// owns; a nil store keeps the application's own. Call it before building
+// datasets. The store is host-side state: it changes which Go values hold
+// the records, never the records, the charges or anything the run
+// reports.
+func (a *App) ShareGenerated(store *rdd.GenStore) {
+	if store != nil {
+		a.gen = store
+	}
+}
 
-// GenStore implements rdd.Driver; nil unless ShareGenerated was called.
+// GenStore implements rdd.Driver: the application's own store, which it
+// drops with itself when its run ends, or the one ShareGenerated swapped
+// in.
 func (a *App) GenStore() *rdd.GenStore { return a.gen }
 
 // NextRDDID implements rdd.Driver.

@@ -106,16 +106,11 @@ func genGroups(specs []hibench.RunSpec, mine []int, check bool) []*genGroup {
 		d := genData{s.Workload, s.Size, s.Seed, s.Parallelism}
 		g := byData[d]
 		if g == nil {
-			g = &genGroup{}
+			g = &genGroup{gen: rdd.NewGenStore(check)}
 			byData[d] = g
 		}
 		g.left.Add(1)
 		groups[j] = g
-	}
-	for _, g := range groups {
-		if g.gen == nil {
-			g.gen = rdd.NewGenStore(int(g.left.Load()), check)
-		}
 	}
 	return groups
 }

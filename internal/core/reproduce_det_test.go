@@ -58,12 +58,10 @@ func genCounts(l HostLedger) string {
 // Every shared generated page is checksummed when it is filled and again
 // when its group of cells ends, so a consumer anywhere in the report that
 // writes a record it reads panics here. The host ledger's counts are the
-// same at both worker counts: 43 batches ask for 24,072 generated
+// same at both worker counts: 43 batches ask for 24,552 generated
 // partitions and 5,088 are filled, one per distinct partition of a
-// workload's input in each batch. (A sort reading a store that keeps its
-// pages asks for each partition from both of its jobs; on a store that
-// keeps none it parks the first read for the second, which asks nothing.)
-// Apart from them, lda's 3,300 sweep tasks ask for 800 distinct
+// workload's input in each batch. The pin counts asks, not fills: a sort
+// asks for each partition from both of its jobs. Apart from them, lda's 3,300 sweep tasks ask for 800 distinct
 // lda-sweep pages, and each is sampled once.
 func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
@@ -88,8 +86,8 @@ func TestReproduceByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Errorf("ledger counts differ between 1 and 8 workers:\n%s\n%s", a, b)
 	}
 	l := ledgers[0]
-	if total := sumCounts(l.Gen); l.Batches != 43 || total.Asked != 24_072 || total.Filled != 5_088 {
-		t.Errorf("%d batches, %d partitions asked, %d filled; want 43, 24072, 5088", l.Batches, total.Asked, total.Filled)
+	if total := sumCounts(l.Gen); l.Batches != 43 || total.Asked != 24_552 || total.Filled != 5_088 {
+		t.Errorf("%d batches, %d partitions asked, %d filled; want 43, 24552, 5088", l.Batches, total.Asked, total.Filled)
 	}
 	checkSweeps(t, l)
 }

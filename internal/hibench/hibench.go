@@ -180,10 +180,12 @@ func Run(spec RunSpec) (RunResult, error) {
 	return RunShared(spec, nil)
 }
 
-// RunShared is Run whose generated sources read their partitions from gen,
-// a store the other runs of one evaluation batch share (see rdd.GenStore);
-// a nil gen is Run. gen is host-side: the result is the one Run returns,
-// and neither RunSpec.Key nor RunResult records it.
+// RunShared is Run whose generated sources read their partitions, and
+// whose derived pages are kept, in gen, a store the other runs of one
+// evaluation batch share (see rdd.GenStore); a nil gen is Run, whose
+// application reads through a store of its own. gen is host-side: the
+// result is the one Run returns, and neither RunSpec.Key nor RunResult
+// records it.
 func RunShared(spec RunSpec, gen *rdd.GenStore) (result RunResult, err error) {
 	spec = spec.WithDefaults()
 	w, err := workloads.ByName(spec.Workload)

@@ -160,7 +160,7 @@ func TestRunRecordsRecoveryCounters(t *testing.T) {
 // tasks over the shared pages — returns exactly what Run returns, and no
 // run writes a page it read.
 func TestRunSharedMatchesRun(t *testing.T) {
-	store := rdd.NewGenStore(2*3*len(workloads.Names()), true)
+	store := rdd.NewGenStore(true)
 	for _, w := range workloads.Names() {
 		for _, spec := range []RunSpec{
 			{Workload: w, Size: workloads.Tiny, Tier: memsim.Tier2},
@@ -227,7 +227,7 @@ func TestRunSharedSharesLDASweeps(t *testing.T) {
 			at(RunSpec{Workload: "lda", Tier: memsim.Tier0, Placement: dcpmCachePlacement(), Tiering: &forecast}),
 		)
 	}
-	store := rdd.NewGenStore(len(specs), true)
+	store := rdd.NewGenStore(true)
 	for _, spec := range specs {
 		want, err := Run(spec)
 		if err != nil {

@@ -28,28 +28,22 @@ type Generator[T any, P comparable] struct {
 }
 
 // Source is g's dataset of n records over parts partitions under params
-// p: GenerateBatch over g.Fill. On a driver that shares a GenStore, each
-// partition's records come from the store, generated once for every
-// source in the batch with the same key.
+// p: GenerateBatch over g.Fill, whose partitions come from d's GenStore.
+// Each is generated once for every source that reads the store with the
+// same key, and every read charges what generating it charges.
 func (g Generator[T, P]) Source(d Driver, name string, p P, n, parts int) *RDD[T] {
 	seed := d.Seed()
-	fill := func(r *rand.Rand, lo, hi int, out []T) { g.Fill(p, seed, r, lo, hi, out) }
-	src := GenerateBatch(d, name, n, parts, fill)
+	parts = sourceParts(d, n, parts)
+	fresh := fillPart(seed, n, parts, func(r *rand.Rand, lo, hi int, out []T) { g.Fill(p, seed, r, lo, hi, out) })
+	fill := func(part int, _ struct{}) []T { return fresh(part) }
 	store := d.GenStore()
-	if store == nil {
-		return src
-	}
 	// Box the params once: a key built per ask must not allocate.
-	key := genKey{gen: g.ID, params: p, seed: seed, n: n, parts: src.base.NumParts}
-	fresh := src.fill
-	fillPart := func(part int, _ struct{}) []T { return fresh(part) }
-	src.stored = store.pages != nil
-	src.fill = func(part int) []T {
+	key := genKey{gen: g.ID, params: p, seed: seed, n: n, parts: parts}
+	return generated(d, name, parts, func(part int) []T {
 		k := key
 		k.part = part
-		return storedPage(store, k, fillPart, struct{}{}, SizeOfSlice[T])
-	}
-	return src
+		return storedPage(store, k, fill, struct{}{}, SizeOfSlice[T])
+	})
 }
 
 // Derivation is a registered derived page: a value a task computes from
@@ -67,48 +61,31 @@ type Derivation[T Sized, In any, P comparable] struct {
 	Fill func(p P, seed int64, part int, in In) T
 }
 
-// Derived is a Derivation bound to one run's params and partitioning.
-// It stays small without a store, so a task closure holds it by value.
-type Derived[T Sized, In any, P comparable] struct {
-	fill   func(p P, seed int64, part int, in In) T
-	p      P
-	seed   int64
-	shared *sharedDerived[T, In] // nil without a store
-}
-
-// sharedDerived is what a Derived asks its store with.
-type sharedDerived[T, In any] struct {
+// Derived is a Derivation bound to one run's params, partitioning and
+// GenStore.
+type Derived[T Sized, In any] struct {
 	store *GenStore
 	key   genKey                  // the params boxed once: a key built per ask must not allocate
 	fill  func(part int, in In) T // Fill bound to the params and seed
 }
 
 // Bind binds dv to params p over n records in parts partitions, on d's
-// seed and GenStore. Without a store it allocates nothing.
-func (dv Derivation[T, In, P]) Bind(d Driver, p P, n, parts int) Derived[T, In, P] {
+// seed and GenStore.
+func (dv Derivation[T, In, P]) Bind(d Driver, p P, n, parts int) Derived[T, In] {
 	seed := d.Seed()
-	b := Derived[T, In, P]{fill: dv.Fill, p: p, seed: seed}
-	if store := d.GenStore(); store != nil {
-		b.shared = &sharedDerived[T, In]{
-			store: store,
-			key:   genKey{gen: dv.ID, kind: derivedPage, params: p, seed: seed, n: n, parts: parts},
-			fill:  func(part int, in In) T { return dv.Fill(p, seed, part, in) },
-		}
+	return Derived[T, In]{
+		store: d.GenStore(),
+		key:   genKey{gen: dv.ID, kind: derivedPage, params: p, seed: seed, n: n, parts: parts},
+		fill:  func(part int, in In) T { return dv.Fill(p, seed, part, in) },
 	}
-	return b
 }
 
-// Page is partition part's page, computed from in: the store's, filled
-// once for every run that shares it, or a fresh fill without a store.
-// Readers must not write it.
-func (b Derived[T, In, P]) Page(part int, in In) T {
-	s := b.shared
-	if s == nil {
-		return b.fill(b.p, b.seed, part, in)
-	}
-	k := s.key
+// Page is partition part's page, computed from in on its first ask and
+// kept by the store for every later one. Readers must not write it.
+func (b Derived[T, In]) Page(part int, in In) T {
+	k := b.key
 	k.part = part
-	return storedPage(s.store, k, s.fill, in, sizeOfSized[T])
+	return storedPage(b.store, k, b.fill, in, sizeOfSized[T])
 }
 
 func sizeOfSized[T Sized](v T) int64 { return v.ByteSize() }
@@ -134,20 +111,21 @@ const (
 var kindNames = [...]string{generatedPage: "generated", derivedPage: "derived"}
 
 // GenStore is a read-only store of generated input partitions, and of
-// the pages derived from them, shared by the runs of an evaluation batch
-// that read the same input. Generation and derivation are pure in the
-// key, so a page filled for one cell is the page every other cell would
-// have filled; every source still charges chargeGenerated over it, and
-// every derived page's asker replays its charges, so the virtual ledger
-// cannot tell a shared page from a fresh one. Consumers must not write
-// what they read (DESIGN.md §6.1). The store only grows; its owner drops
-// it whole when its last reader ends.
+// the pages derived from them. Every application owns one, and the runs
+// of an evaluation batch that read the same input share one instead.
+// Generation and derivation are pure in the key, so a page filled for one
+// run is the page every other reader would have filled; every source
+// still charges chargeGenerated over it, and every derived page's asker
+// replays its charges, so the virtual ledger cannot tell a kept page from
+// a fresh one. Consumers must not write what they read (DESIGN.md §6.1).
+// The store only grows; its owner drops it whole when its last reader
+// ends.
 type GenStore struct {
 	check bool // test seam: checksum every page at fill, for Verify
 
 	mu      sync.Mutex
-	pages   map[genKey]*genPage // nil for a store with one reader
-	order   []*genPage          // fill order of first ask, for Verify
+	pages   map[genKey]keptPage
+	order   []keptPage // fill order of first ask, under check, for Verify
 	tallies [len(kindNames)]pageTally
 }
 
@@ -159,11 +137,25 @@ type pageTally struct {
 
 // genPage is one partition's records or one derived page, filled once
 // under mu.
-type genPage struct {
-	key  genKey
-	mu   sync.Mutex
-	page any // a []T or a derived T; nil until filled
-	sum  uint64
+type genPage[T any] struct {
+	key    genKey
+	mu     sync.Mutex
+	filled bool
+	page   T // a []T or a derived T
+	sum    uint64
+}
+
+// keptPage is a genPage of any page type, as Verify sees it.
+type keptPage interface {
+	// written returns the page's key and whether its checksum moved since
+	// its fill: a reader wrote it.
+	written() (genKey, bool)
+}
+
+func (p *genPage[T]) written() (genKey, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.key, p.filled && pageSum(p.page) != p.sum
 }
 
 // GenCount is a store's host-side tally for one generator or derivation.
@@ -175,55 +167,42 @@ type GenCount struct {
 	Bytes         int64
 }
 
-// NewGenStore returns an empty store for readers runs. A store for one
-// run keeps no page: it counts what the run asks for and fills, and hands
-// each page to its asker alone, which drops it when done with it, as a
-// run without a store does. With check set the store checksums every page
-// it keeps as it is filled, and Verify recomputes the sums.
-func NewGenStore(readers int, check bool) *GenStore {
-	s := &GenStore{check: check}
-	if readers > 1 {
-		s.pages = make(map[genKey]*genPage)
-	}
-	return s
+// NewGenStore returns an empty store. With check set it checksums every
+// page as it is filled, and Verify recomputes the sums.
+func NewGenStore(check bool) *GenStore {
+	return &GenStore{check: check, pages: make(map[genKey]keptPage)}
 }
 
 // storedPage returns key's page, filling it with fill(key.part, in) on
-// its first ask. Concurrent askers of one key wait for the one fill, so
+// its first ask and booking the fill, its nominal bytes and its
+// wall-clock span. Concurrent askers of one key wait for the one fill, so
 // every key is filled once whatever the worker count.
 func storedPage[T, In any](s *GenStore, key genKey, fill func(part int, in In) T, in In, size func(T) int64) T {
 	s.mu.Lock()
 	tally(&s.tallies[key.kind].counts, key.gen).Asked++
-	p := s.pages[key]
-	if p == nil && s.pages != nil {
-		p = &genPage{key: key}
-		s.pages[key] = p
-		s.order = append(s.order, p)
-	}
-	s.mu.Unlock()
-	if p == nil {
-		return countedFill(s, key, fill, in, size)
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.page == nil {
-		out := countedFill(s, key, fill, in, size)
-		p.page = out
+	kept, ok := s.pages[key]
+	if !ok {
+		kept = &genPage[T]{key: key}
+		s.pages[key] = kept
 		if s.check {
-			p.sum = pageSum(out)
+			s.order = append(s.order, kept)
 		}
 	}
-	return p.page.(T)
-}
+	s.mu.Unlock()
 
-// countedFill fills key's page and books the fill, its nominal bytes and
-// its wall-clock span.
-func countedFill[T, In any](s *GenStore, key genKey, fill func(part int, in In) T, in In, size func(T) int64) T {
+	p := kept.(*genPage[T])
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.filled {
+		return p.page
+	}
 	sw := telemetry.StartStopwatch()
-	out := fill(key.part, in)
+	p.page, p.filled = fill(key.part, in), true
 	ns := int64(sw.Seconds() * 1e9)
-	bytes := size(out)
+	if s.check {
+		p.sum = pageSum(p.page)
+	}
+	bytes := size(p.page)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := &s.tallies[key.kind]
@@ -231,7 +210,7 @@ func countedFill[T, In any](s *GenStore, key genKey, fill func(part int, in In) 
 	c.Filled++
 	c.Bytes += bytes
 	t.fillNS += ns
-	return out
+	return p.page
 }
 
 // tally is gen's entry in counts, sorted by Gen, inserted on first use.
@@ -271,21 +250,17 @@ func (s *GenStore) counts(kind pageKind) ([]GenCount, float64) {
 }
 
 // Verify recomputes the checksum of every page a checking store filled
-// and reports the first page, in fill order, that a consumer wrote. A nil
-// or non-checking store verifies nothing.
+// and reports the first page, in order of first ask, that a consumer
+// wrote. A non-checking store verifies nothing.
 func (s *GenStore) Verify() error {
-	if s == nil || !s.check {
+	if !s.check {
 		return nil
 	}
 	s.mu.Lock()
 	order := slices.Clone(s.order)
 	s.mu.Unlock()
 	for _, p := range order {
-		p.mu.Lock()
-		page, sum := p.page, p.sum
-		p.mu.Unlock()
-		if page != nil && pageSum(page) != sum {
-			k := p.key
+		if k, written := p.written(); written {
 			return fmt.Errorf("rdd: %s page %s %+v seed %d part %d/%d was written by a consumer",
 				kindNames[k.kind], k.gen, k.params, k.seed, k.part, k.parts)
 		}

@@ -41,10 +41,10 @@ func firstRecords(src *rdd.RDD[[]int]) []*int {
 
 // Two applications sharing a store read one page per partition: the
 // second source's records are the first's Go values, its contents are
-// what a store-less source generates, and the tally counts every ask but
+// what a source on an unshared store generates, and the tally counts every ask but
 // one fill per partition.
 func TestGenStoreSharesPagesBetweenApps(t *testing.T) {
-	store := rdd.NewGenStore(3, false)
+	store := rdd.NewGenStore(false)
 	a := firstRecords(vecGen.Source(sharedApp(store), "a", vecParams{4}, 64, 8))
 	b := firstRecords(vecGen.Source(sharedApp(store), "b", vecParams{4}, 64, 8))
 	for i := range a {
@@ -65,7 +65,7 @@ func TestGenStoreSharesPagesBetweenApps(t *testing.T) {
 // Sources that differ only in a parameter the fill reads get their own
 // pages, and so do sources that differ in seed or partitioning.
 func TestGenStoreKeysOnParamsSeedAndParts(t *testing.T) {
-	store := rdd.NewGenStore(4, false)
+	store := rdd.NewGenStore(false)
 	base := rdd.Collect(vecGen.Source(sharedApp(store), "x", vecParams{4}, 64, 8))
 	if wide := rdd.Collect(vecGen.Source(sharedApp(store), "x", vecParams{5}, 64, 8)); len(wide[0]) != 5 {
 		t.Fatalf("width-5 source read width-%d records", len(wide[0]))
@@ -87,7 +87,7 @@ func TestGenStoreKeysOnParamsSeedAndParts(t *testing.T) {
 
 // Concurrent askers of one key wait for its one fill.
 func TestGenStoreFillsEachKeyOnceUnderConcurrency(t *testing.T) {
-	store := rdd.NewGenStore(8, false)
+	store := rdd.NewGenStore(false)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -105,7 +105,7 @@ func TestGenStoreFillsEachKeyOnceUnderConcurrency(t *testing.T) {
 // The checking seam catches a consumer that writes the records it reads,
 // and passes one that only reads them.
 func TestGenStoreVerifyCatchesAWritingConsumer(t *testing.T) {
-	store := rdd.NewGenStore(2, true)
+	store := rdd.NewGenStore(true)
 	rdd.Collect(rdd.Map(vecGen.Source(sharedApp(store), "x", vecParams{4}, 64, 8), func(v []int) int { return v[0] }))
 	if err := store.Verify(); err != nil {
 		t.Fatalf("read-only consumer flagged: %v", err)
@@ -120,23 +120,26 @@ func TestGenStoreVerifyCatchesAWritingConsumer(t *testing.T) {
 	}
 }
 
-// A store for one reader keeps nothing: it counts every ask and fill and
-// hands each fill to its asker alone, the records a store-less source
-// generates.
-func TestGenStoreForOneReaderKeepsNoPage(t *testing.T) {
-	store := rdd.NewGenStore(1, true)
-	app := sharedApp(store)
-	a := firstRecords(vecGen.Source(app, "x", vecParams{4}, 64, 8))
-	b := firstRecords(vecGen.Source(app, "x", vecParams{4}, 64, 8))
-	if a[0] == b[0] {
-		t.Fatal("a one-reader store handed a page out twice")
+// An application from cluster.New reads through a store of its own that
+// keeps its pages: a SortBy over a registered generator asks it for every
+// partition in each of the sort's two jobs and fills each partition once.
+// ShareGenerated(nil) keeps that store.
+func TestAppReadsThroughItsOwnGenStore(t *testing.T) {
+	app := newApp()
+	own := app.GenStore()
+	if own == nil {
+		t.Fatal("an App from cluster.New has no GenStore")
 	}
-	fresh := rdd.Collect(vecGen.Source(newApp(), "x", vecParams{4}, 64, 8))
-	if got := rdd.Collect(vecGen.Source(app, "x", vecParams{4}, 64, 8)); !reflect.DeepEqual(got, fresh) {
-		t.Fatal("records differ from freshly generated ones")
+	if app.ShareGenerated(nil); app.GenStore() != own {
+		t.Fatal("ShareGenerated(nil) replaced the App's own store")
 	}
-	if counts, _ := store.Counts(); counts[0].Asked != 24 || counts[0].Filled != 24 {
-		t.Fatalf("counts %+v, want 24 asked and 24 filled", counts[0])
+	const parts = 8
+	fresh := rdd.Collect(rdd.SortBy(vecGen.Source(newApp(), "x", vecParams{4}, 64, parts), func(v []int) int { return v[0] }, 4))
+	if got := rdd.Collect(rdd.SortBy(vecGen.Source(app, "x", vecParams{4}, 64, parts), func(v []int) int { return v[0] }, 4)); !reflect.DeepEqual(got, fresh) {
+		t.Fatal("the sort differs between two applications of one seed")
+	}
+	if counts, _ := own.Counts(); len(counts) != 1 || counts[0].Asked != 2*parts || counts[0].Filled != parts {
+		t.Fatalf("counts %+v, want test-vec alone with %d asked and %d filled", counts, 2*parts, parts)
 	}
 }
 
@@ -167,11 +170,11 @@ func scaled(app *cluster.App, src *rdd.RDD[[]int], by int) []scaledPage {
 }
 
 // Two applications sharing a store read one derived page per partition,
-// what a store-less run derives; the derived pages are tallied apart from
+// what a run on an unshared store derives; the derived pages are tallied apart from
 // the generated partitions they were derived from, and a params change
 // derives its own pages.
 func TestDerivedPagesAreSharedAndTalliedApart(t *testing.T) {
-	store := rdd.NewGenStore(3, false)
+	store := rdd.NewGenStore(false)
 	apps := []*cluster.App{sharedApp(store), sharedApp(store)}
 	a := scaled(apps[0], vecGen.Source(apps[0], "a", vecParams{4}, 64, 8), 3)
 	b := scaled(apps[1], vecGen.Source(apps[1], "b", vecParams{4}, 64, 8), 3)
@@ -200,7 +203,7 @@ func TestDerivedPagesAreSharedAndTalliedApart(t *testing.T) {
 
 // The checking seam catches a reader that writes a derived page.
 func TestGenStoreVerifyCatchesAWrittenDerivedPage(t *testing.T) {
-	store := rdd.NewGenStore(2, true)
+	store := rdd.NewGenStore(true)
 	app := sharedApp(store)
 	pages := scaled(app, vecGen.Source(app, "x", vecParams{4}, 64, 8), 3)
 	if err := store.Verify(); err != nil {
@@ -213,14 +216,15 @@ func TestGenStoreVerifyCatchesAWrittenDerivedPage(t *testing.T) {
 	}
 }
 
-// Without a store, binding a derivation and asking for a page allocate
-// nothing beyond what the fill allocates.
-func TestDerivedWithoutStoreAllocatesNothing(t *testing.T) {
+// Asking for a derived page the store already holds allocates nothing.
+func TestDerivedHitAllocatesNothing(t *testing.T) {
 	pass := rdd.Derivation[scaledPage, []int, scaleParams]{ID: "test-pass",
 		Fill: func(_ scaleParams, _ int64, _ int, in []int) scaledPage { return scaledPage{Vals: in} }}
-	app, in := newApp(), []int{1, 2, 3}
+	in := []int{1, 2, 3}
+	d := pass.Bind(newApp(), scaleParams{2}, 64, 8)
+	d.Page(1, in)
 	var page scaledPage
-	if n := testing.AllocsPerRun(100, func() { page = pass.Bind(app, scaleParams{2}, 64, 8).Page(1, in) }); n != 0 || len(page.Vals) != 3 {
-		t.Errorf("%.1f allocations per bind and ask, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { page = d.Page(1, in) }); n != 0 || len(page.Vals) != 3 {
+		t.Errorf("%.1f allocations per ask of a filled page, want 0", n)
 	}
 }

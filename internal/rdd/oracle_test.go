@@ -9,8 +9,9 @@ import (
 )
 
 // This file keeps sort and repartition as the compositions of plain
-// operators they were before their bodies were fused, as the oracle the
-// fused bodies must equal in output, lineage and every charge: a sampling
+// operators they were before their bodies were fused, and SortBy as the
+// SortByKeyOrdered(KeyBy(r, key)) it stands for, as the oracles the fused
+// bodies must equal in output, lineage and every charge: a sampling
 // job Collect(Map(Sample(r))) over the keys, a PartitionBy whose reducers
 // copy the chunks into a pair page, and a MapPartitions that sorts that
 // page (or a Map back to the values). Every record is generated, keyed and
@@ -64,6 +65,18 @@ func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]], p Partitioner[K]) *RDD
 			}
 			return out
 		})
+}
+
+// KeyBy turns records into pairs keyed by f.
+func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[Pair[K, T]] {
+	return Map(r, func(v T) Pair[K, T] { return KV(f(v), v) })
+}
+
+// SortByKeyOrdered is SortByKey in the keys' natural order (cmp.Less),
+// on the fused body with the prefix index: SortBy's output and ledger
+// over an input KeyBy has already paired.
+func SortByKeyOrdered[K cmp.Ordered, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, V]] {
+	return sortPairs(r, parts, newOrderedRangePartitioner[K])
 }
 
 // UnfusedSortByKey is SortByKey as the composition.

@@ -234,52 +234,38 @@ func SortByKey[K comparable, V any](r *RDD[Pair[K, V]], less func(a, b K) bool, 
 	})
 }
 
-// SortByKeyOrdered is SortByKey in the keys' natural order (cmp.Less),
-// with identical output. For string keys it orders by 8-byte key prefix
-// first, like Spark's Tungsten sorter: partitions radix-sort a (prefix,
-// position) index and range partitioning compares prefixes, both falling
-// back to the full key only on a prefix tie.
-func SortByKeyOrdered[K cmp.Ordered, V any](r *RDD[Pair[K, V]], parts int) *RDD[Pair[K, V]] {
-	return sortPairs(r, parts, newOrderedRangePartitioner[K])
-}
-
-// sortPairs is sortBy over a pair dataset, computed afresh by each job.
+// sortPairs is sortBy over a pair dataset.
 func sortPairs[K comparable, V any](r *RDD[Pair[K, V]], parts int,
 	partitioner func(sample []K, parts int) RangePartitioner[K]) *RDD[Pair[K, V]] {
-	return sortBy(r.base, parts, r.Compute, r.Compute,
+	return sortBy(r.base, parts, r.Compute,
 		func(p Pair[K, V]) K { return p.Key }, func(p Pair[K, V]) V { return p.Val }, partitioner)
 }
 
-// SortBy sorts records by key(record) in the keys' natural order: it is
-// SortByKeyOrdered(KeyBy(r, key), parts) in output, lineage and every
-// charge, without building the key-pair pages. On a generated source
-// (GenerateBatch, Generate) each partition is generated once for both of
-// the sort's jobs: by parkedSource, or by the source's GenStore when that
-// keeps its pages. Any other input falls back to the composition.
+// SortBy sorts records by key(record) in the keys' natural order
+// (cmp.Less): it is SortByKeyOrdered(KeyBy(r, key), parts), the
+// composition the package's tests keep as its oracle, in output, lineage
+// and every charge, for any input, without building the key-pair pages. Both of the sort's jobs read r, so over a
+// Generator.Source each partition is generated once: the second job's
+// read finds the page the first one's filled in the GenStore. For string
+// keys it orders by 8-byte key prefix first, like Spark's Tungsten
+// sorter: partitions radix-sort a (prefix, position) index and range
+// partitioning compares prefixes, both falling back to the full key only
+// on a prefix tie.
 func SortBy[T any, K cmp.Ordered](r *RDD[T], key func(T) K, parts int) *RDD[Pair[K, T]] {
-	if r.fill == nil {
-		return SortByKeyOrdered(KeyBy(r, key), parts)
-	}
 	// KeyBy's dataset stands in the lineage; its per-record CPU is charged
-	// where KeyBy would charge it, right after the source's.
+	// where KeyBy would charge it, right after the parent's.
 	keyed := newBase(r.base.driver, "map", r.base.NumParts, r.base, nil)
-	park, take := r.compute, r.compute
-	if !r.stored {
-		park, take = parkedSource(r)
+	keyBy := func(ctx *executor.TaskContext, part int) []T {
+		in := r.Compute(ctx, part)
+		ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
+		return in
 	}
-	keyBy := func(recs func(ctx *executor.TaskContext, part int) []T) func(ctx *executor.TaskContext, part int) []T {
-		return func(ctx *executor.TaskContext, part int) []T {
-			in := recs(ctx, part)
-			ctx.CPUPerRecord(len(in), ctx.Cost.MapNS)
-			return in
-		}
-	}
-	return sortBy(keyed, parts, keyBy(park), keyBy(take), key, func(t T) T { return t }, newOrderedRangePartitioner[K])
+	return sortBy(keyed, parts, keyBy, key, func(t T) T { return t }, newOrderedRangePartitioner[K])
 }
 
 // sortBy is every sort's body. parent is the dataset whose records are
-// sorted; sample and shuffle compute its partitions for the sampling job
-// and for the map stage. key and val project a record onto the output
+// sorted; records computes its partitions, for the sampling job and again
+// for the map stage. key and val project a record onto the output
 // pair. partitioner builds the range partitioner from the collected key
 // sample, which it may reorder, and the partitioner carries the key order
 // the per-partition sorts use.
@@ -292,7 +278,7 @@ func SortBy[T any, K cmp.Ordered](r *RDD[T], key func(T) K, parts int) *RDD[Pair
 // reduce task sorts an index over the fetched chunks and gathers each
 // record once into its output page.
 func sortBy[R any, K comparable, V any](parent *Base, parts int,
-	sample, shuffle func(ctx *executor.TaskContext, part int) []R,
+	records func(ctx *executor.TaskContext, part int) []R,
 	key func(R) K, val func(R) V,
 	partitioner func(sample []K, parts int) RangePartitioner[K]) *RDD[Pair[K, V]] {
 	d := parent.driver
@@ -302,7 +288,7 @@ func sortBy[R any, K comparable, V any](parent *Base, parts int,
 	// Sampling job (Spark's rangeBounds computation) runs eagerly.
 	sampled := newBase(d, "sample", parent.NumParts, parent, nil)
 	keys := newRDD(d, "map", parent.NumParts, sampled, nil, func(ctx *executor.TaskContext, part int) []K {
-		in := sample(ctx, part)
+		in := records(ctx, part)
 		var out []K
 		for i := range in {
 			if ctx.Rand.Float64() < sampleFrac {
@@ -317,7 +303,7 @@ func sortBy[R any, K comparable, V any](parent *Base, parts int,
 
 	ks, vs := SizerFor[K](), SizerFor[V]()
 	shuffled, shuffleID := shuffleBy(parent, rp.NumPartitions(), func(ctx *executor.TaskContext, shuffleID, mapPart int) {
-		in := shuffle(ctx, mapPart)
+		in := records(ctx, mapPart)
 		page, items, sizes := chunkify(ctx, len(in), rp.NumPartitions(),
 			func(targets []int32) {
 				for i := range in {

@@ -20,8 +20,8 @@ import (
 // ResultFunc computes a job's result for one partition of the final RDD.
 type ResultFunc func(ctx *executor.TaskContext, part int) any
 
-// Driver is the application facade the RDD layer runs against. The cluster
-// package implements it; tests use lightweight fakes.
+// Driver is the application facade the RDD layer runs against;
+// cluster.App implements it.
 type Driver interface {
 	// NextRDDID allocates a unique dataset id.
 	NextRDDID() int
@@ -34,9 +34,10 @@ type Driver interface {
 	RunJob(final *Base, fn ResultFunc) []any
 	// Seed is the application's deterministic random seed.
 	Seed() int64
-	// GenStore is the store generated sources share their partitions
-	// through (see Generator.Source); nil generates every partition
-	// afresh. It is host-side state: nothing a run computes depends on it.
+	// GenStore is the store generated sources read their partitions
+	// from and derived pages are kept in (see Generator.Source and
+	// Derivation.Bind); never nil. It is host-side state: nothing a run
+	// computes depends on it.
 	GenStore() *GenStore
 }
 
@@ -77,16 +78,6 @@ type RDD[T any] struct {
 	base    *Base
 	compute func(ctx *executor.TaskContext, part int) []T
 	cached  bool
-	// stored is set on a generated source whose fill reads a GenStore
-	// that keeps its pages, which already fills each partition once for
-	// every reader.
-	stored bool
-	// fill is set on generated sources only: it produces partition part's
-	// records, pure in (seed, part), from a GenStore when the source shares
-	// one, and compute is chargeGenerated over its output. Unless stored
-	// is set, SortBy uses it to generate a partition once for both of its
-	// jobs.
-	fill func(part int) []T
 }
 
 // newBase allocates a dataset id and the lineage node the scheduler sees.

@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/executor"
 	"repro/internal/memsim"
@@ -54,36 +53,48 @@ func Generate[T any](d Driver, name string, n, parts int, gen func(r *rand.Rand,
 // e.g. one shared key arena per partition instead of one string per
 // record. Generate is GenerateBatch with a per-record fill, so a batch
 // generator that draws the same random sequence produces a
-// byte-identical dataset and ledger. A partition's compute is
-// chargeGenerated over its fill, which SortBy splits apart (see
-// parkedSource). Its fill closure names no generator, so its partitions
-// are never shared through a GenStore; Generator.Source's are.
+// byte-identical dataset and ledger. Its fill closure names no generator,
+// so it keeps no page: every read generates the partition afresh.
+// Generator.Source's partitions come from the driver's GenStore.
 func GenerateBatch[T any](d Driver, name string, n, parts int, fill func(r *rand.Rand, lo, hi int, out []T)) *RDD[T] {
+	parts = sourceParts(d, n, parts)
+	return generated(d, name, parts, fillPart(d.Seed(), n, parts, fill))
+}
+
+// sourceParts resolves a generated source's partition count: the
+// driver's default for parts <= 0, at most one partition per record, and
+// at least one.
+func sourceParts(d Driver, n, parts int) int {
 	if parts <= 0 {
 		parts = d.DefaultParallelism()
 	}
 	if n > 0 && parts > n {
 		parts = n
 	}
-	if parts <= 0 {
-		parts = 1
-	}
-	seed := d.Seed()
-	fillPart := func(part int) []T {
+	return max(parts, 1)
+}
+
+// fillPart returns the generator of partition part of n records over
+// parts partitions: fill over the partition's records on its own stream,
+// pure in (seed, part).
+func fillPart[T any](seed int64, n, parts int, fill func(r *rand.Rand, lo, hi int, out []T)) func(part int) []T {
+	return func(part int) []T {
 		lo := part * n / parts
 		hi := (part + 1) * n / parts
 		out := make([]T, hi-lo)
 		fill(rng.New(seed^int64(part)*0x9e3779b9), lo, hi, out)
 		return out
 	}
-	src := newRDD[T](d, name, parts, nil, nil, nil)
-	src.fill = fillPart
-	src.compute = func(ctx *executor.TaskContext, part int) []T {
-		out := src.fill(part)
+}
+
+// generated is the source whose partition part holds records(part): each
+// read charges chargeGenerated over them.
+func generated[T any](d Driver, name string, parts int, records func(part int) []T) *RDD[T] {
+	return newRDD(d, name, parts, nil, nil, func(ctx *executor.TaskContext, part int) []T {
+		out := records(part)
 		chargeGenerated(ctx, out)
 		return out
-	}
-	return src
+	})
 }
 
 // chargeGenerated charges what producing a generated partition costs:
@@ -94,34 +105,4 @@ func chargeGenerated[T any](ctx *executor.TaskContext, out []T) {
 	bytes := SizeOfSlice(out)
 	ctx.Disk(bytes)
 	ctx.MemSeq(memsim.Write, bytes)
-}
-
-// parkedSource reads a generated source for two jobs in a row — a sampling
-// job, then the map stage of the shuffle it sampled for — generating each
-// partition once. The first job's task parks the partition it generated;
-// the second job's task for that partition takes it out of its slot.
-// Either task charges exactly what computing the source charges, so the
-// virtual ledger cannot tell a parked partition from a regenerated one. A
-// retried attempt or a resubmitted map stage finds the slot empty and
-// regenerates: fill is pure in (seed, partition), so the records are
-// identical.
-func parkedSource[T any](r *RDD[T]) (park, take func(ctx *executor.TaskContext, part int) []T) {
-	slots := make([]atomic.Pointer[[]T], r.base.NumParts)
-	park = func(ctx *executor.TaskContext, part int) []T {
-		out := r.fill(part)
-		slots[part].Store(&out)
-		chargeGenerated(ctx, out)
-		return out
-	}
-	take = func(ctx *executor.TaskContext, part int) []T {
-		var out []T
-		if p := slots[part].Swap(nil); p != nil {
-			out = *p
-		} else {
-			out = r.fill(part)
-		}
-		chargeGenerated(ctx, out)
-		return out
-	}
-	return park, take
 }

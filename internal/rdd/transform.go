@@ -60,8 +60,3 @@ func MapPartitions[T, U any](r *RDD[T], f func(ctx *executor.TaskContext, part i
 			return f(ctx, part, in)
 		})
 }
-
-// KeyBy turns records into pairs keyed by f.
-func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[Pair[K, T]] {
-	return Map(r, func(v T) Pair[K, T] { return KV(f(v), v) })
-}

@@ -32,7 +32,7 @@ func parityConfig(maxCount int) *quick.Config {
 func TestChunkedSortMatchesRowSemantics(t *testing.T) {
 	f := func(recs []TextRecord) bool {
 		app := parityApp()
-		keyed := rdd.KeyBy(rdd.Parallelize(app, "sort-in", recs, 0), func(tr TextRecord) string { return tr.Key })
+		keyed := rdd.Map(rdd.Parallelize(app, "sort-in", recs, 0), func(tr TextRecord) rdd.Pair[string, TextRecord] { return rdd.KV(tr.Key, tr) })
 		got := rdd.Collect(rdd.SortByKey(keyed, func(a, b string) bool { return a < b }, 0))
 		if len(got) != len(recs) {
 			return false

@@ -225,9 +225,9 @@ func TestDatasetPartitionsByteIdentical(t *testing.T) {
 // TestGeneratorKeysOnCapturedParams: sources of one registered generator
 // whose params differ only in what the fill reads beside n — pagerank's
 // MaxDegree, bayes' Vocab and Classes — read their own pages from a shared
-// store, each equal to what a store-less source generates.
+// store, each equal to what a source on an unshared store generates.
 func TestGeneratorKeysOnCapturedParams(t *testing.T) {
-	store := rdd.NewGenStore(4, false)
+	store := rdd.NewGenStore(false)
 	app := func(shared bool) *cluster.App {
 		conf := cluster.DefaultConf()
 		conf.CoresPerExecutor, conf.DefaultParallelism = 8, 8

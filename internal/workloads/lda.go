@@ -83,9 +83,9 @@ func (w *LDA) Run(app *cluster.App, size Size) Summary {
 			return []*ldaBatch{{Docs: in}}
 		})
 	// A sweep's outcome is pure in (params, seed, parts, iteration, part),
-	// so it is an "lda-sweep" page, sampled once for every cell of an
-	// evaluation batch that shares a GenStore. The task charges from the
-	// page's counts on every ask.
+	// so it is an "lda-sweep" page, sampled once per GenStore: for a run,
+	// or for every cell of an evaluation batch that shares one. The task
+	// charges from the page's counts on every ask.
 	for it := 0; it < p.Iterations; it++ {
 		st := state.Clone()
 		bcast := rdd.NewBroadcast(app, st, st.ByteSize())
