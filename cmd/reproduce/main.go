@@ -1,12 +1,15 @@
 // Command reproduce regenerates the paper's entire evaluation — every
 // table and figure plus the extension studies — in one run, writing the
-// full report to stdout (or a file with -o). Expect about 4.7 s wall at
-// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (4.1–5.3 s over six
-// runs; 8.0–8.7 s at GOMAXPROCS=1): every cell is simulated once and
-// shared between the figures, and the cells that read the same input
-// share its generated partitions and lda's Gibbs sweeps. Progress lines
-// and, last, the host ledger (batches, cells, generated partitions and
-// derived pages asked and filled) go to stderr.
+// full report to stdout (or a file with -o). Expect about 4.2 s wall at
+// GOMAXPROCS=2 on a shared 2-vCPU Xeon with go1.24 (3.4–5.7 s over 30
+// runs; 7.1–8.7 s at GOMAXPROCS=1): the report is planned whole and
+// answered in one batch, every cell is simulated once and shared between
+// the figures, and the cells that read the same input share its generated
+// partitions and lda's Gibbs sweeps for the whole report. Progress lines
+// and, last, the host ledger go to stderr: 1 batch, 619 cells asked and
+// 355 simulated, the peak of open input-group stores, 24,552 generated
+// partitions asked and 3,246 filled, and 3,300 derived pages asked and
+// 450 filled.
 //
 // Usage:
 //

@@ -40,6 +40,11 @@ type observation struct {
 // run followed by one run per tier, and returns the observations in that
 // order.
 func (e *Evaluator) observe(names []string, seed int64) ([]observation, error) {
+	return observePlan(names, seed).run(e)
+}
+
+// observePlan plans observe's queries.
+func observePlan(names []string, seed int64) plan[[]observation] {
 	tiers := memsim.AllTiers()
 	var qs []hibench.Query
 	for _, w := range names {
@@ -50,28 +55,26 @@ func (e *Evaluator) observe(names []string, seed int64) ([]observation, error) {
 			}
 		}
 	}
-	results, err := e.Queries(qs)
-	if err != nil {
-		return nil, err
-	}
-	specs := memsim.DefaultSpecs()
-	var out []observation
-	for _, w := range names {
-		for range workloads.AllSizes() {
-			profile := results[0]
-			for i, tier := range tiers {
-				out = append(out, observation{
-					workload: w,
-					profile:  profile,
-					tier:     tier,
-					x:        advisorFeatures(profile, specs[tier]),
-					y:        results[1+i].Duration.Seconds(),
-				})
+	return plan[[]observation]{qs: qs, fold: func(results []hibench.RunResult) []observation {
+		specs := memsim.DefaultSpecs()
+		var out []observation
+		for _, w := range names {
+			for range workloads.AllSizes() {
+				profile := results[0]
+				for i, tier := range tiers {
+					out = append(out, observation{
+						workload: w,
+						profile:  profile,
+						tier:     tier,
+						x:        advisorFeatures(profile, specs[tier]),
+						y:        results[1+i].Duration.Seconds(),
+					})
+				}
+				results = results[1+len(tiers):]
 			}
-			results = results[1+len(tiers):]
 		}
-	}
-	return out, nil
+		return out
+	}}
 }
 
 // advisorFeatures builds the model's feature vector: the Tier 0 run's

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,15 +18,17 @@ import (
 
 // Evaluator is the package's one evaluation path, and every driver is a
 // method on it. A driver plans its cells in report order, hands the list
-// over once and folds the answers by request index. Behind that sit a memo
-// keyed on hibench.RunSpec.Key (a cell is simulated once per Evaluator,
-// however many figures ask for it), a join on cells another caller already
-// has in flight, and a par.Do fan-out of the cells still to simulate over
+// over once and folds the answers by request index; Reproduce hands over
+// every section's plan in one list. Behind that sit a memo keyed on
+// hibench.RunSpec.Key (a cell is simulated once per Evaluator, however
+// many figures ask for it), a join on cells another caller already has in
+// flight, and a par.Do fan-out of the cells still to simulate over
 // GOMAXPROCS workers. The cells one call simulates that read the same
 // generated input share a store of its partitions (rdd.GenStore), so each
-// distinct partition is generated once per call; the store goes when the
-// last of those cells ends. An answer depends only on the request, never
-// on the worker count or on who simulated the cell. Share one Evaluator
+// distinct partition is generated once per call; they are simulated one
+// input group after another, and a group's store goes when its last cell
+// ends. An answer depends only on the request, never on the worker count,
+// the order cells ran in or on who simulated the cell. Share one Evaluator
 // between the drivers of one report; nothing in it outlives the value or
 // leaks between seeds.
 type Evaluator struct {
@@ -36,6 +40,7 @@ type Evaluator struct {
 	mu     sync.Mutex
 	cells  map[string]*cell
 	ledger HostLedger
+	stores int // group stores live now, for ledger.PeakStores
 }
 
 // cell is one simulation and its outcome, final once done is closed.
@@ -74,14 +79,15 @@ func NewEvaluator(runner hibench.QueryRunner) *Evaluator {
 }
 
 // genGroup is the cells of one eval call that read the same generated
-// input, and the store they share it through. The group's last cell to end
-// drops the store, so a page lives no longer than the cells that can read
-// it, and each of the group's partitions is filled once whatever the
-// worker count.
+// input, and the store they share it through. The group's first cell to
+// start opens the store and its last cell to end drops it, so a page lives
+// no longer than the cells that can read it, and each of the group's
+// partitions is filled once whatever the worker count.
 type genGroup struct {
-	gen  *rdd.GenStore
-	left atomic.Int64 // cells still to end
-	err  error        // a page a consumer wrote, under checkPages
+	rank int           // the group's place among the call's groups, by first appearance in the list
+	gen  *rdd.GenStore // nil until the first cell starts, and again once the last ends
+	left atomic.Int64  // cells still to end
+	err  error         // a page a consumer wrote, under checkPages
 }
 
 // genData is what a cell's generated input depends on: its workload, size,
@@ -95,39 +101,63 @@ type genData struct {
 	parallelism int
 }
 
-// genGroups groups the cells of mine by the generated input they read and
-// returns each one's group, by position in mine; check is the checkPages
-// seam.
-func genGroups(specs []hibench.RunSpec, mine []int, check bool) []*genGroup {
+// genGroups groups the cells of mine by the generated input they read. It
+// returns each one's group, by position in mine, and the order to simulate
+// them in, as positions in mine: the groups by first appearance, each
+// group's cells in list order. par.Do hands positions out in that order,
+// so a group's cells run back to back and about one store per worker is
+// open at a time, however many figures revisit an input.
+func genGroups(specs []hibench.RunSpec, mine []int) (groups []*genGroup, order []int) {
 	byData := make(map[genData]*genGroup)
-	groups := make([]*genGroup, len(mine))
+	groups = make([]*genGroup, len(mine))
+	order = make([]int, len(mine))
 	for j, i := range mine {
 		s := specs[i].WithDefaults()
 		d := genData{s.Workload, s.Size, s.Seed, s.Parallelism}
 		g := byData[d]
 		if g == nil {
-			g = &genGroup{gen: rdd.NewGenStore(check)}
+			g = &genGroup{rank: len(byData)}
 			byData[d] = g
 		}
 		g.left.Add(1)
-		groups[j] = g
+		groups[j], order[j] = g, j
 	}
-	return groups
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(groups[a].rank, groups[b].rank) })
+	return groups, order
 }
 
-// leave ends one cell of g. The last one checks the group's pages, books
-// its generation and derivation in the ledger and drops the store.
+// enter starts one cell of g and returns the group's store, opening it for
+// the group's first cell.
+func (e *Evaluator) enter(g *genGroup) *rdd.GenStore {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if g.gen == nil {
+		g.gen = rdd.NewGenStore(e.checkPages)
+		e.stores++
+		e.ledger.PeakStores = max(e.ledger.PeakStores, e.stores)
+	}
+	return g.gen
+}
+
+// leave ends one cell of g, simulated or dropped. The last one checks the
+// group's pages, books its generation and derivation in the ledger and
+// drops the store.
 func (e *Evaluator) leave(g *genGroup) {
 	if g.left.Add(-1) > 0 {
 		return
 	}
-	g.err = g.gen.Verify()
-	gen, genSeconds := g.gen.Counts()
-	derived, derivedSeconds := g.gen.DerivedCounts()
+	gen := g.gen // every other cell of g has entered and left
+	if gen == nil {
+		return // each was dropped
+	}
 	g.gen = nil
+	g.err = gen.Verify()
+	counts, genSeconds := gen.Counts()
+	derived, derivedSeconds := gen.DerivedCounts()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, c := range gen {
+	e.stores--
+	for _, c := range counts {
 		e.ledger.Gen = rdd.AddGenCount(e.ledger.Gen, c)
 	}
 	for _, c := range derived {
@@ -163,14 +193,17 @@ func (e *Evaluator) drop(c *cell) {
 // eval answers specs by request index, each result carrying its
 // requester's spec as hibench.Run would have returned it. Cells that Key
 // reports unkeyable (fault plans, tiering, quotas) are simulated every
-// time they are asked for. A worker's panic or error is held on its cell
-// and raised here, on the caller, for the first failed request in list
-// order; cells behind a failed one that have not started are dropped. Only
-// those are, so the failure raised is the same at every worker count.
+// time they are asked for. The cells this call simulates run in input
+// group order (genGroups), not list order. A worker's panic or error is
+// held on its cell and raised here, on the caller, for the first failed
+// request in list order; cells later in list order than a failed one that
+// have not started are dropped. Only those are, and a cell earlier in the
+// list always runs, whenever its group comes up, so the failure raised is
+// the same at every worker count.
 func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	sw := telemetry.StartStopwatch()
 	cells := make([]*cell, len(specs))
-	var mine []int // requests whose cell this call simulates
+	var mine []int // requests whose cell this call simulates, in list order
 	e.mu.Lock()
 	for i, spec := range specs {
 		key, ok := spec.Key()
@@ -189,19 +222,20 @@ func (e *Evaluator) eval(specs []hibench.RunSpec) ([]hibench.RunResult, error) {
 	}
 	e.mu.Unlock()
 
-	groups := genGroups(specs, mine, e.checkPages)
-	var failedAt atomic.Int64 // index into mine
+	groups, order := genGroups(specs, mine)
+	var failedAt atomic.Int64 // position in mine of the first failure so far, so list order
 	failedAt.Store(int64(len(mine)))
-	par.Do(len(mine), e.workers, func(j int) {
+	par.Do(len(order), e.workers, func(k int) {
+		j := order[k]
 		n := int64(j)
-		spec := specs[mine[n]]
+		spec := specs[mine[j]]
 		if e.workers > 0 {
 			spec.TaskParallelism = e.workers // host-only: Key ignores it, out[i].Spec overwrites it
 		}
 		g := groups[j]
-		if c := cells[mine[n]]; failedAt.Load() < n {
+		if c := cells[mine[j]]; failedAt.Load() < n {
 			e.drop(c)
-		} else if !c.run(spec, g.gen) {
+		} else if !c.run(spec, e.enter(g)) {
 			for at := failedAt.Load(); n < at && !failedAt.CompareAndSwap(at, n); at = failedAt.Load() {
 			}
 		}
@@ -255,6 +289,15 @@ func (e *Evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
 		}
 		return out, nil
 	}
+	specs, err := resolve(qs)
+	if err != nil {
+		return nil, err
+	}
+	return e.eval(specs)
+}
+
+// resolve turns queries into the RunSpecs they name, by request index.
+func resolve(qs []hibench.Query) ([]hibench.RunSpec, error) {
 	specs := make([]hibench.RunSpec, len(qs))
 	for i, q := range qs {
 		var err error
@@ -262,7 +305,34 @@ func (e *Evaluator) Queries(qs []hibench.Query) ([]hibench.RunResult, error) {
 			return nil, err
 		}
 	}
-	return e.eval(specs)
+	return specs, nil
+}
+
+// plan is one driver split in two: the cells it asks for in request
+// order, as RunSpecs or, for a query-vocabulary driver, as Queries, and
+// the fold that turns their answers, by request index, into the driver's
+// result. A driver's exported method runs its plan as one batch;
+// Reproduce answers every section's plan in one (report).
+type plan[T any] struct {
+	specs []hibench.RunSpec
+	qs    []hibench.Query // set instead of specs by a query-vocabulary driver
+	fold  func([]hibench.RunResult) T
+}
+
+// run answers p as a batch of its own and folds the answers.
+func (p plan[T]) run(e *Evaluator) (T, error) {
+	var res []hibench.RunResult
+	var err error
+	if p.qs != nil {
+		res, err = e.Queries(p.qs)
+	} else {
+		res, err = e.eval(p.specs)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return p.fold(res), nil
 }
 
 // must unwraps the result of a driver whose cells come from validated

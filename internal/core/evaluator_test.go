@@ -168,9 +168,10 @@ func TestEvaluatorConcurrentFold(t *testing.T) {
 }
 
 // A worker's failure surfaces on the caller, and it is the first failed
-// request in list order that surfaces, whichever worker finished first: a
-// panic as thrown, under its stack. Cells behind the failure that had not
-// started are dropped from the batch and the memo, not simulated.
+// request in list order that surfaces, whichever worker finished first and
+// whichever input group ran first: a panic as thrown, under its stack.
+// Cells behind the failure in list order that had not started are dropped
+// from the batch and the memo, not simulated; cells before it never are.
 func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	good := hibench.RunSpec{Workload: "repartition", Size: workloads.Tiny}
 	unknown := hibench.RunSpec{Workload: "nope", Size: workloads.Tiny}
@@ -205,6 +206,38 @@ func TestEvaluatorFailuresInRequestOrder(t *testing.T) {
 	if res := ev.Run(late, good); res[0].Duration <= 0 || len(ev.cells) != 3 {
 		t.Errorf("dropped cell answered %v on the next request, memo holds %d entries", res[0].Duration, len(ev.cells))
 	}
+
+	// Cells run in input-group order, so the repartition group's failing
+	// cell (list position 3) runs before the unknown workload (position 2),
+	// whose group comes up third. Position 2's error is still the one
+	// raised, at 1 and 8 workers, and nothing listed before it is dropped.
+	badCap := good
+	badCap.BandwidthCap = 2
+	specs := []hibench.RunSpec{
+		good,
+		{Workload: "als", Size: workloads.Tiny},
+		unknown,
+		badCap,
+		{Workload: "als", Size: workloads.Tiny, Tier: memsim.Tier2},
+		{Workload: "repartition", Size: workloads.Tiny, Tier: memsim.Tier2},
+	}
+	for _, workers := range []int{1, 8} {
+		ev := NewEvaluator(nil)
+		ev.workers = workers
+		if _, err := ev.eval(specs); err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("%d workers: returned %v, want the unknown-workload error of list position 2", workers, err)
+		}
+		for i, spec := range specs[:3] {
+			key, _ := spec.Key()
+			if c := ev.cells[key]; c == nil || errors.Is(c.err, errDropped) {
+				t.Errorf("%d workers: list position %d, before the first failure, was dropped", workers, i)
+			}
+		}
+	}
+	if got, _ := genGroups(specs, []int{0, 1, 2, 3, 4, 5}); got[0] != got[3] || got[0] == got[1] || got[2] == got[1] {
+		t.Error("cells that read one input are not one group")
+	}
+
 	if !errors.Is(&cellPanic{value: errDropped}, errDropped) {
 		t.Error("a typed panic value is not reachable through cellPanic")
 	}

@@ -30,6 +30,11 @@ type Characterization struct {
 // Characterization executes the matrix with the paper's default Spark
 // configuration (1 executor x 40 cores). Nil slices select the full sets.
 func (e *Evaluator) Characterization(names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) *Characterization {
+	return must(characterizationPlan(names, sizes, tiers, seed).run(e))
+}
+
+// characterizationPlan plans the matrix, workload by size by tier.
+func characterizationPlan(names []string, sizes []workloads.Size, tiers []memsim.TierID, seed int64) plan[*Characterization] {
 	if names == nil {
 		names = workloads.Names()
 	}
@@ -38,12 +43,6 @@ func (e *Evaluator) Characterization(names []string, sizes []workloads.Size, tie
 	}
 	if tiers == nil {
 		tiers = memsim.AllTiers()
-	}
-	c := &Characterization{
-		Workloads: names,
-		Sizes:     sizes,
-		Tiers:     tiers,
-		Results:   make(map[CellKey]hibench.RunResult),
 	}
 	var specs []hibench.RunSpec
 	for _, w := range names {
@@ -55,10 +54,18 @@ func (e *Evaluator) Characterization(names []string, sizes []workloads.Size, tie
 			}
 		}
 	}
-	for _, res := range e.Run(specs...) {
-		c.Results[CellKey{res.Spec.Workload, res.Spec.Size, res.Spec.Tier}] = res
-	}
-	return c
+	return plan[*Characterization]{specs: specs, fold: func(results []hibench.RunResult) *Characterization {
+		c := &Characterization{
+			Workloads: names,
+			Sizes:     sizes,
+			Tiers:     tiers,
+			Results:   make(map[CellKey]hibench.RunResult),
+		}
+		for _, res := range results {
+			c.Results[CellKey{res.Spec.Workload, res.Spec.Size, res.Spec.Tier}] = res
+		}
+		return c
+	}}
 }
 
 // Duration returns a cell's execution time.

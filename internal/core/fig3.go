@@ -34,13 +34,17 @@ type MBASweep struct {
 // the execution-time distribution. The paper runs this on the NVM tier to
 // ask whether bandwidth or latency dominates.
 func (e *Evaluator) MBASweep(names []string, caps []float64, tier memsim.TierID, seed int64) *MBASweep {
+	return must(mbaPlan(names, caps, tier, seed).run(e))
+}
+
+// mbaPlan plans the sweep, workload by cap by size.
+func mbaPlan(names []string, caps []float64, tier memsim.TierID, seed int64) plan[*MBASweep] {
 	if names == nil {
 		names = workloads.Names()
 	}
 	if caps == nil {
 		caps = DefaultMBACaps()
 	}
-	sweep := &MBASweep{Tier: tier, Caps: caps}
 	sizes := workloads.AllSizes()
 	var specs []hibench.RunSpec
 	for _, w := range names {
@@ -53,22 +57,24 @@ func (e *Evaluator) MBASweep(names []string, caps []float64, tier memsim.TierID,
 			}
 		}
 	}
-	results := e.Run(specs...)
-	for _, w := range names {
-		for _, cap := range caps {
-			durations := make([]float64, len(sizes))
-			for i := range sizes {
-				durations[i] = results[i].Duration.Seconds()
+	return plan[*MBASweep]{specs: specs, fold: func(results []hibench.RunResult) *MBASweep {
+		sweep := &MBASweep{Tier: tier, Caps: caps}
+		for _, w := range names {
+			for _, cap := range caps {
+				durations := make([]float64, len(sizes))
+				for i := range sizes {
+					durations[i] = results[i].Duration.Seconds()
+				}
+				results = results[len(sizes):]
+				sweep.Points = append(sweep.Points, MBAPoint{
+					Workload: w,
+					Cap:      cap,
+					Violin:   stats.NewViolin(durations),
+				})
 			}
-			results = results[len(sizes):]
-			sweep.Points = append(sweep.Points, MBAPoint{
-				Workload: w,
-				Cap:      cap,
-				Violin:   stats.NewViolin(durations),
-			})
 		}
-	}
-	return sweep
+		return sweep
+	}}
 }
 
 // point returns the sweep point for (workload, cap).

@@ -47,21 +47,19 @@ type ScalingGrid struct {
 // marked invalid (they cannot be launched).
 func (e *Evaluator) ScalingGrid(workload string, size workloads.Size, tier memsim.TierID,
 	executors, cores []int, seed int64) *ScalingGrid {
+	return must(scalingPlan(workload, size, tier, executors, cores, seed).run(e))
+}
+
+// scalingPlan plans one heatmap: the 1x40 baseline first, then every
+// feasible layout in grid order.
+func scalingPlan(workload string, size workloads.Size, tier memsim.TierID,
+	executors, cores []int, seed int64) plan[*ScalingGrid] {
 	if executors == nil {
 		executors = DefaultExecutorCounts
 	}
 	if cores == nil {
 		cores = DefaultCoreCounts
 	}
-	grid := &ScalingGrid{
-		Workload:  workload,
-		Size:      size,
-		Tier:      tier,
-		Executors: executors,
-		Cores:     cores,
-		Cells:     make(map[[2]int]ScalingCell),
-	}
-	// The 1x40 baseline first, then every feasible layout in grid order.
 	specs := []hibench.RunSpec{{
 		Workload: workload, Size: size, Tier: tier,
 		Executors: 1, CoresPerExecutor: 40, Seed: seed,
@@ -76,22 +74,31 @@ func (e *Evaluator) ScalingGrid(workload string, size workloads.Size, tier memsi
 			}
 		}
 	}
-	results := e.Run(specs...)
-	base, results := results[0], results[1:]
-	grid.Baseline = base.Duration
-	for _, n := range executors {
-		for _, c := range cores {
-			var cell ScalingCell
-			if c >= n {
-				cell.Duration = results[0].Duration
-				cell.Speedup = float64(base.Duration) / float64(cell.Duration)
-				cell.Valid = true
-				results = results[1:]
-			}
-			grid.Cells[[2]int{n, c}] = cell
+	return plan[*ScalingGrid]{specs: specs, fold: func(results []hibench.RunResult) *ScalingGrid {
+		grid := &ScalingGrid{
+			Workload:  workload,
+			Size:      size,
+			Tier:      tier,
+			Executors: executors,
+			Cores:     cores,
+			Cells:     make(map[[2]int]ScalingCell),
 		}
-	}
-	return grid
+		base, results := results[0], results[1:]
+		grid.Baseline = base.Duration
+		for _, n := range executors {
+			for _, c := range cores {
+				var cell ScalingCell
+				if c >= n {
+					cell.Duration = results[0].Duration
+					cell.Speedup = float64(base.Duration) / float64(cell.Duration)
+					cell.Valid = true
+					results = results[1:]
+				}
+				grid.Cells[[2]int{n, c}] = cell
+			}
+		}
+		return grid
+	}}
 }
 
 // Cell returns one square.

@@ -29,6 +29,11 @@ type MetricCorrelation struct {
 // estimated over a population of runs, like the paper's repeated
 // deployments.
 func (e *Evaluator) MetricCorrelation(workload string, seeds []int64) MetricCorrelation {
+	return must(metricPlan(workload, seeds).run(e))
+}
+
+// metricPlan plans one workload's Tier 0 runs, size by seed.
+func metricPlan(workload string, seeds []int64) plan[MetricCorrelation] {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
 	}
@@ -40,25 +45,27 @@ func (e *Evaluator) MetricCorrelation(workload string, seeds []int64) MetricCorr
 			})
 		}
 	}
-	var durations []float64
-	var snapshots []telemetry.RunMetrics
-	for _, res := range e.Run(specs...) {
-		durations = append(durations, res.Duration.Seconds())
-		snapshots = append(snapshots, res.Metrics)
-	}
-	out := MetricCorrelation{
-		Workload: workload,
-		Corr:     make(map[string]float64),
-		Runs:     len(durations),
-	}
-	for _, name := range telemetry.MetricNames() {
-		xs := make([]float64, len(snapshots))
-		for i, m := range snapshots {
-			xs[i] = m.Get(name)
+	return plan[MetricCorrelation]{specs: specs, fold: func(results []hibench.RunResult) MetricCorrelation {
+		var durations []float64
+		var snapshots []telemetry.RunMetrics
+		for _, res := range results {
+			durations = append(durations, res.Duration.Seconds())
+			snapshots = append(snapshots, res.Metrics)
 		}
-		out.Corr[name] = stats.Pearson(xs, durations)
-	}
-	return out
+		out := MetricCorrelation{
+			Workload: workload,
+			Corr:     make(map[string]float64),
+			Runs:     len(durations),
+		}
+		for _, name := range telemetry.MetricNames() {
+			xs := make([]float64, len(snapshots))
+			for i, m := range snapshots {
+				xs[i] = m.Get(name)
+			}
+			out.Corr[name] = stats.Pearson(xs, durations)
+		}
+		return out
+	}}
 }
 
 // MeanAbsCorrelation averages |r| over metrics with defined correlations —
@@ -125,24 +132,31 @@ type SpecCorrelation struct {
 
 // SpecCorrelation reproduces one cell group of Figure 6.
 func (e *Evaluator) SpecCorrelation(workload string, size workloads.Size, seed int64) SpecCorrelation {
-	specs := memsim.DefaultSpecs()
+	return must(specPlan(workload, size, seed).run(e))
+}
+
+// specPlan plans one (workload, size) on every tier.
+func specPlan(workload string, size workloads.Size, seed int64) plan[SpecCorrelation] {
 	tiers := memsim.AllTiers()
 	cells := make([]hibench.RunSpec, len(tiers))
 	for i, tier := range tiers {
 		cells[i] = hibench.RunSpec{Workload: workload, Size: size, Tier: tier, Seed: seed}
 	}
-	var times, lats, bws []float64
-	for _, res := range e.Run(cells...) {
-		times = append(times, res.Duration.Seconds())
-		lats = append(lats, specs[res.Spec.Tier].IdleLatencyNS)
-		bws = append(bws, specs[res.Spec.Tier].BandwidthBytes)
-	}
-	return SpecCorrelation{
-		Workload:   workload,
-		Size:       size,
-		LatencyR:   stats.Pearson(lats, times),
-		BandwidthR: stats.Pearson(bws, times),
-	}
+	return plan[SpecCorrelation]{specs: cells, fold: func(results []hibench.RunResult) SpecCorrelation {
+		specs := memsim.DefaultSpecs()
+		var times, lats, bws []float64
+		for _, res := range results {
+			times = append(times, res.Duration.Seconds())
+			lats = append(lats, specs[res.Spec.Tier].IdleLatencyNS)
+			bws = append(bws, specs[res.Spec.Tier].BandwidthBytes)
+		}
+		return SpecCorrelation{
+			Workload:   workload,
+			Size:       size,
+			LatencyR:   stats.Pearson(lats, times),
+			BandwidthR: stats.Pearson(bws, times),
+		}
+	}}
 }
 
 // Fig6Table renders the spec correlations.

@@ -17,13 +17,17 @@ import (
 // RunResult or the memo, and its counts are the same at every worker
 // count; only the seconds vary from run to run.
 type HostLedger struct {
-	// Batches counts eval calls (one per driver request list) and
-	// BatchSeconds sums their wall-clock spans.
+	// Batches counts eval calls (one per driver request list, one per
+	// Reproduce) and BatchSeconds sums their wall-clock spans.
 	Batches      int
 	BatchSeconds float64
 	// CellsAsked counts cell requests; CellsSimulated the simulations
 	// they took: memo misses plus every request for an unkeyable cell.
 	CellsAsked, CellsSimulated int
+	// PeakStores is the most input-group stores open at once. Cells run
+	// in input-group order, so it stays near the worker count however
+	// many groups a batch holds.
+	PeakStores int
 	// Gen is the generated-partition tally per generator, ordered by id,
 	// summed over the batches' stores; GenSeconds the wall-clock time
 	// spent filling them.
@@ -70,13 +74,13 @@ func sumCounts(counts []rdd.GenCount) rdd.GenCount {
 	return total
 }
 
-// String renders the ledger as one line: batches, cells, then generated
-// partitions and derived pages, each asked and filled in total and per
-// generator or derivation.
+// String renders the ledger as one line: batches, cells, the peak of open
+// stores, then generated partitions and derived pages, each asked and
+// filled in total and per generator or derivation.
 func (l HostLedger) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "host ledger: %d batches in %.2fs · cells %d asked, %d simulated",
-		l.Batches, l.BatchSeconds, l.CellsAsked, l.CellsSimulated)
+	fmt.Fprintf(&b, "host ledger: %d batches in %.2fs · cells %d asked, %d simulated · peak %d group stores",
+		l.Batches, l.BatchSeconds, l.CellsAsked, l.CellsSimulated, l.PeakStores)
 	group := func(name string, counts []rdd.GenCount, seconds float64) {
 		t := sumCounts(counts)
 		fmt.Fprintf(&b, " · %s %d asked, %d filled, %.1f MB in %.2fs", name, t.Asked, t.Filled, float64(t.Bytes)/1e6, seconds)

@@ -35,7 +35,11 @@ type PlacementStudy struct {
 // table of deployments lives in executor, next to the Placement type, so
 // the advisor service resolves the same names.
 func (e *Evaluator) PlacementStudy(workload string, size workloads.Size, seed int64) (*PlacementStudy, error) {
-	study := &PlacementStudy{Workload: workload, Size: size}
+	return placementPlan(workload, size, seed).run(e)
+}
+
+// placementPlan plans one query per standard placement.
+func placementPlan(workload string, size workloads.Size, seed int64) plan[*PlacementStudy] {
 	placements := executor.StandardPlacements()
 	qs := make([]hibench.Query, len(placements))
 	for i, sp := range placements {
@@ -43,20 +47,19 @@ func (e *Evaluator) PlacementStudy(workload string, size workloads.Size, seed in
 			Workload: workload, Size: size.String(), Placement: sp.Name, Seed: seed,
 		}
 	}
-	results, err := e.Queries(qs)
-	if err != nil {
-		return nil, err
-	}
-	for i, sp := range placements {
-		res := results[i]
-		study.Points = append(study.Points, PlacementPoint{
-			Name:      sp.Name,
-			Placement: sp.P,
-			Duration:  res.Duration,
-			NVMShare:  hibench.NVMShare(res),
-		})
-	}
-	return study, nil
+	return plan[*PlacementStudy]{qs: qs, fold: func(results []hibench.RunResult) *PlacementStudy {
+		study := &PlacementStudy{Workload: workload, Size: size}
+		for i, sp := range placements {
+			res := results[i]
+			study.Points = append(study.Points, PlacementPoint{
+				Name:      sp.Name,
+				Placement: sp.P,
+				Duration:  res.Duration,
+				NVMShare:  hibench.NVMShare(res),
+			})
+		}
+		return study
+	}}
 }
 
 // Table renders the study.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/hibench"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -46,14 +47,23 @@ type PredictorScore struct {
 // costs one simulation per distinct (workload, size, tier) cell. Workloads
 // defaults to the paper's seven.
 func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorScore, error) {
+	return predictorPlan(names, seed).run(e)
+}
+
+// predictorPlan plans observe's cells and folds them into the scores.
+func predictorPlan(names []string, seed int64) plan[[]PredictorScore] {
 	if names == nil {
 		names = workloads.Names()
 	}
-	all, err := e.observe(names, seed)
-	if err != nil {
-		return nil, err
-	}
+	obs := observePlan(names, seed)
+	return plan[[]PredictorScore]{qs: obs.qs, fold: func(results []hibench.RunResult) []PredictorScore {
+		return scorePredictors(names, obs.fold(results))
+	}}
+}
 
+// scorePredictors holds each workload out in turn and scores every model
+// family trained on the others.
+func scorePredictors(names []string, all []observation) []PredictorScore {
 	var scores []PredictorScore
 	for _, p := range predictors {
 		score := PredictorScore{Kind: p.kind, MAPE: make(map[string]float64)}
@@ -93,7 +103,7 @@ func (e *Evaluator) ComparePredictors(names []string, seed int64) ([]PredictorSc
 		score.Mean = sum / float64(len(score.MAPE))
 		scores = append(scores, score)
 	}
-	return scores, nil
+	return scores
 }
 
 // PredictorTable renders the comparison.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/hibench"
 	"repro/internal/memsim"
 	"repro/internal/numa"
 	"repro/internal/workloads"
@@ -33,7 +34,10 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 }
 
 // Reproduce renders the full report through e, reading back whatever
-// cells e already holds.
+// cells e already holds. It renders Tables I and II, plans every later
+// section, answers all the plans in one batch, then folds and renders the
+// sections in report order, so each input is generated, and each of lda's
+// sweeps sampled, once per report.
 func (e *Evaluator) Reproduce(w io.Writer, opts ReproduceOptions) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -72,9 +76,47 @@ func (e *Evaluator) Reproduce(w io.Writer, opts ReproduceOptions) {
 	t2.Render(w)
 	step("Table II")
 
+	// Every later section's plan, in report order, answered in one batch.
+	r := &report{e: e}
+	fig2 := add(r, characterizationPlan(names, nil, nil, opts.Seed))
+	fig3 := add(r, mbaPlan(names, nil, memsim.Tier2, opts.Seed))
+	var fig4 []func() *ScalingGrid
+	if !opts.SkipScaling {
+		wls := Fig4Workloads()
+		if opts.Workloads != nil {
+			wls = intersect(wls, names)
+		}
+		for _, wl := range wls {
+			for _, size := range []workloads.Size{workloads.Small, workloads.Large} {
+				fig4 = append(fig4, add(r, scalingPlan(wl, size, memsim.Tier2, nil, nil, opts.Seed)))
+			}
+		}
+	}
+	var fig5 []func() MetricCorrelation
+	var fig6 []func() SpecCorrelation
+	for _, wl := range names {
+		fig5 = append(fig5, add(r, metricPlan(wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2})))
+	}
+	for _, wl := range names {
+		for _, size := range workloads.AllSizes() {
+			fig6 = append(fig6, add(r, specPlan(wl, size, opts.Seed)))
+		}
+	}
+	predictor := add(r, predictorPlan(names, opts.Seed))
+	var placements []func() *PlacementStudy
+	for _, wl := range intersect([]string{"pagerank", "lda"}, names) {
+		placements = append(placements, add(r, placementPlan(wl, workloads.Large, opts.Seed)))
+	}
+	var whatIf func() []WhatIfResult
+	if wls := intersect([]string{"sort", "lda", "pagerank"}, names); len(wls) > 0 {
+		whatIf = add(r, whatIfPlan(wls, workloads.Large, opts.Seed))
+	}
+	wear := add(r, wearPlan(names, workloads.Large, opts.Seed))
+	r.eval()
+
 	// Figure 2 (all three panels) + guidelines.
 	section("Figure 2 — characterization matrix")
-	c := e.Characterization(names, nil, nil, opts.Seed)
+	c := fig2()
 	c.TimeTable().Render(w)
 	fmt.Fprintln(w)
 	c.AccessTable().Render(w)
@@ -92,66 +134,83 @@ func (e *Evaluator) Reproduce(w io.Writer, opts ReproduceOptions) {
 
 	// Figure 3.
 	section("Figure 3 — MBA bandwidth caps")
-	sweep := e.MBASweep(names, nil, memsim.Tier2, opts.Seed)
-	sweep.Table().Render(w)
+	fig3().Table().Render(w)
 	step("Figure 3")
 
 	// Figure 4.
 	if !opts.SkipScaling {
 		section("Figure 4 — executor/core scaling grids")
-		fig4 := Fig4Workloads()
-		if opts.Workloads != nil {
-			fig4 = intersect(fig4, names)
-		}
-		for _, wl := range fig4 {
-			for _, size := range []workloads.Size{workloads.Small, workloads.Large} {
-				grid := e.ScalingGrid(wl, size, memsim.Tier2, nil, nil, opts.Seed)
-				grid.Table().Render(w)
-				fmt.Fprintln(w)
-			}
+		for _, grid := range fig4 {
+			grid().Table().Render(w)
+			fmt.Fprintln(w)
 		}
 		step("Figure 4")
 	}
 
 	// Figures 5 and 6.
 	section("Figure 5 — system metrics vs execution time")
-	var cols []MetricCorrelation
-	for _, wl := range names {
-		cols = append(cols, e.MetricCorrelation(wl, []int64{opts.Seed, opts.Seed + 1, opts.Seed + 2}))
-	}
-	Fig5Table(cols).Render(w)
+	Fig5Table(folded(fig5)).Render(w)
 	step("Figure 5")
 
 	section("Figure 6 — hardware specs vs execution time")
-	var cells []SpecCorrelation
-	for _, wl := range names {
-		for _, size := range workloads.AllSizes() {
-			cells = append(cells, e.SpecCorrelation(wl, size, opts.Seed))
-		}
-	}
-	Fig6Table(cells).Render(w)
+	Fig6Table(folded(fig6)).Render(w)
 	step("Figure 6")
 
 	// §IV-F predictor.
 	section("§IV-F — tier performance predictor")
-	scores := must(e.ComparePredictors(names, opts.Seed))
-	PredictorTable(scores, names).Render(w)
+	PredictorTable(predictor(), names).Render(w)
 	step("predictor")
 
 	// Extensions.
 	section("Extensions — placement, what-if, endurance")
-	ext := intersect([]string{"pagerank", "lda"}, names)
-	for _, wl := range ext {
-		must(e.PlacementStudy(wl, workloads.Large, opts.Seed)).Table().Render(w)
+	for _, study := range placements {
+		study().Table().Render(w)
 		fmt.Fprintln(w)
 	}
-	whatIf := intersect([]string{"sort", "lda", "pagerank"}, names)
-	if len(whatIf) > 0 {
-		WhatIfTable(must(e.WhatIf(whatIf, workloads.Large, opts.Seed))).Render(w)
+	if whatIf != nil {
+		WhatIfTable(whatIf()).Render(w)
 		fmt.Fprintln(w)
 	}
-	e.WearTable(workloads.Large, opts.Seed, names).Render(w)
+	WearTable(workloads.Large, wear()).Render(w)
 	step("extensions")
+}
+
+// report gathers the plans of one report so that one eval call answers
+// them all.
+type report struct {
+	e     *Evaluator
+	specs []hibench.RunSpec
+	res   []hibench.RunResult
+}
+
+// add puts p's cells on r and returns p's fold over its slice of r's
+// answers, to call after r.eval. Cells come from validated tables, so a
+// query that does not resolve panics. A query plan an injected runner
+// answers joins no batch: its fold asks the runner.
+func add[T any](r *report, p plan[T]) func() T {
+	specs := p.specs
+	if p.qs != nil {
+		if r.e.runner != nil {
+			return func() T { return must(p.run(r.e)) }
+		}
+		specs = must(resolve(p.qs))
+	}
+	lo := len(r.specs)
+	r.specs = append(r.specs, specs...)
+	hi := len(r.specs)
+	return func() T { return p.fold(r.res[lo:hi:hi]) }
+}
+
+// eval answers every cell added to r in one batch.
+func (r *report) eval() { r.res = r.e.Run(r.specs...) }
+
+// folded calls each fold in order and returns their results.
+func folded[T any](folds []func() T) []T {
+	out := make([]T, len(folds))
+	for i, fold := range folds {
+		out[i] = fold()
+	}
+	return out
 }
 
 // intersect keeps the members of a that appear in b, preserving a's order.

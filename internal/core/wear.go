@@ -27,40 +27,40 @@ type WearReport struct {
 // memsim.Tier.WearFraction.
 const ratedCycles = 1e5
 
-// ProjectWear measures each workload's DCPM write rate on its Tier 2 run
-// and extrapolates device lifetime under continuous operation.
-func (e *Evaluator) ProjectWear(names []string, size workloads.Size, seed int64) []WearReport {
+// wearPlan plans one Tier 2 run per workload and folds each into its DCPM
+// write rate and the device lifetime that rate projects under continuous
+// operation.
+func wearPlan(names []string, size workloads.Size, seed int64) plan[[]WearReport] {
 	specs := make([]hibench.RunSpec, len(names))
 	for i, w := range names {
 		specs[i] = hibench.RunSpec{Workload: w, Size: size, Tier: memsim.Tier2, Seed: seed}
 	}
-	out := make([]WearReport, len(names))
-	for i, res := range e.Run(specs...) {
-		secs := res.Duration.Seconds()
-		rate := float64(res.NVMCounters.MediaWriteBytes) / secs
-		spec := memsim.DefaultSpecs()[memsim.Tier2]
-		budget := float64(spec.CapacityBytes) * ratedCycles
-		years := budget / rate / (365.25 * 24 * 3600)
-		out[i] = WearReport{
-			Workload:         names[i],
-			Size:             size,
-			WriteBytesPerSec: rate,
-			YearsToWearOut:   years,
+	return plan[[]WearReport]{specs: specs, fold: func(results []hibench.RunResult) []WearReport {
+		out := make([]WearReport, len(names))
+		for i, res := range results {
+			secs := res.Duration.Seconds()
+			rate := float64(res.NVMCounters.MediaWriteBytes) / secs
+			spec := memsim.DefaultSpecs()[memsim.Tier2]
+			budget := float64(spec.CapacityBytes) * ratedCycles
+			years := budget / rate / (365.25 * 24 * 3600)
+			out[i] = WearReport{
+				Workload:         names[i],
+				Size:             size,
+				WriteBytesPerSec: rate,
+				YearsToWearOut:   years,
+			}
 		}
-	}
-	return out
+		return out
+	}}
 }
 
-// WearTable renders projections for a set of workloads.
-func (e *Evaluator) WearTable(size workloads.Size, seed int64, names []string) Table {
-	if names == nil {
-		names = workloads.Names()
-	}
+// WearTable renders projections, one row per report.
+func WearTable(size workloads.Size, reports []WearReport) Table {
 	t := Table{
 		Title:   fmt.Sprintf("Takeaway 3 extension: projected DCPM endurance under continuous %s runs", size),
 		Headers: []string{"workload", "media write rate", "projected lifetime"},
 	}
-	for _, r := range e.ProjectWear(names, size, seed) {
+	for _, r := range reports {
 		t.AddRow(r.Workload,
 			fmt.Sprintf("%.1f MB/s", r.WriteBytesPerSec/1e6),
 			fmt.Sprintf("%.0f years", r.YearsToWearOut))

@@ -31,10 +31,15 @@ type WhatIfResult struct {
 // device), so it is evaluated once per workload rather than once per
 // scenario x workload.
 func (e *Evaluator) WhatIf(names []string, size workloads.Size, seed int64) ([]WhatIfResult, error) {
+	return whatIfPlan(names, size, seed).run(e)
+}
+
+// whatIfPlan plans the Tier 0 anchors first, then every scenario x
+// workload.
+func whatIfPlan(names []string, size workloads.Size, seed int64) plan[[]WhatIfResult] {
 	if names == nil {
 		names = workloads.Names()
 	}
-	// The Tier 0 anchors first, then every scenario x workload.
 	var qs []hibench.Query
 	for _, w := range names {
 		qs = append(qs, hibench.Query{Workload: w, Size: size.String(), Placement: "tier:0", Seed: seed})
@@ -46,25 +51,23 @@ func (e *Evaluator) WhatIf(names []string, size workloads.Size, seed int64) ([]W
 			})
 		}
 	}
-	results, err := e.Queries(qs)
-	if err != nil {
-		return nil, err
-	}
-	locals, results := results[:len(names)], results[len(names):]
-	var out []WhatIfResult
-	for _, sc := range memsim.CapacityScenarios() {
-		for i, w := range names {
-			out = append(out, WhatIfResult{
-				Scenario: sc.Name,
-				Workload: w,
-				Local:    locals[i].Duration,
-				Capacity: results[i].Duration,
-				Slowdown: float64(results[i].Duration) / float64(locals[i].Duration),
-			})
+	return plan[[]WhatIfResult]{qs: qs, fold: func(results []hibench.RunResult) []WhatIfResult {
+		locals, results := results[:len(names)], results[len(names):]
+		var out []WhatIfResult
+		for _, sc := range memsim.CapacityScenarios() {
+			for i, w := range names {
+				out = append(out, WhatIfResult{
+					Scenario: sc.Name,
+					Workload: w,
+					Local:    locals[i].Duration,
+					Capacity: results[i].Duration,
+					Slowdown: float64(results[i].Duration) / float64(locals[i].Duration),
+				})
+			}
+			results = results[len(names):]
 		}
-		results = results[len(names):]
-	}
-	return out, nil
+		return out
+	}}
 }
 
 // WhatIfTable renders the scenario comparison.

@@ -71,6 +71,13 @@ func TestWhatIfClosesTheGap(t *testing.T) {
 	}
 }
 
+// ProjectWear measures each workload's DCPM write rate on its Tier 2 run
+// and extrapolates device lifetime under continuous operation, as a batch
+// of its own; Reproduce answers the same plan inside the report's batch.
+func (e *Evaluator) ProjectWear(names []string, size workloads.Size, seed int64) []WearReport {
+	return must(wearPlan(names, size, seed).run(e))
+}
+
 // Write-heavy lda must wear the DCPM group much faster than compute-bound
 // als, and projected lifetimes must be physically positive.
 func TestWearProjection(t *testing.T) {
@@ -92,7 +99,7 @@ func TestWearProjection(t *testing.T) {
 			t.Errorf("%s projection non-physical: %+v", r.Workload, r)
 		}
 	}
-	tbl := sharedEval().WearTable(workloads.Tiny, 1, []string{"als"})
+	tbl := WearTable(workloads.Tiny, sharedEval().ProjectWear([]string{"als"}, workloads.Tiny, 1))
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("wear table rows = %d", len(tbl.Rows))
 	}
