@@ -146,9 +146,10 @@ type App struct {
 }
 
 // New builds an application: fresh kernel and memory system, executors
-// bound per the configuration, and the executor startup stage already
-// accounted (JVM spin-up plus heap initialization traffic on the bound
-// tier — this is why even tiny workloads have a tier-independent floor).
+// bound per the configuration, and the executors already launched through
+// scheduler.Launch (a serial driver-side delay per executor, then JVM
+// spin-up plus heap initialization traffic on the bound tier — this is
+// why even tiny workloads have a tier-independent floor).
 func New(conf Conf) *App {
 	if err := conf.Validate(); err != nil {
 		panic(err)
@@ -202,25 +203,8 @@ func New(conf Conf) *App {
 	if a.tier != nil {
 		a.tier.SetRegistry(a.sched.Counters())
 	}
-	a.startExecutors()
+	a.sched.Launch(a.pool.Executors...)
 	return a
-}
-
-// startExecutors charges the per-executor startup: a serial driver-side
-// launch delay per executor, then the parallel startup stage (fixed CPU
-// plus a sequential heap-initialization write to the bound tier). The same
-// executor.StartupTask is charged again when a crashed executor is
-// replaced mid-run.
-func (a *App) startExecutors() {
-	serial := sim.Duration(float64(a.pool.Size()) * a.cost.ExecLaunchSerialNS)
-	if serial > 0 {
-		a.kern.RunUntil(a.kern.Now() + serial)
-	}
-	tasks := make([]executor.SimTask, 0, a.pool.Size())
-	for _, ex := range a.pool.Executors {
-		tasks = append(tasks, executor.StartupTask(a.pool, ex, a.cost, a.store, a.conf.Seed))
-	}
-	executor.SimulateStage(a.kern, a.pool, tasks, a.cost)
 }
 
 // Kernel implements scheduler.Env.
@@ -249,11 +233,11 @@ func (a *App) FaultPlan() *faults.Plan { return a.conf.Faults }
 func (a *App) Tiering() *tiering.Engine { return a.tier }
 
 // TaskParallelism implements scheduler.Env: the conf's phase-1 worker
-// count; zero leaves the scheduler to pick runtime.GOMAXPROCS(0).
+// count; zero leaves par.Do to pick runtime.GOMAXPROCS(0).
 func (a *App) TaskParallelism() int { return a.conf.TaskParallelism }
 
 // EngineCounters exposes the scheduler's engine-level counter registry
-// (tasks computed, parallel vs sequential stages).
+// (tasks computed, stage attempts run, recovery actions).
 func (a *App) EngineCounters() *telemetry.Registry { return a.sched.Counters() }
 
 // EnableTracing turns on stage-span recording and returns the recorder.

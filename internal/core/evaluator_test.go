@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -76,21 +75,6 @@ func TestEvaluatorMemoHitHygiene(t *testing.T) {
 	}
 }
 
-// virtual is rs without the scheduler's stages.sequential/stages.parallel
-// split, for comparing across worker counts only: the workers seam
-// reaches phase 1 too, and that pair records how the host ran the stages,
-// not what they computed.
-func virtual(rs []hibench.RunResult) []hibench.RunResult {
-	out := make([]hibench.RunResult, len(rs))
-	for i, r := range rs {
-		out[i] = r
-		out[i].Engine = maps.Clone(r.Engine)
-		delete(out[i].Engine, "stages.sequential")
-		delete(out[i].Engine, "stages.parallel")
-	}
-	return out
-}
-
 // The same list, with repeats, answers identically by request index at 1
 // and 8 workers, with and without the memo.
 func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
@@ -114,7 +98,7 @@ func TestEvaluatorAnswersByRequestIndex(t *testing.T) {
 		}
 		if serial == nil {
 			serial = want
-		} else if !reflect.DeepEqual(virtual(got), virtual(serial)) {
+		} else if !reflect.DeepEqual(got, serial) {
 			t.Errorf("%d workers: results differ from the serial run", workers)
 		}
 	}

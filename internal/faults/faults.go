@@ -23,7 +23,8 @@ import (
 )
 
 // Defaults for the retry bounds, mirroring spark.task.maxFailures and
-// spark.stage.maxConsecutiveAttempts.
+// spark.stage.maxConsecutiveAttempts, and the straggler factor at which
+// speculation clones a task (spark.speculation.multiplier).
 const (
 	DefaultMaxTaskFailures   = 4
 	DefaultMaxStageAttempts  = 4
@@ -78,13 +79,10 @@ type Plan struct {
 	// DefaultMaxStageAttempts.
 	MaxStageAttempts int
 	// Speculation enables speculative re-execution: tasks placed on an
-	// executor whose straggler factor is at least SpeculationFactor are
-	// cloned onto the fastest idle executor, the two attempts race, and
-	// the loser is killed — Spark's spark.speculation.
+	// executor whose straggler factor is at least DefaultSpeculationFactor
+	// are cloned onto the fastest idle executor, the two attempts race,
+	// and the loser is killed — Spark's spark.speculation.
 	Speculation bool
-	// SpeculationFactor is the minimum straggler factor that triggers
-	// cloning. Zero selects DefaultSpeculationFactor.
-	SpeculationFactor float64
 }
 
 // Validate checks the plan against an executor count.
@@ -124,9 +122,6 @@ func (p *Plan) Validate(executors int) error {
 	if p.MaxStageAttempts < 0 {
 		return fmt.Errorf("faults: max stage attempts %d negative", p.MaxStageAttempts)
 	}
-	if !(p.SpeculationFactor >= 0) {
-		return fmt.Errorf("faults: speculation factor %v negative or NaN", p.SpeculationFactor)
-	}
 	return nil
 }
 
@@ -158,15 +153,6 @@ func (p *Plan) StageAttemptCap() int {
 		return DefaultMaxStageAttempts
 	}
 	return p.MaxStageAttempts
-}
-
-// SpeculationThreshold returns the straggler factor at which cloning
-// triggers.
-func (p *Plan) SpeculationThreshold() float64 {
-	if p == nil || p.SpeculationFactor <= 0 {
-		return DefaultSpeculationFactor
-	}
-	return p.SpeculationFactor
 }
 
 // JobAbortedError is the job-level failure surfaced when recovery gives

@@ -20,9 +20,6 @@ func TestNilPlanIsInert(t *testing.T) {
 	if p.StageAttemptCap() != DefaultMaxStageAttempts {
 		t.Fatalf("nil plan stage cap = %d", p.StageAttemptCap())
 	}
-	if p.SpeculationThreshold() != DefaultSpeculationFactor {
-		t.Fatalf("nil plan speculation threshold = %v", p.SpeculationThreshold())
-	}
 }
 
 func TestValidateRejectsBadPlans(t *testing.T) {
@@ -42,8 +39,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{"rate NaN", Plan{TaskFailureRate: math.NaN()}, "out of [0,1)"},
 		{"negative task cap", Plan{MaxTaskFailures: -1}, "negative"},
 		{"negative stage cap", Plan{MaxStageAttempts: -2}, "negative"},
-		{"negative speculation", Plan{SpeculationFactor: -1}, "negative"},
-		{"NaN speculation", Plan{SpeculationFactor: math.NaN()}, "NaN"},
 	}
 	for _, c := range cases {
 		err := c.plan.Validate(4)

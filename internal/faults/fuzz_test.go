@@ -23,17 +23,17 @@ func FuzzFaultsPlan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add([]byte{}, int8(-1), 1.0, 0.0, int8(0), int8(0), false, 0.0)
-	f.Add([]byte{1, 0x00, 0x10, 1}, int8(-1), 1.0, 0.0, int8(0), int8(0), false, 0.0)
-	f.Add([]byte{0, 0xff, 0x7f, 0, 1, 0x00, 0x01, 1}, int8(1), 3.0, 0.1, int8(4), int8(4), true, 1.5)
-	f.Add([]byte{}, int8(0), 8.0, 0.0, int8(0), int8(0), true, 2.0)
-	f.Add([]byte{}, int8(-1), 1.0, 0.9, int8(2), int8(1), false, 0.0)
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, int8(2), 0.5, 1.0, int8(-1), int8(-1), false, -1.0)
+	f.Add([]byte{}, int8(-1), 1.0, 0.0, int8(0), int8(0), false)
+	f.Add([]byte{1, 0x00, 0x10, 1}, int8(-1), 1.0, 0.0, int8(0), int8(0), false)
+	f.Add([]byte{0, 0xff, 0x7f, 0, 1, 0x00, 0x01, 1}, int8(1), 3.0, 0.1, int8(4), int8(4), true)
+	f.Add([]byte{}, int8(0), 8.0, 0.0, int8(0), int8(0), true)
+	f.Add([]byte{}, int8(-1), 1.0, 0.9, int8(2), int8(1), false)
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, int8(2), 0.5, 1.0, int8(-1), int8(-1), false)
 	f.Fuzz(func(t *testing.T, crashes []byte, stragglerExec int8, stragglerFactor, rate float64,
-		taskCap, stageCap int8, speculate bool, specFactor float64) {
+		taskCap, stageCap int8, speculate bool) {
 		plan := &faults.Plan{
 			TaskFailureRate: rate, MaxTaskFailures: int(taskCap), MaxStageAttempts: int(stageCap),
-			Speculation: speculate, SpeculationFactor: specFactor,
+			Speculation: speculate,
 		}
 		// Each four bytes are one crash: an executor slot in [-1, 2] (two
 		// executors, so both ends are out of range), a time in [0, 50 ms]

@@ -48,8 +48,8 @@ type RunSpec struct {
 	// Table I testbed.
 	TierSpecs *[memsim.NumTiers]memsim.TierSpec
 	// TaskParallelism bounds the phase-1 compute workers; zero selects
-	// runtime.GOMAXPROCS(0), 1 forces sequential computation. Virtual-time
-	// results are identical either way.
+	// runtime.GOMAXPROCS(0), 1 forces sequential computation. The whole
+	// RunResult is identical either way, apart from this field.
 	TaskParallelism int
 	// Faults is the deterministic fault schedule for the run (executor
 	// crashes, stragglers, injected task failures); nil injects nothing.
@@ -148,8 +148,10 @@ type RunResult struct {
 	Copies [memsim.NumTiers]memsim.CopyCounters
 	// Engine is a snapshot of the scheduler's engine-level counters,
 	// including the recovery.* family a fault plan drives and the
-	// tiering.* gauges when tiering is enabled. Read-only: copies of a
-	// memoised result share the map.
+	// tiering.* gauges when tiering is enabled. Like every other field it
+	// is a function of the spec, whatever the worker count. A failed run
+	// carries it too. Read-only: copies of a memoised result share the
+	// map.
 	Engine map[string]int64
 	// Tiering summarizes the dynamic tiering engine's activity; zero
 	// when the spec leaves tiering disabled.
@@ -216,16 +218,16 @@ func RunShared(spec RunSpec, gen *rdd.GenStore) (result RunResult, err error) {
 	// tenant quota the same way from the commit path; convert either into
 	// this function's error so the rdd.Driver interface stays panic-free
 	// for callers. The partial result keeps the virtual time the doomed
-	// job consumed, so admission engines can still account its occupancy
-	// window.
+	// job consumed and its engine counters, so admission engines can
+	// still account its occupancy window and its work.
 	defer func() {
 		if r := recover(); r != nil {
 			switch typed := r.(type) {
 			case *faults.JobAbortedError:
-				result = RunResult{Spec: spec, Duration: app.Elapsed()}
+				result = RunResult{Spec: spec, Duration: app.Elapsed(), Engine: app.EngineCounters().Snapshot()}
 				err = fmt.Errorf("hibench: %s: %w", spec, typed)
 			case *blockmgr.QuotaExceededError:
-				result = RunResult{Spec: spec, Duration: app.Elapsed()}
+				result = RunResult{Spec: spec, Duration: app.Elapsed(), Engine: app.EngineCounters().Snapshot()}
 				err = fmt.Errorf("hibench: %s: %w", spec, typed)
 			default:
 				panic(r)

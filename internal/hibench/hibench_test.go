@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blockmgr"
 	"repro/internal/executor"
 	"repro/internal/faults"
 	"repro/internal/memsim"
@@ -110,7 +111,8 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 
 // A fault plan that exhausts the recovery budget must surface as an
 // ordinary error carrying the typed abort — never a panic, never a
-// half-filled result.
+// half-filled result: only the virtual time and the engine counters the
+// doomed job consumed.
 func TestRunSurfacesJobAbort(t *testing.T) {
 	res, err := Run(RunSpec{
 		Workload: "sort", Size: workloads.Tiny, Tier: memsim.Tier0,
@@ -130,6 +132,28 @@ func TestRunSurfacesJobAbort(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sort") {
 		t.Fatalf("abort error does not name the cell: %v", err)
+	}
+	if got := res.Engine["recovery.job_aborts"]; got != 1 {
+		t.Fatalf("aborted run reports recovery.job_aborts = %d, want 1: %v", got, res.Engine)
+	}
+}
+
+// A run killed by its tenant's exhausted quota keeps the engine counters
+// of the work it did before the kill.
+func TestQuotaKilledRunKeepsCounters(t *testing.T) {
+	res, err := Run(RunSpec{
+		Workload: "bayes", Size: workloads.Tiny, Tier: memsim.Tier0, Executors: 2, CoresPerExecutor: 2,
+		Quota: &blockmgr.TenantQuota{
+			Tenant: "greedy", Fast: memsim.Tier0, Slow: memsim.Tier2,
+			FastBudgetBytes: 4 << 10, SlowBudgetBytes: 4 << 10,
+		},
+	})
+	var exceeded *blockmgr.QuotaExceededError
+	if !errors.As(err, &exceeded) {
+		t.Fatalf("error %v does not wrap *blockmgr.QuotaExceededError", err)
+	}
+	if res.Duration <= 0 || res.Engine["tasks.computed"] == 0 {
+		t.Fatalf("quota-killed run kept duration %v and counters %v", res.Duration, res.Engine)
 	}
 }
 

@@ -131,19 +131,8 @@ func TestForecastTieringWorkerCountInvariant(t *testing.T) {
 		t.Fatalf("worker count changed the ledger:\n  1 worker:  %v %+v\n  8 workers: %v %+v",
 			serial.Duration, serial.Tiering, parallel.Duration, parallel.Tiering)
 	}
-	// The stages.sequential/stages.parallel counters record the physical
-	// execution mode and differ by construction; every other gauge is a
-	// virtual observable and must match.
-	virtual := func(m map[string]int64) map[string]int64 {
-		out := make(map[string]int64, len(m))
-		for k, v := range m {
-			if k != "stages.sequential" && k != "stages.parallel" {
-				out[k] = v
-			}
-		}
-		return out
-	}
-	if !reflect.DeepEqual(virtual(serial.Engine), virtual(parallel.Engine)) {
+	// Every engine gauge is a virtual observable and must match.
+	if !reflect.DeepEqual(serial.Engine, parallel.Engine) {
 		t.Fatalf("worker count changed engine gauges:\n  1 worker:  %v\n  8 workers: %v",
 			serial.Engine, parallel.Engine)
 	}

@@ -73,22 +73,6 @@ type MixResult struct {
 	RefusedMoves                int64
 }
 
-type evKind int
-
-const (
-	evArrive evKind = iota
-	evComplete
-)
-
-// event is one entry of the virtual-time event list; ties break on push
-// order (seq), so the schedule is a pure function of the mix.
-type event struct {
-	at   sim.Time
-	seq  int
-	kind evKind
-	js   *jobState
-}
-
 type jobState struct {
 	job        Job
 	idx        int // index into MixResult.Jobs
@@ -97,21 +81,22 @@ type jobState struct {
 	holdings   blockmgr.JobHoldings
 }
 
-// engine is the single-goroutine admission controller. Jobs execute one
-// at a time on the wall clock (each hibench.Run is itself internally
-// parallel but returns before the next event fires) while overlapping in
-// virtual time through reserve-at-admit / release-at-completion events —
-// so every decision is deterministic for any worker count.
+// engine is the single-goroutine admission controller. Arrivals and
+// completions are events on a sim.Kernel, which fires ties in scheduling
+// order. Jobs execute one at a time on the wall clock (each hibench.Run
+// is itself internally parallel but returns before the next event fires)
+// while overlapping in virtual time through reserve-at-admit /
+// release-at-completion events — so every decision is deterministic for
+// any worker count.
 type engine struct {
 	conf     Conf
 	quotas   []*blockmgr.TenantQuota
 	admitted []int // per-tenant admitted count, drives Fair/Weighted
 	capacity *memsim.CapacityLedger
-	events   []*event
-	evSeq    int
+	kern     *sim.Kernel
+	err      error       // the first step error; later events do nothing
 	queue    []*jobState // in enqueue order
 	running  int
-	clock    sim.Time
 	reg      *telemetry.Registry
 	results  []JobResult
 	trace    []string
@@ -136,6 +121,7 @@ func Run(c Conf) (*MixResult, error) {
 		quotas:   make([]*blockmgr.TenantQuota, len(c.Tenants)),
 		admitted: make([]int, len(c.Tenants)),
 		capacity: memsim.NewCapacityLedger(c.DRAMBudgetBytes),
+		kern:     sim.NewKernel(),
 		reg:      telemetry.NewRegistry(),
 		results:  make([]JobResult, len(mix)),
 	}
@@ -147,54 +133,33 @@ func Run(c Conf) (*MixResult, error) {
 	}
 	for i := range mix {
 		e.results[i] = JobResult{Job: mix[i], Outcome: OutcomeRejected}
-		e.push(mix[i].Arrival, evArrive, &jobState{job: mix[i], idx: i})
+		e.at(mix[i].Arrival, e.arrive, &jobState{job: mix[i], idx: i})
 	}
-
-	for len(e.events) > 0 {
-		ev := e.pop()
-		e.clock = ev.at
-		switch ev.kind {
-		case evArrive:
-			if err := e.arrive(ev.js); err != nil {
-				return nil, err
-			}
-		case evComplete:
-			if err := e.complete(ev.js); err != nil {
-				return nil, err
-			}
-		}
+	makespan := e.kern.Run()
+	if e.err != nil {
+		return nil, e.err
 	}
 
 	res := &MixResult{
 		Conf: c, Jobs: e.results, Trace: e.trace,
-		Registry: e.reg, Makespan: e.clock,
+		Registry: e.reg, Makespan: makespan,
 	}
 	e.finish(res)
 	return res, nil
 }
 
-func (e *engine) push(at sim.Time, kind evKind, js *jobState) {
-	e.events = append(e.events, &event{at: at, seq: e.evSeq, kind: kind, js: js})
-	e.evSeq++
-}
-
-// pop removes and returns the earliest event (ties in push order).
-func (e *engine) pop() *event {
-	best := 0
-	for i := 1; i < len(e.events); i++ {
-		ev := e.events[i]
-		b := e.events[best]
-		if ev.at < b.at || (ev.at == b.at && ev.seq < b.seq) {
-			best = i
+// at schedules step(js) at virtual time t; once a step has failed, no
+// later step runs.
+func (e *engine) at(t sim.Time, step func(*jobState) error, js *jobState) {
+	e.kern.At(t, func(sim.Time) {
+		if e.err == nil {
+			e.err = step(js)
 		}
-	}
-	ev := e.events[best]
-	e.events = append(e.events[:best], e.events[best+1:]...)
-	return ev
+	})
 }
 
 func (e *engine) tracef(format string, args ...interface{}) {
-	e.trace = append(e.trace, fmt.Sprintf("t=%012dns ", int64(e.clock))+fmt.Sprintf(format, args...))
+	e.trace = append(e.trace, fmt.Sprintf("t=%012dns ", int64(e.kern.Now()))+fmt.Sprintf(format, args...))
 }
 
 // arrive handles a submission.
@@ -215,7 +180,7 @@ func (e *engine) arrive(js *jobState) error {
 }
 
 func (e *engine) enqueue(js *jobState) error {
-	js.enqueuedAt = e.clock
+	js.enqueuedAt = e.kern.Now()
 	e.queue = append(e.queue, js)
 	e.results[js.idx].Queued = true
 	e.tracef("queue  %s depth=%d", js.job, len(e.queue))
@@ -230,7 +195,7 @@ func (e *engine) reject(js *jobState) {
 		Tenant: j.Tenant, Seq: j.Seq, Workload: j.Workload,
 		Demand: j.DemandBytes, Free: e.capacity.Free(), Budget: e.conf.DRAMBudgetBytes,
 	}
-	r.DoneAt = e.clock
+	r.DoneAt = e.kern.Now()
 	e.tracef("reject %s: demand exceeds the DRAM budget", j)
 }
 
@@ -272,7 +237,7 @@ func (e *engine) drain() error {
 		}
 		js := e.queue[pick]
 		e.queue = append(e.queue[:pick], e.queue[pick+1:]...)
-		e.results[js.idx].QueueWait = e.clock - js.enqueuedAt
+		e.results[js.idx].QueueWait = e.kern.Now() - js.enqueuedAt
 		if err := e.admit(js); err != nil {
 			return err
 		}
@@ -328,7 +293,7 @@ func (e *engine) admit(js *jobState) error {
 
 	r := &e.results[js.idx]
 	r.Admitted = true
-	r.AdmitAt = e.clock
+	r.AdmitAt = e.kern.Now()
 	r.Duration = res.Duration
 	r.Records = res.Summary.Records
 	r.SpilledBlocks = after.SpilledBlocks - before.SpilledBlocks
@@ -352,23 +317,8 @@ func (e *engine) admit(js *jobState) error {
 			return fmt.Errorf("multitenant: running %s: %w", j, runErr)
 		}
 	}
-	// The stages.parallel/stages.sequential split records the host's
-	// phase-1 execution mode, which legitimately varies with the worker
-	// count; fold it into a deterministic total so the per-tenant
-	// counters stay byte-identical across parallelism settings.
-	eng := make(map[string]int64, len(res.Engine))
-	var stagesRun int64
-	for k, v := range res.Engine {
-		switch k {
-		case "stages.parallel", "stages.sequential":
-			stagesRun += v
-		default:
-			eng[k] = v
-		}
-	}
-	eng["stages.run"] = stagesRun
-	e.reg.MergePrefixed("tenant."+j.Tenant+".", eng)
-	e.push(e.clock+res.Duration, evComplete, js)
+	e.reg.MergePrefixed("tenant."+j.Tenant+".", res.Engine)
+	e.at(e.kern.Now()+res.Duration, e.complete, js)
 	return nil
 }
 
@@ -380,7 +330,7 @@ func (e *engine) complete(js *jobState) error {
 	e.quotas[j.TenantIdx].ReleaseHoldings(js.holdings)
 	e.running--
 	r := &e.results[js.idx]
-	r.DoneAt = e.clock
+	r.DoneAt = e.kern.Now()
 	e.tracef("done   %s outcome=%s dur=%dns spilled=%dB running=%d",
 		j, r.Outcome, int64(r.Duration), r.SpilledBytes, e.running)
 	return e.drain()

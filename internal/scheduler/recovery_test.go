@@ -36,15 +36,13 @@ type recoveryRun struct {
 	engine  map[string]int64
 }
 
-// recovery renders the run's recovery.* counters: the part of the engine
-// snapshot that may not depend on the phase-1 worker count (the
-// stages.parallel/stages.sequential split does).
-func (r recoveryRun) recovery() string {
+// counters renders the run's whole engine snapshot in name order. Every
+// counter is a virtual fact, so none may depend on the phase-1 worker
+// count.
+func (r recoveryRun) counters() string {
 	var names []string
 	for name := range r.engine {
-		if strings.HasPrefix(name, "recovery.") {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	var b strings.Builder
@@ -119,7 +117,7 @@ func TestCrashRecoveryProducesIdenticalResults(t *testing.T) {
 				t.Fatalf("executors lost = %d, want 1", lost)
 			}
 			if faulted.engine["recovery.fetch_failures"] == 0 || faulted.engine["recovery.stage_resubmissions"] == 0 {
-				t.Fatalf("crash did not exercise fetch-failure recovery: %s (vacuous scenario)", faulted.recovery())
+				t.Fatalf("crash did not exercise fetch-failure recovery: %s (vacuous scenario)", faulted.counters())
 			}
 			if faulted.elapsed <= baseline.elapsed {
 				t.Fatalf("recovery was free: %v vs fault-free %v", faulted.elapsed, baseline.elapsed)
@@ -128,9 +126,9 @@ func TestCrashRecoveryProducesIdenticalResults(t *testing.T) {
 			// Bit-identical virtual time and counters across worker counts.
 			for _, workers := range []int{2, 8} {
 				again := runWithPlan(t, plan, workers)
-				if again.results != faulted.results || again.elapsed != faulted.elapsed || again.recovery() != faulted.recovery() {
+				if again.results != faulted.results || again.elapsed != faulted.elapsed || again.counters() != faulted.counters() {
 					t.Fatalf("%d workers diverged under faults:\nseq %v %s\npar %v %s",
-						workers, faulted.elapsed, faulted.recovery(), again.elapsed, again.recovery())
+						workers, faulted.elapsed, faulted.counters(), again.elapsed, again.counters())
 				}
 			}
 		})
@@ -282,9 +280,9 @@ func TestSpeculationRecoversStragglerTime(t *testing.T) {
 	}
 	// Determinism across worker counts with speculation active.
 	again := runWithPlan(t, speculating, 8)
-	if again.elapsed != spec.elapsed || again.recovery() != spec.recovery() {
+	if again.elapsed != spec.elapsed || again.counters() != spec.counters() {
 		t.Fatalf("speculation not deterministic across workers: %v/%s vs %v/%s",
-			spec.elapsed, spec.recovery(), again.elapsed, again.recovery())
+			spec.elapsed, spec.counters(), again.elapsed, again.counters())
 	}
 }
 

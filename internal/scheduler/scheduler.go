@@ -33,7 +33,6 @@ package scheduler
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/executor"
 	"repro/internal/faults"
@@ -56,8 +55,10 @@ type Env interface {
 	// Tracer returns the span recorder; a nil recorder disables tracing.
 	Tracer() *trace.Recorder
 	// TaskParallelism is the number of worker goroutines computing real
-	// task data concurrently during phase 1. Values <= 0 select
-	// runtime.GOMAXPROCS(0); 1 is the sequential escape hatch.
+	// task data concurrently during phase 1, passed to par.Do as is
+	// (values <= 0 select runtime.GOMAXPROCS(0); 1 is the sequential
+	// escape hatch). It moves host time only: nothing the scheduler
+	// records depends on it.
 	TaskParallelism() int
 	// FaultPlan is the application's deterministic fault schedule; nil
 	// injects nothing.
@@ -89,8 +90,9 @@ type Scheduler struct {
 	// shuffles remembers each materialized shuffle's dependency so a
 	// fetch failure can resubmit its map stage from lineage.
 	shuffles map[int]*rdd.ShuffleDep
-	// reg counts engine-level events (tasks computed, parallel vs
-	// sequential stages); workers update it concurrently.
+	// reg counts engine-level events (tasks computed, stage attempts run,
+	// recovery actions): virtual facts only, whatever the worker count.
+	// Phase-1 workers update it concurrently.
 	reg   *telemetry.Registry
 	stats Stats
 	// crashCursor indexes the next unapplied crash in the fault plan.
@@ -134,15 +136,8 @@ func (s *Scheduler) computeAttempt(parts []int, body func(ctx *executor.TaskCont
 		ctxs[i] = s.newContext(part)
 	}
 	panics := make([]any, n)
-	workers, mode := s.env.TaskParallelism(), "stages.parallel"
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if min(workers, n) <= 1 {
-		mode = "stages.sequential"
-	}
-	s.reg.Add(mode, 1)
-	par.Do(n, workers, func(i int) {
+	s.reg.Add("stages.run", 1)
+	par.Do(n, s.env.TaskParallelism(), func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				panics[i] = r
@@ -346,9 +341,7 @@ func (s *Scheduler) crashExecutor(c faults.Crash) {
 			eng.AttachExecutor(c.Exec)
 		}
 		s.reg.Add("recovery.executors_replaced", 1)
-		s.advance(sim.Duration(s.env.Cost().ExecLaunchSerialNS))
-		task := executor.StartupTask(pool, fresh, s.env.Cost(), s.env.ShuffleStore(), s.env.Seed())
-		executor.SimulateStage(k, pool, []executor.SimTask{task}, s.env.Cost())
+		s.Launch(fresh)
 	} else {
 		pool.MarkDead(c.Exec)
 	}
@@ -362,6 +355,22 @@ func (s *Scheduler) crashExecutor(c faults.Crash) {
 	if pool.AliveCount() == 0 {
 		s.abortJob("all executors lost", s.stats.ExecutorsLost)
 	}
+}
+
+// Launch brings executors up: a serial driver-side launch delay per
+// executor, then one parallel startup stage (fixed CPU plus a sequential
+// heap-initialization write to the executor's tier). It is the only place
+// an executor's startup moves the clock, at application start and when a
+// crashed executor is replaced.
+func (s *Scheduler) Launch(execs ...*executor.Executor) {
+	cost := s.env.Cost()
+	s.advance(sim.Duration(float64(len(execs)) * cost.ExecLaunchSerialNS))
+	pool := s.env.Pool()
+	tasks := make([]executor.SimTask, len(execs))
+	for i, ex := range execs {
+		tasks[i] = executor.StartupTask(pool, ex, cost, s.env.ShuffleStore(), s.env.Seed())
+	}
+	executor.SimulateStage(s.env.Kernel(), pool, tasks, cost)
 }
 
 // speculate applies straggler factors and, when the fault plan enables
@@ -378,7 +387,6 @@ func (s *Scheduler) speculate(tasks []executor.SimTask) []executor.SimTask {
 	if plan == nil || !plan.Speculation {
 		return tasks
 	}
-	threshold := plan.SpeculationThreshold()
 	pool := s.env.Pool()
 	load := make([]int, pool.Size())
 	for _, t := range tasks {
@@ -386,7 +394,7 @@ func (s *Scheduler) speculate(tasks []executor.SimTask) []executor.SimTask {
 	}
 	var clones []executor.SimTask
 	for i, t := range tasks {
-		if t.SlowFactor < threshold {
+		if t.SlowFactor < faults.DefaultSpeculationFactor {
 			continue
 		}
 		target := -1

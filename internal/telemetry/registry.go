@@ -6,9 +6,9 @@ import (
 )
 
 // Registry is a named-counter registry for engine-level observability:
-// how many tasks were computed, how many stages ran parallel vs
-// sequential, how many cache replays happened, and whatever future
-// subsystems want to count. It is mutex-protected because phase-1 task
+// how many tasks were computed, how many stage attempts ran, how many
+// recovery actions happened, and whatever future subsystems want to
+// count. It is mutex-protected because phase-1 task
 // workers update counters concurrently with the driver; a nil registry
 // ignores all calls so call sites never need nil checks.
 type Registry struct {

@@ -15,9 +15,10 @@ import (
 
 // pinnedRun is one cell's ledger digest — over the summary, elapsed
 // virtual time, run metrics, Tier 2 and Tier 3 counters and engine
-// counters, leaving out the stages.* family, which counts how the host
-// ran a stage (sequential or parallel) — with the engine counters and the
-// run's stage spans.
+// counters, leaving out the stages.* family because the digests were
+// recorded without those keys (stages.run equals Metrics().Stages, which
+// the digest covers) — with the engine counters and the run's stage
+// spans.
 type pinnedRun struct {
 	digest string
 	engine map[string]int64
