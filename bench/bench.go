@@ -55,10 +55,14 @@ func Cases() []Case {
 		w := w
 		cases = append(cases, Case{
 			Name: "workload/" + w,
+			// Every iteration runs one spec, so through hibench.Run all but
+			// the first would read the pages its slot kept; a cold store of
+			// the run's own keeps the case measuring generation, and the
+			// -max-allocs ceilings CI sets on it keep their meaning.
 			Iter: func() {
-				if _, err := hibench.Run(hibench.RunSpec{
+				if _, err := hibench.RunShared(hibench.RunSpec{
 					Workload: w, Size: workloads.Small, Tier: memsim.Tier2,
-				}); err != nil {
+				}, nil); err != nil {
 					panic(fmt.Sprintf("bench %s: %v", w, err))
 				}
 			},

@@ -13,7 +13,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rdd"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // Evaluator is the package's one evaluation path, and every driver is a
@@ -90,34 +89,23 @@ type genGroup struct {
 	err  error         // a page a consumer wrote, under checkPages
 }
 
-// genData is what a cell's generated input depends on: its workload, size,
-// seed and source parallelism. Tier, layout, caps, placements, fault plans
-// and tiering leave it alone, so cells that differ only in those share one
-// genGroup.
-type genData struct {
-	workload    string
-	size        workloads.Size
-	seed        int64
-	parallelism int
-}
-
-// genGroups groups the cells of mine by the generated input they read. It
-// returns each one's group, by position in mine, and the order to simulate
-// them in, as positions in mine: the groups by first appearance, each
-// group's cells in list order. par.Do hands positions out in that order,
-// so a group's cells run back to back and about one store per worker is
-// open at a time, however many figures revisit an input.
+// genGroups groups the cells of mine by the generated input they read,
+// their hibench.InputGroup. It returns each one's group, by position in
+// mine, and the order to simulate them in, as positions in mine: the
+// groups by first appearance, each group's cells in list order. par.Do
+// hands positions out in that order, so a group's cells run back to back
+// and about one store per worker is open at a time, however many figures
+// revisit an input.
 func genGroups(specs []hibench.RunSpec, mine []int) (groups []*genGroup, order []int) {
-	byData := make(map[genData]*genGroup)
+	byInput := make(map[hibench.InputGroup]*genGroup)
 	groups = make([]*genGroup, len(mine))
 	order = make([]int, len(mine))
 	for j, i := range mine {
-		s := specs[i].WithDefaults()
-		d := genData{s.Workload, s.Size, s.Seed, s.Parallelism}
-		g := byData[d]
+		in := specs[i].InputGroup()
+		g := byInput[in]
 		if g == nil {
-			g = &genGroup{rank: len(byData)}
-			byData[d] = g
+			g = &genGroup{rank: len(byInput)}
+			byInput[in] = g
 		}
 		g.left.Add(1)
 		groups[j], order[j] = g, j

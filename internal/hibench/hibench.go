@@ -7,6 +7,7 @@ package hibench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/blockmgr"
 	"repro/internal/cluster"
@@ -173,21 +174,67 @@ type TieringStats struct {
 	MigrationNS float64
 }
 
-// Run executes one experiment cell on a fresh simulated cluster. Under a
+// InputGroup is what a run's generated input depends on: its workload,
+// size, seed and source parallelism, defaults applied. Tier, layout, caps,
+// placements, fault plans and tiering leave it alone, so runs that differ
+// only in those read the same generated partitions and derived pages.
+type InputGroup struct {
+	Workload    string
+	Size        workloads.Size
+	Seed        int64
+	Parallelism int
+}
+
+// InputGroup returns the input group s reads.
+func (s RunSpec) InputGroup() InputGroup {
+	s = s.WithDefaults()
+	return InputGroup{s.Workload, s.Size, s.Seed, s.Parallelism}
+}
+
+// lastInput is Run's slot: the store of the last input group Run read. A
+// run of that group again reads the pages the last one kept; a run of
+// another group puts a fresh store in the slot and drops the old one, so
+// at most one group's pages outlive a Run. Like RunShared's store it is
+// host-side only: no RunSpec, Key, RunResult or memo records it.
+var lastInput struct {
+	mu    sync.Mutex
+	group InputGroup
+	gen   *rdd.GenStore
+}
+
+// checkSlotPages makes the slot's stores checksum their pages (see
+// rdd.NewGenStore); a test seam.
+var checkSlotPages bool
+
+// slotStore returns the slot's store for group g, replacing the slot's
+// store when it holds another group.
+func slotStore(g InputGroup) *rdd.GenStore {
+	lastInput.mu.Lock()
+	defer lastInput.mu.Unlock()
+	if lastInput.gen == nil || lastInput.group != g {
+		lastInput.group, lastInput.gen = g, rdd.NewGenStore(checkSlotPages)
+	}
+	return lastInput.gen
+}
+
+// Run executes one experiment cell on a fresh simulated cluster. Its
+// generated sources read through the slot of the last input group Run
+// read (lastInput), so back-to-back runs of one input — a sweep over
+// tiers, caps, placements or tiering policies — generate and derive its
+// pages once; the result is the one RunShared(spec, nil) returns. Under a
 // fault plan whose recovery budget the workload exhausts, the scheduler's
 // job abort surfaces here as an ordinary *faults.JobAbortedError — callers
 // distinguish "the configuration is invalid" from "the run gave up" with
 // errors.As.
 func Run(spec RunSpec) (RunResult, error) {
-	return RunShared(spec, nil)
+	return RunShared(spec, slotStore(spec.InputGroup()))
 }
 
 // RunShared is Run whose generated sources read their partitions, and
 // whose derived pages are kept, in gen, a store the other runs of one
-// evaluation batch share (see rdd.GenStore); a nil gen is Run, whose
-// application reads through a store of its own. gen is host-side: the
-// result is the one Run returns, and neither RunSpec.Key nor RunResult
-// records it.
+// evaluation batch share (see rdd.GenStore); a nil gen gives the
+// application a cold store of its own. gen is host-side: the result is
+// the one Run returns, and neither RunSpec.Key nor RunResult records it.
 func RunShared(spec RunSpec, gen *rdd.GenStore) (result RunResult, err error) {
 	spec = spec.WithDefaults()
 	w, err := workloads.ByName(spec.Workload)

@@ -85,21 +85,23 @@ func reportDigests(report string) (rest, counters string) {
 // counters take in, shows up as a moved digest. The counters of the
 // abort and exhaustion mixes include the failed jobs' work
 // (tenant.b.recovery.job_aborts = 1, tenant.greedy.stages.run = 2,
-// tenant.greedy.tasks.computed = 160).
+// tenant.greedy.tasks.computed = 160). No tenant row sums a per-job
+// point-in-time gauge: quota.fast_used_bytes and the tiering.occupancy.*
+// rows once read up to three times the tenant's peak.
 func TestAdmissionTracePinned(t *testing.T) {
 	want := map[string][2]string{
-		"abort":              {"9629858b3c73e77b", "7e2736902cad9c37"},
-		"crash-in-flight":    {"be26de82472d4b89", "f064e0f8b0868797"},
-		"exhaustion":         {"d274a406f51fddcd", "4af05d23930806ab"},
-		"fair/forecast":      {"d951111ea8aaa2de", "9b9c9a72c1f62a81"},
-		"fair/static":        {"749da272539488dc", "0c2e63592111373d"},
-		"fair/watermark":     {"7c7f7546827225e4", "7f36f54bd65b458b"},
-		"fifo/forecast":      {"2ee77b8cf52fb2de", "7acc3b25996eef68"},
-		"fifo/static":        {"399f805d026c6a7c", "ffa7c496a9f77ddb"},
-		"fifo/watermark":     {"be8baa74c9f5f9e4", "14e06c10486f0b9a"},
-		"weighted/forecast":  {"60e8db75faa968d2", "9b9c9a72c1f62a81"},
-		"weighted/static":    {"0a468cf7715877c1", "0c2e63592111373d"},
-		"weighted/watermark": {"6ab96248874722f0", "7f36f54bd65b458b"},
+		"abort":              {"9629858b3c73e77b", "506dabc7b878e682"},
+		"crash-in-flight":    {"be26de82472d4b89", "e5333c06bb315c53"},
+		"exhaustion":         {"d274a406f51fddcd", "3d4cb3ba50a813db"},
+		"fair/forecast":      {"d951111ea8aaa2de", "74a40f280e7f9dde"},
+		"fair/static":        {"749da272539488dc", "aa074d0b90892bae"},
+		"fair/watermark":     {"7c7f7546827225e4", "5349d8737b681c56"},
+		"fifo/forecast":      {"2ee77b8cf52fb2de", "74a40f280e7f9dde"},
+		"fifo/static":        {"399f805d026c6a7c", "4b2de531efecf44f"},
+		"fifo/watermark":     {"be8baa74c9f5f9e4", "5349d8737b681c56"},
+		"weighted/forecast":  {"60e8db75faa968d2", "74a40f280e7f9dde"},
+		"weighted/static":    {"0a468cf7715877c1", "aa074d0b90892bae"},
+		"weighted/watermark": {"6ab96248874722f0", "5349d8737b681c56"},
 	}
 	for name, c := range pinnedMixes() {
 		t.Run(name, func(t *testing.T) {
@@ -109,6 +111,11 @@ func TestAdmissionTracePinned(t *testing.T) {
 			}
 			if failing := name == "abort" || name == "exhaustion"; failing != (res.Failed > 0) {
 				t.Fatalf("%d failed jobs: the mix does not exercise its scenario", res.Failed)
+			}
+			for _, name := range res.Registry.Names() {
+				if _, job, ok := strings.Cut(strings.TrimPrefix(name, "tenant."), "."); ok && pointInTime(job) {
+					t.Errorf("%s = %d sums a per-job gauge over the tenant's jobs", name, res.Registry.Get(name))
+				}
 			}
 			rest, counters := reportDigests(RenderReport(res))
 			pin, ok := want[name]

@@ -74,20 +74,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// MergePrefixed folds a counter snapshot into the registry under a name
-// prefix — how the multitenant engine aggregates each completed job's
-// engine counters into per-tenant totals ("tenant.<name>." + counter).
-// Addition is commutative, so plain map iteration keeps the result
-// deterministic; no-op on a nil registry.
-func (r *Registry) MergePrefixed(prefix string, src map[string]int64) {
-	if r == nil {
-		return
-	}
-	for name, v := range src {
-		r.Add(prefix+name, v)
-	}
-}
-
 // Names returns the registered counter names, sorted.
 func (r *Registry) Names() []string {
 	if r == nil {

@@ -14,9 +14,10 @@ import (
 // body reads besides the seed, so two sources with equal (ID, params, seed,
 // n, parts) hold the same records partition for partition. A GenStore
 // generates each such partition once and hands the page to every read
-// (rdd.Generator.Source): a run's own store to both of a sort's jobs, and
-// the store an evaluation batch shares to every cell that asks, so the
-// figures' many tiers and layouts of a cell read one copy of its input. A fill
+// (rdd.Generator.Source): a run's own store to both of a sort's jobs, the
+// store an evaluation batch shares to every cell that asks, so the
+// figures' many tiers and layouts of a cell read one copy of its input,
+// and hibench.Run's slot to back-to-back runs of one input. A fill
 // reads nothing else — no captured variable, no package state — and no
 // consumer writes the records it reads.
 var (
