@@ -14,10 +14,13 @@ import (
 )
 
 // benchRun executes one experiment cell whose spec is known-valid,
-// failing the benchmark on an unexpected error.
+// failing the benchmark on an unexpected error. The benchmarks repeat
+// their specs, so through hibench.Run all but the first iteration would
+// read the pages its slot kept; a cold store of the run's own keeps every
+// iteration measuring generation and lda's sweeps.
 func benchRun(b *testing.B, spec hibench.RunSpec) hibench.RunResult {
 	b.Helper()
-	res, err := hibench.Run(spec)
+	res, err := hibench.RunShared(spec, nil)
 	if err != nil {
 		b.Fatalf("run %s: %v", spec, err)
 	}

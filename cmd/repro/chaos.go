@@ -211,10 +211,13 @@ func runScenario(base hibench.RunSpec, baseline hibench.RunResult, sc scenario) 
 		errs = append(errs, errors.New("fault plan never fired"))
 	}
 
-	// Recovery must be bit-identical for any phase-1 worker count.
+	// Recovery must be bit-identical for any phase-1 worker count. The
+	// replay reads a cold store, so it generates the input on 8 workers
+	// instead of reading the pages hibench.Run's slot kept from the
+	// sequential run.
 	par := spec
 	par.TaskParallelism = 8
-	again, err := hibench.Run(par)
+	again, err := hibench.RunShared(par, nil)
 	if err != nil {
 		errs = append(errs, fmt.Errorf("8-worker replay failed: %w", err))
 	} else if again.Duration != res.Duration || again.Summary != res.Summary {

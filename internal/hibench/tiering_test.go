@@ -115,11 +115,13 @@ func TestForecastTieringWorkerCountInvariant(t *testing.T) {
 	wide := spec
 	wide.TaskParallelism = 8
 
-	serial, err := Run(spec)
+	// Cold stores: each run generates its input at its own worker count,
+	// rather than the second reading the pages Run's slot kept.
+	serial, err := RunShared(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(wide)
+	parallel, err := RunShared(wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +168,12 @@ func TestWatermarkTieringDeterministic(t *testing.T) {
 	spec := RunSpec{Workload: "pagerank", Size: workloads.Tiny, Tier: memsim.Tier0,
 		Placement: dcpmCachePlacement(), TaskParallelism: 1, Tiering: &cfg}
 
-	first, err := Run(spec)
+	// Cold stores, so the second run generates its input again.
+	first, err := RunShared(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(spec)
+	second, err := RunShared(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,6 +482,19 @@ func (s *Scheduler) newContext(part int) *executor.TaskContext {
 		ex.Blocks, s.env.ShuffleStore(), s.env.Seed()))
 }
 
+// The quota gauges that sample the tenant's occupancy at the last stage
+// boundary; the peak and spill rows beside them are running totals.
+const (
+	quotaFastUsed = "quota.fast_used_bytes"
+	quotaSlowUsed = "quota.slow_used_bytes"
+)
+
+// PointInTime reports whether the engine counter name is one of those
+// gauges. Summed over runs, such a gauge is a number no moment had.
+func PointInTime(name string) bool {
+	return name == quotaFastUsed || name == quotaSlowUsed
+}
+
 func (s *Scheduler) accountStage(res executor.StageResult, tasks int) {
 	s.stats.Stages++
 	s.stats.Tasks += tasks
@@ -495,8 +508,8 @@ func (s *Scheduler) accountStage(res executor.StageResult, tasks int) {
 	// tenant's fast/slow occupancy and spill totals as the job runs.
 	if q := s.env.Pool().Quota(); q != nil {
 		u := q.Usage()
-		s.reg.Set("quota.fast_used_bytes", u.FastUsed)
-		s.reg.Set("quota.slow_used_bytes", u.SlowUsed)
+		s.reg.Set(quotaFastUsed, u.FastUsed)
+		s.reg.Set(quotaSlowUsed, u.SlowUsed)
 		s.reg.Set("quota.peak_fast_bytes", u.PeakFast)
 		s.reg.Set("quota.peak_slow_bytes", u.PeakSlow)
 		s.reg.Set("quota.spilled_blocks", u.SpilledBlocks)

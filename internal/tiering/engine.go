@@ -3,6 +3,7 @@ package tiering
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/blockmgr"
 	"repro/internal/executor"
@@ -77,6 +78,9 @@ type Engine struct {
 	refusedMoves   int64
 	migStallNS     float64
 	migCounters    [memsim.NumTiers]memsim.Counters
+	// retiredMovers totals the movers AttachExecutor replaced with a
+	// crashed executor's slot, so the mover totals keep their work.
+	retiredMovers heat.MoverStats
 
 	// Names of the per-tier and per-class gauges, built once: tier and
 	// class counts are fixed at construction.
@@ -116,11 +120,11 @@ func NewEngine(cfg Config, pool *executor.Pool, store *shuffle.Store,
 		}
 	}
 	for _, t := range memsim.AllTiers() {
-		e.occupancyGauges[t] = fmt.Sprintf("tiering.occupancy.tier%d", int(t))
+		e.occupancyGauges[t] = fmt.Sprintf("%stier%d", occupancyGauge, int(t))
 	}
 	for i := 0; i < classifier.Classes(); i++ {
-		e.classBlocksGauges = append(e.classBlocksGauges, fmt.Sprintf("tiering.heatmap.class%d.blocks", i))
-		e.classBytesGauges = append(e.classBytesGauges, fmt.Sprintf("tiering.heatmap.class%d.bytes", i))
+		e.classBlocksGauges = append(e.classBlocksGauges, fmt.Sprintf("%sclass%d.blocks", heatmapGauge, i))
+		e.classBytesGauges = append(e.classBytesGauges, fmt.Sprintf("%sclass%d.bytes", heatmapGauge, i))
 	}
 	for id := range e.execs {
 		e.AttachExecutor(id)
@@ -146,6 +150,9 @@ func (e *Engine) AttachExecutor(id int) {
 	var tr heat.Tracker = heat.NewAccessTracker(decayFactor)
 	if e.cfg.Policy == Age {
 		tr = heat.NewIdleTracker()
+	}
+	if old := e.execs[id].mover; old != nil {
+		addMoverStats(&e.retiredMovers, old.Stats())
 	}
 	st := execState{tracker: tr, history: heat.NewHistory(historyEpochs)}
 	if e.cfg.UsesMover() {
@@ -415,6 +422,32 @@ func chargeMoves(ctx *executor.TaskContext, sys *memsim.System, cost executor.Co
 	}
 }
 
+func addMoverStats(dst *heat.MoverStats, s heat.MoverStats) {
+	dst.Enqueued += s.Enqueued
+	dst.Replaced += s.Replaced
+	dst.Emitted += s.Emitted
+	dst.EmittedBytes += s.EmittedBytes
+	dst.DroppedStale += s.DroppedStale
+	dst.RefusedOversize += s.RefusedOversize
+}
+
+// Names and name prefixes of the gauges that sample the engine's state at
+// its last tick rather than count what it did: per-tier occupancy, the
+// last heatmap's classes and the movers' backlog.
+const (
+	occupancyGauge    = "tiering.occupancy."
+	heatmapGauge      = "tiering.heatmap."
+	moverPendingGauge = "tiering.mover.pending"
+)
+
+// PointInTime reports whether the engine counter name is one of those
+// gauges. Summed over runs, such a gauge is a number no moment had; the
+// epoch, migration and mover totals, Set though they are, are cumulative
+// and sum.
+func PointInTime(name string) bool {
+	return name == moverPendingGauge || strings.HasPrefix(name, occupancyGauge) || strings.HasPrefix(name, heatmapGauge)
+}
+
 // publishGauges re-samples the occupancy gauges and migration totals
 // into the telemetry registry.
 func (e *Engine) publishGauges() {
@@ -445,21 +478,15 @@ func (e *Engine) publishGauges() {
 		}
 	}
 	if e.cfg.UsesMover() {
-		var st heat.MoverStats
+		st := e.retiredMovers
 		var pending int64
 		for id := 0; id < e.pool.Size(); id++ {
 			if mv := e.execs[id].mover; mv != nil {
-				s := mv.Stats()
-				st.Enqueued += s.Enqueued
-				st.Replaced += s.Replaced
-				st.Emitted += s.Emitted
-				st.EmittedBytes += s.EmittedBytes
-				st.DroppedStale += s.DroppedStale
-				st.RefusedOversize += s.RefusedOversize
+				addMoverStats(&st, mv.Stats())
 				pending += int64(mv.Pending())
 			}
 		}
-		e.reg.Set("tiering.mover.pending", pending)
+		e.reg.Set(moverPendingGauge, pending)
 		e.reg.Set("tiering.mover.enqueued", st.Enqueued)
 		e.reg.Set("tiering.mover.emitted", st.Emitted)
 		e.reg.Set("tiering.mover.emitted_bytes", st.EmittedBytes)

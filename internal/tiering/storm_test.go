@@ -12,6 +12,7 @@ import (
 	"repro/internal/numa"
 	"repro/internal/shuffle"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // stormDigests are the digests of the storm scenario below, recorded on
@@ -31,7 +32,9 @@ var stormDigests = map[PolicyKind]string{
 // re-heated window, a rotating rewritten stripe (write heat, landing
 // resets), a few explicit removals, and executor 2 crashing at epoch 8
 // and being re-attached with half its blocks re-put in descending order.
-func runStorm(t *testing.T, pol PolicyKind) string {
+// The engine publishes its gauges into reg (nil: none), and ticked, when
+// set, runs after every tick.
+func runStorm(t *testing.T, pol PolicyKind, reg *telemetry.Registry, ticked func()) string {
 	t.Helper()
 	const (
 		executors  = 4
@@ -49,6 +52,7 @@ func runStorm(t *testing.T, pol PolicyKind) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetRegistry(reg)
 	id := func(p int) blockmgr.BlockID { return blockmgr.BlockID{RDD: 1, Partition: p} }
 	for _, ex := range pool.Executors {
 		for i := 0; i < blocks; i++ {
@@ -79,6 +83,9 @@ func runStorm(t *testing.T, pol PolicyKind) string {
 		k.After(1_000_000, func(sim.Time) {})
 		k.Run()
 		eng.Tick()
+		if ticked != nil {
+			ticked()
+		}
 	}
 	if eng.MigratedBlocks() == 0 || eng.Epochs() != epochs {
 		t.Fatalf("%s: storm migrated %d blocks over %d epochs", pol, eng.MigratedBlocks(), eng.Epochs())
@@ -98,9 +105,38 @@ func runStorm(t *testing.T, pol PolicyKind) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// Every engine counter that falls between two ticks of the storm is a
+// gauge PointInTime names: the cumulative counters only grow, so summing
+// them over runs is sound, and a gauge the engine grows later fails here
+// until PointInTime names it too.
+func TestPointInTimeNamesEveryFallingCounter(t *testing.T) {
+	for _, pol := range []PolicyKind{Watermark, BandwidthAware, Age, Forecast} {
+		reg := telemetry.NewRegistry()
+		var last map[string]int64
+		fell := make(map[string]bool)
+		runStorm(t, pol, reg, func() {
+			now := reg.Snapshot()
+			for name, v := range last {
+				if now[name] < v {
+					fell[name] = true
+				}
+			}
+			last = now
+		})
+		if !fell["tiering.occupancy.tier0"] {
+			t.Errorf("%s: the fast tier's occupancy never fell; the storm checks nothing", pol)
+		}
+		for name := range fell {
+			if !PointInTime(name) {
+				t.Errorf("%s: %s fell between ticks, but PointInTime counts it cumulative", pol, name)
+			}
+		}
+	}
+}
+
 func TestStormDigestsPinned(t *testing.T) {
 	for pol, want := range stormDigests {
-		if got := runStorm(t, pol); got != want {
+		if got := runStorm(t, pol, nil, nil); got != want {
 			t.Errorf("%s: storm digest %s, want %s", pol, got, want)
 		}
 	}
