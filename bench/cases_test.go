@@ -2,16 +2,17 @@
 // ledger. The simulator has two ledgers (see DESIGN.md): the virtual one
 // — charged bytes and virtual time, frozen and byte-identical across
 // refactors — and the host one — how fast the Go process computes the
-// virtual ledger. This package measures the host ledger: ns/op,
-// allocs/op and bytes/op for each Table II workload plus shuffle
-// micro-benchmarks, so every performance PR is judged against committed
-// numbers (BENCH_wallclock.json) instead of anecdotes.
+// virtual ledger. This package measures the host ledger under `go test`:
+// BenchmarkWallclock reports ns/op, B/op and allocs/op for each Table II
+// workload plus shuffle, tiering, advisor and replay micro-benchmarks and
+// one end-to-end case, and TestAllocCeilings holds each case to its
+// allocation ceiling. The package has no non-test files: nothing ships
+// the cases.
 package bench
 
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/cluster"
@@ -22,24 +23,15 @@ import (
 	"repro/internal/numa"
 	"repro/internal/rdd"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
 // Case is one wall-clock benchmark: Iter executes a single iteration of
-// the measured work. Cases run identically under `go test -bench` (see
-// bench_test.go) and `repro bench`.
+// the measured work. BenchmarkWallclock and TestAllocCeilings run the
+// same cases.
 type Case struct {
 	Name string
 	Iter func()
-}
-
-// Result is one measured case, averaged over the run's iterations.
-type Result struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
 }
 
 // Cases enumerates the harness: every Table II workload at small size on
@@ -57,8 +49,8 @@ func Cases() []Case {
 			Name: "workload/" + w,
 			// Every iteration runs one spec, so through hibench.Run all but
 			// the first would read the pages its slot kept; a cold store of
-			// the run's own keeps the case measuring generation, and the
-			// -max-allocs ceilings CI sets on it keep their meaning.
+			// the run's own keeps the case measuring generation, and its
+			// allocation ceiling keeps its meaning.
 			Iter: func() {
 				if _, err := hibench.RunShared(hibench.RunSpec{
 					Workload: w, Size: workloads.Small, Tier: memsim.Tier2,
@@ -107,8 +99,7 @@ const (
 )
 
 // microWords is the reduceByKey input: dense string keys, generated on
-// first use so input construction stays out of the measurement and out of
-// the start-up of every command that imports this package.
+// first use so input construction stays out of the measurement.
 var microWords = sync.OnceValue(func() []string {
 	out := make([]string, microRecords)
 	for i := range out {
@@ -192,29 +183,5 @@ func microSimulateStage() {
 	res := executor.SimulateStage(rig.k, rig.pool, rig.tasks, executor.DefaultCostModel())
 	if res.Killed != 16 {
 		panic(fmt.Sprintf("bench simulateStage: %d attempts killed, want 16", res.Killed))
-	}
-}
-
-// Measure runs a case for the given iteration count, at least 1, and
-// reports per-op wall-clock and allocation averages. One untimed warm-up
-// iteration runs first so one-time setup (registration, page faults,
-// catalog builds, the micro inputs) stays out of the numbers.
-func Measure(c Case, iters int) Result {
-	c.Iter()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sw := telemetry.StartStopwatch()
-	for i := 0; i < iters; i++ {
-		c.Iter()
-	}
-	elapsed := sw.Seconds()
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return Result{
-		Name:        c.Name,
-		NsPerOp:     int64(elapsed*1e9) / n,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
 	}
 }

@@ -2,12 +2,11 @@
 // one subcommand each: the tables and figures (tierprobe, report,
 // characterize, mba, scaling, correlate), the studies built on them
 // (advisor, placement, whatif, sensitivity, copybytes), the harnesses
-// that assert as they measure (autotier, chaos, multitenant), one cell
-// (cell) and the host wall-clock ledger (bench). Every subcommand is
-// deterministic at a fixed -seed and prints to stdout; progress goes to
-// stderr. A bad flag value is a usage error (exit 2) reported before
-// anything runs; a failed run or assertion is exit 1. cmd/reproduce
-// renders the whole evaluation in one pass instead.
+// that assert as they measure (autotier, chaos, multitenant) and one cell
+// (cell). Every subcommand is deterministic at a fixed -seed and prints
+// to stdout; progress goes to stderr. A bad flag value is a usage error
+// (exit 2) reported before anything runs; a failed run or assertion is
+// exit 1. cmd/reproduce renders the whole evaluation in one pass instead.
 //
 // Usage:
 //
@@ -59,7 +58,6 @@ var commands = []command{
 	{"chaos", "fault injection: recovered runs byte-identical to fault-free, overhead per tier", chaos},
 	{"multitenant", "scheduler x migration policy sweep over an oversubscribed multi-job mix", tenants},
 	{"cell", "one workload at one size under one configuration: the full measurement record", cell},
-	{"bench", "host wall-clock ledger: ns/op, allocs/op and bytes/op per harness case", hostBench},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

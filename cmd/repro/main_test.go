@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +19,7 @@ func TestSubcommandsRender(t *testing.T) {
 	}{
 		{strings.Fields("tierprobe"), "Table I:", false},
 		{strings.Fields("report"), "Table II:", false},
+		{strings.Fields("report -tiering"), "watermark vs static:", true},
 		{strings.Fields("characterize -workloads sort -fig time"), "Figure 2 (top)", true},
 		{strings.Fields("characterize -workloads sort -fig ipmctl"), "sort/large on", true},
 		{strings.Fields("mba -workloads sort -tier 0"), "Figure 3:", true},
@@ -31,7 +31,6 @@ func TestSubcommandsRender(t *testing.T) {
 		{strings.Fields("sensitivity -workloads sort -size tiny"), "Cost-model sensitivity", true},
 		{strings.Fields("copybytes -workloads sort -size tiny"), "bytes by-ref", true},
 		{strings.Fields("cell -workload sort -size tiny -tier 2 -json"), `"spec": "sort/tiny@Tier 2 1x40"`, true},
-		{strings.Fields("bench -run micro/groupByKey -iters 1 -out="), `"name":"micro/groupByKey"`, true},
 	}
 	covered := map[string]bool{"autotier": true, "chaos": true, "multitenant": true} // by the *Golden tests below
 	for _, tc := range cases {
@@ -86,10 +85,6 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"cell", "-workload", "nope"},
 		{"cell", "-tasks", "-1"},
 		{"cell", "-executors", "-1"},
-		{"bench", "-iters", "0"},
-		{"bench", "-run", "nope"},
-		{"bench", "-max-allocs", "micro/groupByKey=abc"},
-		{"bench", "-max-allocs", "micro/reducebykey=1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -127,43 +122,32 @@ func TestOutputFileAndRunFailure(t *testing.T) {
 	}
 }
 
-// A ledger that exists but does not parse fails the run before any case
-// is measured, and is left byte for byte as it was.
-func TestBenchKeepsUnparseableLedger(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_wallclock.json")
-	broken := []byte(`{"description": "", "runs": {"before": {"iters": 3, "results": []}}`)
-	if err := os.WriteFile(path, broken, 0o644); err != nil {
-		t.Fatal(err)
+// characterize -fig all -ipmctl -csv DIR prints every panel and the
+// per-DIMM counters on stdout and writes the three panels to DIR as CSV:
+// a header and one row per size of the one workload.
+func TestCharacterizeWritesCSVs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates cells")
 	}
+	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"bench", "-run", "micro/groupByKey", "-out", path}, &stdout, &stderr); code != 1 {
-		t.Errorf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	if code := run([]string{"characterize", "-workloads", "sort", "-fig", "all", "-ipmctl", "-csv", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	if strings.Contains(stderr.String(), "micro/groupByKey") {
-		t.Errorf("measured a case before failing:\n%s", stderr.String())
+	for _, want := range []string{"Figure 2 (bottom)", "sort/large on", "wrote time.csv, accesses.csv, energy.csv to " + dir} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, broken) {
-		t.Errorf("ledger rewritten (err %v):\n%s", err, got)
-	}
-}
-
-// The committed wall-clock report is what the renderer makes of the
-// committed ledger.
-func TestWallclockReportRendersLedger(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_wallclock.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc ledger
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("..", "..", "results", "wallclock.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderMarkdown(doc); got != string(want) {
-		t.Errorf("renderMarkdown(BENCH_wallclock.json) differs from results/wallclock.md:\n%s", got)
+	for _, name := range []string{"time.csv", "accesses.csv", "energy.csv"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(lines) != 4 || !strings.HasPrefix(lines[0], "workload,size,") || !strings.HasPrefix(lines[3], "sort,large,") {
+			t.Errorf("%s: want a header and the tiny, small and large rows of sort, got:\n%s", name, raw)
+		}
 	}
 }
 

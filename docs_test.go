@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -171,6 +173,92 @@ func TestWorkflowStepNamesParse(t *testing.T) {
 		}
 		if strings.Contains(value, ": ") || strings.HasSuffix(value, ":") {
 			t.Errorf("ci.yml:%d: unquoted name %q contains a colon-space; quote it or reword", i+1, value)
+		}
+	}
+}
+
+// TestWallclockTrajectoryHolds checks BENCH_wallclock.json, the record of
+// every accepted host-performance claim: the file holds the trajectory
+// and its notes and nothing else, and each claim names a workload and an
+// end-to-end metric of BENCHMARK.json in that metric's unit, comes after
+// the claim before it, was won in at least nine of ten parent/change
+// pairs, and moved the median in the metric's better direction by more
+// than the parent's quartile spread.
+func TestWallclockTrajectoryHolds(t *testing.T) {
+	type metric struct{ Name, Unit, Better string }
+	var manifest struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []metric `json:"end_to_end"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &manifest)
+	}
+	if err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
+	}
+	workloads, metrics := map[string]bool{}, map[string]metric{}
+	for _, w := range manifest.Workloads {
+		workloads[w.Name] = true
+	}
+	for _, m := range manifest.EndToEnd {
+		metrics[m.Name] = m
+	}
+	var ledger struct {
+		Trajectory []struct {
+			PR        int     `json:"pr"`
+			Workload  string  `json:"workload"`
+			Metric    string  `json:"metric"`
+			Unit      string  `json:"unit"`
+			Parent    float64 `json:"parent_median"`
+			Change    float64 `json:"change_median"`
+			ParentIQR float64 `json:"parent_iqr"`
+			Pairs     int     `json:"pairs"`
+			Wins      int     `json:"wins"`
+			Seeds     string  `json:"seeds"`
+		} `json:"trajectory"`
+		Notes []string `json:"notes"`
+	}
+	raw, err = os.ReadFile("BENCH_wallclock.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ledger); err != nil {
+		t.Fatalf("BENCH_wallclock.json: %v", err)
+	}
+	if len(ledger.Trajectory) == 0 {
+		t.Fatal("BENCH_wallclock.json has no trajectory")
+	}
+	prevPR := 0
+	for _, c := range ledger.Trajectory {
+		id := fmt.Sprintf("PR %d %s/%s", c.PR, c.Workload, c.Metric)
+		if !workloads[c.Workload] {
+			t.Errorf("%s: BENCHMARK.json has no workload %q", id, c.Workload)
+		}
+		metric, ok := metrics[c.Metric]
+		if !ok {
+			t.Errorf("%s: %q is not an end-to-end metric of BENCHMARK.json", id, c.Metric)
+			continue
+		}
+		if c.Unit != metric.Unit {
+			t.Errorf("%s: unit %q, BENCHMARK.json says %q", id, c.Unit, metric.Unit)
+		}
+		if c.PR <= prevPR {
+			t.Errorf("%s: PR numbers must ascend (previous claim is PR %d)", id, prevPR)
+		}
+		prevPR = c.PR
+		if c.Wins > c.Pairs || 10*c.Wins < 9*c.Pairs {
+			t.Errorf("%s: won %d of %d pairs, want at least nine in ten", id, c.Wins, c.Pairs)
+		}
+		gain := c.Parent - c.Change
+		if metric.Better == "higher" {
+			gain = -gain
+		}
+		if !(gain > c.ParentIQR) {
+			t.Errorf("%s: median %g -> %g (%s is better) does not clear the parent's quartile spread %g",
+				id, c.Parent, c.Change, metric.Better, c.ParentIQR)
 		}
 	}
 }

@@ -34,9 +34,9 @@ import (
 // tick's call graph has a reason to sort by id, and what it does sort —
 // policy candidates — sorts through slices.SortStableFunc.
 //
-// The CI wall-clock harness (repro bench) enforces the same invariants
-// dynamically via its allocs/op ceilings; this analyzer catches the
-// regression before it runs.
+// The wall-clock harness's TestAllocCeilings (package bench) enforces
+// the same invariants dynamically via its allocs/op ceilings; this
+// analyzer catches the regression before it runs.
 //
 // Taint propagates over the shared module call graph with interface
 // bridging: an interface-method call taints every same-named concrete

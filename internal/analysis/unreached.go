@@ -10,8 +10,8 @@ import (
 // Unreached keeps internal/ at what the system calls. A function, method,
 // interface method or package-level type, const or var declared under
 // internal/ — exported or not — is reported when no shipped code uses
-// it: nothing in the library tree, the commands, bench/, the examples or
-// the nested benchmark/ module names it outside its own declaration (a
+// it: nothing in the library tree, the commands, the examples or the
+// nested benchmark/ module names it outside its own declaration (a
 // recursive call, a method's receiver and a type's own methods do not
 // keep it alive). Uses are resolved by the type checker, so a dead method
 // sharing its name with a live one is found, and an instantiated generic

@@ -37,7 +37,9 @@ func Reproduce(w io.Writer, opts ReproduceOptions) {
 // cells e already holds. It renders Tables I and II, plans every later
 // section, answers all the plans in one batch, then folds and renders the
 // sections in report order, so each input is generated, and each of lda's
-// sweeps sampled, once per report.
+// sweeps sampled, once per report. The report is evaluated locally: every
+// cell, query-vocabulary ones included, is simulated through e's memo,
+// never asked of an injected runner.
 func (e *Evaluator) Reproduce(w io.Writer, opts ReproduceOptions) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -185,14 +187,11 @@ type report struct {
 
 // add puts p's cells on r and returns p's fold over its slice of r's
 // answers, to call after r.eval. Cells come from validated tables, so a
-// query that does not resolve panics. A query plan an injected runner
-// answers joins no batch: its fold asks the runner.
+// query that does not resolve panics. A query plan joins the batch as the
+// RunSpecs its queries resolve to.
 func add[T any](r *report, p plan[T]) func() T {
 	specs := p.specs
 	if p.qs != nil {
-		if r.e.runner != nil {
-			return func() T { return must(p.run(r.e)) }
-		}
 		specs = must(resolve(p.qs))
 	}
 	lo := len(r.specs)

@@ -42,47 +42,7 @@ type QueryRunner func(Query) (RunResult, error)
 
 // Normalize fills defaults (placement "tier:0", seed 1), validates every
 // field and canonicalizes spellings so that equal cells have equal keys.
-func (q Query) Normalize() (Query, error) {
-	if q.Workload == "" {
-		return q, fmt.Errorf("hibench: query has no workload")
-	}
-	if _, err := workloads.ByName(q.Workload); err != nil {
-		return q, err
-	}
-	if _, err := workloads.ParseSize(q.Size); err != nil {
-		return q, err
-	}
-	if q.Placement == "" {
-		q.Placement = "tier:0"
-	}
-	switch {
-	case strings.HasPrefix(q.Placement, "tier:"):
-		tier, err := parseTierPlacement(q.Placement)
-		if err != nil {
-			return q, err
-		}
-		q.Placement = fmt.Sprintf("tier:%d", int(tier))
-	case strings.HasPrefix(q.Placement, "interleave:"):
-		frac, err := parseInterleavePlacement(q.Placement)
-		if err != nil {
-			return q, err
-		}
-		q.Placement = fmt.Sprintf("interleave:%g", frac)
-	default:
-		if _, ok := executor.PlacementByName(q.Placement); !ok {
-			return q, fmt.Errorf("hibench: unknown placement %q (want tier:N, interleave:F or a standard placement name)", q.Placement)
-		}
-	}
-	if q.Policy != "" {
-		if _, err := memsim.CapacityScenarioByName(q.Policy); err != nil {
-			return q, err
-		}
-	}
-	if q.Seed == 0 {
-		q.Seed = 1
-	}
-	return q, nil
-}
+func (q Query) Normalize() (Query, error) { return q.resolve(nil) }
 
 // Key renders the canonical cache key of a normalized query. Callers must
 // Normalize first; Key is a pure formatting step.
@@ -102,46 +62,79 @@ func (q Query) String() string {
 // Spec resolves a query into the experiment cell it names. The query is
 // normalized first, so callers may pass shorthand spellings.
 func (q Query) Spec() (RunSpec, error) {
-	q, err := q.Normalize()
-	if err != nil {
+	var spec RunSpec
+	if _, err := q.resolve(&spec); err != nil {
 		return RunSpec{}, err
 	}
-	spec := RunSpec{Workload: q.Workload, Seed: q.Seed}
-	spec.Size, err = workloads.ParseSize(q.Size)
-	if err != nil {
-		return RunSpec{}, err
+	return spec, nil
+}
+
+// resolve is Normalize and, when spec is non-nil, Spec in one pass: each
+// field is parsed once, and the cell is built into spec from the parsed
+// values. Normalize passes nil, so it allocates no placement or tier table.
+func (q Query) resolve(spec *RunSpec) (Query, error) {
+	if q.Workload == "" {
+		return q, fmt.Errorf("hibench: query has no workload")
 	}
+	if _, err := workloads.ByName(q.Workload); err != nil {
+		return q, err
+	}
+	size, err := workloads.ParseSize(q.Size)
+	if err != nil {
+		return q, err
+	}
+	if q.Placement == "" {
+		q.Placement = "tier:0"
+	}
+	var tier memsim.TierID
+	var placement *executor.Placement
 	switch {
 	case strings.HasPrefix(q.Placement, "tier:"):
-		spec.Tier, err = parseTierPlacement(q.Placement)
-		if err != nil {
-			return RunSpec{}, err
+		if tier, err = parseTierPlacement(q.Placement); err != nil {
+			return q, err
 		}
+		q.Placement = fmt.Sprintf("tier:%d", int(tier))
 	case strings.HasPrefix(q.Placement, "interleave:"):
 		frac, err := parseInterleavePlacement(q.Placement)
 		if err != nil {
-			return RunSpec{}, err
+			return q, err
 		}
-		p := executor.Placement{
-			Heap: memsim.Tier0, Shuffle: memsim.Tier0, Cache: memsim.Tier0,
-			HeapSpill: memsim.Tier2, HeapSpillFrac: frac,
+		q.Placement = fmt.Sprintf("interleave:%g", frac)
+		if spec != nil {
+			placement = &executor.Placement{
+				Heap: memsim.Tier0, Shuffle: memsim.Tier0, Cache: memsim.Tier0,
+				HeapSpill: memsim.Tier2, HeapSpillFrac: frac,
+			}
 		}
-		spec.Tier, spec.Placement = memsim.Tier0, &p
 	default:
 		p, ok := executor.PlacementByName(q.Placement)
 		if !ok {
-			return RunSpec{}, fmt.Errorf("hibench: unknown placement %q", q.Placement)
+			return q, fmt.Errorf("hibench: unknown placement %q (want tier:N, interleave:F or a standard placement name)", q.Placement)
 		}
-		spec.Tier, spec.Placement = p.Heap, &p
+		tier = p.Heap
+		if spec != nil {
+			p := p // a copy made only here, so Normalize leaves p on the stack
+			placement = &p
+		}
 	}
+	var tierSpecs *[memsim.NumTiers]memsim.TierSpec
 	if q.Policy != "" {
 		specs, err := memsim.ScenarioSpecs(q.Policy)
 		if err != nil {
-			return RunSpec{}, err
+			return q, err
 		}
-		spec.TierSpecs = &specs
+		if spec != nil {
+			tierSpecs = new([memsim.NumTiers]memsim.TierSpec)
+			*tierSpecs = specs
+		}
 	}
-	return spec, nil
+	if q.Seed == 0 {
+		q.Seed = 1
+	}
+	if spec != nil {
+		*spec = RunSpec{Workload: q.Workload, Size: size, Tier: tier, Placement: placement, TierSpecs: tierSpecs, Seed: q.Seed}
+	}
+	return q, nil
 }
 
 // RunQuery evaluates one cell on a fresh simulated cluster — the uncached
